@@ -21,8 +21,6 @@ from .protocol import (
     Scripted,
     Sinusoid,
     WeightScheme,
-    adversary_value,
-    leader_value,
     validate_f_local,
     wmsr_filter,
     wmsr_update,

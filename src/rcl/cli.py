@@ -21,6 +21,7 @@ import json
 import os
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 from .graph import (
@@ -211,7 +212,7 @@ def cmd_run(args) -> int:
         raise ConfigError(f"{args.config}: not valid JSON: {exc}") from None
     config = config_from_dict(obj)
     if args.seed is not None:
-        config = config.with_seed(args.seed)
+        config = replace(config, seed=args.seed)
     traj = run_simulation(config, jobs=args.jobs)
     metrics = compute_metrics(traj, tol=args.tol)
     report = {
@@ -234,7 +235,7 @@ def cmd_scenario(args) -> int:
     report = {
         "scenario": scenario.name,
         "description": scenario.description,
-        "seed": args.seed if args.seed is not None else scenario.default_seed,
+        "seed": args.seed if args.seed is not None else scenario.base.seed,
         "preconditions": [
             {"name": p.name, "ok": p.ok, "detail": p.detail} for p in result.preconditions
         ],
@@ -305,18 +306,8 @@ def cmd_sweep(args) -> int:
         raise ConfigError(
             f"grid has {len(valid)} cells, above the cap {args.cell_cap}; use --force"
         )
-
-    def job(cell):
-        n, k, f, start, size = cell
-        return _sweep_cell(n, k, f, start, size, args.horizon, args.seed)
-
-    if args.jobs > 1 and valid:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            rows = list(pool.map(job, valid))
-    else:
-        rows = [job(cell) for cell in valid]
+    rows = [_sweep_cell(n, k, f, start, size, args.horizon, args.seed)
+            for n, k, f, start, size in valid]
 
     buffer = io.StringIO()
     writer = csv.DictWriter(buffer, fieldnames=SWEEP_COLUMNS, lineterminator="\n")
@@ -406,7 +397,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--horizon", type=int, default=200)
     p_sweep.add_argument("--seed", type=int, default=0)
     p_sweep.add_argument("-o", "--output", metavar="FILE", help="write CSV here instead of stdout")
-    p_sweep.add_argument("--jobs", type=int, default=1)
     p_sweep.add_argument("--cell-cap", type=int, default=512)
     p_sweep.add_argument("--force", action="store_true")
     p_sweep.set_defaults(func=cmd_sweep)

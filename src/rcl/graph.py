@@ -81,9 +81,6 @@ class Digraph:
     def max_in_degree(self) -> int:
         return max(len(s) for s in self._in_sets)
 
-    def has_edge(self, i: int, j: int) -> bool:
-        return (i, j) in self.edges
-
 
 def make_k_circulant(n: int, k: int) -> Digraph:
     """Circulant digraph where each agent i transmits to the next k agents mod n."""

@@ -63,20 +63,11 @@ class ReferenceSignal:
                 break
         return value
 
-    @property
-    def final_value(self) -> float:
-        return self.breakpoints[-1][1]
-
     def constant_intervals(self, horizon: int) -> list[tuple[int, int]]:
         """Maximal [t1, t2) intervals with constant value, covering 0..horizon."""
         starts = [t for t, _ in self.breakpoints if t <= horizon]
         ends = starts[1:] + [horizon + 1]
         return list(zip(starts, ends))
-
-
-def leader_value(ref: ReferenceSignal, t: int) -> float:
-    """Value a leader holds and broadcasts at round t; leaders ignore all input."""
-    return ref.value_at(t)
 
 
 # ---------------------------------------------------------------------------
@@ -133,7 +124,7 @@ class Scripted:
 ScalarStrategy = Union[ConstantHold, Sinusoid, Ramp, Scripted]
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class ByzantinePerEdge:
     """Sends an independent scalar signal to each out-neighbor."""
 
@@ -142,36 +133,8 @@ class ByzantinePerEdge:
     def __post_init__(self) -> None:
         object.__setattr__(self, "signals", dict(self.signals))
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ByzantinePerEdge):
-            return NotImplemented
-        return dict(self.signals) == dict(other.signals)
-
-    def value_for(self, recipient: int, t: int) -> float:
-        try:
-            sig = self.signals[recipient]
-        except KeyError:
-            raise ConfigError(f"byzantine strategy has no signal for out-neighbor {recipient}") from None
-        return sig.value_at(t)
-
 
 AdversaryStrategy = Union[ScalarStrategy, ByzantinePerEdge]
-
-
-def adversary_value(
-    strategy: AdversaryStrategy, t: int, recipient: int | None = None, rng=None
-) -> float:
-    """Value delivered by an adversary at round t.
-
-    Malicious strategies broadcast one value to everyone; ByzantinePerEdge
-    looks up the recipient's signal.  ``rng`` is accepted for interface
-    stability; all built-in strategies are deterministic.
-    """
-    if isinstance(strategy, ByzantinePerEdge):
-        if recipient is None:
-            raise ConfigError("byzantine strategy requires a recipient")
-        return strategy.value_for(recipient, t)
-    return strategy.value_at(t)
 
 
 # ---------------------------------------------------------------------------
@@ -196,7 +159,6 @@ class Adversary:
 AgentRole = Union[Normal, Leader, Adversary]
 
 NORMAL = Normal()
-LEADER = Leader()
 
 
 # ---------------------------------------------------------------------------

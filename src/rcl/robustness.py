@@ -38,7 +38,6 @@ class EnumerationCapError(RuntimeError):
 
 
 class Property(str, Enum):
-    R_REACH = "r_reachable"
     R_ROBUST = "r_robust"
     RS_ROBUST = "rs_robust"
     STRONG_R = "strong_r_robust"
@@ -126,10 +125,6 @@ def r_reachable_set(g: Digraph, s: Iterable[int], r: int) -> frozenset[int]:
     if r < 0:
         raise ValueError(f"r must be >= 0, got {r}")
     return frozenset(i for i in subset if len(g.in_neighbors(i) - subset) >= r)
-
-
-def is_r_reachable(g: Digraph, s: Iterable[int], r: int) -> bool:
-    return bool(r_reachable_set(g, s, r))
 
 
 # ---------------------------------------------------------------------------

@@ -3,19 +3,21 @@ digraphs, two constructions showing that plain r-/(r,s)-robustness cannot
 guarantee reference tracking, and the leader-count necessity demonstration
 with its converging contrast case.
 
-Every scenario carries machine-checkable robustness preconditions that are
-asserted before the run, and an expected outcome that the runner evaluates
-against the recorded trajectory.  Waveform parameters, switch rounds, and
-reference levels are artifact defaults chosen to exhibit each effect clearly;
-override them through the factories where exposed.
+Each scenario is a fixed SimConfig template (``Scenario.base``, which also
+carries the default seed) together with machine-checkable robustness
+preconditions, asserted before the run, and an expected outcome that the
+runner evaluates against the recorded trajectory.  Waveform parameters,
+switch rounds, and reference levels are artifact defaults chosen to exhibit
+each effect clearly; to vary them, run ``dataclasses.replace`` on the
+template.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
-from typing import Any, Callable, Union
+from dataclasses import dataclass, replace
+from typing import Any, Callable, Iterator, Union
 
 import numpy as np
 
@@ -31,6 +33,7 @@ from .protocol import (
     validate_f_local,
 )
 from .robustness import (
+    RobustnessReport,
     circulant_certificate,
     circulant_r_robustness_lower_bound,
     is_r_robust,
@@ -138,9 +141,11 @@ class Precondition:
         return PreconditionResult(self.name, bool(ok), detail)
 
 
-def _certificate_precondition(name: str, n: int, k: int, leaders, f: int, mode: str) -> Precondition:
+def _report_precondition(name: str, decide: Callable[[], RobustnessReport]) -> Precondition:
+    """Holds when the robustness report ``decide()`` returns has a true verdict."""
+
     def check():
-        report = circulant_certificate(n, k, leaders, f, mode)
+        report = decide()
         return report.verdict, report.to_json()
 
     return Precondition(name, check)
@@ -163,15 +168,20 @@ class ScenarioResult:
 
 @dataclass(frozen=True, eq=False)
 class Scenario:
+    """A fixed simulation template with its preconditions and expected outcome.
+
+    ``base`` is the complete run configuration and carries the default seed;
+    ``config(seed)`` is ``replace(base, seed=seed)``.
+    """
+
     name: str
     description: str
     expected: ExpectedOutcome
-    default_seed: int
-    config_factory: Callable[[int], SimConfig]
+    base: SimConfig
     preconditions: tuple[Precondition, ...] = ()
 
     def config(self, seed: int | None = None) -> SimConfig:
-        return self.config_factory(self.default_seed if seed is None else seed)
+        return self.base if seed is None else replace(self.base, seed=seed)
 
     def check_preconditions(self) -> tuple[PreconditionResult, ...]:
         """Evaluate all preconditions; raise PreconditionError on the first failure."""
@@ -190,15 +200,13 @@ class Scenario:
         seed: int | None = None,
         horizon: int | None = None,
         jobs: int = 1,
-        check: bool = True,
     ) -> ScenarioResult:
-        if check:
-            pre_results = self.check_preconditions()
-        else:
-            pre_results = tuple(pre.evaluate() for pre in self.preconditions)
-        config = self.config(seed)
-        if horizon is not None:
-            config = config.with_horizon(horizon)
+        pre_results = self.check_preconditions()
+        config = replace(
+            self.base,
+            seed=self.base.seed if seed is None else seed,
+            horizon=self.base.horizon if horizon is None else horizon,
+        )
         traj = run(config, jobs=jobs)
         metrics = compute_metrics(traj, tol=outcome_tol(self.expected))
         ok, detail = evaluate_outcome(self.expected, traj, metrics)
@@ -221,17 +229,6 @@ def sim1() -> Scenario:
     sinusoidal malicious agents, F=3.  Normal agents agree on a value inside
     the hull of their initial states."""
     n, k, f = 20, 15, 3
-    adversary_ids = (1, 6, 15)
-    graph = make_k_circulant(n, k)
-
-    def factory(seed: int) -> SimConfig:
-        return SimConfig(
-            graph=graph,
-            f=f,
-            horizon=500,
-            roles=_sinusoids(adversary_ids),
-            seed=seed,
-        )
 
     def bound_check():
         bound = circulant_r_robustness_lower_bound(n, k)
@@ -244,130 +241,87 @@ def sim1() -> Scenario:
             "sinusoidal malicious agents {1, 6, 15}."
         ),
         expected=ConsensusWithinHull(1e-6),
-        default_seed=101,
-        config_factory=factory,
+        base=SimConfig(
+            graph=make_k_circulant(n, k),
+            f=f,
+            horizon=500,
+            roles=_sinusoids((1, 6, 15)),
+            seed=101,
+        ),
         preconditions=(Precondition("circulant_r_robustness_bound", bound_check),),
     )
 
 
-def _attacked_leader_roles(
-    leader_ids: tuple[int, ...],
-    attacked: tuple[int, ...],
-    strategies: dict[int, Adversary] | None = None,
-) -> dict[int, AgentRole]:
-    roles: dict[int, AgentRole] = {i: Leader() for i in leader_ids if i not in attacked}
-    if strategies is None:
-        roles.update(_sinusoids(attacked))
-    else:
-        roles.update(strategies)
-    return roles
+_DESIGNATED_LEADERS = tuple(range(22, 29))
+_ATTACKED_LEADERS = (22, 26, 28)
+_SWITCHING_REFERENCE = ReferenceSignal(((0, 30.0), (100, -20.0), (200, 0.0)))
+
+
+def _attacked_leaders_scenario(
+    name: str, k: int, horizon: int, seed: int, reference: ReferenceSignal,
+    adversaries: dict[int, AgentRole], description: str,
+) -> Scenario:
+    """C_30(1..k) with designated leaders {22..28}, of which the agents in
+    ``adversaries`` (the attacked leaders {22, 26, 28}) are compromised, F=3."""
+    n, f = 30, 3
+    roles: dict[int, AgentRole] = {i: Leader() for i in _DESIGNATED_LEADERS if i not in adversaries}
+    roles.update(adversaries)
+    return Scenario(
+        name=name,
+        description=description,
+        expected=ConvergesToReference(1e-6),
+        base=SimConfig(
+            graph=make_k_circulant(n, k),
+            f=f,
+            horizon=horizon,
+            roles=roles,
+            reference=reference,
+            seed=seed,
+        ),
+        preconditions=(
+            _report_precondition(
+                "strongly_2f1_robust_certificate",
+                lambda: circulant_certificate(n, k, _DESIGNATED_LEADERS, f, "strong"),
+            ),
+        ),
+    )
 
 
 def sim2() -> Scenario:
     """Reference tracking without trusted leaders: C_30(1..15), designated
     leaders {22..28} of which {22, 26, 28} are compromised, F=3, constant
     reference 40 outside the initial range."""
-    n, k, f = 30, 15, 3
-    leader_ids = tuple(range(22, 29))
-    attacked = (22, 26, 28)
-    graph = make_k_circulant(n, k)
-
-    def factory(seed: int) -> SimConfig:
-        return SimConfig(
-            graph=graph,
-            f=f,
-            horizon=500,
-            roles=_attacked_leader_roles(leader_ids, attacked),
-            reference=ReferenceSignal.constant(40.0),
-            seed=seed,
-        )
-
-    return Scenario(
-        name="sim2",
-        description=(
-            "Reference tracking to 40 on C_30(1..15) with designated leaders "
-            "{22..28}, attacked leaders {22, 26, 28}, F=3."
-        ),
-        expected=ConvergesToReference(1e-6),
-        default_seed=202,
-        config_factory=factory,
-        preconditions=(
-            _certificate_precondition("strongly_2f1_robust_certificate", n, k, leader_ids, f, "strong"),
-        ),
+    return _attacked_leaders_scenario(
+        "sim2", k=15, horizon=500, seed=202, reference=ReferenceSignal.constant(40.0),
+        adversaries=_sinusoids(_ATTACKED_LEADERS),
+        description="Reference tracking to 40 on C_30(1..15) with designated leaders "
+        "{22..28}, attacked leaders {22, 26, 28}, F=3.",
     )
-
-
-_SIM3_REFERENCE = ReferenceSignal(((0, 30.0), (100, -20.0), (200, 0.0)))
 
 
 def sim3() -> Scenario:
     """Switching reference: C_30(1..12), leaders {22..28} with {22, 26, 28}
     attacked, reference stepping 30 -> -20 -> 0; tracking on every constant
     interval."""
-    n, k, f = 30, 12, 3
-    leader_ids = tuple(range(22, 29))
-    attacked = (22, 26, 28)
-    graph = make_k_circulant(n, k)
-
-    def factory(seed: int) -> SimConfig:
-        return SimConfig(
-            graph=graph,
-            f=f,
-            horizon=300,
-            roles=_attacked_leader_roles(leader_ids, attacked),
-            reference=_SIM3_REFERENCE,
-            seed=seed,
-        )
-
-    return Scenario(
-        name="sim3",
-        description=(
-            "Switching reference (30, -20, 0 at rounds 0/100/200) on C_30(1..12) "
-            "with attacked leaders, F=3."
-        ),
-        expected=ConvergesToReference(1e-6),
-        default_seed=303,
-        config_factory=factory,
-        preconditions=(
-            _certificate_precondition("strongly_2f1_robust_certificate", n, k, leader_ids, f, "strong"),
-        ),
+    return _attacked_leaders_scenario(
+        "sim3", k=12, horizon=300, seed=303, reference=_SWITCHING_REFERENCE,
+        adversaries=_sinusoids(_ATTACKED_LEADERS),
+        description="Switching reference (30, -20, 0 at rounds 0/100/200) on C_30(1..12) "
+        "with attacked leaders, F=3.",
     )
 
 
 def sim4() -> Scenario:
     """As sim3, but the compromised agents broadcast unbounded ramps (two
     rising, one falling) whose values dwarf the normal state range."""
-    n, k, f = 30, 12, 3
-    leader_ids = tuple(range(22, 29))
-    attacked = (22, 26, 28)
-    ramps = {
-        22: Adversary(Ramp(slope=5.0, intercept=0.0)),
-        26: Adversary(Ramp(slope=-5.0, intercept=0.0)),
-        28: Adversary(Ramp(slope=8.0, intercept=-400.0)),
-    }
-    graph = make_k_circulant(n, k)
-
-    def factory(seed: int) -> SimConfig:
-        return SimConfig(
-            graph=graph,
-            f=f,
-            horizon=300,
-            roles=_attacked_leader_roles(leader_ids, attacked, ramps),
-            reference=_SIM3_REFERENCE,
-            seed=seed,
-        )
-
-    return Scenario(
-        name="sim4",
-        description=(
-            "As sim3 but with unbounded ramp adversaries on C_30(1..12)."
-        ),
-        expected=ConvergesToReference(1e-6),
-        default_seed=404,
-        config_factory=factory,
-        preconditions=(
-            _certificate_precondition("strongly_2f1_robust_certificate", n, k, leader_ids, f, "strong"),
-        ),
+    return _attacked_leaders_scenario(
+        "sim4", k=12, horizon=300, seed=404, reference=_SWITCHING_REFERENCE,
+        adversaries={
+            22: Adversary(Ramp(slope=5.0, intercept=0.0)),
+            26: Adversary(Ramp(slope=-5.0, intercept=0.0)),
+            28: Adversary(Ramp(slope=8.0, intercept=-400.0)),
+        },
+        description="As sim3 but with unbounded ramp adversaries on C_30(1..12).",
     )
 
 
@@ -377,6 +331,43 @@ def sim4() -> Scenario:
 DEFAULT_SEARCH_BUDGET = 100_000
 DEFAULT_A1 = 0.0
 DEFAULT_A2 = 10.0
+
+
+def _split_graph_candidates(
+    f: int, search_seed: int, budget: int, min_leader_in: int, n_malicious: int
+) -> Iterator[tuple[Digraph, tuple[int, ...], tuple[int, ...], tuple[int, ...]]]:
+    """``budget`` random digraphs on 4F+6 agents, each yielded with its
+    designated leaders S1 = 1..F+1, followers S2 and malicious followers.
+
+    Each candidate draws dense S2 x S2, then between ``min_leader_in`` and
+    |S2| senders from S2 to each leader, then sparse S1 x S1; finally
+    ``n_malicious`` drawn followers hear every leader and every other
+    follower hears at most F of them.
+    """
+    if f < 1:
+        raise ScenarioError(f"counterexample construction needs F >= 1, got {f}")
+    rng = random.Random(search_seed)
+    n = 4 * f + 6
+    s1 = tuple(range(1, f + 2))
+    s2 = tuple(range(f + 2, n + 1))
+    for _ in range(budget):
+        edges: set[tuple[int, int]] = set()
+        for i in s2:
+            for j in s2:
+                if i != j and rng.random() < 0.9:
+                    edges.add((i, j))
+        for i in s1:
+            count = rng.randrange(min_leader_in, len(s2) + 1)
+            edges.update((j, i) for j in rng.sample(s2, count))
+        for i in s1:
+            for j in s1:
+                if i != j and rng.random() < 0.5:
+                    edges.add((i, j))
+        malicious = tuple(sorted(rng.sample(s2, n_malicious)))
+        for j in s2:
+            senders = s1 if j in malicious else rng.sample(s1, rng.randrange(0, f + 1))
+            edges.update((i, j) for i in senders)
+        yield Digraph(n, frozenset(edges)), s1, s2, malicious
 
 
 def build_rs_counterexample(
@@ -389,33 +380,10 @@ def build_rs_counterexample(
     Under W-MSR with S1 as leaders, no S2 agent ever keeps a value from
     outside S2, so S2 can never track the reference.
     """
-    if f < 1:
-        raise ScenarioError(f"counterexample construction needs F >= 1, got {f}")
-    rng = random.Random(search_seed)
-    n = 4 * f + 6
-    s1 = tuple(range(1, f + 2))
-    s2 = tuple(range(f + 2, n + 1))
-    s1_set, s2_set = set(s1), set(s2)
-    for _ in range(budget):
-        edges: set[tuple[int, int]] = set()
-        for i in s2:
-            for j in s2:
-                if i != j and rng.random() < 0.9:
-                    edges.add((i, j))
-        for i in s1:
-            count = f + 1 + rng.randrange(0, len(s2) - f)
-            edges.update((j, i) for j in rng.sample(s2, count))
-        for i in s1:
-            for j in s1:
-                if i != j and rng.random() < 0.5:
-                    edges.add((i, j))
-        for j in s2:
-            for i in rng.sample(s1, rng.randrange(0, f + 1)):
-                edges.add((i, j))
-        g = Digraph(n, frozenset(edges))
-        if not all(len(g.in_neighbors(i) - s1_set) >= f + 1 for i in s1):
+    for g, s1, s2, _ in _split_graph_candidates(f, search_seed, budget, f + 1, 0):
+        if not all(len(g.in_neighbors(i) - set(s1)) >= f + 1 for i in s1):
             continue
-        if not all(len(g.in_neighbors(j) - s2_set) <= f for j in s2):
+        if not all(len(g.in_neighbors(j) - set(s2)) <= f for j in s2):
             continue
         if is_rs_robust(g, f + 1, f + 1, force=True).verdict:
             return g, s1, s2
@@ -434,36 +402,8 @@ def build_2f1_counterexample(
     follower has at most F in-neighbors outside its own camp and never tracks
     the reference.
     """
-    if f < 1:
-        raise ScenarioError(f"counterexample construction needs F >= 1, got {f}")
-    rng = random.Random(search_seed)
-    n = 4 * f + 6
-    s1 = tuple(range(1, f + 2))
-    s2 = tuple(range(f + 2, n + 1))
-    s1_set = set(s1)
-    for _ in range(budget):
-        edges = set()
-        for i in s2:
-            for j in s2:
-                if i != j and rng.random() < 0.9:
-                    edges.add((i, j))
-        for i in s1:
-            count = rng.randrange(2 * f + 1, len(s2) + 1)
-            edges.update((j, i) for j in rng.sample(s2, count))
-        for i in s1:
-            for j in s1:
-                if i != j and rng.random() < 0.5:
-                    edges.add((i, j))
-        malicious = tuple(sorted(rng.sample(s2, f)))
-        for j in malicious:
-            edges.update((i, j) for i in s1)
-        for j in s2:
-            if j in malicious:
-                continue
-            for i in rng.sample(s1, rng.randrange(0, f + 1)):
-                edges.add((i, j))
-        g = Digraph(n, frozenset(edges))
-        fully_connected = {j for j in s2 if s1_set <= g.in_neighbors(j)}
+    for g, s1, s2, malicious in _split_graph_candidates(f, search_seed, budget, 2 * f + 1, f):
+        fully_connected = {j for j in s2 if set(s1) <= g.in_neighbors(j)}
         if fully_connected != set(malicious):
             continue
         if is_r_robust(g, 2 * f + 1, force=True).verdict:
@@ -473,28 +413,31 @@ def build_2f1_counterexample(
     )
 
 
+def _counterexample_config(
+    g: Digraph, f: int, s1: tuple[int, ...], s2: tuple[int, ...],
+    malicious: tuple[int, ...], seed: int,
+) -> SimConfig:
+    """Leaders S1 track the reference a1 from a1; followers S2 start at a2,
+    and the ``malicious`` followers hold a2."""
+    init = {i: DEFAULT_A1 for i in s1}
+    init.update({j: DEFAULT_A2 for j in s2})
+    roles: dict[int, AgentRole] = {i: Leader() for i in s1}
+    roles.update({j: Adversary(ConstantHold(DEFAULT_A2)) for j in malicious})
+    return SimConfig(
+        graph=g,
+        f=f,
+        horizon=300,
+        roles=roles,
+        reference=ReferenceSignal.constant(DEFAULT_A1),
+        init=init,
+        seed=seed,
+    )
+
+
 def counterexample_rs(f: int = 1, search_seed: int = 1) -> Scenario:
     """An (F+1, F+1)-robust network whose F+1 leaders can never pull the rest."""
     g, s1, s2 = build_rs_counterexample(f, search_seed)
     s1_set, s2_set = set(s1), set(s2)
-    init = {i: DEFAULT_A1 for i in s1}
-    init.update({j: DEFAULT_A2 for j in s2})
-    roles: dict[int, AgentRole] = {i: Leader() for i in s1}
-
-    def factory(seed: int) -> SimConfig:
-        return SimConfig(
-            graph=g,
-            f=f,
-            horizon=300,
-            roles=roles,
-            reference=ReferenceSignal.constant(DEFAULT_A1),
-            init=init,
-            seed=seed,
-        )
-
-    def rs_check():
-        report = is_rs_robust(g, f + 1, f + 1, force=True)
-        return report.verdict, report.to_json()
 
     def s1_check():
         bad = [i for i in s1 if len(g.in_neighbors(i) - s1_set) < f + 1]
@@ -512,10 +455,11 @@ def counterexample_rs(f: int = 1, search_seed: int = 1) -> Scenario:
             "follower set, so the followers never move."
         ),
         expected=NoConvergence(abs(DEFAULT_A2 - DEFAULT_A1)),
-        default_seed=505,
-        config_factory=factory,
+        base=_counterexample_config(g, f, s1, s2, (), seed=505),
         preconditions=(
-            Precondition("rs_robustness_holds", rs_check),
+            _report_precondition(
+                "rs_robustness_holds", lambda: is_rs_robust(g, f + 1, f + 1, force=True)
+            ),
             Precondition("leaders_have_f1_outside_in_neighbors", s1_check),
             Precondition("followers_capped_at_f_outside_in_neighbors", s2_check),
         ),
@@ -527,25 +471,6 @@ def counterexample_2f1(f: int = 1, search_seed: int = 1) -> Scenario:
     the only agents hearing all F+1 leaders."""
     g, s1, s2, malicious = build_2f1_counterexample(f, search_seed)
     s1_set = set(s1)
-    init = {i: DEFAULT_A1 for i in s1}
-    init.update({j: DEFAULT_A2 for j in s2})
-    roles: dict[int, AgentRole] = {i: Leader() for i in s1}
-    roles.update({j: Adversary(ConstantHold(DEFAULT_A2)) for j in malicious})
-
-    def factory(seed: int) -> SimConfig:
-        return SimConfig(
-            graph=g,
-            f=f,
-            horizon=300,
-            roles=roles,
-            reference=ReferenceSignal.constant(DEFAULT_A1),
-            init=init,
-            seed=seed,
-        )
-
-    def robust_check():
-        report = is_r_robust(g, 2 * f + 1, force=True)
-        return report.verdict, report.to_json()
 
     def f_local_check():
         ok, violator = validate_f_local(g, malicious, f)
@@ -565,10 +490,11 @@ def counterexample_2f1(f: int = 1, search_seed: int = 1) -> Scenario:
             "hearing all leaders are malicious and hold their value."
         ),
         expected=NoConvergence(abs(DEFAULT_A2 - DEFAULT_A1)),
-        default_seed=606,
-        config_factory=factory,
+        base=_counterexample_config(g, f, s1, s2, malicious, seed=606),
         preconditions=(
-            Precondition("2f1_robustness_holds", robust_check),
+            _report_precondition(
+                "2f1_robustness_holds", lambda: is_r_robust(g, 2 * f + 1, force=True)
+            ),
             Precondition("adversaries_f_local", f_local_check),
             Precondition("full_leader_adjacency_limited_to_adversaries", adjacency_check),
         ),
@@ -578,50 +504,50 @@ def counterexample_2f1(f: int = 1, search_seed: int = 1) -> Scenario:
 # ---------------------------------------------------------------------------
 # leader-count necessity
 
+_DEFICIT_HOLD = 0.0
+_DEFICIT_TARGET = 10.0
 
-def _leader_deficit_parts(f: int) -> tuple[Digraph, int, int]:
+
+def _leader_count_config(f: int, leaders: int, seed: int) -> tuple[SimConfig, int, int]:
+    """C_n(1..k) with n=4F+8, k=2F+1: agents 1..``leaders`` lead toward the
+    target, F adversaries opposite them hold everyone's initial value."""
     n, k = 4 * f + 8, 2 * f + 1
-    return make_k_circulant(n, k), n, k
+    graph = make_k_circulant(n, k)
+    roles: dict[int, AgentRole] = {i: Leader() for i in range(1, leaders + 1)}
+    roles.update(
+        {i: Adversary(ConstantHold(_DEFICIT_HOLD)) for i in range(n // 2 + 1, n // 2 + 1 + f)}
+    )
+    config = SimConfig(
+        graph=graph,
+        f=f,
+        horizon=500,
+        roles=roles,
+        reference=ReferenceSignal.constant(_DEFICIT_TARGET),
+        init={i: _DEFICIT_HOLD for i in graph.vertices},
+        seed=seed,
+    )
+    return config, n, k
 
 
 def leader_deficit_scenario(f: int = 1) -> Scenario:
     """With only F agents acting as leaders, F-local adversaries holding the
     followers' common value pin every normal agent there forever, even though
     the graph could support full tracking with one more leader."""
-    graph, n, k = _leader_deficit_parts(f)
-    hold = 0.0
-    target = 10.0
-    leader_ids = tuple(range(1, f + 1))
+    base, n, k = _leader_count_config(f, f, seed=707)
     window = tuple(range(1, 2 * f + 2))
-    adversary_ids = tuple(range(n // 2 + 1, n // 2 + 1 + f))
-    roles: dict[int, AgentRole] = {i: Leader() for i in leader_ids}
-    roles.update({i: Adversary(ConstantHold(hold)) for i in adversary_ids})
-    init = {i: hold for i in graph.vertices}
-
-    def factory(seed: int) -> SimConfig:
-        return SimConfig(
-            graph=graph,
-            f=f,
-            horizon=500,
-            roles=roles,
-            reference=ReferenceSignal.constant(target),
-            init=init,
-            seed=seed,
-        )
-
     return Scenario(
         name="leader-deficit",
         description=(
             f"Leader-count necessity on C_{n}(1..{k}): only F={f} leaders at "
-            f"{target}, everyone else (including {f} holding adversaries) at "
-            f"{hold}; normals never move."
+            f"{_DEFICIT_TARGET}, everyone else (including {f} holding adversaries) at "
+            f"{_DEFICIT_HOLD}; normals never move."
         ),
-        expected=StaysAtValue(hold),
-        default_seed=707,
-        config_factory=factory,
+        expected=StaysAtValue(_DEFICIT_HOLD),
+        base=base,
         preconditions=(
-            _certificate_precondition(
-                "graph_supports_2f1_leader_window", n, k, window, f, "strong"
+            _report_precondition(
+                "graph_supports_2f1_leader_window",
+                lambda: circulant_certificate(n, k, window, f, "strong"),
             ),
         ),
     )
@@ -630,26 +556,7 @@ def leader_deficit_scenario(f: int = 1) -> Scenario:
 def leader_deficit_contrast(f: int = 1) -> Scenario:
     """Same graph and adversaries as leader-deficit, with F+1 leaders instead of F:
     trusted-leader tracking succeeds."""
-    graph, n, k = _leader_deficit_parts(f)
-    hold = 0.0
-    target = 10.0
-    leader_ids = tuple(range(1, f + 2))
-    adversary_ids = tuple(range(n // 2 + 1, n // 2 + 1 + f))
-    roles: dict[int, AgentRole] = {i: Leader() for i in leader_ids}
-    roles.update({i: Adversary(ConstantHold(hold)) for i in adversary_ids})
-    init = {i: hold for i in graph.vertices}
-
-    def factory(seed: int) -> SimConfig:
-        return SimConfig(
-            graph=graph,
-            f=f,
-            horizon=500,
-            roles=roles,
-            reference=ReferenceSignal.constant(target),
-            init=init,
-            seed=seed,
-        )
-
+    base, n, k = _leader_count_config(f, f + 1, seed=708)
     return Scenario(
         name="leader-deficit-contrast",
         description=(
@@ -657,11 +564,11 @@ def leader_deficit_contrast(f: int = 1) -> Scenario:
             "suffice for tracking."
         ),
         expected=ConvergesToReference(1e-6),
-        default_seed=708,
-        config_factory=factory,
+        base=base,
         preconditions=(
-            _certificate_precondition(
-                "tlf_robust_certificate", n, k, leader_ids, f, "tlf"
+            _report_precondition(
+                "tlf_robust_certificate",
+                lambda: circulant_certificate(n, k, base.leaders, f, "tlf"),
             ),
         ),
     )
@@ -670,31 +577,27 @@ def leader_deficit_contrast(f: int = 1) -> Scenario:
 # ---------------------------------------------------------------------------
 # registry
 
-SCENARIO_NAMES = (
-    "sim1",
-    "sim2",
-    "sim3",
-    "sim4",
-    "counterexample-rs",
-    "counterexample-2f1",
-    "leader-deficit",
-    "leader-deficit-contrast",
-)
+_BUILDERS: dict[str, Callable[..., Scenario]] = {
+    "sim1": sim1,
+    "sim2": sim2,
+    "sim3": sim3,
+    "sim4": sim4,
+    "counterexample-rs": counterexample_rs,
+    "counterexample-2f1": counterexample_2f1,
+    "leader-deficit": leader_deficit_scenario,
+    "leader-deficit-contrast": leader_deficit_contrast,
+}
+_FIXED_F = frozenset({"sim1", "sim2", "sim3", "sim4"})
+
+SCENARIO_NAMES = tuple(_BUILDERS)
 
 
 def build_scenario(name: str, f: int | None = None) -> Scenario:
     """Look up a scenario by name; ``f`` applies to the parametric ones."""
-    fixed = {"sim1": sim1, "sim2": sim2, "sim3": sim3, "sim4": sim4}
-    parametric = {
-        "counterexample-rs": counterexample_rs,
-        "counterexample-2f1": counterexample_2f1,
-        "leader-deficit": leader_deficit_scenario,
-        "leader-deficit-contrast": leader_deficit_contrast,
-    }
-    if name in fixed:
-        if f is not None:
-            raise ScenarioError(f"scenario {name!r} does not take an F override")
-        return fixed[name]()
-    if name in parametric:
-        return parametric[name]() if f is None else parametric[name](f)
-    raise ScenarioError(f"unknown scenario {name!r}; known: {', '.join(SCENARIO_NAMES)}")
+    if name not in _BUILDERS:
+        raise ScenarioError(f"unknown scenario {name!r}; known: {', '.join(SCENARIO_NAMES)}")
+    if f is None:
+        return _BUILDERS[name]()
+    if name in _FIXED_F:
+        raise ScenarioError(f"scenario {name!r} does not take an F override")
+    return _BUILDERS[name](f)

@@ -9,9 +9,10 @@ independent of the worker count used for per-agent updates.
 from __future__ import annotations
 
 import csv
+import math
 import random
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Any, Mapping
 
@@ -153,12 +154,6 @@ class SimConfig:
     def adversaries(self) -> tuple[int, ...]:
         return tuple(i for i in self.graph.vertices if isinstance(self.roles[i], Adversary))
 
-    def with_horizon(self, horizon: int) -> "SimConfig":
-        return replace(self, horizon=horizon)
-
-    def with_seed(self, seed: int) -> "SimConfig":
-        return replace(self, seed=seed)
-
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
@@ -173,10 +168,6 @@ class Trajectory:
     @property
     def horizon(self) -> int:
         return self.states.shape[0] - 1
-
-    @property
-    def n(self) -> int:
-        return self.states.shape[1]
 
     def broadcast(self, t: int, agent: int) -> float:
         return float(self.states[t, agent - 1])
@@ -379,10 +370,10 @@ def disagreement(traj: Trajectory) -> np.ndarray:
 
 def _sustained_round(series: np.ndarray, tol: float) -> int | None:
     """Smallest t with series[s] <= tol for all s in [t, end]; None if the
-    series ends above tol."""
+    series ends above tol.  NaN counts as above tol."""
     if tol <= 0:
         raise ValueError(f"tolerance must be positive, got {tol}")
-    above = np.nonzero(series > tol)[0]
+    above = np.nonzero(~(series <= tol))[0]
     if above.size == 0:
         return 0
     t = int(above[-1]) + 1
@@ -500,26 +491,20 @@ def write_edges_csv(traj: Trajectory, path: str | Path) -> None:
 # JSON configuration format
 
 
+_SCALAR_STRATEGIES = {"constant": ConstantHold, "sinusoid": Sinusoid, "ramp": Ramp, "scripted": Scripted}
+
+
 def _scalar_strategy_from_dict(obj: Any, path: str) -> ScalarStrategy:
     if not isinstance(obj, dict) or "type" not in obj:
         raise ConfigError(f"{path}: strategy must be an object with a 'type' key")
     kind = obj["type"]
+    if not isinstance(kind, str) or kind not in _SCALAR_STRATEGIES:
+        raise ConfigError(f"{path}/type: unknown scalar strategy {kind!r}")
     fields = {k: v for k, v in obj.items() if k != "type"}
     try:
-        if kind == "constant":
-            return ConstantHold(**fields)
-        if kind == "sinusoid":
-            return Sinusoid(**fields)
-        if kind == "ramp":
-            return Ramp(**fields)
-        if kind == "scripted":
-            vals = fields.pop("values")
-            if fields:
-                raise TypeError(f"unexpected fields {sorted(fields)}")
-            return Scripted(tuple(vals))
-    except (TypeError, KeyError) as exc:
+        return _SCALAR_STRATEGIES[kind](**fields)
+    except TypeError as exc:
         raise ConfigError(f"{path}: bad fields for {kind!r} strategy: {exc}") from None
-    raise ConfigError(f"{path}/type: unknown scalar strategy {kind!r}")
 
 
 def _strategy_from_dict(obj: Any, path: str) -> Adversary:
@@ -539,25 +524,14 @@ def _strategy_from_dict(obj: Any, path: str) -> Adversary:
 
 
 def _strategy_to_dict(strategy) -> dict:
-    if isinstance(strategy, ConstantHold):
-        return {"type": "constant", "value": strategy.value}
-    if isinstance(strategy, Sinusoid):
-        return {
-            "type": "sinusoid",
-            "amplitude": strategy.amplitude,
-            "period": strategy.period,
-            "phase": strategy.phase,
-            "offset": strategy.offset,
-        }
-    if isinstance(strategy, Ramp):
-        return {"type": "ramp", "slope": strategy.slope, "intercept": strategy.intercept}
-    if isinstance(strategy, Scripted):
-        return {"type": "scripted", "values": list(strategy.values)}
     if isinstance(strategy, ByzantinePerEdge):
         return {
             "type": "byzantine",
             "edges": {str(k): _strategy_to_dict(v) for k, v in sorted(strategy.signals.items())},
         }
+    for kind, cls in _SCALAR_STRATEGIES.items():
+        if isinstance(strategy, cls):
+            return {"type": kind, **asdict(strategy)}
     raise ConfigError(f"unknown strategy {strategy!r}")
 
 
@@ -580,10 +554,20 @@ def _graph_from_config(obj: Any, path: str) -> Digraph:
     )
 
 
+def _require_finite(value: float, path: str) -> float:
+    """Reject NaN and +-inf, which Python's json reads from the NaN and
+    Infinity literals."""
+    if not math.isfinite(value):
+        raise ConfigError(f"{path}: must be a finite number, got {value!r}")
+    return value
+
+
 def config_from_dict(obj: Any) -> SimConfig:
     """Build a SimConfig from the JSON configuration object.
 
-    Violations are reported with JSON-pointer-style paths.
+    Violations are reported with JSON-pointer-style paths.  Numbers outside
+    adversary strategies must be finite; adversary values are unrestricted,
+    as the threat model allows an adversary to send anything.
     """
     if not isinstance(obj, dict):
         raise ConfigError("/: configuration must be a JSON object")
@@ -644,18 +628,24 @@ def config_from_dict(obj: Any) -> SimConfig:
                 raise ConfigError("/reference: expected 'constant' or 'breakpoints'")
         except (ConfigError, TypeError, ValueError) as exc:
             raise ConfigError(f"/reference: {exc}") from None
+        for idx, (_, value) in enumerate(reference.breakpoints):
+            _require_finite(value, "/reference/constant" if "constant" in ref
+                            else f"/reference/breakpoints/{idx}/1")
 
     init: tuple[float, float] | dict[int, float] = (-25.0, 25.0)
     if "init" in obj:
         spec = obj["init"]
         if isinstance(spec, dict) and "range" in spec:
             lo, hi = spec["range"]
-            init = (float(lo), float(hi))
+            init = (_require_finite(float(lo), "/init/range/0"),
+                    _require_finite(float(hi), "/init/range/1"))
         elif isinstance(spec, dict) and "values" in spec:
             try:
                 init = {int(k): float(v) for k, v in spec["values"].items()}
             except (ValueError, AttributeError):
                 raise ConfigError("/init/values: must map agent ids to numbers") from None
+            for i, value in init.items():
+                _require_finite(value, f"/init/values/{i}")
         else:
             raise ConfigError("/init: expected {'range': [lo, hi]} or {'values': {...}}")
 
@@ -674,11 +664,12 @@ def config_from_dict(obj: Any) -> SimConfig:
                     raise ConfigError(f"/weight_table/{i_key}: must be an object")
                 for j_key, w in row.items():
                     try:
-                        table[(int(i_key), int(j_key))] = float(w)
+                        edge, w = (int(i_key), int(j_key)), float(w)
                     except ValueError:
                         raise ConfigError(
                             f"/weight_table/{i_key}/{j_key}: bad entry"
                         ) from None
+                    table[edge] = _require_finite(w, f"/weight_table/{i_key}/{j_key}")
         try:
             scheme = WeightScheme(float(alpha), table)
         except ConfigError as exc:

@@ -247,10 +247,12 @@ def test_sweep_cell_cap(capsys):
     assert "cells" in err
 
 
-def test_sweep_jobs_deterministic(capsys):
+def test_sweep_deterministic(capsys):
     args = ["sweep", "--n", "8,10", "--k", "4", "--f", "1", "--window-sizes", "3",
             "--horizon", "50"]
     code1, out1, _ = run_cli(capsys, *args)
-    code2, out2, _ = run_cli(capsys, *args, "--jobs", "4")
+    code2, out2, _ = run_cli(capsys, *args)
     assert code1 == code2 == 0
     assert out1 == out2
+    with pytest.raises(SystemExit):  # the sweep runs serially and has no --jobs
+        run_cli(capsys, *args, "--jobs", "2")

@@ -15,9 +15,7 @@ from rcl.protocol import (
     Scripted,
     Sinusoid,
     WeightScheme,
-    adversary_value,
     default_alpha,
-    leader_value,
     validate_f_local,
     wmsr_filter,
     wmsr_update,
@@ -203,12 +201,12 @@ def test_default_alpha_is_inverse_max_degree_plus_one():
 
 def test_reference_piecewise_lookup():
     ref = ReferenceSignal(((0, 30.0), (100, -20.0), (200, 0.0)))
-    assert leader_value(ref, 0) == 30.0
-    assert leader_value(ref, 99) == 30.0
-    assert leader_value(ref, 100) == -20.0  # right-continuous at the switch
-    assert leader_value(ref, 150) == -20.0
-    assert leader_value(ref, 200) == 0.0
-    assert leader_value(ref, 10_000) == 0.0
+    assert ref.value_at(0) == 30.0
+    assert ref.value_at(99) == 30.0
+    assert ref.value_at(100) == -20.0  # right-continuous at the switch
+    assert ref.value_at(150) == -20.0
+    assert ref.value_at(200) == 0.0
+    assert ref.value_at(10_000) == 0.0
 
 
 def test_reference_constant():
@@ -236,11 +234,11 @@ def test_reference_constant_intervals():
 
 
 def test_constant_hold():
-    assert adversary_value(ConstantHold(4.0), 17) == 4.0
+    assert ConstantHold(4.0).value_at(17) == 4.0
 
 
 def test_ramp_spec_example():
-    assert adversary_value(Ramp(slope=1.0, intercept=0.0), 40) == 40.0
+    assert Ramp(slope=1.0, intercept=0.0).value_at(40) == 40.0
 
 
 def test_sinusoid_formula():
@@ -256,16 +254,8 @@ def test_scripted_holds_last_value():
 
 def test_byzantine_per_edge_lookup():
     strat = ByzantinePerEdge({2: ConstantHold(0.0), 3: ConstantHold(100.0)})
-    assert adversary_value(strat, 5, recipient=3) == 100.0
-    assert adversary_value(strat, 5, recipient=2) == 0.0
-
-
-def test_byzantine_missing_recipient():
-    strat = ByzantinePerEdge({2: ConstantHold(0.0)})
-    with pytest.raises(ConfigError):
-        adversary_value(strat, 0, recipient=9)
-    with pytest.raises(ConfigError):
-        adversary_value(strat, 0)
+    assert strat.signals[3].value_at(5) == 100.0
+    assert strat.signals[2].value_at(5) == 0.0
 
 
 # ---------------------------------------------------------------------------

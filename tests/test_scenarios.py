@@ -1,8 +1,11 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
 from rcl.robustness import is_r_robust, is_rs_robust
 from rcl.scenarios import (
+    SCENARIO_NAMES,
     Precondition,
     PreconditionError,
     Scenario,
@@ -24,8 +27,22 @@ from rcl.scenarios import (
 def test_registry_rejects_unknown_name():
     with pytest.raises(ScenarioError):
         build_scenario("sim9")
-    with pytest.raises(ScenarioError):
-        build_scenario("sim1", f=2)
+    for name in ("sim1", "sim2", "sim3", "sim4"):
+        with pytest.raises(ScenarioError, match="F override"):
+            build_scenario(name, f=2)
+    parametric = ("counterexample-rs", "counterexample-2f1", "leader-deficit",
+                  "leader-deficit-contrast")
+    for name in parametric:
+        assert build_scenario(name, f=2).base.f == 2
+    for name in SCENARIO_NAMES:
+        scenario = build_scenario(name)
+        assert scenario.name == name
+        seed = scenario.base.seed + 1
+        config = scenario.config(seed)
+        assert config.seed == seed
+        for field in fields(config):
+            if field.name != "seed":
+                assert getattr(config, field.name) == getattr(scenario.base, field.name)
 
 
 def test_sim1_consensus_within_hull():
@@ -154,8 +171,7 @@ def test_failing_precondition_aborts_run():
         name="doomed",
         description="precondition always fails",
         expected=base.expected,
-        default_seed=1,
-        config_factory=base.config_factory,
+        base=base.base,
         preconditions=(Precondition("always_false", lambda: (False, "nope")),),
     )
     with pytest.raises(PreconditionError, match="always_false"):

@@ -17,6 +17,8 @@ from rcl.protocol import (
 )
 from rcl.simulation import (
     SimConfig,
+    Trajectory,
+    _sustained_round,
     compute_metrics,
     config_from_dict,
     config_to_dict,
@@ -249,6 +251,18 @@ def test_convergence_round_requires_sustained_error():
     assert r == 0 or err[r - 1] > 1e-6
 
 
+def test_nan_never_counts_as_converged():
+    assert _sustained_round(np.array([5.0, np.nan, np.nan]), 1e-6) is None
+    cfg = basic_config(horizon=20)
+    traj = run(cfg)
+    states = np.array(traj.states)
+    states[1:, 2] = np.nan  # normal agent 3 turns NaN after round 0
+    m = compute_metrics(Trajectory(cfg, states, traj.reference, {}))
+    assert m.convergence_round is None
+    assert m.consensus_round is None
+    assert not m.converged
+
+
 def test_no_reference_metrics_use_disagreement():
     g = make_k_circulant(9, 4)
     cfg = SimConfig(graph=g, f=1, horizon=200, seed=12)
@@ -359,6 +373,34 @@ def test_config_dict_pointer_errors():
         config_from_dict({**base, "init": {"spread": 3}})
     with pytest.raises(ConfigError, match="unknown configuration key"):
         config_from_dict({**base, "extra": 1})
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("patch, path", [
+    ({"init": {"values": {**{str(i): 0.0 for i in range(1, 7)}, "3": NAN}}}, "/init/values/3"),
+    ({"init": {"range": [-INF, 1.0]}}, "/init/range/0"),
+    ({"init": {"range": [0.0, INF]}}, "/init/range/1"),
+    ({"reference": {"constant": INF}}, "/reference/constant"),
+    ({"reference": {"constant": NAN}}, "/reference/constant"),
+    ({"reference": {"breakpoints": [[0, 1.0], [5, NAN]]}}, "/reference/breakpoints/1/1"),
+    ({"alpha": NAN}, "/alpha"),
+    ({"weight_table": {"1": {"2": NAN}}}, "/weight_table/1/2"),
+])
+def test_config_dict_rejects_non_finite(patch, path):
+    base = {"graph": {"circulant": [6, 2]}, "f": 1, "horizon": 10}
+    with pytest.raises(ConfigError, match=path):
+        config_from_dict({**base, **patch})
+
+
+def test_config_dict_allows_non_finite_adversary_values():
+    cfg = config_from_dict({
+        "graph": {"circulant": [6, 2]}, "f": 1, "horizon": 10,
+        "roles": {"3": {"adversary": {"type": "constant", "value": NAN}},
+                  "5": {"adversary": {"type": "ramp", "slope": INF}}},
+    })
+    assert cfg.adversaries == (3, 5)
 
 
 def test_metrics_json_shape():
