@@ -213,7 +213,7 @@ def cmd_run(args) -> int:
     config = config_from_dict(obj)
     if args.seed is not None:
         config = replace(config, seed=args.seed)
-    traj = run_simulation(config, jobs=args.jobs)
+    traj = run_simulation(config)
     metrics = compute_metrics(traj, tol=args.tol)
     report = {
         "config": config_to_dict(config),
@@ -231,7 +231,7 @@ def cmd_scenario(args) -> int:
     if args.name is None:
         raise ConfigError("scenario name required (or use --list)")
     scenario = build_scenario(args.name, f=args.f)
-    result = scenario.run(seed=args.seed, horizon=args.horizon, jobs=args.jobs)
+    result = scenario.run(seed=args.seed, horizon=args.horizon)
     report = {
         "scenario": scenario.name,
         "description": scenario.description,
@@ -375,7 +375,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--seed", type=int)
     p_run.add_argument("--tol", type=float, default=1e-6)
     p_run.add_argument("--out", default="out/run", metavar="DIR")
-    p_run.add_argument("--jobs", type=int, default=1)
     p_run.set_defaults(func=cmd_run)
 
     p_scen = sub.add_parser("scenario", help="run a built-in scenario")
@@ -384,7 +383,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_scen.add_argument("--seed", type=int)
     p_scen.add_argument("--horizon", type=int)
     p_scen.add_argument("--out", metavar="DIR")
-    p_scen.add_argument("--jobs", type=int, default=1)
     p_scen.add_argument("--list", action="store_true", help="list scenario names")
     p_scen.set_defaults(func=cmd_scenario)
 

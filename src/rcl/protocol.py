@@ -172,8 +172,10 @@ def wmsr_filter(
 
     Among incoming values strictly greater than ``own``, the min(F, count)
     largest are removed; symmetrically for values strictly less.  The agent's
-    own value is always retained.  Returns retained (sender, value) pairs,
-    including (agent, own), sorted by sender id.
+    own value is always retained.  An incoming NaN counts as +inf, so that
+    the top-F removal discards it like any other extreme value.  Returns
+    retained (sender, value) pairs, including (agent, own), sorted by sender
+    id.
     """
     if f < 0:
         raise ValueError(f"F must be >= 0, got {f}")
@@ -181,6 +183,8 @@ def wmsr_filter(
     lower = []
     retained = [(agent, own)]
     for j, v in incoming:
+        if math.isnan(v):
+            v = math.inf
         if v > own:
             higher.append((v, j))
         elif v < own:
@@ -211,14 +215,15 @@ class WeightScheme:
 
     def __post_init__(self) -> None:
         if not (0.0 < self.alpha < 1.0):
-            raise ConfigError(f"alpha must be in (0, 1), got {self.alpha}")
+            raise ConfigError(f"/alpha: alpha must be in (0, 1), got {self.alpha}")
         if self.table is not None:
             frozen = {}
             for key, w in dict(self.table).items():
                 i, j = key
                 if w < self.alpha:
                     raise ConfigError(
-                        f"table weight w[{i},{j}]={w} is below the floor alpha={self.alpha}"
+                        f"/weight_table/{i}/{j}: table weight w[{i},{j}]={w} is below "
+                        f"the floor alpha={self.alpha}"
                     )
                 frozen[(int(i), int(j))] = float(w)
             object.__setattr__(self, "table", frozen)
@@ -249,7 +254,11 @@ def wmsr_weights(
             raw[j] = scheme.table[(agent, j)]
         except KeyError:
             raise ConfigError(f"weight table missing entry for edge ({agent}, {j})") from None
-    total = sum(raw.values())
+    # a left-to-right sum in sender order, which the engine reproduces
+    # (from Python 3.12 on, sum() of floats is compensated)
+    total = 0.0
+    for w in raw.values():
+        total += w
     return {j: w / total for j, w in raw.items()}
 
 

@@ -201,6 +201,9 @@ class Scenario:
         horizon: int | None = None,
         jobs: int = 1,
     ) -> ScenarioResult:
+        """Check the preconditions, then simulate ``base`` with the given seed
+        and horizon.  ``jobs`` accepts only 1, as in ``simulation.run``; it
+        remains so that callers that pass ``jobs=1`` keep working."""
         pre_results = self.check_preconditions()
         config = replace(
             self.base,

@@ -2,8 +2,10 @@
 envelope metrics, trajectory export, and the JSON configuration format.
 
 Rounds are lockstep with perfect delivery: round t+1 states are computed only
-from round-t delivered values.  Runs are deterministic given (config, seed),
-independent of the worker count used for per-agent updates.
+from round-t delivered values.  Each round is one array program over all
+normal agents that reproduces the scalar W-MSR filter and update of
+``protocol`` bit for bit; ``replay_states`` re-runs those scalar functions as
+the oracle.  Runs are deterministic given (config, seed).
 """
 
 from __future__ import annotations
@@ -11,7 +13,6 @@ from __future__ import annotations
 import csv
 import math
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Any, Mapping
@@ -57,8 +58,9 @@ class SimConfig:
     (low, high) uniform range sampled per agent from ``seed``, or an explicit
     value per agent; leader initial states are overridden to the reference
     value at round 0, and adversary broadcasts follow their strategy from
-    round 0 on.  With ``strict_f_local`` the adversary set must pass the
-    F-local check at construction.
+    round 0 on.  Initial and reference values must be finite; adversary
+    values are unrestricted.  With ``strict_f_local`` the adversary set must
+    pass the F-local check at construction.
     """
 
     graph: Digraph
@@ -88,6 +90,9 @@ class SimConfig:
 
         if self.leaders and self.reference is None:
             raise ConfigError("leaders are present but no reference signal is configured")
+        if self.reference is not None:
+            for idx, (_, value) in enumerate(self.reference.breakpoints):
+                _require_finite(value, f"/reference/breakpoints/{idx}/1")
 
         scheme = self.scheme or WeightScheme(default_alpha(g))
         bound = 1.0 / (g.max_in_degree + 1)
@@ -103,7 +108,7 @@ class SimConfig:
                     if (i, j) not in scheme.table:
                         raise ConfigError(f"weight table missing entry for edge ({i}, {j})")
                     total += scheme.table[(i, j)]
-                if abs(total - 1.0) > 1e-9:
+                if not abs(total - 1.0) <= 1e-9:
                     raise ConfigError(
                         f"weight table rows must sum to 1 over inclusive neighbors; "
                         f"agent {i} sums to {total}"
@@ -117,9 +122,14 @@ class SimConfig:
             extra = [i for i in self.init if not (1 <= i <= g.n)]
             if extra:
                 raise ConfigError(f"/init/values: unknown agents {extra}")
-            object.__setattr__(self, "init", {i: float(v) for i, v in self.init.items()})
+            init = {i: float(v) for i, v in self.init.items()}
+            for i, value in init.items():
+                _require_finite(value, f"/init/values/{i}")
+            object.__setattr__(self, "init", init)
         else:
             lo, hi = self.init
+            _require_finite(float(lo), "/init/range/0")
+            _require_finite(float(hi), "/init/range/1")
             if not (lo <= hi):
                 raise ConfigError(f"/init/range: need low <= high, got [{lo}, {hi}]")
             object.__setattr__(self, "init", (float(lo), float(hi)))
@@ -192,76 +202,112 @@ def _initial_values(config: SimConfig) -> dict[int, float]:
 def run(config: SimConfig, jobs: int = 1) -> Trajectory:
     """Execute the configured run and record its trajectory.
 
-    ``jobs`` > 1 spreads per-agent updates within a round over a thread pool;
-    results are identical for any worker count.
+    Each round updates every normal agent with one array program that
+    reproduces ``wmsr_filter`` and ``wmsr_update`` bit for bit; those scalar
+    functions stay the oracle that ``verify_replay`` checks against.  The
+    engine is serial: ``jobs`` accepts only 1 and remains so that callers
+    that pass ``jobs=1`` keep working.
     """
-    if jobs < 1:
-        raise ConfigError(f"jobs must be >= 1, got {jobs}")
+    if jobs != 1:
+        raise ConfigError(f"jobs must be 1 (the engine runs serially), got {jobs}")
     g = config.graph
     n, horizon, f = g.n, config.horizon, config.f
-    scheme = config.scheme
+    rounds = range(horizon + 1)
     ref_series = None
     if config.reference is not None:
-        ref_series = np.array([config.reference.value_at(t) for t in range(horizon + 1)])
+        ref_series = np.array([config.reference.value_at(t) for t in rounds])
 
-    # adversary broadcast/edge series depend only on the round, so they are
-    # laid out up front
-    rounds = range(horizon + 1)
-    adversary_series: dict[int, np.ndarray] = {}
-    edge_values: dict[tuple[int, int], np.ndarray] = {}
-    for i in config.adversaries:
-        strategy = config.roles[i].strategy
-        if isinstance(strategy, ByzantinePerEdge):
-            for j, sig in sorted(strategy.signals.items()):
-                edge_values[(i, j)] = np.array([sig.value_at(t) for t in rounds])
-            out = sorted(strategy.signals)
-            if out:
-                adversary_series[i] = edge_values[(i, out[0])]
-            else:
-                adversary_series[i] = np.zeros(horizon + 1)
-        else:
-            adversary_series[i] = np.array([strategy.value_at(t) for t in rounds])
-
+    # leader and adversary broadcasts and the Byzantine edge values depend
+    # only on the round, so they are laid out up front
     states = np.empty((horizon + 1, n))
+    edge_values: dict[tuple[int, int], np.ndarray] = {}
     init = _initial_values(config)
     for i in g.vertices:
         role = config.roles[i]
         if isinstance(role, Leader):
-            states[0, i - 1] = ref_series[0]
+            states[:, i - 1] = ref_series
+        elif isinstance(role, Adversary) and isinstance(role.strategy, ByzantinePerEdge):
+            for j, sig in sorted(role.strategy.signals.items()):
+                edge_values[(i, j)] = np.array([sig.value_at(t) for t in rounds])
+            out = sorted(role.strategy.signals)
+            states[:, i - 1] = edge_values[(i, out[0])] if out else 0.0
         elif isinstance(role, Adversary):
-            states[0, i - 1] = adversary_series[i][0]
+            states[:, i - 1] = [role.strategy.value_at(t) for t in rounds]
         else:
             states[0, i - 1] = init[i]
 
+    # Row r of ``sid`` lists the inclusive in-neighbours of the r-th normal
+    # agent in ascending id order, padded with n + 1, which gathers the +inf
+    # kept in the last slot of ``x``; pads therefore sort after every real
+    # value.  ``weight`` holds the matching table weights (1 for the equal
+    # rule, whose renormalised weight 1/|retained| the same code yields).
     normals = config.normals
-    in_lists = {i: sorted(g.in_neighbors(i)) for i in normals}
+    rows_of = {i: r for r, i in enumerate(normals)}
+    senders = [sorted(g.inclusive_neighbors(i)) for i in normals]
+    width = max(map(len, senders), default=1)
+    sid = np.full((len(normals), width), n + 1)
+    weight = np.ones((len(normals), width))
+    table = config.scheme.table
+    for r, (i, row) in enumerate(zip(normals, senders)):
+        sid[r, : len(row)] = row
+        if table is not None:
+            weight[r, : len(row)] = [table[(i, j)] for j in row]
+    real = sid <= n
+    degree = real.sum(axis=1)
+    rows = np.arange(len(normals))
+    own_col = np.array([row.index(i) for i, row in zip(normals, senders)], dtype=np.intp)
+    normal_cols = np.array(normals, dtype=np.intp) - 1
 
-    def step(t: int, i: int) -> float:
-        own = float(states[t, i - 1])
-        incoming = []
-        for j in in_lists[i]:
-            arr = edge_values.get((j, i))
-            val = float(arr[t]) if arr is not None else float(states[t, j - 1])
-            incoming.append((j, val))
-        retained = wmsr_filter(i, own, incoming, f)
-        return wmsr_update(i, retained, scheme)
+    byzantine = [(u, v) for u, v in edge_values if v in rows_of]
+    byz_rows = np.array([rows_of[v] for _, v in byzantine], dtype=np.intp)
+    byz_cols = np.array([senders[rows_of[v]].index(u) for u, v in byzantine], dtype=np.intp)
+    byz_series = np.array([edge_values[e] for e in byzantine]).reshape(-1, horizon + 1).T
+    # a delivered NaN counts as +inf, as in wmsr_filter
+    byz_series = np.where(np.isnan(byz_series), np.inf, byz_series)
 
-    pool = ThreadPoolExecutor(max_workers=jobs) if jobs > 1 else None
-    try:
-        for t in range(horizon):
-            if pool is not None:
-                updates = list(pool.map(lambda i: step(t, i), normals))
-            else:
-                updates = [step(t, i) for i in normals]
-            for i, x in zip(normals, updates):
-                states[t + 1, i - 1] = x
-            for i in config.leaders:
-                states[t + 1, i - 1] = ref_series[t + 1]
-            for i in config.adversaries:
-                states[t + 1, i - 1] = adversary_series[i][t + 1]
-    finally:
-        if pool is not None:
-            pool.shutdown()
+    x = np.full(n + 2, np.inf)  # x[j] is agent j's state, x[n + 1] the pads' +inf
+    for t in range(horizon):
+        x[1:-1] = states[t]
+        x[np.isnan(x)] = np.inf
+        vals = x[sid]
+        vals[byz_rows, byz_cols] = byz_series[t]
+        own = vals[rows, own_col][:, None]
+        n_lower = np.count_nonzero(vals < own, axis=1)
+        n_higher = np.count_nonzero((vals > own) & real, axis=1)
+        drop_low = np.minimum(n_lower, f)
+        stop = degree - np.minimum(n_higher, f)
+        ordered = np.sort(vals, axis=1)
+        lo = ordered[rows, drop_low]
+        hi = ordered[rows, stop - 1]
+
+        # The retained set is ordered[drop_low:stop].  In sender order, drop
+        # everything below the last low-side removal and above the first
+        # high-side one; of the values tied at either cut, drop the ones
+        # with the largest sender ids, as wmsr_filter does.
+        low_cut = ordered[rows, np.maximum(drop_low - 1, 0)][:, None]
+        high_cut = ordered[rows, np.minimum(stop, width - 1)][:, None]
+        below = vals < low_cut
+        above = (vals > high_cut) & real
+        low_ties = vals == low_cut
+        high_ties = (vals == high_cut) & real
+        keep = real & ~below & ~above
+        keep &= ~_last_true(low_ties, drop_low - below.sum(axis=1))
+        keep &= ~_last_true(high_ties, degree - stop - above.sum(axis=1))
+
+        # the renormalising total is a sequential sum in sender order, as in
+        # wmsr_weights; fsum makes the weighted sum independent of order
+        kept_weight = np.where(keep, weight, 0.0)
+        total = np.cumsum(kept_weight, axis=1)[:, -1:]
+        terms = memoryview(np.where(keep, weight / total * vals, 0.0).reshape(-1))
+        mixed = np.array([math.fsum(terms[k : k + width]) for k in range(0, len(terms), width)])
+        # Python's max(x, lo) and min(x, hi), which keep x on signed-zero ties
+        mixed = np.where(lo > mixed, lo, mixed)
+        mixed = np.where(hi < mixed, hi, mixed)
+        # a retained set of one common value returns the first such value in
+        # sender order, as wmsr_update returns min(values)
+        common = (n_lower <= f) & (n_higher <= f)
+        first = vals[rows, np.argmax(vals == own, axis=1)]
+        states[t + 1, normal_cols] = np.where(common, first, mixed)
 
     states.setflags(write=False)
     if ref_series is not None:
@@ -269,6 +315,12 @@ def run(config: SimConfig, jobs: int = 1) -> Trajectory:
     for arr in edge_values.values():
         arr.setflags(write=False)
     return Trajectory(config, states, ref_series, edge_values)
+
+
+def _last_true(mask: np.ndarray, count: np.ndarray) -> np.ndarray:
+    """Per row r, the last ``count[r]`` True entries of ``mask``."""
+    from_right = np.cumsum(mask[:, ::-1], axis=1)[:, ::-1]
+    return mask & (from_right <= count[:, None])
 
 
 def replay_states(traj: Trajectory) -> np.ndarray:
@@ -290,7 +342,9 @@ def replay_states(traj: Trajectory) -> np.ndarray:
 
 
 def verify_replay(traj: Trajectory) -> bool:
-    return bool(np.array_equal(replay_states(traj), traj.states))
+    """True when the replayed states match the recorded ones bit for bit
+    (so -0.0 differs from 0.0, and a recorded NaN matches itself)."""
+    return replay_states(traj).tobytes() == traj.states.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -505,6 +559,8 @@ def _scalar_strategy_from_dict(obj: Any, path: str) -> ScalarStrategy:
         return _SCALAR_STRATEGIES[kind](**fields)
     except TypeError as exc:
         raise ConfigError(f"{path}: bad fields for {kind!r} strategy: {exc}") from None
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
 
 
 def _strategy_from_dict(obj: Any, path: str) -> Adversary:
@@ -628,24 +684,20 @@ def config_from_dict(obj: Any) -> SimConfig:
                 raise ConfigError("/reference: expected 'constant' or 'breakpoints'")
         except (ConfigError, TypeError, ValueError) as exc:
             raise ConfigError(f"/reference: {exc}") from None
-        for idx, (_, value) in enumerate(reference.breakpoints):
-            _require_finite(value, "/reference/constant" if "constant" in ref
-                            else f"/reference/breakpoints/{idx}/1")
+        if "constant" in ref:
+            _require_finite(reference.breakpoints[0][1], "/reference/constant")
 
     init: tuple[float, float] | dict[int, float] = (-25.0, 25.0)
     if "init" in obj:
         spec = obj["init"]
         if isinstance(spec, dict) and "range" in spec:
             lo, hi = spec["range"]
-            init = (_require_finite(float(lo), "/init/range/0"),
-                    _require_finite(float(hi), "/init/range/1"))
+            init = (float(lo), float(hi))
         elif isinstance(spec, dict) and "values" in spec:
             try:
                 init = {int(k): float(v) for k, v in spec["values"].items()}
             except (ValueError, AttributeError):
                 raise ConfigError("/init/values: must map agent ids to numbers") from None
-            for i, value in init.items():
-                _require_finite(value, f"/init/values/{i}")
         else:
             raise ConfigError("/init: expected {'range': [lo, hi]} or {'values': {...}}")
 
@@ -670,10 +722,7 @@ def config_from_dict(obj: Any) -> SimConfig:
                             f"/weight_table/{i_key}/{j_key}: bad entry"
                         ) from None
                     table[edge] = _require_finite(w, f"/weight_table/{i_key}/{j_key}")
-        try:
-            scheme = WeightScheme(float(alpha), table)
-        except ConfigError as exc:
-            raise ConfigError(f"/alpha: {exc}") from None
+        scheme = WeightScheme(float(alpha), table)
 
     strict = obj.get("strict_f_local", True)
     if not isinstance(strict, bool):

@@ -124,7 +124,7 @@ def test_run_bundle_and_determinism(capsys, tmp_path):
     config_path.write_text(json.dumps(SAMPLE_CONFIG))
     out1, out2 = tmp_path / "o1", tmp_path / "o2"
     code1, stdout1, _ = run_cli(capsys, "run", str(config_path), "--out", str(out1))
-    code2, stdout2, _ = run_cli(capsys, "run", str(config_path), "--out", str(out2), "--jobs", "3")
+    code2, stdout2, _ = run_cli(capsys, "run", str(config_path), "--out", str(out2))
     assert code1 == code2 == 0
     assert stdout1 == stdout2
     assert _bundle_digest(out1) == _bundle_digest(out2)
@@ -134,6 +134,9 @@ def test_run_bundle_and_determinism(capsys, tmp_path):
     assert (out1 / "report.json").exists()
     metrics = json.loads((out1 / "metrics.json").read_text())
     assert metrics["converged"] is True
+    for argv in (("run", str(config_path)), ("scenario", "sim2")):
+        with pytest.raises(SystemExit):  # the engine runs serially and has no --jobs
+            run_cli(capsys, *argv, "--out", str(tmp_path / "x"), "--jobs", "2")
 
 
 def test_run_seed_override_changes_output(capsys, tmp_path):

@@ -2,8 +2,10 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from rcl.graph import make_k_circulant
+from rcl.graph import Digraph, make_k_circulant
 from rcl.protocol import (
     Adversary,
     ByzantinePerEdge,
@@ -12,6 +14,7 @@ from rcl.protocol import (
     Leader,
     Ramp,
     ReferenceSignal,
+    Scripted,
     Sinusoid,
     WeightScheme,
 )
@@ -28,6 +31,7 @@ from rcl.simulation import (
     disagreement,
     envelope,
     metrics_to_dict,
+    replay_states,
     run,
     tracking_error,
     verify_replay,
@@ -120,9 +124,12 @@ def test_different_seed_differs():
     assert not np.array_equal(a.states, b.states)
 
 
-def test_jobs_do_not_change_results():
+def test_run_accepts_only_one_job():
     cfg = basic_config(horizon=80)
-    assert np.array_equal(run(cfg, jobs=1).states, run(cfg, jobs=3).states)
+    assert run(cfg, jobs=1).states.tobytes() == run(cfg).states.tobytes()
+    for jobs in (0, 3):
+        with pytest.raises(ConfigError, match="jobs"):
+            run(cfg, jobs=jobs)
 
 
 def test_leaders_broadcast_reference_exactly():
@@ -411,3 +418,149 @@ def test_metrics_json_shape():
         "consensus_round", "final_disagreement", "envelope",
     }
     assert isinstance(d["envelope"]["intervals"], list)
+
+
+# ---------------------------------------------------------------------------
+# non-finite values
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_adversary_cannot_poison_normals(value):
+    # C_10(1..5), F=1: one adversary is F-local, so the top/bottom-F removal
+    # must discard whatever it sends, NaN included
+    g = make_k_circulant(10, 5)
+    cfg = SimConfig(graph=g, f=1, horizon=20, roles={4: Adversary(ConstantHold(value))}, seed=2)
+    traj = run(cfg)
+    assert np.all(np.isfinite(traj.states[:, [i - 1 for i in cfg.normals]]))
+    assert verify_replay(traj)
+
+
+@pytest.mark.parametrize("overrides, path", [
+    (dict(init=(-float("inf"), float("inf"))), "/init/range/0"),
+    (dict(init=(0.0, float("inf"))), "/init/range/1"),
+    (dict(init={**{i: 0.0 for i in range(1, 9)}, 5: float("nan")}), "/init/values/5"),
+    (dict(reference=ReferenceSignal.constant(float("inf"))), "/reference/breakpoints/0/1"),
+    (dict(reference=ReferenceSignal(((0, 1.0), (4, float("nan"))))), "/reference/breakpoints/1/1"),
+    (dict(scheme=WeightScheme(0.05, {
+        (i, (i - 1 - a) % 8 + 1): float("nan") if i == a == 2 else 0.25
+        for i in range(1, 9) for a in range(4)})), "agent 2 sums to nan"),
+])
+def test_simconfig_rejects_non_finite(overrides, path):
+    with pytest.raises(ConfigError, match=path):
+        basic_config(**overrides)
+
+
+def test_config_dict_errors_name_nested_paths():
+    base = {"graph": {"circulant": [6, 2]}, "f": 1, "horizon": 10}
+    sinusoid = {"type": "sinusoid", "amplitude": 1, "period": 0}
+    with pytest.raises(ConfigError, match="^/roles/3/adversary: sinusoid period"):
+        config_from_dict({**base, "roles": {"3": {"adversary": sinusoid}}})
+    table = {str(i): {str(j): 1.0 / 3.0 for j in (i, (i - 2) % 6 + 1, (i - 3) % 6 + 1)}
+             for i in range(1, 7)}
+    table["2"]["1"] = 0.01
+    with pytest.raises(ConfigError, match="^/weight_table/2/1: .* below the floor"):
+        config_from_dict({**base, "alpha": 0.1, "weight_table": table})
+
+
+# ---------------------------------------------------------------------------
+# the round kernel against the scalar oracle
+
+
+def _distinct_weight_table(g, rng):
+    """Per-agent weights over the inclusive neighbours, distinct per sender."""
+    table = {}
+    for i in g.vertices:
+        row = sorted(g.inclusive_neighbors(i))
+        raw = rng.sample(range(1, 4 * len(row) + 1), len(row))
+        for j, w in zip(row, raw):
+            table[(i, j)] = w / sum(raw)
+    return table
+
+
+def test_weight_table_run_matches_oracle_and_tracks():
+    g = make_k_circulant(9, 4)
+    table = _distinct_weight_table(g, random.Random(5))
+    roles = {1: Leader(), 2: Leader(), 6: Adversary(Sinusoid(40.0, 9.0))}
+    cfg = SimConfig(
+        graph=g, f=1, horizon=150, roles=roles, reference=ReferenceSignal.constant(12.0),
+        scheme=WeightScheme(min(table.values()), table),
+        init={i: float(i % 3) for i in g.vertices}, seed=0,
+    )
+    traj = run(cfg)
+    assert verify_replay(traj)
+    assert compute_metrics(traj).converged
+    equal = SimConfig(graph=g, f=1, horizon=150, roles=roles,
+                      reference=ReferenceSignal.constant(12.0), init=cfg.init, seed=0)
+    assert not np.array_equal(run(equal).states[1], traj.states[1])
+
+
+def test_signed_zero_matches_oracle_in_csv_bytes(tmp_path):
+    # every value is a zero, so each update returns the first retained value
+    # in sender order: agent 5 copies leader 3's -0.0, agent 1 keeps its 0.0
+    g = make_k_circulant(6, 2)
+    cfg = SimConfig(
+        graph=g, f=1, horizon=4, roles={3: Leader()}, reference=ReferenceSignal.constant(-0.0),
+        init={1: 0.0, 2: -0.0, 3: 0.0, 4: -0.0, 5: 0.0, 6: -0.0}, seed=0,
+    )
+    traj = run(cfg)
+    oracle = Trajectory(cfg, replay_states(traj), traj.reference, traj.edge_values)
+    write_trajectory_csv(traj, tmp_path / "engine.csv")
+    write_trajectory_csv(oracle, tmp_path / "oracle.csv")
+    text = (tmp_path / "engine.csv").read_text()
+    assert (tmp_path / "engine.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
+    assert "4,5,normal,-0.0," in text and "4,1,normal,0.0," in text
+
+
+_VALUES = st.sampled_from([-3.0, -1.0, -5e-324, -0.0, 0.0, 5e-324, 1.0, 2.0])
+_EXTREMES = st.sampled_from([float("nan"), float("inf"), float("-inf"), 0.0, 5.0])
+_SCALAR_STRATEGIES = st.one_of(
+    st.builds(ConstantHold, st.one_of(_VALUES, _EXTREMES)),
+    st.builds(Sinusoid, st.integers(-20, 20).map(float), st.integers(2, 9).map(float)),
+    st.builds(Ramp, st.integers(-3, 3).map(float), _VALUES),
+    st.builds(Scripted, st.lists(st.one_of(_VALUES, _EXTREMES), min_size=1, max_size=4)
+              .map(tuple)),
+)
+
+
+@st.composite
+def _small_configs(draw):
+    n = draw(st.integers(3, 12))
+    if draw(st.booleans()):
+        g = make_k_circulant(n, draw(st.integers(1, n - 1)))
+    else:
+        pairs = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
+        edges = draw(st.lists(st.sampled_from(pairs), min_size=1, unique=True))
+        g = Digraph(n, frozenset(edges))
+    kinds = draw(st.lists(st.sampled_from("nnnla"), min_size=n, max_size=n))
+    roles = {}
+    for i, kind in zip(g.vertices, kinds):
+        if kind == "l":
+            roles[i] = Leader()
+        elif kind == "a" and draw(st.booleans()):
+            out = sorted(g.out_neighbors(i))
+            signals = draw(st.lists(_SCALAR_STRATEGIES, min_size=len(out), max_size=len(out)))
+            roles[i] = Adversary(ByzantinePerEdge(dict(zip(out, signals))))
+        elif kind == "a":
+            roles[i] = Adversary(draw(_SCALAR_STRATEGIES))
+    adversaries = {i for i, role in roles.items() if isinstance(role, Adversary)}
+    # the smallest F for which this adversary set is F-local, plus slack
+    f = max(len(g.inclusive_neighbors(i) & adversaries) for i in g.vertices) \
+        + draw(st.integers(0, 1))
+    scheme = None
+    if draw(st.booleans()):
+        table = _distinct_weight_table(g, random.Random(draw(st.integers(0, 2**16))))
+        scheme = WeightScheme(min(min(table.values()), 0.5), table)
+    reference = ReferenceSignal(((0, draw(_VALUES)), (draw(st.integers(1, 6)), draw(_VALUES))))
+    return SimConfig(
+        graph=g, f=f, horizon=draw(st.integers(1, 10)), roles=roles, reference=reference,
+        scheme=scheme, init={i: draw(_VALUES) for i in g.vertices}, seed=0,
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(cfg=_small_configs())
+def test_engine_matches_scalar_oracle(cfg):
+    traj = run(cfg)
+    assert verify_replay(traj)
+    # F-local adversaries never push a normal agent out of the finite reals
+    assert np.all(np.isfinite(traj.states[:, [i - 1 for i in cfg.normals]]))
