@@ -230,8 +230,10 @@ class WeightScheme:
 
 
 def default_alpha(g: Digraph) -> float:
-    """Largest floor the equal rule can always honor: 1/(max in-degree + 1)."""
-    return 1.0 / (g.max_in_degree + 1)
+    """Largest floor the equal rule can always honor: 1/(max in-degree + 1).
+    Without edges every agent hears only itself, which honors any floor below
+    1, so the in-degree counts as at least 1 to keep alpha in (0, 1)."""
+    return 1.0 / (max(g.max_in_degree, 1) + 1)
 
 
 def wmsr_weights(

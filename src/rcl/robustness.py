@@ -5,7 +5,8 @@ Four families of checks:
 * brute-force oracles that enumerate subsets directly against the definitions
   (r-reachability, r-robustness, (r,s)-robustness, strong r-robustness with
   respect to a set, trusted leader-follower robustness),
-* a polynomial peeling procedure for the strong and TLF variants,
+* a polynomial peeling procedure for the strong and TLF variants, which,
+  like their brute-force checks, share one (anchor, reach) test,
 * closed-form certificates for circulant graphs based on consecutive leader
   windows (sufficient conditions only),
 * the maximum r for which a graph is r-robust.
@@ -23,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from typing import Callable, Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -246,10 +247,11 @@ def max_r_robustness(g: Digraph, *, cap: int | None = None, force: bool = False)
 def _complement_profiles(g: Digraph, s_mask: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per nonempty C in V \\ S: (C mask, max outside in-degree, max in-degree from S).
 
-    The two maxima decide every strong-r and TLF query for this (graph, S):
-    C is r-reachable iff its max outside in-degree >= r, and C contains a
-    vertex with >= F+1 in-neighbors in S iff its max S in-degree >= F+1.
-    Small enumerations are cached so sweeps over r or F reuse one pass.
+    The two maxima decide every (anchor, reach) query for this (graph, S):
+    C has a member with >= anchor in-neighbors in S iff its max S in-degree
+    >= anchor, and one with >= reach in-neighbors outside C iff its max
+    outside in-degree >= reach.  Small enumerations are cached so sweeps
+    over r or F reuse one pass.
     """
     if g.n - bin(s_mask).count("1") <= 16:
         return _complement_profiles_cached(g, s_mask)
@@ -292,32 +294,78 @@ def _complement_cap_check(g: Digraph, s: frozenset[int], cap: int | None, force:
         )
 
 
-def _min_violating_subset(c_masks: np.ndarray, violating: np.ndarray) -> tuple[int, ...]:
+def _leader_set(g: Digraph, s: Iterable[int]) -> frozenset[int]:
+    subset = _vertex_set(g, s)
+    if not subset:
+        raise GraphError("S must be nonempty")
+    return subset
+
+
+def _bruteforce(
+    g: Digraph, s: frozenset[int], anchor: int, reach: int,
+    prop: Property, params: dict, cap: int | None, force: bool,
+) -> RobustnessReport:
+    """Every nonempty C in V \\ S has a member with >= anchor in-neighbors in S
+    or >= reach in-neighbors outside C, by enumeration.  A false verdict
+    carries the first violating C in canonical subset order."""
+    if len(s) == g.n:
+        return RobustnessReport(prop, params, True, None, "bruteforce")
+    _complement_cap_check(g, s, cap, force)
+    c_masks, max_outside, max_from_s = _complement_profiles(g, _mask_of(s))
+    violating = (max_from_s < anchor) & (max_outside < reach)
+    if not violating.any():
+        return RobustnessReport(prop, params, True, None, "bruteforce")
     cand = c_masks[violating]
     sizes = np.bitwise_count(cand)
-    cand = cand[sizes == sizes.min()]
-    return min(_sorted_vertices(int(m)) for m in cand)
+    first = min(_sorted_vertices(int(m)) for m in cand[sizes == sizes.min()])
+    return RobustnessReport(prop, params, False, {"violating_subset": list(first)}, "bruteforce")
+
+
+def _peeling(
+    g: Digraph, s: frozenset[int], anchor: int, reach: int, prop: Property, params: dict
+) -> RobustnessReport:
+    """Grow R from S by admitting the lowest-id vertex outside R with >= anchor
+    in-neighbors in S or >= reach in-neighbors in R; the property holds iff R
+    reaches the full vertex set.  Eligibility only grows with R, so the
+    verdict does not depend on the scan order.  The witness is the admission
+    order (true) or the stalled complement (false)."""
+    in_masks = g.in_masks
+    s_mask = _mask_of(s)
+    anchored = [(m & s_mask).bit_count() >= anchor for m in in_masks]
+    full = (1 << g.n) - 1
+    r_mask = s_mask
+    admitted: list[int] = []
+    while r_mask != full:
+        for v in g.vertices:
+            bit = 1 << (v - 1)
+            if not r_mask & bit and (
+                anchored[v - 1] or (in_masks[v - 1] & r_mask).bit_count() >= reach
+            ):
+                r_mask |= bit
+                admitted.append(v)
+                break
+        else:
+            break
+    if r_mask == full:
+        return RobustnessReport(prop, params, True, {"admission_order": admitted}, "peeling")
+    witness = {"stalled_complement": list(_sorted_vertices(full & ~r_mask))}
+    return RobustnessReport(prop, params, False, witness, "peeling")
+
+
+# Strong r-robustness is the (anchor, reach) = (r, r) test: S and C are
+# disjoint, so an in-neighbor in S is also outside C (or, when peeling, in R).
+# TLF robustness with parameter F is the (F+1, 2F+1) test.
 
 
 def is_strongly_r_robust_bruteforce(
     g: Digraph, s: Iterable[int], r: int, *, cap: int | None = None, force: bool = False
 ) -> RobustnessReport:
     """Check every nonempty C in V \\ S for r-reachability, by enumeration."""
-    subset = _vertex_set(g, s)
-    if not subset:
-        raise GraphError("S must be nonempty")
+    subset = _leader_set(g, s)
     if r < 0:
         raise ValueError(f"r must be >= 0, got {r}")
     params = {"r": r, "set": sorted(subset)}
-    if len(subset) == g.n:
-        return RobustnessReport(Property.STRONG_R, params, True, None, "bruteforce")
-    _complement_cap_check(g, subset, cap, force)
-    c_masks, max_outside, _ = _complement_profiles(g, _mask_of(subset))
-    violating = max_outside < r
-    if violating.any():
-        witness = {"violating_subset": list(_min_violating_subset(c_masks, violating))}
-        return RobustnessReport(Property.STRONG_R, params, False, witness, "bruteforce")
-    return RobustnessReport(Property.STRONG_R, params, True, None, "bruteforce")
+    return _bruteforce(g, subset, r, r, Property.STRONG_R, params, cap, force)
 
 
 def is_tlf_robust_bruteforce(
@@ -328,107 +376,32 @@ def is_tlf_robust_bruteforce(
     Every nonempty C in V \\ S must contain a vertex with >= F+1 in-neighbors
     in S, or be (2F+1)-reachable.
     """
-    subset = _vertex_set(g, s)
-    if not subset:
-        raise GraphError("S must be nonempty")
+    subset = _leader_set(g, s)
     if f < 0:
         raise ValueError(f"F must be >= 0, got {f}")
     params = {"f": f, "set": sorted(subset)}
-    if len(subset) == g.n:
-        return RobustnessReport(Property.TLF, params, True, None, "bruteforce")
-    _complement_cap_check(g, subset, cap, force)
-    c_masks, max_outside, max_from_s = _complement_profiles(g, _mask_of(subset))
-    violating = (max_from_s < f + 1) & (max_outside < 2 * f + 1)
-    if violating.any():
-        witness = {"violating_subset": list(_min_violating_subset(c_masks, violating))}
-        return RobustnessReport(Property.TLF, params, False, witness, "bruteforce")
-    return RobustnessReport(Property.TLF, params, True, None, "bruteforce")
+    return _bruteforce(g, subset, f + 1, 2 * f + 1, Property.TLF, params, cap, force)
 
 
-def _peel(
-    g: Digraph,
-    s: frozenset[int],
-    admit: Callable[[int, int], bool],
-    scan_order: Sequence[int] | None,
-) -> tuple[bool, list[int], int]:
-    """Grow R from S by repeatedly admitting the first eligible vertex in scan order."""
-    order = list(scan_order) if scan_order is not None else list(g.vertices)
-    if sorted(order) != list(g.vertices):
-        raise GraphError("scan order must be a permutation of the vertex set")
-    r_mask = _mask_of(s)
-    full = (1 << g.n) - 1
-    admitted: list[int] = []
-    progress = True
-    while progress and r_mask != full:
-        progress = False
-        for v in order:
-            if (r_mask >> (v - 1)) & 1:
-                continue
-            if admit(v, r_mask):
-                r_mask |= 1 << (v - 1)
-                admitted.append(v)
-                progress = True
-                break
-    return r_mask == full, admitted, r_mask
-
-
-def is_strongly_r_robust_peeling(
-    g: Digraph, s: Iterable[int], r: int, *, scan_order: Sequence[int] | None = None
-) -> RobustnessReport:
-    """Polynomial decision for strong r-robustness w.r.t. S.
-
-    Starting from R = S, admit any vertex with >= r in-neighbors already in R
-    (ascending id by default); the property holds iff R reaches the full
-    vertex set.  The witness is the admission order (true) or the stalled
-    complement (false).
-    """
-    subset = _vertex_set(g, s)
-    if not subset:
-        raise GraphError("S must be nonempty")
+def is_strongly_r_robust_peeling(g: Digraph, s: Iterable[int], r: int) -> RobustnessReport:
+    """Polynomial decision for strong r-robustness w.r.t. S: starting from
+    R = S, admit vertices with >= r in-neighbors already in R."""
+    subset = _leader_set(g, s)
     if r < 0:
         raise ValueError(f"r must be >= 0, got {r}")
     params = {"r": r, "set": sorted(subset)}
-
-    def admit(v: int, r_mask: int) -> bool:
-        return bin(g.in_masks[v - 1] & r_mask).count("1") >= r
-
-    ok, admitted, r_mask = _peel(g, subset, admit, scan_order)
-    if ok:
-        witness = {"admission_order": admitted}
-    else:
-        witness = {"stalled_complement": list(_sorted_vertices(((1 << g.n) - 1) & ~r_mask))}
-    return RobustnessReport(Property.STRONG_R, params, ok, witness, "peeling")
+    return _peeling(g, subset, r, r, Property.STRONG_R, params)
 
 
-def is_tlf_robust_peeling(
-    g: Digraph, s: Iterable[int], f: int, *, scan_order: Sequence[int] | None = None
-) -> RobustnessReport:
-    """Polynomial decision for TLF robustness with parameter F.
-
-    Starting from R = S, admit any vertex with >= F+1 in-neighbors in S or
-    >= 2F+1 in-neighbors already in R.
-    """
-    subset = _vertex_set(g, s)
-    if not subset:
-        raise GraphError("S must be nonempty")
+def is_tlf_robust_peeling(g: Digraph, s: Iterable[int], f: int) -> RobustnessReport:
+    """Polynomial decision for TLF robustness with parameter F: starting from
+    R = S, admit vertices with >= F+1 in-neighbors in S or >= 2F+1
+    in-neighbors already in R."""
+    subset = _leader_set(g, s)
     if f < 0:
         raise ValueError(f"F must be >= 0, got {f}")
     params = {"f": f, "set": sorted(subset)}
-    s_mask = _mask_of(subset)
-
-    def admit(v: int, r_mask: int) -> bool:
-        in_mask = g.in_masks[v - 1]
-        return (
-            bin(in_mask & s_mask).count("1") >= f + 1
-            or bin(in_mask & r_mask).count("1") >= 2 * f + 1
-        )
-
-    ok, admitted, r_mask = _peel(g, subset, admit, scan_order)
-    if ok:
-        witness = {"admission_order": admitted}
-    else:
-        witness = {"stalled_complement": list(_sorted_vertices(((1 << g.n) - 1) & ~r_mask))}
-    return RobustnessReport(Property.TLF, params, ok, witness, "peeling")
+    return _peeling(g, subset, f + 1, 2 * f + 1, Property.TLF, params)
 
 
 # ---------------------------------------------------------------------------

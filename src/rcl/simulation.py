@@ -390,38 +390,6 @@ class Metrics:
         return self.consensus_round is not None
 
 
-def envelope(traj: Trajectory) -> tuple[np.ndarray, np.ndarray]:
-    """Per-round min and max over normal agents, and the reference if present."""
-    normals = traj.config.normals
-    columns = [traj.states[:, i - 1] for i in normals]
-    if traj.reference is not None:
-        columns.append(traj.reference)
-    if not columns:
-        raise ConfigError("envelope undefined: no normal agents and no reference")
-    stacked = np.stack(columns, axis=1)
-    return stacked.min(axis=1), stacked.max(axis=1)
-
-
-def tracking_error(traj: Trajectory) -> np.ndarray | None:
-    """Per-round max over normal agents of |x_i - x_r|; None without a reference."""
-    if traj.reference is None:
-        return None
-    normals = traj.config.normals
-    if not normals:
-        return np.zeros(traj.horizon + 1)
-    cols = np.stack([traj.states[:, i - 1] for i in normals], axis=1)
-    return np.abs(cols - traj.reference[:, None]).max(axis=1)
-
-
-def disagreement(traj: Trajectory) -> np.ndarray:
-    """Per-round spread (max - min) over normal agents."""
-    normals = traj.config.normals
-    if not normals:
-        return np.zeros(traj.horizon + 1)
-    cols = np.stack([traj.states[:, i - 1] for i in normals], axis=1)
-    return cols.max(axis=1) - cols.min(axis=1)
-
-
 def _sustained_round(series: np.ndarray, tol: float) -> int | None:
     """Smallest t with series[s] <= tol for all s in [t, end]; None if the
     series ends above tol.  NaN counts as above tol."""
@@ -434,41 +402,42 @@ def _sustained_round(series: np.ndarray, tol: float) -> int | None:
     return t if t < series.size else None
 
 
-def convergence_round(traj: Trajectory, tol: float) -> int | None:
-    err = tracking_error(traj)
-    if err is None:
-        return None
-    return _sustained_round(err, tol)
-
-
-def consensus_round(traj: Trajectory, tol: float) -> int | None:
-    return _sustained_round(disagreement(traj), tol)
-
-
-def constant_intervals(traj: Trajectory) -> list[tuple[int, int]]:
-    """Maximal constant-reference intervals [t1, t2) covering the run; a
-    reference-free run counts as one interval."""
-    if traj.config.reference is None:
-        return [(0, traj.horizon + 1)]
-    return traj.config.reference.constant_intervals(traj.horizon)
-
-
 def compute_metrics(traj: Trajectory, tol: float = 1e-6, slack: float = 1e-12) -> Metrics:
-    lower, upper = envelope(traj)
-    err = tracking_error(traj)
-    disag = disagreement(traj)
+    """Envelope (per-round min and max over normal agents and the reference),
+    tracking error (max |x_i - x_r| over normal agents; None without a
+    reference), disagreement (spread over normal agents), the rounds from
+    which each stays within tol, and the envelope on every maximal
+    constant-reference interval (one interval without a reference)."""
+    ref = traj.reference
+    # C order: the reduction order decides which of -0.0 and 0.0 the minima
+    # and maxima return, and the bundles pin that choice
+    cols = np.ascontiguousarray(traj.states[:, [i - 1 for i in traj.config.normals]])
+    if cols.shape[1] == 0 and ref is None:
+        raise ConfigError("envelope undefined: no normal agents and no reference")
+    hull = cols if ref is None else np.concatenate([cols, ref[:, None]], axis=1)
+    lower, upper = hull.min(axis=1), hull.max(axis=1)
+    if cols.shape[1] == 0:
+        disag = np.zeros(traj.horizon + 1)
+        err = None if ref is None else np.zeros(traj.horizon + 1)
+    else:
+        disag = cols.max(axis=1) - cols.min(axis=1)
+        err = None if ref is None else np.abs(cols - ref[:, None]).max(axis=1)
+    if traj.config.reference is None:
+        spans = [(0, traj.horizon + 1)]
+    else:
+        spans = traj.config.reference.constant_intervals(traj.horizon)
     non_adversarial = [i for i in traj.config.graph.vertices
                        if not isinstance(traj.config.roles[i], Adversary)]
     intervals = []
-    for t1, t2 in constant_intervals(traj):
+    for t1, t2 in spans:
         seg_lower, seg_upper = lower[t1:t2], upper[t1:t2]
         monotone = bool(
             np.all(np.diff(seg_lower) >= -slack) and np.all(np.diff(seg_upper) <= slack)
         )
         if non_adversarial:
-            cols = traj.states[t1:t2, [i - 1 for i in non_adversarial]]
+            block = traj.states[t1:t2, [i - 1 for i in non_adversarial]]
             invariant = bool(
-                np.all(cols >= lower[t1] - slack) and np.all(cols <= upper[t1] + slack)
+                np.all(block >= lower[t1] - slack) and np.all(block <= upper[t1] + slack)
             )
         else:
             invariant = True
@@ -480,8 +449,8 @@ def compute_metrics(traj: Trajectory, tol: float = 1e-6, slack: float = 1e-12) -
         tracking_error=err,
         disagreement=disag,
         tol=tol,
-        convergence_round=convergence_round(traj, tol),
-        consensus_round=consensus_round(traj, tol),
+        convergence_round=_sustained_round(err, tol) if err is not None else None,
+        consensus_round=_sustained_round(disag, tol),
         final_error=float(err[-1]) if err is not None else None,
         final_disagreement=float(disag[-1]),
         intervals=tuple(intervals),
@@ -555,6 +524,14 @@ def _scalar_strategy_from_dict(obj: Any, path: str) -> ScalarStrategy:
     if not isinstance(kind, str) or kind not in _SCALAR_STRATEGIES:
         raise ConfigError(f"{path}/type: unknown scalar strategy {kind!r}")
     fields = {k: v for k, v in obj.items() if k != "type"}
+    for key, v in fields.items():
+        if kind == "scripted" and key == "values":
+            if not isinstance(v, (list, tuple)):
+                raise ConfigError(f"{path}/values: must be a list of numbers, got {v!r}")
+            for k, x in enumerate(v):
+                _require_number(x, f"{path}/values/{k}")
+        else:
+            _require_number(v, f"{path}/{key}")
     try:
         return _SCALAR_STRATEGIES[kind](**fields)
     except TypeError as exc:
@@ -610,6 +587,12 @@ def _graph_from_config(obj: Any, path: str) -> Digraph:
     )
 
 
+def _require_number(value: Any, path: str) -> None:
+    """JSON numbers only: any float, NaN and +-inf included, or int; no bool."""
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise ConfigError(f"{path}: must be a number, got {value!r}")
+
+
 def _require_finite(value: float, path: str) -> float:
     """Reject NaN and +-inf, which Python's json reads from the NaN and
     Infinity literals."""
@@ -655,7 +638,10 @@ def config_from_dict(obj: Any) -> SimConfig:
     seed = _int("seed", default=0)
 
     roles: dict[int, AgentRole] = {}
-    for key, val in (obj.get("roles") or {}).items():
+    role_specs = obj.get("roles") or {}
+    if not isinstance(role_specs, dict):
+        raise ConfigError(f"/roles: must be an object, got {role_specs!r}")
+    for key, val in role_specs.items():
         try:
             agent = int(key)
         except ValueError:
@@ -691,12 +677,15 @@ def config_from_dict(obj: Any) -> SimConfig:
     if "init" in obj:
         spec = obj["init"]
         if isinstance(spec, dict) and "range" in spec:
-            lo, hi = spec["range"]
-            init = (float(lo), float(hi))
+            try:
+                lo, hi = spec["range"]
+                init = (float(lo), float(hi))
+            except (TypeError, ValueError):
+                raise ConfigError(f"/init/range: expected [lo, hi], got {spec['range']!r}") from None
         elif isinstance(spec, dict) and "values" in spec:
             try:
                 init = {int(k): float(v) for k, v in spec["values"].items()}
-            except (ValueError, AttributeError):
+            except (TypeError, ValueError, AttributeError):
                 raise ConfigError("/init/values: must map agent ids to numbers") from None
         else:
             raise ConfigError("/init: expected {'range': [lo, hi]} or {'values': {...}}")
@@ -710,6 +699,8 @@ def config_from_dict(obj: Any) -> SimConfig:
             raise ConfigError(f"/alpha: must be a number, got {alpha!r}")
         table = None
         if obj.get("weight_table") is not None:
+            if not isinstance(obj["weight_table"], dict):
+                raise ConfigError(f"/weight_table: must be an object, got {obj['weight_table']!r}")
             table = {}
             for i_key, row in obj["weight_table"].items():
                 if not isinstance(row, dict):
@@ -717,7 +708,7 @@ def config_from_dict(obj: Any) -> SimConfig:
                 for j_key, w in row.items():
                     try:
                         edge, w = (int(i_key), int(j_key)), float(w)
-                    except ValueError:
+                    except (TypeError, ValueError):
                         raise ConfigError(
                             f"/weight_table/{i_key}/{j_key}: bad entry"
                         ) from None

@@ -155,6 +155,27 @@ def test_run_schema_error_pointer_path(capsys, tmp_path):
     assert "/roles/2" in err
 
 
+def _adversary(strategy):
+    return {"roles": {**SAMPLE_CONFIG["roles"], "5": {"adversary": strategy}}}
+
+
+@pytest.mark.parametrize("patch, path", [
+    ({"roles": [1, 2]}, "/roles"),
+    ({"init": {"range": [[1], 2]}}, "/init/range"),
+    ({"init": {"range": [1]}}, "/init/range"),
+    ({"weight_table": [1]}, "/weight_table"),
+    ({"weight_table": {"1": {"1": [1]}}}, "/weight_table/1/1"),
+    (_adversary({"type": "sinusoid", "amplitude": "x", "period": 4}), "/roles/5/adversary/amplitude"),
+    (_adversary({"type": "ramp", "slope": None}), "/roles/5/adversary/slope"),
+])
+def test_run_hostile_config_shapes_exit_2_with_path(capsys, tmp_path, patch, path):
+    config_path = tmp_path / "bad.json"
+    config_path.write_text(json.dumps({**SAMPLE_CONFIG, **patch}))
+    code, _, err = run_cli(capsys, "run", str(config_path), "--out", str(tmp_path / "x"))
+    assert code == 2
+    assert err.startswith(f"error: {path}: "), err
+
+
 def test_run_invalid_json(capsys, tmp_path):
     config_path = tmp_path / "bad.json"
     config_path.write_text("{nope")

@@ -195,16 +195,25 @@ def test_peeling_matches_bruteforce_random():
             assert brute == peel == naive_strongly_r_robust(g, s, r), (g, s, r)
 
 
+def relabeled(rng, g, s):
+    # a random vertex relabeling pi, applied to the graph and the leader set;
+    # peeling scans vertices in id order, so pi permutes that order
+    image = list(g.vertices)
+    rng.shuffle(image)
+    pi = dict(zip(g.vertices, image))
+    return Digraph(g.n, frozenset((pi[i], pi[j]) for i, j in g.edges)), frozenset(pi[v] for v in s)
+
+
 def test_peeling_verdict_invariant_under_scan_order():
     rng = random.Random(29)
     for _ in range(30):
         g = random_digraph(rng, 7, 0.5)
         s = frozenset(rng.sample(range(1, 8), rng.randrange(1, 4)))
+        pg, ps = relabeled(rng, g, s)
         r = rng.randrange(0, 5)
-        base = is_strongly_r_robust_peeling(g, s, r).verdict
-        order = list(g.vertices)
-        rng.shuffle(order)
-        assert is_strongly_r_robust_peeling(g, s, r, scan_order=order).verdict == base
+        expected = naive_strongly_r_robust(g, s, r)
+        assert is_strongly_r_robust_peeling(g, s, r).verdict == expected
+        assert is_strongly_r_robust_peeling(pg, ps, r).verdict == expected
 
 
 def test_tlf_peeling_verdict_invariant_under_scan_order():
@@ -212,11 +221,11 @@ def test_tlf_peeling_verdict_invariant_under_scan_order():
     for _ in range(30):
         g = random_digraph(rng, 7, 0.5)
         s = frozenset(rng.sample(range(1, 8), rng.randrange(1, 4)))
+        pg, ps = relabeled(rng, g, s)
         f = rng.randrange(0, 3)
-        base = is_tlf_robust_peeling(g, s, f).verdict
-        order = list(g.vertices)
-        rng.shuffle(order)
-        assert is_tlf_robust_peeling(g, s, f, scan_order=order).verdict == base
+        expected = naive_tlf_robust(g, s, f)
+        assert is_tlf_robust_peeling(g, s, f).verdict == expected
+        assert is_tlf_robust_peeling(pg, ps, f).verdict == expected
 
 
 def test_strong_monotone_in_r():

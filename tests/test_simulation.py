@@ -25,15 +25,9 @@ from rcl.simulation import (
     compute_metrics,
     config_from_dict,
     config_to_dict,
-    consensus_round,
-    constant_intervals,
-    convergence_round,
-    disagreement,
-    envelope,
     metrics_to_dict,
     replay_states,
     run,
-    tracking_error,
     verify_replay,
     write_edges_csv,
     write_trajectory_csv,
@@ -212,9 +206,8 @@ def test_envelope_single_normal_and_reference():
         init={1: 0.0, 2: 3.0},
         seed=0,
     )
-    traj = run(cfg)
-    lower, upper = envelope(traj)
-    assert lower[0] == 3.0 and upper[0] == 5.0
+    m = compute_metrics(run(cfg))
+    assert m.lower[0] == 3.0 and m.upper[0] == 5.0
 
 
 def test_envelope_monotone_on_compliant_run():
@@ -232,9 +225,8 @@ def test_adversary_values_escape_envelope_normals_do_not():
         reference=ReferenceSignal.constant(0.0), seed=6,
     )
     traj = run(cfg)
-    lower, upper = envelope(traj)
-    assert traj.states[-1, 0] > upper[0]  # the ramp left the envelope
     m = compute_metrics(traj)
+    assert traj.states[-1, 0] > m.upper[0]  # the ramp left the envelope
     assert m.interval_invariant  # normal agents never did
 
 
@@ -245,14 +237,13 @@ def test_convergence_round_all_at_reference():
         reference=ReferenceSignal.constant(2.0),
         init={i: 2.0 for i in g.vertices}, seed=0,
     )
-    assert convergence_round(run(cfg), 1e-9) == 0
+    assert compute_metrics(run(cfg), tol=1e-9).convergence_round == 0
 
 
 def test_convergence_round_requires_sustained_error():
     cfg = basic_config(horizon=100)
-    traj = run(cfg)
-    err = tracking_error(traj)
-    r = convergence_round(traj, 1e-6)
+    m = compute_metrics(run(cfg), tol=1e-6)
+    err, r = m.tracking_error, m.convergence_round
     assert r is not None
     assert np.all(err[r:] <= 1e-6)
     assert r == 0 or err[r - 1] > 1e-6
@@ -273,19 +264,17 @@ def test_nan_never_counts_as_converged():
 def test_no_reference_metrics_use_disagreement():
     g = make_k_circulant(9, 4)
     cfg = SimConfig(graph=g, f=1, horizon=200, seed=12)
-    traj = run(cfg)
-    assert tracking_error(traj) is None
-    m = compute_metrics(traj, tol=1e-9)
+    m = compute_metrics(run(cfg), tol=1e-9)
+    assert m.tracking_error is None
     assert m.consensus_round is not None
     assert m.converged
-    assert constant_intervals(traj) == [(0, 201)]
+    assert [(iv.start, iv.end) for iv in m.intervals] == [(0, 201)]
 
 
 def test_disagreement_definition():
     g = make_k_circulant(4, 2)
     cfg = SimConfig(graph=g, f=0, horizon=2, init={1: 1.0, 2: 5.0, 3: 2.0, 4: 0.0}, seed=0)
-    traj = run(cfg)
-    assert disagreement(traj)[0] == 5.0
+    assert compute_metrics(run(cfg)).disagreement[0] == 5.0
 
 
 def test_weight_audit_over_simulated_rounds():
@@ -529,7 +518,7 @@ def _small_configs(draw):
         g = make_k_circulant(n, draw(st.integers(1, n - 1)))
     else:
         pairs = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
-        edges = draw(st.lists(st.sampled_from(pairs), min_size=1, unique=True))
+        edges = draw(st.lists(st.sampled_from(pairs), unique=True))
         g = Digraph(n, frozenset(edges))
     kinds = draw(st.lists(st.sampled_from("nnnla"), min_size=n, max_size=n))
     roles = {}
