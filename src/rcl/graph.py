@@ -42,11 +42,13 @@ class Digraph:
         return range(1, self.n + 1)
 
     @cached_property
-    def _in_sets(self) -> tuple[frozenset[int], ...]:
-        sets: list[set[int]] = [set() for _ in range(self.n)]
+    def _neighbor_sets(self) -> tuple[tuple[frozenset[int], ...], tuple[frozenset[int], ...]]:
+        """(in-sets, out-sets) per vertex, from one pass over the edges."""
+        ins, outs = [set() for _ in self.vertices], [set() for _ in self.vertices]
         for i, j in self.edges:
-            sets[j - 1].add(i)
-        return tuple(frozenset(s) for s in sets)
+            ins[j - 1].add(i)
+            outs[i - 1].add(j)
+        return tuple(map(frozenset, ins)), tuple(map(frozenset, outs))
 
     @cached_property
     def in_masks(self) -> tuple[int, ...]:
@@ -54,7 +56,7 @@ class Digraph:
         masks = []
         for i in self.vertices:
             m = 0
-            for j in self._in_sets[i - 1]:
+            for j in self._neighbor_sets[0][i - 1]:
                 m |= 1 << (j - 1)
             masks.append(m)
         return tuple(masks)
@@ -66,7 +68,7 @@ class Digraph:
     def in_neighbors(self, i: int) -> frozenset[int]:
         """Agents j with an edge (j, i), i.e. those i hears from."""
         self._check_vertex(i)
-        return self._in_sets[i - 1]
+        return self._neighbor_sets[0][i - 1]
 
     def inclusive_neighbors(self, i: int) -> frozenset[int]:
         """In-neighbors of i together with i itself."""
@@ -75,11 +77,11 @@ class Digraph:
     def out_neighbors(self, i: int) -> frozenset[int]:
         """Agents j with an edge (i, j), i.e. those i transmits to."""
         self._check_vertex(i)
-        return frozenset(j for i2, j in self.edges if i2 == i)
+        return self._neighbor_sets[1][i - 1]
 
     @cached_property
     def max_in_degree(self) -> int:
-        return max(len(s) for s in self._in_sets)
+        return max(len(s) for s in self._neighbor_sets[0])
 
 
 def make_k_circulant(n: int, k: int) -> Digraph:

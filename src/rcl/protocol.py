@@ -280,8 +280,16 @@ def wmsr_update(
     if lo == hi:
         return lo
     weights = wmsr_weights(agent, [j for j, _ in retained], scheme)
-    x = math.fsum(weights[j] * v for j, v in retained)
+    try:
+        x = math.fsum(weights[j] * v for j, v in retained)
+    except ValueError:  # fsum of +inf and -inf
+        raise opposite_infinities(agent) from None
     return min(max(x, lo), hi)
+
+
+def opposite_infinities(agent: int) -> ConfigError:
+    # only more than F adversarial inclusive in-neighbors can deliver both
+    return ConfigError(f"agent {agent} retains both +inf and -inf: the adversary set is not F-local")
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,8 @@ Four families of checks:
 
 * brute-force oracles that enumerate subsets directly against the definitions
   (r-reachability, r-robustness, (r,s)-robustness, strong r-robustness with
-  respect to a set, trusted leader-follower robustness),
+  respect to a set, trusted leader-follower robustness); r-robustness is
+  (r, 1)-robustness, so both pair checks share one scan,
 * a polynomial peeling procedure for the strong and TLF variants, which,
   like their brute-force checks, share one (anchor, reach) test,
 * closed-form certificates for circulant graphs based on consecutive leader
@@ -16,7 +17,8 @@ an enumeration cap (default 13) and the complement-subset checks refuse free
 sets above a second cap (default 20), unless forced.  Witnesses are
 deterministic: subsets are ranked by increasing cardinality and then
 lexicographically by their sorted vertex tuple, and the first violation in
-that order is reported.
+that order is reported.  The pair scan sorts into that order only the subsets
+that can take part in a violation.
 """
 
 from __future__ import annotations
@@ -101,16 +103,6 @@ def _sorted_vertices(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-@lru_cache(maxsize=8)
-def _canonical_rank(n: int) -> np.ndarray:
-    """rank[mask] = position of mask in (cardinality, lexicographic) subset order."""
-    masks = sorted(range(1 << n), key=lambda m: (bin(m).count("1"), _sorted_vertices(m)))
-    rank = np.empty(1 << n, dtype=np.int64)
-    for pos, m in enumerate(masks):
-        rank[m] = pos
-    return rank
-
-
 # ---------------------------------------------------------------------------
 # reachability
 
@@ -132,25 +124,58 @@ def r_reachable_set(g: Digraph, s: Iterable[int], r: int) -> frozenset[int]:
 # pairwise subset checks (r- and (r,s)-robustness)
 
 
-def _pair_cap_check(g: Digraph, cap: int | None, force: bool) -> None:
+def _pair_scan(
+    g: Digraph, r: int, s: int, prop: Property, params: dict, cap: int | None, force: bool,
+) -> RobustnessReport:
+    """Every nonempty disjoint pair (S1, S2) has all of S1 r-reachable, all of
+    S2, or >= s r-reachable members in total, by enumeration.  A false verdict
+    carries the first violating pair in canonical subset order."""
     limit = DEFAULT_PAIR_CAP if cap is None else cap
     if g.n > limit and not force:
         raise EnumerationCapError(
             f"n={g.n} exceeds pairwise enumeration cap {limit}; pass force=True to override"
         )
-
-
-def _reach_counts(g: Digraph, r: int) -> np.ndarray:
-    """For every subset mask m: number of members with >= r in-neighbors outside m."""
     n = g.n
     masks = np.arange(1 << n, dtype=np.uint64)
     not_masks = ~masks
-    counts = np.zeros(1 << n, dtype=np.int32)
+    counts = np.zeros(1 << n, dtype=np.int32)  # r-reachable members per subset
     for i in g.vertices:
         member = (masks >> np.uint64(i - 1)) & np.uint64(1)
         outside = np.bitwise_count(np.uint64(g.in_masks[i - 1]) & not_masks)
         counts += (member & (outside >= r)).astype(np.int32)
-    return counts
+    sizes = np.bitwise_count(masks)
+    # only a subset with fewer than s r-reachable members, and not all of them,
+    # can be half of a violating pair; the empty mask fails the second test
+    keep = (counts < s) & (counts < sizes)
+    bad, bad_counts = masks[keep], counts[keep]
+    # canonical order: by size, then the subset holding the lowest vertex of
+    # the symmetric difference first, i.e. by the n-bit reversal of the
+    # complement (vertex 1 in the top bit); keys are unique, so any sort works
+    key = sizes[keep].astype(np.uint64) << np.uint64(n)
+    for i in range(n):
+        key |= ((~bad >> np.uint64(i)) & np.uint64(1)) << np.uint64(n - 1 - i)
+    order = np.argsort(key)
+    bad, bad_counts = bad[order], bad_counts[order]
+    # S1 is the first candidate with a violating partner and S2 its first
+    # partner, which comes later (else S2 would be S1), so each block of rows,
+    # of about 2^18 pairs, is checked only against the candidates from it on
+    room = s - bad_counts
+    step = max(1, (1 << 18) // max(bad.size, 1))
+    for lo in range(0, bad.size, step):
+        rows = slice(lo, lo + step)
+        viol = ((bad[rows, None] & bad[None, lo:]) == 0) & (bad_counts[lo:] < room[rows, None])
+        hit = viol.any(axis=1)
+        if hit.any():
+            i = int(np.argmax(hit))
+            a, b = lo + i, lo + int(np.argmax(viol[i]))
+            witness = {
+                "s1": list(_sorted_vertices(int(bad[a]))),
+                "s2": list(_sorted_vertices(int(bad[b]))),
+            }
+            if prop is Property.RS_ROBUST:
+                witness["reachable_counts"] = [int(bad_counts[a]), int(bad_counts[b])]
+            return RobustnessReport(prop, params, False, witness, "bruteforce")
+    return RobustnessReport(prop, params, True, None, "bruteforce")
 
 
 def is_r_robust(
@@ -158,33 +183,15 @@ def is_r_robust(
 ) -> RobustnessReport:
     """Every pair of nonempty disjoint vertex subsets has an r-reachable member.
 
-    Enumerates all unordered pairs of nonempty disjoint subsets; a false
-    verdict carries the first violating pair in canonical subset order.
+    This is (r, 1)-robustness; a false verdict carries the first violating
+    pair in canonical subset order.
     """
     if r < 0:
         raise ValueError(f"r must be >= 0, got {r}")
     params = {"r": r}
     if r == 0:
         return RobustnessReport(Property.R_ROBUST, params, True, None, "bruteforce")
-    _pair_cap_check(g, cap, force)
-    n = g.n
-    counts = _reach_counts(g, r)
-    masks = np.arange(1 << n, dtype=np.uint64)
-    # unreachable nonempty subsets; only those can participate in a violation
-    bad = masks[(counts == 0) & (masks != 0)]
-    if bad.size:
-        rank = _canonical_rank(n)
-        bad = bad[np.argsort(rank[bad])]
-        for a in bad:
-            disjoint = (bad & a) == 0
-            if disjoint.any():
-                b = bad[disjoint][0]
-                witness = {
-                    "s1": list(_sorted_vertices(int(a))),
-                    "s2": list(_sorted_vertices(int(b))),
-                }
-                return RobustnessReport(Property.R_ROBUST, params, False, witness, "bruteforce")
-    return RobustnessReport(Property.R_ROBUST, params, True, None, "bruteforce")
+    return _pair_scan(g, r, 1, Property.R_ROBUST, params, cap, force)
 
 
 def is_rs_robust(
@@ -200,32 +207,7 @@ def is_rs_robust(
     if not (1 <= s <= g.n):
         raise ValueError(f"s must be in [1, n]={g.n}, got {s}")
     params = {"r": r, "s": s}
-    _pair_cap_check(g, cap, force)
-    n = g.n
-    counts = _reach_counts(g, r)
-    masks = np.arange(1 << n, dtype=np.uint64)
-    sizes = np.bitwise_count(masks).astype(np.int32)
-    # subsets whose r-reachable part is proper; only those can violate
-    bad = (counts < sizes) & (masks != 0)
-    bad_masks = masks[bad]
-    if bad_masks.size:
-        bad_counts = counts[bad]
-        rank = _canonical_rank(n)
-        order = np.argsort(rank[bad_masks])
-        bad_masks = bad_masks[order]
-        bad_counts = bad_counts[order]
-        for idx in range(bad_masks.size):
-            a = bad_masks[idx]
-            viol = ((bad_masks & a) == 0) & (bad_counts + bad_counts[idx] < s)
-            if viol.any():
-                b = bad_masks[viol][0]
-                witness = {
-                    "s1": list(_sorted_vertices(int(a))),
-                    "s2": list(_sorted_vertices(int(b))),
-                    "reachable_counts": [int(bad_counts[idx]), int(bad_counts[viol][0])],
-                }
-                return RobustnessReport(Property.RS_ROBUST, params, False, witness, "bruteforce")
-    return RobustnessReport(Property.RS_ROBUST, params, True, None, "bruteforce")
+    return _pair_scan(g, r, s, Property.RS_ROBUST, params, cap, force)
 
 
 def max_r_robustness(g: Digraph, *, cap: int | None = None, force: bool = False) -> int:
@@ -284,16 +266,6 @@ def _compute_complement_profiles(
     return c_masks, max_outside, max_from_s
 
 
-def _complement_cap_check(g: Digraph, s: frozenset[int], cap: int | None, force: bool) -> None:
-    limit = DEFAULT_COMPLEMENT_CAP if cap is None else cap
-    free = g.n - len(s)
-    if free > limit and not force:
-        raise EnumerationCapError(
-            f"complement size {free} exceeds enumeration cap {limit}; "
-            "pass force=True to override"
-        )
-
-
 def _leader_set(g: Digraph, s: Iterable[int]) -> frozenset[int]:
     subset = _vertex_set(g, s)
     if not subset:
@@ -308,9 +280,13 @@ def _bruteforce(
     """Every nonempty C in V \\ S has a member with >= anchor in-neighbors in S
     or >= reach in-neighbors outside C, by enumeration.  A false verdict
     carries the first violating C in canonical subset order."""
-    if len(s) == g.n:
+    free, limit = g.n - len(s), DEFAULT_COMPLEMENT_CAP if cap is None else cap
+    if free == 0:
         return RobustnessReport(prop, params, True, None, "bruteforce")
-    _complement_cap_check(g, s, cap, force)
+    if free > limit and not force:
+        raise EnumerationCapError(
+            f"complement size {free} exceeds enumeration cap {limit}; pass force=True to override"
+        )
     c_masks, max_outside, max_from_s = _complement_profiles(g, _mask_of(s))
     violating = (max_from_s < anchor) & (max_outside < reach)
     if not violating.any():

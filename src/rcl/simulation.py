@@ -36,6 +36,7 @@ from .protocol import (
     Sinusoid,
     WeightScheme,
     default_alpha,
+    opposite_infinities,
     validate_f_local,
     wmsr_filter,
     wmsr_update,
@@ -299,7 +300,11 @@ def run(config: SimConfig, jobs: int = 1) -> Trajectory:
         kept_weight = np.where(keep, weight, 0.0)
         total = np.cumsum(kept_weight, axis=1)[:, -1:]
         terms = memoryview(np.where(keep, weight / total * vals, 0.0).reshape(-1))
-        mixed = np.array([math.fsum(terms[k : k + width]) for k in range(0, len(terms), width)])
+        try:
+            mixed = np.array([math.fsum(terms[k : k + width]) for k in range(0, len(terms), width)])
+        except ValueError:  # fsum of +inf and -inf
+            both = ((vals == np.inf) & keep).any(axis=1) & ((vals == -np.inf) & keep).any(axis=1)
+            raise ConfigError(f"round {t}: {opposite_infinities(normals[np.argmax(both)])}") from None
         # Python's max(x, lo) and min(x, hi), which keep x on signed-zero ties
         mixed = np.where(lo > mixed, lo, mixed)
         mixed = np.where(hi < mixed, hi, mixed)
@@ -337,7 +342,10 @@ def replay_states(traj: Trajectory) -> np.ndarray:
         for i in config.normals:
             incoming = [(j, traj.delivered(t, j, i)) for j in in_lists[i]]
             retained = wmsr_filter(i, traj.broadcast(t, i), incoming, config.f)
-            out[t + 1, i - 1] = wmsr_update(i, retained, config.scheme)
+            try:
+                out[t + 1, i - 1] = wmsr_update(i, retained, config.scheme)
+            except ConfigError as exc:
+                raise ConfigError(f"round {t}: {exc}") from None
     return out
 
 
@@ -526,12 +534,9 @@ def _scalar_strategy_from_dict(obj: Any, path: str) -> ScalarStrategy:
     fields = {k: v for k, v in obj.items() if k != "type"}
     for key, v in fields.items():
         if kind == "scripted" and key == "values":
-            if not isinstance(v, (list, tuple)):
-                raise ConfigError(f"{path}/values: must be a list of numbers, got {v!r}")
-            for k, x in enumerate(v):
-                _require_number(x, f"{path}/values/{k}")
+            _require(v, f"{path}/values", [float], "a list of numbers")
         else:
-            _require_number(v, f"{path}/{key}")
+            _require(v, f"{path}/{key}", float, "a number")
     try:
         return _SCALAR_STRATEGIES[kind](**fields)
     except TypeError as exc:
@@ -545,14 +550,10 @@ def _strategy_from_dict(obj: Any, path: str) -> Adversary:
         edges = obj.get("edges")
         if not isinstance(edges, dict):
             raise ConfigError(f"{path}/edges: byzantine strategy needs an 'edges' object")
-        signals = {}
-        for key, sub in edges.items():
-            try:
-                recipient = int(key)
-            except ValueError:
-                raise ConfigError(f"{path}/edges/{key}: recipient id must be an integer") from None
-            signals[recipient] = _scalar_strategy_from_dict(sub, f"{path}/edges/{key}")
-        return Adversary(ByzantinePerEdge(signals))
+        return Adversary(ByzantinePerEdge({
+            _agent_id(key, f"{path}/edges/{key}"): _scalar_strategy_from_dict(sub, f"{path}/edges/{key}")
+            for key, sub in edges.items()
+        }))
     return Adversary(_scalar_strategy_from_dict(obj, path))
 
 
@@ -571,32 +572,55 @@ def _strategy_to_dict(strategy) -> dict:
 def _graph_from_config(obj: Any, path: str) -> Digraph:
     if not isinstance(obj, dict):
         raise ConfigError(f"{path}: graph must be an object")
+    form = next((key for key in ("circulant", "undirected_circulant", "edges") if key in obj), None)
+    if form is None:
+        raise ConfigError(f"{path}: expected one of 'circulant', 'undirected_circulant', or 'n'+'edges'")
+    extra = sorted(set(obj) - ({"n", "edges"} if form == "edges" else {form}))
+    if extra:
+        raise ConfigError(f"{path}/{extra[0]}: unexpected key next to {form!r}")
+    value, where = obj[form], f"{path}/{form}"
     try:
-        if "circulant" in obj:
-            n, k = obj["circulant"]
-            return make_k_circulant(int(n), int(k))
-        if "undirected_circulant" in obj:
-            n, offsets = obj["undirected_circulant"]
-            return make_undirected_circulant(int(n), [int(a) for a in offsets])
-        if "edges" in obj:
-            return graph_from_json(obj)
-    except (GraphError, ValueError, TypeError) as exc:
+        if form == "circulant":
+            return make_k_circulant(*_require(value, where, (int, int), "[n, k] of integers"))
+        if form == "undirected_circulant":
+            n, offsets = _require(value, where, (int, [int]), "[n, [offsets]] of integers")
+            return make_undirected_circulant(n, offsets)
+        _require(obj.get("n"), f"{path}/n", int, "an integer")
+        _require(value, where, [(int, int)], "a list of [i, j] pairs of integers")
+        return graph_from_json(obj)
+    except GraphError as exc:
         raise ConfigError(f"{path}: {exc}") from None
-    raise ConfigError(
-        f"{path}: expected one of 'circulant', 'undirected_circulant', or 'n'+'edges'"
-    )
 
 
-def _require_number(value: Any, path: str) -> None:
-    """JSON numbers only: any float, NaN and +-inf included, or int; no bool."""
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise ConfigError(f"{path}: must be a number, got {value!r}")
+def _fits(value: Any, form: Any) -> bool:
+    """Whether a JSON value has ``form``: ``float`` (any number, NaN and +-inf
+    included) or ``int``, never a bool; ``[form]``, a list of such values; or
+    a tuple of forms, a list with one value per form."""
+    if isinstance(form, tuple):
+        return isinstance(value, (list, tuple)) and len(value) == len(form) and all(map(_fits, value, form))
+    if isinstance(form, list):
+        return isinstance(value, (list, tuple)) and all(_fits(v, form[0]) for v in value)
+    return isinstance(value, int if form is int else (int, float)) and not isinstance(value, bool)
 
 
-def _require_finite(value: float, path: str) -> float:
-    """Reject NaN and +-inf, which Python's json reads from the NaN and
+def _require(value: Any, path: str, form: Any, shape: str) -> Any:
+    if not _fits(value, form):
+        raise ConfigError(f"{path}: expected {shape}, got {value!r}")
+    return value
+
+
+def _agent_id(key: Any, path: str) -> int:
+    """An agent id written as a JSON object key."""
+    try:
+        return int(key)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{path}: agent id must be an integer") from None
+
+
+def _require_finite(value: Any, path: str) -> float:
+    """A finite number; Python's json reads NaN and +-inf from the NaN and
     Infinity literals."""
-    if not math.isfinite(value):
+    if not math.isfinite(_require(value, path, float, "a number")):
         raise ConfigError(f"{path}: must be a finite number, got {value!r}")
     return value
 
@@ -626,9 +650,7 @@ def config_from_dict(obj: Any) -> SimConfig:
             if default is None:
                 raise ConfigError(f"/{key}: required")
             return default
-        v = obj[key]
-        if not isinstance(v, int) or isinstance(v, bool):
-            raise ConfigError(f"/{key}: must be an integer, got {v!r}")
+        v = _require(obj[key], f"/{key}", int, "an integer")
         if minimum is not None and v < minimum:
             raise ConfigError(f"/{key}: must be >= {minimum}, got {v}")
         return v
@@ -642,11 +664,8 @@ def config_from_dict(obj: Any) -> SimConfig:
     if not isinstance(role_specs, dict):
         raise ConfigError(f"/roles: must be an object, got {role_specs!r}")
     for key, val in role_specs.items():
-        try:
-            agent = int(key)
-        except ValueError:
-            raise ConfigError(f"/roles/{key}: agent id must be an integer") from None
         path = f"/roles/{key}"
+        agent = _agent_id(key, path)
         if val == "normal":
             roles[agent] = Normal()
         elif val == "leader":
@@ -661,32 +680,30 @@ def config_from_dict(obj: Any) -> SimConfig:
         ref = obj["reference"]
         if not isinstance(ref, dict):
             raise ConfigError("/reference: must be an object or null")
-        try:
-            if "constant" in ref:
-                reference = ReferenceSignal.constant(float(ref["constant"]))
-            elif "breakpoints" in ref:
-                reference = ReferenceSignal(tuple((int(t), float(v)) for t, v in ref["breakpoints"]))
-            else:
-                raise ConfigError("/reference: expected 'constant' or 'breakpoints'")
-        except (ConfigError, TypeError, ValueError) as exc:
-            raise ConfigError(f"/reference: {exc}") from None
         if "constant" in ref:
-            _require_finite(reference.breakpoints[0][1], "/reference/constant")
+            breakpoints = [(0, _require_finite(ref["constant"], "/reference/constant"))]
+        elif "breakpoints" in ref:
+            breakpoints = _require(ref["breakpoints"], "/reference/breakpoints", [(int, float)],
+                                   "a list of [round, value] with integer rounds")
+        else:
+            raise ConfigError("/reference: expected 'constant' or 'breakpoints'")
+        try:
+            reference = ReferenceSignal(tuple(breakpoints))
+        except ConfigError as exc:
+            raise ConfigError(f"/reference: {exc}") from None
 
     init: tuple[float, float] | dict[int, float] = (-25.0, 25.0)
     if "init" in obj:
         spec = obj["init"]
         if isinstance(spec, dict) and "range" in spec:
-            try:
-                lo, hi = spec["range"]
-                init = (float(lo), float(hi))
-            except (TypeError, ValueError):
-                raise ConfigError(f"/init/range: expected [lo, hi], got {spec['range']!r}") from None
+            init = tuple(_require(spec["range"], "/init/range", (float, float), "[lo, hi] of numbers"))
         elif isinstance(spec, dict) and "values" in spec:
-            try:
-                init = {int(k): float(v) for k, v in spec["values"].items()}
-            except (TypeError, ValueError, AttributeError):
-                raise ConfigError("/init/values: must map agent ids to numbers") from None
+            if not isinstance(spec["values"], dict):
+                raise ConfigError("/init/values: must map agent ids to numbers")
+            init = {
+                _agent_id(k, f"/init/values/{k}"): _require(v, f"/init/values/{k}", float, "a number")
+                for k, v in spec["values"].items()
+            }
         else:
             raise ConfigError("/init: expected {'range': [lo, hi]} or {'values': {...}}")
 
@@ -695,8 +712,7 @@ def config_from_dict(obj: Any) -> SimConfig:
         alpha = obj.get("alpha")
         if alpha is None:
             alpha = default_alpha(graph)
-        if not isinstance(alpha, (int, float)) or isinstance(alpha, bool):
-            raise ConfigError(f"/alpha: must be a number, got {alpha!r}")
+        _require(alpha, "/alpha", float, "a number")
         table = None
         if obj.get("weight_table") is not None:
             if not isinstance(obj["weight_table"], dict):
@@ -706,13 +722,9 @@ def config_from_dict(obj: Any) -> SimConfig:
                 if not isinstance(row, dict):
                     raise ConfigError(f"/weight_table/{i_key}: must be an object")
                 for j_key, w in row.items():
-                    try:
-                        edge, w = (int(i_key), int(j_key)), float(w)
-                    except (TypeError, ValueError):
-                        raise ConfigError(
-                            f"/weight_table/{i_key}/{j_key}: bad entry"
-                        ) from None
-                    table[edge] = _require_finite(w, f"/weight_table/{i_key}/{j_key}")
+                    path = f"/weight_table/{i_key}/{j_key}"
+                    edge = (_agent_id(i_key, path), _agent_id(j_key, path))
+                    table[edge] = float(_require_finite(w, path))
         scheme = WeightScheme(float(alpha), table)
 
     strict = obj.get("strict_f_local", True)

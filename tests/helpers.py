@@ -62,6 +62,23 @@ def naive_is_rs_robust(g: Digraph, r: int, s: int) -> bool:
     return True
 
 
+def naive_first_violating_pair(
+    g: Digraph, r: int, s: int
+) -> tuple[frozenset[int], frozenset[int]] | None:
+    """The first disjoint pair (S1, S2), S1 in the outer and S2 in the inner
+    loop over the canonically ordered nonempty subsets, that violates
+    (r, s)-robustness; None if there is none.  r-robustness is s = 1."""
+    subsets = nonempty_subsets(g.vertices)
+    count = {c: sum(1 for i in c if len(g.in_neighbors(i) - c) >= r) for c in subsets}
+    for s1 in subsets:
+        for s2 in subsets:
+            if s1 & s2 or count[s1] == len(s1) or count[s2] == len(s2):
+                continue
+            if count[s1] + count[s2] < s:
+                return s1, s2
+    return None
+
+
 def naive_strongly_r_robust(g: Digraph, subset: frozenset[int], r: int) -> bool:
     rest = set(g.vertices) - subset
     return all(naive_reachable(g, c, r) for c in nonempty_subsets(rest))

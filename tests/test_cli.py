@@ -167,6 +167,23 @@ def _adversary(strategy):
     ({"weight_table": {"1": {"1": [1]}}}, "/weight_table/1/1"),
     (_adversary({"type": "sinusoid", "amplitude": "x", "period": 4}), "/roles/5/adversary/amplitude"),
     (_adversary({"type": "ramp", "slope": None}), "/roles/5/adversary/slope"),
+    ({"graph": {"circulant": [8, 3], "edges": 5}}, "/graph/edges"),
+    ({"graph": {"circulant": [8, 3], "undirected_circulant": [8, [1]]}}, "/graph/undirected_circulant"),
+    ({"graph": {"n": 8, "edges": [[1, 2]], "k": 3}}, "/graph/k"),
+    ({"graph": {"n": 8, "edges": [[True, 2]]}}, "/graph/edges"),
+    ({"graph": {"edges": [[1, 2]]}}, "/graph/n"),
+    ({"graph": {"circulant": ["8", "3"]}}, "/graph/circulant"),
+    ({"graph": {"circulant": [8, True]}}, "/graph/circulant"),
+    ({"graph": {"undirected_circulant": [8, 2]}}, "/graph/undirected_circulant"),
+    ({"init": {"range": ["-1", "2.5"]}}, "/init/range"),
+    ({"init": {"range": [False, 2]}}, "/init/range"),
+    ({"init": {"values": {**{str(i): 0 for i in range(1, 9)}, "4": "1"}}}, "/init/values/4"),
+    ({"weight_table": {"1": {"1": "0.5"}}}, "/weight_table/1/1"),
+    ({"weight_table": {"1": {"1": True}}}, "/weight_table/1/1"),
+    ({"reference": {"constant": "5"}}, "/reference/constant"),
+    ({"reference": {"breakpoints": [[0, 1.0], ["4", 2.0]]}}, "/reference/breakpoints"),
+    ({"reference": {"breakpoints": [[0, True]]}}, "/reference/breakpoints"),
+    ({"alpha": True}, "/alpha"),
 ])
 def test_run_hostile_config_shapes_exit_2_with_path(capsys, tmp_path, patch, path):
     config_path = tmp_path / "bad.json"

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from helpers import (
+    naive_first_violating_pair,
     naive_is_r_robust,
     naive_is_rs_robust,
     naive_reachable,
@@ -105,7 +106,31 @@ def test_rs_with_s1_equals_r_robust():
     for _ in range(20):
         g = random_digraph(rng, rng.randrange(2, 7), 0.4)
         for r in range(0, 4):
-            assert is_rs_robust(g, r, 1).verdict == is_r_robust(g, r).verdict
+            rs, plain = is_rs_robust(g, r, 1), is_r_robust(g, r)
+            assert rs.verdict == plain.verdict
+            if not plain.verdict:
+                assert (rs.witness["s1"], rs.witness["s2"]) == (plain.witness["s1"], plain.witness["s2"])
+
+
+def _pair(report):
+    if report.verdict:
+        return None
+    return frozenset(report.witness["s1"]), frozenset(report.witness["s2"])
+
+
+def test_pair_witness_is_the_canonical_first_violation():
+    rng = random.Random(23)
+    for _ in range(60):
+        g = random_digraph(rng, rng.randrange(2, 8), rng.choice([0.2, 0.4, 0.6]))
+        for r in range(1, 4):
+            assert _pair(is_r_robust(g, r)) == naive_first_violating_pair(g, r, 1), (g, r)
+            for s in sorted({1, 2, g.n}):
+                report = is_rs_robust(g, r, s)
+                expected = naive_first_violating_pair(g, r, s)
+                assert _pair(report) == expected, (g, r, s)
+                if expected is not None:
+                    counts = [len(r_reachable_set(g, part, r)) for part in expected]
+                    assert report.witness["reachable_counts"] == counts
 
 
 def test_k5_is_22_robust():

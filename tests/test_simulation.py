@@ -371,6 +371,18 @@ def test_config_dict_pointer_errors():
         config_from_dict({**base, "extra": 1})
 
 
+def test_config_dict_errors_name_the_expected_shape():
+    base = {"f": 1, "horizon": 10}
+    with pytest.raises(ConfigError, match=r"^/graph/undirected_circulant: expected \[n, \[offsets\]\]"):
+        config_from_dict({**base, "graph": {"undirected_circulant": [6, 2]}})
+    with pytest.raises(ConfigError, match=r"^/graph/edges: unexpected key next to 'circulant'"):
+        config_from_dict({**base, "graph": {"circulant": [6, 2], "edges": 5}})
+    with pytest.raises(ConfigError, match=r"^/graph/edges: expected a list of \[i, j\] pairs"):
+        config_from_dict({**base, "graph": {"n": 6, "edges": 5}})
+    with pytest.raises(ConfigError, match=r"^/init/range: expected \[lo, hi\] of numbers, got \['-1', '2.5'\]"):
+        config_from_dict({**base, "graph": {"circulant": [6, 2]}, "init": {"range": ["-1", "2.5"]}})
+
+
 NAN, INF = float("nan"), float("inf")
 
 
@@ -422,6 +434,22 @@ def test_non_finite_adversary_cannot_poison_normals(value):
     traj = run(cfg)
     assert np.all(np.isfinite(traj.states[:, [i - 1 for i in cfg.normals]]))
     assert verify_replay(traj)
+
+
+def test_opposite_infinities_raise_config_error_in_engine_and_oracle():
+    # F=0 keeps every value, so agent 1 retains both adversaries' broadcasts
+    g = make_k_circulant(6, 5)
+    roles = {5: Adversary(ConstantHold(INF)), 6: Adversary(ConstantHold(-INF))}
+    cfg = SimConfig(graph=g, f=0, horizon=3, roles=roles, strict_f_local=False)
+    expected = "round 0: agent 1 retains both +inf and -inf: the adversary set is not F-local"
+    with pytest.raises(ConfigError) as engine:
+        run(cfg)
+    assert str(engine.value) == expected
+    states = np.zeros((4, 6))
+    states[:, 4], states[:, 5] = INF, -INF
+    with pytest.raises(ConfigError) as oracle:
+        replay_states(Trajectory(cfg, states, None, {}))
+    assert str(oracle.value) == expected
 
 
 @pytest.mark.parametrize("overrides, path", [
