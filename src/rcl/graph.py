@@ -169,14 +169,14 @@ def graph_from_json(obj: dict) -> Digraph:
         raw_edges = obj["edges"]
     except (KeyError, TypeError):
         raise GraphError("graph JSON must have keys 'n' and 'edges'") from None
-    if not isinstance(n, int):
+    if not isinstance(n, int) or isinstance(n, bool):
         raise GraphError(f"'n' must be an integer, got {n!r}")
     edges = set()
     for e in raw_edges:
         if not (isinstance(e, (list, tuple)) and len(e) == 2):
             raise GraphError(f"edge entries must be pairs, got {e!r}")
         i, j = e
-        if not (isinstance(i, int) and isinstance(j, int)):
+        if not all(isinstance(x, int) and not isinstance(x, bool) for x in e):
             raise GraphError(f"edge endpoints must be integers, got {e!r}")
         if (i, j) in edges:
             raise GraphError(f"duplicate edge ({i}, {j})")

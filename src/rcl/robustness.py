@@ -14,15 +14,18 @@ Four families of checks:
 
 Subset enumeration is exponential, so the pairwise checks refuse graphs above
 an enumeration cap (default 13) and the complement-subset checks refuse free
-sets above a second cap (default 20), unless forced.  Witnesses are
-deterministic: subsets are ranked by increasing cardinality and then
-lexicographically by their sorted vertex tuple, and the first violation in
-that order is reported.  The pair scan sorts into that order only the subsets
-that can take part in a violation.
+sets above a second cap (default 20), unless forced.  Witnesses are the first
+violation in canonical order: by size, then lexicographically by sorted
+vertex tuple.  The pair scan sorts only the subsets that can take part in a
+violation.  The complement checks enumerate V \\ S once per (graph, S), in
+chunks of about 2^20 array cells, into a small table of the first violating
+C per pair of degree bounds, so a query is one lookup; its key comes straight
+from the enumeration counter.  Peeling admits from a heap of eligible ids.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -92,17 +95,6 @@ def _mask_of(vertices: Iterable[int]) -> int:
     return m
 
 
-def _sorted_vertices(mask: int) -> tuple[int, ...]:
-    out = []
-    v = 1
-    while mask:
-        if mask & 1:
-            out.append(v)
-        mask >>= 1
-        v += 1
-    return tuple(out)
-
-
 # ---------------------------------------------------------------------------
 # reachability
 
@@ -169,8 +161,8 @@ def _pair_scan(
             i = int(np.argmax(hit))
             a, b = lo + i, lo + int(np.argmax(viol[i]))
             witness = {
-                "s1": list(_sorted_vertices(int(bad[a]))),
-                "s2": list(_sorted_vertices(int(bad[b]))),
+                "s1": [v for v in g.vertices if int(bad[a]) >> (v - 1) & 1],
+                "s2": [v for v in g.vertices if int(bad[b]) >> (v - 1) & 1],
             }
             if prop is Property.RS_ROBUST:
                 witness["reachable_counts"] = [int(bad_counts[a]), int(bad_counts[b])]
@@ -226,44 +218,47 @@ def max_r_robustness(g: Digraph, *, cap: int | None = None, force: bool = False)
 # complement-subset checks (strong r-robustness, TLF robustness)
 
 
-def _complement_profiles(g: Digraph, s_mask: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per nonempty C in V \\ S: (C mask, max outside in-degree, max in-degree from S).
-
-    The two maxima decide every (anchor, reach) query for this (graph, S):
-    C has a member with >= anchor in-neighbors in S iff its max S in-degree
-    >= anchor, and one with >= reach in-neighbors outside C iff its max
-    outside in-degree >= reach.  Small enumerations are cached so sweeps
-    over r or F reuse one pass.
-    """
-    if g.n - bin(s_mask).count("1") <= 16:
-        return _complement_profiles_cached(g, s_mask)
-    return _compute_complement_profiles(g, s_mask)
+# cells of one chunk's (free vertices, counters) array program; bounds memory
+_CHUNK_CELLS = 1 << 20
+_NO_VIOLATION = np.iinfo(np.int64).max
 
 
 @lru_cache(maxsize=256)
-def _complement_profiles_cached(g: Digraph, s_mask: int):
-    return _compute_complement_profiles(g, s_mask)
+def _first_violations(g: Digraph, s_mask: int) -> np.ndarray:
+    """``first[a, o]``: the smallest canonical key of a nonempty C in V \\ S
+    whose members have at most a in-neighbors in S and at most o outside C,
+    else ``_NO_VIOLATION``; rows and columns stop at the largest degree.
 
-
-def _compute_complement_profiles(
-    g: Digraph, s_mask: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    Bit b of the counter j stands for ``free[f-1-b]``, so within one size the
+    canonical order is descending j, and the key is
+    ``(popcount(j) << f) | (2^f - 1 - j)``.  Callers skip the cache
+    (``__wrapped__``) above 16 free vertices.
+    """
     free = [v for v in g.vertices if not (s_mask >> (v - 1)) & 1]
-    f = len(free)
-    idx = np.arange(1, 1 << f, dtype=np.uint64)
-    c_masks = np.zeros(idx.size, dtype=np.uint64)
-    for pos, v in enumerate(free):
-        c_masks |= ((idx >> np.uint64(pos)) & np.uint64(1)) << np.uint64(v - 1)
-    max_outside = np.full(idx.size, -1, dtype=np.int32)
-    max_from_s = np.full(idx.size, -1, dtype=np.int32)
-    for pos, v in enumerate(free):
-        member = ((idx >> np.uint64(pos)) & np.uint64(1)).astype(bool)
-        in_mask = np.uint64(g.in_masks[v - 1])
-        outside = np.bitwise_count(in_mask & ~c_masks).astype(np.int32)
-        from_s = int(bin(g.in_masks[v - 1] & s_mask).count("1"))
-        np.maximum(max_outside, np.where(member, outside, -1), out=max_outside)
-        np.maximum(max_from_s, np.where(member, from_s, -1), out=max_from_s)
-    return c_masks, max_outside, max_from_s
+    f, top = len(free), (1 << len(free)) - 1
+    pos = {v: f - 1 - p for p, v in enumerate(free)}
+    bits = 1 << np.arange(f - 1, -1, -1, dtype=np.int64)[:, None]
+    in_free = np.array([sum(1 << pos[u] for u in g.in_neighbors(v) if u in pos) for v in free])[:, None]
+    in_deg = np.array([len(g.in_neighbors(v)) for v in free], dtype=np.int32)[:, None]
+    from_s = [(g.in_masks[v - 1] & s_mask).bit_count() for v in free]
+    # C has a member with >= a in-neighbors in S iff j meets anchored[a - 1]
+    anchored = [sum(1 << pos[v] for v, d in zip(free, from_s) if d >= a) for a in range(1, max(from_s) + 1)]
+    anchored = np.array(anchored, dtype=np.int64)[:, None]
+    rows, cols = max(from_s) + 1, int(in_deg.max()) + 1
+    first = np.full(rows * cols, _NO_VIOLATION, dtype=np.int64)
+    step = max(1, _CHUNK_CELLS // f)
+    for lo in range(1, top + 1, step):
+        j = np.arange(lo, min(lo + step, top + 1), dtype=np.int64)
+        member = (j & bits) != 0
+        max_outside = np.where(member, in_deg - np.bitwise_count(j & in_free), 0).max(axis=0)
+        max_from_s = ((j & anchored) != 0).sum(axis=0)
+        key = (np.bitwise_count(j).astype(np.int64) << f) | (top - j)
+        np.minimum.at(first, max_from_s * cols + max_outside, key)
+    first = first.reshape(rows, cols)
+    np.minimum.accumulate(first, axis=0, out=first)
+    np.minimum.accumulate(first, axis=1, out=first)
+    first.flags.writeable = False  # cached tables are shared by every caller
+    return first
 
 
 def _leader_set(g: Digraph, s: Iterable[int]) -> frozenset[int]:
@@ -287,14 +282,16 @@ def _bruteforce(
         raise EnumerationCapError(
             f"complement size {free} exceeds enumeration cap {limit}; pass force=True to override"
         )
-    c_masks, max_outside, max_from_s = _complement_profiles(g, _mask_of(s))
-    violating = (max_from_s < anchor) & (max_outside < reach)
-    if not violating.any():
-        return RobustnessReport(prop, params, True, None, "bruteforce")
-    cand = c_masks[violating]
-    sizes = np.bitwise_count(cand)
-    first = min(_sorted_vertices(int(m)) for m in cand[sizes == sizes.min()])
-    return RobustnessReport(prop, params, False, {"violating_subset": list(first)}, "bruteforce")
+    if anchor > 0 and reach > 0:
+        build = _first_violations if free <= 16 else _first_violations.__wrapped__
+        first = build(g, _mask_of(s))
+        key = int(first[min(anchor, first.shape[0]) - 1, min(reach, first.shape[1]) - 1])
+        if key != _NO_VIOLATION:
+            j = (1 << free) - 1 - (key & ((1 << free) - 1))
+            outside = [v for v in g.vertices if v not in s]
+            witness = {"violating_subset": [v for p, v in enumerate(outside) if j >> (free - 1 - p) & 1]}
+            return RobustnessReport(prop, params, False, witness, "bruteforce")
+    return RobustnessReport(prop, params, True, None, "bruteforce")
 
 
 def _peeling(
@@ -303,28 +300,26 @@ def _peeling(
     """Grow R from S by admitting the lowest-id vertex outside R with >= anchor
     in-neighbors in S or >= reach in-neighbors in R; the property holds iff R
     reaches the full vertex set.  Eligibility only grows with R, so the
-    verdict does not depend on the scan order.  The witness is the admission
-    order (true) or the stalled complement (false)."""
-    in_masks = g.in_masks
-    s_mask = _mask_of(s)
-    anchored = [(m & s_mask).bit_count() >= anchor for m in in_masks]
-    full = (1 << g.n) - 1
-    r_mask = s_mask
+    verdict does not depend on the scan order, and a heap of eligible ids fed
+    by in-counts admits in the order a rescan would.  The witness is the
+    admission order (true) or the stalled complement (false)."""
+    s_mask, low = _mask_of(s), min(anchor, reach)
+    in_r = [(m & s_mask).bit_count() for m in g.in_masks]  # in-neighbors in R
+    eligible = [v for v, count in zip(g.vertices, in_r) if count >= low and v not in s]
+    seen = {*s, *eligible}
     admitted: list[int] = []
-    while r_mask != full:
-        for v in g.vertices:
-            bit = 1 << (v - 1)
-            if not r_mask & bit and (
-                anchored[v - 1] or (in_masks[v - 1] & r_mask).bit_count() >= reach
-            ):
-                r_mask |= bit
-                admitted.append(v)
-                break
-        else:
-            break
-    if r_mask == full:
-        return RobustnessReport(prop, params, True, {"admission_order": admitted}, "peeling")
-    witness = {"stalled_complement": list(_sorted_vertices(full & ~r_mask))}
+    # once every vertex is seen, the rest leave the heap in id order
+    while eligible and len(seen) < g.n:
+        v = heapq.heappop(eligible)
+        admitted.append(v)
+        for w in g.out_neighbors(v) - seen:
+            in_r[w - 1] += 1
+            if in_r[w - 1] >= reach:
+                seen.add(w)
+                heapq.heappush(eligible, w)
+    if len(seen) == g.n:
+        return RobustnessReport(prop, params, True, {"admission_order": admitted + sorted(eligible)}, "peeling")
+    witness = {"stalled_complement": [v for v in g.vertices if v not in seen]}
     return RobustnessReport(prop, params, False, witness, "peeling")
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import math
 import random
+import sys
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Any, Mapping
@@ -593,14 +594,16 @@ def _graph_from_config(obj: Any, path: str) -> Digraph:
 
 
 def _fits(value: Any, form: Any) -> bool:
-    """Whether a JSON value has ``form``: ``float`` (any number, NaN and +-inf
-    included) or ``int``, never a bool; ``[form]``, a list of such values; or
-    a tuple of forms, a list with one value per form."""
+    """Whether a JSON value has ``form``: ``float`` (any number a float can
+    hold, NaN and +-inf included) or ``int``, never a bool; ``[form]``, a list
+    of such values; or a tuple of forms, a list with one value per form."""
     if isinstance(form, tuple):
         return isinstance(value, (list, tuple)) and len(value) == len(form) and all(map(_fits, value, form))
     if isinstance(form, list):
         return isinstance(value, (list, tuple)) and all(_fits(v, form[0]) for v in value)
-    return isinstance(value, int if form is int else (int, float)) and not isinstance(value, bool)
+    if not isinstance(value, int if form is int else (int, float)) or isinstance(value, bool):
+        return False
+    return isinstance(value, float) or form is int or abs(value) <= sys.float_info.max
 
 
 def _require(value: Any, path: str, form: Any, shape: str) -> Any:

@@ -79,6 +79,38 @@ def naive_first_violating_pair(
     return None
 
 
+def naive_first_violating_subset(
+    g: Digraph, subset: frozenset[int], anchor: int, reach: int
+) -> frozenset[int] | None:
+    """The first nonempty C in V \\ S, in canonical order, with no member that
+    has >= anchor in-neighbors in S or >= reach in-neighbors outside C; None
+    if there is none.  Strong r is (r, r) and TLF with parameter F is
+    (F+1, 2F+1)."""
+    for c in nonempty_subsets(set(g.vertices) - subset):
+        if not any(len(g.in_neighbors(i) & subset) >= anchor for i in c) and not naive_reachable(g, c, reach):
+            return c
+    return None
+
+
+def naive_peeling(
+    g: Digraph, subset: frozenset[int], anchor: int, reach: int
+) -> tuple[list[int], list[int]]:
+    """(admission order, stalled complement) of peeling by rescanning: R
+    starts at S, and each step admits the lowest-id vertex outside R with
+    >= anchor in-neighbors in S or >= reach in-neighbors in R, then scans
+    again from the lowest id."""
+    grown = set(subset)
+    order = []
+    while True:
+        for v in sorted(set(g.vertices) - grown):
+            if len(g.in_neighbors(v) & subset) >= anchor or len(g.in_neighbors(v) & grown) >= reach:
+                grown.add(v)
+                order.append(v)
+                break
+        else:
+            return order, sorted(set(g.vertices) - grown)
+
+
 def naive_strongly_r_robust(g: Digraph, subset: frozenset[int], r: int) -> bool:
     rest = set(g.vertices) - subset
     return all(naive_reachable(g, c, r) for c in nonempty_subsets(rest))

@@ -92,6 +92,14 @@ def test_gen_graph_roundtrip(capsys, tmp_path):
     assert code == 0
 
 
+def test_check_graph_json_with_boolean_id_exit_2(capsys, tmp_path):
+    graph_file = tmp_path / "g.json"
+    graph_file.write_text(json.dumps({"n": 3, "edges": [[True, 2], [2, 3], [3, 1]]}))
+    code, _, err = run_cli(capsys, "check", "--graph", str(graph_file), "--r-robust", "1")
+    assert code == 2
+    assert "integer" in err
+
+
 def test_gen_graph_json_format(capsys, tmp_path):
     out_file = tmp_path / "g.json"
     code, _, _ = run_cli(capsys, "gen-graph", "--undirected-circulant", "6", "1,2",
@@ -184,6 +192,12 @@ def _adversary(strategy):
     ({"reference": {"breakpoints": [[0, 1.0], ["4", 2.0]]}}, "/reference/breakpoints"),
     ({"reference": {"breakpoints": [[0, True]]}}, "/reference/breakpoints"),
     ({"alpha": True}, "/alpha"),
+    ({"init": {"range": [0, 10**400]}}, "/init/range"),
+    ({"init": {"values": {**{str(i): 0 for i in range(1, 9)}, "4": -10**400}}}, "/init/values/4"),
+    ({"alpha": 10**400}, "/alpha"),
+    ({"weight_table": {"1": {"1": 10**400}}}, "/weight_table/1/1"),
+    ({"reference": {"constant": 10**400}}, "/reference/constant"),
+    (_adversary({"type": "sinusoid", "amplitude": 10**400, "period": 4}), "/roles/5/adversary/amplitude"),
 ])
 def test_run_hostile_config_shapes_exit_2_with_path(capsys, tmp_path, patch, path):
     config_path = tmp_path / "bad.json"

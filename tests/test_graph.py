@@ -181,6 +181,16 @@ def test_json_roundtrip():
     assert graph_from_json(graph_to_json(g)) == g
 
 
+@pytest.mark.parametrize("obj", [
+    {"n": 3, "edges": [[True, 2], [2, 3], [3, 1]]},
+    {"n": 3, "edges": [[1, False]]},
+    {"n": True, "edges": []},
+])
+def test_json_rejects_boolean_ids(obj):
+    with pytest.raises(GraphError, match="integer"):
+        graph_from_json(obj)
+
+
 def test_in_masks_match_in_neighbors():
     g = make_k_circulant(9, 4)
     for i in g.vertices:

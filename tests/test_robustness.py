@@ -1,11 +1,14 @@
 import random
+import tracemalloc
 
 import pytest
 
 from helpers import (
     naive_first_violating_pair,
+    naive_first_violating_subset,
     naive_is_r_robust,
     naive_is_rs_robust,
+    naive_peeling,
     naive_reachable,
     naive_strongly_r_robust,
     naive_tlf_robust,
@@ -194,6 +197,56 @@ def test_strong_ring_false_with_minimal_witness():
     assert not naive_reachable(g, witness, 2)
     # canonical order: smallest cardinality, then lexicographic
     assert witness == {2}
+
+
+def _leader_sample(rng, g):
+    return frozenset(rng.sample(sorted(g.vertices), rng.randrange(1, g.n + 1)))
+
+
+def test_complement_witness_is_the_canonical_first_violation():
+    rng = random.Random(83)
+    for _ in range(60):
+        g = random_digraph(rng, rng.randrange(2, 9), rng.choice([0.2, 0.4, 0.6]))
+        s = _leader_sample(rng, g)
+        queries = [(is_strongly_r_robust_bruteforce, r, r, r) for r in range(-1, g.n + 2)]
+        queries += [(is_tlf_robust_bruteforce, f, f + 1, 2 * f + 1) for f in range(4)]
+        for decide, param, anchor, reach in queries:
+            if param < 0:
+                with pytest.raises(ValueError):
+                    decide(g, s, param)
+                continue
+            report = decide(g, s, param)
+            expected = naive_first_violating_subset(g, s, anchor, reach)
+            assert report.verdict == (expected is None), (g, s, decide.__name__, param)
+            if expected is not None:
+                assert report.witness["violating_subset"] == sorted(expected), (g, s, decide.__name__, param)
+
+
+def test_peeling_admission_order_matches_rescanning():
+    rng = random.Random(89)
+    for _ in range(80):
+        g = random_digraph(rng, rng.randrange(2, 10), rng.choice([0.2, 0.4, 0.6]))
+        s = _leader_sample(rng, g)
+        queries = [(is_strongly_r_robust_peeling, r, r, r) for r in range(g.n + 1)]
+        queries += [(is_tlf_robust_peeling, f, f + 1, 2 * f + 1) for f in range(4)]
+        for decide, param, anchor, reach in queries:
+            report = decide(g, s, param)
+            order, stalled = naive_peeling(g, s, anchor, reach)
+            if report.verdict:
+                assert stalled == [] and report.witness == {"admission_order": order}, (g, s, param)
+            else:
+                assert report.witness == {"stalled_complement": stalled}, (g, s, param)
+
+
+def test_forced_complement_enumeration_memory_is_bounded():
+    # 22 free vertices: 2^22 subsets, enumerated in chunks
+    tracemalloc.start()
+    try:
+        assert is_tlf_robust_bruteforce(make_k_circulant(25, 5), {1, 2, 3}, 1, force=True).verdict
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20, peak
 
 
 def test_strong_peeling_r0_admits_everyone():
