@@ -410,7 +410,7 @@ def main(argv=None) -> int:
     except PreconditionError as exc:
         _log(f"precondition failure: {exc}")
         return 3
-    except (GraphError, ConfigError, ScenarioError, EnumerationCapError, ValueError) as exc:
+    except (GraphError, ConfigError, ScenarioError, EnumerationCapError, ValueError, MemoryError) as exc:
         _log(f"error: {exc}")
         return 2
 

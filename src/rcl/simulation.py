@@ -5,7 +5,11 @@ Rounds are lockstep with perfect delivery: round t+1 states are computed only
 from round-t delivered values.  Each round is one array program over all
 normal agents that reproduces the scalar W-MSR filter and update of
 ``protocol`` bit for bit; ``replay_states`` re-runs those scalar functions as
-the oracle.  Runs are deterministic given (config, seed).
+the oracle.  The update's weighted sums are computed for all rows at once by
+an error-free extraction that is certified, row by row, to equal
+``math.fsum``; the rare rows it cannot certify (NaN, +-inf, a huge dynamic
+range, a zero sum) go to ``math.fsum``.  Runs are deterministic given
+(config, seed).
 """
 
 from __future__ import annotations
@@ -81,6 +85,8 @@ class SimConfig:
             raise ConfigError(f"F must be >= 0, got {self.f}")
         if self.horizon < 1:
             raise ConfigError(f"horizon must be >= 1, got {self.horizon}")
+        if (self.horizon + 1) * g.n * 8 > np.iinfo(np.intp).max:
+            raise ConfigError(f"/horizon: {self.horizon} rounds of {g.n} float64 states exceed NumPy's largest array")
         roles = dict(self.roles)
         for i in roles:
             if not (1 <= i <= g.n):
@@ -213,15 +219,16 @@ def run(config: SimConfig, jobs: int = 1) -> Trajectory:
     if jobs != 1:
         raise ConfigError(f"jobs must be 1 (the engine runs serially), got {jobs}")
     g = config.graph
-    n, horizon, f = g.n, config.horizon, config.f
+    n, horizon = g.n, config.horizon
     rounds = range(horizon + 1)
+    # allocated first, so that a horizon too long for memory fails at once
+    states = np.empty((horizon + 1, n))
     ref_series = None
     if config.reference is not None:
         ref_series = np.array([config.reference.value_at(t) for t in rounds])
 
     # leader and adversary broadcasts and the Byzantine edge values depend
     # only on the round, so they are laid out up front
-    states = np.empty((horizon + 1, n))
     edge_values: dict[tuple[int, int], np.ndarray] = {}
     init = _initial_values(config)
     for i in g.vertices:
@@ -247,6 +254,7 @@ def run(config: SimConfig, jobs: int = 1) -> Trajectory:
     rows_of = {i: r for r, i in enumerate(normals)}
     senders = [sorted(g.inclusive_neighbors(i)) for i in normals]
     width = max(map(len, senders), default=1)
+    f = min(config.f, width)  # no row drops more than its degree, and NumPy needs a C long
     sid = np.full((len(normals), width), n + 1)
     weight = np.ones((len(normals), width))
     table = config.scheme.table
@@ -274,46 +282,50 @@ def run(config: SimConfig, jobs: int = 1) -> Trajectory:
         vals = x[sid]
         vals[byz_rows, byz_cols] = byz_series[t]
         own = vals[rows, own_col][:, None]
-        n_lower = np.count_nonzero(vals < own, axis=1)
-        n_higher = np.count_nonzero((vals > own) & real, axis=1)
+        n_lower = (vals < own).sum(axis=1)
+        n_higher = ((vals > own) & real).sum(axis=1)
         drop_low = np.minimum(n_lower, f)
         stop = degree - np.minimum(n_higher, f)
+        common = np.maximum(n_lower, n_higher) <= f
         ordered = np.sort(vals, axis=1)
         lo = ordered[rows, drop_low]
         hi = ordered[rows, stop - 1]
 
-        # The retained set is ordered[drop_low:stop].  In sender order, drop
-        # everything below the last low-side removal and above the first
-        # high-side one; of the values tied at either cut, drop the ones
-        # with the largest sender ids, as wmsr_filter does.
-        low_cut = ordered[rows, np.maximum(drop_low - 1, 0)][:, None]
-        high_cut = ordered[rows, np.minimum(stop, width - 1)][:, None]
-        below = vals < low_cut
-        above = (vals > high_cut) & real
-        low_ties = vals == low_cut
-        high_ties = (vals == high_cut) & real
-        keep = real & ~below & ~above
-        keep &= ~_last_true(low_ties, drop_low - below.sum(axis=1))
-        keep &= ~_last_true(high_ties, degree - stop - above.sum(axis=1))
+        # The retained set is ordered[drop_low:stop], so in sender order it is
+        # every value in [lo, hi] but the ``extra`` values tied with lo or hi
+        # that have the largest sender ids, which wmsr_filter drops.
+        upto_hi = (vals <= hi[:, None]) & real
+        keep = upto_hi & (vals >= lo[:, None])
+        for cut, extra in ((lo, drop_low - (vals < lo[:, None]).sum(axis=1)),
+                           (hi, upto_hi.sum(axis=1) - stop)):
+            if extra.any():
+                ties = (vals == cut[:, None]) & real
+                from_right = np.cumsum(ties[:, ::-1], axis=1)[:, ::-1]
+                keep &= ~(ties & (from_right <= extra[:, None]))
 
         # the renormalising total is a sequential sum in sender order, as in
-        # wmsr_weights; fsum makes the weighted sum independent of order
-        kept_weight = np.where(keep, weight, 0.0)
-        total = np.cumsum(kept_weight, axis=1)[:, -1:]
-        terms = memoryview(np.where(keep, weight / total * vals, 0.0).reshape(-1))
-        try:
-            mixed = np.array([math.fsum(terms[k : k + width]) for k in range(0, len(terms), width)])
-        except ValueError:  # fsum of +inf and -inf
-            both = ((vals == np.inf) & keep).any(axis=1) & ((vals == -np.inf) & keep).any(axis=1)
-            raise ConfigError(f"round {t}: {opposite_infinities(normals[np.argmax(both)])}") from None
+        # wmsr_weights; for the equal rule that sum of 1.0s is the kept count
+        if table is None:
+            share = 1.0 / keep.sum(axis=1, dtype=float)[:, None]
+        else:
+            share = weight / np.cumsum(np.where(keep, weight, 0.0), axis=1)[:, -1:]
+        terms = np.where(keep, share * vals, 0.0)
+        # the weighted sum is fsum's correctly rounded one, so independent of
+        # order; common rows need no fsum, as their sum is discarded below
+        mixed, ok = _row_sums(terms)
+        for r in np.flatnonzero(~(ok | common)):
+            try:
+                mixed[r] = math.fsum(terms[r].tolist())
+            except ValueError:  # fsum of +inf and -inf
+                raise ConfigError(f"round {t}: {opposite_infinities(normals[r])}") from None
         # Python's max(x, lo) and min(x, hi), which keep x on signed-zero ties
         mixed = np.where(lo > mixed, lo, mixed)
         mixed = np.where(hi < mixed, hi, mixed)
         # a retained set of one common value returns the first such value in
         # sender order, as wmsr_update returns min(values)
-        common = (n_lower <= f) & (n_higher <= f)
-        first = vals[rows, np.argmax(vals == own, axis=1)]
-        states[t + 1, normal_cols] = np.where(common, first, mixed)
+        if common.any():
+            mixed = np.where(common, vals[rows, np.argmax(vals == own, axis=1)], mixed)
+        states[t + 1, normal_cols] = mixed
 
     states.setflags(write=False)
     if ref_series is not None:
@@ -323,10 +335,37 @@ def run(config: SimConfig, jobs: int = 1) -> Trajectory:
     return Trajectory(config, states, ref_series, edge_values)
 
 
-def _last_true(mask: np.ndarray, count: np.ndarray) -> np.ndarray:
-    """Per row r, the last ``count[r]`` True entries of ``mask``."""
-    from_right = np.cumsum(mask[:, ::-1], axis=1)[:, ::-1]
-    return mask & (from_right <= count[:, None])
+def _row_sums(terms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row sums of ``terms`` and a mask of the rows where each equals
+    ``math.fsum`` of that row bit for bit.
+
+    Error-free extraction (Rump, Ogita & Oishi, SIAM J. Sci. Comput. 31(1),
+    2008): with sigma the power of two above 2*w*max|p| for the row's w
+    terms p, q = (sigma + p) - sigma is a multiple of sigma*2**-53 and
+    p - q is exact, so sum(q) is exact in any order.  When w*sigma <=
+    2**52*min|p != 0|, every p - q is a multiple of one quantum and their
+    partial sums stay below 2**53 quanta, so sum(p - q) is exact too, and
+    adding the two rounds the exact sum once, half to even, as fsum does.
+    A row is certified only when that holds, its scale neither overflows nor
+    nears the subnormals (which leaves the sum finite), and the sum is
+    nonzero, since fsum has its own signed-zero rules; rows with NaN, +-inf
+    or only zeros are never certified.
+    """
+    w = terms.shape[1]
+    cols = terms.T.copy()  # reductions over contiguous columns are the fast ones
+    mag = np.abs(cols)
+    top = mag.max(axis=0)
+    mag[mag == 0] = np.inf
+    low = mag.min(axis=0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        scale = 2.0 * w * top
+        sigma = np.ldexp(1.0, np.frexp(scale)[1])
+        q = np.add(cols, sigma, out=mag)  # reuses the buffer of mag, no longer needed
+        q -= sigma
+        cols -= q  # the low parts, exact
+        sums = q.sum(axis=0) + cols.sum(axis=0)
+        ok = np.isfinite(scale) & (top > 2.0**-900) & (w * sigma <= 2.0**52 * low)
+    return sums, ok & (sums != 0)
 
 
 def replay_states(traj: Trajectory) -> np.ndarray:

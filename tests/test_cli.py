@@ -198,6 +198,8 @@ def _adversary(strategy):
     ({"weight_table": {"1": {"1": 10**400}}}, "/weight_table/1/1"),
     ({"reference": {"constant": 10**400}}, "/reference/constant"),
     (_adversary({"type": "sinusoid", "amplitude": 10**400, "period": 4}), "/roles/5/adversary/amplitude"),
+    ({"horizon": 10**400}, "/horizon"),
+    ({"horizon": 2**61}, "/horizon"),
 ])
 def test_run_hostile_config_shapes_exit_2_with_path(capsys, tmp_path, patch, path):
     config_path = tmp_path / "bad.json"
@@ -205,6 +207,27 @@ def test_run_hostile_config_shapes_exit_2_with_path(capsys, tmp_path, patch, pat
     code, _, err = run_cli(capsys, "run", str(config_path), "--out", str(tmp_path / "x"))
     assert code == 2
     assert err.startswith(f"error: {path}: "), err
+
+
+def test_run_huge_f_exits_normally(capsys, tmp_path):
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({"graph": {"circulant": [6, 2]}, "f": 10**400, "horizon": 5,
+                                       "init": {"range": [3, 3]}}))
+    code, stdout, err = run_cli(capsys, "run", str(config_path), "--out", str(tmp_path / "x"))
+    assert code == 0, err
+    assert json.loads(stdout)["converged"] is True
+
+
+def test_run_out_of_memory_exits_2(capsys, tmp_path, monkeypatch):
+    def no_memory(config):
+        raise MemoryError("Unable to allocate 58.2 TiB for an array")
+
+    monkeypatch.setattr("rcl.cli.run_simulation", no_memory)
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(SAMPLE_CONFIG))
+    code, _, err = run_cli(capsys, "run", str(config_path), "--out", str(tmp_path / "x"))
+    assert code == 2
+    assert err.startswith("error: Unable to allocate"), err
 
 
 def test_run_invalid_json(capsys, tmp_path):

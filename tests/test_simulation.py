@@ -1,9 +1,12 @@
+import math
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from rcl.graph import Digraph, make_k_circulant
 from rcl.protocol import (
@@ -21,6 +24,7 @@ from rcl.protocol import (
 from rcl.simulation import (
     SimConfig,
     Trajectory,
+    _row_sums,
     _sustained_round,
     compute_metrics,
     config_from_dict,
@@ -32,6 +36,7 @@ from rcl.simulation import (
     write_edges_csv,
     write_trajectory_csv,
 )
+from rcl.scenarios import SCENARIO_NAMES, build_scenario
 
 
 def basic_config(**overrides):
@@ -581,3 +586,70 @@ def test_engine_matches_scalar_oracle(cfg):
     assert verify_replay(traj)
     # F-local adversaries never push a normal agent out of the finite reals
     assert np.all(np.isfinite(traj.states[:, [i - 1 for i in cfg.normals]]))
+
+
+def test_replay_at_realistic_widths():
+    # wide rows, where the engine's certified row sum does the work; the
+    # oracle property above only reaches n <= 12
+    for name in SCENARIO_NAMES:
+        assert verify_replay(run(build_scenario(name).base)), name
+    g = make_k_circulant(60, 20)
+    rng = random.Random(11)
+    table = _distinct_weight_table(g, rng)
+    signals = {j: rng.choice([Sinusoid(rng.uniform(10, 80), rng.uniform(5, 30)),
+                              Ramp(rng.uniform(-3, 3), rng.uniform(-20, 20)),
+                              ConstantHold(rng.uniform(-90, 90))])
+               for j in sorted(g.out_neighbors(30))}
+    roles = {**{i: Leader() for i in range(1, 6)},
+             30: Adversary(ByzantinePerEdge(signals)), 45: Adversary(Sinusoid(50.0, 17.0))}
+    cfg = SimConfig(graph=g, f=2, horizon=100, roles=roles, reference=ReferenceSignal.constant(7.5),
+                    scheme=WeightScheme(min(table.values()), table), seed=4)
+    assert verify_replay(run(cfg))
+
+
+def test_huge_f_runs_like_f_equal_to_n():
+    # no row drops more than its degree, so any F >= n filters alike
+    g = make_k_circulant(6, 2)
+    cfg = SimConfig(graph=g, f=6, horizon=12, roles={1: Leader(), 4: Adversary(Sinusoid(9.0, 5.0))},
+                    reference=ReferenceSignal.constant(2.0), seed=3)
+    huge = run(replace(cfg, f=10**400))
+    assert huge.states.tobytes() == run(cfg).states.tobytes()
+    assert verify_replay(huge)
+
+
+# ---------------------------------------------------------------------------
+# the certified row sum against math.fsum
+
+_SUM_VALUES = st.one_of(
+    st.floats(),  # its edge cases include +-0, subnormals, +-inf, NaN and +-max
+    st.sampled_from([1.7e308, -1.7e308, 2.0**-53, -(2.0**-53), 2.0**-106, 5e-324, -5e-324]),
+    # small integers over a spread of scales: exact half-ulp midpoints and cancellation
+    st.builds(math.ldexp, st.integers(-9, 9), st.integers(-130, 40)),
+)
+
+
+@st.composite
+def _term_matrices(draw):
+    width = draw(st.integers(1, 70))
+    terms = draw(arrays(np.float64, (draw(st.integers(1, 3)), width), elements=_SUM_VALUES, fill=_SUM_VALUES))
+    if draw(st.booleans()):  # heavy cancellation: half of each row negates the other half
+        half = width // 2
+        terms[:, half : 2 * half] = -terms[:, :half]
+        terms = terms[:, draw(st.permutations(range(width)))]
+    return terms
+
+
+@example(terms=np.array([[1e308, 1e291, -1e308, 1.0]]))  # 2*w*max|p| overflows, and a wrong scale looks fine
+@example(terms=np.array([[1.0, 2.0**-53, 2.0**-106]]))  # the low parts span more than 53 bits
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(terms=_term_matrices())
+def test_certified_row_sums_equal_fsum(terms):
+    sums, ok = _row_sums(terms)
+    for row, total, certified in zip(terms.tolist(), sums, ok):
+        if certified:
+            assert np.float64(math.fsum(row)).tobytes() == total.tobytes(), row
+
+
+def test_ordinary_rows_are_certified():
+    terms = np.array([[0.1, 0.2, 0.3, 0.0], [-2.5, 1e-3, 7.0, 1.0 / 3.0], [1e-200, 3e-200, 0.0, -0.0]])
+    assert _row_sums(terms)[1].all()
