@@ -16,11 +16,20 @@ Subset enumeration is exponential, so the pairwise checks refuse graphs above
 an enumeration cap (default 13) and the complement-subset checks refuse free
 sets above a second cap (default 20), unless forced.  Witnesses are the first
 violation in canonical order: by size, then lexicographically by sorted
-vertex tuple.  The pair scan sorts only the subsets that can take part in a
-violation.  The complement checks enumerate V \\ S once per (graph, S), in
-chunks of about 2^20 array cells, into a small table of the first violating
-C per pair of degree bounds, so a query is one lookup; its key comes straight
-from the enumeration counter.  Peeling admits from a heap of eligible ids.
+vertex tuple.
+
+Both enumerations share one split counter, j = (hi << L) | lo with L the
+smaller of 16 and the number of enumerated vertices.  A vertex's in-degree
+outside the enumerated set is ``in_deg - popcount(lo & in_lo) -
+popcount(hi & in_hi)``: the low part is one int16 table per call (int32 once
+an in-degree reaches 2^15), and each hi is a chunk of 2^L counters that
+subtracts a per-vertex constant, so counting holds about (vertices x 2^16)
+small ints however many subsets there are.  The pair scan counts r-reachable
+members per chunk, keeps only the subsets that can take part in a violation
+and sorts just those.  The complement checks enumerate V \\ S once per
+(graph, S) into a small table of the first violating C per pair of degree
+bounds, so a query is one lookup; its key comes straight from the enumeration
+counter.  Peeling admits from a heap of eligible ids.
 """
 
 from __future__ import annotations
@@ -96,6 +105,53 @@ def _mask_of(vertices: Iterable[int]) -> int:
 
 
 # ---------------------------------------------------------------------------
+# the split enumeration counter, shared by both exact families
+
+_LOW_BITS = 16
+
+
+@lru_cache(maxsize=None)
+def _low_counters(width: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The low counters lo = 0 .. 2^width - 1, their popcounts and their bits
+    (row b is bit b); they depend on nothing but the width."""
+    lo = np.arange(1 << width, dtype=np.int32)
+    bits = ((lo >> np.arange(width, dtype=np.int32)[:, None]) & 1).astype(bool)
+    tables = lo, np.bitwise_count(lo).astype(np.int64), bits
+    for table in tables:
+        table.flags.writeable = False
+    return tables
+
+
+def _split_outside(g: Digraph, by_bit: list[int]) -> tuple[int, np.ndarray, np.ndarray]:
+    """The counter over the vertices ``by_bit``, vertex ``by_bit[b]`` at bit b,
+    split at ``width = min(len(by_bit), _LOW_BITS)``.
+
+    Row b of the first array is the in-degree of ``by_bit[b]`` minus its
+    in-neighbors among the members of each low counter, in int16 (int32 once an
+    in-degree reaches 2^15); counter ``(hi << width) | lo`` also subtracts
+    ``popcount(hi & high[b])``, ``high`` being the second.  Returns ``width``
+    and the two arrays.
+    """
+    if len(by_bit) > 62:  # the counter is an int64
+        raise EnumerationCapError(
+            f"cannot enumerate the subsets of {len(by_bit)} vertices, even forced"
+        )
+    width = min(len(by_bit), _LOW_BITS)
+    pos = {v: b for b, v in enumerate(by_bit)}
+    masks = [sum(1 << pos[u] for u in g.in_neighbors(v) if u in pos) for v in by_bit]
+    masks = np.array(masks, dtype=np.int64)
+    in_deg = [g.in_masks[v - 1].bit_count() for v in by_bit]
+    dtype = np.int16 if max(in_deg) < 1 << 15 else np.int32
+    # popcount the first 10 bits; doubling the table per further bit is cheaper
+    base = min(width, 10)
+    low = (masks & ((1 << base) - 1))[:, None] & _low_counters(base)[0]
+    outside = np.array(in_deg, dtype=dtype)[:, None] - np.bitwise_count(low)
+    for b in range(base, width):
+        outside = np.hstack([outside, outside - ((masks >> b) & 1).astype(dtype)[:, None]])
+    return width, outside, masks >> width
+
+
+# ---------------------------------------------------------------------------
 # reachability
 
 
@@ -127,25 +183,28 @@ def _pair_scan(
         raise EnumerationCapError(
             f"n={g.n} exceeds pairwise enumeration cap {limit}; pass force=True to override"
         )
-    n = g.n
-    masks = np.arange(1 << n, dtype=np.uint64)
-    not_masks = ~masks
-    counts = np.zeros(1 << n, dtype=np.int32)  # r-reachable members per subset
-    for i in g.vertices:
-        member = (masks >> np.uint64(i - 1)) & np.uint64(1)
-        outside = np.bitwise_count(np.uint64(g.in_masks[i - 1]) & not_masks)
-        counts += (member & (outside >= r)).astype(np.int32)
-    sizes = np.bitwise_count(masks)
-    # only a subset with fewer than s r-reachable members, and not all of them,
-    # can be half of a violating pair; the empty mask fails the second test
-    keep = (counts < s) & (counts < sizes)
-    bad, bad_counts = masks[keep], counts[keep]
-    # canonical order: by size, then the subset holding the lowest vertex of
-    # the symmetric difference first, i.e. by the n-bit reversal of the
-    # complement (vertex 1 in the top bit); keys are unique, so any sort works
-    key = sizes[keep].astype(np.uint64) << np.uint64(n)
-    for i in range(n):
-        key |= ((~bad >> np.uint64(i)) & np.uint64(1)) << np.uint64(n - 1 - i)
+    # bit b of the counter stands for vertex n - b, so within one size the
+    # canonical order is descending j, as for the complement tables; the key
+    # below sorts in that order.  An in-degree is at most n - 1.
+    n, r = g.n, min(r, g.n)
+    width, outside, high = _split_outside(g, list(g.vertices)[::-1])
+    lo, sizes, bits = _low_counters(width)
+    low_key = (sizes << n) - lo
+    bad_parts, count_parts, key_parts = [], [], []
+    for hi in range(1 << (n - width)):
+        reach = outside >= (np.bitwise_count(high & hi) + r)[:, None]
+        counts = (reach[:width] & bits).sum(axis=0, dtype=np.uint8)  # r-reachable members
+        if hi:
+            members = [b for b in range(width, n) if hi >> (b - width) & 1]
+            counts += reach[members].sum(axis=0, dtype=np.uint8)
+        # only a subset with fewer than s r-reachable members, and not all of
+        # them, can be half of a violating pair; the empty mask fails the second
+        size = sizes + hi.bit_count()
+        keep = np.flatnonzero((counts < s) & (counts < size))
+        bad_parts.append(keep + (hi << width))
+        count_parts.append(counts[keep])
+        key_parts.append(low_key[keep] + ((hi.bit_count() << n) - (hi << width)))
+    bad, bad_counts, key = map(np.concatenate, (bad_parts, count_parts, key_parts))
     order = np.argsort(key)
     bad, bad_counts = bad[order], bad_counts[order]
     # S1 is the first candidate with a violating partner and S2 its first
@@ -161,8 +220,8 @@ def _pair_scan(
             i = int(np.argmax(hit))
             a, b = lo + i, lo + int(np.argmax(viol[i]))
             witness = {
-                "s1": [v for v in g.vertices if int(bad[a]) >> (v - 1) & 1],
-                "s2": [v for v in g.vertices if int(bad[b]) >> (v - 1) & 1],
+                "s1": [v for v in g.vertices if int(bad[a]) >> (n - v) & 1],
+                "s2": [v for v in g.vertices if int(bad[b]) >> (n - v) & 1],
             }
             if prop is Property.RS_ROBUST:
                 witness["reachable_counts"] = [int(bad_counts[a]), int(bad_counts[b])]
@@ -218,8 +277,6 @@ def max_r_robustness(g: Digraph, *, cap: int | None = None, force: bool = False)
 # complement-subset checks (strong r-robustness, TLF robustness)
 
 
-# cells of one chunk's (free vertices, counters) array program; bounds memory
-_CHUNK_CELLS = 1 << 20
 _NO_VIOLATION = np.iinfo(np.int64).max
 
 
@@ -231,29 +288,37 @@ def _first_violations(g: Digraph, s_mask: int) -> np.ndarray:
 
     Bit b of the counter j stands for ``free[f-1-b]``, so within one size the
     canonical order is descending j, and the key is
-    ``(popcount(j) << f) | (2^f - 1 - j)``.  Callers skip the cache
-    (``__wrapped__``) above 16 free vertices.
+    ``(popcount(j) << f) | (2^f - 1 - j)``.  j is split at the low
+    ``min(f, _LOW_BITS)`` bits: the low counters' in-degrees outside C (int16,
+    or int32 once an in-degree reaches 2^15), maxima from S and key terms are
+    built once, and each hi adds its own members and constants to them.  A
+    non-member counts 0 outside C, which never raises the maximum of a nonempty
+    C.  Callers skip the cache (``__wrapped__``) above 16 free vertices.
     """
     free = [v for v in g.vertices if not (s_mask >> (v - 1)) & 1]
     f, top = len(free), (1 << len(free)) - 1
-    pos = {v: f - 1 - p for p, v in enumerate(free)}
-    bits = 1 << np.arange(f - 1, -1, -1, dtype=np.int64)[:, None]
-    in_free = np.array([sum(1 << pos[u] for u in g.in_neighbors(v) if u in pos) for v in free])[:, None]
-    in_deg = np.array([len(g.in_neighbors(v)) for v in free], dtype=np.int32)[:, None]
-    from_s = [(g.in_masks[v - 1] & s_mask).bit_count() for v in free]
-    # C has a member with >= a in-neighbors in S iff j meets anchored[a - 1]
-    anchored = [sum(1 << pos[v] for v, d in zip(free, from_s) if d >= a) for a in range(1, max(from_s) + 1)]
-    anchored = np.array(anchored, dtype=np.int64)[:, None]
-    rows, cols = max(from_s) + 1, int(in_deg.max()) + 1
+    by_bit = free[::-1]
+    width, outside, high = _split_outside(g, by_bit)
+    lo, sizes, bits = _low_counters(width)
+    from_s = [(g.in_masks[v - 1] & s_mask).bit_count() for v in by_bit]
+    rows, cols = max(from_s) + 1, int(outside[:, 0].max()) + 1  # lo = 0: the in-degrees
+    from_s = np.array(from_s, dtype=outside.dtype)  # keeps bits * from_s narrow
+    low_outside = bits * outside[:width]
+    low_cell = (bits * from_s[:width, None]).max(axis=0) * np.int64(cols)
+    low_key = (sizes << f) - lo
     first = np.full(rows * cols, _NO_VIOLATION, dtype=np.int64)
-    step = max(1, _CHUNK_CELLS // f)
-    for lo in range(1, top + 1, step):
-        j = np.arange(lo, min(lo + step, top + 1), dtype=np.int64)
-        member = (j & bits) != 0
-        max_outside = np.where(member, in_deg - np.bitwise_count(j & in_free), 0).max(axis=0)
-        max_from_s = ((j & anchored) != 0).sum(axis=0)
-        key = (np.bitwise_count(j).astype(np.int64) << f) | (top - j)
-        np.minimum.at(first, max_from_s * cols + max_outside, key)
+    max_outside, cell = low_outside.max(axis=0), low_cell  # hi = 0
+    for hi in range(1 << (f - width)):
+        if hi:
+            ph = np.bitwise_count(high & hi)[:, None]
+            members = [b for b in range(width, f) if hi >> (b - width) & 1]
+            max_outside = np.maximum(
+                (low_outside - ph[:width]).max(axis=0), (outside[members] - ph[members]).max(axis=0)
+            )
+            cell = np.maximum(low_cell, int(from_s[members].max()) * cols)
+        start = 0 if hi else 1  # the empty C
+        key = low_key[start:] + ((hi.bit_count() << f) + top - (hi << width))
+        np.minimum.at(first, (cell + max_outside)[start:], key)
     first = first.reshape(rows, cols)
     np.minimum.accumulate(first, axis=0, out=first)
     np.minimum.accumulate(first, axis=1, out=first)

@@ -592,6 +592,12 @@ _BUILDERS: dict[str, Callable[..., Scenario]] = {
 }
 _FIXED_F = frozenset({"sim1", "sim2", "sim3", "sim4"})
 
+# Largest F a parametric scenario accepts.  leader-deficit builds
+# C_{4F+8}(1..2F+1), whose edges grow as F^2: F = 64 runs in about a second.
+# The counterexample searches run a forced pair scan on 4F+6 agents per
+# candidate, so they grow exponentially in F well below this ceiling.
+MAX_SCENARIO_F = 64
+
 SCENARIO_NAMES = tuple(_BUILDERS)
 
 
@@ -603,4 +609,6 @@ def build_scenario(name: str, f: int | None = None) -> Scenario:
         return _BUILDERS[name]()
     if name in _FIXED_F:
         raise ScenarioError(f"scenario {name!r} does not take an F override")
+    if not 0 <= f <= MAX_SCENARIO_F:
+        raise ScenarioError(f"F must be in [0, {MAX_SCENARIO_F}] for scenario {name!r}, got {f}")
     return _BUILDERS[name](f)

@@ -1,5 +1,9 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -253,6 +257,22 @@ def test_scenario_counterexample_exit_code(capsys, tmp_path):
     assert report["outcome_ok"] is True
     assert report["metrics"]["converged"] is False
     assert all(p["ok"] for p in report["preconditions"])
+
+
+def test_scenario_f_out_of_range_exits_2(capsys, tmp_path):
+    code, _, err = run_cli(capsys, "scenario", "leader-deficit", "--f", "-1",
+                           "--out", str(tmp_path / "x"))
+    assert code == 2
+    assert err.startswith("error: F must be in [0, 64]"), err
+
+
+def test_scenario_huge_f_exits_2_at_once(tmp_path):
+    src = Path(__file__).resolve().parents[1] / "src"
+    argv = ["scenario", "leader-deficit", "--f", str(10**23), "--out", str(tmp_path / "x")]
+    done = subprocess.run([sys.executable, "-m", "rcl.cli", *argv], capture_output=True, text=True,
+                          timeout=20, env={**os.environ, "PYTHONPATH": str(src)})
+    assert done.returncode == 2
+    assert done.stderr.startswith("error: F must be in [0, 64]"), done.stderr
 
 
 def test_scenario_sim2_bundle(capsys, tmp_path):

@@ -14,9 +14,11 @@ from helpers import (
     naive_tlf_robust,
     random_digraph,
 )
+from rcl import robustness
 from rcl.graph import Digraph, GraphError, make_k_circulant, make_undirected_circulant
 from rcl.robustness import (
     EnumerationCapError,
+    Property,
     circulant_certificate,
     circulant_r_robustness_lower_bound,
     is_r_robust,
@@ -247,6 +249,102 @@ def test_forced_complement_enumeration_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 64 * 2**20, peak
+
+
+def test_forced_enumeration_past_the_counter_width_is_refused():
+    with pytest.raises(EnumerationCapError, match="even forced"):
+        is_r_robust(make_k_circulant(64, 2), 1, force=True)
+    with pytest.raises(EnumerationCapError, match="even forced"):
+        is_strongly_r_robust_bruteforce(make_k_circulant(65, 2), {1}, 1, force=True)
+
+
+def test_forced_pair_scan_memory_is_bounded():
+    # 2^20 subsets, counted one chunk of 2^16 low counters at a time
+    tracemalloc.start()
+    try:
+        assert not is_r_robust(make_k_circulant(20, 6), 4, force=True).verdict
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 24 * 2**20, peak
+
+
+@pytest.fixture
+def low_bits(request, monkeypatch):
+    """Split the enumeration counter after 2 or 3 low bits, so that graphs
+    small enough for the naive oracles run the per-chunk (high bits) path."""
+    monkeypatch.setattr(robustness, "_LOW_BITS", request.param)
+    robustness._first_violations.cache_clear()
+    yield request.param
+    robustness._first_violations.cache_clear()
+
+
+@pytest.mark.parametrize("low_bits", [2, 3], indirect=True)
+def test_split_counter_complement_witness_is_the_canonical_first_violation(low_bits):
+    rng = random.Random(101 + low_bits)
+    for _ in range(40):
+        g = random_digraph(rng, rng.randrange(low_bits + 2, 10), rng.choice([0.2, 0.4, 0.6]))
+        s = frozenset(rng.sample(sorted(g.vertices), rng.randrange(1, g.n - low_bits)))
+        for anchor in range(1, max(len(g.in_neighbors(v) & s) for v in g.vertices) + 3):
+            for reach in range(1, g.max_in_degree + 3):
+                report = robustness._bruteforce(g, s, anchor, reach, Property.STRONG_R, {}, None, False)
+                expected = naive_first_violating_subset(g, s, anchor, reach)
+                assert report.verdict == (expected is None), (g, s, anchor, reach)
+                if expected is not None:
+                    assert report.witness["violating_subset"] == sorted(expected), (g, s, anchor, reach)
+
+
+@pytest.mark.parametrize("low_bits", [2, 3], indirect=True)
+def test_split_counter_pair_witness_is_the_canonical_first_violation(low_bits):
+    rng = random.Random(103 + low_bits)
+    for _ in range(20):
+        g = random_digraph(rng, rng.randrange(low_bits + 1, 10), rng.choice([0.2, 0.4, 0.6]))
+        for r in range(1, 4):
+            assert _pair(is_r_robust(g, r)) == naive_first_violating_pair(g, r, 1), (g, r)
+            for s in sorted({2, g.n}):
+                report = is_rs_robust(g, r, s)
+                expected = naive_first_violating_pair(g, r, s)
+                assert _pair(report) == expected, (g, r, s)
+                if expected is not None:
+                    counts = [len(r_reachable_set(g, part, r)) for part in expected]
+                    assert report.witness["reachable_counts"] == counts
+
+
+def test_wide_complement_witness_is_the_canonical_first_violation():
+    # 11 to 13 free vertices: low counter tables wider than the ones above
+    rng = random.Random(109)
+    for _ in range(3):
+        g = random_digraph(rng, 14, rng.choice([0.3, 0.5]))
+        s = frozenset(rng.sample(sorted(g.vertices), rng.randrange(1, 4)))
+        queries = [(is_strongly_r_robust_bruteforce, r, r, r) for r in range(1, g.max_in_degree + 2, 2)]
+        queries += [(is_tlf_robust_bruteforce, f, f + 1, 2 * f + 1) for f in range(4)]
+        for decide, param, anchor, reach in queries:
+            expected = naive_first_violating_subset(g, s, anchor, reach)
+            report = decide(g, s, param)
+            assert report.verdict == (expected is None), (g, s, decide.__name__, param)
+            if expected is not None:
+                assert report.witness["violating_subset"] == sorted(expected), (g, s, decide.__name__, param)
+
+
+def test_complement_tables_hold_in_degrees_beyond_int8():
+    # in-degrees near 140 and ten free vertices
+    rng = random.Random(107)
+    g = random_digraph(rng, 200, 0.7)
+    s = frozenset(g.vertices) - frozenset(rng.sample(sorted(g.vertices), 10))
+    verdicts = set()
+    for r in range(110, 171, 6):
+        brute = is_strongly_r_robust_bruteforce(g, s, r)
+        assert brute.verdict == is_strongly_r_robust_peeling(g, s, r).verdict, r
+        expected = naive_first_violating_subset(g, s, r, r)
+        assert brute.witness == (None if expected is None else {"violating_subset": sorted(expected)}), r
+        verdicts.add(brute.verdict)
+    for f in range(50, 90, 4):
+        brute = is_tlf_robust_bruteforce(g, s, f)
+        assert brute.verdict == is_tlf_robust_peeling(g, s, f).verdict, f
+        expected = naive_first_violating_subset(g, s, f + 1, 2 * f + 1)
+        assert brute.witness == (None if expected is None else {"violating_subset": sorted(expected)}), f
+        verdicts.add(brute.verdict)
+    assert verdicts == {True, False}
 
 
 def test_strong_peeling_r0_admits_everyone():

@@ -145,6 +145,19 @@ def test_counterexample_requires_f_at_least_one():
         build_2f1_counterexample(0)
 
 
+def test_parametric_scenarios_reject_f_outside_range():
+    from rcl.scenarios import MAX_SCENARIO_F
+
+    for name in ("counterexample-rs", "counterexample-2f1", "leader-deficit", "leader-deficit-contrast"):
+        with pytest.raises(ScenarioError, match=r"^F must be in \[0, 64\]"):
+            build_scenario(name, f=-1)
+    assert MAX_SCENARIO_F == 64
+    assert build_scenario("leader-deficit", f=MAX_SCENARIO_F).base.f == MAX_SCENARIO_F
+    for name in ("leader-deficit", "leader-deficit-contrast"):
+        with pytest.raises(ScenarioError, match=r"^F must be in \[0, 64\]"):
+            build_scenario(name, f=MAX_SCENARIO_F + 1)
+
+
 def test_leader_deficit_normals_pinned_bit_exactly():
     result = leader_deficit_scenario(1).run()
     assert result.outcome_ok
