@@ -46,6 +46,12 @@ from .graph import Digraph, GraphError
 
 DEFAULT_PAIR_CAP = 13
 DEFAULT_COMPLEMENT_CAP = 20
+# Bytes a pair scan may spend on its candidate subsets.  Each costs about 52:
+# its mask, key and count kept over the chunks (17), their sorted-order copies
+# (17), the argsort order (8) and the reordered mask and count (9), plus its
+# room (1).  2^20 candidates (n = 20 with every subset a candidate) take ~52 MB.
+PAIR_SCAN_BUDGET = 512 * 2**20
+_PAIR_CANDIDATE_BYTES = 52
 
 
 class EnumerationCapError(RuntimeError):
@@ -191,6 +197,7 @@ def _pair_scan(
     lo, sizes, bits = _low_counters(width)
     low_key = (sizes << n) - lo
     bad_parts, count_parts, key_parts = [], [], []
+    candidates = 0
     for hi in range(1 << (n - width)):
         reach = outside >= (np.bitwise_count(high & hi) + r)[:, None]
         counts = (reach[:width] & bits).sum(axis=0, dtype=np.uint8)  # r-reachable members
@@ -201,6 +208,12 @@ def _pair_scan(
         # them, can be half of a violating pair; the empty mask fails the second
         size = sizes + hi.bit_count()
         keep = np.flatnonzero((counts < s) & (counts < size))
+        candidates += keep.size
+        if candidates * _PAIR_CANDIDATE_BYTES > PAIR_SCAN_BUDGET:
+            raise EnumerationCapError(
+                f"n={n}: over {candidates} candidate subsets would need more than the "
+                f"pair scan's memory budget of {PAIR_SCAN_BUDGET >> 20} MB (PAIR_SCAN_BUDGET)"
+            )
         bad_parts.append(keep + (hi << width))
         count_parts.append(counts[keep])
         key_parts.append(low_key[keep] + ((hi.bit_count() << n) - (hi << width)))

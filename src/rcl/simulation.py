@@ -14,7 +14,6 @@ range, a zero sum) go to ``math.fsum``.  Runs are deterministic given
 
 from __future__ import annotations
 
-import csv
 import math
 import random
 import sys
@@ -535,27 +534,42 @@ def metrics_to_dict(m: Metrics) -> dict:
 
 
 def write_trajectory_csv(traj: Trajectory, path: str | Path) -> None:
-    """Columns: round, agent, role, value, reference (blank without a reference)."""
+    """Columns: round, agent, role, value, reference (blank without a reference).
+
+    Each round is formatted as one string: no field can need CSV quoting, since
+    role names are fixed identifiers and ``repr(float)`` holds no comma, quote
+    or newline."""
     config = traj.config
-    names = {i: role_name(config.roles[i]) for i in config.graph.vertices}
+    prefixes = [f",{i},{role_name(config.roles[i])}," for i in config.graph.vertices]
+    states = np.asarray(traj.states, dtype=float)
+    if traj.reference is None:
+        refs = [""] * (traj.horizon + 1)
+    else:
+        refs = map(repr, np.asarray(traj.reference, dtype=float).tolist())
     with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["round", "agent", "role", "value", "reference"])
-        for t in range(traj.horizon + 1):
-            ref = repr(float(traj.reference[t])) if traj.reference is not None else ""
-            for i in config.graph.vertices:
-                writer.writerow([t, i, names[i], repr(float(traj.states[t, i - 1])), ref])
+        handle.write("round,agent,role,value,reference\n")
+        for t, ref in enumerate(refs):
+            _write_round(handle, t, prefixes, states[t], f",{ref}\n")
 
 
 def write_edges_csv(traj: Trajectory, path: str | Path) -> None:
     """Per-edge delivered values for Byzantine senders: round, from, to, value."""
     edges = sorted(traj.edge_values)
+    prefixes = [f",{u},{v}," for u, v in edges]
+    values = np.array([traj.edge_values[e] for e in edges], dtype=float)
+    values = values.reshape(len(edges), traj.horizon + 1)
     with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["round", "from", "to", "value"])
+        handle.write("round,from,to,value\n")
         for t in range(traj.horizon + 1):
-            for u, v in edges:
-                writer.writerow([t, u, v, repr(float(traj.edge_values[(u, v)][t]))])
+            _write_round(handle, t, prefixes, values[:, t], "\n")
+
+
+def _write_round(handle, t: int, prefixes: list[str], row: np.ndarray, tail: str) -> None:
+    """One line per prefix: ``{t}{prefix}{repr(value)}{tail}``."""
+    if prefixes:
+        head = str(t)
+        fields = map(str.__add__, prefixes, map(repr, row.tolist()))
+        handle.write(head + (tail + head).join(fields) + tail)
 
 
 # ---------------------------------------------------------------------------

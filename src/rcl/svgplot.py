@@ -2,15 +2,17 @@
 
 Follows the usual styling for this kind of figure: adversaries are dashed
 red, the reference is a heavy black line, leaders are blue, normal agents
-cycle through a muted palette.  The y-range is fitted to the normal agents
-and reference; adversary curves (which may be unbounded) are clipped to the
-plot area.
+cycle through a muted palette.  The y-range is fitted to the finite values of
+the normal agents, leaders and reference; adversary curves (which may be
+unbounded) and infinite states are clipped to the plot area.
 """
 
 from __future__ import annotations
 
 import math
 from pathlib import Path
+
+import numpy as np
 
 from .simulation import Trajectory
 
@@ -21,6 +23,7 @@ _PALETTE = (
 
 _WIDTH, _HEIGHT = 900, 540
 _ML, _MR, _MT, _MB = 62.0, 16.0, 34.0, 42.0
+_PLOT_W, _PLOT_H = _WIDTH - _ML - _MR, _HEIGHT - _MT - _MB
 
 
 def _nice_ticks(lo: float, hi: float, target: int = 6) -> list[float]:
@@ -41,45 +44,52 @@ def _nice_ticks(lo: float, hi: float, target: int = 6) -> list[float]:
     return ticks
 
 
+def _polyline_points(values: np.ndarray, xs: list[str], ylo: float, yhi: float) -> str:
+    """One series' ``x,y`` points, ``xs[t]`` being round t's ``"{x:.2f},"``.
+
+    The y values are ``sy`` of ``render_trajectory_svg`` on the whole column:
+    the same operations in the same order, so each is bit-identical to the
+    scalar one."""
+    ys = _MT + _PLOT_H * (1.0 - (values - ylo) / (yhi - ylo))
+    return " ".join(map(str.__add__, xs, map("{:.2f}".format, ys.tolist())))
+
+
 def render_trajectory_svg(traj: Trajectory, title: str | None = None) -> str:
     config = traj.config
     rounds = traj.horizon
     normals = config.normals
     leaders = config.leaders
 
-    series_min = []
-    series_max = []
-    for i in normals + leaders:
-        series_min.append(float(traj.states[:, i - 1].min()))
-        series_max.append(float(traj.states[:, i - 1].max()))
+    # fitted over finite values only: an infinite state cannot set the scale
+    fitted = [traj.states[:, i - 1] for i in normals + leaders]
     if traj.reference is not None:
-        series_min.append(float(traj.reference.min()))
-        series_max.append(float(traj.reference.max()))
-    if not series_min:
-        series_min, series_max = [0.0], [1.0]
-    ylo, yhi = min(series_min), max(series_max)
-    pad = 0.06 * (yhi - ylo) if yhi > ylo else 1.0
+        fitted.append(traj.reference)
+    finite = np.concatenate(fitted) if fitted else np.empty(0)
+    finite = finite[np.isfinite(finite)]
+    ylo, yhi = (float(finite.min()), float(finite.max())) if finite.size else (0.0, 1.0)
+    pad = 0.06 * (yhi - ylo)
+    if not pad > 0.0:  # a flat range, or one of a few subnormal steps
+        pad = 1.0
     ylo, yhi = ylo - pad, yhi + pad
 
-    plot_w = _WIDTH - _ML - _MR
-    plot_h = _HEIGHT - _MT - _MB
-
     def sx(t: float) -> float:
-        return _ML + plot_w * (t / rounds if rounds else 0.0)
+        return _ML + _PLOT_W * (t / rounds if rounds else 0.0)
 
     def sy(v: float) -> float:
-        return _MT + plot_h * (1.0 - (v - ylo) / (yhi - ylo))
+        return _MT + _PLOT_H * (1.0 - (v - ylo) / (yhi - ylo))
 
-    def polyline(values, style: str) -> str:
-        pts = " ".join(f"{sx(t):.2f},{sy(float(v)):.2f}" for t, v in enumerate(values))
+    xs = [f"{sx(t):.2f}," for t in range(rounds + 1)]
+
+    def polyline(values: np.ndarray, style: str) -> str:
+        pts = _polyline_points(values, xs, ylo, yhi)
         return f'<polyline fill="none" {style} points="{pts}" clip-path="url(#plot)"/>'
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}" '
         f'viewBox="0 0 {_WIDTH} {_HEIGHT}">',
         '<rect width="100%" height="100%" fill="white"/>',
-        f'<defs><clipPath id="plot"><rect x="{_ML}" y="{_MT}" width="{plot_w}" '
-        f'height="{plot_h}"/></clipPath></defs>',
+        f'<defs><clipPath id="plot"><rect x="{_ML}" y="{_MT}" width="{_PLOT_W}" '
+        f'height="{_PLOT_H}"/></clipPath></defs>',
     ]
 
     for tick in _nice_ticks(ylo, yhi):
@@ -103,7 +113,7 @@ def render_trajectory_svg(traj: Trajectory, title: str | None = None) -> str:
             f'font-family="sans-serif" font-size="11" fill="#444444">{tick:g}</text>'
         )
     parts.append(
-        f'<rect x="{_ML}" y="{_MT}" width="{plot_w}" height="{plot_h}" '
+        f'<rect x="{_ML}" y="{_MT}" width="{_PLOT_W}" height="{_PLOT_H}" '
         'fill="none" stroke="#888888" stroke-width="1"/>'
     )
 
@@ -127,6 +137,8 @@ def render_trajectory_svg(traj: Trajectory, title: str | None = None) -> str:
         parts.append(polyline(traj.reference, 'stroke="#000000" stroke-width="2.2"'))
 
     if title:
+        # escaped by hand: xml.sax.saxutils imports urllib.request and ssl
+        title = title.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
         parts.append(
             f'<text x="{_WIDTH / 2:.0f}" y="20" text-anchor="middle" '
             f'font-family="sans-serif" font-size="14" fill="#222222">{title}</text>'

@@ -1,17 +1,22 @@
-"""Shared test utilities: random graph generation and naive reference
-implementations of the robustness definitions.
+"""Shared test utilities: random graph generation, naive reference
+implementations of the robustness definitions, and naive trajectory export.
 
 The naive checkers below work directly on vertex sets with itertools
 enumeration and no shared code with the library's optimized mask-based
-implementations; they serve as independent oracles on small graphs.
+implementations; they serve as independent oracles on small graphs.  The
+naive writers format one value at a time, through ``csv.writer`` and a
+per-point polyline, and serve as byte oracles for the column exporters.
 """
 
 from __future__ import annotations
 
+import csv
 import itertools
 import random
 
+from rcl import svgplot
 from rcl.graph import Digraph
+from rcl.simulation import role_name
 
 
 def random_digraph(rng: random.Random, n: int, p: float) -> Digraph:
@@ -123,3 +128,41 @@ def naive_tlf_robust(g: Digraph, subset: frozenset[int], f: int) -> bool:
         if not anchored and not naive_reachable(g, c, 2 * f + 1):
             return False
     return True
+
+
+def naive_write_trajectory_csv(traj, path) -> None:
+    config = traj.config
+    names = {i: role_name(config.roles[i]) for i in config.graph.vertices}
+    with open(path, "w", newline="") as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(["round", "agent", "role", "value", "reference"])
+        for t in range(traj.horizon + 1):
+            ref = repr(float(traj.reference[t])) if traj.reference is not None else ""
+            for i in config.graph.vertices:
+                writer.writerow([t, i, names[i], repr(float(traj.states[t, i - 1])), ref])
+
+
+def naive_write_edges_csv(traj, path) -> None:
+    edges = sorted(traj.edge_values)
+    with open(path, "w", newline="") as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(["round", "from", "to", "value"])
+        for t in range(traj.horizon + 1):
+            for u, v in edges:
+                writer.writerow([t, u, v, repr(float(traj.edge_values[(u, v)][t]))])
+
+
+def naive_polyline_points(values, xs, ylo: float, yhi: float) -> str:
+    """Drop-in for ``svgplot._polyline_points`` that ignores ``xs`` and maps
+    and formats each point on its own."""
+    rounds = len(values) - 1
+    plot_w = svgplot._WIDTH - svgplot._ML - svgplot._MR
+    plot_h = svgplot._HEIGHT - svgplot._MT - svgplot._MB
+
+    def sx(t: float) -> float:
+        return svgplot._ML + plot_w * (t / rounds if rounds else 0.0)
+
+    def sy(v: float) -> float:
+        return svgplot._MT + plot_h * (1.0 - (v - ylo) / (yhi - ylo))
+
+    return " ".join(f"{sx(t):.2f},{sy(float(v)):.2f}" for t, v in enumerate(values))

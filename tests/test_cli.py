@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import pytest
@@ -149,6 +150,16 @@ def test_run_bundle_and_determinism(capsys, tmp_path):
     for argv in (("run", str(config_path)), ("scenario", "sim2")):
         with pytest.raises(SystemExit):  # the engine runs serially and has no --jobs
             run_cli(capsys, *argv, "--out", str(tmp_path / "x"), "--jobs", "2")
+
+
+def test_run_svg_title_from_a_file_stem_is_escaped(capsys, tmp_path):
+    config_path = tmp_path / "a&b <c>.json"
+    config_path.write_text(json.dumps(SAMPLE_CONFIG))
+    code, _, _ = run_cli(capsys, "run", str(config_path), "--out", str(tmp_path / "o"))
+    assert code == 0
+    svg = ET.parse(tmp_path / "o" / "plot.svg").getroot()
+    titles = [t.text for t in svg.iter("{http://www.w3.org/2000/svg}text")]
+    assert "a&b <c>" in titles
 
 
 def test_run_seed_override_changes_output(capsys, tmp_path):

@@ -1,5 +1,9 @@
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -267,6 +271,22 @@ def test_forced_pair_scan_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 24 * 2**20, peak
+
+
+def test_forced_pair_scan_past_the_memory_budget_is_refused():
+    # C_24(1..6) has in-degree 6 < r = 7, so all 2^24 - 1 subsets are
+    # candidates, about 870 MB at 52 bytes each: the scan must refuse at the
+    # budget, not run into it.  In a subprocess, so a scan that does not stop
+    # is cut by the timeout rather than taking the suite's memory.
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = ("from rcl.graph import make_k_circulant\n"
+            "from rcl.robustness import is_r_robust\n"
+            "is_r_robust(make_k_circulant(24, 6), 7, force=True)\n")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=30, env={**os.environ, "PYTHONPATH": str(src)})
+    assert done.returncode == 1
+    assert "EnumerationCapError: n=24: over" in done.stderr, done.stderr
+    assert f"memory budget of {robustness.PAIR_SCAN_BUDGET >> 20} MB" in done.stderr
 
 
 @pytest.fixture

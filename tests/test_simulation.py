@@ -1,13 +1,19 @@
 import math
 import random
+import tempfile
+import xml.etree.ElementTree as ET
 from dataclasses import replace
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from helpers import naive_polyline_points, naive_write_edges_csv, naive_write_trajectory_csv
+from rcl import svgplot
 from rcl.graph import Digraph, make_k_circulant
 from rcl.protocol import (
     Adversary,
@@ -37,6 +43,7 @@ from rcl.simulation import (
     write_trajectory_csv,
 )
 from rcl.scenarios import SCENARIO_NAMES, build_scenario
+from rcl.svgplot import render_trajectory_svg
 
 
 def basic_config(**overrides):
@@ -615,6 +622,77 @@ def test_huge_f_runs_like_f_equal_to_n():
     huge = run(replace(cfg, f=10**400))
     assert huge.states.tobytes() == run(cfg).states.tobytes()
     assert verify_replay(huge)
+
+
+# ---------------------------------------------------------------------------
+# export against the naive per-value writers
+
+_EXPORT_VALUES = st.sampled_from([-1e300, 1e300, -5e-324, 5e-324, -0.0, 0.0, 2.5])
+
+
+@st.composite
+def _export_configs(draw):
+    """The oracle configs, some with +-1e300 inits or reference values, some
+    without a reference (nor leaders), some not F-local, so that +-inf
+    adversaries reach normal agents."""
+    cfg = draw(_small_configs())
+    roles, reference = cfg.roles, cfg.reference
+    kind = draw(st.sampled_from(["same", "none", "extreme"]))
+    if kind == "none":
+        reference = None
+        roles = {i: r for i, r in roles.items() if not isinstance(r, Leader)}
+    elif kind == "extreme":
+        reference = ReferenceSignal(((0, draw(_EXPORT_VALUES)), (1, draw(_EXPORT_VALUES))))
+    init = cfg.init
+    if draw(st.booleans()):
+        init = {i: draw(_EXPORT_VALUES) for i in cfg.graph.vertices}
+    strict = draw(st.booleans())
+    f = cfg.f if strict else draw(st.integers(0, cfg.f))
+    return replace(cfg, roles=roles, reference=reference, init=init, f=f, strict_f_local=strict)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(cfg=_export_configs())
+def test_export_matches_naive_writers(cfg):
+    try:
+        traj = run(cfg)
+    except ConfigError:  # +inf and -inf retained by one agent
+        reject()
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp)
+        for write, naive in ((write_trajectory_csv, naive_write_trajectory_csv),
+                             (write_edges_csv, naive_write_edges_csv)):
+            write(traj, out / "column.csv")
+            naive(traj, out / "naive.csv")
+            assert (out / "column.csv").read_bytes() == (out / "naive.csv").read_bytes()
+    svg = render_trajectory_svg(traj, "a & <b>")
+    with mock.patch.object(svgplot, "_polyline_points", naive_polyline_points):
+        assert render_trajectory_svg(traj, "a & <b>") == svg
+    texts = [t.text for t in ET.fromstring(svg).iter("{http://www.w3.org/2000/svg}text")]
+    assert "a & <b>" in texts
+
+
+def test_svg_of_infinite_states_fits_the_finite_values():
+    # F=0 keeps the two +inf adversaries, so every normal state is +inf from
+    # round 1 on: the y-range comes from round 0 alone
+    roles = {1: Adversary(ConstantHold(INF)), 2: Adversary(ConstantHold(INF))}
+    cfg = SimConfig(graph=make_k_circulant(6, 5), f=0, horizon=3, roles=roles,
+                    strict_f_local=False)
+    traj = run(cfg)
+    assert np.all(np.isinf(traj.states[1:]))
+    svg = ET.fromstring(render_trajectory_svg(traj, "inf"))
+    points = [p.get("points") for p in svg.iter("{http://www.w3.org/2000/svg}polyline")]
+    assert len(points) == 6 and all(p.endswith(",-inf") for p in points)
+    no_finite = Trajectory(cfg, np.full((4, 6), INF), None, {})
+    ET.fromstring(render_trajectory_svg(no_finite))
+
+
+def test_svg_of_a_range_of_one_subnormal_step():
+    # 0.06 * 5e-324 underflows to a zero pad, which the tick spacing cannot take
+    cfg = SimConfig(graph=make_k_circulant(4, 3), f=0, horizon=2, init={1: 5e-324, 2: 0.0, 3: 0.0, 4: 0.0})
+    traj = run(cfg)
+    assert traj.states.max() == 5e-324
+    ET.fromstring(render_trajectory_svg(traj))
 
 
 # ---------------------------------------------------------------------------
