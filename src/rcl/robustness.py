@@ -5,7 +5,7 @@ Four families of checks:
 * brute-force oracles that enumerate subsets directly against the definitions
   (r-reachability, r-robustness, (r,s)-robustness, strong r-robustness with
   respect to a set, trusted leader-follower robustness); r-robustness is
-  (r, 1)-robustness, so both pair checks share one scan,
+  (r, 1)-robustness, so both pair checks share one subset DP,
 * a polynomial peeling procedure for the strong and TLF variants, which,
   like their brute-force checks, share one (anchor, reach) test,
 * closed-form certificates for circulant graphs based on consecutive leader
@@ -24,12 +24,12 @@ outside the enumerated set is ``in_deg - popcount(lo & in_lo) -
 popcount(hi & in_hi)``: the low part is one int16 table per call (int32 once
 an in-degree reaches 2^15), and each hi is a chunk of 2^L counters that
 subtracts a per-vertex constant, so counting holds about (vertices x 2^16)
-small ints however many subsets there are.  The pair scan counts r-reachable
-members per chunk, keeps only the subsets that can take part in a violation
-and sorts just those.  The complement checks enumerate V \\ S once per
-(graph, S) into a small table of the first violating C per pair of degree
-bounds, so a query is one lookup; its key comes straight from the enumeration
-counter.  Peeling admits from a heap of eligible ids.
+small ints however many subsets there are.  The pair checks are a DP in
+O(n 2^n): a uint8 table over all subsets and one minimum over submasks give
+each subset its best disjoint partner.  The complement checks enumerate V \\ S
+once per (graph, S) into a small table of the first violating C per pair of
+degree bounds, so a query is one lookup; its key comes straight from the
+enumeration counter.  Peeling admits from a heap of eligible ids.
 """
 
 from __future__ import annotations
@@ -46,16 +46,14 @@ from .graph import Digraph, GraphError
 
 DEFAULT_PAIR_CAP = 13
 DEFAULT_COMPLEMENT_CAP = 20
-# Bytes a pair scan may spend on its candidate subsets.  Each costs about 52:
-# its mask, key and count kept over the chunks (17), their sorted-order copies
-# (17), the argsort order (8) and the reordered mask and count (9), plus its
-# room (1).  2^20 candidates (n = 20 with every subset a candidate) take ~52 MB.
+# Bytes the pair DP may spend: two for each of the 2^n subsets (a uint8 table
+# and its submask-minimum copy).  n = 26 takes 128 MB, n = 28 the whole budget,
+# and n = 29 is the first size refused, even forced.
 PAIR_SCAN_BUDGET = 512 * 2**20
-_PAIR_CANDIDATE_BYTES = 52
 
 
 class EnumerationCapError(RuntimeError):
-    """Raised when a brute-force check would exceed the configured cap."""
+    """Raised when a brute-force check would exceed its cap or memory budget."""
 
 
 class Property(str, Enum):
@@ -178,68 +176,81 @@ def r_reachable_set(g: Digraph, s: Iterable[int], r: int) -> frozenset[int]:
 # pairwise subset checks (r- and (r,s)-robustness)
 
 
+def _subset_table(g: Digraph, cap: int | None, force: bool, fill) -> np.ndarray:
+    """A uint8 table of ``fill(outside, members, sizes)`` over the subsets j of V,
+    a chunk at a time; row b of the first two is vertex n - b (bit b of j): its
+    in-degree outside each j and whether it is in j.  Refused past the cap unless
+    forced, and past ``PAIR_SCAN_BUDGET`` even forced, before allocating."""
+    n, limit = g.n, DEFAULT_PAIR_CAP if cap is None else cap
+    if n > limit and not force:
+        raise EnumerationCapError(
+            f"n={n} exceeds pairwise enumeration cap {limit}; pass force=True to override"
+        )
+    if 2 << n > PAIR_SCAN_BUDGET:
+        raise EnumerationCapError(
+            f"n={n}: two bytes for each of 2^{n} subsets exceed the pair DP's memory budget "
+            f"of {PAIR_SCAN_BUDGET >> 20} MB (PAIR_SCAN_BUDGET), even forced"
+        )
+    table = np.empty(1 << n, dtype=np.uint8)
+    width, outside, high = _split_outside(g, list(g.vertices)[::-1])
+    _, sizes, bits = _low_counters(width)
+    members = np.vstack([bits, np.empty((n - width, 1 << width), dtype=bool)])
+    for hi in range(1 << (n - width)):
+        members[width:] = ((hi >> np.arange(n - width)) & 1).astype(bool)[:, None]
+        chunk = outside - np.bitwise_count(high & hi)[:, None] if hi else outside
+        table[hi << width:(hi + 1) << width] = fill(chunk, members, sizes + hi.bit_count())
+    return table
+
+
+def _submask_min(table: np.ndarray) -> np.ndarray:
+    """In place: ``table[m]`` becomes the minimum of ``table`` over the submasks of m."""
+    for b in range(table.size.bit_length() - 1):
+        pairs = table.reshape(-1, 2, 1 << b)
+        # NumPy loops once per row of 2^b, so the shortest rows go column-wise
+        for part in [pairs[..., i] for i in range(1 << b)] if b < 3 else [pairs]:
+            np.minimum(part[:, 0], part[:, 1], out=part[:, 1])
+    return table
+
+
+def _first_subset(n: int, accept) -> int | None:
+    """The canonically first subset j (vertex n - b at bit b) that
+    ``accept(rows, j)`` marks, a chunk of j at a time, or None.  Within one
+    size the order is descending j, so the key is ``(popcount(j) << n) - j``."""
+    keys, step = [], 1 << min(n, _LOW_BITS)
+    for start in range(0, 1 << n, step):
+        j = np.arange(start, start + step)
+        j = j[accept(slice(start, start + step), j)]
+        if j.size:
+            keys.append(int(((np.bitwise_count(j).astype(np.int64) << n) - j).min()))
+    return -min(keys) & ((1 << n) - 1) if keys else None
+
+
 def _pair_scan(
     g: Digraph, r: int, s: int, prop: Property, params: dict, cap: int | None, force: bool,
 ) -> RobustnessReport:
     """Every nonempty disjoint pair (S1, S2) has all of S1 r-reachable, all of
-    S2, or >= s r-reachable members in total, by enumeration.  A false verdict
+    S2, or >= s r-reachable members in total, by a subset DP.  A false verdict
     carries the first violating pair in canonical subset order."""
-    limit = DEFAULT_PAIR_CAP if cap is None else cap
-    if g.n > limit and not force:
-        raise EnumerationCapError(
-            f"n={g.n} exceeds pairwise enumeration cap {limit}; pass force=True to override"
-        )
-    # bit b of the counter stands for vertex n - b, so within one size the
-    # canonical order is descending j, as for the complement tables; the key
-    # below sorts in that order.  An in-degree is at most n - 1.
     n, r = g.n, min(r, g.n)
-    width, outside, high = _split_outside(g, list(g.vertices)[::-1])
-    lo, sizes, bits = _low_counters(width)
-    low_key = (sizes << n) - lo
-    bad_parts, count_parts, key_parts = [], [], []
-    candidates = 0
-    for hi in range(1 << (n - width)):
-        reach = outside >= (np.bitwise_count(high & hi) + r)[:, None]
-        counts = (reach[:width] & bits).sum(axis=0, dtype=np.uint8)  # r-reachable members
-        if hi:
-            members = [b for b in range(width, n) if hi >> (b - width) & 1]
-            counts += reach[members].sum(axis=0, dtype=np.uint8)
-        # only a subset with fewer than s r-reachable members, and not all of
-        # them, can be half of a violating pair; the empty mask fails the second
-        size = sizes + hi.bit_count()
-        keep = np.flatnonzero((counts < s) & (counts < size))
-        candidates += keep.size
-        if candidates * _PAIR_CANDIDATE_BYTES > PAIR_SCAN_BUDGET:
-            raise EnumerationCapError(
-                f"n={n}: over {candidates} candidate subsets would need more than the "
-                f"pair scan's memory budget of {PAIR_SCAN_BUDGET >> 20} MB (PAIR_SCAN_BUDGET)"
-            )
-        bad_parts.append(keep + (hi << width))
-        count_parts.append(counts[keep])
-        key_parts.append(low_key[keep] + ((hi.bit_count() << n) - (hi << width)))
-    bad, bad_counts, key = map(np.concatenate, (bad_parts, count_parts, key_parts))
-    order = np.argsort(key)
-    bad, bad_counts = bad[order], bad_counts[order]
-    # S1 is the first candidate with a violating partner and S2 its first
-    # partner, which comes later (else S2 would be S1), so each block of rows,
-    # of about 2^18 pairs, is checked only against the candidates from it on
-    room = s - bad_counts
-    step = max(1, (1 << 18) // max(bad.size, 1))
-    for lo in range(0, bad.size, step):
-        rows = slice(lo, lo + step)
-        viol = ((bad[rows, None] & bad[None, lo:]) == 0) & (bad_counts[lo:] < room[rows, None])
-        hit = viol.any(axis=1)
-        if hit.any():
-            i = int(np.argmax(hit))
-            a, b = lo + i, lo + int(np.argmax(viol[i]))
-            witness = {
-                "s1": [v for v in g.vertices if int(bad[a]) >> (n - v) & 1],
-                "s2": [v for v in g.vertices if int(bad[b]) >> (n - v) & 1],
-            }
-            if prop is Property.RS_ROBUST:
-                witness["reachable_counts"] = [int(bad_counts[a]), int(bad_counts[b])]
-            return RobustnessReport(prop, params, False, witness, "bruteforce")
-    return RobustnessReport(prop, params, True, None, "bruteforce")
+
+    def count_bad(outside, members, sizes):
+        counts = ((outside >= r) & members).sum(axis=0, dtype=np.uint8)  # r-reachable members
+        # bad: fewer than s r-reachable members, and not all (so not the empty j)
+        return np.where((counts < s) & (counts < sizes), counts, 255)
+
+    bad = _subset_table(g, cap, force, count_bad)  # the r-reachable count of a bad j, else 255
+    partner = _submask_min(bad.copy())[::-1]  # partner[j]: the fewest in a bad subset of ~j
+    s1 = _first_subset(n, lambda rows, _: partner[rows] < s - bad[rows].astype(np.int16))
+    if s1 is None:
+        return RobustnessReport(prop, params, True, None, "bruteforce")
+    s2 = _first_subset(n, lambda rows, j: (bad[rows] < s - int(bad[s1])) & ((j & s1) == 0))
+    witness = {
+        "s1": [v for v in g.vertices if s1 >> (n - v) & 1],
+        "s2": [v for v in g.vertices if s2 >> (n - v) & 1],
+    }
+    if prop is Property.RS_ROBUST:
+        witness["reachable_counts"] = [int(bad[s1]), int(bad[s2])]
+    return RobustnessReport(prop, params, False, witness, "bruteforce")
 
 
 def is_r_robust(
@@ -261,7 +272,7 @@ def is_r_robust(
 def is_rs_robust(
     g: Digraph, r: int, s: int, *, cap: int | None = None, force: bool = False
 ) -> RobustnessReport:
-    """(r, s)-robustness via direct enumeration of disjoint subset pairs.
+    """(r, s)-robustness by a DP over all subsets, as exact as enumerating the pairs.
 
     For every nonempty disjoint pair (S1, S2), at least one of: all of S1 is
     r-reachable, all of S2 is, or the r-reachable members of both total >= s.
@@ -275,15 +286,13 @@ def is_rs_robust(
 
 
 def max_r_robustness(g: Digraph, *, cap: int | None = None, force: bool = False) -> int:
-    """Largest r for which the graph is r-robust (r-robustness is monotone in r)."""
-    lo, hi = 0, (g.n + 1) // 2
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        if is_r_robust(g, mid, cap=cap, force=force).verdict:
-            lo = mid
-        else:
-            hi = mid - 1
-    return lo
+    """Largest r for which the graph is r-robust, at most ceil(n/2): the minimum over S1 of
+    max(M[S1], min of M over the subsets of ~S1), M[j] the largest outside in-degree in j."""
+    most = _subset_table(g, cap, force,
+                         lambda outside, members, _: np.where(members, outside, 0).max(axis=0))
+    most[0] = 255  # the empty set is no half of a pair
+    np.maximum(most, _submask_min(most.copy())[::-1], out=most)
+    return min((g.n + 1) // 2, int(most.min()))
 
 
 # ---------------------------------------------------------------------------

@@ -594,8 +594,8 @@ _FIXED_F = frozenset({"sim1", "sim2", "sim3", "sim4"})
 
 # Largest F a parametric scenario accepts.  leader-deficit builds
 # C_{4F+8}(1..2F+1), whose edges grow as F^2: F = 64 runs in about a second.
-# The counterexample searches run a forced pair scan on 4F+6 agents per
-# candidate, so they grow exponentially in F well below this ceiling.
+# The counterexample searches certify 4F+6 agents by a forced pair check: seconds
+# up to F = 5, and from F = 6 on PAIR_SCAN_BUDGET refuses them (exit 2).
 MAX_SCENARIO_F = 64
 
 SCENARIO_NAMES = tuple(_BUILDERS)

@@ -4,7 +4,7 @@ Follows the usual styling for this kind of figure: adversaries are dashed
 red, the reference is a heavy black line, leaders are blue, normal agents
 cycle through a muted palette.  The y-range is fitted to the finite values of
 the normal agents, leaders and reference; adversary curves (which may be
-unbounded) and infinite states are clipped to the plot area.
+unbounded) are clipped to the plot area, and a series breaks at non-finite states.
 """
 
 from __future__ import annotations
@@ -60,16 +60,21 @@ def render_trajectory_svg(traj: Trajectory, title: str | None = None) -> str:
     normals = config.normals
     leaders = config.leaders
 
-    # fitted over finite values only: an infinite state cannot set the scale
-    fitted = [traj.states[:, i - 1] for i in normals + leaders]
-    if traj.reference is not None:
-        fitted.append(traj.reference)
-    finite = np.concatenate(fitted) if fitted else np.empty(0)
-    finite = finite[np.isfinite(finite)]
-    ylo, yhi = (float(finite.min()), float(finite.max())) if finite.size else (0.0, 1.0)
+    # fitted over finite values only: an infinite state cannot set the scale.
+    # The reference, if any, is the last column; one isfinite per plot.
+    refs = [] if traj.reference is None else [traj.reference]
+    series = np.column_stack([traj.states, *refs])  # a copy, scaled in place below
+    finite = np.isfinite(series)
+    cols = [i - 1 for i in normals + leaders] + [-1] * len(refs)
+    fitted = series[:, cols][finite[:, cols]]
+    ylo, yhi = (float(fitted.min()), float(fitted.max())) if fitted.size else (0.0, 1.0)
+    # past 2^1021 the padded span would overflow: plot at an eighth of the size
+    scale = 1.0 if max(-ylo, yhi) < 2.0**1021 else 0.125
+    series *= scale
+    ylo, yhi = ylo * scale, yhi * scale
     pad = 0.06 * (yhi - ylo)
-    if not pad > 0.0:  # a flat range, or one of a few subnormal steps
-        pad = 1.0
+    if not pad > 0.0:  # a flat range, or one of a few subnormal steps:
+        pad = max(1.0, abs(ylo) * 2.0**-40)  # past 2^53, 1.0 is under a float step
     ylo, yhi = ylo - pad, yhi + pad
 
     def sx(t: float) -> float:
@@ -80,9 +85,14 @@ def render_trajectory_svg(traj: Trajectory, title: str | None = None) -> str:
 
     xs = [f"{sx(t):.2f}," for t in range(rounds + 1)]
 
-    def polyline(values: np.ndarray, style: str) -> str:
-        pts = _polyline_points(values, xs, ylo, yhi)
-        return f'<polyline fill="none" {style} points="{pts}" clip-path="url(#plot)"/>'
+    def polylines(col: int, style: str) -> list[str]:
+        """``series[:, col]`` as one polyline per run of finite values."""
+        pts, ok = _polyline_points(series[:, col], xs, ylo, yhi), finite[:, col]
+        runs = [pts]
+        if not ok.all():
+            tokens, ends = pts.split(" "), np.flatnonzero(np.diff(ok, prepend=False, append=False))
+            runs = [" ".join(tokens[a:b]) for a, b in zip(ends[::2], ends[1::2])]
+        return [f'<polyline fill="none" {style} points="{run}" clip-path="url(#plot)"/>' for run in runs]
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}" '
@@ -100,7 +110,7 @@ def render_trajectory_svg(traj: Trajectory, title: str | None = None) -> str:
         )
         parts.append(
             f'<text x="{_ML - 6}" y="{y + 4:.2f}" text-anchor="end" '
-            f'font-family="sans-serif" font-size="11" fill="#444444">{tick:g}</text>'
+            f'font-family="sans-serif" font-size="11" fill="#444444">{tick / scale:g}</text>'
         )
     for tick in _nice_ticks(0, rounds):
         x = sx(tick)
@@ -118,23 +128,13 @@ def render_trajectory_svg(traj: Trajectory, title: str | None = None) -> str:
     )
 
     for idx, i in enumerate(normals):
-        color = _PALETTE[idx % len(_PALETTE)]
-        parts.append(
-            polyline(traj.states[:, i - 1], f'stroke="{color}" stroke-width="1.2"')
-        )
+        parts += polylines(i - 1, f'stroke="{_PALETTE[idx % len(_PALETTE)]}" stroke-width="1.2"')
     for i in leaders:
-        parts.append(
-            polyline(traj.states[:, i - 1], 'stroke="#1f3c88" stroke-width="1.6"')
-        )
+        parts += polylines(i - 1, 'stroke="#1f3c88" stroke-width="1.6"')
     for i in config.adversaries:
-        parts.append(
-            polyline(
-                traj.states[:, i - 1],
-                'stroke="#cc2222" stroke-width="1.4" stroke-dasharray="6,4"',
-            )
-        )
+        parts += polylines(i - 1, 'stroke="#cc2222" stroke-width="1.4" stroke-dasharray="6,4"')
     if traj.reference is not None:
-        parts.append(polyline(traj.reference, 'stroke="#000000" stroke-width="2.2"'))
+        parts += polylines(-1, 'stroke="#000000" stroke-width="2.2"')
 
     if title:
         # escaped by hand: xml.sax.saxutils imports urllib.request and ssl

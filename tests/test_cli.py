@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -160,6 +161,29 @@ def test_run_svg_title_from_a_file_stem_is_escaped(capsys, tmp_path):
     svg = ET.parse(tmp_path / "o" / "plot.svg").getroot()
     titles = [t.text for t in svg.iter("{http://www.w3.org/2000/svg}text")]
     assert "a&b <c>" in titles
+
+
+@pytest.mark.parametrize("init", [
+    [1e308 if i % 2 else -1e308 for i in range(1, 7)],  # a span past the largest float
+    [1e20] * 6,  # a flat range where a pad of 1.0 is below one float step
+])
+def test_run_svg_fits_extreme_finite_ranges(capsys, tmp_path, init):
+    # the plot is the last file of the bundle, so a failed fit leaves half a bundle
+    config = {"graph": {"circulant": [6, 5]}, "f": 0, "horizon": 5,
+              "init": {"values": {str(i): v for i, v in enumerate(init, 1)}}}
+    config_path = tmp_path / "extreme.json"
+    config_path.write_text(json.dumps(config))
+    code, _, _ = run_cli(capsys, "run", str(config_path), "--out", str(tmp_path / "o"))
+    assert code == 0
+    svg = ET.parse(tmp_path / "o" / "plot.svg").getroot()
+    ns = "{http://www.w3.org/2000/svg}"
+    numbers = [float(c) for p in svg.iter(ns + "polyline") for xy in p.get("points").split()
+               for c in xy.split(",")]
+    numbers += [float(line.get("y1")) for line in svg.iter(ns + "line")]
+    labels = [float(t.text) for t in svg.iter(ns + "text") if t.get("text-anchor") == "end"]
+    assert len(numbers) > 6 * 6 and len(labels) >= 2
+    assert all(math.isfinite(v) for v in numbers + labels)
+    assert min(labels) <= max(init) and max(labels) >= min(init)
 
 
 def test_run_seed_override_changes_output(capsys, tmp_path):

@@ -1,3 +1,4 @@
+import json
 import os
 import random
 import subprocess
@@ -274,19 +275,28 @@ def test_forced_pair_scan_memory_is_bounded():
 
 
 def test_forced_pair_scan_past_the_memory_budget_is_refused():
-    # C_24(1..6) has in-degree 6 < r = 7, so all 2^24 - 1 subsets are
-    # candidates, about 870 MB at 52 bytes each: the scan must refuse at the
-    # budget, not run into it.  In a subprocess, so a scan that does not stop
-    # is cut by the timeout rather than taking the suite's memory.
+    # The pair DP keeps two uint8 tables over all 2^n subsets, so the budget
+    # first refuses at n = `refused`, before anything is allocated.  C_24(1..6)
+    # fits and is answered: in-degree 6 < r = 7 leaves no subset 7-reachable.
+    # In a subprocess, so a check that does not stop is cut by the timeout
+    # rather than taking the suite's memory.
+    refused = (robustness.PAIR_SCAN_BUDGET // 2).bit_length()
     src = Path(__file__).resolve().parents[1] / "src"
-    code = ("from rcl.graph import make_k_circulant\n"
+    code = ("import json\n"
+            "from rcl.graph import make_k_circulant\n"
             "from rcl.robustness import is_r_robust\n"
-            "is_r_robust(make_k_circulant(24, 6), 7, force=True)\n")
+            "print(json.dumps(is_r_robust(make_k_circulant(24, 6), 7, force=True).to_json()))\n"
+            f"is_r_robust(make_k_circulant({refused}, 6), 7, force=True)\n")
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           timeout=30, env={**os.environ, "PYTHONPATH": str(src)})
     assert done.returncode == 1
-    assert "EnumerationCapError: n=24: over" in done.stderr, done.stderr
+    assert f"EnumerationCapError: n={refused}: " in done.stderr, done.stderr
     assert f"memory budget of {robustness.PAIR_SCAN_BUDGET >> 20} MB" in done.stderr
+    report = json.loads(done.stdout)
+    s1, s2 = report["witness"]["s1"], report["witness"]["s2"]
+    g = make_k_circulant(24, 6)
+    assert report["verdict"] is False and s1 and s2 and not set(s1) & set(s2)
+    assert not r_reachable_set(g, s1, 7) and not r_reachable_set(g, s2, 7)
 
 
 @pytest.fixture

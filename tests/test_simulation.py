@@ -682,9 +682,32 @@ def test_svg_of_infinite_states_fits_the_finite_values():
     assert np.all(np.isinf(traj.states[1:]))
     svg = ET.fromstring(render_trajectory_svg(traj, "inf"))
     points = [p.get("points") for p in svg.iter("{http://www.w3.org/2000/svg}polyline")]
-    assert len(points) == 6 and all(p.endswith(",-inf") for p in points)
+    # each normal agent is finite at round 0 only, the adversaries never are
+    assert len(points) == 4 and all(_svg_numbers(p) and " " not in p for p in points)
     no_finite = Trajectory(cfg, np.full((4, 6), INF), None, {})
     ET.fromstring(render_trajectory_svg(no_finite))
+
+
+def _svg_numbers(points: str) -> bool:
+    """Every coordinate of a polyline's points is a finite number."""
+    return all(math.isfinite(float(c)) for xy in points.split() for c in xy.split(","))
+
+
+def test_svg_series_breaks_at_non_finite_states():
+    # F=0 without F-locality: agent 1 leaves the finite reals at rounds 1-2
+    # and comes back; the ring carries +inf on to agents 2, 3 and 4 in turn
+    roles = {1: Adversary(Scripted((1.0, INF, INF, 2.0, 3.0)))}
+    cfg = SimConfig(graph=make_k_circulant(4, 1), f=0, horizon=4, roles=roles, strict_f_local=False)
+    traj = run(cfg)
+    svg = ET.fromstring(render_trajectory_svg(traj))
+    lines = list(svg.iter("{http://www.w3.org/2000/svg}polyline"))
+    assert all(_svg_numbers(p.get("points")) for p in lines)
+    dashed = [p.get("points") for p in lines if p.get("stroke-dasharray")]
+    xs = [[xy.split(",")[0] for xy in pts.split()] for pts in dashed]
+    assert xs == [["62.00"], ["678.50", "884.00"]]
+    # a series whose states are all finite is one polyline, as before
+    finite_only = render_trajectory_svg(run(replace(cfg, roles={1: Adversary(ConstantHold(2.0))})))
+    assert finite_only.count("<polyline") == 4
 
 
 def test_svg_of_a_range_of_one_subnormal_step():

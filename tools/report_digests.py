@@ -14,7 +14,9 @@ call that raises.  The corpus is fixed (seeded generators only):
 - enumeration cap cases (refused, raised cap, ``force=True``) and invalid
   parameters;
 - forced pair calls at n = 14..16 and forced complement calls with 17..20
-  free vertices, so the enumeration counter is split into low and high bits.
+  free vertices, so the enumeration counter is split into low and high bits;
+- forced pair calls at n = 14..18 with true verdicts (the worst case of the
+  O(B^2) pair scan the subset DP replaced) and with s > 1.
 
 The last line, ``<sha256>  total``, digests all the lines before it.
 """
@@ -129,6 +131,21 @@ def build(corpus: Corpus) -> None:
         g = _random_digraph(rng, n, 0.3)
         leaders = sorted(rng.sample(g.vertices, n - free))
         corpus.complement(g, leaders, range(1, 9), (0, 1, 2, 3), force=True)
+    # forced pair calls at n = 14..18 with true verdicts, C_n(1..k) being
+    # ceil(k/2)-robust (more edges keep it so), and (r, s) calls with s > 1
+    for n, k in ((14, 6), (15, 7), (16, 8), (17, 8), (18, 8), (18, 10)):
+        g = _relabeled_circulant(rng, n, k, 0.02)
+        r = (k + 1) // 2
+        corpus.call("is_r_robust", g, r, force=True)
+        for r_s in ((r, 2), (r, 3), (r, r), (r + 1, 2), (r - 1, n // 2)):
+            corpus.call("is_rs_robust", g, *r_s, force=True)
+        corpus.call("max_r_robustness", g, force=True)
+    for n in (17, 18):
+        g = _random_digraph(rng, n, 0.5)
+        corpus.call("max_r_robustness", g, force=True)
+        for r in (2, 3, 4):
+            for s in (2, 3, n // 2):
+                corpus.call("is_rs_robust", g, r, s, force=True)
 
 
 def _sha(data: bytes) -> str:
