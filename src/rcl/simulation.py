@@ -211,8 +211,18 @@ def run(config: SimConfig, jobs: int = 1) -> Trajectory:
 
     Each round updates every normal agent with one array program that
     reproduces ``wmsr_filter`` and ``wmsr_update`` bit for bit; those scalar
-    functions stay the oracle that ``verify_replay`` checks against.  The
-    engine is serial: ``jobs`` accepts only 1 and remains so that callers
+    functions stay the oracle that ``verify_replay`` checks against.
+
+    A row's retained set is one run of its sorted values.  Under the equal
+    weight rule its terms are summed in that sorted order.  This is exact:
+    tied values give the same terms, up to the sign of a tied zero, which
+    cannot change a nonzero sum (and ``math.fsum`` returns +0.0 for every
+    zero one), and the sum is fsum's correctly rounded one, which does not
+    depend on order.  A weight table can give tied senders different weights,
+    so only under a table are ties at the cut points resolved by sender id,
+    as ``wmsr_filter`` resolves them.
+
+    The engine is serial: ``jobs`` accepts only 1 and remains so that callers
     that pass ``jobs=1`` keep working.
     """
     if jobs != 1:
@@ -220,8 +230,11 @@ def run(config: SimConfig, jobs: int = 1) -> Trajectory:
     g = config.graph
     n, horizon = g.n, config.horizon
     rounds = range(horizon + 1)
-    # allocated first, so that a horizon too long for memory fails at once
+    # allocated first, so that a horizon too long for memory fails at once;
+    # x[t, j] is agent j's round-t state as wmsr_filter reads it (NaN as
+    # +inf), and x[t, 0] the NaN that pads gather
     states = np.empty((horizon + 1, n))
+    x = np.full((horizon + 1, n + 1), np.nan)
     ref_series = None
     if config.reference is not None:
         ref_series = np.array([config.reference.value_at(t) for t in rounds])
@@ -245,74 +258,77 @@ def run(config: SimConfig, jobs: int = 1) -> Trajectory:
             states[0, i - 1] = init[i]
 
     # Row r of ``sid`` lists the inclusive in-neighbours of the r-th normal
-    # agent in ascending id order, padded with n + 1, which gathers the +inf
-    # kept in the last slot of ``x``; pads therefore sort after every real
-    # value.  ``weight`` holds the matching table weights (1 for the equal
-    # rule, whose renormalised weight 1/|retained| the same code yields).
+    # agent in ascending id order, padded with 0, which gathers NaN from x:
+    # pads compare false with every value and sort after all of them.
     normals = config.normals
     rows_of = {i: r for r, i in enumerate(normals)}
     senders = [sorted(g.inclusive_neighbors(i)) for i in normals]
     width = max(map(len, senders), default=1)
     f = min(config.f, width)  # no row drops more than its degree, and NumPy needs a C long
-    sid = np.full((len(normals), width), n + 1)
-    weight = np.ones((len(normals), width))
-    table = config.scheme.table
-    for r, (i, row) in enumerate(zip(normals, senders)):
+    sid = np.zeros((len(normals), width), dtype=np.intp)
+    for r, row in enumerate(senders):
         sid[r, : len(row)] = row
-        if table is not None:
-            weight[r, : len(row)] = [table[(i, j)] for j in row]
-    real = sid <= n
-    degree = real.sum(axis=1)
+    degree = (sid > 0).sum(axis=1)
     rows = np.arange(len(normals))
-    own_col = np.array([row.index(i) for i, row in zip(normals, senders)], dtype=np.intp)
-    normal_cols = np.array(normals, dtype=np.intp) - 1
+    positions = np.arange(width)
+    ids = np.array(normals, dtype=np.intp)
+    table = config.scheme.table
+    if table is not None:
+        weight = np.ones((len(normals), width))
+        for r, (i, row) in enumerate(zip(normals, senders)):
+            weight[r, : len(row)] = [table[(i, j)] for j in row]
 
+    # a delivered NaN counts as +inf, as in wmsr_filter; only the preset
+    # columns and the Byzantine edges can hold one, as a normal state never is
+    preset = np.array([i for i in g.vertices if i not in rows_of], dtype=np.intp)
+    sent = states[:, preset - 1]
+    x[:, preset] = np.where(np.isnan(sent), np.inf, sent)
+    x[0, ids] = states[0, ids - 1]
     byzantine = [(u, v) for u, v in edge_values if v in rows_of]
     byz_rows = np.array([rows_of[v] for _, v in byzantine], dtype=np.intp)
     byz_cols = np.array([senders[rows_of[v]].index(u) for u, v in byzantine], dtype=np.intp)
     byz_series = np.array([edge_values[e] for e in byzantine]).reshape(-1, horizon + 1).T
-    # a delivered NaN counts as +inf, as in wmsr_filter
     byz_series = np.where(np.isnan(byz_series), np.inf, byz_series)
 
-    x = np.full(n + 2, np.inf)  # x[j] is agent j's state, x[n + 1] the pads' +inf
     for t in range(horizon):
-        x[1:-1] = states[t]
-        x[np.isnan(x)] = np.inf
-        vals = x[sid]
-        vals[byz_rows, byz_cols] = byz_series[t]
-        own = vals[rows, own_col][:, None]
+        vals = x[t][sid]
+        if byzantine:
+            vals[byz_rows, byz_cols] = byz_series[t]
+        own = x[t][ids][:, None]
         n_lower = (vals < own).sum(axis=1)
-        n_higher = ((vals > own) & real).sum(axis=1)
+        n_higher = (vals > own).sum(axis=1)
         drop_low = np.minimum(n_lower, f)
         stop = degree - np.minimum(n_higher, f)
         common = np.maximum(n_lower, n_higher) <= f
-        ordered = np.sort(vals, axis=1)
+        ordered = vals.copy()
+        ordered.sort(axis=1)
         lo = ordered[rows, drop_low]
         hi = ordered[rows, stop - 1]
 
-        # The retained set is ordered[drop_low:stop], so in sender order it is
-        # every value in [lo, hi] but the ``extra`` values tied with lo or hi
-        # that have the largest sender ids, which wmsr_filter drops.
-        upto_hi = (vals <= hi[:, None]) & real
-        keep = upto_hi & (vals >= lo[:, None])
-        for cut, extra in ((lo, drop_low - (vals < lo[:, None]).sum(axis=1)),
-                           (hi, upto_hi.sum(axis=1) - stop)):
-            if extra.any():
-                ties = (vals == cut[:, None]) & real
-                from_right = np.cumsum(ties[:, ::-1], axis=1)[:, ::-1]
-                keep &= ~(ties & (from_right <= extra[:, None]))
-
-        # the renormalising total is a sequential sum in sender order, as in
-        # wmsr_weights; for the equal rule that sum of 1.0s is the kept count
         if table is None:
-            share = 1.0 / keep.sum(axis=1, dtype=float)[:, None]
+            # the retained set is ordered[drop_low:stop], each with weight 1/size
+            retained = (positions >= drop_low[:, None]) & (positions < stop[:, None])
+            terms = np.where(retained, ordered * (1.0 / (stop - drop_low))[:, None], 0.0)
         else:
+            # In sender order the retained set is every value in [lo, hi] but
+            # the ``extra`` values tied with lo or hi that have the largest
+            # sender ids, which wmsr_filter drops.
+            upto_hi = vals <= hi[:, None]
+            keep = upto_hi & (vals >= lo[:, None])
+            for cut, extra in ((lo, drop_low - (vals < lo[:, None]).sum(axis=1)),
+                               (hi, upto_hi.sum(axis=1) - stop)):
+                if extra.any():
+                    ties = vals == cut[:, None]
+                    from_right = np.cumsum(ties[:, ::-1], axis=1)[:, ::-1]
+                    keep &= ~(ties & (from_right <= extra[:, None]))
+            # the renormalising total is a sequential sum in sender order, as
+            # in wmsr_weights
             share = weight / np.cumsum(np.where(keep, weight, 0.0), axis=1)[:, -1:]
-        terms = np.where(keep, share * vals, 0.0)
+            terms = np.where(keep, share * vals, 0.0)
         # the weighted sum is fsum's correctly rounded one, so independent of
         # order; common rows need no fsum, as their sum is discarded below
         mixed, ok = _row_sums(terms)
-        for r in np.flatnonzero(~(ok | common)):
+        for r in (~(ok | common)).nonzero()[0]:
             try:
                 mixed[r] = math.fsum(terms[r].tolist())
             except ValueError:  # fsum of +inf and -inf
@@ -324,7 +340,8 @@ def run(config: SimConfig, jobs: int = 1) -> Trajectory:
         # sender order, as wmsr_update returns min(values)
         if common.any():
             mixed = np.where(common, vals[rows, np.argmax(vals == own, axis=1)], mixed)
-        states[t + 1, normal_cols] = mixed
+        x[t + 1][ids] = mixed
+    states[1:, ids - 1] = x[1:, ids]
 
     states.setflags(write=False)
     if ref_series is not None:
@@ -463,12 +480,16 @@ def compute_metrics(traj: Trajectory, tol: float = 1e-6, slack: float = 1e-12) -
         raise ConfigError("envelope undefined: no normal agents and no reference")
     hull = cols if ref is None else np.concatenate([cols, ref[:, None]], axis=1)
     lower, upper = hull.min(axis=1), hull.max(axis=1)
-    if cols.shape[1] == 0:
-        disag = np.zeros(traj.horizon + 1)
-        err = None if ref is None else np.zeros(traj.horizon + 1)
-    else:
-        disag = cols.max(axis=1) - cols.min(axis=1)
-        err = None if ref is None else np.abs(cols - ref[:, None]).max(axis=1)
+    # a difference wider than the largest float reads +inf, and one between
+    # equal infinities NaN, with no warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        if cols.shape[1] == 0:
+            disag = np.zeros(traj.horizon + 1)
+            err = None if ref is None else np.zeros(traj.horizon + 1)
+        else:
+            disag = cols.max(axis=1) - cols.min(axis=1)
+            err = None if ref is None else np.abs(cols - ref[:, None]).max(axis=1)
+        rise_lower, rise_upper = np.diff(lower), np.diff(upper)
     if traj.config.reference is None:
         spans = [(0, traj.horizon + 1)]
     else:
@@ -477,9 +498,8 @@ def compute_metrics(traj: Trajectory, tol: float = 1e-6, slack: float = 1e-12) -
                        if not isinstance(traj.config.roles[i], Adversary)]
     intervals = []
     for t1, t2 in spans:
-        seg_lower, seg_upper = lower[t1:t2], upper[t1:t2]
         monotone = bool(
-            np.all(np.diff(seg_lower) >= -slack) and np.all(np.diff(seg_upper) <= slack)
+            np.all(rise_lower[t1 : t2 - 1] >= -slack) and np.all(rise_upper[t1 : t2 - 1] <= slack)
         )
         if non_adversarial:
             block = traj.states[t1:t2, [i - 1 for i in non_adversarial]]

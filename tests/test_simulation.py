@@ -289,6 +289,25 @@ def test_disagreement_definition():
     assert compute_metrics(run(cfg)).disagreement[0] == 5.0
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_metrics_of_spans_past_the_largest_float_warn_nothing():
+    # inits of +-1e308 by parity span 2e308, and the reference 1e308 lies
+    # 2e308 from the -1e308 agents; without F-locality a +inf adversary
+    # sends every normal agent to +inf, whose spread is NaN
+    g = make_k_circulant(6, 5)
+    init = {i: 1e308 if i % 2 else -1e308 for i in g.vertices}
+    cfg = SimConfig(graph=g, f=0, horizon=3, init=init)
+    m = compute_metrics(run(cfg))
+    assert m.disagreement[0] == INF and m.final_disagreement == 0.0
+    m = compute_metrics(run(replace(cfg, reference=ReferenceSignal.constant(1e308))))
+    assert m.tracking_error[0] == INF
+    flooded = replace(cfg, roles={6: Adversary(ConstantHold(INF))}, strict_f_local=False,
+                      reference=ReferenceSignal.constant(1e308), init={i: -1e308 for i in g.vertices})
+    m = compute_metrics(run(flooded))
+    assert np.isnan(m.disagreement[1]) and m.lower.tolist() == [-1e308] + [1e308] * 3
+    assert not m.envelope_monotone and not m.converged
+
+
 def test_weight_audit_over_simulated_rounds():
     # re-derive every normal update's retained set and check the emitted
     # weights: zero outside the inclusive neighborhood, floor alpha, sum 1
@@ -551,8 +570,17 @@ _SCALAR_STRATEGIES = st.one_of(
 )
 
 
+# few values, so that ties land on the cut points; inits must be finite
+_TIES = st.sampled_from([-1.0, -0.0, 0.0, 1.0])
+_TIE_SENDS = st.sampled_from([-1.0, -0.0, 0.0, 1.0, INF, -INF, NAN])
+_TIE_SIGNALS = st.one_of(
+    st.builds(ConstantHold, _TIE_SENDS),
+    st.builds(Scripted, st.lists(_TIE_SENDS, min_size=1, max_size=4).map(tuple)),
+)
+
+
 @st.composite
-def _small_configs(draw):
+def _small_configs(draw, values=_VALUES, signals=_SCALAR_STRATEGIES, slack=1):
     n = draw(st.integers(3, 12))
     if draw(st.booleans()):
         g = make_k_circulant(n, draw(st.integers(1, n - 1)))
@@ -567,22 +595,22 @@ def _small_configs(draw):
             roles[i] = Leader()
         elif kind == "a" and draw(st.booleans()):
             out = sorted(g.out_neighbors(i))
-            signals = draw(st.lists(_SCALAR_STRATEGIES, min_size=len(out), max_size=len(out)))
-            roles[i] = Adversary(ByzantinePerEdge(dict(zip(out, signals))))
+            edge_signals = draw(st.lists(signals, min_size=len(out), max_size=len(out)))
+            roles[i] = Adversary(ByzantinePerEdge(dict(zip(out, edge_signals))))
         elif kind == "a":
-            roles[i] = Adversary(draw(_SCALAR_STRATEGIES))
+            roles[i] = Adversary(draw(signals))
     adversaries = {i for i, role in roles.items() if isinstance(role, Adversary)}
     # the smallest F for which this adversary set is F-local, plus slack
     f = max(len(g.inclusive_neighbors(i) & adversaries) for i in g.vertices) \
-        + draw(st.integers(0, 1))
+        + draw(st.integers(0, slack))
     scheme = None
     if draw(st.booleans()):
         table = _distinct_weight_table(g, random.Random(draw(st.integers(0, 2**16))))
         scheme = WeightScheme(min(min(table.values()), 0.5), table)
-    reference = ReferenceSignal(((0, draw(_VALUES)), (draw(st.integers(1, 6)), draw(_VALUES))))
+    reference = ReferenceSignal(((0, draw(values)), (draw(st.integers(1, 6)), draw(values))))
     return SimConfig(
         graph=g, f=f, horizon=draw(st.integers(1, 10)), roles=roles, reference=reference,
-        scheme=scheme, init={i: draw(_VALUES) for i in g.vertices}, seed=0,
+        scheme=scheme, init={i: draw(values) for i in g.vertices}, seed=0,
     )
 
 
@@ -593,6 +621,20 @@ def test_engine_matches_scalar_oracle(cfg):
     assert verify_replay(traj)
     # F-local adversaries never push a normal agent out of the finite reals
     assert np.all(np.isfinite(traj.states[:, [i - 1 for i in cfg.normals]]))
+
+
+@pytest.mark.parametrize("weights", ["equal", "table"])
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(cfg=_small_configs(values=_TIES, signals=_TIE_SIGNALS, slack=2), seed=st.integers(0, 2**16))
+def test_engine_matches_scalar_oracle_on_ties(weights, cfg, seed):
+    # tied values, signed zeros, +-inf and NaN at both cut points, under the
+    # equal rule (summed in sorted order) and under distinct table weights
+    # (whose ties are resolved by sender id)
+    scheme = None
+    if weights == "table":
+        table = _distinct_weight_table(cfg.graph, random.Random(seed))
+        scheme = WeightScheme(min(min(table.values()), 0.5), table)
+    assert verify_replay(run(replace(cfg, scheme=scheme)))
 
 
 def test_replay_at_realistic_widths():
