@@ -69,7 +69,7 @@ def _log(message: str) -> None:
 
 
 def _emit(obj) -> None:
-    print(json.dumps(obj, indent=2))
+    print(json.dumps(obj, indent=2, allow_nan=False))
 
 
 def parse_id_set(text: str) -> list[int]:
@@ -199,9 +199,9 @@ def _write_bundle(out_dir: Path, traj, metrics, report: dict, title: str) -> Non
     write_trajectory_csv(traj, out_dir / "trajectory.csv")
     if traj.edge_values:
         write_edges_csv(traj, out_dir / "edges.csv")
-    (out_dir / "metrics.json").write_text(json.dumps(metrics_to_dict(metrics), indent=2) + "\n")
+    (out_dir / "metrics.json").write_text(json.dumps(metrics_to_dict(metrics), indent=2, allow_nan=False) + "\n")
     write_trajectory_svg(traj, out_dir / "plot.svg", title=title)
-    (out_dir / "report.json").write_text(json.dumps(report, indent=2) + "\n")
+    (out_dir / "report.json").write_text(json.dumps(report, indent=2, allow_nan=False) + "\n")
     _log(f"bundle written to {out_dir}/")
 
 

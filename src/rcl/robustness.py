@@ -35,6 +35,7 @@ enumeration counter.  Peeling admits from a heap of eligible ids.
 from __future__ import annotations
 
 import heapq
+import itertools
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -493,13 +494,11 @@ def circulant_certificate(
     max_len = k if mode == "strong" else k - f
     required = 2 * f + 1 if mode == "strong" else f + 1
     params = {"n": n, "k": k, "f": f, "mode": mode, "leaders": sorted(leader_set)}
-    for length in range(1, min(max_len, n) + 1):
-        for start in range(1, n + 1):
-            window = [(start - 1 + j) % n + 1 for j in range(length)]
-            if sum(1 for v in window if v in leader_set) >= required:
-                return RobustnessReport(
-                    Property.CIRCULANT_CERTIFICATE, params, True, {"window": window}, "certificate"
-                )
+    leaders_before = [0, *itertools.accumulate(s % n + 1 in leader_set for s in range(2 * n))]
+    for length, start in itertools.product(range(1, min(max_len, n) + 1), range(n)):
+        if leaders_before[start + length] - leaders_before[start] >= required:
+            window = [(start + j) % n + 1 for j in range(length)]
+            return RobustnessReport(Property.CIRCULANT_CERTIFICATE, params, True, {"window": window}, "certificate")
     return RobustnessReport(Property.CIRCULANT_CERTIFICATE, params, False, None, "certificate")
 
 

@@ -14,6 +14,7 @@ range, a zero sum) go to ``math.fsum``.  Runs are deterministic given
 
 from __future__ import annotations
 
+import json
 import math
 import random
 import sys
@@ -213,17 +214,15 @@ def run(config: SimConfig, jobs: int = 1) -> Trajectory:
     reproduces ``wmsr_filter`` and ``wmsr_update`` bit for bit; those scalar
     functions stay the oracle that ``verify_replay`` checks against.
 
-    A row's retained set is one run of its sorted values.  Under the equal
-    weight rule its terms are summed in that sorted order.  This is exact:
-    tied values give the same terms, up to the sign of a tied zero, which
-    cannot change a nonzero sum (and ``math.fsum`` returns +0.0 for every
-    zero one), and the sum is fsum's correctly rounded one, which does not
-    depend on order.  A weight table can give tied senders different weights,
-    so only under a table are ties at the cut points resolved by sender id,
-    as ``wmsr_filter`` resolves them.
+    A row's retained set is one run of its sorted values, less at most F at
+    each end, so a round counts and masks only the F + 1 sorted positions at
+    each end.  The equal weight rule sums the run in sorted order, exactly:
+    tied values give the same terms (a tied zero's sign cannot change a
+    nonzero sum, and ``math.fsum`` returns +0.0 for a zero one), and the sum
+    is fsum's correctly rounded one.  A weight table can give tied senders
+    different weights, so only a table resolves cut-point ties by sender id.
 
-    The engine is serial: ``jobs`` accepts only 1 and remains so that callers
-    that pass ``jobs=1`` keep working.
+    The engine is serial: ``jobs`` accepts only 1, for callers that pass it.
     """
     if jobs != 1:
         raise ConfigError(f"jobs must be 1 (the engine runs serially), got {jobs}")
@@ -265,12 +264,13 @@ def run(config: SimConfig, jobs: int = 1) -> Trajectory:
     senders = [sorted(g.inclusive_neighbors(i)) for i in normals]
     width = max(map(len, senders), default=1)
     f = min(config.f, width)  # no row drops more than its degree, and NumPy needs a C long
+    upper = max(min(map(len, senders), default=0) - f - 1, 0)  # where the high band starts
     sid = np.zeros((len(normals), width), dtype=np.intp)
     for r, row in enumerate(senders):
         sid[r, : len(row)] = row
     degree = (sid > 0).sum(axis=1)
     rows = np.arange(len(normals))
-    positions = np.arange(width)
+    past_upper = np.arange(upper + 1, width)
     ids = np.array(normals, dtype=np.intp)
     table = config.scheme.table
     if table is not None:
@@ -295,20 +295,24 @@ def run(config: SimConfig, jobs: int = 1) -> Trajectory:
         if byzantine:
             vals[byz_rows, byz_cols] = byz_series[t]
         own = x[t][ids][:, None]
-        n_lower = (vals < own).sum(axis=1)
-        n_higher = (vals > own).sum(axis=1)
+        ordered = vals.copy()
+        ordered.sort(axis=1)
+        # values below own are a prefix of the sorted row and values above it end
+        # at its last real entry, so each band count is the full one, or over F
+        below = ordered[:, : f + 1] < own
+        n_lower = below.sum(axis=1)
+        n_higher = (ordered[:, upper:] > own).sum(axis=1)
         drop_low = np.minimum(n_lower, f)
         stop = degree - np.minimum(n_higher, f)
         common = np.maximum(n_lower, n_higher) <= f
-        ordered = vals.copy()
-        ordered.sort(axis=1)
         lo = ordered[rows, drop_low]
         hi = ordered[rows, stop - 1]
 
         if table is None:
-            # the retained set is ordered[drop_low:stop], each with weight 1/size
-            retained = (positions >= drop_low[:, None]) & (positions < stop[:, None])
-            terms = np.where(retained, ordered * (1.0 / (stop - drop_low))[:, None], 0.0)
+            # retained: ordered[drop_low:stop] (drop_low <= F, stop > upper), each weighted 1/size
+            terms = ordered * (1.0 / (stop - drop_low))[:, None]
+            terms[:, :f][below[:, :f]] = 0.0
+            terms[:, upper + 1 :][past_upper >= stop[:, None]] = 0.0
         else:
             # In sender order the retained set is every value in [lo, hi] but
             # the ``extra`` values tied with lo or hi that have the largest
@@ -524,8 +528,13 @@ def compute_metrics(traj: Trajectory, tol: float = 1e-6, slack: float = 1e-12) -
     )
 
 
+def _json_safe(obj: Any) -> Any:
+    """``obj`` with NaN and +-inf as "NaN", "Infinity" and "-Infinity", numbers RFC 8259 lacks."""
+    return json.loads(json.dumps(obj), parse_constant=str)
+
+
 def metrics_to_dict(m: Metrics) -> dict:
-    return {
+    return _json_safe({
         "tol": m.tol,
         "converged": m.converged,
         "convergence_round": m.convergence_round,
@@ -546,7 +555,7 @@ def metrics_to_dict(m: Metrics) -> dict:
                 for iv in m.intervals
             ],
         },
-    }
+    })
 
 
 # ---------------------------------------------------------------------------
@@ -605,7 +614,7 @@ def _scalar_strategy_from_dict(obj: Any, path: str) -> ScalarStrategy:
     kind = obj["type"]
     if not isinstance(kind, str) or kind not in _SCALAR_STRATEGIES:
         raise ConfigError(f"{path}/type: unknown scalar strategy {kind!r}")
-    fields = {k: v for k, v in obj.items() if k != "type"}
+    fields = {k: _float_names(v) for k, v in obj.items() if k != "type"}
     for key, v in fields.items():
         if kind == "scripted" and key == "values":
             _require(v, f"{path}/values", [float], "a list of numbers")
@@ -641,6 +650,13 @@ def _strategy_to_dict(strategy) -> dict:
         if isinstance(strategy, cls):
             return {"type": kind, **asdict(strategy)}
     raise ConfigError(f"unknown strategy {strategy!r}")
+
+
+def _float_names(value: Any) -> Any:
+    """A strategy field with the strings "NaN", "Infinity" and "-Infinity" as floats."""
+    if isinstance(value, list):
+        return [_float_names(v) for v in value]
+    return float(value) if value in ("NaN", "Infinity", "-Infinity") else value
 
 
 def _graph_from_config(obj: Any, path: str) -> Digraph:
@@ -848,4 +864,4 @@ def config_to_dict(config: SimConfig) -> dict:
         out["init"] = {"values": {str(i): v for i, v in sorted(config.init.items())}}
     else:
         out["init"] = {"range": list(config.init)}
-    return out
+    return _json_safe(out)

@@ -3,7 +3,8 @@ implementations of the robustness definitions, and naive trajectory export.
 
 The naive checkers below work directly on vertex sets with itertools
 enumeration and no shared code with the library's optimized mask-based
-implementations; they serve as independent oracles on small graphs.  The
+implementations; they serve as independent oracles on small graphs, as
+does the window-by-window scan of the circulant certificate.  The
 naive writers format one value at a time, through ``csv.writer`` and a
 per-point polyline, and serve as byte oracles for the column exporters.
 """
@@ -16,6 +17,7 @@ import random
 
 from rcl import svgplot
 from rcl.graph import Digraph
+from rcl.robustness import Property, RobustnessReport
 from rcl.simulation import role_name
 
 
@@ -128,6 +130,23 @@ def naive_tlf_robust(g: Digraph, subset: frozenset[int], f: int) -> bool:
         if not anchored and not naive_reachable(g, c, 2 * f + 1):
             return False
     return True
+
+
+def naive_circulant_certificate(n: int, k: int, leaders, f: int, mode: str) -> RobustnessReport:
+    """The certificate by building and counting every window, shortest first,
+    then by start (valid arguments only)."""
+    leader_set = frozenset(leaders)
+    max_len = k if mode == "strong" else k - f
+    required = 2 * f + 1 if mode == "strong" else f + 1
+    params = {"n": n, "k": k, "f": f, "mode": mode, "leaders": sorted(leader_set)}
+    for length in range(1, min(max_len, n) + 1):
+        for start in range(1, n + 1):
+            window = [(start - 1 + j) % n + 1 for j in range(length)]
+            if sum(1 for v in window if v in leader_set) >= required:
+                return RobustnessReport(
+                    Property.CIRCULANT_CERTIFICATE, params, True, {"window": window}, "certificate"
+                )
+    return RobustnessReport(Property.CIRCULANT_CERTIFICATE, params, False, None, "certificate")
 
 
 def naive_write_trajectory_csv(traj, path) -> None:

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from rcl.cli import main, parse_id_set
+from rcl.simulation import config_from_dict
 
 
 def run_cli(capsys, *argv):
@@ -184,6 +185,32 @@ def test_run_svg_fits_extreme_finite_ranges(capsys, tmp_path, init):
     assert len(numbers) > 6 * 6 and len(labels) >= 2
     assert all(math.isfinite(v) for v in numbers + labels)
     assert min(labels) <= max(init) and max(labels) >= min(init)
+
+
+def _rfc8259(text: str):
+    """``text`` parsed as RFC 8259 JSON, which has no NaN or Infinity tokens."""
+    def reject(token):
+        raise ValueError(f"not RFC 8259 JSON: {token}")
+    return json.loads(text, parse_constant=reject)
+
+
+def test_run_writes_non_finite_values_as_rfc8259_json(capsys, tmp_path):
+    # F = 0 keeps the adversary's +inf, so every normal agent goes to +inf:
+    # the tracking error is +inf, and the disagreement inf - inf is NaN
+    config = {"graph": {"circulant": [6, 5]}, "f": 0, "horizon": 3, "strict_f_local": False,
+              "roles": {"1": {"adversary": {"type": "constant", "value": math.inf}}, "2": "leader"},
+              "reference": {"constant": 0.0}, "init": {"values": {str(i): -1e308 for i in range(1, 7)}}}
+    config_path = tmp_path / "inf.json"
+    config_path.write_text(json.dumps(config))
+    code, out, _ = run_cli(capsys, "run", str(config_path), "--out", str(tmp_path / "o"))
+    assert code == 1
+    metrics = _rfc8259(out)
+    assert metrics["final_error"] == "Infinity" and metrics["final_disagreement"] == "NaN"
+    assert metrics["envelope"]["intervals"][0]["end_error"] == "Infinity"
+    assert _rfc8259((tmp_path / "o" / "metrics.json").read_text()) == metrics
+    report = _rfc8259((tmp_path / "o" / "report.json").read_text())
+    assert report["config"]["roles"]["1"]["adversary"]["value"] == "Infinity"
+    assert config_from_dict(report["config"]) == config_from_dict(config)
 
 
 def test_run_seed_override_changes_output(capsys, tmp_path):

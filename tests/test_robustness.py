@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 import random
@@ -9,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from helpers import (
+    naive_circulant_certificate,
     naive_first_violating_pair,
     naive_first_violating_subset,
     naive_is_r_robust,
@@ -567,6 +569,18 @@ def test_certificate_tlf_scattered_leaders():
 def test_certificate_empty_leaders_false():
     assert not circulant_certificate(8, 3, [], 0, "strong").verdict
     assert not circulant_certificate(8, 3, [], 0, "tlf").verdict
+
+
+def test_certificate_matches_window_scan_exhaustively():
+    # every n <= 10, k, F <= 3, mode and leader set of at most 4 agents
+    cases = 0
+    for n in range(2, 11):
+        sets = [s for size in range(5) for s in itertools.combinations(range(1, n + 1), size)]
+        for k, f, mode, leaders in itertools.product(range(1, n), range(4), ("strong", "tlf"), sets):
+            expected = naive_circulant_certificate(n, k, leaders, f, mode).to_json()
+            assert circulant_certificate(n, k, leaders, f, mode).to_json() == expected, (n, k, f, mode, leaders)
+            cases += 1
+    assert cases == 61_872
 
 
 def test_certificate_wraps_around_modulo():

@@ -1,3 +1,4 @@
+import json
 import math
 import random
 import tempfile
@@ -442,6 +443,22 @@ def test_config_dict_allows_non_finite_adversary_values():
     assert cfg.adversaries == (3, 5)
 
 
+def test_non_finite_adversary_values_round_trip_as_json_strings():
+    roles = {3: Adversary(ConstantHold(NAN)), 4: Adversary(Scripted((-INF, 1.0, INF))),
+             5: Adversary(ByzantinePerEdge({6: Ramp(INF, -INF), 1: Sinusoid(INF, 3.0, phase=NAN)}))}
+    cfg = SimConfig(graph=make_k_circulant(6, 2), f=3, horizon=6, roles=roles, seed=1, strict_f_local=False)
+    d = config_to_dict(cfg)
+    json.dumps(d, allow_nan=False)
+    assert d["roles"]["3"]["adversary"] == {"type": "constant", "value": "NaN"}
+    assert d["roles"]["4"]["adversary"]["values"] == ["-Infinity", 1.0, "Infinity"]
+    assert d["roles"]["5"]["adversary"]["edges"]["6"] == {"type": "ramp", "slope": "Infinity", "intercept": "-Infinity"}
+    restored = config_from_dict(d)
+    assert config_to_dict(restored) == d
+    assert run(restored).states.tobytes() == run(cfg).states.tobytes()
+    with pytest.raises(ConfigError, match="/roles/3/adversary/value: expected a number, got 'inf'"):
+        config_from_dict({**d, "roles": {"3": {"adversary": {"type": "constant", "value": "inf"}}}})
+
+
 def test_metrics_json_shape():
     m = compute_metrics(run(basic_config()))
     d = metrics_to_dict(m)
@@ -635,6 +652,98 @@ def test_engine_matches_scalar_oracle_on_ties(weights, cfg, seed):
         table = _distinct_weight_table(cfg.graph, random.Random(seed))
         scheme = WeightScheme(min(min(table.values()), 0.5), table)
     assert verify_replay(run(replace(cfg, scheme=scheme)))
+
+
+_TIE_VALUES = (-1.0, -0.0, 0.0, 1.0)
+
+
+def _band_edge_config(rng: random.Random, f_kind: str) -> SimConfig:
+    """A small run that puts ties, signed zeros, NaN and +-inf at the band
+    edges of the round.  In-degrees are skewed, with some rows of degree 1,
+    so the high band can start at column 0 and overlap the low one.  Most
+    senders are Byzantine, so a row's values are drawn for that row alone."""
+    n = rng.randint(2, 9)
+    sign = rng.choice((1.0, -1.0))  # one infinity per run (NaN reads as +inf), so no row retains both
+    sends = [-1.0, -0.0, 0.0, 1.0, sign * INF] + ([NAN] if sign > 0 else [])
+    normals = set(rng.sample(range(1, n + 1), rng.randint(1, min(3, n))))
+    edges = set()
+    for i in sorted(normals):
+        others = [j for j in range(1, n + 1) if j != i]
+        size = rng.choice((0, 1, len(others), rng.randint(0, len(others))))
+        edges |= {(j, i) for j in rng.sample(others, size)}
+    g = Digraph(n, frozenset(edges))
+    roles = {}
+    for i in sorted(set(g.vertices) - normals):
+        if rng.random() < 0.2:
+            roles[i] = Leader()
+        else:
+            roles[i] = Adversary(ByzantinePerEdge({
+                j: Scripted(tuple(rng.choices(sends, k=rng.randint(1, 3)))) for j in g.out_neighbors(i)
+            }))
+    width = max(len(g.inclusive_neighbors(i)) for i in normals)
+    f = {"zero": 0, "small": rng.randint(1, 2), "clamped": width + rng.randint(0, 3)}[f_kind]
+    return SimConfig(
+        graph=g, f=f, horizon=rng.randint(1, 3), roles=roles,
+        reference=ReferenceSignal.constant(rng.choice(_TIE_VALUES)),
+        init={i: rng.choice(_TIE_VALUES) for i in g.vertices}, seed=0, strict_f_local=False,
+    )
+
+
+def _band_edge_cases(traj: Trajectory) -> set[tuple[str, str]]:
+    """Which band-edge cases round 0 of ``traj`` reaches: the shape of its
+    rows, and the kind of value at sorted positions F and upper of each row."""
+    config = traj.config
+    rows = {i: sorted(config.graph.inclusive_neighbors(i)) for i in config.normals}
+    degrees = [len(row) for row in rows.values()]
+    f = min(config.f, max(degrees))
+    upper = max(min(degrees) - f - 1, 0)
+    cases = {("rows", "F = 0")} if f == 0 else set()
+    if config.f >= max(degrees):
+        cases.add(("rows", "F >= width"))
+    if min(degrees) <= f + 1:
+        cases.add(("rows", "bands overlap"))
+    if 1 in degrees:
+        cases.add(("rows", "degree 1"))
+    def key(v: float) -> float:  # wmsr_filter reads NaN as +inf
+        return INF if math.isnan(v) else v
+
+    for i, row in rows.items():
+        values = sorted((traj.delivered(0, j, i) for j in row), key=key)
+        for edge, p in (("F", f), ("upper", upper)):
+            if p >= len(values):
+                continue
+            at = [v for v in values if key(v) == key(values[p])]
+            if len(at) > 1:
+                cases.add((edge, "tie"))
+            if key(values[p]) == key(traj.broadcast(0, i)) and len(at) > 1:
+                cases.add((edge, "tie with own"))
+            if values[p] == 0 and {math.copysign(1.0, v) for v in at} == {1.0, -1.0}:
+                cases.add((edge, "signed zeros"))
+            if any(math.isnan(v) for v in at):
+                cases.add((edge, "NaN"))
+            if math.isinf(key(values[p])):
+                cases.add((edge, "+inf" if values[p] > 0 else "-inf"))
+    return cases
+
+
+@pytest.mark.parametrize("weights", ["equal", "table"])
+def test_engine_matches_scalar_oracle_at_band_edges(weights):
+    # the round counts and masks only the F + 1 sorted positions at each row
+    # end; these runs put every kind of value on both band edges
+    rng = random.Random(2024)
+    reached = set()
+    for seed in range(240):
+        cfg = _band_edge_config(rng, ("zero", "small", "clamped")[seed % 3])
+        if weights == "table":
+            table = _distinct_weight_table(cfg.graph, random.Random(seed))
+            cfg = replace(cfg, scheme=WeightScheme(min(min(table.values()), 0.5), table))
+        traj = run(cfg)
+        assert verify_replay(traj), seed
+        reached |= _band_edge_cases(traj)
+    wanted = {("rows", c) for c in ("F = 0", "F >= width", "bands overlap", "degree 1")}
+    wanted |= {(edge, c) for edge in ("F", "upper")
+               for c in ("tie", "tie with own", "signed zeros", "NaN", "+inf", "-inf")}
+    assert not wanted - reached, sorted(wanted - reached)
 
 
 def test_replay_at_realistic_widths():

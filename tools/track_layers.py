@@ -11,11 +11,14 @@ per layer, ``<layer>  <median ms>`` (``run`` also gives its median time per
 round), then the median of the per-seed totals, then ``run`` alone under a
 table of distinct weights (``distinct_weights`` of ``bundle_digests.py``),
 the rule whose ties the engine resolves by sender id, timed right after each
-seed's layers.
+seed's layers, and last ``run`` alone at the ``wide`` shape: the C_300(1..60)
+configs, F = 3, horizon 200, that perfbench's ``setup_wide(1)`` builds, each
+timed once per pass.
 
 rcl is imported from ``src/`` beside this directory and only its public API is
-used, so running the script in two checkouts gives the layer split side by
-side.  The host's speed drifts; compare only runs made one after the other.
+used (perfbench's workloads from ``perfbench/``), so running the script in two
+checkouts gives the layer split side by side.  The host's speed drifts;
+compare only runs made one after the other.
 """
 
 import json
@@ -28,7 +31,9 @@ from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
 sys.path.insert(0, str(HERE.parent / "src"))
+sys.path.insert(0, str(HERE.parent / "perfbench"))
 
+import workloads  # noqa: E402
 from bundle_digests import distinct_weights  # noqa: E402
 from rcl import scenarios, simulation, svgplot  # noqa: E402
 
@@ -58,6 +63,20 @@ def _one_seed(scenario, seed: int, out_dir: Path) -> dict[str, float]:
     return {name: end - start for name, start, end in zip(LAYERS, stamps, stamps[1:])}
 
 
+def _wide_configs(scratch: Path) -> list:
+    """The configs that the ops of perfbench's ``wide`` workload at seed 1 pass
+    to ``simulation.run``; running the ops once to record them also warms up."""
+    configs = []
+    engine = simulation.run
+    simulation.run = lambda config, jobs=1: configs.append(config) or engine(config, jobs)
+    try:
+        for op in workloads.setup_wide(1, scratch).ops:
+            op.fn()
+    finally:
+        simulation.run = engine
+    return configs
+
+
 def _per_round(seconds: list[float], rounds: int) -> str:
     median = statistics.median(seconds)
     return f"{1e3 * median:8.2f} ms {1e6 * median / rounds:8.1f} us/round"
@@ -69,11 +88,12 @@ def main() -> int:
     totals = []
     scheme = distinct_weights(scenario.base)
     table = {seed: replace(scenario.config(seed), scheme=scheme) for seed in SEEDS}
-    table_runs = []
+    table_runs, wide_runs = [], []
     with tempfile.TemporaryDirectory() as tmp:
         out_dir = Path(tmp)
         _one_seed(scenario, SEEDS[0], out_dir)
         simulation.run(table[SEEDS[0]])
+        wide = _wide_configs(out_dir)
         for _ in range(PASSES):
             for seed in SEEDS:
                 times = _one_seed(scenario, seed, out_dir)
@@ -83,12 +103,17 @@ def main() -> int:
                 start = time.perf_counter()
                 simulation.run(table[seed])
                 table_runs.append(time.perf_counter() - start)
+            for config in wide:
+                start = time.perf_counter()
+                simulation.run(config)
+                wide_runs.append(time.perf_counter() - start)
     rounds = scenario.base.horizon
     print(f"{'run':<22}{_per_round(samples['run'], rounds)}")
     for name in LAYERS[1:]:
         print(f"{name:<22}{1e3 * statistics.median(samples[name]):8.2f} ms")
     print(f"{'total':<22}{1e3 * statistics.median(totals):8.2f} ms")
     print(f"{'run, weight table':<22}{_per_round(table_runs, rounds)}")
+    print(f"{'run, wide':<22}{_per_round(wide_runs, wide[0].horizon)}")
     return 0
 
 
