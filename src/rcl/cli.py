@@ -28,6 +28,7 @@ from .graph import (
     Digraph,
     GraphError,
     load_graph,
+    load_graph_json,
     make_k_circulant,
     make_undirected_circulant,
     save_graph,
@@ -112,8 +113,6 @@ def _graph_from_args(args) -> Digraph:
     if args.graph is not None:
         path = Path(args.graph)
         if path.suffix == ".json":
-            from .graph import load_graph_json
-
             return load_graph_json(path)
         return load_graph(path)
     if args.circulant is not None:
@@ -125,6 +124,15 @@ def _graph_from_args(args) -> Digraph:
 
 # ---------------------------------------------------------------------------
 # check
+
+
+# (--strong or --tlf, --method) -> decider(graph, set, parameter, cap=, force=)
+SET_DECIDERS = {
+    ("strong", "peeling"): lambda g, s, r, **caps: is_strongly_r_robust_peeling(g, s, r),
+    ("strong", "bruteforce"): is_strongly_r_robust_bruteforce,
+    ("tlf", "peeling"): lambda g, s, f, **caps: is_tlf_robust_peeling(g, s, f),
+    ("tlf", "bruteforce"): is_tlf_robust_bruteforce,
+}
 
 
 def cmd_check(args) -> int:
@@ -139,22 +147,12 @@ def cmd_check(args) -> int:
     elif args.rs_robust is not None:
         r, s = args.rs_robust
         report = is_rs_robust(graph, r, s, cap=cap, force=args.force)
-    elif args.strong is not None:
+    elif args.strong is not None or args.tlf is not None:
+        prop = "strong" if args.strong is not None else "tlf"
         if args.set is None:
-            raise ConfigError("--strong requires --set")
-        ids = parse_id_set(args.set)
-        if args.method == "bruteforce":
-            report = is_strongly_r_robust_bruteforce(graph, ids, args.strong, cap=cap, force=args.force)
-        else:
-            report = is_strongly_r_robust_peeling(graph, ids, args.strong)
-    elif args.tlf is not None:
-        if args.set is None:
-            raise ConfigError("--tlf requires --set")
-        ids = parse_id_set(args.set)
-        if args.method == "bruteforce":
-            report = is_tlf_robust_bruteforce(graph, ids, args.tlf, cap=cap, force=args.force)
-        else:
-            report = is_tlf_robust_peeling(graph, ids, args.tlf)
+            raise ConfigError(f"--{prop} requires --set")
+        decide = SET_DECIDERS[prop, args.method]
+        report = decide(graph, parse_id_set(args.set), getattr(args, prop), cap=cap, force=args.force)
     elif args.certificate is not None:
         if args.circulant is None:
             raise ConfigError("--certificate needs --circulant N K (window conditions use n and k)")
@@ -194,15 +192,20 @@ def cmd_gen_graph(args) -> int:
 # run / scenario bundles
 
 
-def _write_bundle(out_dir: Path, traj, metrics, report: dict, title: str) -> None:
+def _write_bundle(out_dir: Path, traj, metrics, report: dict, title: str, print_report: bool) -> int:
+    """Add the metrics to ``report``, write the bundle into ``out_dir``, print
+    the report (or only its metrics) and return the exit code."""
+    report["metrics"] = metrics_to_dict(metrics)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_trajectory_csv(traj, out_dir / "trajectory.csv")
     if traj.edge_values:
         write_edges_csv(traj, out_dir / "edges.csv")
-    (out_dir / "metrics.json").write_text(json.dumps(metrics_to_dict(metrics), indent=2, allow_nan=False) + "\n")
+    (out_dir / "metrics.json").write_text(json.dumps(report["metrics"], indent=2, allow_nan=False) + "\n")
     write_trajectory_svg(traj, out_dir / "plot.svg", title=title)
     (out_dir / "report.json").write_text(json.dumps(report, indent=2, allow_nan=False) + "\n")
     _log(f"bundle written to {out_dir}/")
+    _emit(report if print_report else report["metrics"])
+    return 0 if metrics.converged else 1
 
 
 def cmd_run(args) -> int:
@@ -215,13 +218,8 @@ def cmd_run(args) -> int:
         config = replace(config, seed=args.seed)
     traj = run_simulation(config)
     metrics = compute_metrics(traj, tol=args.tol)
-    report = {
-        "config": config_to_dict(config),
-        "metrics": metrics_to_dict(metrics),
-    }
-    _write_bundle(Path(args.out), traj, metrics, report, title=Path(args.config).stem)
-    _emit(report["metrics"])
-    return 0 if metrics.converged else 1
+    report = {"config": config_to_dict(config)}
+    return _write_bundle(Path(args.out), traj, metrics, report, Path(args.config).stem, print_report=False)
 
 
 def cmd_scenario(args) -> int:
@@ -242,12 +240,9 @@ def cmd_scenario(args) -> int:
         "expected": repr(scenario.expected),
         "outcome_ok": result.outcome_ok,
         "outcome_detail": result.outcome_detail,
-        "metrics": metrics_to_dict(result.metrics),
     }
     out_dir = Path(args.out) if args.out else Path("out") / scenario.name
-    _write_bundle(out_dir, result.trajectory, result.metrics, report, title=scenario.name)
-    _emit(report)
-    return 0 if result.metrics.converged else 1
+    return _write_bundle(out_dir, result.trajectory, result.metrics, report, scenario.name, print_report=True)
 
 
 # ---------------------------------------------------------------------------

@@ -8,10 +8,11 @@ to agent j.  Graphs are immutable after construction, so all derived data
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable
+from typing import Any, Iterable
 
 
 class GraphError(ValueError):
@@ -163,25 +164,37 @@ def graph_to_json(g: Digraph) -> dict:
     return {"n": g.n, "edges": [list(e) for e in sorted(g.edges)]}
 
 
-def graph_from_json(obj: dict) -> Digraph:
-    try:
-        n = obj["n"]
-        raw_edges = obj["edges"]
-    except (KeyError, TypeError):
-        raise GraphError("graph JSON must have keys 'n' and 'edges'") from None
-    if not isinstance(n, int) or isinstance(n, bool):
-        raise GraphError(f"'n' must be an integer, got {n!r}")
+def _fits(value: Any, form: Any) -> bool:
+    """Whether a JSON value has ``form``: ``float`` (any number a float can
+    hold, NaN and +-inf included) or ``int``, never a bool; ``[form]``, a list
+    of such values; or a tuple of forms, a list with one value per form."""
+    if isinstance(form, tuple):
+        return isinstance(value, (list, tuple)) and len(value) == len(form) and all(map(_fits, value, form))
+    if isinstance(form, list):
+        return isinstance(value, (list, tuple)) and all(_fits(v, form[0]) for v in value)
+    if not isinstance(value, int if form is int else (int, float)) or isinstance(value, bool):
+        return False
+    return isinstance(value, float) or form is int or abs(value) <= sys.float_info.max
+
+
+def graph_from_json(obj: Any, path: str = "#") -> Digraph:
+    """The graph ``{"n": count, "edges": [[i, j], ...]}``.  Errors name ``path``,
+    a JSON pointer ("/graph") or URI fragment ("g.json#"), and the key at fault."""
+    if not isinstance(obj, dict):
+        raise GraphError(f"{path}: graph JSON must be an object with keys 'n' and 'edges'")
+    for key, form, shape in (("n", int, "an integer"),
+                             ("edges", [(int, int)], "a list of [i, j] pairs of integers")):
+        if not _fits(obj.get(key), form):
+            raise GraphError(f"{path}/{key}: expected {shape}, got {obj.get(key)!r}")
     edges = set()
-    for e in raw_edges:
-        if not (isinstance(e, (list, tuple)) and len(e) == 2):
-            raise GraphError(f"edge entries must be pairs, got {e!r}")
-        i, j = e
-        if not all(isinstance(x, int) and not isinstance(x, bool) for x in e):
-            raise GraphError(f"edge endpoints must be integers, got {e!r}")
+    for index, (i, j) in enumerate(obj["edges"]):
         if (i, j) in edges:
-            raise GraphError(f"duplicate edge ({i}, {j})")
+            raise GraphError(f"{path}/edges/{index}: duplicate edge ({i}, {j})")
         edges.add((i, j))
-    return Digraph(n, frozenset(edges))
+    try:
+        return Digraph(obj["n"], frozenset(edges))
+    except GraphError as exc:
+        raise GraphError(f"{path}: {exc}") from None
 
 
 def save_graph_json(g: Digraph, path: str | Path) -> None:
@@ -189,4 +202,4 @@ def save_graph_json(g: Digraph, path: str | Path) -> None:
 
 
 def load_graph_json(path: str | Path) -> Digraph:
-    return graph_from_json(json.loads(Path(path).read_text()))
+    return graph_from_json(json.loads(Path(path).read_text()), f"{path}#")

@@ -17,14 +17,13 @@ from __future__ import annotations
 import json
 import math
 import random
-import sys
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Any, Mapping
 
 import numpy as np
 
-from .graph import Digraph, GraphError, graph_from_json, graph_to_json, make_k_circulant, make_undirected_circulant
+from .graph import Digraph, GraphError, _fits, graph_from_json, graph_to_json, make_k_circulant, make_undirected_circulant
 from .protocol import (
     Adversary,
     AgentRole,
@@ -82,9 +81,9 @@ class SimConfig:
     def __post_init__(self) -> None:
         g = self.graph
         if self.f < 0:
-            raise ConfigError(f"F must be >= 0, got {self.f}")
+            raise ConfigError(f"/f: must be >= 0, got {self.f}")
         if self.horizon < 1:
-            raise ConfigError(f"horizon must be >= 1, got {self.horizon}")
+            raise ConfigError(f"/horizon: must be >= 1, got {self.horizon}")
         if (self.horizon + 1) * g.n * 8 > np.iinfo(np.intp).max:
             raise ConfigError(f"/horizon: {self.horizon} rounds of {g.n} float64 states exceed NumPy's largest array")
         roles = dict(self.roles)
@@ -461,8 +460,8 @@ class Metrics:
 def _sustained_round(series: np.ndarray, tol: float) -> int | None:
     """Smallest t with series[s] <= tol for all s in [t, end]; None if the
     series ends above tol.  NaN counts as above tol."""
-    if tol <= 0:
-        raise ValueError(f"tolerance must be positive, got {tol}")
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tolerance must be finite and positive, got {tol}")
     above = np.nonzero(~(series <= tol))[0]
     if above.size == 0:
         return 0
@@ -659,15 +658,21 @@ def _float_names(value: Any) -> Any:
     return float(value) if value in ("NaN", "Infinity", "-Infinity") else value
 
 
-def _graph_from_config(obj: Any, path: str) -> Digraph:
-    if not isinstance(obj, dict):
-        raise ConfigError(f"{path}: graph must be an object")
-    form = next((key for key in ("circulant", "undirected_circulant", "edges") if key in obj), None)
+def _form(obj: Any, path: str, *forms: str) -> str:
+    """The one key of ``forms`` that the object ``obj`` holds, with no other
+    key beside it except ``n`` beside ``edges``."""
+    form = next((key for key in forms if key in obj), None) if isinstance(obj, dict) else None
     if form is None:
-        raise ConfigError(f"{path}: expected one of 'circulant', 'undirected_circulant', or 'n'+'edges'")
+        raise ConfigError(f"{path}: expected an object with one of the keys {', '.join(map(repr, forms))}, "
+                          f"got {obj!r}")
     extra = sorted(set(obj) - ({"n", "edges"} if form == "edges" else {form}))
     if extra:
         raise ConfigError(f"{path}/{extra[0]}: unexpected key next to {form!r}")
+    return form
+
+
+def _graph_from_config(obj: Any, path: str) -> Digraph:
+    form = _form(obj, path, "circulant", "undirected_circulant", "edges")
     value, where = obj[form], f"{path}/{form}"
     try:
         if form == "circulant":
@@ -675,24 +680,9 @@ def _graph_from_config(obj: Any, path: str) -> Digraph:
         if form == "undirected_circulant":
             n, offsets = _require(value, where, (int, [int]), "[n, [offsets]] of integers")
             return make_undirected_circulant(n, offsets)
-        _require(obj.get("n"), f"{path}/n", int, "an integer")
-        _require(value, where, [(int, int)], "a list of [i, j] pairs of integers")
-        return graph_from_json(obj)
+        return graph_from_json(obj, path)
     except GraphError as exc:
-        raise ConfigError(f"{path}: {exc}") from None
-
-
-def _fits(value: Any, form: Any) -> bool:
-    """Whether a JSON value has ``form``: ``float`` (any number a float can
-    hold, NaN and +-inf included) or ``int``, never a bool; ``[form]``, a list
-    of such values; or a tuple of forms, a list with one value per form."""
-    if isinstance(form, tuple):
-        return isinstance(value, (list, tuple)) and len(value) == len(form) and all(map(_fits, value, form))
-    if isinstance(form, list):
-        return isinstance(value, (list, tuple)) and all(_fits(v, form[0]) for v in value)
-    if not isinstance(value, int if form is int else (int, float)) or isinstance(value, bool):
-        return False
-    return isinstance(value, float) or form is int or abs(value) <= sys.float_info.max
+        raise ConfigError(str(exc) if form == "edges" else f"{path}: {exc}") from None
 
 
 def _require(value: Any, path: str, form: Any, shape: str) -> Any:
@@ -733,52 +723,34 @@ def config_from_dict(obj: Any) -> SimConfig:
     for key in obj:
         if key not in known:
             raise ConfigError(f"/{key}: unknown configuration key")
-    if "graph" not in obj:
-        raise ConfigError("/graph: required")
+    missing = [key for key in ("graph", "f", "horizon") if key not in obj]
+    if missing:
+        raise ConfigError(f"/{missing[0]}: required")
     graph = _graph_from_config(obj["graph"], "/graph")
-
-    def _int(key: str, default=None, minimum=None):
-        if key not in obj:
-            if default is None:
-                raise ConfigError(f"/{key}: required")
-            return default
-        v = _require(obj[key], f"/{key}", int, "an integer")
-        if minimum is not None and v < minimum:
-            raise ConfigError(f"/{key}: must be >= {minimum}, got {v}")
-        return v
-
-    f = _int("f", minimum=0)
-    horizon = _int("horizon", minimum=1)
-    seed = _int("seed", default=0)
+    f, horizon, seed = (_require(obj.get(key, 0), f"/{key}", int, "an integer")
+                        for key in ("f", "horizon", "seed"))
 
     roles: dict[int, AgentRole] = {}
-    role_specs = obj.get("roles") or {}
+    role_specs = {} if obj.get("roles") is None else obj["roles"]
     if not isinstance(role_specs, dict):
-        raise ConfigError(f"/roles: must be an object, got {role_specs!r}")
+        raise ConfigError(f"/roles: must be an object or null, got {role_specs!r}")
     for key, val in role_specs.items():
         path = f"/roles/{key}"
         agent = _agent_id(key, path)
-        if val == "normal":
-            roles[agent] = Normal()
-        elif val == "leader":
-            roles[agent] = Leader()
-        elif isinstance(val, dict) and "adversary" in val:
-            roles[agent] = _strategy_from_dict(val["adversary"], f"{path}/adversary")
+        if val in ("normal", "leader"):
+            roles[agent] = Normal() if val == "normal" else Leader()
         else:
-            raise ConfigError(f"{path}: expected 'normal', 'leader', or an adversary object")
+            _form(val, path, "adversary")
+            roles[agent] = _strategy_from_dict(val["adversary"], f"{path}/adversary")
 
     reference = None
     if obj.get("reference") is not None:
         ref = obj["reference"]
-        if not isinstance(ref, dict):
-            raise ConfigError("/reference: must be an object or null")
-        if "constant" in ref:
+        if _form(ref, "/reference", "constant", "breakpoints") == "constant":
             breakpoints = [(0, _require_finite(ref["constant"], "/reference/constant"))]
-        elif "breakpoints" in ref:
+        else:
             breakpoints = _require(ref["breakpoints"], "/reference/breakpoints", [(int, float)],
                                    "a list of [round, value] with integer rounds")
-        else:
-            raise ConfigError("/reference: expected 'constant' or 'breakpoints'")
         try:
             reference = ReferenceSignal(tuple(breakpoints))
         except ConfigError as exc:
@@ -787,17 +759,15 @@ def config_from_dict(obj: Any) -> SimConfig:
     init: tuple[float, float] | dict[int, float] = (-25.0, 25.0)
     if "init" in obj:
         spec = obj["init"]
-        if isinstance(spec, dict) and "range" in spec:
+        if _form(spec, "/init", "range", "values") == "range":
             init = tuple(_require(spec["range"], "/init/range", (float, float), "[lo, hi] of numbers"))
-        elif isinstance(spec, dict) and "values" in spec:
-            if not isinstance(spec["values"], dict):
-                raise ConfigError("/init/values: must map agent ids to numbers")
+        elif not isinstance(spec["values"], dict):
+            raise ConfigError("/init/values: must map agent ids to numbers")
+        else:
             init = {
                 _agent_id(k, f"/init/values/{k}"): _require(v, f"/init/values/{k}", float, "a number")
                 for k, v in spec["values"].items()
             }
-        else:
-            raise ConfigError("/init: expected {'range': [lo, hi]} or {'values': {...}}")
 
     scheme = None
     if "alpha" in obj or "weight_table" in obj:

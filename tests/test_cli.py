@@ -266,6 +266,16 @@ def _adversary(strategy):
     (_adversary({"type": "sinusoid", "amplitude": 10**400, "period": 4}), "/roles/5/adversary/amplitude"),
     ({"horizon": 10**400}, "/horizon"),
     ({"horizon": 2**61}, "/horizon"),
+    # every config object holds exactly one known form and no other key
+    ({"init": {"range": [0, 1], "values": {str(i): 0 for i in range(1, 9)}}}, "/init/values"),
+    ({"reference": {"constant": 1, "breakpoints": [[0, 5]]}}, "/reference/breakpoints"),
+    ({"init": {"range": [0, 1], "spread": 3}}, "/init/spread"),
+    ({"reference": {"constant": 1, "period": 3}}, "/reference/period"),
+    ({"roles": {"5": {"adversary": {"type": "constant", "value": 9.0}, "target": 3}}}, "/roles/5/target"),
+    ({"roles": False}, "/roles"),
+    ({"roles": []}, "/roles"),
+    ({"roles": 0}, "/roles"),
+    ({"roles": ""}, "/roles"),
 ])
 def test_run_hostile_config_shapes_exit_2_with_path(capsys, tmp_path, patch, path):
     config_path = tmp_path / "bad.json"
@@ -273,6 +283,16 @@ def test_run_hostile_config_shapes_exit_2_with_path(capsys, tmp_path, patch, pat
     code, _, err = run_cli(capsys, "run", str(config_path), "--out", str(tmp_path / "x"))
     assert code == 2
     assert err.startswith(f"error: {path}: "), err
+
+
+@pytest.mark.parametrize("tol", ["inf", "nan", "0"])
+def test_run_tol_not_finite_and_positive_exits_2_without_a_bundle(capsys, tmp_path, tol):
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(SAMPLE_CONFIG))
+    code, stdout, err = run_cli(capsys, "run", str(config_path), "--tol", tol, "--out", str(tmp_path / "x"))
+    assert code == 2 and stdout == ""
+    assert err.startswith("error: tolerance must be finite and positive"), err
+    assert not (tmp_path / "x").exists()
 
 
 def test_run_huge_f_exits_normally(capsys, tmp_path):

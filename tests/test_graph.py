@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -8,6 +9,7 @@ from rcl.graph import (
     graph_from_json,
     graph_to_json,
     load_graph,
+    load_graph_json,
     make_k_circulant,
     make_undirected_circulant,
     save_graph,
@@ -189,6 +191,22 @@ def test_json_roundtrip():
 def test_json_rejects_boolean_ids(obj):
     with pytest.raises(GraphError, match="integer"):
         graph_from_json(obj)
+
+
+@pytest.mark.parametrize("obj, pointer", [
+    ({"n": 3, "edges": [[1, 2], [2, 3, 1]]}, "/edges: expected a list of [i, j] pairs of integers"),
+    ({"n": "3", "edges": []}, "/n: expected an integer, got '3'"),
+    ({"edges": []}, "/n: expected an integer, got None"),
+    ({"n": 3, "edges": [[1, 2], [2, 3], [1, 2]]}, "/edges/2: duplicate edge (1, 2)"),
+    ({"n": 3, "edges": [[1, 1]]}, ": self-loop (1, 1) not allowed"),
+    ([[1, 2]], ": graph JSON must be an object with keys 'n' and 'edges'"),
+])
+def test_json_errors_name_the_file_and_pointer(tmp_path, obj, pointer):
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(obj))
+    with pytest.raises(GraphError) as exc:
+        load_graph_json(path)
+    assert str(exc.value).startswith(f"{path}#{pointer}"), exc.value
 
 
 def test_in_masks_match_in_neighbors():

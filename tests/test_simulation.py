@@ -253,6 +253,16 @@ def test_convergence_round_all_at_reference():
     assert compute_metrics(run(cfg), tol=1e-9).convergence_round == 0
 
 
+@pytest.mark.parametrize("tol", [float("inf"), float("nan"), 0.0, -1.0])
+def test_compute_metrics_rejects_a_tolerance_that_is_not_finite_and_positive(tol):
+    # with tol = inf every round is "within tol", so round 0 would read as
+    # converged while the normal agents still disagree
+    traj = run(basic_config(horizon=3))
+    assert compute_metrics(traj).final_disagreement > 0.1
+    with pytest.raises(ValueError, match="tolerance must be finite and positive"):
+        compute_metrics(traj, tol=tol)
+
+
 def test_convergence_round_requires_sustained_error():
     cfg = basic_config(horizon=100)
     m = compute_metrics(run(cfg), tol=1e-6)
@@ -401,6 +411,23 @@ def test_config_dict_pointer_errors():
         config_from_dict({**base, "init": {"spread": 3}})
     with pytest.raises(ConfigError, match="unknown configuration key"):
         config_from_dict({**base, "extra": 1})
+    # one form per object: a second form or an unknown key beside it is an error
+    with pytest.raises(ConfigError, match="^/init/values: unexpected key next to 'range'"):
+        config_from_dict({**base, "init": {"range": [0, 1], "values": {str(i): 0 for i in range(1, 7)}}})
+    with pytest.raises(ConfigError, match="^/reference/breakpoints: unexpected key next to 'constant'"):
+        config_from_dict({**base, "reference": {"constant": 1, "breakpoints": [[0, 5]]}})
+    with pytest.raises(ConfigError, match="^/init/spread: unexpected key"):
+        config_from_dict({**base, "init": {"range": [0, 1], "spread": 3}})
+    with pytest.raises(ConfigError, match="^/reference/period: unexpected key"):
+        config_from_dict({**base, "reference": {"constant": 1, "period": 3}})
+    with pytest.raises(ConfigError, match="^/roles/3/target: unexpected key"):
+        config_from_dict({**base, "roles": {"3": {"adversary": {"type": "constant", "value": 1}, "target": 4}}})
+    for roles in (False, [], 0, ""):
+        with pytest.raises(ConfigError, match="^/roles: must be an object or null"):
+            config_from_dict({**base, "roles": roles})
+    assert config_from_dict({**base, "roles": None}) == config_from_dict(base)
+    with pytest.raises(ConfigError, match="^/f: must be >= 0, got -1"):
+        config_from_dict({**base, "f": -1})
 
 
 def test_config_dict_errors_name_the_expected_shape():

@@ -11,6 +11,11 @@ output byte for byte.  One line per item, ``<sha256>  <label>``:
 - the same at ``--f 2`` (the fixed-F scenarios exit 2 there);
 - the same for ``rcl run`` on ``five_strategies.json``, which has a constant,
   a sinusoid, a ramp, a scripted and a per-edge Byzantine adversary;
+- the stdout (with ``elapsed_ms`` removed) and exit code of ``rcl check`` for
+  every property flag, true and false verdicts, both ``--method`` values,
+  graph files in both formats and the usage errors that exit 2;
+- the bytes of every file ``rcl gen-graph`` writes in ``edgelist`` and
+  ``json`` format;
 - the engine states of every scenario at seeds 0 and 7, and of that config
   under a table of distinct weights at seeds 0 to 2;
 - the engine states of a tie-heavy config (``tie_heavy_config``) under the
@@ -54,20 +59,49 @@ def _strip_elapsed(obj):
     return obj
 
 
-def _cli_digests(label: str, argv: list[str], out_dir: Path) -> list[str]:
+def _cli_digests(label: str, argv: list[str], out_dir: Path | None = None) -> list[str]:
+    """Digests of ``rcl ARGV``'s stdout, its exit code and the files it wrote
+    into ``out_dir``."""
     stdout = io.StringIO()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
-        code = cli.main([*argv, "--out", str(out_dir)])
+        code = cli.main(argv)
     text = stdout.getvalue()
     try:
         text = json.dumps(_strip_elapsed(json.loads(text)), indent=2)
     except json.JSONDecodeError:
         pass
     lines = [f"{_sha(text.encode())}  {label} stdout", f"{_sha(str(code).encode())}  {label} exit"]
-    if out_dir.is_dir():
+    if out_dir is not None and out_dir.is_dir():
         for path in sorted(out_dir.iterdir()):
             lines.append(f"{_sha(path.read_bytes())}  {label} {path.name}")
     return lines
+
+
+def _check_argvs(edgelist: str, graph_json: str) -> list[list[str]]:
+    """``rcl check`` argument lists over every property flag; the two files
+    hold C_10(1..7)."""
+    c10 = ["--circulant", "10", "7"]
+    argvs = [
+        [*c10, "--r-robust", "3"], ["--circulant", "6", "1", "--r-robust", "2"],
+        [*c10, "--rs-robust", "3", "2"], ["--circulant", "6", "1", "--rs-robust", "1", "6"],
+        ["--undirected-circulant", "8", "1,2", "--max-r"], ["--circulant", "7", "3", "--max-r"],
+        [*c10, "--certificate", "strong", "--set", "1-5", "--f", "1"],
+        [*c10, "--certificate", "tlf", "--set", "1,4,5", "--f", "2"],
+        [*c10, "--certificate", "strong", "--set", "1,4,5", "--f", "2"],
+        [*c10, "--certificate", "tlf"],
+        ["--graph", edgelist, "--certificate", "tlf", "--set", "1", "--f", "1"],
+        [*c10, "--strong", "3"],
+        [*c10, "--tlf", "2"],
+    ]
+    for prop, value in (("strong", "5"), ("tlf", "2")):
+        for method in ("peeling", "bruteforce"):
+            for ids in ("1,4,5", "1-3", "2"):
+                argvs.append([*c10, f"--{prop}", value, "--set", ids, "--method", method])
+            argvs.append(["--graph", graph_json, f"--{prop}", value,
+                          "--set", "1-5", "--method", method])
+    argvs.append(["--graph", edgelist, "--strong", "3", "--set", "1,4,5",
+                  "--method", "bruteforce", "--cap", "1"])
+    return argvs
 
 
 def distinct_weights(config: simulation.SimConfig) -> WeightScheme:
@@ -103,10 +137,22 @@ def tie_heavy_config() -> simulation.SimConfig:
 def digest_lines(tmp_dir: Path) -> list[str]:
     lines = []
     for name in scenarios.SCENARIO_NAMES:
-        lines += _cli_digests(f"scenario {name}", ["scenario", name], tmp_dir / name)
-        lines += _cli_digests(f"scenario {name} --f 2", ["scenario", name, "--f", "2"],
-                              tmp_dir / f"{name}-f2")
-    lines += _cli_digests("run five_strategies", ["run", str(CONFIG)], tmp_dir / "run")
+        out_dir, out_f2 = tmp_dir / name, tmp_dir / f"{name}-f2"
+        lines += _cli_digests(f"scenario {name}", ["scenario", name, "--out", str(out_dir)], out_dir)
+        lines += _cli_digests(f"scenario {name} --f 2", ["scenario", name, "--f", "2", "--out", str(out_f2)],
+                              out_f2)
+    out_dir = tmp_dir / "run"
+    lines += _cli_digests("run five_strategies", ["run", str(CONFIG), "--out", str(out_dir)], out_dir)
+    graphs = tmp_dir / "graphs"
+    for name, source in (("c10", ["--circulant", "10", "7"]), ("u8", ["--undirected-circulant", "8", "1,3"])):
+        for fmt in ("edgelist", "json"):
+            out_dir = graphs / f"{name}-{fmt}"
+            out_dir.mkdir(parents=True)
+            argv = ["gen-graph", *source, "--format", fmt, "-o", str(out_dir / f"{name}.{fmt}")]
+            lines += _cli_digests(f"gen-graph {name} {fmt}", argv, out_dir)
+    for argv in _check_argvs(str(graphs / "c10-edgelist" / "c10.edgelist"), str(graphs / "c10-json" / "c10.json")):
+        label = " ".join(argv).replace(str(graphs) + "/", "")
+        lines += _cli_digests(f"check {label}", ["check", *argv])
     for name in scenarios.SCENARIO_NAMES:
         scenario = scenarios.build_scenario(name)
         for seed in (0, 7):
