@@ -54,6 +54,7 @@ from .scenarios import (
 )
 from .simulation import (
     SimConfig,
+    check_tol,
     compute_metrics,
     config_from_dict,
     config_to_dict,
@@ -209,6 +210,7 @@ def _write_bundle(out_dir: Path, traj, metrics, report: dict, title: str, print_
 
 
 def cmd_run(args) -> int:
+    check_tol(args.tol)
     try:
         obj = json.loads(Path(args.config).read_text())
     except json.JSONDecodeError as exc:
@@ -405,7 +407,8 @@ def main(argv=None) -> int:
     except PreconditionError as exc:
         _log(f"precondition failure: {exc}")
         return 3
-    except (GraphError, ConfigError, ScenarioError, EnumerationCapError, ValueError, MemoryError) as exc:
+    except (GraphError, ConfigError, ScenarioError, EnumerationCapError, ValueError, MemoryError,
+            OSError) as exc:
         _log(f"error: {exc}")
         return 2
 

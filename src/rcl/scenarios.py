@@ -51,22 +51,43 @@ class PreconditionError(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# expected outcomes
+# expected outcomes: each has its metrics' ``tol`` and ``check(traj, metrics)``
 
 
 @dataclass(frozen=True)
 class ConvergesToReference:
     tol: float = 1e-6
 
+    def check(self, traj: Trajectory, metrics: Metrics) -> tuple[bool, str]:
+        ok = metrics.convergence_round is not None
+        return ok, (
+            f"convergence_round={metrics.convergence_round}, "
+            f"final_error={metrics.final_error:.3e} (tol={self.tol:g})"
+        )
+
 
 @dataclass(frozen=True)
 class StaysAtValue:
     value: float
+    tol = 1e-6
+
+    def check(self, traj: Trajectory, metrics: Metrics) -> tuple[bool, str]:
+        cols = traj.states[:, [i - 1 for i in traj.config.normals]]
+        ok = bool(np.all(cols == self.value))
+        return ok, f"all normal states == {self.value!r} at every round: {ok}"
 
 
 @dataclass(frozen=True)
 class NoConvergence:
     min_residual: float
+    tol = 1e-6
+
+    def check(self, traj: Trajectory, metrics: Metrics) -> tuple[bool, str]:
+        err = metrics.tracking_error
+        if err is None:
+            return False, "no reference signal, residual undefined"
+        ok = float(err.min()) >= self.min_residual
+        return ok, f"min residual {float(err.min()):.6g} vs required {self.min_residual:g}"
 
 
 @dataclass(frozen=True)
@@ -76,48 +97,18 @@ class ConsensusWithinHull:
 
     tol: float = 1e-6
 
-
-ExpectedOutcome = Union[ConvergesToReference, StaysAtValue, NoConvergence, ConsensusWithinHull]
-
-
-def outcome_tol(expected: ExpectedOutcome) -> float:
-    if isinstance(expected, (ConvergesToReference, ConsensusWithinHull)):
-        return expected.tol
-    return 1e-6
-
-
-def evaluate_outcome(
-    expected: ExpectedOutcome, traj: Trajectory, metrics: Metrics
-) -> tuple[bool, str]:
-    normals = traj.config.normals
-    if isinstance(expected, ConvergesToReference):
-        ok = metrics.convergence_round is not None
-        return ok, (
-            f"convergence_round={metrics.convergence_round}, "
-            f"final_error={metrics.final_error:.3e} (tol={expected.tol:g})"
-        )
-    if isinstance(expected, StaysAtValue):
-        cols = traj.states[:, [i - 1 for i in normals]]
-        ok = bool(np.all(cols == expected.value))
-        return ok, f"all normal states == {expected.value!r} at every round: {ok}"
-    if isinstance(expected, NoConvergence):
-        err = metrics.tracking_error
-        if err is None:
-            return False, "no reference signal, residual undefined"
-        ok = float(err.min()) >= expected.min_residual
-        return ok, (
-            f"min residual {float(err.min()):.6g} vs required {expected.min_residual:g}"
-        )
-    if isinstance(expected, ConsensusWithinHull):
-        cols = traj.states[:, [i - 1 for i in normals]]
+    def check(self, traj: Trajectory, metrics: Metrics) -> tuple[bool, str]:
+        cols = traj.states[:, [i - 1 for i in traj.config.normals]]
         lo, hi = cols[0].min(), cols[0].max()
         in_hull = bool(np.all(cols[-1] >= lo) and np.all(cols[-1] <= hi))
-        ok = metrics.final_disagreement <= expected.tol and in_hull
+        ok = metrics.final_disagreement <= self.tol and in_hull
         return ok, (
-            f"final_disagreement={metrics.final_disagreement:.3e} (tol={expected.tol:g}), "
+            f"final_disagreement={metrics.final_disagreement:.3e} (tol={self.tol:g}), "
             f"finals within initial hull [{lo:.3f}, {hi:.3f}]: {in_hull}"
         )
-    raise TypeError(f"unknown expected outcome {expected!r}")
+
+
+ExpectedOutcome = Union[ConvergesToReference, StaysAtValue, NoConvergence, ConsensusWithinHull]
 
 
 # ---------------------------------------------------------------------------
@@ -133,22 +124,15 @@ class PreconditionResult:
 
 @dataclass(frozen=True)
 class Precondition:
+    """``check`` returns ``(ok, detail)`` or a report: ok is its verdict, detail its ``to_json()``."""
+
     name: str
-    check: Callable[[], tuple[bool, Any]]
+    check: Callable[[], Union[tuple[bool, Any], RobustnessReport]]
 
     def evaluate(self) -> PreconditionResult:
-        ok, detail = self.check()
+        out = self.check()
+        ok, detail = (out.verdict, out.to_json()) if isinstance(out, RobustnessReport) else out
         return PreconditionResult(self.name, bool(ok), detail)
-
-
-def _report_precondition(name: str, decide: Callable[[], RobustnessReport]) -> Precondition:
-    """Holds when the robustness report ``decide()`` returns has a true verdict."""
-
-    def check():
-        report = decide()
-        return report.verdict, report.to_json()
-
-    return Precondition(name, check)
 
 
 # ---------------------------------------------------------------------------
@@ -205,14 +189,12 @@ class Scenario:
         and horizon.  ``jobs`` accepts only 1, as in ``simulation.run``; it
         remains so that callers that pass ``jobs=1`` keep working."""
         pre_results = self.check_preconditions()
-        config = replace(
-            self.base,
-            seed=self.base.seed if seed is None else seed,
-            horizon=self.base.horizon if horizon is None else horizon,
-        )
+        config = self.config(seed)
+        if horizon is not None:
+            config = replace(config, horizon=horizon)
         traj = run(config, jobs=jobs)
-        metrics = compute_metrics(traj, tol=outcome_tol(self.expected))
-        ok, detail = evaluate_outcome(self.expected, traj, metrics)
+        metrics = compute_metrics(traj, tol=self.expected.tol)
+        ok, detail = self.expected.check(traj, metrics)
         return ScenarioResult(self, config, traj, metrics, pre_results, ok, detail)
 
 
@@ -282,7 +264,7 @@ def _attacked_leaders_scenario(
             seed=seed,
         ),
         preconditions=(
-            _report_precondition(
+            Precondition(
                 "strongly_2f1_robust_certificate",
                 lambda: circulant_certificate(n, k, _DESIGNATED_LEADERS, f, "strong"),
             ),
@@ -337,15 +319,17 @@ DEFAULT_A2 = 10.0
 
 
 def _split_graph_candidates(
-    f: int, search_seed: int, budget: int, min_leader_in: int, n_malicious: int
+    f: int, search_seed: int, min_leader_in: int, n_malicious: int
 ) -> Iterator[tuple[Digraph, tuple[int, ...], tuple[int, ...], tuple[int, ...]]]:
-    """``budget`` random digraphs on 4F+6 agents, each yielded with its
-    designated leaders S1 = 1..F+1, followers S2 and malicious followers.
+    """``DEFAULT_SEARCH_BUDGET`` random digraphs on 4F+6 agents, each yielded
+    with its designated leaders S1 = 1..F+1, followers S2 and malicious
+    followers.
 
     Each candidate draws dense S2 x S2, then between ``min_leader_in`` and
     |S2| senders from S2 to each leader, then sparse S1 x S1; finally
     ``n_malicious`` drawn followers hear every leader and every other
-    follower hears at most F of them.
+    follower hears at most F of them.  The searches rely on this structure
+    and test only robustness.
     """
     if f < 1:
         raise ScenarioError(f"counterexample construction needs F >= 1, got {f}")
@@ -353,7 +337,7 @@ def _split_graph_candidates(
     n = 4 * f + 6
     s1 = tuple(range(1, f + 2))
     s2 = tuple(range(f + 2, n + 1))
-    for _ in range(budget):
+    for _ in range(DEFAULT_SEARCH_BUDGET):
         edges: set[tuple[int, int]] = set()
         for i in s2:
             for j in s2:
@@ -374,8 +358,8 @@ def _split_graph_candidates(
 
 
 def build_rs_counterexample(
-    f: int, search_seed: int = 1, budget: int = DEFAULT_SEARCH_BUDGET
-) -> tuple[Digraph, tuple[int, ...], tuple[int, ...]]:
+    f: int, search_seed: int = 1
+) -> tuple[Digraph, tuple[int, ...], tuple[int, ...], RobustnessReport]:
     """Randomized search for an (F+1, F+1)-robust digraph split into S1
     (F+1 designated leaders, each with >= F+1 in-neighbors outside S1) and S2
     (everyone else, each with <= F in-neighbors outside S2).
@@ -383,21 +367,18 @@ def build_rs_counterexample(
     Under W-MSR with S1 as leaders, no S2 agent ever keeps a value from
     outside S2, so S2 can never track the reference.
     """
-    for g, s1, s2, _ in _split_graph_candidates(f, search_seed, budget, f + 1, 0):
-        if not all(len(g.in_neighbors(i) - set(s1)) >= f + 1 for i in s1):
-            continue
-        if not all(len(g.in_neighbors(j) - set(s2)) <= f for j in s2):
-            continue
-        if is_rs_robust(g, f + 1, f + 1, force=True).verdict:
-            return g, s1, s2
+    for g, s1, s2, _ in _split_graph_candidates(f, search_seed, f + 1, 0):
+        report = is_rs_robust(g, f + 1, f + 1, force=True)
+        if report.verdict:
+            return g, s1, s2, report
     raise ScenarioError(
-        f"no (F+1,F+1)-robust counterexample found for F={f} within {budget} attempts"
+        f"no (F+1,F+1)-robust counterexample found for F={f} within {DEFAULT_SEARCH_BUDGET} attempts"
     )
 
 
 def build_2f1_counterexample(
-    f: int, search_seed: int = 1, budget: int = DEFAULT_SEARCH_BUDGET
-) -> tuple[Digraph, tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+    f: int, search_seed: int = 1
+) -> tuple[Digraph, tuple[int, ...], tuple[int, ...], tuple[int, ...], RobustnessReport]:
     """Randomized search for a (2F+1)-robust digraph with F+1 designated
     leaders S1 where exactly F followers receive from all of S1.
 
@@ -405,14 +386,12 @@ def build_2f1_counterexample(
     follower has at most F in-neighbors outside its own camp and never tracks
     the reference.
     """
-    for g, s1, s2, malicious in _split_graph_candidates(f, search_seed, budget, 2 * f + 1, f):
-        fully_connected = {j for j in s2 if set(s1) <= g.in_neighbors(j)}
-        if fully_connected != set(malicious):
-            continue
-        if is_r_robust(g, 2 * f + 1, force=True).verdict:
-            return g, s1, s2, malicious
+    for g, s1, s2, malicious in _split_graph_candidates(f, search_seed, 2 * f + 1, f):
+        report = is_r_robust(g, 2 * f + 1, force=True)
+        if report.verdict:
+            return g, s1, s2, malicious, report
     raise ScenarioError(
-        f"no (2F+1)-robust counterexample found for F={f} within {budget} attempts"
+        f"no (2F+1)-robust counterexample found for F={f} within {DEFAULT_SEARCH_BUDGET} attempts"
     )
 
 
@@ -439,7 +418,7 @@ def _counterexample_config(
 
 def counterexample_rs(f: int = 1, search_seed: int = 1) -> Scenario:
     """An (F+1, F+1)-robust network whose F+1 leaders can never pull the rest."""
-    g, s1, s2 = build_rs_counterexample(f, search_seed)
+    g, s1, s2, robustness = build_rs_counterexample(f, search_seed)
     s1_set, s2_set = set(s1), set(s2)
 
     def s1_check():
@@ -460,9 +439,7 @@ def counterexample_rs(f: int = 1, search_seed: int = 1) -> Scenario:
         expected=NoConvergence(abs(DEFAULT_A2 - DEFAULT_A1)),
         base=_counterexample_config(g, f, s1, s2, (), seed=505),
         preconditions=(
-            _report_precondition(
-                "rs_robustness_holds", lambda: is_rs_robust(g, f + 1, f + 1, force=True)
-            ),
+            Precondition("rs_robustness_holds", lambda: robustness),
             Precondition("leaders_have_f1_outside_in_neighbors", s1_check),
             Precondition("followers_capped_at_f_outside_in_neighbors", s2_check),
         ),
@@ -472,7 +449,7 @@ def counterexample_rs(f: int = 1, search_seed: int = 1) -> Scenario:
 def counterexample_2f1(f: int = 1, search_seed: int = 1) -> Scenario:
     """A (2F+1)-robust network defeated by F malicious followers that screen
     the only agents hearing all F+1 leaders."""
-    g, s1, s2, malicious = build_2f1_counterexample(f, search_seed)
+    g, s1, s2, malicious, robustness = build_2f1_counterexample(f, search_seed)
     s1_set = set(s1)
 
     def f_local_check():
@@ -495,9 +472,7 @@ def counterexample_2f1(f: int = 1, search_seed: int = 1) -> Scenario:
         expected=NoConvergence(abs(DEFAULT_A2 - DEFAULT_A1)),
         base=_counterexample_config(g, f, s1, s2, malicious, seed=606),
         preconditions=(
-            _report_precondition(
-                "2f1_robustness_holds", lambda: is_r_robust(g, 2 * f + 1, force=True)
-            ),
+            Precondition("2f1_robustness_holds", lambda: robustness),
             Precondition("adversaries_f_local", f_local_check),
             Precondition("full_leader_adjacency_limited_to_adversaries", adjacency_check),
         ),
@@ -548,7 +523,7 @@ def leader_deficit_scenario(f: int = 1) -> Scenario:
         expected=StaysAtValue(_DEFICIT_HOLD),
         base=base,
         preconditions=(
-            _report_precondition(
+            Precondition(
                 "graph_supports_2f1_leader_window",
                 lambda: circulant_certificate(n, k, window, f, "strong"),
             ),
@@ -569,7 +544,7 @@ def leader_deficit_contrast(f: int = 1) -> Scenario:
         expected=ConvergesToReference(1e-6),
         base=base,
         preconditions=(
-            _report_precondition(
+            Precondition(
                 "tlf_robust_certificate",
                 lambda: circulant_certificate(n, k, base.leaders, f, "tlf"),
             ),

@@ -457,11 +457,16 @@ class Metrics:
         return self.consensus_round is not None
 
 
+def check_tol(tol: float) -> None:
+    """Raise ValueError unless the convergence tolerance is finite and positive."""
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tolerance must be finite and positive, got {tol}")
+
+
 def _sustained_round(series: np.ndarray, tol: float) -> int | None:
     """Smallest t with series[s] <= tol for all s in [t, end]; None if the
     series ends above tol.  NaN counts as above tol."""
-    if not 0 < tol < math.inf:
-        raise ValueError(f"tolerance must be finite and positive, got {tol}")
+    check_tol(tol)
     above = np.nonzero(~(series <= tol))[0]
     if above.size == 0:
         return 0
@@ -543,16 +548,7 @@ def metrics_to_dict(m: Metrics) -> dict:
         "envelope": {
             "monotone": m.envelope_monotone,
             "interval_invariant": m.interval_invariant,
-            "intervals": [
-                {
-                    "start": iv.start,
-                    "end": iv.end,
-                    "envelope_monotone": iv.envelope_monotone,
-                    "interval_invariant": iv.interval_invariant,
-                    "end_error": iv.end_error,
-                }
-                for iv in m.intervals
-            ],
+            "intervals": [asdict(iv) for iv in m.intervals],
         },
     })
 

@@ -10,7 +10,9 @@ from pathlib import Path
 import pytest
 
 from rcl.cli import main, parse_id_set
-from rcl.simulation import config_from_dict
+from rcl.graph import make_k_circulant
+from rcl.scenarios import Precondition, Scenario, sim2
+from rcl.simulation import config_from_dict, run, write_edges_csv
 
 
 def run_cli(capsys, *argv):
@@ -44,6 +46,36 @@ def test_check_r_robust_false_exit_one(capsys):
     report = json.loads(out)
     assert report["verdict"] is False
     assert report["witness"]["s1"] and report["witness"]["s2"]
+
+
+@pytest.mark.parametrize("circulant, rs, verdict", [
+    (("10", "7"), ("3", "2"), True),
+    (("6", "1"), ("1", "6"), False),
+])
+def test_check_rs_robust(capsys, circulant, rs, verdict):
+    code, out, _ = run_cli(capsys, "check", "--circulant", *circulant, "--rs-robust", *rs)
+    report = json.loads(out)
+    assert code == (0 if verdict else 1)
+    assert report["property"] == "rs_robust" and report["verdict"] is verdict
+    assert report["params"] == {"r": int(rs[0]), "s": int(rs[1])}
+    if verdict:
+        assert report["witness"] is None
+    else:
+        witness = report["witness"]
+        assert witness["s1"] and witness["s2"]
+        assert len(witness["reachable_counts"]) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "{missing}", "--out", "{out}"],
+    ["check", "--graph", "{missing}", "--max-r"],
+])
+def test_missing_input_file_exits_2_with_one_error_line(capsys, tmp_path, argv):
+    paths = {"missing": tmp_path / "nope.json", "out": tmp_path / "x"}
+    code, out, err = run_cli(capsys, *(a.format(**paths) for a in argv))
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: "), err
+    assert "nope.json" in err
 
 
 def test_check_certificate_strong(capsys):
@@ -152,6 +184,37 @@ def test_run_bundle_and_determinism(capsys, tmp_path):
     for argv in (("run", str(config_path)), ("scenario", "sim2")):
         with pytest.raises(SystemExit):  # the engine runs serially and has no --jobs
             run_cli(capsys, *argv, "--out", str(tmp_path / "x"), "--jobs", "2")
+
+
+def test_run_bundle_with_byzantine_edges(capsys, tmp_path):
+    # a per-edge adversary adds edges.csv to the bundle, written as write_edges_csv writes it
+    edges = {str(j): {"type": "constant", "value": float(j)}
+             for j in make_k_circulant(8, 3).out_neighbors(5)}
+    config = {**SAMPLE_CONFIG, **_adversary({"type": "byzantine", "edges": edges})}
+    config_path = tmp_path / "byzantine.json"
+    config_path.write_text(json.dumps(config))
+    code, _, _ = run_cli(capsys, "run", str(config_path), "--out", str(tmp_path / "o"))
+    assert code in (0, 1)
+    traj = run(config_from_dict(config))
+    assert traj.edge_values
+    write_edges_csv(traj, tmp_path / "expected.csv")
+    assert (tmp_path / "o" / "edges.csv").read_bytes() == (tmp_path / "expected.csv").read_bytes()
+
+
+def test_run_report_config_reads_back_alpha_and_weight_table(capsys, tmp_path):
+    g = make_k_circulant(6, 2)
+    table = {str(i): {str(j): 0.5 if j == i else 0.25 for j in g.inclusive_neighbors(i)}
+             for i in g.vertices}
+    config = {"graph": {"circulant": [6, 2]}, "f": 0, "horizon": 10, "alpha": 0.2, "weight_table": table}
+    config_path = tmp_path / "weights.json"
+    config_path.write_text(json.dumps(config))
+    code, _, _ = run_cli(capsys, "run", str(config_path), "--out", str(tmp_path / "o"))
+    assert code in (0, 1)
+    written = json.loads((tmp_path / "o" / "report.json").read_text())["config"]
+    assert written["alpha"] == 0.2 and written["weight_table"] == table
+    scheme = config_from_dict(written).scheme
+    assert scheme == config_from_dict(config).scheme
+    assert scheme.table == {(int(i), int(j)): w for i, row in table.items() for j, w in row.items()}
 
 
 def test_run_svg_title_from_a_file_stem_is_escaped(capsys, tmp_path):
@@ -295,6 +358,19 @@ def test_run_tol_not_finite_and_positive_exits_2_without_a_bundle(capsys, tmp_pa
     assert not (tmp_path / "x").exists()
 
 
+@pytest.mark.parametrize("tol", ["inf", "nan", "0"])
+def test_run_rejects_tol_before_the_engine_runs(capsys, tmp_path, monkeypatch, tol):
+    def engine(config):
+        raise AssertionError("the engine ran before --tol was checked")
+
+    monkeypatch.setattr("rcl.cli.run_simulation", engine)
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(SAMPLE_CONFIG))
+    code, _, err = run_cli(capsys, "run", str(config_path), "--tol", tol, "--out", str(tmp_path / "x"))
+    assert code == 2
+    assert err.startswith("error: tolerance must be finite and positive"), err
+
+
 def test_run_huge_f_exits_normally(capsys, tmp_path):
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps({"graph": {"circulant": [6, 2]}, "f": 10**400, "horizon": 5,
@@ -339,6 +415,18 @@ def test_scenario_counterexample_exit_code(capsys, tmp_path):
     assert report["outcome_ok"] is True
     assert report["metrics"]["converged"] is False
     assert all(p["ok"] for p in report["preconditions"])
+
+
+def test_scenario_precondition_failure_exits_3(capsys, tmp_path, monkeypatch):
+    base = sim2()
+    doomed = Scenario(name="doomed", description="precondition always fails", expected=base.expected,
+                      base=base.base, preconditions=(Precondition("always_false", lambda: (False, "nope")),))
+    monkeypatch.setattr("rcl.cli.build_scenario", lambda name, f=None: doomed)
+    code, out, err = run_cli(capsys, "scenario", "sim2", "--out", str(tmp_path / "x"))
+    assert code == 3 and out == ""
+    assert err.startswith("precondition failure: "), err
+    assert "always_false" in err
+    assert not (tmp_path / "x").exists()
 
 
 def test_scenario_f_out_of_range_exits_2(capsys, tmp_path):

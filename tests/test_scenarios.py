@@ -3,13 +3,16 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+import rcl.scenarios
 from rcl.robustness import is_r_robust, is_rs_robust
 from rcl.scenarios import (
     SCENARIO_NAMES,
+    NoConvergence,
     Precondition,
     PreconditionError,
     Scenario,
     ScenarioError,
+    StaysAtValue,
     build_2f1_counterexample,
     build_rs_counterexample,
     build_scenario,
@@ -122,6 +125,36 @@ def test_counterexample_2f1_structure_and_outcome():
     result = scenario.run()
     assert result.outcome_ok
     assert np.all(result.metrics.tracking_error == 10.0)
+
+
+def test_counterexample_runs_reuse_the_search_certificate(monkeypatch):
+    # the search certifies robustness once; the robustness preconditions
+    # report that certificate instead of deciding it again
+    calls = []
+
+    def counted(decide):
+        def wrapper(*args, **kwargs):
+            calls.append(decide.__name__)
+            return decide(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(rcl.scenarios, "is_rs_robust", counted(is_rs_robust))
+    monkeypatch.setattr(rcl.scenarios, "is_r_robust", counted(is_r_robust))
+    for build, name in ((counterexample_rs, "rs_robustness_holds"), (counterexample_2f1, "2f1_robustness_holds")):
+        scenario = build(1)
+        assert calls
+        calls.clear()
+        result = scenario.run()
+        assert calls == []
+        pre = result.preconditions[0]
+        assert pre.name == name and pre.ok and pre.detail["verdict"] is True
+
+
+def test_outcomes_without_a_tol_field_use_1e_6():
+    for outcome, text in ((StaysAtValue(0.0), "StaysAtValue(value=0.0)"),
+                          (NoConvergence(10.0), "NoConvergence(min_residual=10.0)")):
+        assert outcome.tol == 1e-6
+        assert repr(outcome) == text
 
 
 def test_counterexample_search_is_deterministic():

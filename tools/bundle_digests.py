@@ -8,7 +8,8 @@ output byte for byte.  One line per item, ``<sha256>  <label>``:
 
 - every bundle file, the stdout (with any ``elapsed_ms`` removed) and the exit
   code of ``rcl scenario NAME`` for each built-in scenario;
-- the same at ``--f 2`` (the fixed-F scenarios exit 2 there);
+- the same at ``--f 2`` (the fixed-F scenarios exit 2 there), and for the
+  two counterexample scenarios also at ``--f 3`` and ``--f 4``;
 - the same for ``rcl run`` on ``five_strategies.json``, which has a constant,
   a sinusoid, a ramp, a scripted and a per-edge Byzantine adversary;
 - the stdout (with ``elapsed_ms`` removed) and exit code of ``rcl check`` for
@@ -141,6 +142,11 @@ def digest_lines(tmp_dir: Path) -> list[str]:
         lines += _cli_digests(f"scenario {name}", ["scenario", name, "--out", str(out_dir)], out_dir)
         lines += _cli_digests(f"scenario {name} --f 2", ["scenario", name, "--f", "2", "--out", str(out_f2)],
                               out_f2)
+    for name in ("counterexample-rs", "counterexample-2f1"):
+        for f in ("3", "4"):
+            out_dir = tmp_dir / f"{name}-f{f}"
+            lines += _cli_digests(f"scenario {name} --f {f}", ["scenario", name, "--f", f, "--out", str(out_dir)],
+                                  out_dir)
     out_dir = tmp_dir / "run"
     lines += _cli_digests("run five_strategies", ["run", str(CONFIG), "--out", str(out_dir)], out_dir)
     graphs = tmp_dir / "graphs"

@@ -47,7 +47,7 @@ def _one_seed(scenario, seed: int, out_dir: Path) -> dict[str, float]:
     t0 = clock()
     traj = simulation.run(scenario.config(seed))
     t1 = clock()
-    metrics = simulation.compute_metrics(traj, tol=scenarios.outcome_tol(scenario.expected))
+    metrics = simulation.compute_metrics(traj, tol=scenario.expected.tol)
     t2 = clock()
     simulation.write_trajectory_csv(traj, out_dir / "trajectory.csv")
     if traj.edge_values:
