@@ -54,13 +54,12 @@ class Digraph:
     @cached_property
     def in_masks(self) -> tuple[int, ...]:
         """Per-vertex in-neighborhood as a bitmask; bit (v-1) set iff v is an in-neighbor."""
-        masks = []
-        for i in self.vertices:
-            m = 0
-            for j in self._neighbor_sets[0][i - 1]:
-                m |= 1 << (j - 1)
-            masks.append(m)
-        return tuple(masks)
+        return tuple(sum(1 << (j - 1) for j in s) for s in self._neighbor_sets[0])
+
+    @cached_property
+    def out_masks(self) -> tuple[int, ...]:
+        """Per-vertex out-neighborhood as a bitmask; bit (v-1) set iff v is an out-neighbor."""
+        return tuple(sum(1 << (j - 1) for j in s) for s in self._neighbor_sets[1])
 
     def _check_vertex(self, i: int) -> None:
         if not (1 <= i <= self.n):

@@ -21,21 +21,29 @@ vertex tuple.
 Both enumerations share one split counter, j = (hi << L) | lo with L the
 smaller of 16 and the number of enumerated vertices.  A vertex's in-degree
 outside the enumerated set is ``in_deg - popcount(lo & in_lo) -
-popcount(hi & in_hi)``: the low part is one int16 table per call (int32 once
-an in-degree reaches 2^15), and each hi is a chunk of 2^L counters that
+popcount(hi & in_hi)``: the low part is one uint8 table per call (uint32 once
+an in-degree reaches 2^8), and each hi is a chunk of 2^L counters that
 subtracts a per-vertex constant, so counting holds about (vertices x 2^16)
 small ints however many subsets there are.  The pair checks are a DP in
 O(n 2^n): a uint8 table over all subsets and one minimum over submasks give
 each subset its best disjoint partner.  The complement checks enumerate V \\ S
 once per (graph, S) into a small table of the first violating C per pair of
 degree bounds, so a query is one lookup; its key comes straight from the
-enumeration counter.  Peeling admits from a heap of eligible ids.
+enumeration counter, and so does a false verdict's witness.  Peeling works on
+bitmasks: the eligible ids are one int, the lowest set bit is admitted next,
+and each admission recounts, one popcount each, the in-neighbors in R of its
+out-neighbors (``Digraph.out_masks``) not yet eligible.
+
+Every public decider takes vertex ids and integer parameters as
+``operator.index`` does, bools excepted, and normalises them to int; a bad id
+raises GraphError naming the smallest one, a bad parameter ValueError.
 """
 
 from __future__ import annotations
 
-import heapq
 import itertools
+import numbers
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -65,7 +73,7 @@ class Property(str, Enum):
     CIRCULANT_CERTIFICATE = "circulant_certificate"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class RobustnessReport:
     """Verdict for one property query, with a machine-checkable witness.
 
@@ -80,6 +88,13 @@ class RobustnessReport:
     witness: dict | None
     method: str
 
+    def __init__(self, property: Property, params: dict, verdict: bool, witness: dict | None,
+                 method: str) -> None:
+        # frozen: store straight into the instance dict, not through setattr
+        fields = self.__dict__
+        fields["property"], fields["params"], fields["verdict"] = property, params, verdict
+        fields["witness"], fields["method"] = witness, method
+
     def to_json(self) -> dict:
         return {
             "property": self.property.value,
@@ -91,22 +106,55 @@ class RobustnessReport:
 
 
 # ---------------------------------------------------------------------------
-# mask helpers
+# argument and mask helpers
 
 
-def _vertex_set(g: Digraph, s: Iterable[int]) -> frozenset[int]:
-    out = frozenset(s)
-    for v in out:
-        if not (1 <= v <= g.n):
-            raise GraphError(f"vertex {v} outside 1..{g.n}")
+def _integer(value, name: str) -> int:
+    """``value`` as an int: whatever ``operator.index`` takes except bool, else ValueError."""
+    if type(value) is int:
+        return value
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def _count(value, name: str) -> int:
+    value = _integer(value, name)
+    if value < 0:
+        raise ValueError(f"{name} must be >= 0, got {value}")
+    return value
+
+
+def _vertex_mask(n: int, ids: Iterable[int], what: str = "vertex") -> int:
+    """The bitmask of ``ids`` (each as ``_integer`` takes it), vertex v at bit
+    v - 1; an id outside 1..n raises GraphError naming the smallest bad id."""
+    mask, bad = 0, []
+    for v in ids:
+        try:
+            i = v if type(v) is int else _integer(v, what)
+        except ValueError:
+            i = None
+        if i is not None and 0 < i <= n:
+            mask |= 1 << (i - 1)
+        else:
+            bad.append(v if i is None else i)
+    if bad:
+        v = min(bad, key=lambda v: (0, v) if isinstance(v, numbers.Real) else (1, repr(v)))
+        raise GraphError(f"{what} {v} outside 1..{n}" if type(v) is int else f"{what} {v!r} is not an integer id")
+    return mask
+
+
+def _members(mask: int) -> list[int]:
+    """The vertices of a bitmask (vertex v at bit v - 1), in increasing order."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length())
+        mask ^= low
     return out
-
-
-def _mask_of(vertices: Iterable[int]) -> int:
-    m = 0
-    for v in vertices:
-        m |= 1 << (v - 1)
-    return m
 
 
 # ---------------------------------------------------------------------------
@@ -127,33 +175,48 @@ def _low_counters(width: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return tables
 
 
-def _split_outside(g: Digraph, by_bit: list[int]) -> tuple[int, np.ndarray, np.ndarray]:
-    """The counter over the vertices ``by_bit``, vertex ``by_bit[b]`` at bit b,
-    split at ``width = min(len(by_bit), _LOW_BITS)``.
+def _split_outside(g: Digraph, vertices: int) -> tuple[list[int], list[int], int, np.ndarray, np.ndarray]:
+    """The counter over the vertices of the mask ``vertices``, the b-th largest
+    at bit b, split at ``width = min(count, _LOW_BITS)``.
 
-    Row b of the first array is the in-degree of ``by_bit[b]`` minus its
-    in-neighbors among the members of each low counter, in int16 (int32 once an
-    in-degree reaches 2^15); counter ``(hi << width) | lo`` also subtracts
-    ``popcount(hi & high[b])``, ``high`` being the second.  Returns ``width``
-    and the two arrays.
+    Returns the vertices by bit, their in-degrees, ``width`` and two arrays.
+    Row b of the first is the in-degree of vertex b minus its in-neighbors
+    among the members of each low counter, in uint8 (uint32 once an in-degree
+    reaches 2^8).  Row b of the second is vertex b's in-neighbors as a mask by
+    bit, so counter ``(hi << width) | lo`` also subtracts ``popcount(mask &
+    hi << width)``; the low and high members are disjoint, so that never
+    takes an unsigned count below zero.
     """
+    by_bit, bit_of, rest = [], [0] * (g.n + 1), vertices
+    while rest:
+        v = rest.bit_length()
+        bit_of[v] = 1 << len(by_bit)
+        by_bit.append(v)
+        rest ^= 1 << (v - 1)
     if len(by_bit) > 62:  # the counter is an int64
         raise EnumerationCapError(
             f"cannot enumerate the subsets of {len(by_bit)} vertices, even forced"
         )
+    masks, in_deg = [], []
+    for v in by_bit:
+        in_mask = g.in_masks[v - 1]
+        in_deg.append(in_mask.bit_count())
+        inner, bits = in_mask & vertices, 0
+        while inner:
+            low = inner & -inner
+            inner ^= low
+            bits |= bit_of[low.bit_length()]
+        masks.append(bits)
     width = min(len(by_bit), _LOW_BITS)
-    pos = {v: b for b, v in enumerate(by_bit)}
-    masks = [sum(1 << pos[u] for u in g.in_neighbors(v) if u in pos) for v in by_bit]
+    dtype = np.uint8 if max(in_deg) < 1 << 8 else np.uint32
     masks = np.array(masks, dtype=np.int64)
-    in_deg = [g.in_masks[v - 1].bit_count() for v in by_bit]
-    dtype = np.int16 if max(in_deg) < 1 << 15 else np.int32
-    # popcount the first 10 bits; doubling the table per further bit is cheaper
-    base = min(width, 10)
-    low = (masks & ((1 << base) - 1))[:, None] & _low_counters(base)[0]
-    outside = np.array(in_deg, dtype=dtype)[:, None] - np.bitwise_count(low)
-    for b in range(base, width):
+    # popcount the first 10 bits (lo < 2^10, so the mask's low 32 bits are
+    # enough); doubling the table per further bit is cheaper
+    lo = _low_counters(min(width, 10))[0]
+    outside = np.array(in_deg, dtype=dtype)[:, None] - np.bitwise_count(masks.astype(np.int32)[:, None] & lo)
+    for b in range(10, width):
         outside = np.hstack([outside, outside - ((masks >> b) & 1).astype(dtype)[:, None]])
-    return width, outside, masks >> width
+    return by_bit, in_deg, width, outside, masks
 
 
 # ---------------------------------------------------------------------------
@@ -165,12 +228,11 @@ def r_reachable_set(g: Digraph, s: Iterable[int], r: int) -> frozenset[int]:
 
     S is r-reachable iff the result is nonempty.
     """
-    subset = _vertex_set(g, s)
-    if not subset:
+    mask = _vertex_mask(g.n, s)
+    if not mask:
         raise GraphError("subset must be nonempty")
-    if r < 0:
-        raise ValueError(f"r must be >= 0, got {r}")
-    return frozenset(i for i in subset if len(g.in_neighbors(i) - subset) >= r)
+    r = _count(r, "r")
+    return frozenset(i for i in _members(mask) if (g.in_masks[i - 1] & ~mask).bit_count() >= r)
 
 
 # ---------------------------------------------------------------------------
@@ -193,12 +255,12 @@ def _subset_table(g: Digraph, cap: int | None, force: bool, fill) -> np.ndarray:
             f"of {PAIR_SCAN_BUDGET >> 20} MB (PAIR_SCAN_BUDGET), even forced"
         )
     table = np.empty(1 << n, dtype=np.uint8)
-    width, outside, high = _split_outside(g, list(g.vertices)[::-1])
+    *_, width, outside, masks = _split_outside(g, (1 << n) - 1)
     _, sizes, bits = _low_counters(width)
     members = np.vstack([bits, np.empty((n - width, 1 << width), dtype=bool)])
     for hi in range(1 << (n - width)):
         members[width:] = ((hi >> np.arange(n - width)) & 1).astype(bool)[:, None]
-        chunk = outside - np.bitwise_count(high & hi)[:, None] if hi else outside
+        chunk = outside - np.bitwise_count(masks & (hi << width))[:, None] if hi else outside
         table[hi << width:(hi + 1) << width] = fill(chunk, members, sizes + hi.bit_count())
     return table
 
@@ -262,8 +324,7 @@ def is_r_robust(
     This is (r, 1)-robustness; a false verdict carries the first violating
     pair in canonical subset order.
     """
-    if r < 0:
-        raise ValueError(f"r must be >= 0, got {r}")
+    r = _count(r, "r")
     params = {"r": r}
     if r == 0:
         return RobustnessReport(Property.R_ROBUST, params, True, None, "bruteforce")
@@ -278,8 +339,7 @@ def is_rs_robust(
     For every nonempty disjoint pair (S1, S2), at least one of: all of S1 is
     r-reachable, all of S2 is, or the r-reachable members of both total >= s.
     """
-    if r < 0:
-        raise ValueError(f"r must be >= 0, got {r}")
+    r, s = _count(r, "r"), _integer(s, "s")
     if not (1 <= s <= g.n):
         raise ValueError(f"s must be in [1, n]={g.n}, got {s}")
     params = {"r": r, "s": s}
@@ -309,36 +369,35 @@ def _first_violations(g: Digraph, s_mask: int) -> np.ndarray:
     whose members have at most a in-neighbors in S and at most o outside C,
     else ``_NO_VIOLATION``; rows and columns stop at the largest degree.
 
-    Bit b of the counter j stands for ``free[f-1-b]``, so within one size the
-    canonical order is descending j, and the key is
+    Bit b of the counter j stands for the b-th largest vertex of V \\ S, so
+    within one size the canonical order is descending j, and the key is
     ``(popcount(j) << f) | (2^f - 1 - j)``.  j is split at the low
-    ``min(f, _LOW_BITS)`` bits: the low counters' in-degrees outside C (int16,
-    or int32 once an in-degree reaches 2^15), maxima from S and key terms are
-    built once, and each hi adds its own members and constants to them.  A
-    non-member counts 0 outside C, which never raises the maximum of a nonempty
-    C.  Callers skip the cache (``__wrapped__``) above 16 free vertices.
+    ``min(f, _LOW_BITS)`` bits: the low counters' in-degrees outside C, maxima
+    from S and key terms are built once, and each hi adds its own members and
+    constants to them.  A non-member counts 0 outside C, which never raises the
+    maximum of a nonempty C.  Callers skip the cache (``__wrapped__``) above 16
+    free vertices.
     """
-    free = [v for v in g.vertices if not (s_mask >> (v - 1)) & 1]
-    f, top = len(free), (1 << len(free)) - 1
-    by_bit = free[::-1]
-    width, outside, high = _split_outside(g, by_bit)
+    by_bit, in_deg, width, outside, masks = _split_outside(g, ((1 << g.n) - 1) & ~s_mask)
+    f, top = len(by_bit), (1 << len(by_bit)) - 1
     lo, sizes, bits = _low_counters(width)
     from_s = [(g.in_masks[v - 1] & s_mask).bit_count() for v in by_bit]
-    rows, cols = max(from_s) + 1, int(outside[:, 0].max()) + 1  # lo = 0: the in-degrees
-    from_s = np.array(from_s, dtype=outside.dtype)  # keeps bits * from_s narrow
-    low_outside = bits * outside[:width]
-    low_cell = (bits * from_s[:width, None]).max(axis=0) * np.int64(cols)
+    rows, cols = max(from_s) + 1, max(in_deg) + 1
+    # a C's cell is its row (from S) times cols plus its column (outside); both
+    # are maxima over the members, so a product with the 0/1 members masks them
+    low_members = bits.view(np.uint8)
+    cell_of = np.array([a * cols for a in from_s], dtype=np.uint8 if rows * cols <= 1 << 8 else np.uint32)
+    low_cell = (low_members * cell_of[:width, None]).max(axis=0)
     low_key = (sizes << f) - lo
     first = np.full(rows * cols, _NO_VIOLATION, dtype=np.int64)
-    max_outside, cell = low_outside.max(axis=0), low_cell  # hi = 0
     for hi in range(1 << (f - width)):
         if hi:
-            ph = np.bitwise_count(high & hi)[:, None]
+            chunk = outside - np.bitwise_count(masks & (hi << width))[:, None]
             members = [b for b in range(width, f) if hi >> (b - width) & 1]
-            max_outside = np.maximum(
-                (low_outside - ph[:width]).max(axis=0), (outside[members] - ph[members]).max(axis=0)
-            )
-            cell = np.maximum(low_cell, int(from_s[members].max()) * cols)
+            max_outside = np.maximum((low_members * chunk[:width]).max(axis=0), chunk[members].max(axis=0))
+            cell = np.maximum(low_cell, cell_of[members].max())
+        else:
+            max_outside, cell = (low_members * outside[:width]).max(axis=0), low_cell
         start = 0 if hi else 1  # the empty C
         key = low_key[start:] + ((hi.bit_count() << f) + top - (hi << width))
         np.minimum.at(first, (cell + max_outside)[start:], key)
@@ -349,21 +408,15 @@ def _first_violations(g: Digraph, s_mask: int) -> np.ndarray:
     return first
 
 
-def _leader_set(g: Digraph, s: Iterable[int]) -> frozenset[int]:
-    subset = _vertex_set(g, s)
-    if not subset:
-        raise GraphError("S must be nonempty")
-    return subset
-
-
 def _bruteforce(
-    g: Digraph, s: frozenset[int], anchor: int, reach: int,
+    g: Digraph, s_mask: int, anchor: int, reach: int,
     prop: Property, params: dict, cap: int | None, force: bool,
 ) -> RobustnessReport:
-    """Every nonempty C in V \\ S has a member with >= anchor in-neighbors in S
-    or >= reach in-neighbors outside C, by enumeration.  A false verdict
-    carries the first violating C in canonical subset order."""
-    free, limit = g.n - len(s), DEFAULT_COMPLEMENT_CAP if cap is None else cap
+    """Every nonempty C in V \\ S (S the mask ``s_mask``) has a member with
+    >= anchor in-neighbors in S or >= reach in-neighbors outside C, by
+    enumeration.  A false verdict carries the first violating C in canonical
+    subset order, read off its key."""
+    free, limit = g.n - s_mask.bit_count(), DEFAULT_COMPLEMENT_CAP if cap is None else cap
     if free == 0:
         return RobustnessReport(prop, params, True, None, "bruteforce")
     if free > limit and not force:
@@ -371,44 +424,69 @@ def _bruteforce(
             f"complement size {free} exceeds enumeration cap {limit}; pass force=True to override"
         )
     if anchor > 0 and reach > 0:
-        build = _first_violations if free <= 16 else _first_violations.__wrapped__
-        first = build(g, _mask_of(s))
-        key = int(first[min(anchor, first.shape[0]) - 1, min(reach, first.shape[1]) - 1])
+        first = (_first_violations if free <= 16 else _first_violations.__wrapped__)(g, s_mask)
+        rows, cols = first.shape
+        key = first.item(min(anchor, rows) - 1, min(reach, cols) - 1)
         if key != _NO_VIOLATION:
-            j = (1 << free) - 1 - (key & ((1 << free) - 1))
-            outside = [v for v in g.vertices if v not in s]
-            witness = {"violating_subset": [v for p, v in enumerate(outside) if j >> (free - 1 - p) & 1]}
-            return RobustnessReport(prop, params, False, witness, "bruteforce")
+            # bit b of j is the b-th largest free vertex: walk them from the
+            # smallest, bit free - 1, until j runs out
+            j, rest, b, subset = ~key & ((1 << free) - 1), ((1 << g.n) - 1) & ~s_mask, free, []
+            while j:
+                low = rest & -rest
+                rest ^= low
+                b -= 1
+                if j >> b & 1:
+                    j ^= 1 << b
+                    subset.append(low.bit_length())
+            return RobustnessReport(prop, params, False, {"violating_subset": subset}, "bruteforce")
     return RobustnessReport(prop, params, True, None, "bruteforce")
 
 
 def _peeling(
-    g: Digraph, s: frozenset[int], anchor: int, reach: int, prop: Property, params: dict
+    g: Digraph, s_mask: int, anchor: int, reach: int, prop: Property, params: dict
 ) -> RobustnessReport:
-    """Grow R from S by admitting the lowest-id vertex outside R with >= anchor
-    in-neighbors in S or >= reach in-neighbors in R; the property holds iff R
-    reaches the full vertex set.  Eligibility only grows with R, so the
-    verdict does not depend on the scan order, and a heap of eligible ids fed
-    by in-counts admits in the order a rescan would.  The witness is the
-    admission order (true) or the stalled complement (false)."""
-    s_mask, low = _mask_of(s), min(anchor, reach)
-    in_r = [(m & s_mask).bit_count() for m in g.in_masks]  # in-neighbors in R
-    eligible = [v for v, count in zip(g.vertices, in_r) if count >= low and v not in s]
-    seen = {*s, *eligible}
-    admitted: list[int] = []
-    # once every vertex is seen, the rest leave the heap in id order
-    while eligible and len(seen) < g.n:
-        v = heapq.heappop(eligible)
-        admitted.append(v)
-        for w in g.out_neighbors(v) - seen:
-            in_r[w - 1] += 1
-            if in_r[w - 1] >= reach:
-                seen.add(w)
-                heapq.heappush(eligible, w)
-    if len(seen) == g.n:
-        return RobustnessReport(prop, params, True, {"admission_order": admitted + sorted(eligible)}, "peeling")
-    witness = {"stalled_complement": [v for v in g.vertices if v not in seen]}
-    return RobustnessReport(prop, params, False, witness, "peeling")
+    """Grow R from S (the mask ``s_mask``) by admitting the lowest-id vertex
+    outside R with >= anchor in-neighbors in S or >= reach in-neighbors in R;
+    the property holds iff R reaches the full vertex set.  Eligibility only
+    grows with R, so the verdict does not depend on the scan order.  The
+    eligible ids are a bitmask and the lowest set bit goes next, so admission
+    follows the order a rescan would.  An admission recounts only its
+    out-neighbors not yet eligible (``Digraph.out_masks``), by a popcount of
+    their in-masks against R.  The witness is the admission order (true) or
+    the stalled complement (false)."""
+    full, low, in_masks = (1 << g.n) - 1, min(anchor, reach), g.in_masks
+    eligible = 0
+    for v, m in enumerate(in_masks):
+        if (m & s_mask).bit_count() >= low:
+            eligible |= 1 << v
+    eligible &= ~s_mask
+    grown, seen, out_masks, admitted = s_mask, s_mask | eligible, g.out_masks, []
+    # once every vertex is seen, the rest are admitted in id order
+    while eligible and seen != full:
+        bit = eligible & -eligible
+        eligible ^= bit
+        grown |= bit
+        admitted.append(v := bit.bit_length())
+        fresh = out_masks[v - 1] & ~seen
+        while fresh:
+            w = fresh.bit_length()
+            fresh ^= 1 << (w - 1)
+            if (in_masks[w - 1] & grown).bit_count() >= reach:
+                seen |= 1 << (w - 1)
+                eligible |= 1 << (w - 1)
+    if seen == full:
+        return RobustnessReport(prop, params, True, {"admission_order": admitted + _members(eligible)}, "peeling")
+    return RobustnessReport(prop, params, False, {"stalled_complement": _members(full ^ seen)}, "peeling")
+
+
+def _complement_query(g: Digraph, s: Iterable[int], value: int, name: str) -> tuple[int, int, dict]:
+    """The leader mask, the parameter ``name`` (r or F) and the report params
+    of a complement decider call, validated."""
+    s_mask = _vertex_mask(g.n, s)
+    if not s_mask:
+        raise GraphError("S must be nonempty")
+    value = _count(value, name)
+    return s_mask, value, {name.lower(): value, "set": _members(s_mask)}
 
 
 # Strong r-robustness is the (anchor, reach) = (r, r) test: S and C are
@@ -420,11 +498,8 @@ def is_strongly_r_robust_bruteforce(
     g: Digraph, s: Iterable[int], r: int, *, cap: int | None = None, force: bool = False
 ) -> RobustnessReport:
     """Check every nonempty C in V \\ S for r-reachability, by enumeration."""
-    subset = _leader_set(g, s)
-    if r < 0:
-        raise ValueError(f"r must be >= 0, got {r}")
-    params = {"r": r, "set": sorted(subset)}
-    return _bruteforce(g, subset, r, r, Property.STRONG_R, params, cap, force)
+    s_mask, r, params = _complement_query(g, s, r, "r")
+    return _bruteforce(g, s_mask, r, r, Property.STRONG_R, params, cap, force)
 
 
 def is_tlf_robust_bruteforce(
@@ -435,32 +510,23 @@ def is_tlf_robust_bruteforce(
     Every nonempty C in V \\ S must contain a vertex with >= F+1 in-neighbors
     in S, or be (2F+1)-reachable.
     """
-    subset = _leader_set(g, s)
-    if f < 0:
-        raise ValueError(f"F must be >= 0, got {f}")
-    params = {"f": f, "set": sorted(subset)}
-    return _bruteforce(g, subset, f + 1, 2 * f + 1, Property.TLF, params, cap, force)
+    s_mask, f, params = _complement_query(g, s, f, "F")
+    return _bruteforce(g, s_mask, f + 1, 2 * f + 1, Property.TLF, params, cap, force)
 
 
 def is_strongly_r_robust_peeling(g: Digraph, s: Iterable[int], r: int) -> RobustnessReport:
     """Polynomial decision for strong r-robustness w.r.t. S: starting from
     R = S, admit vertices with >= r in-neighbors already in R."""
-    subset = _leader_set(g, s)
-    if r < 0:
-        raise ValueError(f"r must be >= 0, got {r}")
-    params = {"r": r, "set": sorted(subset)}
-    return _peeling(g, subset, r, r, Property.STRONG_R, params)
+    s_mask, r, params = _complement_query(g, s, r, "r")
+    return _peeling(g, s_mask, r, r, Property.STRONG_R, params)
 
 
 def is_tlf_robust_peeling(g: Digraph, s: Iterable[int], f: int) -> RobustnessReport:
     """Polynomial decision for TLF robustness with parameter F: starting from
     R = S, admit vertices with >= F+1 in-neighbors in S or >= 2F+1
     in-neighbors already in R."""
-    subset = _leader_set(g, s)
-    if f < 0:
-        raise ValueError(f"F must be >= 0, got {f}")
-    params = {"f": f, "set": sorted(subset)}
-    return _peeling(g, subset, f + 1, 2 * f + 1, Property.TLF, params)
+    s_mask, f, params = _complement_query(g, s, f, "F")
+    return _peeling(g, s_mask, f + 1, 2 * f + 1, Property.TLF, params)
 
 
 # ---------------------------------------------------------------------------
@@ -485,16 +551,12 @@ def circulant_certificate(
         raise ValueError(f"mode must be 'strong' or 'tlf', got {mode!r}")
     if n < 2 or not (1 <= k <= n - 1):
         raise GraphError(f"invalid circulant parameters n={n}, k={k}")
-    if f < 0:
-        raise ValueError(f"F must be >= 0, got {f}")
-    leader_set = frozenset(leaders)
-    for v in leader_set:
-        if not (1 <= v <= n):
-            raise GraphError(f"leader {v} outside 1..{n}")
+    f = _count(f, "F")
+    mask = _vertex_mask(n, leaders, "leader")
     max_len = k if mode == "strong" else k - f
     required = 2 * f + 1 if mode == "strong" else f + 1
-    params = {"n": n, "k": k, "f": f, "mode": mode, "leaders": sorted(leader_set)}
-    leaders_before = [0, *itertools.accumulate(s % n + 1 in leader_set for s in range(2 * n))]
+    params = {"n": n, "k": k, "f": f, "mode": mode, "leaders": _members(mask)}
+    leaders_before = [0, *itertools.accumulate(mask >> (s % n) & 1 for s in range(2 * n))]
     for length, start in itertools.product(range(1, min(max_len, n) + 1), range(n)):
         if leaders_before[start + length] - leaders_before[start] >= required:
             window = [(start + j) % n + 1 for j in range(length)]

@@ -215,3 +215,16 @@ def test_in_masks_match_in_neighbors():
         mask = g.in_masks[i - 1]
         members = {v for v in g.vertices if mask >> (v - 1) & 1}
         assert members == g.in_neighbors(i)
+
+
+@pytest.mark.parametrize("g", [make_k_circulant(9, 4), make_undirected_circulant(70, [1, 3, 33])],
+                         ids=["C_9(1..4)", "C_70(+-1,3,33)"])
+def test_out_masks_match_out_neighbors(g):
+    rng = random.Random(13)
+    h = Digraph(g.n, frozenset(e for e in g.edges if rng.random() < 0.7))  # not symmetric
+    for graph in (g, h):
+        assert len(graph.out_masks) == graph.n
+        for i in graph.vertices:
+            mask = graph.out_masks[i - 1]
+            assert mask >> graph.n == 0
+            assert {v for v in graph.vertices if mask >> (v - 1) & 1} == graph.out_neighbors(i)

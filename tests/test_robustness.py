@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import os
@@ -26,6 +27,7 @@ from rcl.graph import Digraph, GraphError, make_k_circulant, make_undirected_cir
 from rcl.robustness import (
     EnumerationCapError,
     Property,
+    RobustnessReport,
     circulant_certificate,
     circulant_r_robustness_lower_bound,
     is_r_robust,
@@ -68,6 +70,91 @@ def test_reachable_rejects_empty_set():
         r_reachable_set(g, set(), 1)
     with pytest.raises(GraphError):
         r_reachable_set(g, {9}, 1)
+
+
+def test_reports_stay_frozen_dataclasses():
+    report = RobustnessReport(Property.TLF, {"f": 1, "set": [1]}, False, {"violating_subset": [2]}, "bruteforce")
+    assert repr(report) == ("RobustnessReport(property=<Property.TLF: 'tlf_robust'>, params={'f': 1, 'set': [1]}, "
+                            "verdict=False, witness={'violating_subset': [2]}, method='bruteforce')")
+    assert [f.name for f in dataclasses.fields(report)] == ["property", "params", "verdict", "witness", "method"]
+    assert report == dataclasses.replace(report) and report != dataclasses.replace(report, method="peeling")
+    assert report != (Property.TLF, {"f": 1, "set": [1]}, False, {"violating_subset": [2]}, "bruteforce")
+    for name in ("verdict", "extra"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(report, name, True)
+    with pytest.raises(TypeError):  # unhashable through its dict fields, as before
+        hash(report)
+
+
+class _Index:
+    """An integer-like id that is not an int, as NumPy's are."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __index__(self):
+        return self.value
+
+
+_COMPLEMENT_DECIDERS = (
+    is_strongly_r_robust_bruteforce,
+    is_strongly_r_robust_peeling,
+    is_tlf_robust_bruteforce,
+    is_tlf_robust_peeling,
+)
+
+
+@pytest.mark.parametrize("decide", _COMPLEMENT_DECIDERS + (r_reachable_set,))
+def test_deciders_reject_ids_that_are_not_integers(decide):
+    g = make_k_circulant(6, 2)
+    for leaders, message in (({1.5, 2}, "vertex 1.5 is not an integer id"),
+                             ([True, 2], "vertex True is not an integer id"),
+                             ([2, "3"], "vertex '3' is not an integer id"),
+                             ([9, 0.5, 7, "x"], "vertex 0.5 is not an integer id"),
+                             ((8, 2.0, 7), "vertex 2.0 is not an integer id"),
+                             ([9, 7, 0, 1.5], "vertex 0 outside 1..6")):
+        with pytest.raises(GraphError) as exc:
+            decide(g, leaders, 1)
+        assert str(exc.value) == message, (leaders, exc.value)
+
+
+@pytest.mark.parametrize("decide", _COMPLEMENT_DECIDERS + (r_reachable_set,))
+def test_deciders_normalise_integer_like_ids_and_parameters(decide):
+    g = make_k_circulant(7, 3)
+    plain = decide(g, [2, 5], 2)
+    same = decide(g, [_Index(5), _Index(2), 5], _Index(2))
+    assert same == plain  # an _Index is equal to no int
+    if decide is not r_reachable_set:
+        assert json.dumps(same.to_json()) == json.dumps(plain.to_json())
+
+
+@pytest.mark.parametrize("decide", _COMPLEMENT_DECIDERS + (r_reachable_set,))
+def test_deciders_reject_parameters_that_are_not_integers(decide):
+    g = make_k_circulant(6, 2)
+    for param in (1.5, True, "2", None):
+        with pytest.raises(ValueError, match="must be an integer"):
+            decide(g, [1, 2], param)
+
+
+def test_pair_deciders_reject_parameters_that_are_not_integers():
+    g = make_k_circulant(6, 2)
+    for call in (lambda: is_r_robust(g, 1.5), lambda: is_r_robust(g, False),
+                 lambda: is_rs_robust(g, 1.5, 1), lambda: is_rs_robust(g, 1, 1.5)):
+        with pytest.raises(ValueError, match="must be an integer"):
+            call()
+    assert is_rs_robust(g, _Index(1), _Index(2)) == is_rs_robust(g, 1, 2)
+
+
+def test_certificate_rejects_leaders_and_f_that_are_not_integers():
+    with pytest.raises(GraphError, match="leader 1.5 is not an integer id"):
+        circulant_certificate(6, 2, [1.5, 2], 0, "strong")
+    with pytest.raises(GraphError, match="leader True is not an integer id"):
+        circulant_certificate(6, 2, [True, 2], 0, "strong")
+    with pytest.raises(ValueError, match="F must be an integer"):
+        circulant_certificate(6, 2, [1, 2], 0.5, "strong")
+    report = circulant_certificate(6, 2, [_Index(2), 1], _Index(0), "strong")
+    assert report == circulant_certificate(6, 2, [1, 2], 0, "strong")
+    assert report.params["leaders"] == [1, 2] and type(report.params["f"]) is int
 
 
 # ---------------------------------------------------------------------------
@@ -233,10 +320,18 @@ def test_complement_witness_is_the_canonical_first_violation():
 
 def test_peeling_admission_order_matches_rescanning():
     rng = random.Random(89)
+    cases = []
     for _ in range(80):
         g = random_digraph(rng, rng.randrange(2, 10), rng.choice([0.2, 0.4, 0.6]))
-        s = _leader_sample(rng, g)
-        queries = [(is_strongly_r_robust_peeling, r, r, r) for r in range(g.n + 1)]
+        cases.append((g, _leader_sample(rng, g), range(g.n + 1)))
+    # graphs wider than a machine word, so the masks of eligible and seen ids
+    # span more than 64 bits
+    for n in (63, 64, 65, 70):
+        g = random_digraph(rng, n, 0.12)
+        cases.append((g, frozenset(rng.sample(sorted(g.vertices), n // 5)), range(g.max_in_degree + 2)))
+    verdicts = set()
+    for g, s, rs in cases:
+        queries = [(is_strongly_r_robust_peeling, r, r, r) for r in rs]
         queries += [(is_tlf_robust_peeling, f, f + 1, 2 * f + 1) for f in range(4)]
         for decide, param, anchor, reach in queries:
             report = decide(g, s, param)
@@ -245,6 +340,9 @@ def test_peeling_admission_order_matches_rescanning():
                 assert stalled == [] and report.witness == {"admission_order": order}, (g, s, param)
             else:
                 assert report.witness == {"stalled_complement": stalled}, (g, s, param)
+            if g.n > 64:
+                verdicts.add((report.verdict, max(order, default=0) > 64))
+    assert verdicts >= {(True, True), (False, True)}
 
 
 def test_forced_complement_enumeration_memory_is_bounded():
@@ -319,7 +417,8 @@ def test_split_counter_complement_witness_is_the_canonical_first_violation(low_b
         s = frozenset(rng.sample(sorted(g.vertices), rng.randrange(1, g.n - low_bits)))
         for anchor in range(1, max(len(g.in_neighbors(v) & s) for v in g.vertices) + 3):
             for reach in range(1, g.max_in_degree + 3):
-                report = robustness._bruteforce(g, s, anchor, reach, Property.STRONG_R, {}, None, False)
+                report = robustness._bruteforce(g, robustness._vertex_mask(g.n, s), anchor, reach,
+                                                Property.STRONG_R, {}, None, False)
                 expected = naive_first_violating_subset(g, s, anchor, reach)
                 assert report.verdict == (expected is None), (g, s, anchor, reach)
                 if expected is not None:

@@ -1,0 +1,101 @@
+"""Print the median time per call of each layer of the complement deciders.
+
+    python3 tools/decider_layers.py
+
+Records the decider calls of one pass over perfbench's ``crosscheck`` corpus
+at seed 1 (graphs with n <= 10, so at most 9 free vertices), then replays
+them ``PASSES`` times and times each call on its own:
+
+- ``peeling``: ``is_strongly_r_robust_peeling`` and ``is_tlf_robust_peeling``;
+- ``bruteforce lookup``: a brute-force call whose first-violation table is
+  already cached;
+- ``table build``: the brute-force call that builds the table of its
+  (graph, S), cache cleared first, so the build plus its one lookup.
+
+Brute-force calls that need no table (r = 0) count in neither.  A call is
+told apart by the hits and misses of ``robustness._first_violations``'s LRU
+cache.  One line per layer, ``<layer>  <median us per call>  <calls>``, then
+``crosscheck pass``, the median wall of a whole pass over the workload's ops
+(certificates included) in ms, with its median us per query.
+
+rcl is imported from ``src/`` beside this directory (perfbench's workloads
+from ``perfbench/``), so running the script in two checkouts gives the
+layer split side by side.  The host's speed drifts; compare only runs made
+one after the other.
+"""
+
+import statistics
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent
+sys.path.insert(0, str(HERE.parent / "src"))
+sys.path.insert(0, str(HERE.parent / "perfbench"))
+
+import workloads  # noqa: E402
+from rcl import robustness  # noqa: E402
+
+PASSES = 5
+DECIDERS = (
+    "is_strongly_r_robust_peeling",
+    "is_tlf_robust_peeling",
+    "is_strongly_r_robust_bruteforce",
+    "is_tlf_robust_bruteforce",
+)
+
+
+def _recorded_calls(ops) -> list:
+    """(decider, args) of every complement decider call that one pass over
+    ``ops`` makes, in order; recording them also warms up the graphs."""
+    calls, originals = [], {name: getattr(robustness, name) for name in DECIDERS}
+
+    def recorder(name):
+        return lambda *args: calls.append((originals[name], args)) or originals[name](*args)
+
+    for name in DECIDERS:
+        setattr(robustness, name, recorder(name))
+    try:
+        for op in ops:
+            op.fn()
+    finally:
+        for name, fn in originals.items():
+            setattr(robustness, name, fn)
+    return calls
+
+
+def main() -> int:
+    clock, cache = time.perf_counter, robustness._first_violations
+    with tempfile.TemporaryDirectory() as tmp:
+        plan = workloads.setup_crosscheck(1, Path(tmp))
+    calls = _recorded_calls(plan.ops)
+    samples = {"peeling": [], "bruteforce lookup": [], "table build": []}
+    passes, queries = [], 0
+    for _ in range(PASSES):
+        cache.cache_clear()
+        for decide, args in calls:
+            before = cache.cache_info()
+            start = clock()
+            decide(*args)
+            elapsed = clock() - start
+            after = cache.cache_info()
+            if decide.__name__.endswith("_peeling"):
+                samples["peeling"].append(elapsed)
+            elif after.misses > before.misses:
+                samples["table build"].append(elapsed)
+            elif after.hits > before.hits:
+                samples["bruteforce lookup"].append(elapsed)
+        start, queries = clock(), 0
+        for op in plan.ops:
+            queries += op.fn()[0]
+        passes.append(clock() - start)
+    for name, times in samples.items():
+        print(f"{name:<20}{1e6 * statistics.median(times):9.2f} us {len(times) // PASSES:8d} calls")
+    wall = statistics.median(passes)
+    print(f"{'crosscheck pass':<20}{1e3 * wall:9.2f} ms {1e6 * wall / queries:8.2f} us/query")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
