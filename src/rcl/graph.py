@@ -8,6 +8,7 @@ to agent j.  Graphs are immutable after construction, so all derived data
 from __future__ import annotations
 
 import json
+import operator
 import sys
 from dataclasses import dataclass
 from functools import cached_property
@@ -61,23 +62,29 @@ class Digraph:
         """Per-vertex out-neighborhood as a bitmask; bit (v-1) set iff v is an out-neighbor."""
         return tuple(sum(1 << (j - 1) for j in s) for s in self._neighbor_sets[1])
 
-    def _check_vertex(self, i: int) -> None:
-        if not (1 <= i <= self.n):
-            raise GraphError(f"unknown vertex id {i} (valid: 1..{self.n})")
+    def _vertex(self, i: int) -> int:
+        """``i`` as an int id in 1..n, taken as ``operator.index`` takes it,
+        bools excepted; anything else raises GraphError."""
+        try:
+            v = -1 if isinstance(i, bool) else operator.index(i)
+        except TypeError:
+            v = -1
+        if not (1 <= v <= self.n):
+            raise GraphError(f"unknown vertex id {i!r} (valid: 1..{self.n})")
+        return v
 
     def in_neighbors(self, i: int) -> frozenset[int]:
         """Agents j with an edge (j, i), i.e. those i hears from."""
-        self._check_vertex(i)
-        return self._neighbor_sets[0][i - 1]
+        return self._neighbor_sets[0][self._vertex(i) - 1]
 
     def inclusive_neighbors(self, i: int) -> frozenset[int]:
         """In-neighbors of i together with i itself."""
-        return self.in_neighbors(i) | {i}
+        i = self._vertex(i)
+        return self._neighbor_sets[0][i - 1] | {i}
 
     def out_neighbors(self, i: int) -> frozenset[int]:
         """Agents j with an edge (i, j), i.e. those i transmits to."""
-        self._check_vertex(i)
-        return self._neighbor_sets[1][i - 1]
+        return self._neighbor_sets[1][self._vertex(i) - 1]
 
     @cached_property
     def max_in_degree(self) -> int:

@@ -549,6 +549,7 @@ def circulant_certificate(
     """
     if mode not in ("strong", "tlf"):
         raise ValueError(f"mode must be 'strong' or 'tlf', got {mode!r}")
+    n, k = _integer(n, "n"), _integer(k, "k")
     if n < 2 or not (1 <= k <= n - 1):
         raise GraphError(f"invalid circulant parameters n={n}, k={k}")
     f = _count(f, "F")
@@ -566,6 +567,7 @@ def circulant_certificate(
 
 def circulant_r_robustness_lower_bound(n: int, k: int) -> int:
     """Known lower bound on the r-robustness of C_n(1..k): ceil(k/2)."""
+    n, k = _integer(n, "n"), _integer(k, "k")
     if n < 2 or not (1 <= k <= n - 1):
         raise GraphError(f"invalid circulant parameters n={n}, k={k}")
     return (k + 1) // 2

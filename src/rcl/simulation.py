@@ -2,14 +2,14 @@
 envelope metrics, trajectory export, and the JSON configuration format.
 
 Rounds are lockstep with perfect delivery: round t+1 states are computed only
-from round-t delivered values.  Each round is one array program over all
-normal agents that reproduces the scalar W-MSR filter and update of
+from round-t delivered values.  Each round (``_round``, over the arrays that
+``_layout`` builds once per run) is one array program over all normal agents,
+in column layout, that reproduces the scalar W-MSR filter and update of
 ``protocol`` bit for bit; ``replay_states`` re-runs those scalar functions as
-the oracle.  The update's weighted sums are computed for all rows at once by
-an error-free extraction that is certified, row by row, to equal
-``math.fsum``; the rare rows it cannot certify (NaN, +-inf, a huge dynamic
-range, a zero sum) go to ``math.fsum``.  Runs are deterministic given
-(config, seed).
+the oracle.  The weighted sums come from an error-free extraction with one
+constant per round, certified agent by agent to equal ``math.fsum``; the rare
+sums it cannot certify (NaN, +-inf, a huge dynamic range, a zero sum) go to
+``math.fsum``.  Runs are deterministic given (config, seed).
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ import math
 import random
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Any, Mapping
 
 import numpy as np
@@ -206,25 +207,10 @@ def _initial_values(config: SimConfig) -> dict[int, float]:
     return {i: rng.uniform(lo, hi) for i in config.graph.vertices}
 
 
-def run(config: SimConfig, jobs: int = 1) -> Trajectory:
-    """Execute the configured run and record its trajectory.
-
-    Each round updates every normal agent with one array program that
-    reproduces ``wmsr_filter`` and ``wmsr_update`` bit for bit; those scalar
-    functions stay the oracle that ``verify_replay`` checks against.
-
-    A row's retained set is one run of its sorted values, less at most F at
-    each end, so a round counts and masks only the F + 1 sorted positions at
-    each end.  The equal weight rule sums the run in sorted order, exactly:
-    tied values give the same terms (a tied zero's sign cannot change a
-    nonzero sum, and ``math.fsum`` returns +0.0 for a zero one), and the sum
-    is fsum's correctly rounded one.  A weight table can give tied senders
-    different weights, so only a table resolves cut-point ties by sender id.
-
-    The engine is serial: ``jobs`` accepts only 1, for callers that pass it.
-    """
-    if jobs != 1:
-        raise ConfigError(f"jobs must be 1 (the engine runs serially), got {jobs}")
+def _layout(config: SimConfig) -> SimpleNamespace:
+    """The arrays of a run that ``_round`` reads and writes, laid out once.
+    ``ordered``, ``cols`` and ``spare`` are work buffers that every round
+    overwrites: the sorted rows, their transpose and the sum's scratch."""
     g = config.graph
     n, horizon = g.n, config.horizon
     rounds = range(horizon + 1)
@@ -267,13 +253,10 @@ def run(config: SimConfig, jobs: int = 1) -> Trajectory:
     sid = np.zeros((len(normals), width), dtype=np.intp)
     for r, row in enumerate(senders):
         sid[r, : len(row)] = row
-    degree = (sid > 0).sum(axis=1)
-    rows = np.arange(len(normals))
-    past_upper = np.arange(upper + 1, width)
     ids = np.array(normals, dtype=np.intp)
     table = config.scheme.table
+    weight = None if table is None else np.ones((len(normals), width))
     if table is not None:
-        weight = np.ones((len(normals), width))
         for r, (i, row) in enumerate(zip(normals, senders)):
             weight[r, : len(row)] = [table[(i, j)] for j in row]
 
@@ -284,107 +267,144 @@ def run(config: SimConfig, jobs: int = 1) -> Trajectory:
     x[:, preset] = np.where(np.isnan(sent), np.inf, sent)
     x[0, ids] = states[0, ids - 1]
     byzantine = [(u, v) for u, v in edge_values if v in rows_of]
-    byz_rows = np.array([rows_of[v] for _, v in byzantine], dtype=np.intp)
-    byz_cols = np.array([senders[rows_of[v]].index(u) for u, v in byzantine], dtype=np.intp)
     byz_series = np.array([edge_values[e] for e in byzantine]).reshape(-1, horizon + 1).T
-    byz_series = np.where(np.isnan(byz_series), np.inf, byz_series)
-
-    for t in range(horizon):
-        vals = x[t][sid]
-        if byzantine:
-            vals[byz_rows, byz_cols] = byz_series[t]
-        own = x[t][ids][:, None]
-        ordered = vals.copy()
-        ordered.sort(axis=1)
-        # values below own are a prefix of the sorted row and values above it end
-        # at its last real entry, so each band count is the full one, or over F
-        below = ordered[:, : f + 1] < own
-        n_lower = below.sum(axis=1)
-        n_higher = (ordered[:, upper:] > own).sum(axis=1)
-        drop_low = np.minimum(n_lower, f)
-        stop = degree - np.minimum(n_higher, f)
-        common = np.maximum(n_lower, n_higher) <= f
-        lo = ordered[rows, drop_low]
-        hi = ordered[rows, stop - 1]
-
-        if table is None:
-            # retained: ordered[drop_low:stop] (drop_low <= F, stop > upper), each weighted 1/size
-            terms = ordered * (1.0 / (stop - drop_low))[:, None]
-            terms[:, :f][below[:, :f]] = 0.0
-            terms[:, upper + 1 :][past_upper >= stop[:, None]] = 0.0
-        else:
-            # In sender order the retained set is every value in [lo, hi] but
-            # the ``extra`` values tied with lo or hi that have the largest
-            # sender ids, which wmsr_filter drops.
-            upto_hi = vals <= hi[:, None]
-            keep = upto_hi & (vals >= lo[:, None])
-            for cut, extra in ((lo, drop_low - (vals < lo[:, None]).sum(axis=1)),
-                               (hi, upto_hi.sum(axis=1) - stop)):
-                if extra.any():
-                    ties = vals == cut[:, None]
-                    from_right = np.cumsum(ties[:, ::-1], axis=1)[:, ::-1]
-                    keep &= ~(ties & (from_right <= extra[:, None]))
-            # the renormalising total is a sequential sum in sender order, as
-            # in wmsr_weights
-            share = weight / np.cumsum(np.where(keep, weight, 0.0), axis=1)[:, -1:]
-            terms = np.where(keep, share * vals, 0.0)
-        # the weighted sum is fsum's correctly rounded one, so independent of
-        # order; common rows need no fsum, as their sum is discarded below
-        mixed, ok = _row_sums(terms)
-        for r in (~(ok | common)).nonzero()[0]:
-            try:
-                mixed[r] = math.fsum(terms[r].tolist())
-            except ValueError:  # fsum of +inf and -inf
-                raise ConfigError(f"round {t}: {opposite_infinities(normals[r])}") from None
-        # Python's max(x, lo) and min(x, hi), which keep x on signed-zero ties
-        mixed = np.where(lo > mixed, lo, mixed)
-        mixed = np.where(hi < mixed, hi, mixed)
-        # a retained set of one common value returns the first such value in
-        # sender order, as wmsr_update returns min(values)
-        if common.any():
-            mixed = np.where(common, vals[rows, np.argmax(vals == own, axis=1)], mixed)
-        x[t + 1][ids] = mixed
-    states[1:, ids - 1] = x[1:, ids]
-
-    states.setflags(write=False)
-    if ref_series is not None:
-        ref_series.setflags(write=False)
-    for arr in edge_values.values():
-        arr.setflags(write=False)
-    return Trajectory(config, states, ref_series, edge_values)
+    return SimpleNamespace(
+        states=states, reference=ref_series, edge_values=edge_values, x=x, normals=normals, ids=ids, sid=sid,
+        f=f, upper=upper, degree=(sid > 0).sum(axis=1), rows=np.arange(len(normals)),
+        past_upper=np.arange(upper + 1, width)[:, None], weight=weight,
+        byz_rows=np.array([rows_of[v] for _, v in byzantine], dtype=np.intp),
+        byz_cols=np.array([senders[rows_of[v]].index(u) for u, v in byzantine], dtype=np.intp),
+        byz_series=np.where(np.isnan(byz_series), np.inf, byz_series),
+        ordered=np.empty((len(normals), width)), cols=np.empty((width, len(normals))),
+        spare=np.empty((width, len(normals))),
+    )
 
 
-def _row_sums(terms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Row sums of ``terms`` and a mask of the rows where each equals
-    ``math.fsum`` of that row bit for bit.
+def _round(lay: SimpleNamespace, t: int) -> None:
+    """Compute round t + 1's normal states into ``lay.x[t + 1]``.
+
+    A row's retained set is one run of its sorted values, less at most F at
+    each end, so the round counts and masks only the F + 1 sorted positions at
+    each end.  After the row sort one transpose puts every agent's k-th
+    smallest value in row k of ``cols``, so the band counts, the scaling, the
+    masks and the certified sum all run along contiguous rows.  The equal
+    weight rule sums the run in sorted order, exactly: tied values give the
+    same terms (a tied zero's sign cannot change a nonzero sum, and
+    ``math.fsum`` returns +0.0 for a zero one), and the sum is fsum's
+    correctly rounded one.  A weight table can give tied senders different
+    weights, so only a table resolves cut-point ties by sender id.
+    """
+    xt, f, upper, cols = lay.x[t], lay.f, lay.upper, lay.cols
+    vals = xt[lay.sid]
+    if lay.byz_rows.size:
+        vals[lay.byz_rows, lay.byz_cols] = lay.byz_series[t]
+    own = xt[lay.ids]
+    lay.ordered[...] = vals
+    lay.ordered.sort(axis=1)
+    cols[...] = lay.ordered.T
+    # values below own are a prefix of the sorted run and values above it end
+    # at its last real entry, so each band count is the full one, or over F
+    below = cols[: f + 1] < own
+    n_lower = below.sum(axis=0)
+    n_higher = (cols[upper:] > own).sum(axis=0)
+    drop_low = np.minimum(n_lower, f)
+    stop = lay.degree - np.minimum(n_higher, f)
+    common = np.maximum(n_lower, n_higher) <= f
+    lo = cols[drop_low, lay.rows]
+    hi = cols[stop - 1, lay.rows]
+
+    if lay.weight is None:
+        # retained: sorted positions drop_low..stop - 1 (drop_low <= F, stop > upper), each weighted 1/size
+        np.multiply(cols, 1.0 / (stop - drop_low), out=cols)
+        cols[:f][below[:f]] = 0.0
+        cols[upper + 1 :][lay.past_upper >= stop] = 0.0
+    else:
+        # In sender order the retained set is every value in [lo, hi] but
+        # the ``extra`` values tied with lo or hi that have the largest
+        # sender ids, which wmsr_filter drops.
+        upto_hi = vals <= hi[:, None]
+        keep = upto_hi & (vals >= lo[:, None])
+        for cut, extra in ((lo, drop_low - (vals < lo[:, None]).sum(axis=1)),
+                           (hi, upto_hi.sum(axis=1) - stop)):
+            if extra.any():
+                ties = vals == cut[:, None]
+                from_right = np.cumsum(ties[:, ::-1], axis=1)[:, ::-1]
+                keep &= ~(ties & (from_right <= extra[:, None]))
+        # the renormalising total is a sequential sum in sender order, as
+        # in wmsr_weights
+        share = lay.weight / np.cumsum(np.where(keep, lay.weight, 0.0), axis=1)[:, -1:]
+        cols.T[...] = np.where(keep, share * vals, 0.0)
+    # the weighted sum is fsum's correctly rounded one, so independent of
+    # order; common rows need no fsum, as their sum is discarded below
+    mixed, ok = _column_sums(cols, lay.spare)
+    for r in (~(ok | common)).nonzero()[0]:
+        try:
+            mixed[r] = math.fsum(cols[:, r].tolist())
+        except ValueError:  # fsum of +inf and -inf
+            raise ConfigError(f"round {t}: {opposite_infinities(lay.normals[r])}") from None
+    # Python's max(x, lo) and min(x, hi), which keep x on signed-zero ties
+    mixed = np.where(lo > mixed, lo, mixed)
+    mixed = np.where(hi < mixed, hi, mixed)
+    # a retained set of one common value returns the first such value in
+    # sender order, as wmsr_update returns min(values)
+    same = common.nonzero()[0]
+    if same.size:
+        mixed[same] = vals[same, np.argmax(vals[same] == own[same, None], axis=1)]
+    lay.x[t + 1][lay.ids] = mixed
+
+
+def run(config: SimConfig, jobs: int = 1) -> Trajectory:
+    """Execute the configured run and record its trajectory.
+
+    Each round (``_round``) updates every normal agent with one array program
+    that reproduces ``wmsr_filter`` and ``wmsr_update`` bit for bit; those
+    scalar functions stay the oracle that ``verify_replay`` checks against.
+
+    The engine is serial: ``jobs`` accepts only 1, for callers that pass it.
+    """
+    if jobs != 1:
+        raise ConfigError(f"jobs must be 1 (the engine runs serially), got {jobs}")
+    lay = _layout(config)
+    for t in range(config.horizon):
+        _round(lay, t)
+    lay.states[1:, lay.ids - 1] = lay.x[1:, lay.ids]
+    for arr in (lay.states, lay.reference, *lay.edge_values.values()):
+        if arr is not None:
+            arr.setflags(write=False)
+    return Trajectory(config, lay.states, lay.reference, lay.edge_values)
+
+
+def _column_sums(terms: np.ndarray, spare: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Column sums of ``terms`` and a mask of the columns where each equals
+    ``math.fsum`` of that column bit for bit; ``spare`` is a work buffer of
+    the same shape.
 
     Error-free extraction (Rump, Ogita & Oishi, SIAM J. Sci. Comput. 31(1),
-    2008): with sigma the power of two above 2*w*max|p| for the row's w
-    terms p, q = (sigma + p) - sigma is a multiple of sigma*2**-53 and
-    p - q is exact, so sum(q) is exact in any order.  When w*sigma <=
+    2008): with sigma a power of two above 2*w*max|p| over all w-term columns,
+    q = (sigma + p) - sigma is a multiple of sigma*2**-53 and p - q is exact,
+    so sum(q) is exact in any order.  When a column has w*sigma <=
     2**52*min|p != 0|, every p - q is a multiple of one quantum and their
     partial sums stay below 2**53 quanta, so sum(p - q) is exact too, and
     adding the two rounds the exact sum once, half to even, as fsum does.
-    A row is certified only when that holds, its scale neither overflows nor
-    nears the subnormals (which leaves the sum finite), and the sum is
-    nonzero, since fsum has its own signed-zero rules; rows with NaN, +-inf
-    or only zeros are never certified.
+    One sigma serves every column; a column is certified only when that test
+    holds and its sum is nonzero, since fsum has its own signed-zero rules.
+    No column is certified when the largest |p| is NaN, +-inf, so large that
+    sigma would overflow, or so small that the low parts near the subnormals.
     """
-    w = terms.shape[1]
-    cols = terms.T.copy()  # reductions over contiguous columns are the fast ones
-    mag = np.abs(cols)
-    top = mag.max(axis=0)
+    w, count = terms.shape
+    mag = np.abs(terms, out=spare)
+    top = float(mag.max(initial=0.0))
+    scale = 2.0 * w * top
+    if not (top > 2.0**-900 and scale < 2.0**1023):
+        return np.zeros(count), np.zeros(count, dtype=bool)
     mag[mag == 0] = np.inf
     low = mag.min(axis=0)
-    with np.errstate(over="ignore", invalid="ignore"):
-        scale = 2.0 * w * top
-        sigma = np.ldexp(1.0, np.frexp(scale)[1])
-        q = np.add(cols, sigma, out=mag)  # reuses the buffer of mag, no longer needed
-        q -= sigma
-        cols -= q  # the low parts, exact
-        sums = q.sum(axis=0) + cols.sum(axis=0)
-        ok = np.isfinite(scale) & (top > 2.0**-900) & (w * sigma <= 2.0**52 * low)
-    return sums, ok & (sums != 0)
+    sigma = math.ldexp(1.0, math.frexp(scale)[1])
+    q = np.add(terms, sigma, out=spare)
+    q -= sigma
+    sums = q.sum(axis=0)
+    sums += np.subtract(terms, q, out=spare).sum(axis=0)
+    return sums, (sigma * 2.0**-52 * w <= low) & (sums != 0)
 
 
 def replay_states(traj: Trajectory) -> np.ndarray:

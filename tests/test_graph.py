@@ -1,6 +1,7 @@
 import json
 import random
 
+import numpy as np
 import pytest
 
 from rcl.graph import (
@@ -127,6 +128,18 @@ def test_unknown_vertex_query():
         g.in_neighbors(5)
     with pytest.raises(GraphError):
         g.in_neighbors(0)
+
+
+@pytest.mark.parametrize("query", ["in_neighbors", "out_neighbors", "inclusive_neighbors"])
+def test_vertex_queries_take_integer_ids_only(query):
+    g = make_k_circulant(5, 2)
+    ask = getattr(g, query)
+    for bad in (1.5, True, False, "1", None):
+        with pytest.raises(GraphError, match="unknown vertex id"):
+            ask(bad)
+    # an integer-like id that is not an int (as NumPy's are) answers as the int
+    assert ask(np.int64(3)) == ask(3)
+    assert all(type(v) is int for v in g.inclusive_neighbors(np.int64(3)))
 
 
 def test_save_load_roundtrip(tmp_path):

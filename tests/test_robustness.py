@@ -157,6 +157,18 @@ def test_certificate_rejects_leaders_and_f_that_are_not_integers():
     assert report.params["leaders"] == [1, 2] and type(report.params["f"]) is int
 
 
+def test_circulant_helpers_take_integer_n_and_k_only():
+    for n, k in ((6, 2.0), (6.0, 2), (6, 2.5), (6, True), (True, 1)):
+        with pytest.raises(ValueError, match="must be an integer"):
+            circulant_certificate(n, k, [1], 0, "strong")
+        with pytest.raises(ValueError, match="must be an integer"):
+            circulant_r_robustness_lower_bound(n, k)
+    report = circulant_certificate(_Index(6), _Index(2), [1, 2], 0, "strong")
+    assert report == circulant_certificate(6, 2, [1, 2], 0, "strong")
+    assert type(report.params["n"]) is int and type(report.params["k"]) is int
+    assert circulant_r_robustness_lower_bound(_Index(6), _Index(3)) == 2
+
+
 # ---------------------------------------------------------------------------
 # r-robustness
 

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from helpers import naive_polyline_points, naive_write_edges_csv, naive_write_trajectory_csv
-from rcl import svgplot
+from rcl import simulation, svgplot
 from rcl.graph import Digraph, make_k_circulant
 from rcl.protocol import (
     Adversary,
@@ -31,7 +31,7 @@ from rcl.protocol import (
 from rcl.simulation import (
     SimConfig,
     Trajectory,
-    _row_sums,
+    _column_sums,
     _sustained_round,
     compute_metrics,
     config_from_dict,
@@ -43,7 +43,8 @@ from rcl.simulation import (
     write_edges_csv,
     write_trajectory_csv,
 )
-from rcl.scenarios import SCENARIO_NAMES, build_scenario
+from rcl.robustness import circulant_certificate
+from rcl.scenarios import SCENARIO_NAMES, build_scenario, sim2
 from rcl.svgplot import render_trajectory_svg
 
 
@@ -910,7 +911,7 @@ _SUM_VALUES = st.one_of(
 @st.composite
 def _term_matrices(draw):
     width = draw(st.integers(1, 70))
-    terms = draw(arrays(np.float64, (draw(st.integers(1, 3)), width), elements=_SUM_VALUES, fill=_SUM_VALUES))
+    terms = draw(arrays(np.float64, (draw(st.integers(1, 8)), width), elements=_SUM_VALUES, fill=_SUM_VALUES))
     if draw(st.booleans()):  # heavy cancellation: half of each row negates the other half
         half = width // 2
         terms[:, half : 2 * half] = -terms[:, :half]
@@ -918,17 +919,71 @@ def _term_matrices(draw):
     return terms
 
 
+def _certified_sums(terms):
+    """``_column_sums`` over the rows of ``terms``, laid out as the engine
+    lays out a round: one column per agent."""
+    cols = terms.T.copy()
+    return _column_sums(cols, np.empty_like(cols))
+
+
 @example(terms=np.array([[1e308, 1e291, -1e308, 1.0]]))  # 2*w*max|p| overflows, and a wrong scale looks fine
 @example(terms=np.array([[1.0, 2.0**-53, 2.0**-106]]))  # the low parts span more than 53 bits
+@example(terms=np.array([[0.1, 0.2, 0.3], [np.inf, 1.0, -2.0], [np.nan, 0.5, 0.25], [-np.inf, 4.0, 1.0]]))
+@example(terms=np.array([[1e-300, 3e-300, -1e-300], [1e300, -3e299, 1e300]]))  # one sigma for both
+@example(terms=np.array([[0.0, -0.0, 0.0], [1.0, 2.0, 0.5]]))
+@example(terms=np.array([[3e307, 3e307]]))  # 2*w*max|p| is finite, but sigma would overflow
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(terms=_term_matrices())
 def test_certified_row_sums_equal_fsum(terms):
-    sums, ok = _row_sums(terms)
+    sums, ok = _certified_sums(terms)
     for row, total, certified in zip(terms.tolist(), sums, ok):
         if certified:
             assert np.float64(math.fsum(row)).tobytes() == total.tobytes(), row
 
 
 def test_ordinary_rows_are_certified():
-    terms = np.array([[0.1, 0.2, 0.3, 0.0], [-2.5, 1e-3, 7.0, 1.0 / 3.0], [1e-200, 3e-200, 0.0, -0.0]])
-    assert _row_sums(terms)[1].all()
+    terms = np.array([[0.1, 0.2, 0.3, 0.0], [-2.5, 1e-3, 7.0, 1.0 / 3.0]])
+    assert _certified_sums(terms)[1].all()
+    # one sigma serves a whole round, so a row of tiny terms is certified
+    # among rows of its own scale
+    assert _certified_sums(np.array([[1e-200, 3e-200, 0.0, -0.0]]))[1].all()
+
+
+def test_one_sigma_per_round_certifies_each_row_on_its_own_test():
+    # the shared sigma comes from the largest row: the 1e300 row is certified,
+    # the 1e-300 row is too far below that sigma and goes to fsum
+    assert _certified_sums(np.array([[1e-300, 3e-300, -1e-300], [1e300, -3e299, 1e300]]))[1].tolist() == [False, True]
+    assert _certified_sums(np.array([[0.0, -0.0, 0.0], [1.0, 2.0, 0.5]]))[1].tolist() == [False, True]
+    # a non-finite largest term certifies no row
+    for bad in (np.inf, -np.inf, np.nan):
+        assert not _certified_sums(np.array([[0.1, 0.2, 0.3], [bad, 1.0, -2.0]]))[1].any()
+
+
+def test_states_near_the_largest_float_are_summed_exactly():
+    # 2*w*max|p| is finite here but its power of two is not: such a round
+    # goes to fsum, where an infinite sigma once gave NaN states
+    traj = run(SimConfig(graph=make_k_circulant(3, 2), f=0, horizon=1, init={1: 3e307, 2: 4e307, 3: 5e307}))
+    assert np.isfinite(traj.states).all()
+    assert verify_replay(traj)
+
+
+def _wide_config():
+    # C_300(1..60) at F = 3, the shape of a wide run: a certified window of
+    # 2F + 1 leaders, three of them adversaries (one Byzantine per edge)
+    g = make_k_circulant(300, 60)
+    window = list(range(11, 18))
+    assert circulant_certificate(300, 60, window, 3, "strong").verdict
+    roles = {i: Leader() for i in window}
+    roles[12] = Adversary(Sinusoid(amplitude=45.0, period=30.0))
+    roles[14] = Adversary(Ramp(slope=-3.0, intercept=10.0))
+    roles[16] = Adversary(ByzantinePerEdge({j: ConstantHold(-80.0 + j) for j in g.out_neighbors(16)}))
+    return SimConfig(graph=g, f=3, horizon=40, roles=roles, reference=ReferenceSignal.constant(40.0), seed=5)
+
+
+@pytest.mark.parametrize("config", [sim2().config(20), _wide_config()], ids=["sim2", "wide"])
+def test_tracking_runs_certify_every_sum(config):
+    # the fast path: every round's sums are certified, none goes to math.fsum
+    with mock.patch.object(simulation.math, "fsum", side_effect=math.fsum) as fsum:
+        traj = run(config)
+    assert fsum.call_count == 0
+    assert verify_replay(traj)
