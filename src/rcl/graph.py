@@ -3,11 +3,16 @@
 Vertices are labeled 1..n throughout; an edge (i, j) means agent i transmits
 to agent j.  Graphs are immutable after construction, so all derived data
 (in-neighbor sets, bitmasks) is cached and safe to share across threads.
+
+Every id and integer parameter that rcl takes (n, k, edge ends, r, s, F, a
+horizon, a seed) follows one rule, written here once in ``_integer``: it is
+taken as ``operator.index`` takes it, bools excepted, and normalised to int.
 """
 
 from __future__ import annotations
 
 import json
+import numbers
 import operator
 import sys
 from dataclasses import dataclass
@@ -20,24 +25,78 @@ class GraphError(ValueError):
     """Malformed graph definition, file, or vertex query."""
 
 
+def _integer(value, name: str, error: type[Exception] = ValueError) -> int:
+    """``value`` as an int: whatever ``operator.index`` takes except bool, else ``error``."""
+    if type(value) is int:
+        return value
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise error(f"{name} must be an integer, got {value!r}")
+
+
+def _count(value, name: str) -> int:
+    value = _integer(value, name)
+    if value < 0:
+        raise ValueError(f"{name} must be >= 0, got {value}")
+    return value
+
+
+def _vertex_mask(n: int, ids: Iterable[int], what: str = "vertex") -> int:
+    """The bitmask of ``ids`` (each as ``_integer`` takes it), vertex v at bit
+    v - 1; an id outside 1..n raises GraphError naming the smallest bad id."""
+    mask, bad = 0, []
+    for v in ids:
+        try:
+            i = v if type(v) is int else _integer(v, what)
+        except ValueError:
+            i = None
+        if i is not None and 0 < i <= n:
+            mask |= 1 << (i - 1)
+        else:
+            bad.append(v if i is None else i)
+    if bad:
+        v = min(bad, key=lambda v: (0, v) if isinstance(v, numbers.Real) else (1, repr(v)))
+        raise GraphError(f"{what} {v} outside 1..{n}" if type(v) is int else f"{what} {v!r} is not an integer id")
+    return mask
+
+
+def _circulant(n: int, k: int) -> tuple[int, int]:
+    """The n and k of C_n(1..k) as ints, with n >= 2 and 1 <= k <= n - 1."""
+    n, k = _integer(n, "n", GraphError), _integer(k, "k", GraphError)
+    if n < 2 or not 1 <= k <= n - 1:
+        raise GraphError(f"invalid circulant parameters n={n}, k={k}: need n >= 2 and 1 <= k <= n - 1")
+    return n, k
+
+
 @dataclass(frozen=True)
 class Digraph:
     """Immutable digraph on vertex set {1, .., n}.
 
-    Invariants: no self-loops, every endpoint in 1..n.
+    Invariants: n >= 2, every endpoint in 1..n, no self-loops; ``n`` and the
+    endpoints are ints and ``edges`` a frozenset, by the integer rule.
     """
 
     n: int
     edges: frozenset[tuple[int, int]]
 
     def __post_init__(self) -> None:
-        if self.n < 2:
-            raise GraphError(f"agent count must be >= 2, got {self.n}")
+        n = _integer(self.n, "agent count", GraphError)
+        if n < 2:
+            raise GraphError(f"agent count must be >= 2, got {n}")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "edges", frozenset(self.edges))
         for i, j in self.edges:
+            if type(i) is not int or type(j) is not int:  # make every end an int, then check again
+                object.__setattr__(self, "edges", frozenset(
+                    tuple(_integer(v, f"edge {e!r}: vertex", GraphError) for v in e) for e in self.edges))
+                return self.__post_init__()
             if i == j:
                 raise GraphError(f"self-loop ({i}, {j}) not allowed")
-            if not (1 <= i <= self.n and 1 <= j <= self.n):
-                raise GraphError(f"edge ({i}, {j}) outside vertex range 1..{self.n}")
+            if not (1 <= i <= n and 1 <= j <= n):
+                raise GraphError(f"edge ({i}, {j}) outside vertex range 1..{n}")
 
     @property
     def vertices(self) -> range:
@@ -63,15 +122,8 @@ class Digraph:
         return tuple(sum(1 << (j - 1) for j in s) for s in self._neighbor_sets[1])
 
     def _vertex(self, i: int) -> int:
-        """``i`` as an int id in 1..n, taken as ``operator.index`` takes it,
-        bools excepted; anything else raises GraphError."""
-        try:
-            v = -1 if isinstance(i, bool) else operator.index(i)
-        except TypeError:
-            v = -1
-        if not (1 <= v <= self.n):
-            raise GraphError(f"unknown vertex id {i!r} (valid: 1..{self.n})")
-        return v
+        """``i`` as an int id in 1..n, by ``_vertex_mask``'s rule."""
+        return _vertex_mask(self.n, (i,)).bit_length()
 
     def in_neighbors(self, i: int) -> frozenset[int]:
         """Agents j with an edge (j, i), i.e. those i hears from."""
@@ -93,34 +145,21 @@ class Digraph:
 
 def make_k_circulant(n: int, k: int) -> Digraph:
     """Circulant digraph where each agent i transmits to the next k agents mod n."""
-    if n < 2:
-        raise GraphError(f"circulant digraph needs n >= 2, got n={n}")
-    if not (1 <= k <= n - 1):
-        raise GraphError(f"k must be in [1, n-1]={n - 1}, got k={k}")
+    n, k = _circulant(n, k)
     edges = {(i, (i - 1 + a) % n + 1) for i in range(1, n + 1) for a in range(1, k + 1)}
     return Digraph(n, frozenset(edges))
 
 
 def make_undirected_circulant(n: int, offsets: Iterable[int]) -> Digraph:
     """Undirected circulant graph as a symmetric digraph: edges i <-> i +/- a (mod n)."""
-    if n < 2:
-        raise GraphError(f"circulant graph needs n >= 2, got n={n}")
-    offs = list(offsets)
-    if not offs:
+    checked = [_circulant(n, a) for a in offsets]
+    if not checked:
         raise GraphError("offset list must be nonempty")
+    n, offs = checked[0][0], [a for _, a in checked]
     if offs != sorted(set(offs)):
         raise GraphError(f"offsets must be strictly increasing, got {offs}")
-    if offs[0] <= 0 or offs[-1] >= n:
-        raise GraphError(f"offsets must lie in (0, n)={n}, got {offs}")
-    edges = set()
-    for i in range(1, n + 1):
-        for a in offs:
-            fwd = (i - 1 + a) % n + 1
-            bwd = (i - 1 - a) % n + 1
-            for j in (fwd, bwd):
-                if j != i:
-                    edges.add((i, j))
-                    edges.add((j, i))
+    # 0 < a < n, so no edge is a self-loop, and the set of i -> i +/- a is symmetric
+    edges = {(i, (i - 1 + d) % n + 1) for i in range(1, n + 1) for a in offs for d in (a, -a)}
     return Digraph(n, frozenset(edges))
 
 

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence, Union
 
-from .graph import Digraph
+from .graph import Digraph, _count, _integer, _vertex_mask
 
 
 class ConfigError(ValueError):
@@ -44,9 +44,8 @@ class ReferenceSignal:
             raise ConfigError(f"first breakpoint must be at round 0, got {rounds[0]}")
         if any(b >= a for b, a in zip(rounds, rounds[1:])):
             raise ConfigError(f"breakpoint rounds must be strictly increasing, got {rounds}")
-        object.__setattr__(
-            self, "breakpoints", tuple((int(t), float(v)) for t, v in self.breakpoints)
-        )
+        object.__setattr__(self, "breakpoints", tuple((_integer(t, "breakpoint round", ConfigError), float(v))
+                                                      for t, v in self.breakpoints))
 
     @classmethod
     def constant(cls, value: float) -> "ReferenceSignal":
@@ -131,7 +130,8 @@ class ByzantinePerEdge:
     signals: Mapping[int, ScalarStrategy]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "signals", dict(self.signals))
+        object.__setattr__(self, "signals", {_integer(j, "byzantine out-neighbor", ConfigError): s
+                                             for j, s in self.signals.items()})
 
 
 AdversaryStrategy = Union[ScalarStrategy, ByzantinePerEdge]
@@ -177,8 +177,7 @@ def wmsr_filter(
     retained (sender, value) pairs, including (agent, own), sorted by sender
     id.
     """
-    if f < 0:
-        raise ValueError(f"F must be >= 0, got {f}")
+    f = _count(f, "F")
     higher = []
     lower = []
     retained = [(agent, own)]
@@ -225,7 +224,7 @@ class WeightScheme:
                         f"/weight_table/{i}/{j}: table weight w[{i},{j}]={w} is below "
                         f"the floor alpha={self.alpha}"
                     )
-                frozen[(int(i), int(j))] = float(w)
+                frozen[tuple(_integer(v, f"/weight_table/{i}/{j}: agent id", ConfigError) for v in key)] = float(w)
             object.__setattr__(self, "table", frozen)
 
 
@@ -302,15 +301,9 @@ def validate_f_local(
     """Check that no non-adversarial agent has more than F adversaries among
     its inclusive in-neighbors.  Returns (ok, first violating agent or None).
     """
-    if f < 0:
-        raise ValueError(f"F must be >= 0, got {f}")
-    adv = frozenset(adversaries)
-    for v in adv:
-        if not (1 <= v <= g.n):
-            raise ConfigError(f"adversary id {v} outside 1..{g.n}")
-    for i in g.vertices:
-        if i in adv:
-            continue
-        if len(g.inclusive_neighbors(i) & adv) > f:
+    f = _count(f, "F")
+    adv = _vertex_mask(g.n, adversaries, "adversary")
+    for i, in_mask in enumerate(g.in_masks, start=1):
+        if not adv >> (i - 1) & 1 and (in_mask & adv).bit_count() > f:
             return False, i
     return True, None

@@ -34,16 +34,15 @@ bitmasks: the eligible ids are one int, the lowest set bit is admitted next,
 and each admission recounts, one popcount each, the in-neighbors in R of its
 out-neighbors (``Digraph.out_masks``) not yet eligible.
 
-Every public decider takes vertex ids and integer parameters as
-``operator.index`` does, bools excepted, and normalises them to int; a bad id
-raises GraphError naming the smallest one, a bad parameter ValueError.
+Every public decider takes vertex ids and integer parameters by the one rule
+of ``graph`` (as ``operator.index`` does, bools excepted, normalised to int);
+a bad id raises GraphError naming the smallest one, a bad parameter
+ValueError.
 """
 
 from __future__ import annotations
 
 import itertools
-import numbers
-import operator
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -51,7 +50,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .graph import Digraph, GraphError
+from .graph import Digraph, GraphError, _circulant, _count, _integer, _vertex_mask
 
 DEFAULT_PAIR_CAP = 13
 DEFAULT_COMPLEMENT_CAP = 20
@@ -103,48 +102,6 @@ class RobustnessReport:
             "witness": self.witness,
             "method": self.method,
         }
-
-
-# ---------------------------------------------------------------------------
-# argument and mask helpers
-
-
-def _integer(value, name: str) -> int:
-    """``value`` as an int: whatever ``operator.index`` takes except bool, else ValueError."""
-    if type(value) is int:
-        return value
-    if not isinstance(value, bool):
-        try:
-            return operator.index(value)
-        except TypeError:
-            pass
-    raise ValueError(f"{name} must be an integer, got {value!r}")
-
-
-def _count(value, name: str) -> int:
-    value = _integer(value, name)
-    if value < 0:
-        raise ValueError(f"{name} must be >= 0, got {value}")
-    return value
-
-
-def _vertex_mask(n: int, ids: Iterable[int], what: str = "vertex") -> int:
-    """The bitmask of ``ids`` (each as ``_integer`` takes it), vertex v at bit
-    v - 1; an id outside 1..n raises GraphError naming the smallest bad id."""
-    mask, bad = 0, []
-    for v in ids:
-        try:
-            i = v if type(v) is int else _integer(v, what)
-        except ValueError:
-            i = None
-        if i is not None and 0 < i <= n:
-            mask |= 1 << (i - 1)
-        else:
-            bad.append(v if i is None else i)
-    if bad:
-        v = min(bad, key=lambda v: (0, v) if isinstance(v, numbers.Real) else (1, repr(v)))
-        raise GraphError(f"{what} {v} outside 1..{n}" if type(v) is int else f"{what} {v!r} is not an integer id")
-    return mask
 
 
 def _members(mask: int) -> list[int]:
@@ -549,9 +506,7 @@ def circulant_certificate(
     """
     if mode not in ("strong", "tlf"):
         raise ValueError(f"mode must be 'strong' or 'tlf', got {mode!r}")
-    n, k = _integer(n, "n"), _integer(k, "k")
-    if n < 2 or not (1 <= k <= n - 1):
-        raise GraphError(f"invalid circulant parameters n={n}, k={k}")
+    n, k = _circulant(n, k)
     f = _count(f, "F")
     mask = _vertex_mask(n, leaders, "leader")
     max_len = k if mode == "strong" else k - f
@@ -567,7 +522,4 @@ def circulant_certificate(
 
 def circulant_r_robustness_lower_bound(n: int, k: int) -> int:
     """Known lower bound on the r-robustness of C_n(1..k): ceil(k/2)."""
-    n, k = _integer(n, "n"), _integer(k, "k")
-    if n < 2 or not (1 <= k <= n - 1):
-        raise GraphError(f"invalid circulant parameters n={n}, k={k}")
-    return (k + 1) // 2
+    return (_circulant(n, k)[1] + 1) // 2

@@ -21,7 +21,7 @@ from typing import Any, Callable, Iterator, Union
 
 import numpy as np
 
-from .graph import Digraph, make_k_circulant
+from .graph import Digraph, _integer, make_k_circulant
 from .protocol import (
     Adversary,
     AgentRole,
@@ -584,6 +584,7 @@ def build_scenario(name: str, f: int | None = None) -> Scenario:
         return _BUILDERS[name]()
     if name in _FIXED_F:
         raise ScenarioError(f"scenario {name!r} does not take an F override")
+    f = _integer(f, "F", ScenarioError)
     if not 0 <= f <= MAX_SCENARIO_F:
         raise ScenarioError(f"F must be in [0, {MAX_SCENARIO_F}] for scenario {name!r}, got {f}")
     return _BUILDERS[name](f)

@@ -24,7 +24,9 @@ from typing import Any, Mapping
 
 import numpy as np
 
-from .graph import Digraph, GraphError, _fits, graph_from_json, graph_to_json, make_k_circulant, make_undirected_circulant
+from .graph import (
+    Digraph, GraphError, _fits, _integer, graph_from_json, graph_to_json, make_k_circulant, make_undirected_circulant,
+)
 from .protocol import (
     Adversary,
     AgentRole,
@@ -81,18 +83,22 @@ class SimConfig:
 
     def __post_init__(self) -> None:
         g = self.graph
+        for key in ("f", "horizon", "seed"):  # errors read "/f: must be an integer, got 1.5"
+            object.__setattr__(self, key, _integer(getattr(self, key), f"/{key}:", ConfigError))
         if self.f < 0:
             raise ConfigError(f"/f: must be >= 0, got {self.f}")
         if self.horizon < 1:
             raise ConfigError(f"/horizon: must be >= 1, got {self.horizon}")
         if (self.horizon + 1) * g.n * 8 > np.iinfo(np.intp).max:
             raise ConfigError(f"/horizon: {self.horizon} rounds of {g.n} float64 states exceed NumPy's largest array")
-        roles = dict(self.roles)
-        for i in roles:
-            if not (1 <= i <= g.n):
-                raise ConfigError(f"/roles/{i}: unknown agent id")
-            if not isinstance(roles[i], (Normal, Leader, Adversary)):
-                raise ConfigError(f"/roles/{i}: not a role: {roles[i]!r}")
+        roles = {}
+        for i, role in dict(self.roles).items():
+            try:
+                roles[g._vertex(i)] = role
+            except GraphError:
+                raise ConfigError(f"/roles/{i}: unknown agent id") from None
+            if not isinstance(role, (Normal, Leader, Adversary)):
+                raise ConfigError(f"/roles/{i}: not a role: {role!r}")
         full_roles = {i: roles.get(i, NORMAL) for i in g.vertices}
         object.__setattr__(self, "roles", full_roles)
 
@@ -127,10 +133,10 @@ class SimConfig:
             missing = [i for i in g.vertices if i not in self.init]
             if missing:
                 raise ConfigError(f"/init/values: missing agents {missing}")
-            extra = [i for i in self.init if not (1 <= i <= g.n)]
-            if extra:
-                raise ConfigError(f"/init/values: unknown agents {extra}")
-            init = {i: float(v) for i, v in self.init.items()}
+            try:
+                init = {g._vertex(i): float(v) for i, v in self.init.items()}
+            except GraphError as exc:
+                raise ConfigError(f"/init/values: {exc}") from None
             for i, value in init.items():
                 _require_finite(value, f"/init/values/{i}")
             object.__setattr__(self, "init", init)
@@ -208,17 +214,17 @@ def _initial_values(config: SimConfig) -> dict[int, float]:
 
 
 def _layout(config: SimConfig) -> SimpleNamespace:
-    """The arrays of a run that ``_round`` reads and writes, laid out once.
-    ``ordered``, ``cols`` and ``spare`` are work buffers that every round
-    overwrites: the sorted rows, their transpose and the sum's scratch."""
+    """The arrays of a run that ``_round`` reads and writes, laid out once:
+    ``x[t]`` holds every value delivered at round t, Byzantine edges
+    included, and row r of ``sid`` the columns of x that the r-th normal
+    agent gathers.  ``ordered``, ``cols`` and ``spare`` are work buffers that
+    every round overwrites: the sorted rows, their transpose and the sum's
+    scratch."""
     g = config.graph
     n, horizon = g.n, config.horizon
     rounds = range(horizon + 1)
-    # allocated first, so that a horizon too long for memory fails at once;
-    # x[t, j] is agent j's round-t state as wmsr_filter reads it (NaN as
-    # +inf), and x[t, 0] the NaN that pads gather
+    # allocated first, so that a horizon too long for memory fails at once
     states = np.empty((horizon + 1, n))
-    x = np.full((horizon + 1, n + 1), np.nan)
     ref_series = None
     if config.reference is not None:
         ref_series = np.array([config.reference.value_at(t) for t in rounds])
@@ -259,22 +265,26 @@ def _layout(config: SimConfig) -> SimpleNamespace:
     if table is not None:
         for r, (i, row) in enumerate(zip(normals, senders)):
             weight[r, : len(row)] = [table[(i, j)] for j in row]
+    # x[t, c] is what column c delivers at round t as wmsr_filter reads it
+    # (NaN as +inf): agent c's state for c in 1..n, the NaN that pads gather
+    # for c = 0, and past n one column per Byzantine edge into a normal agent
+    byzantine = [(u, v) for u, v in edge_values if v in rows_of]
+    x = np.full((horizon + 1, n + 1 + len(byzantine)), np.nan)
+    for c, (u, v) in enumerate(byzantine, start=n + 1):
+        x[:, c] = edge_values[(u, v)]
+        sid[rows_of[v], senders[rows_of[v]].index(u)] = c
 
     # a delivered NaN counts as +inf, as in wmsr_filter; only the preset
     # columns and the Byzantine edges can hold one, as a normal state never is
     preset = np.array([i for i in g.vertices if i not in rows_of], dtype=np.intp)
-    sent = states[:, preset - 1]
-    x[:, preset] = np.where(np.isnan(sent), np.inf, sent)
+    x[:, preset] = states[:, preset - 1]
+    sent = np.r_[preset, n + 1 : x.shape[1]]
+    x[:, sent] = np.where(np.isnan(x[:, sent]), np.inf, x[:, sent])
     x[0, ids] = states[0, ids - 1]
-    byzantine = [(u, v) for u, v in edge_values if v in rows_of]
-    byz_series = np.array([edge_values[e] for e in byzantine]).reshape(-1, horizon + 1).T
     return SimpleNamespace(
         states=states, reference=ref_series, edge_values=edge_values, x=x, normals=normals, ids=ids, sid=sid,
         f=f, upper=upper, degree=(sid > 0).sum(axis=1), rows=np.arange(len(normals)),
         past_upper=np.arange(upper + 1, width)[:, None], weight=weight,
-        byz_rows=np.array([rows_of[v] for _, v in byzantine], dtype=np.intp),
-        byz_cols=np.array([senders[rows_of[v]].index(u) for u, v in byzantine], dtype=np.intp),
-        byz_series=np.where(np.isnan(byz_series), np.inf, byz_series),
         ordered=np.empty((len(normals), width)), cols=np.empty((width, len(normals))),
         spare=np.empty((width, len(normals))),
     )
@@ -283,7 +293,8 @@ def _layout(config: SimConfig) -> SimpleNamespace:
 def _round(lay: SimpleNamespace, t: int) -> None:
     """Compute round t + 1's normal states into ``lay.x[t + 1]``.
 
-    A row's retained set is one run of its sorted values, less at most F at
+    One gather through ``sid`` gives each normal agent every value it hears,
+    a Byzantine sender's per-edge value included.  A row's retained set is one run of its sorted values, less at most F at
     each end, so the round counts and masks only the F + 1 sorted positions at
     each end.  After the row sort one transpose puts every agent's k-th
     smallest value in row k of ``cols``, so the band counts, the scaling, the
@@ -292,12 +303,13 @@ def _round(lay: SimpleNamespace, t: int) -> None:
     same terms (a tied zero's sign cannot change a nonzero sum, and
     ``math.fsum`` returns +0.0 for a zero one), and the sum is fsum's
     correctly rounded one.  A weight table can give tied senders different
-    weights, so only a table resolves cut-point ties by sender id.
+    weights, so only a table resolves cut-point ties by sender id; it zeroes
+    the dropped values before the shares scale them, as a dropped sender's
+    share of the kept total can exceed 1 and overflow a value near the
+    largest float.
     """
     xt, f, upper, cols = lay.x[t], lay.f, lay.upper, lay.cols
     vals = xt[lay.sid]
-    if lay.byz_rows.size:
-        vals[lay.byz_rows, lay.byz_cols] = lay.byz_series[t]
     own = xt[lay.ids]
     lay.ordered[...] = vals
     lay.ordered.sort(axis=1)
@@ -333,7 +345,7 @@ def _round(lay: SimpleNamespace, t: int) -> None:
         # the renormalising total is a sequential sum in sender order, as
         # in wmsr_weights
         share = lay.weight / np.cumsum(np.where(keep, lay.weight, 0.0), axis=1)[:, -1:]
-        cols.T[...] = np.where(keep, share * vals, 0.0)
+        cols.T[...] = share * np.where(keep, vals, 0.0)
     # the weighted sum is fsum's correctly rounded one, so independent of
     # order; common rows need no fsum, as their sum is discarded below
     mixed, ok = _column_sums(cols, lay.spare)

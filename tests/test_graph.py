@@ -135,11 +135,39 @@ def test_vertex_queries_take_integer_ids_only(query):
     g = make_k_circulant(5, 2)
     ask = getattr(g, query)
     for bad in (1.5, True, False, "1", None):
-        with pytest.raises(GraphError, match="unknown vertex id"):
+        with pytest.raises(GraphError, match="is not an integer id"):
             ask(bad)
     # an integer-like id that is not an int (as NumPy's are) answers as the int
     assert ask(np.int64(3)) == ask(3)
     assert all(type(v) is int for v in g.inclusive_neighbors(np.int64(3)))
+
+
+def test_digraph_takes_integer_count_and_ids_only():
+    for n, edges, message in ((3, {(1.0, 2)}, r"^edge \(1\.0, 2\): vertex must be an integer, got 1\.0$"),
+                              (3, {(True, 2)}, r"^edge \(True, 2\): vertex must be an integer, got True$"),
+                              (3, {(1, "2")}, "^edge .* must be an integer, got '2'$"),
+                              (3, {(2, None)}, "^edge .* must be an integer, got None$"),
+                              (5.0, set(), "^agent count must be an integer, got 5.0$"),
+                              (True, set(), "^agent count must be an integer, got True$")):
+        with pytest.raises(GraphError, match=message):
+            Digraph(n, edges)
+    # integer-like values (as NumPy's are) become ints, and the edges a frozenset
+    g = Digraph(np.int64(3), {(np.int64(1), 2), (3, np.int64(1))})
+    assert g == Digraph(3, frozenset({(1, 2), (3, 1)}))
+    assert type(g.n) is int and type(g.edges) is frozenset
+    assert all(type(v) is int for edge in g.edges for v in edge)
+    assert g.in_masks == (0b100, 0b001, 0b000)
+
+
+def test_circulants_take_integer_parameters_only():
+    for n, k in ((6, 2.0), (6, True), (6.0, 2), (True, 1)):
+        with pytest.raises(GraphError, match="must be an integer"):
+            make_k_circulant(n, k)
+    for n, offsets in ((6, [1.0]), (6, [True, 2]), (6.0, [1])):
+        with pytest.raises(GraphError, match="must be an integer"):
+            make_undirected_circulant(n, offsets)
+    assert make_k_circulant(np.int64(6), np.int64(2)) == make_k_circulant(6, 2)
+    assert make_undirected_circulant(np.int64(6), [np.int64(1)]) == make_undirected_circulant(6, [1])
 
 
 def test_save_load_roundtrip(tmp_path):

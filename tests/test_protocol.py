@@ -1,11 +1,12 @@
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rcl.graph import make_k_circulant, make_undirected_circulant
+from rcl.graph import GraphError, make_k_circulant, make_undirected_circulant
 from rcl.protocol import (
     ByzantinePerEdge,
     ConfigError,
@@ -285,3 +286,37 @@ def test_f_local_counts_inclusive_neighbors_only():
     assert validate_f_local(g, {1, 3, 5}, 1) == (True, None)
     ok, violator = validate_f_local(g, {1, 3, 5}, 0)
     assert not ok and violator == 2
+
+
+def test_f_local_takes_integer_ids_and_f_only():
+    g = make_k_circulant(6, 2)
+    for adversaries, message in (([1.0], "adversary 1.0 is not an integer id"),
+                                 ([True], "adversary True is not an integer id"),
+                                 ([2, 7], "adversary 7 outside 1..6")):
+        with pytest.raises(GraphError, match=message):
+            validate_f_local(g, adversaries, 0)
+    for f in (0.5, True, "1", -1):
+        with pytest.raises(ValueError, match="F must be"):
+            validate_f_local(g, [1], f)
+    assert validate_f_local(g, [np.int64(1)], np.int64(0)) == validate_f_local(g, [1], 0) == (False, 2)
+
+
+def test_filter_takes_an_integer_f_only():
+    incoming = [(2, 1.0), (3, -1.0)]
+    for f in (0.5, True, -1):
+        with pytest.raises(ValueError, match="F must be"):
+            wmsr_filter(1, 0.0, incoming, f)
+    assert wmsr_filter(1, 0.0, incoming, np.int64(1)) == wmsr_filter(1, 0.0, incoming, 1) == [(1, 0.0)]
+
+
+def test_round_and_agent_keys_must_be_integers():
+    with pytest.raises(ConfigError, match="^breakpoint round must be an integer, got 0.0$"):
+        ReferenceSignal(((0.0, 1.0),))
+    with pytest.raises(ConfigError, match="^byzantine out-neighbor must be an integer, got 2.0$"):
+        ByzantinePerEdge({2.0: ConstantHold(0.0)})
+    with pytest.raises(ConfigError, match=r"^/weight_table/1.5/2: agent id must be an integer, got 1.5$"):
+        WeightScheme(0.5, {(1.5, 2): 0.5})
+    # integer-like keys become ints
+    assert ReferenceSignal(((np.int64(0), 1.0),)).breakpoints == ((0, 1.0),)
+    assert type(next(iter(ByzantinePerEdge({np.int64(2): ConstantHold(0.0)}).signals))) is int
+    assert all(type(v) is int for key in WeightScheme(0.5, {(np.int64(1), 2): 0.5}).table for v in key)

@@ -191,6 +191,14 @@ def test_parametric_scenarios_reject_f_outside_range():
             build_scenario(name, f=MAX_SCENARIO_F + 1)
 
 
+def test_parametric_scenarios_take_an_integer_f_only():
+    for name in ("counterexample-rs", "counterexample-2f1", "leader-deficit", "leader-deficit-contrast"):
+        for f in (1.5, True):
+            with pytest.raises(ScenarioError, match=f"^F must be an integer, got {f}$"):
+                build_scenario(name, f=f)
+    assert build_scenario("leader-deficit", f=np.int64(2)).base == build_scenario("leader-deficit", f=2).base
+
+
 def test_leader_deficit_normals_pinned_bit_exactly():
     result = leader_deficit_scenario(1).run()
     assert result.outcome_ok

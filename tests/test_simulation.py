@@ -1,7 +1,9 @@
 import json
 import math
 import random
+import re
 import tempfile
+import warnings
 import xml.etree.ElementTree as ET
 from dataclasses import replace
 from pathlib import Path
@@ -78,6 +80,33 @@ def test_unknown_role_id_rejected():
         basic_config(roles={9: Leader()})
 
 
+@pytest.mark.parametrize("key, value", [("f", 1.5), ("f", True), ("f", "1"), ("horizon", 2.5),
+                                        ("horizon", None), ("seed", 1.5), ("seed", False)])
+def test_f_horizon_and_seed_must_be_integers(key, value):
+    with pytest.raises(ConfigError, match=f"^/{key}: must be an integer, got {re.escape(repr(value))}$"):
+        basic_config(**{key: value})
+
+
+def test_role_and_init_ids_must_be_integers():
+    for roles in ({1.0: Leader(), 2: Leader()}, {True: Leader(), 2: Leader()}):
+        with pytest.raises(ConfigError, match="^/roles/(1.0|True): unknown agent id$"):
+            basic_config(roles=roles)
+    init = {i: 0.0 for i in range(2, 9)}
+    for first in (1.0, True):
+        with pytest.raises(ConfigError, match=f"^/init/values: vertex {first} is not an integer id$"):
+            basic_config(init={first: 0.0, **init})
+
+
+def test_numpy_integers_round_trip_through_json():
+    cfg = basic_config(graph=make_k_circulant(np.int64(8), np.int64(3)), f=np.int64(1), horizon=np.int64(20),
+                       roles={np.int64(1): Leader(), np.int64(2): Leader()}, seed=np.int64(3),
+                       init={np.int64(i): float(i) for i in range(1, 9)})
+    assert all(type(v) is int for v in (cfg.f, cfg.horizon, cfg.seed, *cfg.roles, *cfg.init))
+    back = config_from_dict(json.loads(json.dumps(config_to_dict(cfg))))
+    assert back == cfg
+    assert run(back).states.tobytes() == run(cfg).states.tobytes()
+
+
 def test_leaders_require_reference():
     with pytest.raises(ConfigError, match="reference"):
         basic_config(reference=None)
@@ -147,6 +176,25 @@ def test_leaders_broadcast_reference_exactly():
     expected = np.array([ref.value_at(t) for t in range(26)])
     assert np.array_equal(traj.states[:, 0], expected)
     assert np.array_equal(traj.reference, expected)
+
+
+def test_weight_table_drops_a_huge_value_without_warnings():
+    # C_6(1..3) at F = 1: agents 2, 3 and 4 hear adversary 1, give it most of
+    # their weight and drop its 1.7e308, so its share of their kept total
+    # exceeds 1; no term of a dropped sender may be computed
+    g = make_k_circulant(6, 3)
+    table = {}
+    for i in g.vertices:
+        row = sorted(g.inclusive_neighbors(i))
+        for j in row:
+            table[(i, j)] = (0.7 if j == 1 else 0.1) if 1 < i <= 4 else 1 / len(row)
+    config = SimConfig(graph=g, f=1, horizon=5, roles={1: Adversary(ConstantHold(1.7e308))},
+                       scheme=WeightScheme(0.1, table), seed=0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        traj = run(config)
+        assert verify_replay(traj)
+    assert np.isfinite(traj.states[:, 1:]).all()
 
 
 def test_replay_reproduces_trajectory():

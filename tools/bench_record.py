@@ -7,8 +7,9 @@ Measures the checkout this file sits in, one step after the other:
 - ``perfbench/run.py`` at its default length for every workload at seeds 1
   and 101, each run in its own process; the last JSON line of each run is
   kept as printed;
-- ``tools/track_layers.py``, each line parsed into milliseconds (and
-  microseconds per round where it gives them);
+- ``tools/track_layers.py`` and ``tools/decider_layers.py``, each line
+  parsed into its values by unit (milliseconds, microseconds per round or
+  per call, call counts); a checkout without one of them records null;
 - the tier-1 suite (``python -m pytest -q --continue-on-collection-errors``
   with ``src/`` on ``PYTHONPATH``) and acceptance test c01 alone, by wall
   clock, with pytest's summary line.
@@ -90,16 +91,19 @@ def _perfbench(workload: str, seed: int) -> dict:
     return record
 
 
-def _track_layers() -> dict:
-    done, wall = _run([sys.executable, "tools/track_layers.py"], timeout=1800)
+def _layers(script: str) -> dict | None:
+    """``tools/<script>``'s lines parsed as {layer: {unit: value}}, the unit
+    with "/" spelt "_per_" (``us_per_round``), or None where the checkout
+    has no such script."""
+    if not (ROOT / "tools" / script).is_file():
+        return None
+    done, wall = _run([sys.executable, f"tools/{script}"], timeout=1800)
     layers = {}
     for line in done.stdout.splitlines():
-        found = re.search(r"(-?[\d.]+) ms(?:\s+(-?[\d.]+) us/round)?", line)
+        found = re.match(r"(.*?)\s+(-?[\d.]+ [a-z/]+.*)", line)
         if found:
-            entry = {"ms": float(found[1])}
-            if found[2]:
-                entry["us_per_round"] = float(found[2])
-            layers[line[: found.start()].strip()] = entry
+            layers[found[1].strip()] = {unit.replace("/", "_per_"): float(value)
+                                        for value, unit in re.findall(r"(-?[\d.]+) ([a-z/]+)", found[2])}
     return {"returncode": done.returncode, "process_wall_s": round(wall, 3), "layers": layers}
 
 
@@ -147,15 +151,17 @@ def main(argv=None) -> int:
         for seed in SEEDS:
             print(f"perfbench {workload} seed {seed}", file=sys.stderr, flush=True)
             record["perfbench"].setdefault(workload, {})[str(seed)] = _perfbench(workload, seed)
-    print("track_layers", file=sys.stderr, flush=True)
-    record["track_layers"] = _track_layers()
+    for script in ("track_layers", "decider_layers"):
+        print(script, file=sys.stderr, flush=True)
+        record[script] = _layers(f"{script}.py")
     print("tier-1", file=sys.stderr, flush=True)
     record["tier1"] = _pytest()
     print("c01", file=sys.stderr, flush=True)
     record["c01"] = _pytest(C01)
     record["notes"] = NOTES
     args.out.write_text(json.dumps(record, indent=2) + "\n")
-    failed = [name for name in ("track_layers", "tier1", "c01") if record[name]["returncode"] != 0]
+    failed = [name for name in ("track_layers", "decider_layers", "tier1", "c01")
+              if record[name] is not None and record[name]["returncode"] != 0]
     failed += [f"{w} seed {s}" for w, runs in record["perfbench"].items() for s, r in runs.items()
                if r["returncode"] != 0]
     if failed:
