@@ -27,6 +27,7 @@ from pathlib import Path
 from .graph import (
     Digraph,
     GraphError,
+    _integer_text,
     load_graph,
     load_graph_json,
     make_k_circulant,
@@ -82,13 +83,12 @@ def parse_id_set(text: str) -> list[int]:
         if not part:
             continue
         if "-" in part[1:]:
-            lo_text, hi_text = part.split("-", 1)
-            lo, hi = int(lo_text), int(hi_text)
+            lo, hi = (_integer_text(v, "agent id") for v in part.split("-", 1))
             if hi < lo:
                 raise ValueError(f"empty id range {part!r}")
             ids.update(range(lo, hi + 1))
         else:
-            ids.add(int(part))
+            ids.add(_integer_text(part, "agent id"))
     if not ids:
         raise ValueError(f"no agent ids in {text!r}")
     return sorted(ids)

@@ -7,10 +7,13 @@ to agent j.  Graphs are immutable after construction, so all derived data
 Every id and integer parameter that rcl takes (n, k, edge ends, r, s, F, a
 horizon, a seed) follows one rule, written here once in ``_integer``: it is
 taken as ``operator.index`` takes it, bools excepted, and normalised to int.
+An id written as text takes only the form ``str`` writes (``_integer_text``);
+a real value is any non-bool ``numbers.Real`` a float holds, as a float (``_number``).
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import numbers
 import operator
@@ -35,6 +38,28 @@ def _integer(value, name: str, error: type[Exception] = ValueError) -> int:
         except TypeError:
             pass
     raise error(f"{name} must be an integer, got {value!r}")
+
+
+def _integer_text(text: str, name: str, error: type[Exception] = ValueError) -> int:
+    """The int whose ``str`` is ``text`` (no "+", "_", space, leading zero or non-ASCII digit), else ``error``."""
+    try:
+        if str(value := int(text)) == text:
+            return value
+    except (TypeError, ValueError):
+        pass
+    raise error(f"{name} must be an integer, got {text!r}")
+
+
+def _number(value, name: str, error: type[Exception] = ValueError) -> float:
+    """``value`` as a float: a ``numbers.Real`` other than a bool that a float
+    can hold (NaN and +-inf included), else ``error``."""
+    if type(value) is float:
+        return value
+    if isinstance(value, (int, numbers.Real)) and not isinstance(value, bool):  # int first, as the ABC is slow
+        with contextlib.suppress(OverflowError):  # a Fraction too large for a float
+            if not isinstance(value, int) or abs(value) <= sys.float_info.max:
+                return float(value)
+    raise error(f"{name} must be a number, got {value!r}")
 
 
 def _count(value, name: str) -> int:
@@ -71,6 +96,13 @@ def _circulant(n: int, k: int) -> tuple[int, int]:
     return n, k
 
 
+def _edge(e: Any) -> tuple[int, int]:
+    """An edge as a pair of ints by the integer rule, else GraphError naming it."""
+    if not isinstance(e, tuple) or len(e) != 2:
+        raise GraphError(f"edge {e!r}: expected a pair of vertices")
+    return tuple(_integer(v, f"edge {e!r}: vertex", GraphError) for v in e)
+
+
 @dataclass(frozen=True)
 class Digraph:
     """Immutable digraph on vertex set {1, .., n}.
@@ -88,15 +120,19 @@ class Digraph:
             raise GraphError(f"agent count must be >= 2, got {n}")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "edges", frozenset(self.edges))
-        for i, j in self.edges:
-            if type(i) is not int or type(j) is not int:  # make every end an int, then check again
-                object.__setattr__(self, "edges", frozenset(
-                    tuple(_integer(v, f"edge {e!r}: vertex", GraphError) for v in e) for e in self.edges))
-                return self.__post_init__()
-            if i == j:
-                raise GraphError(f"self-loop ({i}, {j}) not allowed")
-            if not (1 <= i <= n and 1 <= j <= n):
-                raise GraphError(f"edge ({i}, {j}) outside vertex range 1..{n}")
+        try:
+            for i, j in self.edges:
+                if type(i) is not int or type(j) is not int:
+                    raise TypeError  # normalised below
+                if i == j:
+                    raise GraphError(f"self-loop ({i}, {j}) not allowed")
+                if not (1 <= i <= n and 1 <= j <= n):
+                    raise GraphError(f"edge ({i}, {j}) outside vertex range 1..{n}")
+        except GraphError:
+            raise
+        except (TypeError, ValueError):  # an edge not a pair of ints: make each edge one, then check again
+            object.__setattr__(self, "edges", frozenset(map(_edge, self.edges)))
+            self.__post_init__()
 
     @property
     def vertices(self) -> range:
@@ -111,15 +147,19 @@ class Digraph:
             outs[i - 1].add(j)
         return tuple(map(frozenset, ins)), tuple(map(frozenset, outs))
 
+    def _masks(self, sets: tuple[frozenset[int], ...]) -> tuple[int, ...]:
+        bit = [0, *(1 << v for v in range(self.n))]  # bit[v] is vertex v's bit
+        return tuple(sum(map(bit.__getitem__, s)) for s in sets)
+
     @cached_property
     def in_masks(self) -> tuple[int, ...]:
         """Per-vertex in-neighborhood as a bitmask; bit (v-1) set iff v is an in-neighbor."""
-        return tuple(sum(1 << (j - 1) for j in s) for s in self._neighbor_sets[0])
+        return self._masks(self._neighbor_sets[0])
 
     @cached_property
     def out_masks(self) -> tuple[int, ...]:
         """Per-vertex out-neighborhood as a bitmask; bit (v-1) set iff v is an out-neighbor."""
-        return tuple(sum(1 << (j - 1) for j in s) for s in self._neighbor_sets[1])
+        return self._masks(self._neighbor_sets[1])
 
     def _vertex(self, i: int) -> int:
         """``i`` as an int id in 1..n, by ``_vertex_mask``'s rule."""
@@ -182,19 +222,13 @@ def load_graph(path: str | Path) -> Digraph:
     header = lines[0].split()
     if len(header) != 2 or header[0] != "n":
         raise GraphError(f"{path}:1: expected header 'n <count>', got {lines[0]!r}")
-    try:
-        n = int(header[1])
-    except ValueError:
-        raise GraphError(f"{path}:1: agent count is not an integer: {header[1]!r}") from None
+    n = _integer_text(header[1], f"{path}:1: agent count", GraphError)
     edges: set[tuple[int, int]] = set()
     for lineno, ln in enumerate(lines[1:], start=2):
         parts = ln.split()
         if len(parts) != 2:
             raise GraphError(f"{path}:{lineno}: expected 'i j', got {ln!r}")
-        try:
-            i, j = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise GraphError(f"{path}:{lineno}: non-integer vertex id in {ln!r}") from None
+        i, j = (_integer_text(v, f"{path}:{lineno}: vertex id", GraphError) for v in parts)
         if i == j:
             raise GraphError(f"{path}:{lineno}: self-loop ({i}, {j})")
         if not (1 <= i <= n and 1 <= j <= n):
@@ -210,16 +244,25 @@ def graph_to_json(g: Digraph) -> dict:
 
 
 def _fits(value: Any, form: Any) -> bool:
-    """Whether a JSON value has ``form``: ``float`` (any number a float can
-    hold, NaN and +-inf included) or ``int``, never a bool; ``[form]``, a list
-    of such values; or a tuple of forms, a list with one value per form."""
+    """Whether a value has ``form``: ``float`` (by the number rule) or ``int``
+    (by the integer rule); ``[form]``, a list of such values; or a tuple of
+    forms, a list with one value per form."""
     if isinstance(form, tuple):
         return isinstance(value, (list, tuple)) and len(value) == len(form) and all(map(_fits, value, form))
     if isinstance(form, list):
         return isinstance(value, (list, tuple)) and all(_fits(v, form[0]) for v in value)
-    if not isinstance(value, int if form is int else (int, float)) or isinstance(value, bool):
+    try:
+        (_integer if form is int else _number)(value, "value")
+    except ValueError:
         return False
-    return isinstance(value, float) or form is int or abs(value) <= sys.float_info.max
+    return True
+
+
+def _require(value: Any, path: str, form: Any, shape: str, error: type[Exception] = GraphError) -> Any:
+    """``value`` if it has ``form``, else ``error`` naming ``path`` and ``shape``."""
+    if not _fits(value, form):
+        raise error(f"{path}: expected {shape}, got {value!r}")
+    return value
 
 
 def graph_from_json(obj: Any, path: str = "#") -> Digraph:
@@ -229,8 +272,7 @@ def graph_from_json(obj: Any, path: str = "#") -> Digraph:
         raise GraphError(f"{path}: graph JSON must be an object with keys 'n' and 'edges'")
     for key, form, shape in (("n", int, "an integer"),
                              ("edges", [(int, int)], "a list of [i, j] pairs of integers")):
-        if not _fits(obj.get(key), form):
-            raise GraphError(f"{path}/{key}: expected {shape}, got {obj.get(key)!r}")
+        _require(obj.get(key), f"{path}/{key}", form, shape)
     edges = set()
     for index, (i, j) in enumerate(obj["edges"]):
         if (i, j) in edges:

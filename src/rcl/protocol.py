@@ -10,14 +10,22 @@ the retained value multiset (asserted by tests).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Iterable, Mapping, Sequence, Union
 
-from .graph import Digraph, _count, _integer, _vertex_mask
+from .graph import Digraph, _count, _integer, _number, _require, _vertex_mask
 
 
 class ConfigError(ValueError):
-    """Invalid protocol or simulation configuration."""
+    """Invalid configuration; a record's message starts with the JSON pointer
+    of the field at fault, a strategy's relative to the strategy (``/value``)."""
+
+
+def _finite(value, name: str) -> float:
+    """``value`` by the number rule, and finite, as only an adversary may send NaN or +-inf."""
+    if not math.isfinite(number := _number(value, name, ConfigError)):
+        raise ConfigError(f"{name} must be a finite number, got {value!r}")
+    return number
 
 
 # ---------------------------------------------------------------------------
@@ -37,19 +45,21 @@ class ReferenceSignal:
     breakpoints: tuple[tuple[int, float], ...]
 
     def __post_init__(self) -> None:
+        _require(self.breakpoints, "/reference/breakpoints", [(int, float)],
+                 "a list of [round, value] with integer rounds", ConfigError)
         if not self.breakpoints:
-            raise ConfigError("reference signal needs at least one breakpoint")
-        rounds = [t for t, _ in self.breakpoints]
+            raise ConfigError("/reference: reference signal needs at least one breakpoint")
+        rounds = [_integer(t, "breakpoint round") for t, _ in self.breakpoints]
         if rounds[0] != 0:
-            raise ConfigError(f"first breakpoint must be at round 0, got {rounds[0]}")
+            raise ConfigError(f"/reference: first breakpoint must be at round 0, got {rounds[0]}")
         if any(b >= a for b, a in zip(rounds, rounds[1:])):
-            raise ConfigError(f"breakpoint rounds must be strictly increasing, got {rounds}")
-        object.__setattr__(self, "breakpoints", tuple((_integer(t, "breakpoint round", ConfigError), float(v))
-                                                      for t, v in self.breakpoints))
+            raise ConfigError(f"/reference: breakpoint rounds must be strictly increasing, got {rounds}")
+        values = [_finite(v, f"/reference/breakpoints/{idx}/1:") for idx, (_, v) in enumerate(self.breakpoints)]
+        object.__setattr__(self, "breakpoints", tuple(zip(rounds, values)))
 
     @classmethod
     def constant(cls, value: float) -> "ReferenceSignal":
-        return cls(((0, value),))
+        return cls(((0, _finite(value, "/reference/constant:")),))
 
     def value_at(self, t: int) -> float:
         if t < 0:
@@ -73,8 +83,19 @@ class ReferenceSignal:
 # adversary strategies
 
 
+class _NumberFields:
+    def __post_init__(self) -> None:
+        """Each field by the number rule, NaN and +-inf included; an int stays
+        an int, as the JSON reader has always written it back."""
+        for field in fields(self):
+            value = getattr(self, field.name)
+            number = _number(value, f"/{field.name}:", ConfigError)
+            if type(value) is not int:
+                object.__setattr__(self, field.name, number)
+
+
 @dataclass(frozen=True)
-class ConstantHold:
+class ConstantHold(_NumberFields):
     value: float
 
     def value_at(self, t: int) -> float:
@@ -82,13 +103,14 @@ class ConstantHold:
 
 
 @dataclass(frozen=True)
-class Sinusoid:
+class Sinusoid(_NumberFields):
     amplitude: float
     period: float
     phase: float = 0.0
     offset: float = 0.0
 
     def __post_init__(self) -> None:
+        super().__post_init__()
         if self.period <= 0:
             raise ConfigError(f"sinusoid period must be positive, got {self.period}")
 
@@ -97,7 +119,7 @@ class Sinusoid:
 
 
 @dataclass(frozen=True)
-class Ramp:
+class Ramp(_NumberFields):
     slope: float
     intercept: float = 0.0
 
@@ -112,9 +134,10 @@ class Scripted:
     values: tuple[float, ...]
 
     def __post_init__(self) -> None:
+        _require(self.values, "/values", [float], "a list of numbers", ConfigError)
         if not self.values:
             raise ConfigError("scripted strategy needs at least one value")
-        object.__setattr__(self, "values", tuple(float(v) for v in self.values))
+        object.__setattr__(self, "values", tuple(map(float, self.values)))
 
     def value_at(self, t: int) -> float:
         return self.values[min(t, len(self.values) - 1)]
@@ -213,18 +236,19 @@ class WeightScheme:
     table: Mapping[tuple[int, int], float] | None = None
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.alpha < 1.0):
-            raise ConfigError(f"/alpha: alpha must be in (0, 1), got {self.alpha}")
+        alpha = _number(self.alpha, "/alpha:", ConfigError)
+        if not (0.0 < alpha < 1.0):
+            raise ConfigError(f"/alpha: alpha must be in (0, 1), got {alpha}")
+        object.__setattr__(self, "alpha", alpha)
         if self.table is not None:
             frozen = {}
             for key, w in dict(self.table).items():
                 i, j = key
-                if w < self.alpha:
-                    raise ConfigError(
-                        f"/weight_table/{i}/{j}: table weight w[{i},{j}]={w} is below "
-                        f"the floor alpha={self.alpha}"
-                    )
-                frozen[tuple(_integer(v, f"/weight_table/{i}/{j}: agent id", ConfigError) for v in key)] = float(w)
+                w = _finite(w, f"/weight_table/{i}/{j}:")
+                if w < alpha:
+                    raise ConfigError(f"/weight_table/{i}/{j}: table weight w[{i},{j}]={w} is below "
+                                      f"the floor alpha={alpha}")
+                frozen[tuple(_integer(v, f"/weight_table/{i}/{j}: agent id", ConfigError) for v in key)] = w
             object.__setattr__(self, "table", frozen)
 
 

@@ -25,7 +25,8 @@ from typing import Any, Mapping
 import numpy as np
 
 from .graph import (
-    Digraph, GraphError, _fits, _integer, graph_from_json, graph_to_json, make_k_circulant, make_undirected_circulant,
+    Digraph, GraphError, _integer, _integer_text, _require, graph_from_json, graph_to_json, make_k_circulant,
+    make_undirected_circulant,
 )
 from .protocol import (
     Adversary,
@@ -42,6 +43,7 @@ from .protocol import (
     Scripted,
     Sinusoid,
     WeightScheme,
+    _finite,
     default_alpha,
     opposite_infinities,
     validate_f_local,
@@ -104,17 +106,12 @@ class SimConfig:
 
         if self.leaders and self.reference is None:
             raise ConfigError("leaders are present but no reference signal is configured")
-        if self.reference is not None:
-            for idx, (_, value) in enumerate(self.reference.breakpoints):
-                _require_finite(value, f"/reference/breakpoints/{idx}/1")
 
         scheme = self.scheme or WeightScheme(default_alpha(g))
         bound = 1.0 / (g.max_in_degree + 1)
         if scheme.table is None and scheme.alpha > bound + 1e-15:
-            raise ConfigError(
-                f"alpha={scheme.alpha} infeasible: equal weighting needs alpha <= "
-                f"1/(max in-degree + 1) = {bound}"
-            )
+            raise ConfigError(f"alpha={scheme.alpha} infeasible: equal weighting needs alpha <= "
+                              f"1/(max in-degree + 1) = {bound}")
         if scheme.table is not None:
             for i in g.vertices:
                 total = 0.0
@@ -123,10 +120,8 @@ class SimConfig:
                         raise ConfigError(f"weight table missing entry for edge ({i}, {j})")
                     total += scheme.table[(i, j)]
                 if not abs(total - 1.0) <= 1e-9:
-                    raise ConfigError(
-                        f"weight table rows must sum to 1 over inclusive neighbors; "
-                        f"agent {i} sums to {total}"
-                    )
+                    raise ConfigError(f"weight table rows must sum to 1 over inclusive neighbors; "
+                                      f"agent {i} sums to {total}")
         object.__setattr__(self, "scheme", scheme)
 
         if isinstance(self.init, Mapping):
@@ -134,37 +129,32 @@ class SimConfig:
             if missing:
                 raise ConfigError(f"/init/values: missing agents {missing}")
             try:
-                init = {g._vertex(i): float(v) for i, v in self.init.items()}
+                init = {g._vertex(i): _finite(v, f"/init/values/{i}:") for i, v in self.init.items()}
             except GraphError as exc:
                 raise ConfigError(f"/init/values: {exc}") from None
-            for i, value in init.items():
-                _require_finite(value, f"/init/values/{i}")
             object.__setattr__(self, "init", init)
         else:
-            lo, hi = self.init
-            _require_finite(float(lo), "/init/range/0")
-            _require_finite(float(hi), "/init/range/1")
+            _require(self.init, "/init/range", (float, float), "[lo, hi] of numbers", ConfigError)
+            lo, hi = (_finite(v, f"/init/range/{end}:") for end, v in enumerate(self.init))
             if not (lo <= hi):
                 raise ConfigError(f"/init/range: need low <= high, got [{lo}, {hi}]")
-            object.__setattr__(self, "init", (float(lo), float(hi)))
+            object.__setattr__(self, "init", (lo, hi))
 
         for i, role in full_roles.items():
             if isinstance(role, Adversary) and isinstance(role.strategy, ByzantinePerEdge):
                 out = self.graph.out_neighbors(i)
                 keys = set(role.strategy.signals)
                 if keys != out:
-                    raise ConfigError(
-                        f"/roles/{i}/adversary: byzantine signals must cover the "
-                        f"out-neighbors {sorted(out)}, got {sorted(keys)}"
-                    )
+                    raise ConfigError(f"/roles/{i}/adversary: byzantine signals must cover the "
+                                      f"out-neighbors {sorted(out)}, got {sorted(keys)}")
 
+        if not isinstance(self.strict_f_local, bool):
+            raise ConfigError(f"/strict_f_local: must be a boolean, got {self.strict_f_local!r}")
         if self.strict_f_local:
             ok, bad = validate_f_local(g, self.adversaries, self.f)
             if not ok:
-                raise ConfigError(
-                    f"adversary set is not F-local for F={self.f}: agent {bad} has too many "
-                    "adversarial inclusive in-neighbors (set strict_f_local=False to override)"
-                )
+                raise ConfigError(f"adversary set is not F-local for F={self.f}: agent {bad} has too many "
+                                  "adversarial inclusive in-neighbors (set strict_f_local=False to override)")
 
     @property
     def normals(self) -> tuple[int, ...]:
@@ -642,17 +632,12 @@ def _scalar_strategy_from_dict(obj: Any, path: str) -> ScalarStrategy:
     if not isinstance(kind, str) or kind not in _SCALAR_STRATEGIES:
         raise ConfigError(f"{path}/type: unknown scalar strategy {kind!r}")
     fields = {k: _float_names(v) for k, v in obj.items() if k != "type"}
-    for key, v in fields.items():
-        if kind == "scripted" and key == "values":
-            _require(v, f"{path}/values", [float], "a list of numbers")
-        else:
-            _require(v, f"{path}/{key}", float, "a number")
     try:
         return _SCALAR_STRATEGIES[kind](**fields)
     except TypeError as exc:
         raise ConfigError(f"{path}: bad fields for {kind!r} strategy: {exc}") from None
-    except ConfigError as exc:
-        raise ConfigError(f"{path}: {exc}") from None
+    except ConfigError as exc:  # the strategy's own pointer, if any, continues ``path``
+        raise ConfigError(f"{path}{exc}" if str(exc).startswith("/") else f"{path}: {exc}") from None
 
 
 def _strategy_from_dict(obj: Any, path: str) -> Adversary:
@@ -704,61 +689,39 @@ def _graph_from_config(obj: Any, path: str) -> Digraph:
     value, where = obj[form], f"{path}/{form}"
     try:
         if form == "circulant":
-            return make_k_circulant(*_require(value, where, (int, int), "[n, k] of integers"))
+            return make_k_circulant(*_require(value, where, (int, int), "[n, k] of integers", ConfigError))
         if form == "undirected_circulant":
-            n, offsets = _require(value, where, (int, [int]), "[n, [offsets]] of integers")
+            n, offsets = _require(value, where, (int, [int]), "[n, [offsets]] of integers", ConfigError)
             return make_undirected_circulant(n, offsets)
         return graph_from_json(obj, path)
     except GraphError as exc:
         raise ConfigError(str(exc) if form == "edges" else f"{path}: {exc}") from None
 
 
-def _require(value: Any, path: str, form: Any, shape: str) -> Any:
-    if not _fits(value, form):
-        raise ConfigError(f"{path}: expected {shape}, got {value!r}")
-    return value
-
-
 def _agent_id(key: Any, path: str) -> int:
     """An agent id written as a JSON object key."""
-    try:
-        return int(key)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{path}: agent id must be an integer") from None
-
-
-def _require_finite(value: Any, path: str) -> float:
-    """A finite number; Python's json reads NaN and +-inf from the NaN and
-    Infinity literals."""
-    if not math.isfinite(_require(value, path, float, "a number")):
-        raise ConfigError(f"{path}: must be a finite number, got {value!r}")
-    return value
+    return _integer_text(key, f"{path}: agent id", ConfigError)
 
 
 def config_from_dict(obj: Any) -> SimConfig:
     """Build a SimConfig from the JSON configuration object.
 
-    Violations are reported with JSON-pointer-style paths.  Numbers outside
-    adversary strategies must be finite; adversary values are unrestricted,
-    as the threat model allows an adversary to send anything.
+    Violations are reported with JSON-pointer-style paths.  The reader checks
+    JSON structure only; each value is checked by the record that holds it.
     """
     if not isinstance(obj, dict):
         raise ConfigError("/: configuration must be a JSON object")
-    known = {
-        "graph", "f", "horizon", "seed", "alpha", "weight_table", "roles",
-        "reference", "init", "strict_f_local",
-    }
+    known = {"graph", "f", "horizon", "seed", "alpha", "weight_table", "roles", "reference", "init", "strict_f_local"}
     for key in obj:
         if key not in known:
             raise ConfigError(f"/{key}: unknown configuration key")
     missing = [key for key in ("graph", "f", "horizon") if key not in obj]
     if missing:
         raise ConfigError(f"/{missing[0]}: required")
-    graph = _graph_from_config(obj["graph"], "/graph")
-    f, horizon, seed = (_require(obj.get(key, 0), f"/{key}", int, "an integer")
-                        for key in ("f", "horizon", "seed"))
+    args: dict[str, Any] = {key: obj[key] for key in ("f", "horizon", "seed", "strict_f_local") if key in obj}
+    graph = args["graph"] = _graph_from_config(obj["graph"], "/graph")
 
-    roles: dict[int, AgentRole] = {}
+    roles: dict[int, AgentRole] = args.setdefault("roles", {})
     role_specs = {} if obj.get("roles") is None else obj["roles"]
     if not isinstance(role_specs, dict):
         raise ConfigError(f"/roles: must be an object or null, got {role_specs!r}")
@@ -771,38 +734,24 @@ def config_from_dict(obj: Any) -> SimConfig:
             _form(val, path, "adversary")
             roles[agent] = _strategy_from_dict(val["adversary"], f"{path}/adversary")
 
-    reference = None
     if obj.get("reference") is not None:
         ref = obj["reference"]
         if _form(ref, "/reference", "constant", "breakpoints") == "constant":
-            breakpoints = [(0, _require_finite(ref["constant"], "/reference/constant"))]
+            args["reference"] = ReferenceSignal.constant(ref["constant"])
         else:
-            breakpoints = _require(ref["breakpoints"], "/reference/breakpoints", [(int, float)],
-                                   "a list of [round, value] with integer rounds")
-        try:
-            reference = ReferenceSignal(tuple(breakpoints))
-        except ConfigError as exc:
-            raise ConfigError(f"/reference: {exc}") from None
+            args["reference"] = ReferenceSignal(ref["breakpoints"])
 
-    init: tuple[float, float] | dict[int, float] = (-25.0, 25.0)
     if "init" in obj:
         spec = obj["init"]
         if _form(spec, "/init", "range", "values") == "range":
-            init = tuple(_require(spec["range"], "/init/range", (float, float), "[lo, hi] of numbers"))
+            args["init"] = spec["range"]
         elif not isinstance(spec["values"], dict):
             raise ConfigError("/init/values: must map agent ids to numbers")
         else:
-            init = {
-                _agent_id(k, f"/init/values/{k}"): _require(v, f"/init/values/{k}", float, "a number")
-                for k, v in spec["values"].items()
-            }
+            args["init"] = {_agent_id(k, f"/init/values/{k}"): v for k, v in spec["values"].items()}
 
-    scheme = None
     if "alpha" in obj or "weight_table" in obj:
-        alpha = obj.get("alpha")
-        if alpha is None:
-            alpha = default_alpha(graph)
-        _require(alpha, "/alpha", float, "a number")
+        alpha = default_alpha(graph) if obj.get("alpha") is None else obj["alpha"]
         table = None
         if obj.get("weight_table") is not None:
             if not isinstance(obj["weight_table"], dict):
@@ -813,25 +762,9 @@ def config_from_dict(obj: Any) -> SimConfig:
                     raise ConfigError(f"/weight_table/{i_key}: must be an object")
                 for j_key, w in row.items():
                     path = f"/weight_table/{i_key}/{j_key}"
-                    edge = (_agent_id(i_key, path), _agent_id(j_key, path))
-                    table[edge] = float(_require_finite(w, path))
-        scheme = WeightScheme(float(alpha), table)
-
-    strict = obj.get("strict_f_local", True)
-    if not isinstance(strict, bool):
-        raise ConfigError(f"/strict_f_local: must be a boolean, got {strict!r}")
-
-    return SimConfig(
-        graph=graph,
-        f=f,
-        horizon=horizon,
-        roles=roles,
-        reference=reference,
-        scheme=scheme,
-        init=init,
-        seed=seed,
-        strict_f_local=strict,
-    )
+                    table[_agent_id(i_key, path), _agent_id(j_key, path)] = w
+        args["scheme"] = WeightScheme(alpha, table)
+    return SimConfig(**args)
 
 
 def config_to_dict(config: SimConfig) -> dict:

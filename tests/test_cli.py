@@ -31,6 +31,13 @@ def test_parse_id_set():
         parse_id_set("5-3")
 
 
+def test_id_sets_take_ids_only_as_str_writes_them():
+    for text in ("1_0", "\u0663", "+1", "01", "1-0_3", "1 - 3", "1,2_0"):
+        with pytest.raises(ValueError, match="^agent id must be an integer, got '"):
+            parse_id_set(text)
+    assert parse_id_set(" 1 , 4-6 ,-2") == [-2, 1, 4, 5, 6]
+
+
 def test_check_tlf_true_exit_zero(capsys):
     code, out, _ = run_cli(capsys, "check", "--circulant", "10", "7", "--tlf", "2", "--set", "1,4,5")
     assert code == 0

@@ -148,7 +148,9 @@ def test_digraph_takes_integer_count_and_ids_only():
                               (3, {(1, "2")}, "^edge .* must be an integer, got '2'$"),
                               (3, {(2, None)}, "^edge .* must be an integer, got None$"),
                               (5.0, set(), "^agent count must be an integer, got 5.0$"),
-                              (True, set(), "^agent count must be an integer, got True$")):
+                              (True, set(), "^agent count must be an integer, got True$"),
+                              (3, {(1, 2, 3)}, r"^edge \(1, 2, 3\): expected a pair of vertices$"),
+                              (3, {5}, "^edge 5: expected a pair of vertices$")):
         with pytest.raises(GraphError, match=message):
             Digraph(n, edges)
     # integer-like values (as NumPy's are) become ints, and the edges a frozenset
@@ -217,6 +219,18 @@ def test_load_rejects_malformed(tmp_path):
     path.write_text("vertices 3\n1 2\n")
     with pytest.raises(GraphError, match="header"):
         load_graph(path)
+
+
+def test_graph_files_take_ids_only_as_str_writes_them(tmp_path):
+    path = tmp_path / "g.txt"
+    for text, message in (("n 1_0\n", "agent count"), ("n +3\n", "agent count"), ("n \u0663\n", "agent count"),
+                          ("n 3\n1 0_2\n", "vertex id"), ("n 3\n01 2\n", "vertex id"),
+                          ("n 3\n1 \u0662\n", "vertex id")):
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(GraphError, match=f"^{path}:[12]: {message} must be an integer, got '"):
+            load_graph(path)
+    path.write_text("n 3\n 1  2 \n3 1\n")
+    assert load_graph(path) == Digraph(3, frozenset({(1, 2), (3, 1)}))
 
 
 def test_json_roundtrip():

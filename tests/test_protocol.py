@@ -310,7 +310,7 @@ def test_filter_takes_an_integer_f_only():
 
 
 def test_round_and_agent_keys_must_be_integers():
-    with pytest.raises(ConfigError, match="^breakpoint round must be an integer, got 0.0$"):
+    with pytest.raises(ConfigError, match=r"^/reference/breakpoints: expected .* rounds, got \(\(0\.0, 1\.0\),\)$"):
         ReferenceSignal(((0.0, 1.0),))
     with pytest.raises(ConfigError, match="^byzantine out-neighbor must be an integer, got 2.0$"):
         ByzantinePerEdge({2.0: ConstantHold(0.0)})

@@ -107,6 +107,40 @@ def test_numpy_integers_round_trip_through_json():
     assert run(back).states.tobytes() == run(cfg).states.tobytes()
 
 
+def test_numpy_floats_round_trip_through_json():
+    g = make_k_circulant(8, 3)
+    signals = {1: Ramp(np.float32(0.5)), 2: Sinusoid(np.float32(3.0), np.float64(7.0)),
+               3: Scripted((np.float32(1.5), -2.0))}
+    cfg = basic_config(
+        graph=g, roles={1: Leader(), 2: Leader(), 4: Adversary(ConstantHold(np.float32(0.1))),
+                        8: Adversary(ByzantinePerEdge(signals))},
+        reference=ReferenceSignal(((0, np.float32(5.5)), (np.int64(9), np.float64(-1.25)))),
+        scheme=WeightScheme(np.float32(0.1), {(i, j): np.float64(0.25) for i in g.vertices
+                                              for j in g.inclusive_neighbors(i)}),
+        init={i: np.float32(i / 3) for i in g.vertices})
+    back = config_from_dict(json.loads(json.dumps(config_to_dict(cfg), allow_nan=False)))
+    assert back == cfg
+    assert config_to_dict(back) == config_to_dict(cfg)
+    assert run(back).states.tobytes() == run(cfg).states.tobytes()
+
+
+def test_ids_written_as_text_take_the_form_str_writes():
+    base = {"graph": {"circulant": [6, 2]}, "f": 1, "horizon": 10, "reference": {"constant": 1.0}}
+    values = {str(i): 0.0 for i in range(2, 7)}
+    table = {str(i): {str(j): 1.0 / 3.0 for j in (i, (i - 2) % 6 + 1, (i - 3) % 6 + 1)} for i in range(1, 7)}
+    for patch, path in (({"roles": {"1_0": "leader"}}, "/roles/1_0"), ({"roles": {"+1": "leader"}}, r"/roles/\+1"),
+                        ({"roles": {" 1": "leader"}}, "/roles/ 1"), ({"roles": {"01": "leader"}}, "/roles/01"),
+                        ({"roles": {"-0": "leader"}}, "/roles/-0"),
+                        ({"init": {"values": {"\u0661": 0.0, **values}}}, "/init/values/\u0661"),
+                        ({"weight_table": {**table, "1": {"1": 0.5, "0_6": 0.5}}}, "/weight_table/1/0_6"),
+                        ({"roles": {"1": {"adversary": {"type": "byzantine", "edges": {
+                            "2": {"type": "constant", "value": 0}, "3.0": {"type": "constant", "value": 0}}}}}},
+                         "/roles/1/adversary/edges/3.0")):
+        with pytest.raises(ConfigError, match=f"^{path}: agent id must be an integer, got '"):
+            config_from_dict({**base, **patch})
+    assert config_from_dict({**base, "roles": {"1": "leader"}}).leaders == (1,)
+
+
 def test_leaders_require_reference():
     with pytest.raises(ConfigError, match="reference"):
         basic_config(reference=None)
@@ -531,7 +565,7 @@ def test_non_finite_adversary_values_round_trip_as_json_strings():
     restored = config_from_dict(d)
     assert config_to_dict(restored) == d
     assert run(restored).states.tobytes() == run(cfg).states.tobytes()
-    with pytest.raises(ConfigError, match="/roles/3/adversary/value: expected a number, got 'inf'"):
+    with pytest.raises(ConfigError, match="/roles/3/adversary/value: must be a number, got 'inf'"):
         config_from_dict({**d, "roles": {"3": {"adversary": {"type": "constant", "value": "inf"}}}})
 
 
@@ -576,19 +610,35 @@ def test_opposite_infinities_raise_config_error_in_engine_and_oracle():
     assert str(oracle.value) == expected
 
 
+# each override is built inside the test, as the records check their own values
 @pytest.mark.parametrize("overrides, path", [
-    (dict(init=(-float("inf"), float("inf"))), "/init/range/0"),
-    (dict(init=(0.0, float("inf"))), "/init/range/1"),
-    (dict(init={**{i: 0.0 for i in range(1, 9)}, 5: float("nan")}), "/init/values/5"),
-    (dict(reference=ReferenceSignal.constant(float("inf"))), "/reference/breakpoints/0/1"),
-    (dict(reference=ReferenceSignal(((0, 1.0), (4, float("nan"))))), "/reference/breakpoints/1/1"),
-    (dict(scheme=WeightScheme(0.05, {
+    (dict(init=lambda: (-float("inf"), float("inf"))), "/init/range/0"),
+    (dict(init=lambda: (0.0, float("inf"))), "/init/range/1"),
+    (dict(init=lambda: {**{i: 0.0 for i in range(1, 9)}, 5: float("nan")}), "/init/values/5"),
+    (dict(reference=lambda: ReferenceSignal(((0, float("inf")),))), "/reference/breakpoints/0/1"),
+    (dict(reference=lambda: ReferenceSignal(((0, 1.0), (4, float("nan"))))), "/reference/breakpoints/1/1"),
+    (dict(scheme=lambda: WeightScheme(0.05, {
         (i, (i - 1 - a) % 8 + 1): float("nan") if i == a == 2 else 0.25
-        for i in range(1, 9) for a in range(4)})), "agent 2 sums to nan"),
+        for i in range(1, 9) for a in range(4)})), "^/weight_table/2/8: must be a finite number, got nan$"),
+    (dict(reference=lambda: ReferenceSignal.constant(float("inf"))),
+     "^/reference/constant: must be a finite number, got inf$"),
+    (dict(roles=lambda: {3: Adversary(ConstantHold("5"))}), "^/value: must be a number, got '5'$"),
+    (dict(roles=lambda: {3: Adversary(Ramp("ab"))}), "^/slope: must be a number, got 'ab'$"),
+    (dict(roles=lambda: {3: Adversary(Sinusoid(1.0, "3"))}), "^/period: must be a number, got '3'$"),
+    (dict(roles=lambda: {3: Adversary(Scripted(("1",)))}), r"^/values: expected a list of numbers, got \('1',\)$"),
+    (dict(reference=lambda: ReferenceSignal(((0, "40"),))),
+     r"^/reference/breakpoints: expected a list of \[round, value\] with integer rounds, got \(\(0, '40'\),\)$"),
+    (dict(reference=lambda: ReferenceSignal(((0,),))), r"^/reference/breakpoints: expected .* got \(\(0,\),\)$"),
+    (dict(scheme=lambda: WeightScheme("0.1")), "^/alpha: must be a number, got '0.1'$"),
+    (dict(scheme=lambda: WeightScheme(0.1, {(1, 2): "0.5"})), "^/weight_table/1/2: must be a number, got '0.5'$"),
+    (dict(init=lambda: ("-1", "2")), r"^/init/range: expected \[lo, hi\] of numbers, got \('-1', '2'\)$"),
+    (dict(init=lambda: {**{i: 0.0 for i in range(1, 9)}, 4: "1.5"}), "^/init/values/4: must be a number, got '1.5'$"),
+    (dict(init=lambda: (1, 2, 3)), r"^/init/range: expected \[lo, hi\] of numbers, got \(1, 2, 3\)$"),
+    (dict(strict_f_local=lambda: 0), "^/strict_f_local: must be a boolean, got 0$"),
 ])
 def test_simconfig_rejects_non_finite(overrides, path):
     with pytest.raises(ConfigError, match=path):
-        basic_config(**overrides)
+        basic_config(**{key: build() for key, build in overrides.items()})
 
 
 def test_config_dict_errors_name_nested_paths():
