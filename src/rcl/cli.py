@@ -94,6 +94,14 @@ def parse_id_set(text: str) -> list[int]:
     return sorted(ids)
 
 
+def integer(text: str, name: str = "value") -> int:
+    """An integer given on the command line or in the environment, by
+    ``rcl.graph``'s rule for integers written as text: decimal digits as
+    ``str`` writes them, so not "1_0", "+1" or "01".  Every integer option's
+    argparse ``type``."""
+    return _integer_text(text, name)
+
+
 def _parse_int_list(text: str) -> list[int]:
     if not text.strip():
         return []
@@ -102,12 +110,7 @@ def _parse_int_list(text: str) -> list[int]:
 
 def _env_cap() -> int | None:
     raw = os.environ.get("RCL_ENUM_CAP")
-    if raw is None:
-        return None
-    try:
-        return int(raw)
-    except ValueError:
-        raise ConfigError(f"RCL_ENUM_CAP must be an integer, got {raw!r}") from None
+    return None if raw is None else integer(raw, "RCL_ENUM_CAP")
 
 
 def _graph_from_args(args) -> Digraph:
@@ -120,7 +123,7 @@ def _graph_from_args(args) -> Digraph:
         n, k = args.circulant
         return make_k_circulant(n, k)
     n, offsets_text = args.undirected_circulant
-    return make_undirected_circulant(int(n), parse_id_set(offsets_text))
+    return make_undirected_circulant(integer(n, "N"), parse_id_set(offsets_text))
 
 
 # ---------------------------------------------------------------------------
@@ -327,7 +330,7 @@ def cmd_sweep(args) -> int:
 def _add_graph_source(parser: argparse.ArgumentParser, required: bool = True) -> None:
     group = parser.add_mutually_exclusive_group(required=required)
     group.add_argument("--graph", metavar="FILE", help="edge-list or .json graph file")
-    group.add_argument("--circulant", nargs=2, type=int, metavar=("N", "K"),
+    group.add_argument("--circulant", nargs=2, type=integer, metavar=("N", "K"),
                        help="k-circulant digraph C_n(1..k)")
     group.add_argument("--undirected-circulant", nargs=2, metavar=("N", "OFFSETS"),
                        help="undirected circulant, offsets like '1,2'")
@@ -343,21 +346,21 @@ def build_parser() -> argparse.ArgumentParser:
     p_check = sub.add_parser("check", help="decide a robustness property")
     _add_graph_source(p_check)
     props = p_check.add_mutually_exclusive_group(required=True)
-    props.add_argument("--r-robust", type=int, metavar="R")
-    props.add_argument("--rs-robust", nargs=2, type=int, metavar=("R", "S"))
-    props.add_argument("--strong", type=int, metavar="R",
+    props.add_argument("--r-robust", type=integer, metavar="R")
+    props.add_argument("--rs-robust", nargs=2, type=integer, metavar=("R", "S"))
+    props.add_argument("--strong", type=integer, metavar="R",
                        help="strong r-robustness w.r.t. --set")
-    props.add_argument("--tlf", type=int, metavar="F",
+    props.add_argument("--tlf", type=integer, metavar="F",
                        help="TLF robustness with parameter F w.r.t. --set")
     props.add_argument("--certificate", choices=("strong", "tlf"),
                        help="circulant window certificate (needs --circulant, --set, --f)")
     props.add_argument("--max-r", action="store_true",
                        help="largest r for which the graph is r-robust")
     p_check.add_argument("--set", metavar="IDS", help="agent id set, e.g. '1,4,5' or '22-28'")
-    p_check.add_argument("--f", type=int, help="F parameter for --certificate")
+    p_check.add_argument("--f", type=integer, help="F parameter for --certificate")
     p_check.add_argument("--method", choices=("peeling", "bruteforce"), default="peeling",
                          help="decision procedure for --strong/--tlf (default peeling)")
-    p_check.add_argument("--cap", type=int, help="enumeration cap override")
+    p_check.add_argument("--cap", type=integer, help="enumeration cap override")
     p_check.add_argument("--force", action="store_true", help="ignore enumeration caps")
     p_check.set_defaults(func=cmd_check)
 
@@ -369,16 +372,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="simulate a JSON configuration")
     p_run.add_argument("config", metavar="CONFIG.json")
-    p_run.add_argument("--seed", type=int)
+    p_run.add_argument("--seed", type=integer)
     p_run.add_argument("--tol", type=float, default=1e-6)
     p_run.add_argument("--out", default="out/run", metavar="DIR")
     p_run.set_defaults(func=cmd_run)
 
     p_scen = sub.add_parser("scenario", help="run a built-in scenario")
     p_scen.add_argument("name", nargs="?", choices=SCENARIO_NAMES)
-    p_scen.add_argument("--f", type=int, help="F override for parametric scenarios")
-    p_scen.add_argument("--seed", type=int)
-    p_scen.add_argument("--horizon", type=int)
+    p_scen.add_argument("--f", type=integer, help="F override for parametric scenarios")
+    p_scen.add_argument("--seed", type=integer)
+    p_scen.add_argument("--horizon", type=integer)
     p_scen.add_argument("--out", metavar="DIR")
     p_scen.add_argument("--list", action="store_true", help="list scenario names")
     p_scen.set_defaults(func=cmd_scenario)
@@ -389,10 +392,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--f", required=True, help="F values")
     p_sweep.add_argument("--window-sizes", required=True, help="leader window sizes")
     p_sweep.add_argument("--window-starts", default="1", help="leader window start ids")
-    p_sweep.add_argument("--horizon", type=int, default=200)
-    p_sweep.add_argument("--seed", type=int, default=0)
+    p_sweep.add_argument("--horizon", type=integer, default=200)
+    p_sweep.add_argument("--seed", type=integer, default=0)
     p_sweep.add_argument("-o", "--output", metavar="FILE", help="write CSV here instead of stdout")
-    p_sweep.add_argument("--cell-cap", type=int, default=512)
+    p_sweep.add_argument("--cell-cap", type=integer, default=512)
     p_sweep.add_argument("--force", action="store_true")
     p_sweep.set_defaults(func=cmd_sweep)
 

@@ -119,8 +119,10 @@ class Digraph:
         if n < 2:
             raise GraphError(f"agent count must be >= 2, got {n}")
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "edges", frozenset(self.edges))
+        if not isinstance(self.edges, frozenset):  # an iterator once, so that the pass below sees every edge
+            object.__setattr__(self, "edges", tuple(self.edges))
         try:
+            object.__setattr__(self, "edges", frozenset(self.edges))  # TypeError for a list edge
             for i, j in self.edges:
                 if type(i) is not int or type(j) is not int:
                     raise TypeError  # normalised below

@@ -155,6 +155,9 @@ class ByzantinePerEdge:
     def __post_init__(self) -> None:
         object.__setattr__(self, "signals", {_integer(j, "byzantine out-neighbor", ConfigError): s
                                              for j, s in self.signals.items()})
+        for j, s in self.signals.items():
+            if not isinstance(s, ScalarStrategy):
+                raise ConfigError(f"/edges/{j}: not a scalar strategy: {s!r}")
 
 
 AdversaryStrategy = Union[ScalarStrategy, ByzantinePerEdge]

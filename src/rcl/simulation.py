@@ -30,6 +30,7 @@ from .graph import (
 )
 from .protocol import (
     Adversary,
+    AdversaryStrategy,
     AgentRole,
     ByzantinePerEdge,
     ConfigError,
@@ -101,6 +102,8 @@ class SimConfig:
                 raise ConfigError(f"/roles/{i}: unknown agent id") from None
             if not isinstance(role, (Normal, Leader, Adversary)):
                 raise ConfigError(f"/roles/{i}: not a role: {role!r}")
+            if isinstance(role, Adversary) and not isinstance(role.strategy, AdversaryStrategy):
+                raise ConfigError(f"/roles/{i}/adversary: not a strategy: {role.strategy!r}")
         full_roles = {i: roles.get(i, NORMAL) for i in g.vertices}
         object.__setattr__(self, "roles", full_roles)
 
@@ -280,8 +283,9 @@ def _layout(config: SimConfig) -> SimpleNamespace:
     )
 
 
-def _round(lay: SimpleNamespace, t: int) -> None:
-    """Compute round t + 1's normal states into ``lay.x[t + 1]``.
+def _round(lay: SimpleNamespace, t: int) -> bool:
+    """Compute round t + 1's normal states into ``lay.x[t + 1]``; True at a
+    fixed point: every row common and the states equal to round t's, bit for bit.
 
     One gather through ``sid`` gives each normal agent every value it hears,
     a Byzantine sender's per-edge value included.  A row's retained set is one run of its sorted values, less at most F at
@@ -353,6 +357,31 @@ def _round(lay: SimpleNamespace, t: int) -> None:
     if same.size:
         mixed[same] = vals[same, np.argmax(vals[same] == own[same, None], axis=1)]
     lay.x[t + 1][lay.ids] = mixed
+    return same.size == len(lay.ids) and bool((mixed.view(np.int64) == own.view(np.int64)).all())
+
+
+def _hold(lay: SimpleNamespace, t: int) -> int:
+    """Fill ``lay.x[t + 1 : u + 1]`` with the fixed point that ``_round``
+    reached at round t and return u, the first later round that does not
+    repeat it: one where a row is not common, as ``_round`` counts, or where
+    a row's first value equal to its own in sender order is not its own bit
+    for bit.  Blocks of rounds are tested at once, growing to about 2^16
+    gathered values."""
+    held, ids, horizon = lay.x[t + 1, lay.ids], lay.ids, lay.x.shape[0] - 1
+    most = max(2**16 // max(lay.sid.size, 1), 1)
+    u, step = t + 1, min(8, most)
+    while u < horizon:
+        block = lay.x[u : min(u + step, horizon)]
+        block[:, ids] = held
+        vals, own = block[:, lay.sid], held[:, None]
+        first = np.take_along_axis(vals, np.argmax(vals == own, axis=2)[..., None], axis=2)[..., 0]
+        ok = ((vals < own).sum(axis=2) <= lay.f) & ((vals > own).sum(axis=2) <= lay.f)
+        rounds = (ok & (first.view(np.int64) == held.view(np.int64))).all(axis=1)
+        if not rounds.all():
+            return u + int(np.argmin(rounds))
+        u, step = u + len(block), min(2 * step, most)
+    lay.x[horizon, ids] = held
+    return horizon
 
 
 def run(config: SimConfig, jobs: int = 1) -> Trajectory:
@@ -367,8 +396,9 @@ def run(config: SimConfig, jobs: int = 1) -> Trajectory:
     if jobs != 1:
         raise ConfigError(f"jobs must be 1 (the engine runs serially), got {jobs}")
     lay = _layout(config)
-    for t in range(config.horizon):
-        _round(lay, t)
+    t = 0
+    while t < config.horizon:
+        t = _hold(lay, t) if _round(lay, t) else t + 1
     lay.states[1:, lay.ids - 1] = lay.x[1:, lay.ids]
     for arr in (lay.states, lay.reference, *lay.edge_values.values()):
         if arr is not None:

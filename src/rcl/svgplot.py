@@ -44,14 +44,15 @@ def _nice_ticks(lo: float, hi: float, target: int = 6) -> list[float]:
     return ticks
 
 
-def _polyline_points(values: np.ndarray, xs: list[str], ylo: float, yhi: float) -> str:
-    """One series' ``x,y`` points, ``xs[t]`` being round t's ``"{x:.2f},"``.
+def _polyline_points(values: np.ndarray, template: str, ylo: float, yhi: float) -> str:
+    """One series' ``x,y`` points: ``template`` % its y values, with each x
+    formatted there and each y a ``%.2f``, which formats as ``{:.2f}`` does.
 
     The y values are ``sy`` of ``render_trajectory_svg`` on the whole column:
     the same operations in the same order, so each is bit-identical to the
     scalar one."""
     ys = _MT + _PLOT_H * (1.0 - (values - ylo) / (yhi - ylo))
-    return " ".join(map(str.__add__, xs, map("{:.2f}".format, ys.tolist())))
+    return template % tuple(ys.tolist())
 
 
 def render_trajectory_svg(traj: Trajectory, title: str | None = None) -> str:
@@ -83,11 +84,11 @@ def render_trajectory_svg(traj: Trajectory, title: str | None = None) -> str:
     def sy(v: float) -> float:
         return _MT + _PLOT_H * (1.0 - (v - ylo) / (yhi - ylo))
 
-    xs = [f"{sx(t):.2f}," for t in range(rounds + 1)]
+    template = " ".join(f"{sx(t):.2f},%.2f" for t in range(rounds + 1))
 
     def polylines(col: int, style: str) -> list[str]:
         """``series[:, col]`` as one polyline per run of finite values."""
-        pts, ok = _polyline_points(series[:, col], xs, ylo, yhi), finite[:, col]
+        pts, ok = _polyline_points(series[:, col], template, ylo, yhi), finite[:, col]
         runs = [pts]
         if not ok.all():
             tokens, ends = pts.split(" "), np.flatnonzero(np.diff(ok, prepend=False, append=False))

@@ -38,6 +38,30 @@ def test_id_sets_take_ids_only_as_str_writes_them():
     assert parse_id_set(" 1 , 4-6 ,-2") == [-2, 1, 4, 5, 6]
 
 
+def test_integer_options_take_digits_only_as_str_writes_them(capsys, monkeypatch):
+    def exit_code(*argv):
+        try:
+            return run_cli(capsys, *argv)[::2]
+        except SystemExit as exc:  # argparse refuses an option's value
+            return exc.code, capsys.readouterr().err
+
+    for argv, message in ((("--circulant", "1_0", "3"), "invalid integer value: '1_0'"),
+                          (("--circulant", "10", "+3"), "invalid integer value: '+3'"),
+                          (("--undirected-circulant", "1_0", "1,2"), "N must be an integer, got '1_0'"),
+                          (("--undirected-circulant", "\u0661\u0660", "1"), "N must be an integer, got '"),
+                          (("--circulant", "10", "3", "--r-robust", "02"), "invalid integer value: '02'")):
+        code, err = exit_code("check", *argv, *(() if "--r-robust" in argv else ("--max-r",)))
+        assert code == 2 and message in err, (argv, err)
+    code, err = exit_code("scenario", "sim2", "--seed", "2_0", "--out", "unused")
+    assert code == 2 and "invalid integer value: '2_0'" in err
+    monkeypatch.setenv("RCL_ENUM_CAP", "1_4")
+    code, err = exit_code("check", "--circulant", "14", "3", "--r-robust", "1")
+    assert code == 2 and "RCL_ENUM_CAP must be an integer, got '1_4'" in err
+    monkeypatch.delenv("RCL_ENUM_CAP")
+    assert exit_code("check", "--circulant", "10", "3", "--max-r")[0] == 0
+    assert exit_code("check", "--undirected-circulant", "10", "1,2", "--max-r")[0] == 0
+
+
 def test_check_tlf_true_exit_zero(capsys):
     code, out, _ = run_cli(capsys, "check", "--circulant", "10", "7", "--tlf", "2", "--set", "1,4,5")
     assert code == 0

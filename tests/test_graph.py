@@ -150,7 +150,11 @@ def test_digraph_takes_integer_count_and_ids_only():
                               (5.0, set(), "^agent count must be an integer, got 5.0$"),
                               (True, set(), "^agent count must be an integer, got True$"),
                               (3, {(1, 2, 3)}, r"^edge \(1, 2, 3\): expected a pair of vertices$"),
-                              (3, {5}, "^edge 5: expected a pair of vertices$")):
+                              (3, {5}, "^edge 5: expected a pair of vertices$"),
+                              # unhashable edges, as JSON writes them
+                              (3, [[1, 2]], r"^edge \[1, 2\]: expected a pair of vertices$"),
+                              (3, [(1, 2), ([2], 3)], r"^edge \(\[2\], 3\): vertex must be an integer, got \[2\]$"),
+                              (3, iter([(1, 2), [2, 3], (3, 1)]), r"^edge \[2, 3\]: expected a pair of vertices$")):
         with pytest.raises(GraphError, match=message):
             Digraph(n, edges)
     # integer-like values (as NumPy's are) become ints, and the edges a frozenset

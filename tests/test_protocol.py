@@ -309,6 +309,13 @@ def test_filter_takes_an_integer_f_only():
     assert wmsr_filter(1, 0.0, incoming, np.int64(1)) == wmsr_filter(1, 0.0, incoming, 1) == [(1, 0.0)]
 
 
+def test_byzantine_signals_must_be_scalar_strategies():
+    # refused when built, not later in the engine with an AttributeError
+    for signal in ("y", 5.0, None, ByzantinePerEdge({2: ConstantHold(0.0)})):
+        with pytest.raises(ConfigError, match=r"^/edges/4: not a scalar strategy: "):
+            ByzantinePerEdge({3: ConstantHold(5.0), 4: signal})
+
+
 def test_round_and_agent_keys_must_be_integers():
     with pytest.raises(ConfigError, match=r"^/reference/breakpoints: expected .* rounds, got \(\(0\.0, 1\.0\),\)$"):
         ReferenceSignal(((0.0, 1.0),))

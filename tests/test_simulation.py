@@ -172,6 +172,14 @@ def test_byzantine_signals_must_cover_out_neighbors():
         SimConfig(graph=g, f=1, horizon=10, roles={1: Adversary(strategy)}, seed=0)
 
 
+def test_adversary_strategy_must_be_a_strategy_record():
+    # refused when built, where run failed in _layout with an AttributeError
+    g = make_k_circulant(6, 2)
+    for strategy in ("x", 5.0, None, Leader()):
+        with pytest.raises(ConfigError, match=r"^/roles/3/adversary: not a strategy: "):
+            SimConfig(graph=g, f=1, horizon=10, roles={3: Adversary(strategy)})
+
+
 # ---------------------------------------------------------------------------
 # engine basics
 
@@ -181,6 +189,82 @@ def test_all_equal_initials_stay_forever():
     cfg = SimConfig(graph=g, f=2, horizon=40, init={i: 4.25 for i in g.vertices}, seed=0)
     traj = run(cfg)
     assert np.all(traj.states == 4.25)
+
+
+def _counted_run(cfg):
+    """``run(cfg)`` and the number of rounds it computed with ``_round``."""
+    with mock.patch.object(simulation, "_round", wraps=simulation._round) as rounds:
+        traj = run(cfg)
+    assert verify_replay(traj)
+    return traj, rounds.call_count
+
+
+@pytest.mark.parametrize("seed", [20, 2020])
+def test_sim2_holds_its_fixed_point(seed):
+    # every normal agent reaches 40 exactly before round 430; the rounds
+    # after that repeat it and are held, not computed
+    traj, rounds = _counted_run(sim2().config(seed))
+    assert rounds <= 440
+    assert np.all(traj.states[-70:, [i - 1 for i in traj.config.normals]] == 40.0)
+
+
+def _held_config(reference, init=5.0, **overrides):
+    """C_8(1..3), leaders 1 and 2, every agent starting at ``init``."""
+    return basic_config(reference=reference, init={i: init for i in range(1, 9)}, horizon=60, **overrides)
+
+
+def test_hold_from_round_zero_under_f_local_adversaries():
+    # at most F values differ from each normal agent's own, so every round
+    # repeats round 0 whatever the sinusoid sends
+    cfg = _held_config(ReferenceSignal.constant(5.0), roles={1: Leader(), 2: Leader(),
+                                                             5: Adversary(Sinusoid(30.0, 7.0))})
+    traj, rounds = _counted_run(cfg)
+    assert rounds == 1
+    assert np.all(traj.states[:, [i - 1 for i in cfg.normals]] == 5.0)
+
+
+def test_hold_ends_where_a_round_is_not_common():
+    # the reference steps at round 20: both leaders' values move above their
+    # out-neighbours' own
+    cfg = _held_config(ReferenceSignal(((0, 5.0), (20, 9.0))))
+    traj, rounds = _counted_run(cfg)
+    assert np.all(traj.states[:21, [i - 1 for i in cfg.normals]] == 5.0)
+    assert traj.states[21, 2] != 5.0 and rounds < 60
+    # beyond F-local: agent 7 hears adversaries 5 and 6, so a second value
+    # above its own from round 25 on makes its row uncommon
+    roles = {1: Leader(), 2: Leader(), 5: Adversary(ConstantHold(80.0)),
+             6: Adversary(Scripted((5.0,) * 25 + (50.0,)))}
+    cfg = _held_config(ReferenceSignal.constant(5.0), roles=roles, strict_f_local=False)
+    traj, rounds = _counted_run(cfg)
+    assert np.all(traj.states[:26, [i - 1 for i in cfg.normals]] == 5.0)
+    assert traj.states[26, 6] > 5.0 and rounds < 60
+
+
+def test_hold_blocks_gather_about_2_16_values():
+    # 198 normal agents each hearing 60 senders: 11,880 values a round, so a
+    # block of the hold spans 5 rounds, the first one included
+    cfg = basic_config(graph=make_k_circulant(200, 60), init={i: 5.0 for i in range(1, 201)}, horizon=40)
+    gathered, take_along_axis = [], np.take_along_axis
+
+    def take(vals, idx, axis):
+        gathered.append(vals.size)
+        return take_along_axis(vals, idx, axis)
+
+    with mock.patch.object(simulation.np, "take_along_axis", take):
+        traj, rounds = _counted_run(cfg)
+    assert rounds == 1 and np.all(traj.states == 5.0)
+    assert gathered and max(gathered) <= 2**16
+
+
+@pytest.mark.parametrize("reference", [((0, -0.0),), ((0, 0.0), (10, -0.0))])
+def test_hold_keeps_the_sign_of_the_first_equal_value(reference):
+    # +0.0 == -0.0, so every row is common, but each agent takes the first
+    # equal value in sender order: the leaders' -0.0 spreads through agents
+    # at +0.0, which a hold must not freeze
+    traj, rounds = _counted_run(_held_config(ReferenceSignal(reference), init=0.0))
+    assert np.all(traj.states == 0.0) and np.all(np.signbit(traj.states[-1]))
+    assert not np.signbit(traj.states[reference[-1][0], 2])
+    assert rounds < 60
 
 
 def test_same_seed_bit_identical():

@@ -13,7 +13,10 @@ table of distinct weights (``distinct_weights`` of ``bundle_digests.py``),
 the rule whose ties the engine resolves by sender id, timed right after each
 seed's layers, and last ``run`` alone at the ``wide`` shape: the C_300(1..60)
 configs, F = 3, horizon 200, that perfbench's ``setup_wide(1)`` builds, each
-timed once per pass.
+timed once per pass.  The line ``rounds computed`` gives the median number of
+rounds per sim2 seed that the engine computed with ``simulation._round``
+rather than held at a fixed point, counted in one more untimed pass by
+wrapping that function; ``us/round`` is always per round of the horizon.
 
 rcl is imported from ``src/`` beside this directory and only its public API is
 used (perfbench's workloads from ``perfbench/``), so running the script in two
@@ -28,6 +31,7 @@ import tempfile
 import time
 from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 HERE = Path(__file__).resolve().parent
 sys.path.insert(0, str(HERE.parent / "src"))
@@ -82,6 +86,17 @@ def _per_round(seconds: list[float], rounds: int) -> str:
     return f"{1e3 * median:8.2f} ms {1e6 * median / rounds:8.1f} us/round"
 
 
+def _rounds_computed(scenario) -> float:
+    """The median number of ``simulation._round`` calls per seed."""
+    counts = []
+    with mock.patch.object(simulation, "_round", wraps=simulation._round) as engine_round:
+        for seed in SEEDS:
+            engine_round.reset_mock()
+            simulation.run(scenario.config(seed))
+            counts.append(engine_round.call_count)
+    return statistics.median(counts)
+
+
 def main() -> int:
     scenario = scenarios.sim2()
     samples = {name: [] for name in LAYERS}
@@ -109,6 +124,7 @@ def main() -> int:
                 wide_runs.append(time.perf_counter() - start)
     rounds = scenario.base.horizon
     print(f"{'run':<22}{_per_round(samples['run'], rounds)}")
+    print(f"{'rounds computed':<22}{_rounds_computed(scenario):8.0f} rounds")
     for name in LAYERS[1:]:
         print(f"{name:<22}{1e3 * statistics.median(samples[name]):8.2f} ms")
     print(f"{'total':<22}{1e3 * statistics.median(totals):8.2f} ms")
