@@ -28,6 +28,7 @@ from .graph import (
     Digraph,
     GraphError,
     _integer_text,
+    _number,
     load_graph,
     load_graph_json,
     make_k_circulant,
@@ -100,6 +101,14 @@ def integer(text: str, name: str = "value") -> int:
     ``str`` writes them, so not "1_0", "+1" or "01".  Every integer option's
     argparse ``type``."""
     return _integer_text(text, name)
+
+
+def number(text: str, name: str = "value") -> float:
+    """A real number as ``float`` reads it, but with no "_", surrounding space or
+    non-ASCII character, then by ``rcl.graph``'s number rule; ``--tol``'s type."""
+    if "_" in text or text.strip() != text or not text.isascii():
+        raise ValueError(f"{name} must be a number, got {text!r}")
+    return _number(float(text), name)
 
 
 def _parse_int_list(text: str) -> list[int]:
@@ -373,7 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="simulate a JSON configuration")
     p_run.add_argument("config", metavar="CONFIG.json")
     p_run.add_argument("--seed", type=integer)
-    p_run.add_argument("--tol", type=float, default=1e-6)
+    p_run.add_argument("--tol", type=number, default=1e-6)
     p_run.add_argument("--out", default="out/run", metavar="DIR")
     p_run.set_defaults(func=cmd_run)
 

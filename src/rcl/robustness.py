@@ -8,8 +8,8 @@ Four families of checks:
   (r, 1)-robustness, so both pair checks share one subset DP,
 * a polynomial peeling procedure for the strong and TLF variants, which,
   like their brute-force checks, share one (anchor, reach) test,
-* closed-form certificates for circulant graphs based on consecutive leader
-  windows (sufficient conditions only),
+* closed-form certificates (sufficient conditions only): consecutive leader
+  windows for circulant graphs, and a minimum in-degree for any digraph,
 * the maximum r for which a graph is r-robust.
 
 Subset enumeration is exponential, so the pairwise checks refuse graphs above
@@ -70,6 +70,7 @@ class Property(str, Enum):
     STRONG_R = "strong_r_robust"
     TLF = "tlf_robust"
     CIRCULANT_CERTIFICATE = "circulant_certificate"
+    DEGREE_CERTIFICATE = "degree_certificate"
 
 
 @dataclass(frozen=True, init=False)
@@ -77,8 +78,8 @@ class RobustnessReport:
     """Verdict for one property query, with a machine-checkable witness.
 
     A false verdict always carries a witness that violates the definition;
-    a true peeling verdict carries the admission order, and a true certificate
-    carries the satisfying window.
+    a true peeling verdict carries the admission order, and a certificate
+    its satisfying window or its vertex of least in-degree.
     """
 
     property: Property
@@ -487,7 +488,7 @@ def is_tlf_robust_peeling(g: Digraph, s: Iterable[int], f: int) -> RobustnessRep
 
 
 # ---------------------------------------------------------------------------
-# circulant certificates
+# certificates
 
 
 def circulant_certificate(
@@ -518,6 +519,27 @@ def circulant_certificate(
             window = [(start + j) % n + 1 for j in range(length)]
             return RobustnessReport(Property.CIRCULANT_CERTIFICATE, params, True, {"window": window}, "certificate")
     return RobustnessReport(Property.CIRCULANT_CERTIFICATE, params, False, None, "certificate")
+
+
+def degree_certificate(g: Digraph, r: int) -> RobustnessReport:
+    """Minimum in-degree certificate: every in-degree is at least
+    floor(n/2) + r - 1, which makes the graph (r, s)-robust for every s.
+
+    Of two disjoint nonempty sets, the smaller has at most floor(n/2) members.
+    Each member has at most floor(n/2) - 1 in-neighbors inside that set, so it
+    has at least r outside.  The whole smaller set is therefore r-reachable.
+
+    The certificate is sufficient only: a false result does not rule out the
+    property.  The witness is the vertex of least in-degree (smallest id on
+    ties) and that in-degree.
+    """
+    r = _count(r, "r")
+    required = g.n // 2 + r - 1
+    degrees = [m.bit_count() for m in g.in_masks]
+    least = min(degrees)
+    params = {"r": r, "required_in_degree": required}
+    witness = {"vertex": degrees.index(least) + 1, "in_degree": least}
+    return RobustnessReport(Property.DEGREE_CERTIFICATE, params, least >= required, witness, "certificate")
 
 
 def circulant_r_robustness_lower_bound(n: int, k: int) -> int:

@@ -15,9 +15,8 @@ template.
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass, replace
-from typing import Any, Callable, Iterator, Union
+from typing import Any, Callable, Union
 
 import numpy as np
 
@@ -36,14 +35,13 @@ from .robustness import (
     RobustnessReport,
     circulant_certificate,
     circulant_r_robustness_lower_bound,
-    is_r_robust,
-    is_rs_robust,
+    degree_certificate,
 )
 from .simulation import Metrics, SimConfig, Trajectory, compute_metrics, run
 
 
 class ScenarioError(RuntimeError):
-    """Scenario construction failed (e.g. counterexample search exhausted)."""
+    """Scenario construction failed (e.g. an unknown name, or an F out of range)."""
 
 
 class PreconditionError(RuntimeError):
@@ -313,86 +311,43 @@ def sim4() -> Scenario:
 # ---------------------------------------------------------------------------
 # insufficiency counterexamples
 
-DEFAULT_SEARCH_BUDGET = 100_000
 DEFAULT_A1 = 0.0
 DEFAULT_A2 = 10.0
 
 
-def _split_graph_candidates(
-    f: int, search_seed: int, min_leader_in: int, n_malicious: int
-) -> Iterator[tuple[Digraph, tuple[int, ...], tuple[int, ...], tuple[int, ...]]]:
-    """``DEFAULT_SEARCH_BUDGET`` random digraphs on 4F+6 agents, each yielded
-    with its designated leaders S1 = 1..F+1, followers S2 and malicious
-    followers.
+def build_rs_counterexample(f: int) -> tuple[Digraph, tuple[int, ...], tuple[int, ...]]:
+    """An (F+1, F+1)-robust digraph on 4F+6 agents split into S1 = 1..F+1 (the
+    designated leaders, each with >= F+1 in-neighbors outside S1) and S2
+    (everyone else, each with <= F in-neighbors outside S2).
 
-    Each candidate draws dense S2 x S2, then between ``min_leader_in`` and
-    |S2| senders from S2 to each leader, then sparse S1 x S1; finally
-    ``n_malicious`` drawn followers hear every leader and every other
-    follower hears at most F of them.  The searches rely on this structure
-    and test only robustness.
+    S1 and S2 are each complete, every leader hears every follower, and every
+    follower hears the first F leaders.  So every in-degree is at least
+    4F+4 = floor(n/2) + 2F+1, and ``degree_certificate`` holds for every r up
+    to 2F+2.  Under W-MSR with S1 as leaders, no S2 agent ever keeps a value
+    from outside S2, so S2 can never track the reference.
     """
     if f < 1:
         raise ScenarioError(f"counterexample construction needs F >= 1, got {f}")
-    rng = random.Random(search_seed)
     n = 4 * f + 6
-    s1 = tuple(range(1, f + 2))
-    s2 = tuple(range(f + 2, n + 1))
-    for _ in range(DEFAULT_SEARCH_BUDGET):
-        edges: set[tuple[int, int]] = set()
-        for i in s2:
-            for j in s2:
-                if i != j and rng.random() < 0.9:
-                    edges.add((i, j))
-        for i in s1:
-            count = rng.randrange(min_leader_in, len(s2) + 1)
-            edges.update((j, i) for j in rng.sample(s2, count))
-        for i in s1:
-            for j in s1:
-                if i != j and rng.random() < 0.5:
-                    edges.add((i, j))
-        malicious = tuple(sorted(rng.sample(s2, n_malicious)))
-        for j in s2:
-            senders = s1 if j in malicious else rng.sample(s1, rng.randrange(0, f + 1))
-            edges.update((i, j) for i in senders)
-        yield Digraph(n, frozenset(edges)), s1, s2, malicious
+    s1, s2 = tuple(range(1, f + 2)), tuple(range(f + 2, n + 1))
+    edges = {(i, j) for part in (s1, s2) for i in part for j in part if i != j}
+    edges.update((j, i) for i in s1 for j in s2)
+    edges.update((i, j) for i in s1[:f] for j in s2)
+    return Digraph(n, frozenset(edges)), s1, s2
 
 
-def build_rs_counterexample(
-    f: int, search_seed: int = 1
-) -> tuple[Digraph, tuple[int, ...], tuple[int, ...], RobustnessReport]:
-    """Randomized search for an (F+1, F+1)-robust digraph split into S1
-    (F+1 designated leaders, each with >= F+1 in-neighbors outside S1) and S2
-    (everyone else, each with <= F in-neighbors outside S2).
-
-    Under W-MSR with S1 as leaders, no S2 agent ever keeps a value from
-    outside S2, so S2 can never track the reference.
-    """
-    for g, s1, s2, _ in _split_graph_candidates(f, search_seed, f + 1, 0):
-        report = is_rs_robust(g, f + 1, f + 1, force=True)
-        if report.verdict:
-            return g, s1, s2, report
-    raise ScenarioError(
-        f"no (F+1,F+1)-robust counterexample found for F={f} within {DEFAULT_SEARCH_BUDGET} attempts"
-    )
-
-
-def build_2f1_counterexample(
-    f: int, search_seed: int = 1
-) -> tuple[Digraph, tuple[int, ...], tuple[int, ...], tuple[int, ...], RobustnessReport]:
-    """Randomized search for a (2F+1)-robust digraph with F+1 designated
-    leaders S1 where exactly F followers receive from all of S1.
+def build_2f1_counterexample(f: int) -> tuple[Digraph, tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+    """The (F+1, F+1) counterexample's graph in which the first F followers
+    also hear the last leader, so that they alone receive from all of S1; it
+    is (2F+1)-robust by the same certificate.
 
     When those F followers turn malicious and hold their value, every normal
     follower has at most F in-neighbors outside its own camp and never tracks
     the reference.
     """
-    for g, s1, s2, malicious in _split_graph_candidates(f, search_seed, 2 * f + 1, f):
-        report = is_r_robust(g, 2 * f + 1, force=True)
-        if report.verdict:
-            return g, s1, s2, malicious, report
-    raise ScenarioError(
-        f"no (2F+1)-robust counterexample found for F={f} within {DEFAULT_SEARCH_BUDGET} attempts"
-    )
+    g, s1, s2 = build_rs_counterexample(f)
+    malicious = s2[:f]
+    return Digraph(g.n, g.edges | {(s1[-1], j) for j in malicious}), s1, s2, malicious
 
 
 def _counterexample_config(
@@ -416,9 +371,9 @@ def _counterexample_config(
     )
 
 
-def counterexample_rs(f: int = 1, search_seed: int = 1) -> Scenario:
+def counterexample_rs(f: int = 1) -> Scenario:
     """An (F+1, F+1)-robust network whose F+1 leaders can never pull the rest."""
-    g, s1, s2, robustness = build_rs_counterexample(f, search_seed)
+    g, s1, s2 = build_rs_counterexample(f)
     s1_set, s2_set = set(s1), set(s2)
 
     def s1_check():
@@ -439,17 +394,17 @@ def counterexample_rs(f: int = 1, search_seed: int = 1) -> Scenario:
         expected=NoConvergence(abs(DEFAULT_A2 - DEFAULT_A1)),
         base=_counterexample_config(g, f, s1, s2, (), seed=505),
         preconditions=(
-            Precondition("rs_robustness_holds", lambda: robustness),
+            Precondition("rs_robustness_holds", lambda: degree_certificate(g, f + 1)),
             Precondition("leaders_have_f1_outside_in_neighbors", s1_check),
             Precondition("followers_capped_at_f_outside_in_neighbors", s2_check),
         ),
     )
 
 
-def counterexample_2f1(f: int = 1, search_seed: int = 1) -> Scenario:
+def counterexample_2f1(f: int = 1) -> Scenario:
     """A (2F+1)-robust network defeated by F malicious followers that screen
     the only agents hearing all F+1 leaders."""
-    g, s1, s2, malicious, robustness = build_2f1_counterexample(f, search_seed)
+    g, s1, s2, malicious = build_2f1_counterexample(f)
     s1_set = set(s1)
 
     def f_local_check():
@@ -472,7 +427,7 @@ def counterexample_2f1(f: int = 1, search_seed: int = 1) -> Scenario:
         expected=NoConvergence(abs(DEFAULT_A2 - DEFAULT_A1)),
         base=_counterexample_config(g, f, s1, s2, malicious, seed=606),
         preconditions=(
-            Precondition("2f1_robustness_holds", lambda: robustness),
+            Precondition("2f1_robustness_holds", lambda: degree_certificate(g, 2 * f + 1)),
             Precondition("adversaries_f_local", f_local_check),
             Precondition("full_leader_adjacency_limited_to_adversaries", adjacency_check),
         ),
@@ -568,9 +523,8 @@ _BUILDERS: dict[str, Callable[..., Scenario]] = {
 _FIXED_F = frozenset({"sim1", "sim2", "sim3", "sim4"})
 
 # Largest F a parametric scenario accepts.  leader-deficit builds
-# C_{4F+8}(1..2F+1), whose edges grow as F^2: F = 64 runs in about a second.
-# The counterexample searches certify 4F+6 agents by a forced pair check: seconds
-# up to F = 5, and from F = 6 on PAIR_SCAN_BUDGET refuses them (exit 2).
+# C_{4F+8}(1..2F+1) and the counterexamples 4F+6 agents of in-degree >= 4F+4,
+# so edges grow as F^2: at F = 64 each scenario runs in under a second.
 MAX_SCENARIO_F = 64
 
 SCENARIO_NAMES = tuple(_BUILDERS)

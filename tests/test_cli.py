@@ -402,6 +402,19 @@ def test_run_rejects_tol_before_the_engine_runs(capsys, tmp_path, monkeypatch, t
     assert err.startswith("error: tolerance must be finite and positive"), err
 
 
+def test_run_tol_takes_numbers_only_as_float_writes_them(capsys, tmp_path):
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(SAMPLE_CONFIG))
+    for tol in ("1_0e-3", " 1e-3 ", "1e-3\n", "\u0661e-3", "1e-3x"):
+        with pytest.raises(SystemExit) as exc:  # argparse refuses the value
+            main(["run", str(config_path), "--tol", tol, "--out", str(tmp_path / "x")])
+        assert exc.value.code == 2
+        assert f"invalid number value: {tol!r}" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+    code, stdout, _ = run_cli(capsys, "run", str(config_path), "--tol", "1e-3", "--out", str(tmp_path / "x"))
+    assert code in (0, 1) and json.loads(stdout)["tol"] == 1e-3
+
+
 def test_run_huge_f_exits_normally(capsys, tmp_path):
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps({"graph": {"circulant": [6, 2]}, "f": 10**400, "horizon": 5,
@@ -446,6 +459,17 @@ def test_scenario_counterexample_exit_code(capsys, tmp_path):
     assert report["outcome_ok"] is True
     assert report["metrics"]["converged"] is False
     assert all(p["ok"] for p in report["preconditions"])
+
+
+def test_scenario_counterexample_at_max_f_exits_1_with_every_precondition_ok(capsys, tmp_path):
+    code, out, _ = run_cli(
+        capsys, "scenario", "counterexample-rs", "--f", "64", "--out", str(tmp_path / "ce"),
+    )
+    assert code == 1  # exit codes follow metrics.converged, and the residual stays at 10
+    report = json.loads(out)
+    assert report["outcome_ok"] is True
+    assert all(p["ok"] for p in report["preconditions"])
+    assert report["preconditions"][0]["detail"]["method"] == "certificate"
 
 
 def test_scenario_precondition_failure_exits_3(capsys, tmp_path, monkeypatch):

@@ -24,12 +24,14 @@ from helpers import (
 )
 from rcl import robustness
 from rcl.graph import Digraph, GraphError, make_k_circulant, make_undirected_circulant
+from rcl.scenarios import build_2f1_counterexample, build_rs_counterexample
 from rcl.robustness import (
     EnumerationCapError,
     Property,
     RobustnessReport,
     circulant_certificate,
     circulant_r_robustness_lower_bound,
+    degree_certificate,
     is_r_robust,
     is_rs_robust,
     is_strongly_r_robust_bruteforce,
@@ -139,10 +141,14 @@ def test_deciders_reject_parameters_that_are_not_integers(decide):
 def test_pair_deciders_reject_parameters_that_are_not_integers():
     g = make_k_circulant(6, 2)
     for call in (lambda: is_r_robust(g, 1.5), lambda: is_r_robust(g, False),
-                 lambda: is_rs_robust(g, 1.5, 1), lambda: is_rs_robust(g, 1, 1.5)):
+                 lambda: is_rs_robust(g, 1.5, 1), lambda: is_rs_robust(g, 1, 1.5),
+                 lambda: degree_certificate(g, 1.5), lambda: degree_certificate(g, True)):
         with pytest.raises(ValueError, match="must be an integer"):
             call()
     assert is_rs_robust(g, _Index(1), _Index(2)) == is_rs_robust(g, 1, 2)
+    assert degree_certificate(g, _Index(1)) == degree_certificate(g, 1)
+    with pytest.raises(ValueError, match="r must be >= 0"):
+        degree_certificate(g, -1)
 
 
 def test_certificate_rejects_leaders_and_f_that_are_not_integers():
@@ -735,6 +741,52 @@ def test_certificate_rejects_bad_input():
         circulant_certificate(10, 10, [1], 1, "strong")
     with pytest.raises(GraphError):
         circulant_certificate(10, 3, [11], 1, "strong")
+
+
+# ---------------------------------------------------------------------------
+# degree certificate
+
+
+def test_degree_certificate_is_sound_against_the_pair_dp():
+    # c01-style random digraphs (n <= 10), dense enough that the certificate
+    # often holds: where it does, the forced DP finds (r, s)-robustness at every s
+    rng = random.Random(71)
+    held = 0
+    for idx in range(300):
+        g = random_digraph(rng, 2 + idx % 9, (0.5, 0.7, 0.85, 0.95)[idx % 4])
+        degrees = [len(g.in_neighbors(v)) for v in g.vertices]
+        for r in range(0, (g.n + 1) // 2 + 1):
+            report = degree_certificate(g, r)
+            required = g.n // 2 + r - 1
+            assert report.params == {"r": r, "required_in_degree": required}
+            assert report.method == "certificate"
+            vertex, least = report.witness["vertex"], report.witness["in_degree"]
+            assert degrees[vertex - 1] == least == min(degrees) and least not in degrees[:vertex - 1]
+            assert report.verdict == (least >= required)
+            if report.verdict:
+                held += 1
+                for s in range(1, g.n + 1):
+                    assert is_rs_robust(g, r, s, force=True).verdict, (g, r, s)
+    assert held == 600
+
+
+@pytest.mark.parametrize("f", [1, 2, 3, 4])
+def test_degree_certificate_is_sound_on_the_counterexamples(f):
+    # (r, n)-robustness implies (r, s)-robustness for every s <= n
+    graphs = (build_rs_counterexample(f)[0], build_2f1_counterexample(f)[0])
+    for g, r in itertools.product(graphs, (f + 1, 2 * f + 1)):
+        assert degree_certificate(g, r).verdict
+        assert is_rs_robust(g, r, 1, force=True).verdict and is_rs_robust(g, r, g.n, force=True).verdict
+
+
+def test_degree_certificate_false_names_the_least_in_degree():
+    ring = make_k_circulant(6, 1)
+    report = degree_certificate(ring, 1)
+    assert report.to_json() == {
+        "property": "degree_certificate", "params": {"r": 1, "required_in_degree": 3},
+        "verdict": False, "witness": {"vertex": 1, "in_degree": 1}, "method": "certificate",
+    }
+    assert degree_certificate(complete_graph(5), 3).verdict  # in-degree 4 = floor(5/2) + 3 - 1
 
 
 # ---------------------------------------------------------------------------

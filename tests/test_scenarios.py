@@ -3,7 +3,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-import rcl.scenarios
+import rcl.robustness
 from rcl.robustness import is_r_robust, is_rs_robust
 from rcl.scenarios import (
     SCENARIO_NAMES,
@@ -127,27 +127,19 @@ def test_counterexample_2f1_structure_and_outcome():
     assert np.all(result.metrics.tracking_error == 10.0)
 
 
-def test_counterexample_runs_reuse_the_search_certificate(monkeypatch):
-    # the search certifies robustness once; the robustness preconditions
-    # report that certificate instead of deciding it again
-    calls = []
+def test_counterexamples_call_no_exponential_decider(monkeypatch):
+    # the construction is certified by the O(n) degree certificate, so neither
+    # building nor running either counterexample enumerates subsets
+    def refuse(*args, **kwargs):
+        raise AssertionError("a counterexample called an exponential decider")
 
-    def counted(decide):
-        def wrapper(*args, **kwargs):
-            calls.append(decide.__name__)
-            return decide(*args, **kwargs)
-        return wrapper
-
-    monkeypatch.setattr(rcl.scenarios, "is_rs_robust", counted(is_rs_robust))
-    monkeypatch.setattr(rcl.scenarios, "is_r_robust", counted(is_r_robust))
+    monkeypatch.setattr(rcl.robustness, "_pair_scan", refuse)
+    monkeypatch.setattr(rcl.robustness, "_bruteforce", refuse)
     for build, name in ((counterexample_rs, "rs_robustness_holds"), (counterexample_2f1, "2f1_robustness_holds")):
-        scenario = build(1)
-        assert calls
-        calls.clear()
-        result = scenario.run()
-        assert calls == []
+        result = build(1).run()
         pre = result.preconditions[0]
-        assert pre.name == name and pre.ok and pre.detail["verdict"] is True
+        assert pre.name == name and pre.ok
+        assert pre.detail["verdict"] is True and pre.detail["method"] == "certificate"
 
 
 def test_outcomes_without_a_tol_field_use_1e_6():
@@ -157,13 +149,14 @@ def test_outcomes_without_a_tol_field_use_1e_6():
         assert repr(outcome) == text
 
 
-def test_counterexample_search_is_deterministic():
-    a = build_rs_counterexample(1, search_seed=2)
-    b = build_rs_counterexample(1, search_seed=2)
-    assert a == b
-    c = build_2f1_counterexample(1, search_seed=2)
-    d = build_2f1_counterexample(1, search_seed=2)
-    assert c == d
+@pytest.mark.parametrize("kind", ["counterexample-rs", "counterexample-2f1"])
+@pytest.mark.parametrize("f", [1, 2, 3, 6, 16, 64])
+def test_counterexamples_are_constructed_at_any_f(f, kind):
+    result = build_scenario(kind, f=f).run()
+    assert result.config.graph.n == 4 * f + 6
+    assert all(pre.ok for pre in result.preconditions)
+    assert result.outcome_ok
+    assert np.all(result.metrics.tracking_error == 10.0)
 
 
 def test_counterexamples_at_f2():
@@ -185,8 +178,9 @@ def test_parametric_scenarios_reject_f_outside_range():
         with pytest.raises(ScenarioError, match=r"^F must be in \[0, 64\]"):
             build_scenario(name, f=-1)
     assert MAX_SCENARIO_F == 64
-    assert build_scenario("leader-deficit", f=MAX_SCENARIO_F).base.f == MAX_SCENARIO_F
-    for name in ("leader-deficit", "leader-deficit-contrast"):
+    for name in ("counterexample-rs", "counterexample-2f1", "leader-deficit"):
+        assert build_scenario(name, f=MAX_SCENARIO_F).base.f == MAX_SCENARIO_F
+    for name in ("counterexample-rs", "counterexample-2f1", "leader-deficit", "leader-deficit-contrast"):
         with pytest.raises(ScenarioError, match=r"^F must be in \[0, 64\]"):
             build_scenario(name, f=MAX_SCENARIO_F + 1)
 
