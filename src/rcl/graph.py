@@ -1,8 +1,9 @@
 """Directed graphs over agents 1..n, with circulant constructors and file I/O.
 
 Vertices are labeled 1..n throughout; an edge (i, j) means agent i transmits
-to agent j.  Graphs are immutable after construction, so all derived data
-(in-neighbor sets, bitmasks) is cached and safe to share across threads.
+to agent j.  Graphs are immutable, and all derived data (neighbor sets,
+bitmasks, the hash) is computed at construction, so it is safe to share
+across threads.
 
 Every id and integer parameter that rcl takes (n, k, edge ends, r, s, F, a
 horizon, a seed) follows one rule, written here once in ``_integer``: it is
@@ -19,7 +20,6 @@ import numbers
 import operator
 import sys
 from dataclasses import dataclass
-from functools import cached_property
 from pathlib import Path
 from typing import Any, Iterable
 
@@ -103,12 +103,35 @@ def _edge(e: Any) -> tuple[int, int]:
     return tuple(_integer(v, f"edge {e!r}: vertex", GraphError) for v in e)
 
 
+def _adjacency(n: int, edges: frozenset) -> tuple[list[list[int]], list[list[int]]] | None:
+    """The in- and out-neighbour lists of vertices 0..n (0 stays empty), from
+    one pass over ``edges``; None at an edge that is not a pair of ints, and
+    GraphError at a self-loop or an endpoint outside 1..n."""
+    ins, outs = [[] for _ in range(n + 1)], [[] for _ in range(n + 1)]
+    for e in edges:
+        if type(e) is not tuple or len(e) != 2:
+            return None
+        i, j = e
+        if type(i) is not int or type(j) is not int:
+            return None
+        if i == j:
+            raise GraphError(f"self-loop ({i}, {j}) not allowed")
+        if not (0 < i <= n and 0 < j <= n):
+            raise GraphError(f"edge ({i}, {j}) outside vertex range 1..{n}")
+        ins[j].append(i)
+        outs[i].append(j)
+    return ins, outs
+
+
 @dataclass(frozen=True)
 class Digraph:
     """Immutable digraph on vertex set {1, .., n}.
 
     Invariants: n >= 2, every endpoint in 1..n, no self-loops; ``n`` and the
-    endpoints are ints and ``edges`` a frozenset, by the integer rule.
+    endpoints are ints and ``edges`` a frozenset, by the integer rule.  What a
+    graph derives is computed at construction: ``in_masks`` and ``out_masks``,
+    one bitmask per vertex with bit (v-1) set iff v is an in- (out-) neighbor,
+    ``max_in_degree``, the neighbor sets and the hash.
     """
 
     n: int
@@ -118,50 +141,26 @@ class Digraph:
         n = _integer(self.n, "agent count", GraphError)
         if n < 2:
             raise GraphError(f"agent count must be >= 2, got {n}")
-        object.__setattr__(self, "n", n)
-        if not isinstance(self.edges, frozenset):  # an iterator once, so that the pass below sees every edge
-            object.__setattr__(self, "edges", tuple(self.edges))
-        try:
-            object.__setattr__(self, "edges", frozenset(self.edges))  # TypeError for a list edge
-            for i, j in self.edges:
-                if type(i) is not int or type(j) is not int:
-                    raise TypeError  # normalised below
-                if i == j:
-                    raise GraphError(f"self-loop ({i}, {j}) not allowed")
-                if not (1 <= i <= n and 1 <= j <= n):
-                    raise GraphError(f"edge ({i}, {j}) outside vertex range 1..{n}")
-        except GraphError:
-            raise
-        except (TypeError, ValueError):  # an edge not a pair of ints: make each edge one, then check again
-            object.__setattr__(self, "edges", frozenset(map(_edge, self.edges)))
-            self.__post_init__()
+        edges = self.edges
+        adjacency = _adjacency(n, edges) if isinstance(edges, frozenset) else None
+        if adjacency is None:  # any other edges, or a frozenset of edges not pairs of ints
+            edges = frozenset(map(_edge, edges))
+            adjacency = _adjacency(n, edges)
+        ins, outs = (tuple(map(frozenset, lists[1:])) for lists in adjacency)
+        bit = [0, *(1 << v for v in range(n))]  # bit[v] is vertex v's bit
+        self.__dict__.update(  # frozen, so set past __setattr__
+            n=n, edges=edges, _ins=ins, _outs=outs,
+            in_masks=tuple(sum(map(bit.__getitem__, s)) for s in ins),
+            out_masks=tuple(sum(map(bit.__getitem__, s)) for s in outs),
+            max_in_degree=max(map(len, ins)), _hash=hash((n, edges)),
+        )
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def vertices(self) -> range:
         return range(1, self.n + 1)
-
-    @cached_property
-    def _neighbor_sets(self) -> tuple[tuple[frozenset[int], ...], tuple[frozenset[int], ...]]:
-        """(in-sets, out-sets) per vertex, from one pass over the edges."""
-        ins, outs = [set() for _ in self.vertices], [set() for _ in self.vertices]
-        for i, j in self.edges:
-            ins[j - 1].add(i)
-            outs[i - 1].add(j)
-        return tuple(map(frozenset, ins)), tuple(map(frozenset, outs))
-
-    def _masks(self, sets: tuple[frozenset[int], ...]) -> tuple[int, ...]:
-        bit = [0, *(1 << v for v in range(self.n))]  # bit[v] is vertex v's bit
-        return tuple(sum(map(bit.__getitem__, s)) for s in sets)
-
-    @cached_property
-    def in_masks(self) -> tuple[int, ...]:
-        """Per-vertex in-neighborhood as a bitmask; bit (v-1) set iff v is an in-neighbor."""
-        return self._masks(self._neighbor_sets[0])
-
-    @cached_property
-    def out_masks(self) -> tuple[int, ...]:
-        """Per-vertex out-neighborhood as a bitmask; bit (v-1) set iff v is an out-neighbor."""
-        return self._masks(self._neighbor_sets[1])
 
     def _vertex(self, i: int) -> int:
         """``i`` as an int id in 1..n, by ``_vertex_mask``'s rule."""
@@ -169,27 +168,22 @@ class Digraph:
 
     def in_neighbors(self, i: int) -> frozenset[int]:
         """Agents j with an edge (j, i), i.e. those i hears from."""
-        return self._neighbor_sets[0][self._vertex(i) - 1]
+        return self._ins[self._vertex(i) - 1]
 
     def inclusive_neighbors(self, i: int) -> frozenset[int]:
         """In-neighbors of i together with i itself."""
         i = self._vertex(i)
-        return self._neighbor_sets[0][i - 1] | {i}
+        return self._ins[i - 1] | {i}
 
     def out_neighbors(self, i: int) -> frozenset[int]:
         """Agents j with an edge (i, j), i.e. those i transmits to."""
-        return self._neighbor_sets[1][self._vertex(i) - 1]
-
-    @cached_property
-    def max_in_degree(self) -> int:
-        return max(len(s) for s in self._neighbor_sets[0])
+        return self._outs[self._vertex(i) - 1]
 
 
 def make_k_circulant(n: int, k: int) -> Digraph:
     """Circulant digraph where each agent i transmits to the next k agents mod n."""
     n, k = _circulant(n, k)
-    edges = {(i, (i - 1 + a) % n + 1) for i in range(1, n + 1) for a in range(1, k + 1)}
-    return Digraph(n, frozenset(edges))
+    return Digraph(n, frozenset((i, (i - 1 + a) % n + 1) for i in range(1, n + 1) for a in range(1, k + 1)))
 
 
 def make_undirected_circulant(n: int, offsets: Iterable[int]) -> Digraph:
@@ -201,8 +195,7 @@ def make_undirected_circulant(n: int, offsets: Iterable[int]) -> Digraph:
     if offs != sorted(set(offs)):
         raise GraphError(f"offsets must be strictly increasing, got {offs}")
     # 0 < a < n, so no edge is a self-loop, and the set of i -> i +/- a is symmetric
-    edges = {(i, (i - 1 + d) % n + 1) for i in range(1, n + 1) for a in offs for d in (a, -a)}
-    return Digraph(n, frozenset(edges))
+    return Digraph(n, frozenset((i, (i - 1 + d) % n + 1) for i in range(1, n + 1) for a in offs for d in (a, -a)))
 
 
 def save_graph(g: Digraph, path: str | Path) -> None:

@@ -115,7 +115,9 @@ class Sinusoid(_NumberFields):
             raise ConfigError(f"sinusoid period must be positive, got {self.period}")
 
     def value_at(self, t: int) -> float:
-        return self.offset + self.amplitude * math.sin(2.0 * math.pi * t / self.period + self.phase)
+        """NaN where the angle is not finite, as ``math.sin`` refuses +-inf."""
+        angle = 2.0 * math.pi * t / self.period + self.phase
+        return self.offset + self.amplitude * (math.nan if math.isinf(angle) else math.sin(angle))
 
 
 @dataclass(frozen=True)

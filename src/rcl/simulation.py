@@ -71,7 +71,9 @@ class SimConfig:
     value at round 0, and adversary broadcasts follow their strategy from
     round 0 on.  Initial and reference values must be finite; adversary
     values are unrestricted.  With ``strict_f_local`` the adversary set must
-    pass the F-local check at construction.
+    pass the F-local check at construction.  ``normals``, ``leaders`` and
+    ``adversaries`` are the ids of each role in ascending order, set at
+    construction.
     """
 
     graph: Digraph
@@ -106,6 +108,8 @@ class SimConfig:
                 raise ConfigError(f"/roles/{i}/adversary: not a strategy: {role.strategy!r}")
         full_roles = {i: roles.get(i, NORMAL) for i in g.vertices}
         object.__setattr__(self, "roles", full_roles)
+        for name, kind in (("normals", Normal), ("leaders", Leader), ("adversaries", Adversary)):
+            object.__setattr__(self, name, tuple(i for i, role in full_roles.items() if isinstance(role, kind)))
 
         if self.leaders and self.reference is None:
             raise ConfigError("leaders are present but no reference signal is configured")
@@ -125,6 +129,10 @@ class SimConfig:
                 if not abs(total - 1.0) <= 1e-9:
                     raise ConfigError(f"weight table rows must sum to 1 over inclusive neighbors; "
                                       f"agent {i} sums to {total}")
+            # the table holds every (agent, sender) pair of the graph, so any more entries are off it
+            if len(scheme.table) > g.n + len(g.edges):
+                i, j = min(set(scheme.table) - {(v, v) for v in g.vertices} - {(b, a) for a, b in g.edges})
+                raise ConfigError(f"/weight_table/{i}/{j}: agent {i} does not hear agent {j}")
         object.__setattr__(self, "scheme", scheme)
 
         if isinstance(self.init, Mapping):
@@ -141,6 +149,8 @@ class SimConfig:
             lo, hi = (_finite(v, f"/init/range/{end}:") for end, v in enumerate(self.init))
             if not (lo <= hi):
                 raise ConfigError(f"/init/range: need low <= high, got [{lo}, {hi}]")
+            if hi - lo == math.inf:  # random.uniform draws lo + (hi - lo) * u
+                raise ConfigError(f"/init/range: high - low must be finite, got [{lo}, {hi}]")
             object.__setattr__(self, "init", (lo, hi))
 
         for i, role in full_roles.items():
@@ -158,18 +168,6 @@ class SimConfig:
             if not ok:
                 raise ConfigError(f"adversary set is not F-local for F={self.f}: agent {bad} has too many "
                                   "adversarial inclusive in-neighbors (set strict_f_local=False to override)")
-
-    @property
-    def normals(self) -> tuple[int, ...]:
-        return tuple(i for i in self.graph.vertices if isinstance(self.roles[i], Normal))
-
-    @property
-    def leaders(self) -> tuple[int, ...]:
-        return tuple(i for i in self.graph.vertices if isinstance(self.roles[i], Leader))
-
-    @property
-    def adversaries(self) -> tuple[int, ...]:
-        return tuple(i for i in self.graph.vertices if isinstance(self.roles[i], Adversary))
 
 
 @dataclass(frozen=True, eq=False)
@@ -688,10 +686,8 @@ def _strategy_to_dict(strategy) -> dict:
             "type": "byzantine",
             "edges": {str(k): _strategy_to_dict(v) for k, v in sorted(strategy.signals.items())},
         }
-    for kind, cls in _SCALAR_STRATEGIES.items():
-        if isinstance(strategy, cls):
-            return {"type": kind, **asdict(strategy)}
-    raise ConfigError(f"unknown strategy {strategy!r}")
+    kind = next(kind for kind, cls in _SCALAR_STRATEGIES.items() if isinstance(strategy, cls))
+    return {"type": kind, **asdict(strategy)}
 
 
 def _float_names(value: Any) -> Any:

@@ -109,6 +109,22 @@ def test_missing_input_file_exits_2_with_one_error_line(capsys, tmp_path, argv):
     assert "nope.json" in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("check", "--circulant", "8", "3", "--strong", "1"), "--strong requires --set"),
+    (("check", "--circulant", "8", "3", "--tlf", "1"), "--tlf requires --set"),
+    (("check", "--undirected-circulant", "8", "1", "--certificate", "strong", "--set", "1-3", "--f", "1"),
+     "--certificate needs --circulant N K (window conditions use n and k)"),
+    (("check", "--circulant", "8", "3", "--certificate", "tlf", "--f", "1"), "--certificate requires --set and --f"),
+    (("check", "--circulant", "8", "3", "--certificate", "tlf", "--set", "1-3"),
+     "--certificate requires --set and --f"),
+    (("scenario",), "scenario name required (or use --list)"),
+])
+def test_missing_companion_options_exit_2_with_one_error_line(capsys, argv, message):
+    code, stdout, err = run_cli(capsys, *argv)
+    assert code == 2 and stdout == ""
+    assert err == f"error: {message}\n"
+
+
 def test_check_certificate_strong(capsys):
     code, out, _ = run_cli(
         capsys, "check", "--circulant", "30", "15",
@@ -327,6 +343,10 @@ def _adversary(strategy):
     return {"roles": {**SAMPLE_CONFIG["roles"], "5": {"adversary": strategy}}}
 
 
+# a full weight table for SAMPLE_CONFIG's C_8(1..3): agent i hears itself and i-1, i-2, i-3 (mod 8)
+_TABLE = {str(i): {str((i - 1 - a) % 8 + 1): 0.25 for a in range(4)} for i in range(1, 9)}
+
+
 @pytest.mark.parametrize("patch, path", [
     ({"roles": [1, 2]}, "/roles"),
     ({"init": {"range": [[1], 2]}}, "/init/range"),
@@ -370,6 +390,18 @@ def _adversary(strategy):
     ({"roles": []}, "/roles"),
     ({"roles": 0}, "/roles"),
     ({"roles": ""}, "/roles"),
+    # an init range whose width overflows a float would start every agent at +inf
+    ({"init": {"range": [-1e308, 1e308]}}, "/init/range"),
+    # weight-table entries for an agent outside 1..n, or for a pair that is not an edge
+    ({"weight_table": {**_TABLE, "99": {"1": 0.25}}}, "/weight_table/99/1"),
+    ({"weight_table": {**_TABLE, "4": {**_TABLE["4"], "9": 0.25}}}, "/weight_table/4/9"),
+    ({"weight_table": {**_TABLE, "4": {**_TABLE["4"], "5": 0.25}}}, "/weight_table/4/5"),
+    # structure the reader refuses
+    (_adversary(5), "/roles/5/adversary"),
+    (_adversary({"type": "ramp", "slop": 1}), "/roles/5/adversary"),
+    (_adversary({"type": "byzantine", "signals": {}}), "/roles/5/adversary/edges"),
+    ({"init": {"values": [0] * 8}}, "/init/values"),
+    ({"weight_table": {**_TABLE, "1": 0.25}}, "/weight_table/1"),
 ])
 def test_run_hostile_config_shapes_exit_2_with_path(capsys, tmp_path, patch, path):
     config_path = tmp_path / "bad.json"
@@ -377,6 +409,19 @@ def test_run_hostile_config_shapes_exit_2_with_path(capsys, tmp_path, patch, pat
     code, _, err = run_cli(capsys, "run", str(config_path), "--out", str(tmp_path / "x"))
     assert code == 2
     assert err.startswith(f"error: {path}: "), err
+
+
+@pytest.mark.parametrize("strategy", [{"type": "sinusoid", "amplitude": 1, "period": 4, "phase": "Infinity"},
+                                      {"type": "sinusoid", "amplitude": 1, "period": 5e-324}])
+def test_run_sinusoid_of_an_infinite_angle_sends_nan(capsys, tmp_path, strategy):
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({**SAMPLE_CONFIG, **_adversary(strategy)}))
+    code, stdout, err = run_cli(capsys, "run", str(config_path), "--out", str(tmp_path / "x"))
+    assert code == 0, err
+    assert json.loads(stdout)["converged"] is True
+    sent = [line.split(",")[3] for line in (tmp_path / "x" / "trajectory.csv").read_text().splitlines()
+            if line.split(",")[1:3] == ["5", "adversary"]]
+    assert sent[1:] == ["nan"] * 60  # the angle at round 0 is finite for the tiny period
 
 
 @pytest.mark.parametrize("tol", ["inf", "nan", "0"])
@@ -559,6 +604,18 @@ def test_sweep_empty_grid_header_only(capsys):
         "cert_strong", "cert_tlf", "peel_strong", "peel_tlf",
         "converged", "convergence_round", "final_error",
     ])
+
+
+def test_sweep_logs_skipped_cells_and_writes_the_csv_to_a_file(capsys, tmp_path):
+    args = ["sweep", "--n", "6", "--k", "2,6", "--f", "0", "--window-sizes", "2", "--horizon", "5"]
+    code, table, _ = run_cli(capsys, *args)
+    assert code == 0
+    path = tmp_path / "grid.csv"
+    code, stdout, err = run_cli(capsys, *args, "-o", str(path))
+    assert code == 0 and stdout == ""
+    # C_6(1..6) is no circulant: k must be below n
+    assert err == f"skipping 1 structurally invalid grid cells\nwrote 1 rows to {path}\n"
+    assert path.read_text() == table and len(table.splitlines()) == 2
 
 
 def test_sweep_cell_cap(capsys):

@@ -154,15 +154,20 @@ def test_digraph_takes_integer_count_and_ids_only():
                               # unhashable edges, as JSON writes them
                               (3, [[1, 2]], r"^edge \[1, 2\]: expected a pair of vertices$"),
                               (3, [(1, 2), ([2], 3)], r"^edge \(\[2\], 3\): vertex must be an integer, got \[2\]$"),
-                              (3, iter([(1, 2), [2, 3], (3, 1)]), r"^edge \[2, 3\]: expected a pair of vertices$")):
+                              (3, iter([(1, 2), [2, 3], (3, 1)]), r"^edge \[2, 3\]: expected a pair of vertices$"),
+                              # a frozenset is checked edge by edge too
+                              (3, frozenset({(1, 2), (2, 3, 1)}), r"^edge \(2, 3, 1\): expected a pair of vertices$"),
+                              (3, frozenset({(1, 2), (2.0, 3)}), r"^edge \(2\.0, 3\): vertex must be an integer")):
         with pytest.raises(GraphError, match=message):
             Digraph(n, edges)
     # integer-like values (as NumPy's are) become ints, and the edges a frozenset
-    g = Digraph(np.int64(3), {(np.int64(1), 2), (3, np.int64(1))})
-    assert g == Digraph(3, frozenset({(1, 2), (3, 1)}))
-    assert type(g.n) is int and type(g.edges) is frozenset
-    assert all(type(v) is int for edge in g.edges for v in edge)
-    assert g.in_masks == (0b100, 0b001, 0b000)
+    for edges in ({(np.int64(1), 2), (3, np.int64(1))}, frozenset({(np.int64(1), 2), (3, np.int64(1))})):
+        g = Digraph(np.int64(3), edges)
+        assert g == Digraph(3, frozenset({(1, 2), (3, 1)}))
+        assert hash(g) == hash(Digraph(3, frozenset({(1, 2), (3, 1)})))
+        assert type(g.n) is int and type(g.edges) is frozenset
+        assert all(type(v) is int for edge in g.edges for v in edge)
+        assert g.in_masks == (0b100, 0b001, 0b000)
 
 
 def test_circulants_take_integer_parameters_only():
@@ -222,6 +227,9 @@ def test_load_rejects_malformed(tmp_path):
         load_graph(path)
     path.write_text("vertices 3\n1 2\n")
     with pytest.raises(GraphError, match="header"):
+        load_graph(path)
+    path.write_text("\n  \n")
+    with pytest.raises(GraphError, match=": empty file$"):
         load_graph(path)
 
 

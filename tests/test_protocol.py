@@ -61,7 +61,7 @@ def test_filter_removes_at_most_f_per_side():
     assert values(retained) == [-5.0, 0.0]
 
 
-@settings(max_examples=200)
+@settings(max_examples=200, deadline=None, derandomize=True)
 @given(
     own=st.integers(-5, 5),
     vals=st.lists(st.integers(-5, 5), max_size=12),
@@ -75,7 +75,7 @@ def test_filter_retention_bound_and_own_kept(own, vals, f):
     assert (1, float(own)) in retained
 
 
-@settings(max_examples=200)
+@settings(max_examples=200, deadline=None, derandomize=True)
 @given(
     own=st.integers(-5, 5),
     vals=st.lists(st.integers(-5, 5), max_size=10),
@@ -91,7 +91,7 @@ def test_filter_order_invariance(own, vals, f, seed):
     assert values(a) == values(b)
 
 
-@settings(max_examples=300)
+@settings(max_examples=300, deadline=None, derandomize=True)
 @given(
     f=st.integers(0, 4),
     c_l=st.integers(-3, 3),
@@ -144,7 +144,7 @@ def test_update_exact_when_all_equal():
     assert wmsr_update(1, retained, WeightScheme(0.05)) == 10.0 / 3.0
 
 
-@settings(max_examples=200)
+@settings(max_examples=200, deadline=None, derandomize=True)
 @given(
     vals=st.lists(st.floats(-1e6, 1e6, allow_nan=False), min_size=1, max_size=12),
 )
@@ -246,6 +246,16 @@ def test_sinusoid_formula():
     sig = Sinusoid(amplitude=2.0, period=8.0, phase=0.0, offset=1.0)
     assert sig.value_at(0) == pytest.approx(1.0)
     assert sig.value_at(2) == pytest.approx(1.0 + 2.0 * math.sin(math.pi / 2))
+    assert sig.value_at(3) == 1.0 + 2.0 * math.sin(2.0 * math.pi * 3 / 8.0 + 0.0)  # bit for bit
+
+
+@pytest.mark.parametrize("fields", [dict(phase=math.inf), dict(phase=-math.inf), dict(period=5e-324),
+                                    dict(phase=math.nan)])
+def test_sinusoid_of_an_angle_that_is_not_finite_is_nan(fields):
+    # 2*pi*t/period + phase is +-inf (t/period overflows for the tiny period),
+    # where math.sin raises, or NaN, where it returns NaN
+    sig = Sinusoid(**{"amplitude": 2.0, "period": 8.0, "offset": 1.0, **fields})
+    assert math.isnan(sig.value_at(1))
 
 
 def test_scripted_holds_last_value():
@@ -257,6 +267,17 @@ def test_byzantine_per_edge_lookup():
     strat = ByzantinePerEdge({2: ConstantHold(0.0), 3: ConstantHold(100.0)})
     assert strat.signals[3].value_at(5) == 100.0
     assert strat.signals[2].value_at(5) == 0.0
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: Scripted(()), "^scripted strategy needs at least one value$"),
+    (lambda: ReferenceSignal.constant(1.0).value_at(-1), "^round must be >= 0, got -1$"),
+    (lambda: wmsr_weights(1, [], WeightScheme(0.5)), "^retained set must be nonempty$"),
+    (lambda: wmsr_update(1, [], WeightScheme(0.5)), "^retained set must be nonempty$"),
+])
+def test_signals_and_updates_refuse_empty_inputs(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 # ---------------------------------------------------------------------------

@@ -120,6 +120,12 @@ def test_deciders_reject_ids_that_are_not_integers(decide):
         assert str(exc.value) == message, (leaders, exc.value)
 
 
+@pytest.mark.parametrize("decide", _COMPLEMENT_DECIDERS)
+def test_complement_deciders_refuse_an_empty_leader_set(decide):
+    with pytest.raises(GraphError, match="^S must be nonempty$"):
+        decide(make_k_circulant(6, 2), [], 1)
+
+
 @pytest.mark.parametrize("decide", _COMPLEMENT_DECIDERS + (r_reachable_set,))
 def test_deciders_normalise_integer_like_ids_and_parameters(decide):
     g = make_k_circulant(7, 3)
@@ -212,6 +218,10 @@ def test_enumeration_cap():
     with pytest.raises(EnumerationCapError):
         is_r_robust(g, 2)
     assert is_r_robust(g, 2, cap=14).verdict == is_r_robust(g, 2, force=True).verdict
+    for decide in (is_strongly_r_robust_bruteforce, is_tlf_robust_bruteforce):
+        with pytest.raises(EnumerationCapError, match="^complement size 13 exceeds enumeration cap 12; "):
+            decide(g, [1], 1, cap=12)
+        assert decide(g, [1], 1, cap=13).verdict == decide(g, [1], 1, force=True).verdict
 
 
 # ---------------------------------------------------------------------------

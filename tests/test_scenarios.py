@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import rcl.robustness
+from rcl.graph import make_k_circulant
 from rcl.robustness import is_r_robust, is_rs_robust
 from rcl.scenarios import (
     SCENARIO_NAMES,
@@ -25,6 +26,7 @@ from rcl.scenarios import (
     sim3,
     sim4,
 )
+from rcl.simulation import SimConfig, compute_metrics, run
 
 
 def test_registry_rejects_unknown_name():
@@ -147,6 +149,11 @@ def test_outcomes_without_a_tol_field_use_1e_6():
                           (NoConvergence(10.0), "NoConvergence(min_residual=10.0)")):
         assert outcome.tol == 1e-6
         assert repr(outcome) == text
+
+
+def test_no_convergence_fails_without_a_reference():
+    traj = run(SimConfig(graph=make_k_circulant(6, 2), f=0, horizon=2))
+    assert NoConvergence(1.0).check(traj, compute_metrics(traj)) == (False, "no reference signal, residual undefined")
 
 
 @pytest.mark.parametrize("kind", ["counterexample-rs", "counterexample-2f1"])
