@@ -8,8 +8,8 @@ configurations).
 Machine-readable results go to stdout as JSON (CSV for sweep); progress and
 errors go to stderr.  Exit codes: 0 verdict-true/converged, 1 verdict-false/
 not-converged, 2 usage or configuration error, 3 scenario precondition
-failure.  The environment variable RCL_ENUM_CAP overrides the default
-enumeration caps of the brute-force checkers.
+failure.  ``rcl check --cap`` overrides the default enumeration caps of the
+brute-force checkers, and ``--force`` ignores them.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 import time
 from dataclasses import replace
@@ -96,30 +95,24 @@ def parse_id_set(text: str) -> list[int]:
 
 
 def integer(text: str, name: str = "value") -> int:
-    """An integer given on the command line or in the environment, by
-    ``rcl.graph``'s rule for integers written as text: decimal digits as
-    ``str`` writes them, so not "1_0", "+1" or "01".  Every integer option's
-    argparse ``type``."""
+    """An integer given on the command line, by ``rcl.graph``'s rule for
+    integers written as text: decimal digits as ``str`` writes them, so not
+    "1_0", "+1" or "01".  Every integer option's argparse ``type``."""
     return _integer_text(text, name)
 
 
-def number(text: str, name: str = "value") -> float:
+def number(text: str) -> float:
     """A real number as ``float`` reads it, but with no "_", surrounding space or
     non-ASCII character, then by ``rcl.graph``'s number rule; ``--tol``'s type."""
     if "_" in text or text.strip() != text or not text.isascii():
-        raise ValueError(f"{name} must be a number, got {text!r}")
-    return _number(float(text), name)
+        raise ValueError(f"value must be a number, got {text!r}")
+    return _number(float(text), "value")
 
 
 def _parse_int_list(text: str) -> list[int]:
     if not text.strip():
         return []
     return parse_id_set(text)
-
-
-def _env_cap() -> int | None:
-    raw = os.environ.get("RCL_ENUM_CAP")
-    return None if raw is None else integer(raw, "RCL_ENUM_CAP")
 
 
 def _graph_from_args(args) -> Digraph:
@@ -152,20 +145,19 @@ def cmd_check(args) -> int:
     graph = None
     if args.certificate is None or args.graph is not None:
         graph = _graph_from_args(args)
-    cap = args.cap if args.cap is not None else _env_cap()
     started = time.perf_counter()
 
     if args.r_robust is not None:
-        report = is_r_robust(graph, args.r_robust, cap=cap, force=args.force)
+        report = is_r_robust(graph, args.r_robust, cap=args.cap, force=args.force)
     elif args.rs_robust is not None:
         r, s = args.rs_robust
-        report = is_rs_robust(graph, r, s, cap=cap, force=args.force)
+        report = is_rs_robust(graph, r, s, cap=args.cap, force=args.force)
     elif args.strong is not None or args.tlf is not None:
         prop = "strong" if args.strong is not None else "tlf"
         if args.set is None:
             raise ConfigError(f"--{prop} requires --set")
         decide = SET_DECIDERS[prop, args.method]
-        report = decide(graph, parse_id_set(args.set), getattr(args, prop), cap=cap, force=args.force)
+        report = decide(graph, parse_id_set(args.set), getattr(args, prop), cap=args.cap, force=args.force)
     elif args.certificate is not None:
         if args.circulant is None:
             raise ConfigError("--certificate needs --circulant N K (window conditions use n and k)")
@@ -174,7 +166,7 @@ def cmd_check(args) -> int:
         n, k = args.circulant
         report = circulant_certificate(n, k, parse_id_set(args.set), args.f, args.certificate)
     else:
-        value = max_r_robustness(graph, cap=cap, force=args.force)
+        value = max_r_robustness(graph, cap=args.cap, force=args.force)
         elapsed = 1000.0 * (time.perf_counter() - started)
         _emit({"property": "max_r_robustness", "params": {}, "value": value,
                "elapsed_ms": round(elapsed, 3)})

@@ -112,7 +112,7 @@ class Sinusoid(_NumberFields):
     def __post_init__(self) -> None:
         super().__post_init__()
         if self.period <= 0:
-            raise ConfigError(f"sinusoid period must be positive, got {self.period}")
+            raise ConfigError(f"/period: sinusoid period must be positive, got {self.period}")
 
     def value_at(self, t: int) -> float:
         """NaN where the angle is not finite, as ``math.sin`` refuses +-inf."""
@@ -138,7 +138,7 @@ class Scripted:
     def __post_init__(self) -> None:
         _require(self.values, "/values", [float], "a list of numbers", ConfigError)
         if not self.values:
-            raise ConfigError("scripted strategy needs at least one value")
+            raise ConfigError("/values: scripted strategy needs at least one value")
         object.__setattr__(self, "values", tuple(map(float, self.values)))
 
     def value_at(self, t: int) -> float:
@@ -155,7 +155,7 @@ class ByzantinePerEdge:
     signals: Mapping[int, ScalarStrategy]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "signals", {_integer(j, "byzantine out-neighbor", ConfigError): s
+        object.__setattr__(self, "signals", {_integer(j, f"/edges/{j}:", ConfigError): s
                                              for j, s in self.signals.items()})
         for j, s in self.signals.items():
             if not isinstance(s, ScalarStrategy):

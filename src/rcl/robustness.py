@@ -14,9 +14,11 @@ Four families of checks:
 
 Subset enumeration is exponential, so the pairwise checks refuse graphs above
 an enumeration cap (default 13) and the complement-subset checks refuse free
-sets above a second cap (default 20), unless forced.  Witnesses are the first
-violation in canonical order: by size, then lexicographically by sorted
-vertex tuple.
+sets above a second cap (default 20), unless forced.  A trivial query is
+answered true, after validation and before either cap, in one place per
+family: r = 0 in the pair scan, and no free vertex or a zero anchor or reach
+in the complement enumeration.  Witnesses are the first violation in
+canonical order: by size, then lexicographically by sorted vertex tuple.
 
 Both enumerations share one split counter, j = (hi << L) | lo with L the
 smaller of 16 and the number of enumerated vertices.  A vertex's in-degree
@@ -250,8 +252,11 @@ def _pair_scan(
     g: Digraph, r: int, s: int, prop: Property, params: dict, cap: int | None, force: bool,
 ) -> RobustnessReport:
     """Every nonempty disjoint pair (S1, S2) has all of S1 r-reachable, all of
-    S2, or >= s r-reachable members in total, by a subset DP.  A false verdict
-    carries the first violating pair in canonical subset order."""
+    S2, or >= s r-reachable members in total, by a subset DP.  At r = 0 every
+    set is r-reachable, so the verdict is true whatever the caps.  A false
+    verdict carries the first violating pair in canonical subset order."""
+    if r == 0:
+        return RobustnessReport(prop, params, True, None, "bruteforce")
     n, r = g.n, min(r, g.n)
 
     def count_bad(outside, members, sizes):
@@ -283,10 +288,7 @@ def is_r_robust(
     pair in canonical subset order.
     """
     r = _count(r, "r")
-    params = {"r": r}
-    if r == 0:
-        return RobustnessReport(Property.R_ROBUST, params, True, None, "bruteforce")
-    return _pair_scan(g, r, 1, Property.R_ROBUST, params, cap, force)
+    return _pair_scan(g, r, 1, Property.R_ROBUST, {"r": r}, cap, force)
 
 
 def is_rs_robust(
@@ -373,31 +375,31 @@ def _bruteforce(
     """Every nonempty C in V \\ S (S the mask ``s_mask``) has a member with
     >= anchor in-neighbors in S or >= reach in-neighbors outside C, by
     enumeration.  A false verdict carries the first violating C in canonical
-    subset order, read off its key."""
+    subset order, read off its key.  With no free vertex, or anchor or reach
+    0, the verdict is true whatever the caps."""
     free, limit = g.n - s_mask.bit_count(), DEFAULT_COMPLEMENT_CAP if cap is None else cap
-    if free == 0:
+    if free == 0 or anchor <= 0 or reach <= 0:
         return RobustnessReport(prop, params, True, None, "bruteforce")
     if free > limit and not force:
         raise EnumerationCapError(
             f"complement size {free} exceeds enumeration cap {limit}; pass force=True to override"
         )
-    if anchor > 0 and reach > 0:
-        first = (_first_violations if free <= 16 else _first_violations.__wrapped__)(g, s_mask)
-        rows, cols = first.shape
-        key = first.item(min(anchor, rows) - 1, min(reach, cols) - 1)
-        if key != _NO_VIOLATION:
-            # bit b of j is the b-th largest free vertex: walk them from the
-            # smallest, bit free - 1, until j runs out
-            j, rest, b, subset = ~key & ((1 << free) - 1), ((1 << g.n) - 1) & ~s_mask, free, []
-            while j:
-                low = rest & -rest
-                rest ^= low
-                b -= 1
-                if j >> b & 1:
-                    j ^= 1 << b
-                    subset.append(low.bit_length())
-            return RobustnessReport(prop, params, False, {"violating_subset": subset}, "bruteforce")
-    return RobustnessReport(prop, params, True, None, "bruteforce")
+    first = (_first_violations if free <= 16 else _first_violations.__wrapped__)(g, s_mask)
+    rows, cols = first.shape
+    key = first.item(min(anchor, rows) - 1, min(reach, cols) - 1)
+    if key == _NO_VIOLATION:
+        return RobustnessReport(prop, params, True, None, "bruteforce")
+    # bit b of j is the b-th largest free vertex: walk them from the
+    # smallest, bit free - 1, until j runs out
+    j, rest, b, subset = ~key & ((1 << free) - 1), ((1 << g.n) - 1) & ~s_mask, free, []
+    while j:
+        low = rest & -rest
+        rest ^= low
+        b -= 1
+        if j >> b & 1:
+            j ^= 1 << b
+            subset.append(low.bit_length())
+    return RobustnessReport(prop, params, False, {"violating_subset": subset}, "bruteforce")
 
 
 def _peeling(

@@ -112,22 +112,22 @@ class SimConfig:
             object.__setattr__(self, name, tuple(i for i, role in full_roles.items() if isinstance(role, kind)))
 
         if self.leaders and self.reference is None:
-            raise ConfigError("leaders are present but no reference signal is configured")
+            raise ConfigError("/reference: leaders are present but no reference signal is configured")
 
         scheme = self.scheme or WeightScheme(default_alpha(g))
         bound = 1.0 / (g.max_in_degree + 1)
         if scheme.table is None and scheme.alpha > bound + 1e-15:
-            raise ConfigError(f"alpha={scheme.alpha} infeasible: equal weighting needs alpha <= "
+            raise ConfigError(f"/alpha: alpha={scheme.alpha} infeasible: equal weighting needs alpha <= "
                               f"1/(max in-degree + 1) = {bound}")
         if scheme.table is not None:
             for i in g.vertices:
                 total = 0.0
                 for j in sorted(g.inclusive_neighbors(i)):
                     if (i, j) not in scheme.table:
-                        raise ConfigError(f"weight table missing entry for edge ({i}, {j})")
+                        raise ConfigError(f"/weight_table/{i}/{j}: missing, though agent {i} hears agent {j}")
                     total += scheme.table[(i, j)]
                 if not abs(total - 1.0) <= 1e-9:
-                    raise ConfigError(f"weight table rows must sum to 1 over inclusive neighbors; "
+                    raise ConfigError(f"/weight_table/{i}: rows must sum to 1 over inclusive neighbors; "
                                       f"agent {i} sums to {total}")
             # the table holds every (agent, sender) pair of the graph, so any more entries are off it
             if len(scheme.table) > g.n + len(g.edges):
@@ -166,7 +166,7 @@ class SimConfig:
         if self.strict_f_local:
             ok, bad = validate_f_local(g, self.adversaries, self.f)
             if not ok:
-                raise ConfigError(f"adversary set is not F-local for F={self.f}: agent {bad} has too many "
+                raise ConfigError(f"/roles: adversary set is not F-local for F={self.f}: agent {bad} has too many "
                                   "adversarial inclusive in-neighbors (set strict_f_local=False to override)")
 
 
@@ -524,7 +524,11 @@ def _sustained_round(series: np.ndarray, tol: float) -> int | None:
     return t if t < series.size else None
 
 
-def compute_metrics(traj: Trajectory, tol: float = 1e-6, slack: float = 1e-12) -> Metrics:
+# the floating-point round-off the envelope checks forgive
+ENVELOPE_SLACK = 1e-12
+
+
+def compute_metrics(traj: Trajectory, tol: float = 1e-6) -> Metrics:
     """Envelope (per-round min and max over normal agents and the reference),
     tracking error (max |x_i - x_r| over normal agents; None without a
     reference), disagreement (spread over normal agents), the rounds from
@@ -557,12 +561,12 @@ def compute_metrics(traj: Trajectory, tol: float = 1e-6, slack: float = 1e-12) -
     intervals = []
     for t1, t2 in spans:
         monotone = bool(
-            np.all(rise_lower[t1 : t2 - 1] >= -slack) and np.all(rise_upper[t1 : t2 - 1] <= slack)
+            np.all(rise_lower[t1 : t2 - 1] >= -ENVELOPE_SLACK) and np.all(rise_upper[t1 : t2 - 1] <= ENVELOPE_SLACK)
         )
         if non_adversarial:
             block = traj.states[t1:t2, [i - 1 for i in non_adversarial]]
             invariant = bool(
-                np.all(block >= lower[t1] - slack) and np.all(block <= upper[t1] + slack)
+                np.all(block >= lower[t1] - ENVELOPE_SLACK) and np.all(block <= upper[t1] + ENVELOPE_SLACK)
             )
         else:
             invariant = True
@@ -664,8 +668,8 @@ def _scalar_strategy_from_dict(obj: Any, path: str) -> ScalarStrategy:
         return _SCALAR_STRATEGIES[kind](**fields)
     except TypeError as exc:
         raise ConfigError(f"{path}: bad fields for {kind!r} strategy: {exc}") from None
-    except ConfigError as exc:  # the strategy's own pointer, if any, continues ``path``
-        raise ConfigError(f"{path}{exc}" if str(exc).startswith("/") else f"{path}: {exc}") from None
+    except ConfigError as exc:  # the strategy's own pointer continues ``path``
+        raise ConfigError(f"{path}{exc}") from None
 
 
 def _strategy_from_dict(obj: Any, path: str) -> Adversary:

@@ -44,15 +44,15 @@ def _nice_ticks(lo: float, hi: float, target: int = 6) -> list[float]:
     return ticks
 
 
-def _polyline_points(values: np.ndarray, template: str, ylo: float, yhi: float) -> str:
-    """One series' ``x,y`` points: ``template`` % its y values, with each x
-    formatted there and each y a ``%.2f``, which formats as ``{:.2f}`` does.
+def _y(values: np.ndarray, ylo: float, yhi: float) -> np.ndarray:
+    """The plot y of each value: the one y-map of the polylines and the ticks."""
+    return _MT + _PLOT_H * (1.0 - (values - ylo) / (yhi - ylo))
 
-    The y values are ``sy`` of ``render_trajectory_svg`` on the whole column:
-    the same operations in the same order, so each is bit-identical to the
-    scalar one."""
-    ys = _MT + _PLOT_H * (1.0 - (values - ylo) / (yhi - ylo))
-    return template % tuple(ys.tolist())
+
+def _polyline_points(values: np.ndarray, template: str, ylo: float, yhi: float) -> str:
+    """One series' ``x,y`` points: ``template`` % its ``_y`` values, with each
+    x formatted there and each y a ``%.2f``, which formats as ``{:.2f}`` does."""
+    return template % tuple(_y(values, ylo, yhi).tolist())
 
 
 def render_trajectory_svg(traj: Trajectory, title: str | None = None) -> str:
@@ -81,9 +81,6 @@ def render_trajectory_svg(traj: Trajectory, title: str | None = None) -> str:
     def sx(t: float) -> float:
         return _ML + _PLOT_W * (t / rounds if rounds else 0.0)
 
-    def sy(v: float) -> float:
-        return _MT + _PLOT_H * (1.0 - (v - ylo) / (yhi - ylo))
-
     template = " ".join(f"{sx(t):.2f},%.2f" for t in range(rounds + 1))
 
     def polylines(col: int, style: str) -> list[str]:
@@ -103,8 +100,8 @@ def render_trajectory_svg(traj: Trajectory, title: str | None = None) -> str:
         f'height="{_PLOT_H}"/></clipPath></defs>',
     ]
 
-    for tick in _nice_ticks(ylo, yhi):
-        y = sy(tick)
+    ticks = _nice_ticks(ylo, yhi)
+    for tick, y in zip(ticks, _y(np.array(ticks), ylo, yhi).tolist()):
         parts.append(
             f'<line x1="{_ML}" y1="{y:.2f}" x2="{_WIDTH - _MR}" y2="{y:.2f}" '
             'stroke="#dddddd" stroke-width="1"/>'

@@ -42,7 +42,7 @@ from rcl.scenarios import (
     sim3,
     sim4,
 )
-from rcl.simulation import SimConfig, compute_metrics, run, write_trajectory_csv
+from rcl.simulation import ENVELOPE_SLACK, SimConfig, compute_metrics, run, write_trajectory_csv
 
 
 def test_c01_peeling_matches_bruteforce_at_scale():
@@ -204,12 +204,13 @@ def test_c06_envelope_safety_suite():
     """Criterion 6: over 100 random compliant configurations, the normal/
     reference envelope is monotone and an invariant set on every constant
     interval, with only 1e-12 floating-point slack."""
+    assert ENVELOPE_SLACK == 1e-12
     rng = random.Random(606)
     for idx in range(100):
         config = _random_compliant_config(rng, trusted=idx % 2 == 0)
         ok, violator = validate_f_local(config.graph, config.adversaries, config.f)
         assert ok, (idx, violator)
-        metrics = compute_metrics(run(config), slack=1e-12)
+        metrics = compute_metrics(run(config))
         assert metrics.envelope_monotone, idx
         assert metrics.interval_invariant, idx
 

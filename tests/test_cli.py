@@ -38,7 +38,7 @@ def test_id_sets_take_ids_only_as_str_writes_them():
     assert parse_id_set(" 1 , 4-6 ,-2") == [-2, 1, 4, 5, 6]
 
 
-def test_integer_options_take_digits_only_as_str_writes_them(capsys, monkeypatch):
+def test_integer_options_take_digits_only_as_str_writes_them(capsys):
     def exit_code(*argv):
         try:
             return run_cli(capsys, *argv)[::2]
@@ -54,10 +54,8 @@ def test_integer_options_take_digits_only_as_str_writes_them(capsys, monkeypatch
         assert code == 2 and message in err, (argv, err)
     code, err = exit_code("scenario", "sim2", "--seed", "2_0", "--out", "unused")
     assert code == 2 and "invalid integer value: '2_0'" in err
-    monkeypatch.setenv("RCL_ENUM_CAP", "1_4")
-    code, err = exit_code("check", "--circulant", "14", "3", "--r-robust", "1")
-    assert code == 2 and "RCL_ENUM_CAP must be an integer, got '1_4'" in err
-    monkeypatch.delenv("RCL_ENUM_CAP")
+    code, err = exit_code("check", "--circulant", "14", "3", "--r-robust", "1", "--cap", "1_4")
+    assert code == 2 and "invalid integer value: '1_4'" in err
     assert exit_code("check", "--circulant", "10", "3", "--max-r")[0] == 0
     assert exit_code("check", "--undirected-circulant", "10", "1,2", "--max-r")[0] == 0
 
@@ -155,13 +153,17 @@ def test_check_cap_exceeded_without_force(capsys):
     assert "cap" in err
 
 
-def test_check_env_cap_override(capsys, monkeypatch):
-    monkeypatch.setenv("RCL_ENUM_CAP", "5")
-    code, _, err = run_cli(capsys, "check", "--circulant", "6", "1", "--r-robust", "2")
-    assert code == 2
-    monkeypatch.setenv("RCL_ENUM_CAP", "14")
-    code, out, _ = run_cli(capsys, "check", "--circulant", "14", "3", "--r-robust", "1")
+def test_check_cap_override(capsys):
+    code, _, err = run_cli(capsys, "check", "--circulant", "6", "1", "--r-robust", "2", "--cap", "5")
+    assert code == 2 and "n=6 exceeds pairwise enumeration cap 5" in err
+    code, out, _ = run_cli(capsys, "check", "--circulant", "14", "3", "--r-robust", "1", "--cap", "14")
     assert code in (0, 1)
+
+
+def test_check_trivial_rs_query_is_answered_past_the_cap(capsys):
+    code, out, _ = run_cli(capsys, "check", "--circulant", "14", "3", "--rs-robust", "0", "1")
+    assert code == 0
+    assert json.loads(out)["verdict"] is True
 
 
 def test_check_malformed_set(capsys):

@@ -270,7 +270,7 @@ def test_byzantine_per_edge_lookup():
 
 
 @pytest.mark.parametrize("call, message", [
-    (lambda: Scripted(()), "^scripted strategy needs at least one value$"),
+    (lambda: Scripted(()), "^/values: scripted strategy needs at least one value$"),
     (lambda: ReferenceSignal.constant(1.0).value_at(-1), "^round must be >= 0, got -1$"),
     (lambda: wmsr_weights(1, [], WeightScheme(0.5)), "^retained set must be nonempty$"),
     (lambda: wmsr_update(1, [], WeightScheme(0.5)), "^retained set must be nonempty$"),
@@ -340,7 +340,7 @@ def test_byzantine_signals_must_be_scalar_strategies():
 def test_round_and_agent_keys_must_be_integers():
     with pytest.raises(ConfigError, match=r"^/reference/breakpoints: expected .* rounds, got \(\(0\.0, 1\.0\),\)$"):
         ReferenceSignal(((0.0, 1.0),))
-    with pytest.raises(ConfigError, match="^byzantine out-neighbor must be an integer, got 2.0$"):
+    with pytest.raises(ConfigError, match="^/edges/2.0: must be an integer, got 2.0$"):
         ByzantinePerEdge({2.0: ConstantHold(0.0)})
     with pytest.raises(ConfigError, match=r"^/weight_table/1.5/2: agent id must be an integer, got 1.5$"):
         WeightScheme(0.5, {(1.5, 2): 0.5})

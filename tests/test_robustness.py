@@ -224,6 +224,27 @@ def test_enumeration_cap():
         assert decide(g, [1], 1, cap=13).verdict == decide(g, [1], 1, force=True).verdict
 
 
+def test_trivial_queries_are_answered_past_the_caps():
+    """r = 0 holds for every pair, and an anchor of 0 for every C, so a
+    trivial query is answered before either cap; the others are still refused."""
+    g = make_k_circulant(14, 3)
+    plain = is_r_robust(g, 0)
+    assert (plain.verdict, plain.witness, plain.method) == (True, None, "bruteforce")
+    for s in (1, 2, 14):
+        rs = is_rs_robust(g, 0, s)
+        assert (rs.params, rs.verdict, rs.witness, rs.method) == ({"r": 0, "s": s}, True, None, "bruteforce")
+    wide = make_k_circulant(23, 6)
+    brute = is_strongly_r_robust_bruteforce(wide, [1, 2], 0)
+    assert brute.verdict is is_strongly_r_robust_peeling(wide, [1, 2], 0).verdict is True
+    assert (brute.params, brute.witness, brute.method) == ({"r": 0, "set": [1, 2]}, None, "bruteforce")
+    with pytest.raises(EnumerationCapError, match="^n=14 exceeds pairwise enumeration cap 13; "):
+        is_rs_robust(g, 1, 1)
+    with pytest.raises(EnumerationCapError, match="^complement size 21 exceeds enumeration cap 20; "):
+        is_strongly_r_robust_bruteforce(wide, [1, 2], 1)
+    with pytest.raises(EnumerationCapError, match="^complement size 21 exceeds enumeration cap 20; "):
+        is_tlf_robust_bruteforce(wide, [1, 2], 0)  # (anchor, reach) = (1, 1): not trivial
+
+
 # ---------------------------------------------------------------------------
 # (r, s)-robustness
 

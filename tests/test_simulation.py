@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import math
 import random
@@ -142,12 +143,13 @@ def test_ids_written_as_text_take_the_form_str_writes():
 
 
 def test_leaders_require_reference():
-    with pytest.raises(ConfigError, match="reference"):
+    with pytest.raises(ConfigError, match="^/reference: leaders are present but no reference signal is configured$"):
         basic_config(reference=None)
 
 
 def test_infeasible_alpha_rejected():
-    with pytest.raises(ConfigError, match="alpha"):
+    message = r"^/alpha: alpha=0.5 infeasible: equal weighting needs alpha <= 1/\(max in-degree \+ 1\) = 0.25$"
+    with pytest.raises(ConfigError, match=message):
         basic_config(scheme=WeightScheme(0.5))
 
 
@@ -159,7 +161,8 @@ def test_explicit_init_must_cover_all_agents():
 def test_strict_f_local_gate_and_override():
     g = make_k_circulant(6, 5)  # complete: everyone hears everyone
     roles = {1: Adversary(ConstantHold(0.0)), 2: Adversary(ConstantHold(0.0))}
-    with pytest.raises(ConfigError, match="F-local"):
+    with pytest.raises(ConfigError, match=r"^/roles: adversary set is not F-local for F=1: agent 3 has too many "
+                       r"adversarial inclusive in-neighbors \(set strict_f_local=False to override\)$"):
         SimConfig(graph=g, f=1, horizon=10, roles=roles, seed=0)
     cfg = SimConfig(graph=g, f=1, horizon=10, roles=roles, seed=0, strict_f_local=False)
     assert cfg.adversaries == (1, 2)
@@ -751,13 +754,14 @@ _C8_TABLE = {(i, (i - 1 - a) % 8 + 1): 0.25 for i in range(1, 9) for a in range(
     (dict(init=lambda: (2.0, 1.0)), r"^/init/range: need low <= high, got \[2.0, 1.0\]$"),
     (dict(roles=lambda: {3: "leader"}), "^/roles/3: not a role: 'leader'$"),
     (dict(scheme=lambda: WeightScheme(0.25, {k: w for k, w in _C8_TABLE.items() if k != (1, 6)})),
-     r"^weight table missing entry for edge \(1, 6\)$"),
+     "^/weight_table/1/6: missing, though agent 1 hears agent 6$"),
     (dict(scheme=lambda: WeightScheme(0.25, {**_C8_TABLE, (1, 1): 0.5})),
-     "^weight table rows must sum to 1 over inclusive neighbors; agent 1 sums to 1.25$"),
+     "^/weight_table/1: rows must sum to 1 over inclusive neighbors; agent 1 sums to 1.25$"),
     (dict(scheme=lambda: WeightScheme(0.25, {**_C8_TABLE, (4, 5): 0.25})),
      "^/weight_table/4/5: agent 4 does not hear agent 5$"),
     (dict(scheme=lambda: WeightScheme(0.25, {**_C8_TABLE, (99, 1): 0.25, (4, 9): 0.25})),
      "^/weight_table/4/9: agent 4 does not hear agent 9$"),
+    (dict(roles=lambda: {3: Adversary(Sinusoid(1.0, 0))}), "^/period: sinusoid period must be positive, got 0$"),
 ])
 def test_simconfig_rejects_non_finite(overrides, path):
     with pytest.raises(ConfigError, match=path):
@@ -767,13 +771,33 @@ def test_simconfig_rejects_non_finite(overrides, path):
 def test_config_dict_errors_name_nested_paths():
     base = {"graph": {"circulant": [6, 2]}, "f": 1, "horizon": 10}
     sinusoid = {"type": "sinusoid", "amplitude": 1, "period": 0}
-    with pytest.raises(ConfigError, match="^/roles/3/adversary: sinusoid period"):
+    with pytest.raises(ConfigError, match="^/roles/3/adversary/period: sinusoid period must be positive, got 0$"):
         config_from_dict({**base, "roles": {"3": {"adversary": sinusoid}}})
     table = {str(i): {str(j): 1.0 / 3.0 for j in (i, (i - 2) % 6 + 1, (i - 3) % 6 + 1)}
              for i in range(1, 7)}
     table["2"]["1"] = 0.01
     with pytest.raises(ConfigError, match="^/weight_table/2/1: .* below the floor"):
         config_from_dict({**base, "alpha": 0.1, "weight_table": table})
+
+
+def test_digest_corpus_refusals_start_with_a_pointer_and_acceptances_read_back():
+    """Every config of ``tools/bundle_digests.py``'s corpus that the reader
+    refuses is refused at a JSON pointer, and every one it accepts writes JSON
+    that reads back to the same JSON; importing the tool keeps it importable."""
+    path = Path(__file__).resolve().parents[1] / "tools" / "bundle_digests.py"
+    spec = importlib.util.spec_from_file_location("bundle_digests", path)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    corpus, refused = tool.config_corpus(), 0
+    for label, obj in corpus:
+        try:
+            text = json.dumps(config_to_dict(config_from_dict(obj)), allow_nan=False)
+        except ConfigError as exc:
+            assert str(exc).startswith("/"), (label, str(exc))
+            refused += 1
+            continue
+        assert json.dumps(config_to_dict(config_from_dict(json.loads(text))), allow_nan=False) == text, label
+    assert 0 < refused < len(corpus)
 
 
 # ---------------------------------------------------------------------------
