@@ -9,7 +9,9 @@ Machine-readable results go to stdout as JSON (CSV for sweep); progress and
 errors go to stderr.  Exit codes: 0 verdict-true/converged, 1 verdict-false/
 not-converged, 2 usage or configuration error, 3 scenario precondition
 failure.  ``rcl check --cap`` overrides the default enumeration caps of the
-brute-force checkers, and ``--force`` ignores them.
+brute-force checkers, and ``--force`` ignores them.  ``rcl check`` refuses
+(exit 2) a companion option that the chosen property does not read, and
+``rcl scenario --list`` takes no name and no other option.
 """
 
 from __future__ import annotations
@@ -54,6 +56,7 @@ from .scenarios import (
     build_scenario,
 )
 from .simulation import (
+    DEFAULT_TOL,
     SimConfig,
     check_tol,
     compute_metrics,
@@ -132,33 +135,50 @@ def _graph_from_args(args) -> Digraph:
 # check
 
 
-# (--strong or --tlf, --method) -> decider(graph, set, parameter, cap=, force=)
+# (--strong or --tlf, --method) -> decider(graph, set, parameter); brute force also takes cap=, force=
 SET_DECIDERS = {
-    ("strong", "peeling"): lambda g, s, r, **caps: is_strongly_r_robust_peeling(g, s, r),
+    ("strong", "peeling"): is_strongly_r_robust_peeling,
     ("strong", "bruteforce"): is_strongly_r_robust_bruteforce,
-    ("tlf", "peeling"): lambda g, s, f, **caps: is_tlf_robust_peeling(g, s, f),
+    ("tlf", "peeling"): is_tlf_robust_peeling,
     ("tlf", "bruteforce"): is_tlf_robust_bruteforce,
 }
 
+# property -> the companion options it reads (--strong/--tlf also --cap, --force with brute force)
+CHECK_READS = {"r_robust": ("cap", "force"), "rs_robust": ("cap", "force"), "strong": ("set", "method"),
+               "tlf": ("set", "method"), "certificate": ("set", "f"), "max_r": ("cap", "force")}
+
+
+def _property(args) -> str:
+    """The chosen property's dest; raise ConfigError at a companion option given that it does not read."""
+    given = {name for name, value in vars(args).items() if value is not None and value is not False}
+    prop = next(p for p in CHECK_READS if p in given)
+    route, reads = "--" + prop.replace("_", "-"), CHECK_READS[prop]
+    if "method" in reads:
+        route += f" with --method {args.method or 'peeling'}"
+        reads += ("cap", "force") if args.method == "bruteforce" else ()
+    for option in ("set", "f", "method", "cap", "force"):
+        if option in given and option not in reads:
+            raise ConfigError(f"--{option} is not read by {route}")
+    return prop
+
 
 def cmd_check(args) -> int:
-    graph = None
-    if args.certificate is None or args.graph is not None:
-        graph = _graph_from_args(args)
+    prop = _property(args)
+    graph = None if prop == "certificate" else _graph_from_args(args)
     started = time.perf_counter()
 
-    if args.r_robust is not None:
+    if prop == "r_robust":
         report = is_r_robust(graph, args.r_robust, cap=args.cap, force=args.force)
-    elif args.rs_robust is not None:
+    elif prop == "rs_robust":
         r, s = args.rs_robust
         report = is_rs_robust(graph, r, s, cap=args.cap, force=args.force)
-    elif args.strong is not None or args.tlf is not None:
-        prop = "strong" if args.strong is not None else "tlf"
+    elif prop in ("strong", "tlf"):
         if args.set is None:
             raise ConfigError(f"--{prop} requires --set")
-        decide = SET_DECIDERS[prop, args.method]
-        report = decide(graph, parse_id_set(args.set), getattr(args, prop), cap=args.cap, force=args.force)
-    elif args.certificate is not None:
+        decide = SET_DECIDERS[prop, args.method or "peeling"]
+        caps = {"cap": args.cap, "force": args.force} if args.method == "bruteforce" else {}
+        report = decide(graph, parse_id_set(args.set), getattr(args, prop), **caps)
+    elif prop == "certificate":
         if args.circulant is None:
             raise ConfigError("--certificate needs --circulant N K (window conditions use n and k)")
         if args.set is None or args.f is None:
@@ -230,6 +250,9 @@ def cmd_run(args) -> int:
 
 def cmd_scenario(args) -> int:
     if args.list:
+        given = [o for o in ("name", "f", "seed", "horizon", "out") if getattr(args, o) is not None]
+        if given:
+            raise ConfigError(f"--list takes no {'scenario name' if given[0] == 'name' else '--' + given[0]}")
         _emit(list(SCENARIO_NAMES))
         return 0
     if args.name is None:
@@ -255,6 +278,9 @@ def cmd_scenario(args) -> int:
 # sweep
 
 
+# the most grid cells a sweep runs without --force
+SWEEP_CELL_CAP = 512
+
 SWEEP_COLUMNS = [
     "n", "k", "f", "window_start", "window_size",
     "cert_strong", "cert_tlf", "peel_strong", "peel_tlf",
@@ -277,7 +303,7 @@ def _sweep_cell(n: int, k: int, f: int, start: int, size: int, horizon: int, see
         reference=ReferenceSignal.constant(40.0),
         seed=seed,
     )
-    metrics = compute_metrics(run_simulation(config), tol=1e-6)
+    metrics = compute_metrics(run_simulation(config))
     return {
         "n": n, "k": k, "f": f, "window_start": start, "window_size": size,
         "cert_strong": cert_strong, "cert_tlf": cert_tlf,
@@ -303,9 +329,9 @@ def cmd_sweep(args) -> int:
     skipped = len(cells) - len(valid)
     if skipped:
         _log(f"skipping {skipped} structurally invalid grid cells")
-    if len(valid) > args.cell_cap and not args.force:
+    if len(valid) > SWEEP_CELL_CAP and not args.force:
         raise ConfigError(
-            f"grid has {len(valid)} cells, above the cap {args.cell_cap}; use --force"
+            f"grid has {len(valid)} cells, above the cap {SWEEP_CELL_CAP}; use --force"
         )
     rows = [_sweep_cell(n, k, f, start, size, args.horizon, args.seed)
             for n, k, f, start, size in valid]
@@ -328,8 +354,8 @@ def cmd_sweep(args) -> int:
 # parser
 
 
-def _add_graph_source(parser: argparse.ArgumentParser, required: bool = True) -> None:
-    group = parser.add_mutually_exclusive_group(required=required)
+def _add_graph_source(parser: argparse.ArgumentParser) -> None:
+    group = parser.add_mutually_exclusive_group(required=True)
     group.add_argument("--graph", metavar="FILE", help="edge-list or .json graph file")
     group.add_argument("--circulant", nargs=2, type=integer, metavar=("N", "K"),
                        help="k-circulant digraph C_n(1..k)")
@@ -359,7 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="largest r for which the graph is r-robust")
     p_check.add_argument("--set", metavar="IDS", help="agent id set, e.g. '1,4,5' or '22-28'")
     p_check.add_argument("--f", type=integer, help="F parameter for --certificate")
-    p_check.add_argument("--method", choices=("peeling", "bruteforce"), default="peeling",
+    p_check.add_argument("--method", choices=("peeling", "bruteforce"),
                          help="decision procedure for --strong/--tlf (default peeling)")
     p_check.add_argument("--cap", type=integer, help="enumeration cap override")
     p_check.add_argument("--force", action="store_true", help="ignore enumeration caps")
@@ -374,7 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="simulate a JSON configuration")
     p_run.add_argument("config", metavar="CONFIG.json")
     p_run.add_argument("--seed", type=integer)
-    p_run.add_argument("--tol", type=number, default=1e-6)
+    p_run.add_argument("--tol", type=number, default=DEFAULT_TOL)
     p_run.add_argument("--out", default="out/run", metavar="DIR")
     p_run.set_defaults(func=cmd_run)
 
@@ -396,7 +422,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--horizon", type=integer, default=200)
     p_sweep.add_argument("--seed", type=integer, default=0)
     p_sweep.add_argument("-o", "--output", metavar="FILE", help="write CSV here instead of stdout")
-    p_sweep.add_argument("--cell-cap", type=integer, default=512)
     p_sweep.add_argument("--force", action="store_true")
     p_sweep.set_defaults(func=cmd_sweep)
 

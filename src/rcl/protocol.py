@@ -283,7 +283,7 @@ def wmsr_weights(
         try:
             raw[j] = scheme.table[(agent, j)]
         except KeyError:
-            raise ConfigError(f"weight table missing entry for edge ({agent}, {j})") from None
+            raise ConfigError(f"weight table entry missing, though agent {agent} hears agent {j}") from None
     # a left-to-right sum in sender order, which the engine reproduces
     # (from Python 3.12 on, sum() of floats is compensated)
     total = 0.0

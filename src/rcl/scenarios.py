@@ -4,9 +4,9 @@ guarantee reference tracking, and the leader-count necessity demonstration
 with its converging contrast case.
 
 Each scenario is a fixed SimConfig template (``Scenario.base``, which also
-carries the default seed) together with machine-checkable robustness
-preconditions, asserted before the run, and an expected outcome that the
-runner evaluates against the recorded trajectory.  Waveform parameters,
+carries the default seed), its robustness preconditions, evaluated once when
+the scenario is built and asserted before each run, and an expected outcome
+that the runner evaluates against the recorded trajectory.  Waveform parameters,
 switch rounds, and reference levels are artifact defaults chosen to exhibit
 each effect clearly; to vary them, run ``dataclasses.replace`` on the
 template.
@@ -37,7 +37,7 @@ from .robustness import (
     circulant_r_robustness_lower_bound,
     degree_certificate,
 )
-from .simulation import Metrics, SimConfig, Trajectory, compute_metrics, run
+from .simulation import DEFAULT_TOL, Metrics, SimConfig, Trajectory, compute_metrics, run
 
 
 class ScenarioError(RuntimeError):
@@ -54,7 +54,7 @@ class PreconditionError(RuntimeError):
 
 @dataclass(frozen=True)
 class ConvergesToReference:
-    tol: float = 1e-6
+    tol: float = DEFAULT_TOL
 
     def check(self, traj: Trajectory, metrics: Metrics) -> tuple[bool, str]:
         ok = metrics.convergence_round is not None
@@ -67,7 +67,7 @@ class ConvergesToReference:
 @dataclass(frozen=True)
 class StaysAtValue:
     value: float
-    tol = 1e-6
+    tol = DEFAULT_TOL
 
     def check(self, traj: Trajectory, metrics: Metrics) -> tuple[bool, str]:
         cols = traj.states[:, [i - 1 for i in traj.config.normals]]
@@ -78,7 +78,7 @@ class StaysAtValue:
 @dataclass(frozen=True)
 class NoConvergence:
     min_residual: float
-    tol = 1e-6
+    tol = DEFAULT_TOL
 
     def check(self, traj: Trajectory, metrics: Metrics) -> tuple[bool, str]:
         err = metrics.tracking_error
@@ -93,7 +93,7 @@ class ConsensusWithinHull:
     """Normal agents agree to within tol and end inside the hull of their
     initial values (the leaderless objective)."""
 
-    tol: float = 1e-6
+    tol: float = DEFAULT_TOL
 
     def check(self, traj: Trajectory, metrics: Metrics) -> tuple[bool, str]:
         cols = traj.states[:, [i - 1 for i in traj.config.normals]]
@@ -120,17 +120,10 @@ class PreconditionResult:
     detail: Any
 
 
-@dataclass(frozen=True)
-class Precondition:
-    """``check`` returns ``(ok, detail)`` or a report: ok is its verdict, detail its ``to_json()``."""
-
-    name: str
-    check: Callable[[], Union[tuple[bool, Any], RobustnessReport]]
-
-    def evaluate(self) -> PreconditionResult:
-        out = self.check()
-        ok, detail = (out.verdict, out.to_json()) if isinstance(out, RobustnessReport) else out
-        return PreconditionResult(self.name, bool(ok), detail)
+def _holds(name: str, out: Union[tuple[bool, Any], RobustnessReport]) -> PreconditionResult:
+    """``out`` is ``(ok, detail)`` or a report: ok is its verdict, detail its ``to_json()``."""
+    ok, detail = (out.verdict, out.to_json()) if isinstance(out, RobustnessReport) else out
+    return PreconditionResult(name, bool(ok), detail)
 
 
 # ---------------------------------------------------------------------------
@@ -139,7 +132,6 @@ class Precondition:
 
 @dataclass(frozen=True, eq=False)
 class ScenarioResult:
-    scenario: "Scenario"
     config: SimConfig
     trajectory: Trajectory
     metrics: Metrics
@@ -153,29 +145,27 @@ class Scenario:
     """A fixed simulation template with its preconditions and expected outcome.
 
     ``base`` is the complete run configuration and carries the default seed;
-    ``config(seed)`` is ``replace(base, seed=seed)``.
+    ``config(seed)`` is ``replace(base, seed=seed)``.  ``preconditions`` are
+    facts of the network, evaluated once when the scenario is built.
     """
 
     name: str
     description: str
     expected: ExpectedOutcome
     base: SimConfig
-    preconditions: tuple[Precondition, ...] = ()
+    preconditions: tuple[PreconditionResult, ...] = ()
 
     def config(self, seed: int | None = None) -> SimConfig:
         return self.base if seed is None else replace(self.base, seed=seed)
 
     def check_preconditions(self) -> tuple[PreconditionResult, ...]:
-        """Evaluate all preconditions; raise PreconditionError on the first failure."""
-        results = []
-        for pre in self.preconditions:
-            result = pre.evaluate()
-            results.append(result)
+        """Return the preconditions; raise PreconditionError at the first that failed."""
+        for result in self.preconditions:
             if not result.ok:
                 raise PreconditionError(
                     f"scenario {self.name!r}: precondition {result.name!r} failed: {result.detail}"
                 )
-        return tuple(results)
+        return self.preconditions
 
     def run(
         self,
@@ -193,7 +183,7 @@ class Scenario:
         traj = run(config, jobs=jobs)
         metrics = compute_metrics(traj, tol=self.expected.tol)
         ok, detail = self.expected.check(traj, metrics)
-        return ScenarioResult(self, config, traj, metrics, pre_results, ok, detail)
+        return ScenarioResult(config, traj, metrics, pre_results, ok, detail)
 
 
 def _sinusoids(ids: tuple[int, ...]) -> dict[int, AgentRole]:
@@ -212,10 +202,7 @@ def sim1() -> Scenario:
     sinusoidal malicious agents, F=3.  Normal agents agree on a value inside
     the hull of their initial states."""
     n, k, f = 20, 15, 3
-
-    def bound_check():
-        bound = circulant_r_robustness_lower_bound(n, k)
-        return bound >= 2 * f + 1, {"r_robustness_lower_bound": bound, "required": 2 * f + 1}
+    bound = circulant_r_robustness_lower_bound(n, k)
 
     return Scenario(
         name="sim1",
@@ -223,7 +210,7 @@ def sim1() -> Scenario:
             "Leaderless W-MSR consensus on C_20(1..15) with F=3 and three "
             "sinusoidal malicious agents {1, 6, 15}."
         ),
-        expected=ConsensusWithinHull(1e-6),
+        expected=ConsensusWithinHull(),
         base=SimConfig(
             graph=make_k_circulant(n, k),
             f=f,
@@ -231,7 +218,8 @@ def sim1() -> Scenario:
             roles=_sinusoids((1, 6, 15)),
             seed=101,
         ),
-        preconditions=(Precondition("circulant_r_robustness_bound", bound_check),),
+        preconditions=(_holds("circulant_r_robustness_bound", (
+            bound >= 2 * f + 1, {"r_robustness_lower_bound": bound, "required": 2 * f + 1})),),
     )
 
 
@@ -252,7 +240,7 @@ def _attacked_leaders_scenario(
     return Scenario(
         name=name,
         description=description,
-        expected=ConvergesToReference(1e-6),
+        expected=ConvergesToReference(),
         base=SimConfig(
             graph=make_k_circulant(n, k),
             f=f,
@@ -262,10 +250,8 @@ def _attacked_leaders_scenario(
             seed=seed,
         ),
         preconditions=(
-            Precondition(
-                "strongly_2f1_robust_certificate",
-                lambda: circulant_certificate(n, k, _DESIGNATED_LEADERS, f, "strong"),
-            ),
+            _holds("strongly_2f1_robust_certificate",
+                   circulant_certificate(n, k, _DESIGNATED_LEADERS, f, "strong")),
         ),
     )
 
@@ -375,14 +361,8 @@ def counterexample_rs(f: int = 1) -> Scenario:
     """An (F+1, F+1)-robust network whose F+1 leaders can never pull the rest."""
     g, s1, s2 = build_rs_counterexample(f)
     s1_set, s2_set = set(s1), set(s2)
-
-    def s1_check():
-        bad = [i for i in s1 if len(g.in_neighbors(i) - s1_set) < f + 1]
-        return not bad, {"leaders_lacking_outside_in_neighbors": bad}
-
-    def s2_check():
-        bad = [j for j in s2 if len(g.in_neighbors(j) - s2_set) > f]
-        return not bad, {"followers_exceeding_f_outside_in_neighbors": bad}
+    lacking = [i for i in s1 if len(g.in_neighbors(i) - s1_set) < f + 1]
+    exceeding = [j for j in s2 if len(g.in_neighbors(j) - s2_set) > f]
 
     return Scenario(
         name="counterexample-rs",
@@ -394,9 +374,11 @@ def counterexample_rs(f: int = 1) -> Scenario:
         expected=NoConvergence(abs(DEFAULT_A2 - DEFAULT_A1)),
         base=_counterexample_config(g, f, s1, s2, (), seed=505),
         preconditions=(
-            Precondition("rs_robustness_holds", lambda: degree_certificate(g, f + 1)),
-            Precondition("leaders_have_f1_outside_in_neighbors", s1_check),
-            Precondition("followers_capped_at_f_outside_in_neighbors", s2_check),
+            _holds("rs_robustness_holds", degree_certificate(g, f + 1)),
+            _holds("leaders_have_f1_outside_in_neighbors",
+                   (not lacking, {"leaders_lacking_outside_in_neighbors": lacking})),
+            _holds("followers_capped_at_f_outside_in_neighbors",
+                   (not exceeding, {"followers_exceeding_f_outside_in_neighbors": exceeding})),
         ),
     )
 
@@ -405,18 +387,8 @@ def counterexample_2f1(f: int = 1) -> Scenario:
     """A (2F+1)-robust network defeated by F malicious followers that screen
     the only agents hearing all F+1 leaders."""
     g, s1, s2, malicious = build_2f1_counterexample(f)
-    s1_set = set(s1)
-
-    def f_local_check():
-        ok, violator = validate_f_local(g, malicious, f)
-        return ok, {"violating_agent": violator}
-
-    def adjacency_check():
-        fully = sorted(j for j in s2 if s1_set <= g.in_neighbors(j))
-        return (
-            len(fully) <= f and set(fully) == set(malicious),
-            {"followers_hearing_all_leaders": fully, "malicious": list(malicious)},
-        )
+    f_local, violator = validate_f_local(g, malicious, f)
+    fully = sorted(j for j in s2 if g.in_neighbors(j).issuperset(s1))
 
     return Scenario(
         name="counterexample-2f1",
@@ -427,9 +399,11 @@ def counterexample_2f1(f: int = 1) -> Scenario:
         expected=NoConvergence(abs(DEFAULT_A2 - DEFAULT_A1)),
         base=_counterexample_config(g, f, s1, s2, malicious, seed=606),
         preconditions=(
-            Precondition("2f1_robustness_holds", lambda: degree_certificate(g, 2 * f + 1)),
-            Precondition("adversaries_f_local", f_local_check),
-            Precondition("full_leader_adjacency_limited_to_adversaries", adjacency_check),
+            _holds("2f1_robustness_holds", degree_certificate(g, 2 * f + 1)),
+            _holds("adversaries_f_local", (f_local, {"violating_agent": violator})),
+            _holds("full_leader_adjacency_limited_to_adversaries", (
+                len(fully) <= f and set(fully) == set(malicious),
+                {"followers_hearing_all_leaders": fully, "malicious": list(malicious)})),
         ),
     )
 
@@ -478,10 +452,7 @@ def leader_deficit_scenario(f: int = 1) -> Scenario:
         expected=StaysAtValue(_DEFICIT_HOLD),
         base=base,
         preconditions=(
-            Precondition(
-                "graph_supports_2f1_leader_window",
-                lambda: circulant_certificate(n, k, window, f, "strong"),
-            ),
+            _holds("graph_supports_2f1_leader_window", circulant_certificate(n, k, window, f, "strong")),
         ),
     )
 
@@ -496,14 +467,9 @@ def leader_deficit_contrast(f: int = 1) -> Scenario:
             f"Contrast for the leader-deficit run on C_{n}(1..{k}): F+1={f + 1} trusted leaders "
             "suffice for tracking."
         ),
-        expected=ConvergesToReference(1e-6),
+        expected=ConvergesToReference(),
         base=base,
-        preconditions=(
-            Precondition(
-                "tlf_robust_certificate",
-                lambda: circulant_certificate(n, k, base.leaders, f, "tlf"),
-            ),
-        ),
+        preconditions=(_holds("tlf_robust_certificate", circulant_certificate(n, k, base.leaders, f, "tlf")),),
     )
 
 

@@ -507,6 +507,10 @@ class Metrics:
         return self.consensus_round is not None
 
 
+# the convergence tolerance wherever none is given
+DEFAULT_TOL = 1e-6
+
+
 def check_tol(tol: float) -> None:
     """Raise ValueError unless the convergence tolerance is finite and positive."""
     if not 0 < tol < math.inf:
@@ -528,7 +532,7 @@ def _sustained_round(series: np.ndarray, tol: float) -> int | None:
 ENVELOPE_SLACK = 1e-12
 
 
-def compute_metrics(traj: Trajectory, tol: float = 1e-6) -> Metrics:
+def compute_metrics(traj: Trajectory, tol: float = DEFAULT_TOL) -> Metrics:
     """Envelope (per-round min and max over normal agents and the reference),
     tracking error (max |x_i - x_r| over normal agents; None without a
     reference), disagreement (spread over normal agents), the rounds from

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import math
@@ -9,9 +10,9 @@ from pathlib import Path
 
 import pytest
 
-from rcl.cli import main, parse_id_set
+from rcl.cli import build_parser, main, parse_id_set
 from rcl.graph import make_k_circulant
-from rcl.scenarios import Precondition, Scenario, sim2
+from rcl.scenarios import PreconditionResult, Scenario, sim2
 from rcl.simulation import config_from_dict, run, write_edges_csv
 
 
@@ -116,11 +117,66 @@ def test_missing_input_file_exits_2_with_one_error_line(capsys, tmp_path, argv):
     (("check", "--circulant", "8", "3", "--certificate", "tlf", "--set", "1-3"),
      "--certificate requires --set and --f"),
     (("scenario",), "scenario name required (or use --list)"),
+    (("check", "--circulant", "10", "7", "--strong", "3", "--set", "1", "--cap", "1"),
+     "--cap is not read by --strong with --method peeling"),
+    (("check", "--circulant", "10", "7", "--tlf", "2", "--set", "1,4,5", "--force"),
+     "--force is not read by --tlf with --method peeling"),
+    (("check", "--circulant", "10", "7", "--tlf", "2", "--set", "1,4,5", "--method", "bruteforce", "--f", "1"),
+     "--f is not read by --tlf with --method bruteforce"),
+    (("check", "--circulant", "10", "7", "--certificate", "tlf", "--set", "1,2", "--f", "1", "--cap", "1", "--force"),
+     "--cap is not read by --certificate"),
+    (("check", "--circulant", "10", "7", "--certificate", "tlf", "--set", "1,2", "--f", "1", "--method", "peeling"),
+     "--method is not read by --certificate"),
+    (("check", "--circulant", "10", "7", "--r-robust", "3", "--set", "1", "--f", "2", "--method", "bruteforce"),
+     "--set is not read by --r-robust"),
+    (("check", "--circulant", "10", "7", "--rs-robust", "2", "1", "--f", "2"), "--f is not read by --rs-robust"),
+    (("check", "--circulant", "10", "7", "--max-r", "--method", "bruteforce"), "--method is not read by --max-r"),
+    (("scenario", "sim2", "--list"), "--list takes no scenario name"),
+    (("scenario", "--list", "--f", "1"), "--list takes no --f"),
+    (("scenario", "--list", "--seed", "3"), "--list takes no --seed"),
+    (("scenario", "--list", "--horizon", "3"), "--list takes no --horizon"),
+    (("scenario", "--list", "--out", "unused"), "--list takes no --out"),
+    (("check", "--graph", "missing.txt", "--certificate", "strong", "--set", "1-3", "--f", "1"),
+     "--certificate needs --circulant N K (window conditions use n and k)"),
 ])
 def test_missing_companion_options_exit_2_with_one_error_line(capsys, argv, message):
     code, stdout, err = run_cli(capsys, *argv)
     assert code == 2 and stdout == ""
     assert err == f"error: {message}\n"
+
+
+# each route of ``rcl check`` (its argv after the graph) -> the companion options it reads
+CHECK_ROUTES = {
+    ("--r-robust", "1"): {"--cap", "--force"},
+    ("--rs-robust", "1", "1"): {"--cap", "--force"},
+    ("--max-r",): {"--cap", "--force"},
+    ("--strong", "3", "--set", "1-7"): {"--set", "--method"},
+    ("--strong", "3", "--set", "1-7", "--method", "bruteforce"): {"--set", "--method", "--cap", "--force"},
+    ("--tlf", "2", "--set", "1,4,5"): {"--set", "--method"},
+    ("--tlf", "2", "--set", "1,4,5", "--method", "bruteforce"): {"--set", "--method", "--cap", "--force"},
+    ("--certificate", "strong", "--set", "1-7", "--f", "1"): {"--set", "--f"},
+}
+COMPANION_VALUES = {"--set": ("1,4,5",), "--f": ("1",), "--method": ("peeling",), "--cap": ("100",), "--force": ()}
+
+
+def test_every_check_option_is_read_by_its_property_or_exits_2(capsys):
+    # the flags and options come from the parser, so a new one must be listed above to pass
+    check = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)).choices["check"]
+    grouped = {a: group for group in check._mutually_exclusive_groups for a in group._group_actions}
+    props = next(group for a, group in grouped.items() if a.dest == "max_r")
+    assert {a.option_strings[0] for a in props._group_actions} == {route[0] for route in CHECK_ROUTES}
+    companions = {a.option_strings[0] for a in check._actions
+                  if a.option_strings and a.dest != "help" and a not in grouped}
+    assert companions == set(COMPANION_VALUES)
+    for route, reads in CHECK_ROUTES.items():
+        for option in sorted(companions - set(route)):
+            argv = ("check", "--circulant", "10", "7", *route, option, *COMPANION_VALUES[option])
+            code, out, err = run_cli(capsys, *argv)
+            if option in reads:
+                assert code in (0, 1) and err == "" and json.loads(out)["elapsed_ms"] >= 0, argv
+            else:
+                assert code == 2 and out == "", argv
+                assert err.startswith(f"error: {option} is not read by {route[0]}") and err.count("\n") == 1, err
 
 
 def test_check_certificate_strong(capsys):
@@ -522,7 +578,7 @@ def test_scenario_counterexample_at_max_f_exits_1_with_every_precondition_ok(cap
 def test_scenario_precondition_failure_exits_3(capsys, tmp_path, monkeypatch):
     base = sim2()
     doomed = Scenario(name="doomed", description="precondition always fails", expected=base.expected,
-                      base=base.base, preconditions=(Precondition("always_false", lambda: (False, "nope")),))
+                      base=base.base, preconditions=(PreconditionResult("always_false", False, "nope"),))
     monkeypatch.setattr("rcl.cli.build_scenario", lambda name, f=None: doomed)
     code, out, err = run_cli(capsys, "scenario", "sim2", "--out", str(tmp_path / "x"))
     assert code == 3 and out == ""
@@ -627,6 +683,17 @@ def test_sweep_cell_cap(capsys):
     )
     assert code == 2
     assert "cells" in err
+
+
+def test_sweep_force_runs_a_grid_above_the_cell_cap(capsys):
+    args = ["sweep", "--n", "10", "--k", "1-9", "--f", "1-3", "--window-sizes", "1-10",
+            "--window-starts", "1,2", "--horizon", "1"]
+    code, out, err = run_cli(capsys, *args)
+    assert code == 2 and out == ""
+    assert err == "error: grid has 540 cells, above the cap 512; use --force\n"
+    code, out, err = run_cli(capsys, *args, "--force")
+    assert code == 0 and err == ""
+    assert len(out.splitlines()) == 1 + 540
 
 
 def test_sweep_deterministic(capsys):

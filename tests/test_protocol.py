@@ -182,6 +182,12 @@ def test_fixed_table_missing_entry():
         wmsr_weights(1, [1, 3], scheme)
 
 
+def test_missing_table_entry_names_the_agent_and_its_sender():
+    # the graph edge is (2, 1): agent 1 hears sender 2
+    with pytest.raises(ConfigError, match=r"^weight table entry missing, though agent 1 hears agent 2$"):
+        wmsr_weights(1, [1, 2], WeightScheme(0.25, {(1, 1): 1.0}))
+
+
 def test_weight_scheme_validation():
     with pytest.raises(ConfigError):
         WeightScheme(0.0)

@@ -1,4 +1,5 @@
 from dataclasses import fields
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,8 +10,8 @@ from rcl.robustness import is_r_robust, is_rs_robust
 from rcl.scenarios import (
     SCENARIO_NAMES,
     NoConvergence,
-    Precondition,
     PreconditionError,
+    PreconditionResult,
     Scenario,
     ScenarioError,
     StaysAtValue,
@@ -227,10 +228,19 @@ def test_failing_precondition_aborts_run():
         description="precondition always fails",
         expected=base.expected,
         base=base.base,
-        preconditions=(Precondition("always_false", lambda: (False, "nope")),),
+        preconditions=(PreconditionResult("always_false", False, "nope"),),
     )
     with pytest.raises(PreconditionError, match="always_false"):
         doomed.run()
+
+
+def test_a_built_scenario_evaluates_its_preconditions_once():
+    with mock.patch("rcl.scenarios.circulant_certificate", wraps=rcl.robustness.circulant_certificate) as spy:
+        scenario = sim2()
+        results = [scenario.run(seed=seed, horizon=5) for seed in (1, 2, 3)]
+    assert spy.call_count == 1
+    assert all(r.preconditions == scenario.preconditions for r in results)
+    assert [(p.name, p.ok) for p in scenario.preconditions] == [("strongly_2f1_robust_certificate", True)]
 
 
 def test_scenario_horizon_and_seed_overrides():

@@ -17,7 +17,9 @@ Measures the checkout this file sits in, one step after the other:
 Every step is a child process whose environment pins glibc's heap trim and
 mmap thresholds (``MALLOC_TRIM_THRESHOLD_``, ``MALLOC_MMAP_THRESHOLD_``), so
 the heap cannot shrink and regrow between passes.  The file also holds the
-commit (``git rev-parse HEAD``, and whether ``git status`` shows changes), the
+commit (``git rev-parse HEAD``, and whether ``git status`` shows changes); for
+a tree with changes, the SHA-256 of ``git diff HEAD --binary`` and of each
+untracked file but the output, so that the file names the tree it measured; the
 host, the versions, and a ``notes`` list naming the known sources of noise in
 these numbers.  The recorder uses only the standard
 library and the commands above, so the same file runs unchanged in older
@@ -26,6 +28,7 @@ the other on one host.
 """
 
 import argparse
+import hashlib
 import json
 import os
 import platform
@@ -77,6 +80,20 @@ def _git(*args: str) -> str | None:
                               check=True).stdout.strip()
     except (OSError, subprocess.SubprocessError):
         return None
+
+
+def _changes(out: Path) -> dict | None:
+    """The SHA-256 of ``git diff HEAD --binary`` and of each untracked file
+    (``out`` left out), or None where git fails."""
+    try:
+        diff = subprocess.run(["git", "diff", "HEAD", "--binary"], cwd=ROOT, capture_output=True, timeout=60,
+                              check=True).stdout
+    except (OSError, subprocess.SubprocessError):
+        return None
+    names = (_git("ls-files", "--others", "--exclude-standard", "-z") or "").split("\0")
+    return {"diff_sha256": hashlib.sha256(diff).hexdigest(),
+            "untracked_sha256": {name: hashlib.sha256((ROOT / name).read_bytes()).hexdigest()
+                                 for name in sorted(names) if name and (ROOT / name).resolve() != out.resolve()}}
 
 
 def _perfbench(workload: str, seed: int) -> dict:
@@ -138,9 +155,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     started = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
+    dirty = bool(_git("status", "--porcelain"))
     record = {
         "commit": _git("rev-parse", "HEAD"),
-        "dirty": bool(_git("status", "--porcelain")),
+        "dirty": dirty,
+        "changes": _changes(args.out) if dirty else None,
         "recorded_at": started,
         "host": {"nproc": os.cpu_count(), "cpu_model": _cpu_model(), "platform": platform.platform()},
         "versions": _versions(),
