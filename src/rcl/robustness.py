@@ -14,10 +14,12 @@ Four families of checks:
 
 Subset enumeration is exponential, so the pairwise checks refuse graphs above
 an enumeration cap (default 13) and the complement-subset checks refuse free
-sets above a second cap (default 20), unless forced.  A trivial query is
-answered true, after validation and before either cap, in one place per
-family: r = 0 in the pair scan, and no free vertex or a zero anchor or reach
-in the complement enumeration.  Witnesses are the first violation in
+sets above a second cap (default 20), unless forced.  The second cap, and
+the 62-vertex width of the enumeration counter, count all of V \\ S, however
+few of its vertices a query enumerates.  A trivial query is answered true,
+after validation and before either cap, in one place per family: r = 0 in
+the pair scan, and no free vertex or a zero anchor or reach in the
+complement enumeration.  Witnesses are the first violation in
 canonical order: by size, then lexicographically by sorted vertex tuple.
 
 Both enumerations share one split counter, j = (hi << L) | lo with L the
@@ -28,18 +30,22 @@ an in-degree reaches 2^8), and each hi is a chunk of 2^L counters that
 subtracts a per-vertex constant, so counting holds about (vertices x 2^16)
 small ints however many subsets there are.  The pair checks are a DP in
 O(n 2^n): a uint8 table over all subsets and one minimum over submasks give
-each subset its best disjoint partner.  The complement checks enumerate V \\ S
-once per (graph, S) into a small table of the first violating C per pair of
-degree bounds, so a query is one lookup; its key comes straight from the
-enumeration counter, and so does a false verdict's witness.  Peeling works on
-bitmasks: the eligible ids are one int, the lowest set bit is admitted next,
-and each admission recounts, one popcount each, the in-neighbors in R of its
-out-neighbors (``Digraph.out_masks``) not yet eligible.
+each subset its best disjoint partner.  The complement checks build a small
+table of the first violating C per pair of degree bounds.  Up to 16 free
+vertices it covers all of V \\ S, once per (graph, S) and cached, so a query
+is one lookup.  Above 16, each query builds its own over the free vertices
+with fewer than ``anchor`` in-neighbors in S, the only ones a violating C can
+hold, and with none of them it answers true without a table.  Either way the
+key comes straight from the enumeration counter, and so does a false
+verdict's witness.  Peeling works on bitmasks: the eligible ids are one int,
+the lowest set bit is admitted next, and each admission recounts, one
+popcount each, the in-neighbors in R of its out-neighbors
+(``Digraph.out_masks``) not yet eligible.
 
-Every public decider takes vertex ids and integer parameters by the one rule
-of ``graph`` (as ``operator.index`` does, bools excepted, normalised to int);
-a bad id raises GraphError naming the smallest one, a bad parameter
-ValueError.
+Every public decider takes vertex ids and integer parameters, caps
+included, by the one rule of ``graph`` (as ``operator.index`` does, bools
+excepted, normalised to int); a bad id raises GraphError naming the smallest
+one, a bad parameter ValueError.
 """
 
 from __future__ import annotations
@@ -153,10 +159,6 @@ def _split_outside(g: Digraph, vertices: int) -> tuple[list[int], list[int], int
         bit_of[v] = 1 << len(by_bit)
         by_bit.append(v)
         rest ^= 1 << (v - 1)
-    if len(by_bit) > 62:  # the counter is an int64
-        raise EnumerationCapError(
-            f"cannot enumerate the subsets of {len(by_bit)} vertices, even forced"
-        )
     masks, in_deg = [], []
     for v in by_bit:
         in_mask = g.in_masks[v - 1]
@@ -199,12 +201,13 @@ def r_reachable_set(g: Digraph, s: Iterable[int], r: int) -> frozenset[int]:
 # pairwise subset checks (r- and (r,s)-robustness)
 
 
-def _subset_table(g: Digraph, cap: int | None, force: bool, fill) -> np.ndarray:
+def _subset_table(g: Digraph, limit: int, force: bool, fill) -> np.ndarray:
     """A uint8 table of ``fill(outside, members, sizes)`` over the subsets j of V,
     a chunk at a time; row b of the first two is vertex n - b (bit b of j): its
-    in-degree outside each j and whether it is in j.  Refused past the cap unless
-    forced, and past ``PAIR_SCAN_BUDGET`` even forced, before allocating."""
-    n, limit = g.n, DEFAULT_PAIR_CAP if cap is None else cap
+    in-degree outside each j and whether it is in j.  Refused past ``limit``
+    vertices unless forced, and past ``PAIR_SCAN_BUDGET`` even forced, before
+    allocating."""
+    n = g.n
     if n > limit and not force:
         raise EnumerationCapError(
             f"n={n} exceeds pairwise enumeration cap {limit}; pass force=True to override"
@@ -255,6 +258,7 @@ def _pair_scan(
     S2, or >= s r-reachable members in total, by a subset DP.  At r = 0 every
     set is r-reachable, so the verdict is true whatever the caps.  A false
     verdict carries the first violating pair in canonical subset order."""
+    limit = DEFAULT_PAIR_CAP if cap is None else _count(cap, "cap")
     if r == 0:
         return RobustnessReport(prop, params, True, None, "bruteforce")
     n, r = g.n, min(r, g.n)
@@ -264,7 +268,7 @@ def _pair_scan(
         # bad: fewer than s r-reachable members, and not all (so not the empty j)
         return np.where((counts < s) & (counts < sizes), counts, 255)
 
-    bad = _subset_table(g, cap, force, count_bad)  # the r-reachable count of a bad j, else 255
+    bad = _subset_table(g, limit, force, count_bad)  # the r-reachable count of a bad j, else 255
     partner = _submask_min(bad.copy())[::-1]  # partner[j]: the fewest in a bad subset of ~j
     s1 = _first_subset(n, lambda rows, _: partner[rows] < s - bad[rows].astype(np.int16))
     if s1 is None:
@@ -309,7 +313,8 @@ def is_rs_robust(
 def max_r_robustness(g: Digraph, *, cap: int | None = None, force: bool = False) -> int:
     """Largest r for which the graph is r-robust, at most ceil(n/2): the minimum over S1 of
     max(M[S1], min of M over the subsets of ~S1), M[j] the largest outside in-degree in j."""
-    most = _subset_table(g, cap, force,
+    limit = DEFAULT_PAIR_CAP if cap is None else _count(cap, "cap")
+    most = _subset_table(g, limit, force,
                          lambda outside, members, _: np.where(members, outside, 0).max(axis=0))
     most[0] = 255  # the empty set is no half of a pair
     np.maximum(most, _submask_min(most.copy())[::-1], out=most)
@@ -321,24 +326,30 @@ def max_r_robustness(g: Digraph, *, cap: int | None = None, force: bool = False)
 
 
 _NO_VIOLATION = np.iinfo(np.int64).max
+# Free sets up to this size share one cached table per (graph, S); larger
+# ones build a table per query, over the free vertices its anchor leaves
+# unanchored
+_CACHED_FREE = 16
 
 
 @lru_cache(maxsize=256)
-def _first_violations(g: Digraph, s_mask: int) -> np.ndarray:
-    """``first[a, o]``: the smallest canonical key of a nonempty C in V \\ S
-    whose members have at most a in-neighbors in S and at most o outside C,
-    else ``_NO_VIOLATION``; rows and columns stop at the largest degree.
+def _first_violations(g: Digraph, s_mask: int, vertices: int) -> np.ndarray:
+    """``first[a, o]``: the smallest canonical key of a nonempty C among the
+    vertices of the mask ``vertices`` (a subset of V \\ S, S the mask
+    ``s_mask``) whose members have at most a in-neighbors in S and at most o
+    outside C, else ``_NO_VIOLATION``; rows and columns stop at the largest
+    degree.
 
-    Bit b of the counter j stands for the b-th largest vertex of V \\ S, so
-    within one size the canonical order is descending j, and the key is
-    ``(popcount(j) << f) | (2^f - 1 - j)``.  j is split at the low
+    Bit b of the counter j stands for the b-th largest of the f enumerated
+    vertices, so within one size the canonical order is descending j, and the
+    key is ``(popcount(j) << f) | (2^f - 1 - j)``.  j is split at the low
     ``min(f, _LOW_BITS)`` bits: the low counters' in-degrees outside C, maxima
     from S and key terms are built once, and each hi adds its own members and
     constants to them.  A non-member counts 0 outside C, which never raises the
-    maximum of a nonempty C.  Callers skip the cache (``__wrapped__``) above 16
-    free vertices.
+    maximum of a nonempty C.  Callers skip the cache (``__wrapped__``) above
+    ``_CACHED_FREE`` free vertices.
     """
-    by_bit, in_deg, width, outside, masks = _split_outside(g, ((1 << g.n) - 1) & ~s_mask)
+    by_bit, in_deg, width, outside, masks = _split_outside(g, vertices)
     f, top = len(by_bit), (1 << len(by_bit)) - 1
     lo, sizes, bits = _low_counters(width)
     from_s = [(g.in_masks[v - 1] & s_mask).bit_count() for v in by_bit]
@@ -376,22 +387,38 @@ def _bruteforce(
     >= anchor in-neighbors in S or >= reach in-neighbors outside C, by
     enumeration.  A false verdict carries the first violating C in canonical
     subset order, read off its key.  With no free vertex, or anchor or reach
-    0, the verdict is true whatever the caps."""
-    free, limit = g.n - s_mask.bit_count(), DEFAULT_COMPLEMENT_CAP if cap is None else cap
+    0, the verdict is true whatever the caps.
+
+    Up to ``_CACHED_FREE`` free vertices, one cached table over all of V \\ S
+    answers every (anchor, reach) on (g, S).  Above it, a query enumerates only
+    the free vertices with fewer than anchor in-neighbors in S: a violating C
+    has no other member, and the canonical order of its subsets is the order
+    restricted to them.  The caps and the counter width apply to |V \\ S|."""
+    domain = (1 << g.n) - 1 - s_mask  # V \ S, as S is a subset of V
+    free, limit = domain.bit_count(), DEFAULT_COMPLEMENT_CAP if cap is None else _count(cap, "cap")
     if free == 0 or anchor <= 0 or reach <= 0:
         return RobustnessReport(prop, params, True, None, "bruteforce")
     if free > limit and not force:
         raise EnumerationCapError(
             f"complement size {free} exceeds enumeration cap {limit}; pass force=True to override"
         )
-    first = (_first_violations if free <= 16 else _first_violations.__wrapped__)(g, s_mask)
+    if free <= _CACHED_FREE:
+        first = _first_violations(g, s_mask, domain)
+    else:
+        if free > 62:  # the counter is an int64
+            raise EnumerationCapError(f"cannot enumerate the subsets of {free} vertices, even forced")
+        domain &= sum(1 << v for v, m in enumerate(g.in_masks) if (m & s_mask).bit_count() < anchor)
+        if not domain:
+            return RobustnessReport(prop, params, True, None, "bruteforce")
+        first = _first_violations.__wrapped__(g, s_mask, domain)
     rows, cols = first.shape
     key = first.item(min(anchor, rows) - 1, min(reach, cols) - 1)
     if key == _NO_VIOLATION:
         return RobustnessReport(prop, params, True, None, "bruteforce")
-    # bit b of j is the b-th largest free vertex: walk them from the
-    # smallest, bit free - 1, until j runs out
-    j, rest, b, subset = ~key & ((1 << free) - 1), ((1 << g.n) - 1) & ~s_mask, free, []
+    # bit b of j is the b-th largest of the f enumerated vertices: walk them
+    # from the smallest, bit f - 1, until j runs out
+    b = domain.bit_count()
+    j, rest, subset = ~key & ((1 << b) - 1), domain, []
     while j:
         low = rest & -rest
         rest ^= low
@@ -457,7 +484,11 @@ def _complement_query(g: Digraph, s: Iterable[int], value: int, name: str) -> tu
 def is_strongly_r_robust_bruteforce(
     g: Digraph, s: Iterable[int], r: int, *, cap: int | None = None, force: bool = False
 ) -> RobustnessReport:
-    """Check every nonempty C in V \\ S for r-reachability, by enumeration."""
+    """Check every nonempty C in V \\ S for r-reachability, by enumeration.
+
+    Above 16 free vertices, only those with fewer than r in-neighbors in S
+    are enumerated: one with r or more makes every C holding it r-reachable.
+    """
     s_mask, r, params = _complement_query(g, s, r, "r")
     return _bruteforce(g, s_mask, r, r, Property.STRONG_R, params, cap, force)
 
@@ -468,7 +499,8 @@ def is_tlf_robust_bruteforce(
     """Trusted leader-follower robustness with parameter F, by enumeration.
 
     Every nonempty C in V \\ S must contain a vertex with >= F+1 in-neighbors
-    in S, or be (2F+1)-reachable.
+    in S, or be (2F+1)-reachable.  Above 16 free vertices, only those with at
+    most F in-neighbors in S are enumerated.
     """
     s_mask, f, params = _complement_query(g, s, f, "F")
     return _bruteforce(g, s_mask, f + 1, 2 * f + 1, Property.TLF, params, cap, force)

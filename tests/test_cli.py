@@ -145,6 +145,17 @@ def test_missing_companion_options_exit_2_with_one_error_line(capsys, argv, mess
     assert err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("route", [
+    ("--r-robust", "1"), ("--r-robust", "0"), ("--rs-robust", "1", "2"), ("--max-r",),
+    ("--strong", "0", "--set", "1", "--method", "bruteforce"),
+    ("--tlf", "0", "--set", "1", "--method", "bruteforce"),
+])
+def test_negative_cap_exits_2_by_the_integer_rule(capsys, route):
+    code, stdout, err = run_cli(capsys, "check", "--circulant", "8", "3", *route, "--cap", "-1")
+    assert code == 2 and stdout == ""
+    assert err == "error: cap must be >= 0, got -1\n"
+
+
 # each route of ``rcl check`` (its argv after the graph) -> the companion options it reads
 CHECK_ROUTES = {
     ("--r-robust", "1"): {"--cap", "--force"},

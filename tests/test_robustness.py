@@ -3,11 +3,13 @@ import itertools
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from helpers import (
@@ -224,6 +226,31 @@ def test_enumeration_cap():
         assert decide(g, [1], 1, cap=13).verdict == decide(g, [1], 1, force=True).verdict
 
 
+@pytest.mark.parametrize("cap, message", [
+    (True, "cap must be an integer, got True"),
+    (1.5, "cap must be an integer, got 1.5"),
+    ("3", "cap must be an integer, got '3'"),
+    (-1, "cap must be >= 0, got -1"),
+])
+def test_caps_follow_the_integer_rule(cap, message):
+    g = make_k_circulant(8, 3)
+    calls = [lambda: is_r_robust(g, 1, cap=cap), lambda: is_r_robust(g, 0, cap=cap),
+             lambda: is_rs_robust(g, 1, 2, cap=cap), lambda: max_r_robustness(g, cap=cap)]
+    calls += [lambda decide=decide, param=param: decide(g, [1], param, cap=cap)
+              for decide in (is_strongly_r_robust_bruteforce, is_tlf_robust_bruteforce) for param in (0, 1)]
+    for call in calls:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call()
+
+
+def test_caps_take_integer_likes():
+    g = make_k_circulant(8, 3)
+    assert is_r_robust(g, 1, cap=np.int64(8)).verdict
+    assert is_strongly_r_robust_bruteforce(g, [1], 1, cap=np.uint8(7)).verdict
+    with pytest.raises(EnumerationCapError, match="^n=8 exceeds pairwise enumeration cap 7; "):
+        max_r_robustness(g, cap=np.int64(7))
+
+
 def test_trivial_queries_are_answered_past_the_caps():
     """r = 0 holds for every pair, and an anchor of 0 for every C, so a
     trivial query is answered before either cap; the others are still refused."""
@@ -395,10 +422,14 @@ def test_peeling_admission_order_matches_rescanning():
 
 
 def test_forced_complement_enumeration_memory_is_bounded():
-    # 22 free vertices: 2^22 subsets, enumerated in chunks
+    # 22 free vertices.  TLF F = 1 (anchor 2) enumerates the 18 of them with
+    # fewer than two in-neighbors in S; strong r = 4 has an anchor above
+    # |S| = 3, so it enumerates all 2^22 subsets, in chunks
+    g, s = make_k_circulant(25, 5), {1, 2, 3}
     tracemalloc.start()
     try:
-        assert is_tlf_robust_bruteforce(make_k_circulant(25, 5), {1, 2, 3}, 1, force=True).verdict
+        assert is_tlf_robust_bruteforce(g, s, 1, force=True).verdict
+        assert not is_strongly_r_robust_bruteforce(g, s, 4, force=True).verdict
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -472,6 +503,55 @@ def test_split_counter_complement_witness_is_the_canonical_first_violation(low_b
                 assert report.verdict == (expected is None), (g, s, anchor, reach)
                 if expected is not None:
                     assert report.witness["violating_subset"] == sorted(expected), (g, s, anchor, reach)
+
+
+@pytest.fixture
+def per_query_tables(monkeypatch):
+    """Send every complement query past the cached table, so that it
+    enumerates only the free vertices its anchor leaves unanchored."""
+    monkeypatch.setattr(robustness, "_CACHED_FREE", 0)
+
+
+@pytest.mark.parametrize("low_bits", [2, 3, 16], indirect=True)
+def test_per_anchor_domain_witness_is_the_canonical_first_violation(low_bits, per_query_tables):
+    rng = random.Random(113 + low_bits)
+    seen = set()
+    for _ in range(30):
+        g = random_digraph(rng, rng.randrange(2, 11), rng.choice([0.2, 0.4, 0.6]))
+        s = _leader_sample(rng, g)
+        s_mask, from_s = robustness._vertex_mask(g.n, s), [len(g.in_neighbors(v) & s) for v in g.vertices]
+        for anchor in range(1, max(from_s) + 3):
+            for reach in range(1, g.max_in_degree + 3):
+                report = robustness._bruteforce(g, s_mask, anchor, reach, Property.STRONG_R, {}, None, False)
+                expected = naive_first_violating_subset(g, s, anchor, reach)
+                assert report.verdict == (expected is None), (g, s, anchor, reach)
+                if expected is not None:
+                    assert report.witness["violating_subset"] == sorted(expected), (g, s, anchor, reach)
+                pruned = any(a >= anchor for v, a in zip(g.vertices, from_s) if v not in s)
+                seen.add((pruned, report.verdict))
+    assert seen == {(True, True), (True, False), (False, True), (False, False)}
+
+
+def test_a_query_whose_anchor_holds_every_free_vertex_builds_no_table(monkeypatch):
+    # 17 free vertices, each with all of S = {1, 2, 3, 4} as in-neighbors,
+    # and a directed ring through all 21
+    n, s = 21, range(1, 5)
+    g = Digraph(n, {(v, v % n + 1) for v in range(1, n + 1)} | {(u, v) for u in s for v in range(5, n + 1)})
+    calls, split = [], robustness._split_outside
+    monkeypatch.setattr(robustness, "_split_outside",
+                        lambda g, vertices: calls.append(vertices) or split(g, vertices))
+    for decide, param in ((is_strongly_r_robust_bruteforce, 4), (is_tlf_robust_bruteforce, 3)):
+        report = decide(g, s, param)
+        assert (report.verdict, report.witness) == (True, None), decide.__name__
+    assert calls == []
+    assert is_strongly_r_robust_peeling(g, s, 4).verdict and is_tlf_robust_peeling(g, s, 3).verdict
+    # the cap still counts all 17 free vertices
+    with pytest.raises(EnumerationCapError, match="^complement size 17 exceeds enumeration cap 16; "):
+        is_strongly_r_robust_bruteforce(g, s, 4, cap=16)
+    # anchor 5 exceeds |S|, so all 17 are enumerated; vertex 5 has in-degree 4
+    report = is_strongly_r_robust_bruteforce(g, s, 5)
+    assert (report.verdict, report.witness) == (False, {"violating_subset": [5]})
+    assert [v.bit_count() for v in calls] == [17]
 
 
 @pytest.mark.parametrize("low_bits", [2, 3], indirect=True)

@@ -16,7 +16,10 @@ Brute-force calls that need no table (r = 0) count in neither.  A call is
 told apart by the hits and misses of ``robustness._first_violations``'s LRU
 cache.  One line per layer, ``<layer>  <median us per call>  <calls>``, then
 ``crosscheck pass``, the median wall of a whole pass over the workload's ops
-(certificates included) in ms, with its median us per query.
+(certificates included) in ms, with its median us per query.  Last comes
+``forced complement``: the median ms per call of the forced complement
+queries of perfbench's ``exact`` at seed 1 (20 and 22 free vertices, above
+the cached table's reach, so each call builds its own table).
 
 rcl is imported from ``src/`` beside this directory (perfbench's workloads
 from ``perfbench/``), so running the script in two checkouts gives the
@@ -94,6 +97,15 @@ def main() -> int:
         print(f"{name:<20}{1e6 * statistics.median(times):9.2f} us {len(times) // PASSES:8d} calls")
     wall = statistics.median(passes)
     print(f"{'crosscheck pass':<20}{1e3 * wall:9.2f} ms {1e6 * wall / queries:8.2f} us/query")
+    with tempfile.TemporaryDirectory() as tmp:
+        forced = [op for op in workloads.setup_exact(1, Path(tmp)).ops if "_bruteforce free=" in op.name]
+    times = []
+    for _ in range(PASSES):
+        for op in forced:
+            start = clock()
+            op.fn()
+            times.append(clock() - start)
+    print(f"{'forced complement':<20}{1e3 * statistics.median(times):9.2f} ms {len(forced):8d} calls")
     return 0
 
 
