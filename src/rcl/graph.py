@@ -261,10 +261,14 @@ def _require(value: Any, path: str, form: Any, shape: str, error: type[Exception
 
 
 def graph_from_json(obj: Any, path: str = "#") -> Digraph:
-    """The graph ``{"n": count, "edges": [[i, j], ...]}``.  Errors name ``path``,
-    a JSON pointer ("/graph") or URI fragment ("g.json#"), and the key at fault."""
+    """The graph ``{"n": count, "edges": [[i, j], ...]}``, with no other key.
+    Errors name ``path``, a JSON pointer ("/graph") or URI fragment
+    ("g.json#"), and the key at fault."""
     if not isinstance(obj, dict):
         raise GraphError(f"{path}: graph JSON must be an object with keys 'n' and 'edges'")
+    extra = sorted(set(obj) - {"n", "edges"})
+    if extra:
+        raise GraphError(f"{path}/{extra[0]}: unexpected key")
     for key, form, shape in (("n", int, "an integer"),
                              ("edges", [(int, int)], "a list of [i, j] pairs of integers")):
         _require(obj.get(key), f"{path}/{key}", form, shape)

@@ -255,6 +255,14 @@ def test_check_graph_json_with_boolean_id_exit_2(capsys, tmp_path):
     assert "integer" in err
 
 
+def test_check_graph_json_with_unknown_key_exit_2(capsys, tmp_path):
+    graph_file = tmp_path / "g.json"
+    graph_file.write_text(json.dumps({"n": 4, "edges": [[1, 2], [2, 3], [3, 4], [4, 1]], "egdes": [[1, 3]]}))
+    code, out, err = run_cli(capsys, "check", "--graph", str(graph_file), "--max-r")
+    assert code == 2 and out == ""
+    assert err == f"error: {graph_file}#/egdes: unexpected key\n"
+
+
 def test_gen_graph_json_format(capsys, tmp_path):
     out_file = tmp_path / "g.json"
     code, _, _ = run_cli(capsys, "gen-graph", "--undirected-circulant", "6", "1,2",

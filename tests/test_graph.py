@@ -267,6 +267,7 @@ def test_json_rejects_boolean_ids(obj):
     ({"n": 3, "edges": [[1, 2], [2, 3], [1, 2]]}, "/edges/2: duplicate edge (1, 2)"),
     ({"n": 3, "edges": [[1, 1]]}, ": self-loop (1, 1) not allowed"),
     ([[1, 2]], ": graph JSON must be an object with keys 'n' and 'edges'"),
+    ({"n": 4, "edges": [[1, 2], [2, 3]], "egdes": [[1, 3]]}, "/egdes: unexpected key"),
 ])
 def test_json_errors_name_the_file_and_pointer(tmp_path, obj, pointer):
     path = tmp_path / "g.json"

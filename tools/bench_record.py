@@ -1,18 +1,18 @@
-"""Record one checkout's benchmark numbers in a JSON file.
+"""Record the benchmark numbers of the checkout of the importable rcl in a JSON file.
 
-    python3 tools/bench_record.py --out BENCH_<commit>.json
+    PYTHONPATH=src python3 tools/bench_record.py --out BENCH_<commit>.json
 
-Measures the checkout this file sits in, one step after the other:
+Measures the checkout whose ``src/`` holds the importable rcl (found without
+importing it), one step after the other, with that ``src/`` as ``PYTHONPATH``:
 
-- ``perfbench/run.py`` at its default length for every workload at seeds 1
-  and 101, each run in its own process; the last JSON line of each run is
-  kept as printed;
-- ``tools/track_layers.py`` and ``tools/decider_layers.py``, each line
-  parsed into its values by unit (milliseconds, microseconds per round or
-  per call, call counts); a checkout without one of them records null;
-- the tier-1 suite (``python -m pytest -q --continue-on-collection-errors``
-  with ``src/`` on ``PYTHONPATH``) and acceptance test c01 alone, by wall
-  clock, with pytest's summary line.
+- the checkout's ``perfbench/run.py`` at its default length for every workload
+  at seeds 1 and 101, each run in its own process; the last JSON line of each
+  run is kept as printed;
+- ``track_layers.py`` and ``decider_layers.py`` beside this file, each line
+  parsed into its values by unit (milliseconds, microseconds per round or per
+  call, call counts);
+- the tier-1 suite (``python -m pytest -q --continue-on-collection-errors``)
+  and acceptance test c01 alone, by wall clock, with pytest's summary line.
 
 Every step is a child process whose environment pins glibc's heap trim and
 mmap thresholds (``MALLOC_TRIM_THRESHOLD_``, ``MALLOC_MMAP_THRESHOLD_``), so
@@ -21,14 +21,16 @@ commit (``git rev-parse HEAD``, and whether ``git status`` shows changes); for
 a tree with changes, the SHA-256 of ``git diff HEAD --binary`` and of each
 untracked file but the output, so that the file names the tree it measured; the
 host, the versions, and a ``notes`` list naming the known sources of noise in
-these numbers.  The recorder uses only the standard
-library and the commands above, so the same file runs unchanged in older
-checkouts.  The host's speed drifts: compare only files recorded one after
-the other on one host.
+these numbers.  The recorder uses only the standard library and the commands
+above, so one copy of it records older checkouts too; with no importable rcl,
+or none in a checkout with ``perfbench/run.py``, it exits 2 before running
+anything.  The host's speed drifts: compare only files recorded one after the
+other on one host.
 """
 
 import argparse
 import hashlib
+import importlib.util
 import json
 import os
 import platform
@@ -38,7 +40,7 @@ import sys
 import time
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parent.parent
+HERE = Path(__file__).resolve().parent
 WORKLOADS = ("track", "wide", "exact", "crosscheck")
 SEEDS = (1, 101)
 # glibc caps the mmap threshold at 32 MiB on 64-bit hosts; with both pinned,
@@ -62,42 +64,43 @@ NOTES = [
 ]
 
 
-def _python_env() -> dict:
-    env = dict(os.environ, **MALLOC_ENV)
-    env["PYTHONPATH"] = str(ROOT / "src") + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
-    return env
+def _checkout() -> Path | None:
+    """The checkout whose ``src/`` holds the importable rcl, or None."""
+    spec = importlib.util.find_spec("rcl")
+    return Path(spec.origin).resolve().parents[2] if spec and spec.origin else None
 
 
-def _run(args: list[str], timeout: float) -> tuple[subprocess.CompletedProcess, float]:
+def _run(args: list[str], root: Path, timeout: float) -> tuple[subprocess.CompletedProcess, float]:
+    env = dict(os.environ, **MALLOC_ENV, PYTHONPATH=str(root / "src"))
     start = time.perf_counter()
-    done = subprocess.run(args, cwd=ROOT, env=_python_env(), capture_output=True, text=True, timeout=timeout)
+    done = subprocess.run(args, cwd=root, env=env, capture_output=True, text=True, timeout=timeout)
     return done, time.perf_counter() - start
 
 
-def _git(*args: str) -> str | None:
+def _git(root: Path, *args: str) -> str | None:
     try:
-        return subprocess.run(["git", *args], cwd=ROOT, capture_output=True, text=True, timeout=30,
+        return subprocess.run(["git", *args], cwd=root, capture_output=True, text=True, timeout=30,
                               check=True).stdout.strip()
     except (OSError, subprocess.SubprocessError):
         return None
 
 
-def _changes(out: Path) -> dict | None:
+def _changes(root: Path, out: Path) -> dict | None:
     """The SHA-256 of ``git diff HEAD --binary`` and of each untracked file
     (``out`` left out), or None where git fails."""
     try:
-        diff = subprocess.run(["git", "diff", "HEAD", "--binary"], cwd=ROOT, capture_output=True, timeout=60,
+        diff = subprocess.run(["git", "diff", "HEAD", "--binary"], cwd=root, capture_output=True, timeout=60,
                               check=True).stdout
     except (OSError, subprocess.SubprocessError):
         return None
-    names = (_git("ls-files", "--others", "--exclude-standard", "-z") or "").split("\0")
+    names = (_git(root, "ls-files", "--others", "--exclude-standard", "-z") or "").split("\0")
     return {"diff_sha256": hashlib.sha256(diff).hexdigest(),
-            "untracked_sha256": {name: hashlib.sha256((ROOT / name).read_bytes()).hexdigest()
-                                 for name in sorted(names) if name and (ROOT / name).resolve() != out.resolve()}}
+            "untracked_sha256": {name: hashlib.sha256((root / name).read_bytes()).hexdigest()
+                                 for name in sorted(names) if name and (root / name).resolve() != out.resolve()}}
 
 
-def _perfbench(workload: str, seed: int) -> dict:
-    done, wall = _run([sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed)],
+def _perfbench(root: Path, workload: str, seed: int) -> dict:
+    done, wall = _run([sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed)], root,
                       timeout=1800)
     lines = done.stdout.strip().splitlines()
     record = {"returncode": done.returncode, "process_wall_s": round(wall, 3)}
@@ -108,13 +111,10 @@ def _perfbench(workload: str, seed: int) -> dict:
     return record
 
 
-def _layers(script: str) -> dict | None:
-    """``tools/<script>``'s lines parsed as {layer: {unit: value}}, the unit
-    with "/" spelt "_per_" (``us_per_round``), or None where the checkout
-    has no such script."""
-    if not (ROOT / "tools" / script).is_file():
-        return None
-    done, wall = _run([sys.executable, f"tools/{script}"], timeout=1800)
+def _layers(root: Path, script: str) -> dict:
+    """The lines of ``script`` beside this file parsed as {layer: {unit:
+    value}}, the unit with "/" spelt "_per_" (``us_per_round``)."""
+    done, wall = _run([sys.executable, str(HERE / script)], root, timeout=1800)
     layers = {}
     for line in done.stdout.splitlines():
         found = re.match(r"(.*?)\s+(-?[\d.]+ [a-z/]+.*)", line)
@@ -124,8 +124,8 @@ def _layers(script: str) -> dict | None:
     return {"returncode": done.returncode, "process_wall_s": round(wall, 3), "layers": layers}
 
 
-def _pytest(*selection: str) -> dict:
-    done, wall = _run([sys.executable, *TIER1, *selection], timeout=3600)
+def _pytest(root: Path, *selection: str) -> dict:
+    done, wall = _run([sys.executable, *TIER1, *selection], root, timeout=3600)
     summary = done.stdout.strip().splitlines()[-1:] or [""]
     return {"returncode": done.returncode, "wall_s": round(wall, 3), "summary": summary[0]}
 
@@ -153,13 +153,18 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--out", type=Path, required=True, help="the JSON file to write")
     args = parser.parse_args(argv)
+    root = _checkout()
+    if root is None or not (root / "perfbench" / "run.py").is_file():
+        print("bench_record: no importable rcl in a checkout with perfbench/run.py; "
+              "set PYTHONPATH to that checkout's src/", file=sys.stderr)
+        return 2
 
     started = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
-    dirty = bool(_git("status", "--porcelain"))
+    dirty = bool(_git(root, "status", "--porcelain"))
     record = {
-        "commit": _git("rev-parse", "HEAD"),
+        "commit": _git(root, "rev-parse", "HEAD"),
         "dirty": dirty,
-        "changes": _changes(args.out) if dirty else None,
+        "changes": _changes(root, args.out) if dirty else None,
         "recorded_at": started,
         "host": {"nproc": os.cpu_count(), "cpu_model": _cpu_model(), "platform": platform.platform()},
         "versions": _versions(),
@@ -169,18 +174,17 @@ def main(argv=None) -> int:
     for workload in WORKLOADS:
         for seed in SEEDS:
             print(f"perfbench {workload} seed {seed}", file=sys.stderr, flush=True)
-            record["perfbench"].setdefault(workload, {})[str(seed)] = _perfbench(workload, seed)
+            record["perfbench"].setdefault(workload, {})[str(seed)] = _perfbench(root, workload, seed)
     for script in ("track_layers", "decider_layers"):
         print(script, file=sys.stderr, flush=True)
-        record[script] = _layers(f"{script}.py")
+        record[script] = _layers(root, f"{script}.py")
     print("tier-1", file=sys.stderr, flush=True)
-    record["tier1"] = _pytest()
+    record["tier1"] = _pytest(root)
     print("c01", file=sys.stderr, flush=True)
-    record["c01"] = _pytest(C01)
+    record["c01"] = _pytest(root, C01)
     record["notes"] = NOTES
     args.out.write_text(json.dumps(record, indent=2) + "\n")
-    failed = [name for name in ("track_layers", "decider_layers", "tier1", "c01")
-              if record[name] is not None and record[name]["returncode"] != 0]
+    failed = [name for name in ("track_layers", "decider_layers", "tier1", "c01") if record[name]["returncode"] != 0]
     failed += [f"{w} seed {s}" for w, runs in record["perfbench"].items() for s, r in runs.items()
                if r["returncode"] != 0]
     if failed:

@@ -1,10 +1,10 @@
 """Print the SHA-256 digests that pin rcl's observable output.
 
-    python3 tools/bundle_digests.py
+    PYTHONPATH=src python3 tools/bundle_digests.py
 
-rcl is imported from ``src/`` beside this directory, so running the script in
-two checkouts and comparing the last line tells whether a change kept every
-output byte for byte.  One line per item, ``<sha256>  <label>``:
+rcl is imported from ``PYTHONPATH``, so running the script with it naming the
+``src/`` of two checkouts and comparing the last line tells whether a change
+kept every output byte for byte.  One line per item, ``<sha256>  <label>``:
 
 - every bundle file, the stdout (with any ``elapsed_ms`` removed) and the exit
   code of ``rcl scenario NAME`` for each built-in scenario;
@@ -41,16 +41,13 @@ import tempfile
 from dataclasses import replace
 from pathlib import Path
 
-HERE = Path(__file__).resolve().parent
-sys.path.insert(0, str(HERE.parent / "src"))
-
-from rcl import cli, scenarios, simulation  # noqa: E402
-from rcl.graph import make_k_circulant  # noqa: E402
-from rcl.protocol import (  # noqa: E402
+from rcl import cli, scenarios, simulation
+from rcl.graph import make_k_circulant
+from rcl.protocol import (
     Adversary, ByzantinePerEdge, ConstantHold, Leader, ReferenceSignal, Scripted, WeightScheme,
 )
 
-CONFIG = HERE / "five_strategies.json"
+CONFIG = Path(__file__).resolve().parent / "five_strategies.json"
 
 
 def _sha(data: bytes) -> str:

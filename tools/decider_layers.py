@@ -1,6 +1,6 @@
 """Print the median time per call of each layer of the complement deciders.
 
-    python3 tools/decider_layers.py
+    PYTHONPATH=src python3 tools/decider_layers.py
 
 Records the decider calls of one pass over perfbench's ``crosscheck`` corpus
 at seed 1 (graphs with n <= 10, so at most 9 free vertices), then replays
@@ -21,10 +21,11 @@ cache.  One line per layer, ``<layer>  <median us per call>  <calls>``, then
 queries of perfbench's ``exact`` at seed 1 (20 and 22 free vertices, above
 the cached table's reach, so each call builds its own table).
 
-rcl is imported from ``src/`` beside this directory (perfbench's workloads
-from ``perfbench/``), so running the script in two checkouts gives the
-layer split side by side.  The host's speed drifts; compare only runs made
-one after the other.
+rcl is imported from ``PYTHONPATH``, and perfbench's workloads from the
+``perfbench/`` beside this directory, so one copy of the script run on the
+``src/`` of two checkouts times the same workloads and gives the layer split
+side by side.  The host's speed drifts; compare only runs made one after the
+other.
 """
 
 import statistics
@@ -34,7 +35,6 @@ import time
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
-sys.path.insert(0, str(HERE.parent / "src"))
 sys.path.insert(0, str(HERE.parent / "perfbench"))
 
 import workloads  # noqa: E402

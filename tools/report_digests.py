@@ -1,10 +1,10 @@
 """Print the SHA-256 digests that pin rcl's exact decider reports.
 
-    python3 tools/report_digests.py
+    PYTHONPATH=src python3 tools/report_digests.py
 
-rcl is imported from ``src/`` beside this directory, so running the script in
-two checkouts and comparing the output tells whether a change kept every
-verdict and witness.  One line per decider, ``<sha256>  <name> <calls>
+rcl is imported from ``PYTHONPATH``, so running the script with it naming the
+``src/`` of two checkouts and comparing the output tells whether a change kept
+every verdict and witness.  One line per decider, ``<sha256>  <name> <calls>
 calls``, digesting ``json.dumps(report.to_json())`` of each call, the integer
 that ``max_r_robustness`` returns, or the exception type and message of a
 call that raises.  The corpus is fixed (seeded generators only):
@@ -26,13 +26,9 @@ import json
 import random
 import sys
 from collections import defaultdict
-from pathlib import Path
 
-HERE = Path(__file__).resolve().parent
-sys.path.insert(0, str(HERE.parent / "src"))
-
-from rcl import robustness  # noqa: E402
-from rcl.graph import Digraph, make_k_circulant  # noqa: E402
+from rcl import robustness
+from rcl.graph import Digraph, make_k_circulant
 
 PAIR = ("is_r_robust", "is_rs_robust", "max_r_robustness")
 COMPLEMENT = (

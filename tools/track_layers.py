@@ -1,6 +1,6 @@
 """Print the median time per layer of a tracking run with its full bundle.
 
-    python3 tools/track_layers.py
+    PYTHONPATH=src python3 tools/track_layers.py
 
 Runs ``sim2`` at seeds 20 to 39, three passes after one warm-up run, and times
 each layer of what ``rcl scenario sim2`` does per seed: the engine ``run``,
@@ -18,9 +18,10 @@ rounds per sim2 seed that the engine computed with ``simulation._round``
 rather than held at a fixed point, counted in one more untimed pass by
 wrapping that function; ``us/round`` is always per round of the horizon.
 
-rcl is imported from ``src/`` beside this directory and only its public API is
-used (perfbench's workloads from ``perfbench/``), so running the script in two
-checkouts gives the layer split side by side.  The host's speed drifts;
+rcl is imported from ``PYTHONPATH`` and only its public API is used, and
+perfbench's workloads from the ``perfbench/`` beside this directory, so one
+copy of the script run on the ``src/`` of two checkouts times the same
+workloads and gives the layer split side by side.  The host's speed drifts;
 compare only runs made one after the other.
 """
 
@@ -34,7 +35,6 @@ from pathlib import Path
 from unittest import mock
 
 HERE = Path(__file__).resolve().parent
-sys.path.insert(0, str(HERE.parent / "src"))
 sys.path.insert(0, str(HERE.parent / "perfbench"))
 
 import workloads  # noqa: E402
