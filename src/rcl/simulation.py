@@ -25,7 +25,7 @@ from typing import Any, Mapping
 import numpy as np
 
 from .graph import (
-    Digraph, GraphError, _integer, _integer_text, _require, graph_from_json, graph_to_json, make_k_circulant,
+    Digraph, GraphError, _integer, _integer_text, _number, _require, graph_from_json, graph_to_json, make_k_circulant,
     make_undirected_circulant,
 )
 from .protocol import (
@@ -511,16 +511,18 @@ class Metrics:
 DEFAULT_TOL = 1e-6
 
 
-def check_tol(tol: float) -> None:
-    """Raise ValueError unless the convergence tolerance is finite and positive."""
+def check_tol(tol: float) -> float:
+    """The convergence tolerance as a float (``graph._number``'s rule); raise
+    ValueError unless it is finite and positive."""
+    tol = _number(tol, "tolerance")
     if not 0 < tol < math.inf:
         raise ValueError(f"tolerance must be finite and positive, got {tol}")
+    return tol
 
 
 def _sustained_round(series: np.ndarray, tol: float) -> int | None:
     """Smallest t with series[s] <= tol for all s in [t, end]; None if the
     series ends above tol.  NaN counts as above tol."""
-    check_tol(tol)
     above = np.nonzero(~(series <= tol))[0]
     if above.size == 0:
         return 0
@@ -538,6 +540,7 @@ def compute_metrics(traj: Trajectory, tol: float = DEFAULT_TOL) -> Metrics:
     reference), disagreement (spread over normal agents), the rounds from
     which each stays within tol, and the envelope on every maximal
     constant-reference interval (one interval without a reference)."""
+    tol = check_tol(tol)
     ref = traj.reference
     # C order: the reduction order decides which of -0.0 and 0.0 the minima
     # and maxima return, and the bundles pin that choice

@@ -433,6 +433,17 @@ def test_compute_metrics_rejects_a_tolerance_that_is_not_finite_and_positive(tol
         compute_metrics(traj, tol=tol)
 
 
+@pytest.mark.parametrize("tol", [True, "1e-6", None])
+def test_compute_metrics_reads_the_tolerance_by_the_number_rule(tol):
+    # True was stored and written to metrics.json as "tol": true; a string or
+    # None raised a bare TypeError from the comparison
+    traj = run(basic_config(horizon=3))
+    with pytest.raises(ValueError, match=f"tolerance must be a number, got {re.escape(repr(tol))}"):
+        compute_metrics(traj, tol=tol)
+    metrics = compute_metrics(traj, tol=np.float64(0.5))
+    assert type(metrics.tol) is float and metrics_to_dict(metrics)["tol"] == 0.5
+
+
 def test_convergence_round_requires_sustained_error():
     cfg = basic_config(horizon=100)
     m = compute_metrics(run(cfg), tol=1e-6)

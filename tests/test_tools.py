@@ -1,5 +1,6 @@
 """The scripts in ``tools/`` measure the rcl that ``PYTHONPATH`` names."""
 
+import json
 import os
 import subprocess
 import sys
@@ -42,3 +43,26 @@ def test_bench_record_exits_2_before_running_anything(tmp_path, stub_src, checko
     assert done.returncode == 2 and done.stdout == ""
     assert len(done.stderr.splitlines()) == 1 and done.stderr.startswith("bench_record: "), done.stderr
     assert not out.exists()
+
+
+def test_bench_record_keeps_the_stderr_of_every_failed_step(tmp_path, stub_src):
+    # the layer tools exit 1 at the stub's import, pytest finds no tests, and
+    # the stub perfbench prints one JSON line
+    run_py = stub_src.parent / "perfbench" / "run.py"
+    run_py.parent.mkdir()
+    run_py.write_text("import json, sys\nprint(json.dumps({'argv': sys.argv[1:]}))\n")
+    out = tmp_path / "record.json"
+    done = _run_tool("bench_record.py", stub_src, "--out", str(out))
+    assert done.returncode == 1, done.stderr
+    record = json.loads(out.read_text())
+    for script in ("track_layers", "decider_layers"):
+        step = record[script]
+        assert step["returncode"] == 1 and "result" not in step
+        assert step["stderr_tail"].strip().endswith(MARKER), step
+    for name in ("tier1", "c01"):
+        assert record[name]["returncode"] != 0 and "summary" in record[name] and "stderr_tail" in record[name]
+    for workload, runs in record["perfbench"].items():
+        assert list(runs) == ["1", "101"]
+        for seed, step in runs.items():
+            assert step["returncode"] == 0 and "stderr_tail" not in step
+            assert step["result"] == {"argv": ["--workload", workload, "--seed", seed]}

@@ -6,35 +6,39 @@ Measures the checkout whose ``src/`` holds the importable rcl (found without
 importing it), one step after the other, with that ``src/`` as ``PYTHONPATH``:
 
 - the checkout's ``perfbench/run.py`` at its default length for every workload
-  at seeds 1 and 101, each run in its own process; the last JSON line of each
-  run is kept as printed;
-- ``track_layers.py`` and ``decider_layers.py`` beside this file, each line
-  parsed into its values by unit (milliseconds, microseconds per round or per
-  call, call counts);
+  at seeds 1 and 101, each run in its own process;
+- ``track_layers.py`` and ``decider_layers.py`` beside this file;
 - the tier-1 suite (``python -m pytest -q --continue-on-collection-errors``)
-  and acceptance test c01 alone, by wall clock, with pytest's summary line.
+  and acceptance test c01 alone.
 
-Every step is a child process whose environment pins glibc's heap trim and
-mmap thresholds (``MALLOC_TRIM_THRESHOLD_``, ``MALLOC_MMAP_THRESHOLD_``), so
-the heap cannot shrink and regrow between passes.  The file also holds the
-commit (``git rev-parse HEAD``, and whether ``git status`` shows changes); for
-a tree with changes, the SHA-256 of ``git diff HEAD --binary`` and of each
-untracked file but the output, so that the file names the tree it measured; the
-host, the versions, and a ``notes`` list naming the known sources of noise in
-these numbers.  The recorder uses only the standard library and the commands
-above, so one copy of it records older checkouts too; with no importable rcl,
-or none in a checkout with ``perfbench/run.py``, it exits 2 before running
-anything.  The host's speed drifts: compare only files recorded one after the
-other on one host.
+Every step is a child process run by ``_step``, whose environment pins glibc's
+heap trim and mmap thresholds (``MALLOC_TRIM_THRESHOLD_``,
+``MALLOC_MMAP_THRESHOLD_``), so the heap cannot shrink and regrow between
+passes.  Each step's record holds its ``returncode`` and ``process_wall_s``;
+``result``, every stdout line that parses as a JSON object, merged in order
+(perfbench's ``detail`` and metrics lines, one line per layer of the layer
+tools); ``summary``, the last stdout line, only when no line parses as one
+(pytest's summary); and ``stderr_tail`` when the step exits nonzero or prints
+no result.  The file also holds the commit (``git rev-parse HEAD``, and
+whether ``git status`` shows changes); for a tree with changes, the SHA-256 of
+``git diff HEAD --binary`` and of each untracked file but the output, so that
+the file names the tree it measured; the host, the versions, and a ``notes``
+list naming the known sources of noise in these numbers.  The recorder uses
+only the standard library and the commands above, so one copy of it records
+older checkouts too; with no importable rcl, or none in a checkout with
+``perfbench/run.py``, it exits 2 before running anything.  It exits 1 when a
+step exits nonzero.  The host's speed drifts: compare only files recorded one
+after the other on one host.
 """
 
 import argparse
+import contextlib
 import hashlib
+import importlib.metadata
 import importlib.util
 import json
 import os
 import platform
-import re
 import subprocess
 import sys
 import time
@@ -70,72 +74,63 @@ def _checkout() -> Path | None:
     return Path(spec.origin).resolve().parents[2] if spec and spec.origin else None
 
 
-def _run(args: list[str], root: Path, timeout: float) -> tuple[subprocess.CompletedProcess, float]:
+def _run(root: Path, argv: list[str], timeout: float) -> tuple[subprocess.CompletedProcess, float]:
+    """``argv`` run in ``root`` with the child environment: the finished
+    process, its output as bytes, and its wall time."""
     env = dict(os.environ, **MALLOC_ENV, PYTHONPATH=str(root / "src"))
     start = time.perf_counter()
-    done = subprocess.run(args, cwd=root, env=env, capture_output=True, text=True, timeout=timeout)
+    done = subprocess.run(argv, cwd=root, env=env, capture_output=True, timeout=timeout)
     return done, time.perf_counter() - start
 
 
-def _git(root: Path, *args: str) -> str | None:
+def _step(root: Path, argv: list[str], timeout: float) -> dict:
+    """The record of one step (see the module docstring)."""
+    done, wall = _run(root, argv, timeout)
+    lines = done.stdout.decode(errors="replace").splitlines()
+    record = {"returncode": done.returncode, "process_wall_s": round(wall, 3)}
+    result = {}
+    for line in lines:
+        with contextlib.suppress(json.JSONDecodeError):
+            parsed = json.loads(line)
+            if isinstance(parsed, dict):
+                result.update(parsed)
+    if result:
+        record["result"] = result
+    else:
+        record["summary"] = lines[-1] if lines else ""
+    if done.returncode or not result:
+        record["stderr_tail"] = done.stderr.decode(errors="replace")[-2000:]
+    return record
+
+
+def _git(root: Path, *args: str) -> bytes | None:
+    """The stdout of ``git *args`` in ``root``, or None where git fails."""
     try:
-        return subprocess.run(["git", *args], cwd=root, capture_output=True, text=True, timeout=30,
-                              check=True).stdout.strip()
+        done, _ = _run(root, ["git", *args], timeout=60)
     except (OSError, subprocess.SubprocessError):
         return None
+    return done.stdout if done.returncode == 0 else None
 
 
 def _changes(root: Path, out: Path) -> dict | None:
     """The SHA-256 of ``git diff HEAD --binary`` and of each untracked file
     (``out`` left out), or None where git fails."""
-    try:
-        diff = subprocess.run(["git", "diff", "HEAD", "--binary"], cwd=root, capture_output=True, timeout=60,
-                              check=True).stdout
-    except (OSError, subprocess.SubprocessError):
+    diff = _git(root, "diff", "HEAD", "--binary")
+    if diff is None:
         return None
-    names = (_git(root, "ls-files", "--others", "--exclude-standard", "-z") or "").split("\0")
+    names = (_git(root, "ls-files", "--others", "--exclude-standard", "-z") or b"").decode().split("\0")
     return {"diff_sha256": hashlib.sha256(diff).hexdigest(),
             "untracked_sha256": {name: hashlib.sha256((root / name).read_bytes()).hexdigest()
                                  for name in sorted(names) if name and (root / name).resolve() != out.resolve()}}
 
 
-def _perfbench(root: Path, workload: str, seed: int) -> dict:
-    done, wall = _run([sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed)], root,
-                      timeout=1800)
-    lines = done.stdout.strip().splitlines()
-    record = {"returncode": done.returncode, "process_wall_s": round(wall, 3)}
-    try:
-        record["result"] = json.loads(lines[-1])
-    except (IndexError, json.JSONDecodeError):
-        record["stderr_tail"] = done.stderr[-2000:]
-    return record
-
-
-def _layers(root: Path, script: str) -> dict:
-    """The lines of ``script`` beside this file parsed as {layer: {unit:
-    value}}, the unit with "/" spelt "_per_" (``us_per_round``)."""
-    done, wall = _run([sys.executable, str(HERE / script)], root, timeout=1800)
-    layers = {}
-    for line in done.stdout.splitlines():
-        found = re.match(r"(.*?)\s+(-?[\d.]+ [a-z/]+.*)", line)
-        if found:
-            layers[found[1].strip()] = {unit.replace("/", "_per_"): float(value)
-                                        for value, unit in re.findall(r"(-?[\d.]+) ([a-z/]+)", found[2])}
-    return {"returncode": done.returncode, "process_wall_s": round(wall, 3), "layers": layers}
-
-
-def _pytest(root: Path, *selection: str) -> dict:
-    done, wall = _run([sys.executable, *TIER1, *selection], root, timeout=3600)
-    summary = done.stdout.strip().splitlines()[-1:] or [""]
-    return {"returncode": done.returncode, "wall_s": round(wall, 3), "summary": summary[0]}
-
-
 def _versions() -> dict:
     versions = {"python": platform.python_version()}
-    for module in ("numpy", "scipy", "hypothesis", "pytest"):
-        done = subprocess.run([sys.executable, "-c", f"import {module}; print({module}.__version__)"],
-                              capture_output=True, text=True, timeout=60)
-        versions[module] = done.stdout.strip() or None
+    for package in ("numpy", "scipy", "hypothesis", "pytest"):
+        try:
+            versions[package] = importlib.metadata.version(package)
+        except importlib.metadata.PackageNotFoundError:
+            versions[package] = None
     return versions
 
 
@@ -161,32 +156,33 @@ def main(argv=None) -> int:
 
     started = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
     dirty = bool(_git(root, "status", "--porcelain"))
+    commit = _git(root, "rev-parse", "HEAD")
+    perfbench = {workload: {} for workload in WORKLOADS}
     record = {
-        "commit": _git(root, "rev-parse", "HEAD"),
+        "commit": commit.decode().strip() if commit else None,
         "dirty": dirty,
         "changes": _changes(root, args.out) if dirty else None,
         "recorded_at": started,
         "host": {"nproc": os.cpu_count(), "cpu_model": _cpu_model(), "platform": platform.platform()},
         "versions": _versions(),
         "child_env": MALLOC_ENV,
-        "perfbench": {},
+        "perfbench": perfbench,
     }
-    for workload in WORKLOADS:
-        for seed in SEEDS:
-            print(f"perfbench {workload} seed {seed}", file=sys.stderr, flush=True)
-            record["perfbench"].setdefault(workload, {})[str(seed)] = _perfbench(root, workload, seed)
-    for script in ("track_layers", "decider_layers"):
-        print(script, file=sys.stderr, flush=True)
-        record[script] = _layers(root, f"{script}.py")
-    print("tier-1", file=sys.stderr, flush=True)
-    record["tier1"] = _pytest(root)
-    print("c01", file=sys.stderr, flush=True)
-    record["c01"] = _pytest(root, C01)
+    # (name, the record that holds the step, its key there, argv after the interpreter, timeout)
+    steps = [(f"perfbench {workload} seed {seed}", perfbench[workload], str(seed),
+              ["perfbench/run.py", "--workload", workload, "--seed", str(seed)], 1800)
+             for workload in WORKLOADS for seed in SEEDS]
+    steps += [(script, record, script, [str(HERE / f"{script}.py")], 1800)
+              for script in ("track_layers", "decider_layers")]
+    steps += [("tier-1", record, "tier1", [*TIER1], 3600), ("c01", record, "c01", [*TIER1, C01], 3600)]
+    failed = []
+    for name, holder, key, argv, timeout in steps:
+        print(name, file=sys.stderr, flush=True)
+        holder[key] = _step(root, [sys.executable, *argv], timeout)
+        if holder[key]["returncode"] != 0:
+            failed.append(name)
     record["notes"] = NOTES
     args.out.write_text(json.dumps(record, indent=2) + "\n")
-    failed = [name for name in ("track_layers", "decider_layers", "tier1", "c01") if record[name]["returncode"] != 0]
-    failed += [f"{w} seed {s}" for w, runs in record["perfbench"].items() for s, r in runs.items()
-               if r["returncode"] != 0]
     if failed:
         print(f"bench_record: nonzero exit from {', '.join(failed)}", file=sys.stderr)
     return 1 if failed else 0

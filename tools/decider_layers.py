@@ -14,10 +14,11 @@ them ``PASSES`` times and times each call on its own:
 
 Brute-force calls that need no table (r = 0) count in neither.  A call is
 told apart by the hits and misses of ``robustness._first_violations``'s LRU
-cache.  One line per layer, ``<layer>  <median us per call>  <calls>``, then
-``crosscheck pass``, the median wall of a whole pass over the workload's ops
-(certificates included) in ms, with its median us per query.  Last comes
-``forced complement``: the median ms per call of the forced complement
+cache.  One JSON object per line and layer, ``{"<layer>": {"us": <median us
+per call>, "calls": <calls per pass>}}``, then ``crosscheck pass``, the median
+wall of a whole pass over the workload's ops (certificates included) as
+``ms``, with its median ``us_per_query``.  Last comes ``forced complement``:
+the median ``ms`` per call of the forced complement
 queries of perfbench's ``exact`` at seed 1 (20 and 22 free vertices, above
 the cached table's reach, so each call builds its own table).
 
@@ -28,11 +29,14 @@ side by side.  The host's speed drifts; compare only runs made one after the
 other.
 """
 
+import contextlib
+import json
 import statistics
 import sys
 import tempfile
 import time
 from pathlib import Path
+from unittest import mock
 
 HERE = Path(__file__).resolve().parent
 sys.path.insert(0, str(HERE.parent / "perfbench"))
@@ -50,22 +54,16 @@ DECIDERS = (
 
 
 def _recorded_calls(ops) -> list:
-    """(decider, args) of every complement decider call that one pass over
-    ``ops`` makes, in order; recording them also warms up the graphs."""
-    calls, originals = [], {name: getattr(robustness, name) for name in DECIDERS}
-
-    def recorder(name):
-        return lambda *args: calls.append((originals[name], args)) or originals[name](*args)
-
-    for name in DECIDERS:
-        setattr(robustness, name, recorder(name))
-    try:
+    """(decider, args, kwargs) of every complement decider call that one pass
+    over ``ops`` makes, in order; recording them also warms up the graphs."""
+    recorder = mock.Mock()
+    with contextlib.ExitStack() as patches:
+        for name in DECIDERS:
+            decider = patches.enter_context(mock.patch.object(robustness, name, wraps=getattr(robustness, name)))
+            recorder.attach_mock(decider, name)
         for op in ops:
             op.fn()
-    finally:
-        for name, fn in originals.items():
-            setattr(robustness, name, fn)
-    return calls
+    return [(getattr(robustness, name), args, kwargs) for name, args, kwargs in recorder.mock_calls]
 
 
 def main() -> int:
@@ -77,10 +75,10 @@ def main() -> int:
     passes, queries = [], 0
     for _ in range(PASSES):
         cache.cache_clear()
-        for decide, args in calls:
+        for decide, args, kwargs in calls:
             before = cache.cache_info()
             start = clock()
-            decide(*args)
+            decide(*args, **kwargs)
             elapsed = clock() - start
             after = cache.cache_info()
             if decide.__name__.endswith("_peeling"):
@@ -94,9 +92,9 @@ def main() -> int:
             queries += op.fn()[0]
         passes.append(clock() - start)
     for name, times in samples.items():
-        print(f"{name:<20}{1e6 * statistics.median(times):9.2f} us {len(times) // PASSES:8d} calls")
+        print(json.dumps({name: {"us": 1e6 * statistics.median(times), "calls": len(times) // PASSES}}))
     wall = statistics.median(passes)
-    print(f"{'crosscheck pass':<20}{1e3 * wall:9.2f} ms {1e6 * wall / queries:8.2f} us/query")
+    print(json.dumps({"crosscheck pass": {"ms": 1e3 * wall, "us_per_query": 1e6 * wall / queries}}))
     with tempfile.TemporaryDirectory() as tmp:
         forced = [op for op in workloads.setup_exact(1, Path(tmp)).ops if "_bruteforce free=" in op.name]
     times = []
@@ -105,7 +103,7 @@ def main() -> int:
             start = clock()
             op.fn()
             times.append(clock() - start)
-    print(f"{'forced complement':<20}{1e3 * statistics.median(times):9.2f} ms {len(forced):8d} calls")
+    print(json.dumps({"forced complement": {"ms": 1e3 * statistics.median(times), "calls": len(forced)}}))
     return 0
 
 

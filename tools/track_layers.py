@@ -6,17 +6,19 @@ Runs ``sim2`` at seeds 20 to 39, three passes after one warm-up run, and times
 each layer of what ``rcl scenario sim2`` does per seed: the engine ``run``,
 ``compute_metrics``, ``write_trajectory_csv`` (with ``write_edges_csv`` when
 there are Byzantine edges), ``write_trajectory_svg`` and the JSON dumps of
-``metrics.json`` and of a ``report.json`` that holds the metrics.  One line
-per layer, ``<layer>  <median ms>`` (``run`` also gives its median time per
-round), then the median of the per-seed totals, then ``run`` alone under a
-table of distinct weights (``distinct_weights`` of ``bundle_digests.py``),
-the rule whose ties the engine resolves by sender id, timed right after each
-seed's layers, and last ``run`` alone at the ``wide`` shape: the C_300(1..60)
-configs, F = 3, horizon 200, that perfbench's ``setup_wide(1)`` builds, each
-timed once per pass.  The line ``rounds computed`` gives the median number of
-rounds per sim2 seed that the engine computed with ``simulation._round``
-rather than held at a fixed point, counted in one more untimed pass by
-wrapping that function; ``us/round`` is always per round of the horizon.
+``metrics.json`` and of a ``report.json`` that holds the metrics.  One JSON
+object per line and layer, ``{"<layer>": {"ms": <median>}}`` (``run`` also
+gives its median time per round as ``us_per_round``), then the median of the
+per-seed totals, then ``run`` alone under a table of distinct weights
+(``distinct_weights`` of ``bundle_digests.py``), the rule whose ties the
+engine resolves by sender id, timed right after each seed's layers, and last
+``run`` alone at the ``wide`` shape: the C_300(1..60) configs, F = 3, horizon
+200, that perfbench's ``setup_wide(1)`` builds, each timed once per pass.
+The line ``rounds computed`` gives the median number of rounds per sim2 seed
+that the engine computed with ``simulation._round`` rather than held at a
+fixed point, counted in one more untimed pass by wrapping that function;
+``us_per_round`` is always per round of the horizon.  A run that stops midway
+leaves the lines it finished.
 
 rcl is imported from ``PYTHONPATH`` and only its public API is used, and
 perfbench's workloads from the ``perfbench/`` beside this directory, so one
@@ -70,20 +72,15 @@ def _one_seed(scenario, seed: int, out_dir: Path) -> dict[str, float]:
 def _wide_configs(scratch: Path) -> list:
     """The configs that the ops of perfbench's ``wide`` workload at seed 1 pass
     to ``simulation.run``; running the ops once to record them also warms up."""
-    configs = []
-    engine = simulation.run
-    simulation.run = lambda config, jobs=1: configs.append(config) or engine(config, jobs)
-    try:
+    with mock.patch.object(simulation, "run", wraps=simulation.run) as engine:
         for op in workloads.setup_wide(1, scratch).ops:
             op.fn()
-    finally:
-        simulation.run = engine
-    return configs
+    return [call.args[0] for call in engine.call_args_list]
 
 
-def _per_round(seconds: list[float], rounds: int) -> str:
+def _per_round(seconds: list[float], rounds: int) -> dict[str, float]:
     median = statistics.median(seconds)
-    return f"{1e3 * median:8.2f} ms {1e6 * median / rounds:8.1f} us/round"
+    return {"ms": 1e3 * median, "us_per_round": 1e6 * median / rounds}
 
 
 def _rounds_computed(scenario) -> float:
@@ -123,13 +120,13 @@ def main() -> int:
                 simulation.run(config)
                 wide_runs.append(time.perf_counter() - start)
     rounds = scenario.base.horizon
-    print(f"{'run':<22}{_per_round(samples['run'], rounds)}")
-    print(f"{'rounds computed':<22}{_rounds_computed(scenario):8.0f} rounds")
+    print(json.dumps({"run": _per_round(samples["run"], rounds)}))
+    print(json.dumps({"rounds computed": {"rounds": _rounds_computed(scenario)}}))
     for name in LAYERS[1:]:
-        print(f"{name:<22}{1e3 * statistics.median(samples[name]):8.2f} ms")
-    print(f"{'total':<22}{1e3 * statistics.median(totals):8.2f} ms")
-    print(f"{'run, weight table':<22}{_per_round(table_runs, rounds)}")
-    print(f"{'run, wide':<22}{_per_round(wide_runs, wide[0].horizon)}")
+        print(json.dumps({name: {"ms": 1e3 * statistics.median(samples[name])}}))
+    print(json.dumps({"total": {"ms": 1e3 * statistics.median(totals)}}))
+    print(json.dumps({"run, weight table": _per_round(table_runs, rounds)}))
+    print(json.dumps({"run, wide": _per_round(wide_runs, wide[0].horizon)}))
     return 0
 
 
