@@ -30,17 +30,19 @@ an in-degree reaches 2^8), and each hi is a chunk of 2^L counters that
 subtracts a per-vertex constant, so counting holds about (vertices x 2^16)
 small ints however many subsets there are.  The pair checks are a DP in
 O(n 2^n): a uint8 table over all subsets and one minimum over submasks give
-each subset its best disjoint partner.  The complement checks build a small
-table of the first violating C per pair of degree bounds.  Up to 16 free
-vertices it covers all of V \\ S, once per (graph, S) and cached, so a query
-is one lookup.  Above 16, each query builds its own over the free vertices
-with fewer than ``anchor`` in-neighbors in S, the only ones a violating C can
-hold, and with none of them it answers true without a table.  Either way the
-key comes straight from the enumeration counter, and so does a false
-verdict's witness.  Peeling works on bitmasks: the eligible ids are one int,
-the lowest set bit is admitted next, and each admission recounts, one
-popcount each, the in-neighbors in R of its out-neighbors
-(``Digraph.out_masks``) not yet eligible.
+each subset its best disjoint partner.  Up to 16 free vertices, the
+complement checks build a small table of the first violating C per pair of
+degree bounds over all of V \\ S, once per (graph, S) and cached, so a query
+is one lookup.  Above 16, a query searches only the free vertices with fewer
+than ``anchor`` in-neighbors in S, the only ones a violating C can hold (with
+none of them it answers true): a C of those violates iff no member has
+``reach`` in-neighbors outside it.  That search, like the pair witnesses, walks
+the chunks in order of popcount(hi) and stops past the size of the first
+violation found, so a small witness ends it early.  Either way a false
+verdict's witness comes straight from the enumeration counter.  Peeling works
+on bitmasks: the eligible ids are one int, the lowest set bit is admitted
+next, and each admission recounts, one popcount each, the in-neighbors in R
+of its out-neighbors (``Digraph.out_masks``) not yet eligible.
 
 Every public decider takes vertex ids and integer parameters, caps
 included, by the one rule of ``graph`` (as ``operator.index`` does, bools
@@ -173,11 +175,14 @@ def _split_outside(g: Digraph, vertices: int) -> tuple[list[int], list[int], int
     dtype = np.uint8 if max(in_deg) < 1 << 8 else np.uint32
     masks = np.array(masks, dtype=np.int64)
     # popcount the first 10 bits (lo < 2^10, so the mask's low 32 bits are
-    # enough); doubling the table per further bit is cheaper
+    # enough); each further bit b fills columns 2^b .. 2^(b+1) - 1 from the
+    # ones below, in place, which is cheaper
+    outside = np.empty((len(by_bit), 1 << width), dtype=dtype)
     lo = _low_counters(min(width, 10))[0]
-    outside = np.array(in_deg, dtype=dtype)[:, None] - np.bitwise_count(masks.astype(np.int32)[:, None] & lo)
+    np.subtract(np.array(in_deg, dtype=dtype)[:, None], np.bitwise_count(masks.astype(np.int32)[:, None] & lo),
+                out=outside[:, :lo.size])
     for b in range(10, width):
-        outside = np.hstack([outside, outside - ((masks >> b) & 1).astype(dtype)[:, None]])
+        np.subtract(outside[:, :1 << b], ((masks >> b) & 1).astype(dtype)[:, None], out=outside[:, 1 << b:2 << b])
     return by_bit, in_deg, width, outside, masks
 
 
@@ -239,16 +244,31 @@ def _submask_min(table: np.ndarray) -> np.ndarray:
 
 
 def _first_subset(n: int, accept) -> int | None:
-    """The canonically first subset j (vertex n - b at bit b) that
-    ``accept(rows, j)`` marks, a chunk of j at a time, or None.  Within one
-    size the order is descending j, so the key is ``(popcount(j) << n) - j``."""
-    keys, step = [], 1 << min(n, _LOW_BITS)
-    for start in range(0, 1 << n, step):
-        j = np.arange(start, start + step)
-        j = j[accept(slice(start, start + step), j)]
-        if j.size:
-            keys.append(int(((np.bitwise_count(j).astype(np.int64) << n) - j).min()))
-    return -min(keys) & ((1 << n) - 1) if keys else None
+    """The canonically first subset j of n counter bits (bit b the b-th
+    largest of the n vertices) that ``accept(rows, j)`` marks, or None.
+    Within one size the order is descending j.
+
+    ``rows`` is the slice of one chunk, the 2^L counters ``(hi << L) | lo``
+    with L = ``min(n, _LOW_BITS)``, and ``j`` their values.  Chunks go in order
+    of popcount(hi), each size's hi drawn lazily by ``itertools.combinations``
+    over the high bits, and the walk stops once popcount(hi) exceeds the size
+    of the best subset found: every subset of a later chunk is larger."""
+    width = min(n, _LOW_BITS)
+    _, sizes, _ = _low_counters(width)
+    lo = np.arange(1 << width, dtype=np.int64)
+    low_key = (sizes << width) - lo  # by size, then descending lo
+    best = None  # (size, -j) of the first marked subset so far
+    for count in range(n - width + 1):
+        if best is not None and count > best[0]:
+            break
+        for high in itertools.combinations(range(width, n), count):
+            start = sum(1 << b for b in high)
+            marked = np.flatnonzero(accept(slice(start, start + lo.size), lo + start))
+            if marked.size:
+                first = int(marked[low_key[marked].argmin()])
+                found = (count + first.bit_count(), -(start | first))
+                best = found if best is None else min(best, found)
+    return None if best is None else -best[1]
 
 
 def _pair_scan(
@@ -314,8 +334,7 @@ def max_r_robustness(g: Digraph, *, cap: int | None = None, force: bool = False)
     """Largest r for which the graph is r-robust, at most ceil(n/2): the minimum over S1 of
     max(M[S1], min of M over the subsets of ~S1), M[j] the largest outside in-degree in j."""
     limit = DEFAULT_PAIR_CAP if cap is None else _count(cap, "cap")
-    most = _subset_table(g, limit, force,
-                         lambda outside, members, _: np.where(members, outside, 0).max(axis=0))
+    most = _subset_table(g, limit, force, lambda outside, members, _: (outside * members).max(axis=0))
     most[0] = 255  # the empty set is no half of a pair
     np.maximum(most, _submask_min(most.copy())[::-1], out=most)
     return min((g.n + 1) // 2, int(most.min()))
@@ -326,30 +345,27 @@ def max_r_robustness(g: Digraph, *, cap: int | None = None, force: bool = False)
 
 
 _NO_VIOLATION = np.iinfo(np.int64).max
-# Free sets up to this size share one cached table per (graph, S); larger
-# ones build a table per query, over the free vertices its anchor leaves
-# unanchored
+# Free sets up to this size share one cached table per (graph, S); a query on
+# a larger one searches the free vertices its anchor leaves unanchored
 _CACHED_FREE = 16
 
 
 @lru_cache(maxsize=256)
-def _first_violations(g: Digraph, s_mask: int, vertices: int) -> np.ndarray:
-    """``first[a, o]``: the smallest canonical key of a nonempty C among the
-    vertices of the mask ``vertices`` (a subset of V \\ S, S the mask
-    ``s_mask``) whose members have at most a in-neighbors in S and at most o
-    outside C, else ``_NO_VIOLATION``; rows and columns stop at the largest
-    degree.
+def _first_violations(g: Digraph, s_mask: int) -> np.ndarray:
+    """``first[a, o]``: the smallest canonical key of a nonempty C in V \\ S
+    (S the mask ``s_mask``) whose members have at most a in-neighbors in S
+    and at most o outside C, else ``_NO_VIOLATION``; rows and columns stop at
+    the largest degree.
 
-    Bit b of the counter j stands for the b-th largest of the f enumerated
+    Bit b of the counter j stands for the b-th largest of the f free
     vertices, so within one size the canonical order is descending j, and the
     key is ``(popcount(j) << f) | (2^f - 1 - j)``.  j is split at the low
     ``min(f, _LOW_BITS)`` bits: the low counters' in-degrees outside C, maxima
     from S and key terms are built once, and each hi adds its own members and
     constants to them.  A non-member counts 0 outside C, which never raises the
-    maximum of a nonempty C.  Callers skip the cache (``__wrapped__``) above
-    ``_CACHED_FREE`` free vertices.
+    maximum of a nonempty C.
     """
-    by_bit, in_deg, width, outside, masks = _split_outside(g, vertices)
+    by_bit, in_deg, width, outside, masks = _split_outside(g, (1 << g.n) - 1 - s_mask)
     f, top = len(by_bit), (1 << len(by_bit)) - 1
     lo, sizes, bits = _low_counters(width)
     from_s = [(g.in_masks[v - 1] & s_mask).bit_count() for v in by_bit]
@@ -386,14 +402,17 @@ def _bruteforce(
     """Every nonempty C in V \\ S (S the mask ``s_mask``) has a member with
     >= anchor in-neighbors in S or >= reach in-neighbors outside C, by
     enumeration.  A false verdict carries the first violating C in canonical
-    subset order, read off its key.  With no free vertex, or anchor or reach
-    0, the verdict is true whatever the caps.
+    subset order.  With no free vertex, or anchor or reach 0, the verdict is
+    true whatever the caps.
 
     Up to ``_CACHED_FREE`` free vertices, one cached table over all of V \\ S
-    answers every (anchor, reach) on (g, S).  Above it, a query enumerates only
-    the free vertices with fewer than anchor in-neighbors in S: a violating C
-    has no other member, and the canonical order of its subsets is the order
-    restricted to them.  The caps and the counter width apply to |V \\ S|."""
+    answers every (anchor, reach) on (g, S), and the witness is read off its
+    key.  Above it, a query searches only the free vertices with fewer than
+    anchor in-neighbors in S: a violating C has no other member, and the
+    canonical order of its subsets is the order restricted to them.  So a C
+    there violates iff no member has reach or more in-neighbors outside C,
+    and ``_first_subset`` walks the chunks by size until it has the first.
+    The caps and the counter width apply to |V \\ S|."""
     domain = (1 << g.n) - 1 - s_mask  # V \ S, as S is a subset of V
     free, limit = domain.bit_count(), DEFAULT_COMPLEMENT_CAP if cap is None else _count(cap, "cap")
     if free == 0 or anchor <= 0 or reach <= 0:
@@ -403,22 +422,39 @@ def _bruteforce(
             f"complement size {free} exceeds enumeration cap {limit}; pass force=True to override"
         )
     if free <= _CACHED_FREE:
-        first = _first_violations(g, s_mask, domain)
+        first = _first_violations(g, s_mask)
+        rows, cols = first.shape
+        key = first.item(min(anchor, rows) - 1, min(reach, cols) - 1)
+        j = None if key == _NO_VIOLATION else ~key & ((1 << free) - 1)
     else:
         if free > 62:  # the counter is an int64
             raise EnumerationCapError(f"cannot enumerate the subsets of {free} vertices, even forced")
         domain &= sum(1 << v for v, m in enumerate(g.in_masks) if (m & s_mask).bit_count() < anchor)
         if not domain:
             return RobustnessReport(prop, params, True, None, "bruteforce")
-        first = _first_violations.__wrapped__(g, s_mask, domain)
-    rows, cols = first.shape
-    key = first.item(min(anchor, rows) - 1, min(reach, cols) - 1)
-    if key == _NO_VIOLATION:
+        *_, width, outside, masks = _split_outside(g, domain)
+        low_members, high = _low_counters(width)[2].view(np.uint8), range(width, domain.bit_count())
+
+        def violates(rows, _):
+            # the largest in-degree outside C over its members (a non-member
+            # counts 0), below reach; of the high rows, only the members count
+            start = rows.start  # hi << width
+            low = outside[:width] - np.bitwise_count(masks[:width] & start)[:, None] if start else outside[:width]
+            most = (low_members * low).max(axis=0)
+            members = [b for b in high if start >> b & 1]
+            if members:
+                chunk = outside[members] - np.bitwise_count(masks[members] & start)[:, None]
+                np.maximum(most, chunk.max(axis=0), out=most)
+            marked = most < reach
+            marked[0] &= start != 0  # the empty C
+            return marked
+
+        j = _first_subset(domain.bit_count(), violates)
+    if j is None:
         return RobustnessReport(prop, params, True, None, "bruteforce")
     # bit b of j is the b-th largest of the f enumerated vertices: walk them
     # from the smallest, bit f - 1, until j runs out
-    b = domain.bit_count()
-    j, rest, subset = ~key & ((1 << b) - 1), domain, []
+    b, rest, subset = domain.bit_count(), domain, []
     while j:
         low = rest & -rest
         rest ^= low

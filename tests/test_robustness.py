@@ -554,6 +554,40 @@ def test_a_query_whose_anchor_holds_every_free_vertex_builds_no_table(monkeypatc
     assert [v.bit_count() for v in calls] == [17]
 
 
+def test_a_forced_query_stops_at_the_size_of_its_first_violation(monkeypatch):
+    # C_42(1..6), S = {1, 2}: each of the 40 free vertices has at most two
+    # in-neighbors in S, so r = 7 leaves all of them unanchored, and in-degree
+    # 6, so every singleton violates and the naive oracle's first C is the
+    # smallest free vertex.  Vertex 3 is at the top bit of the counter, in a
+    # chunk with one of its 24 high bits set; of the 2^24 chunks, the walk
+    # visits the one with none and the 24 with one.
+    g, s = make_k_circulant(42, 6), {1, 2}
+    assert not naive_reachable(g, {3}, 7) and all(len(g.in_neighbors(v) & s) < 7 for v in g.vertices)
+    visited, walk = [], robustness._first_subset
+    monkeypatch.setattr(robustness, "_first_subset",
+                        lambda n, accept: walk(n, lambda rows, j: visited.append(rows.start) or accept(rows, j)))
+    report = is_strongly_r_robust_bruteforce(g, s, 7, force=True)
+    assert (report.verdict, report.witness) == (False, {"violating_subset": [3]})
+    assert sorted(start.bit_count() for start in visited) == [0] + [1] * 24
+
+
+@pytest.mark.parametrize("width", range(11, 17))
+def test_split_counter_table_is_the_in_degree_minus_the_low_members(width):
+    # the table's columns past 2^10 are filled bit by bit from the ones below;
+    # one graph with in-degrees past 2^8 takes the uint32 table
+    rng = random.Random(131 + width)
+    graphs = [random_digraph(rng, width + 4, 0.5)] + [random_digraph(rng, 270, 0.97)] * (width == 12)
+    for g in graphs:
+        chosen = rng.sample(sorted(g.vertices), width)
+        by_bit, in_deg, split, outside, _ = robustness._split_outside(g, robustness._vertex_mask(g.n, chosen))
+        assert by_bit == sorted(chosen, reverse=True) and split == width
+        inner = np.array([[u in g.in_neighbors(v) for u in by_bit] for v in by_bit], dtype=np.int64)
+        bits = (np.arange(1 << width) >> np.arange(width)[:, None]) & 1
+        expected = np.array(in_deg)[:, None] - inner @ bits
+        assert outside.dtype == (np.uint8 if max(in_deg) < 1 << 8 else np.uint32), (width, g.n)
+        assert np.array_equal(outside, expected), (width, g.n)
+
+
 @pytest.mark.parametrize("low_bits", [2, 3], indirect=True)
 def test_split_counter_pair_witness_is_the_canonical_first_violation(low_bits):
     rng = random.Random(103 + low_bits)

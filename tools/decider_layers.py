@@ -17,10 +17,13 @@ told apart by the hits and misses of ``robustness._first_violations``'s LRU
 cache.  One JSON object per line and layer, ``{"<layer>": {"us": <median us
 per call>, "calls": <calls per pass>}}``, then ``crosscheck pass``, the median
 wall of a whole pass over the workload's ops (certificates included) as
-``ms``, with its median ``us_per_query``.  Last comes ``forced complement``:
-the median ``ms`` per call of the forced complement
-queries of perfbench's ``exact`` at seed 1 (20 and 22 free vertices, above
-the cached table's reach, so each call builds its own table).
+``ms``, with its median ``us_per_query``.  Then two lines time the ops of
+perfbench's ``exact`` at seed 1, as the median ``ms`` per call:
+``forced complement``, its forced complement queries (20 and 22 free
+vertices, above the cached table's reach, so each call searches the free
+vertices its anchor leaves unanchored), and ``pair queries``, the
+``is_r_robust``, ``is_rs_robust`` and ``max_r_robustness`` calls of its pair
+batteries (n = 14 and 16).
 
 rcl is imported from ``PYTHONPATH``, and perfbench's workloads from the
 ``perfbench/`` beside this directory, so one copy of the script run on the
@@ -51,14 +54,16 @@ DECIDERS = (
     "is_strongly_r_robust_bruteforce",
     "is_tlf_robust_bruteforce",
 )
+PAIR_DECIDERS = ("is_r_robust", "is_rs_robust", "max_r_robustness")
 
 
-def _recorded_calls(ops) -> list:
-    """(decider, args, kwargs) of every complement decider call that one pass
-    over ``ops`` makes, in order; recording them also warms up the graphs."""
+def _recorded_calls(ops, deciders) -> list:
+    """(decider, args, kwargs) of every call of the ``robustness`` functions
+    named in ``deciders`` that one pass over ``ops`` makes, in order;
+    recording them also warms up the graphs."""
     recorder = mock.Mock()
     with contextlib.ExitStack() as patches:
-        for name in DECIDERS:
+        for name in deciders:
             decider = patches.enter_context(mock.patch.object(robustness, name, wraps=getattr(robustness, name)))
             recorder.attach_mock(decider, name)
         for op in ops:
@@ -70,7 +75,7 @@ def main() -> int:
     clock, cache = time.perf_counter, robustness._first_violations
     with tempfile.TemporaryDirectory() as tmp:
         plan = workloads.setup_crosscheck(1, Path(tmp))
-    calls = _recorded_calls(plan.ops)
+    calls = _recorded_calls(plan.ops, DECIDERS)
     samples = {"peeling": [], "bruteforce lookup": [], "table build": []}
     passes, queries = [], 0
     for _ in range(PASSES):
@@ -96,14 +101,16 @@ def main() -> int:
     wall = statistics.median(passes)
     print(json.dumps({"crosscheck pass": {"ms": 1e3 * wall, "us_per_query": 1e6 * wall / queries}}))
     with tempfile.TemporaryDirectory() as tmp:
-        forced = [op for op in workloads.setup_exact(1, Path(tmp)).ops if "_bruteforce free=" in op.name]
-    times = []
-    for _ in range(PASSES):
-        for op in forced:
-            start = clock()
-            op.fn()
-            times.append(clock() - start)
-    print(json.dumps({"forced complement": {"ms": 1e3 * statistics.median(times), "calls": len(forced)}}))
+        exact = workloads.setup_exact(1, Path(tmp)).ops
+    forced = [(op.fn, (), {}) for op in exact if "_bruteforce free=" in op.name]
+    for name, timed in (("forced complement", forced), ("pair queries", _recorded_calls(exact, PAIR_DECIDERS))):
+        times = []
+        for _ in range(PASSES):
+            for decide, args, kwargs in timed:
+                start = clock()
+                decide(*args, **kwargs)
+                times.append(clock() - start)
+        print(json.dumps({name: {"ms": 1e3 * statistics.median(times), "calls": len(timed)}}))
     return 0
 
 
