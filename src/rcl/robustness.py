@@ -24,25 +24,29 @@ canonical order: by size, then lexicographically by sorted vertex tuple.
 
 Both enumerations share one split counter, j = (hi << L) | lo with L the
 smaller of 16 and the number of enumerated vertices.  A vertex's in-degree
-outside the enumerated set is ``in_deg - popcount(lo & in_lo) -
-popcount(hi & in_hi)``: the low part is one uint8 table per call (uint32 once
-an in-degree reaches 2^8), and each hi is a chunk of 2^L counters that
-subtracts a per-vertex constant, so counting holds about (vertices x 2^16)
-small ints however many subsets there are.  The pair checks are a DP in
-O(n 2^n): a uint8 table over all subsets and one minimum over submasks give
-each subset its best disjoint partner.  Up to 16 free vertices, the
-complement checks build a small table of the first violating C per pair of
-degree bounds over all of V \\ S, once per (graph, S) and cached, so a query
-is one lookup.  Above 16, a query searches only the free vertices with fewer
-than ``anchor`` in-neighbors in S, the only ones a violating C can hold (with
-none of them it answers true): a C of those violates iff no member has
-``reach`` in-neighbors outside it.  That search, like the pair witnesses, walks
-the chunks in order of popcount(hi) and stops past the size of the first
-violation found, so a small witness ends it early.  Either way a false
-verdict's witness comes straight from the enumeration counter.  Peeling works
-on bitmasks: the eligible ids are one int, the lowest set bit is admitted
-next, and each admission recounts, one popcount each, the in-neighbors in R
-of its out-neighbors (``Digraph.out_masks``) not yet eligible.
+outside the enumerated set is ``in_deg - popcount(lo & in_lo) - popcount(hi &
+in_hi)``: the low part is one uint8 table per call (uint32 once an in-degree
+reaches 2^8), and each hi is a chunk of 2^L counters that subtracts a
+per-vertex constant, so counting holds about (vertices x 2^16) small ints
+however many subsets there are.  What depends only on the width (the low
+counters, their popcounts, bits and canonical keys) is built once per width.
+The pair checks are a DP in O(n 2^n): a uint8 table over all subsets and one
+minimum over submasks give each subset its best disjoint partner.  Up to 16
+free vertices, the complement checks build a small table of the first
+violating C per pair of degree bounds over all of V \\ S, once per (graph, S)
+and cached, so a query is one lookup.  Above 16, a query searches only the
+free vertices with fewer than ``anchor`` in-neighbors in S, the only ones a
+violating C can hold (with none of them it answers true): a C of those
+violates iff no member has ``reach`` in-neighbors outside it.  That search,
+like the pair witnesses, walks the chunks in order of popcount(hi) and stops
+past the size of the first violation found, so a small witness ends it early;
+once it has one, a later chunk evaluates only the low counters small enough to
+beat it, when those are few (a one-member witness leaves one per chunk).
+Either way a false verdict's witness comes straight from the enumeration
+counter.  Peeling works on bitmasks: the eligible ids are one int, the lowest
+set bit is admitted next, and each admission recounts, one popcount each, the
+in-neighbors in R of its out-neighbors (``Digraph.out_masks``) not yet
+eligible.
 
 Every public decider takes vertex ids and integer parameters, caps
 included, by the one rule of ``graph`` (as ``operator.index`` does, bools
@@ -143,6 +147,16 @@ def _low_counters(width: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return tables
 
 
+@lru_cache(maxsize=None)
+def _low_keys(width: int) -> np.ndarray:
+    """The canonical order of the low counters as int64 keys: by size, then
+    descending lo; like ``_low_counters``, it depends only on the width."""
+    lo, sizes, _ = _low_counters(width)
+    keys = (sizes << width) - lo
+    keys.flags.writeable = False
+    return keys
+
+
 def _split_outside(g: Digraph, vertices: int) -> tuple[list[int], list[int], int, np.ndarray, np.ndarray]:
     """The counter over the vertices of the mask ``vertices``, the b-th largest
     at bit b, split at ``width = min(count, _LOW_BITS)``.
@@ -225,10 +239,13 @@ def _subset_table(g: Digraph, limit: int, force: bool, fill) -> np.ndarray:
     table = np.empty(1 << n, dtype=np.uint8)
     *_, width, outside, masks = _split_outside(g, (1 << n) - 1)
     _, sizes, bits = _low_counters(width)
-    members = np.vstack([bits, np.empty((n - width, 1 << width), dtype=bool)])
+    # up to _LOW_BITS vertices the low counters are every subset, so their bits serve as is
+    members = bits if n == width else np.vstack([bits, np.zeros((n - width, 1 << width), dtype=bool)])
     for hi in range(1 << (n - width)):
-        members[width:] = ((hi >> np.arange(n - width)) & 1).astype(bool)[:, None]
-        chunk = outside - np.bitwise_count(masks & (hi << width))[:, None] if hi else outside
+        chunk = outside
+        if hi:
+            members[width:] = ((hi >> np.arange(n - width)) & 1).astype(bool)[:, None]
+            chunk = outside - np.bitwise_count(masks & (hi << width))[:, None]
         table[hi << width:(hi + 1) << width] = fill(chunk, members, sizes + hi.bit_count())
     return table
 
@@ -245,26 +262,41 @@ def _submask_min(table: np.ndarray) -> np.ndarray:
 
 def _first_subset(n: int, accept) -> int | None:
     """The canonically first subset j of n counter bits (bit b the b-th
-    largest of the n vertices) that ``accept(rows, j)`` marks, or None.
+    largest of the n vertices) that ``accept(rows, cols)`` marks, or None.
     Within one size the order is descending j.
 
     ``rows`` is the slice of one chunk, the 2^L counters ``(hi << L) | lo``
-    with L = ``min(n, _LOW_BITS)``, and ``j`` their values.  Chunks go in order
-    of popcount(hi), each size's hi drawn lazily by ``itertools.combinations``
+    with L = ``min(n, _LOW_BITS)``, and ``cols`` the low counters lo it
+    evaluates: ``slice(None)`` for all of them, or an index array; ``accept``
+    returns one mark per evaluated counter.  Chunks go in order of
+    popcount(hi), each size's hi drawn lazily by ``itertools.combinations``
     over the high bits, and the walk stops once popcount(hi) exceeds the size
-    of the best subset found: every subset of a later chunk is larger."""
+    of the best subset found: every subset of a later chunk is larger.  Once
+    a subset of size b is found, a chunk with popcount(hi) = c can only
+    improve on it with a lo of at most b - c members, so for b - c up to
+    L // 4 it evaluates just those (at L = 16, at most 2517 of the 65536,
+    found by ``np.flatnonzero`` once per walk and b - c).  A larger b - c
+    keeps so many that gathering them costs more than evaluating the whole
+    chunk (at L = 16, b - c = 5 keeps 6885 and costs about twice as much),
+    so the chunk is evaluated whole; what it marks past size b never comes
+    first."""
     width = min(n, _LOW_BITS)
-    _, sizes, _ = _low_counters(width)
-    lo = np.arange(1 << width, dtype=np.int64)
-    low_key = (sizes << width) - lo  # by size, then descending lo
+    sizes, low_key = _low_counters(width)[1], _low_keys(width)
+    every, kept = slice(None), {}  # kept[room]: the lo with at most room members
     best = None  # (size, -j) of the first marked subset so far
     for count in range(n - width + 1):
         if best is not None and count > best[0]:
             break
         for high in itertools.combinations(range(width, n), count):
+            room = width if best is None else best[0] - count
+            cols = every if room > width // 4 else kept.get(room)
+            if cols is None:
+                cols = kept[room] = np.flatnonzero(sizes <= room)
             start = sum(1 << b for b in high)
-            marked = np.flatnonzero(accept(slice(start, start + lo.size), lo + start))
+            marked = np.flatnonzero(accept(slice(start, start + sizes.size), cols))
             if marked.size:
+                if cols is not every:
+                    marked = cols[marked]
                 first = int(marked[low_key[marked].argmin()])
                 found = (count + first.bit_count(), -(start | first))
                 best = found if best is None else min(best, found)
@@ -290,10 +322,11 @@ def _pair_scan(
 
     bad = _subset_table(g, limit, force, count_bad)  # the r-reachable count of a bad j, else 255
     partner = _submask_min(bad.copy())[::-1]  # partner[j]: the fewest in a bad subset of ~j
-    s1 = _first_subset(n, lambda rows, _: partner[rows] < s - bad[rows].astype(np.int16))
+    s1 = _first_subset(n, lambda rows, cols: partner[rows][cols] < s - bad[rows][cols].astype(np.int16))
     if s1 is None:
         return RobustnessReport(prop, params, True, None, "bruteforce")
-    s2 = _first_subset(n, lambda rows, j: (bad[rows] < s - int(bad[s1])) & ((j & s1) == 0))
+    lo, below = _low_counters(min(n, _LOW_BITS))[0], s - int(bad[s1])
+    s2 = _first_subset(n, lambda rows, cols: (bad[rows][cols] < below) & (((rows.start + lo[cols]) & s1) == 0))
     witness = {
         "s1": [v for v in g.vertices if s1 >> (n - v) & 1],
         "s2": [v for v in g.vertices if s2 >> (n - v) & 1],
@@ -435,15 +468,15 @@ def _bruteforce(
         *_, width, outside, masks = _split_outside(g, domain)
         low_members, high = _low_counters(width)[2].view(np.uint8), range(width, domain.bit_count())
 
-        def violates(rows, _):
+        def violates(rows, cols):
             # the largest in-degree outside C over its members (a non-member
             # counts 0), below reach; of the high rows, only the members count
-            start = rows.start  # hi << width
-            low = outside[:width] - np.bitwise_count(masks[:width] & start)[:, None] if start else outside[:width]
-            most = (low_members * low).max(axis=0)
+            start, part = rows.start, outside[:, cols]  # start = hi << width
+            low = part[:width] - np.bitwise_count(masks[:width] & start)[:, None] if start else part[:width]
+            most = (low_members[:, cols] * low).max(axis=0)
             members = [b for b in high if start >> b & 1]
             if members:
-                chunk = outside[members] - np.bitwise_count(masks[members] & start)[:, None]
+                chunk = part[members] - np.bitwise_count(masks[members] & start)[:, None]
                 np.maximum(most, chunk.max(axis=0), out=most)
             marked = most < reach
             marked[0] &= start != 0  # the empty C

@@ -14,6 +14,7 @@ from __future__ import annotations
 import csv
 import itertools
 import random
+from collections.abc import Iterator
 
 from rcl import svgplot
 from rcl.graph import Digraph
@@ -30,12 +31,17 @@ def random_digraph(rng: random.Random, n: int, p: float) -> Digraph:
     return Digraph(n, frozenset(edges))
 
 
-def nonempty_subsets(vertices) -> list[frozenset[int]]:
+def canonical_subsets(vertices) -> Iterator[frozenset[int]]:
+    """The nonempty subsets of ``vertices`` in canonical order (by size, then
+    lexicographically by sorted tuple), drawn lazily, so a search that stops
+    at a small subset never lists the larger ones."""
     vs = sorted(vertices)
-    out = []
     for size in range(1, len(vs) + 1):
-        out.extend(frozenset(c) for c in itertools.combinations(vs, size))
-    return out
+        yield from map(frozenset, itertools.combinations(vs, size))
+
+
+def nonempty_subsets(vertices) -> list[frozenset[int]]:
+    return list(canonical_subsets(vertices))
 
 
 def naive_reachable(g: Digraph, subset: frozenset[int], r: int) -> bool:
@@ -93,7 +99,7 @@ def naive_first_violating_subset(
     has >= anchor in-neighbors in S or >= reach in-neighbors outside C; None
     if there is none.  Strong r is (r, r) and TLF with parameter F is
     (F+1, 2F+1)."""
-    for c in nonempty_subsets(set(g.vertices) - subset):
+    for c in canonical_subsets(set(g.vertices) - subset):
         if not any(len(g.in_neighbors(i) & subset) >= anchor for i in c) and not naive_reachable(g, c, reach):
             return c
     return None
@@ -120,12 +126,12 @@ def naive_peeling(
 
 def naive_strongly_r_robust(g: Digraph, subset: frozenset[int], r: int) -> bool:
     rest = set(g.vertices) - subset
-    return all(naive_reachable(g, c, r) for c in nonempty_subsets(rest))
+    return all(naive_reachable(g, c, r) for c in canonical_subsets(rest))
 
 
 def naive_tlf_robust(g: Digraph, subset: frozenset[int], f: int) -> bool:
     rest = set(g.vertices) - subset
-    for c in nonempty_subsets(rest):
+    for c in canonical_subsets(rest):
         anchored = any(len(g.in_neighbors(i) & subset) >= f + 1 for i in c)
         if not anchored and not naive_reachable(g, c, 2 * f + 1):
             return False

@@ -557,18 +557,60 @@ def test_a_query_whose_anchor_holds_every_free_vertex_builds_no_table(monkeypatc
 def test_a_forced_query_stops_at_the_size_of_its_first_violation(monkeypatch):
     # C_42(1..6), S = {1, 2}: each of the 40 free vertices has at most two
     # in-neighbors in S, so r = 7 leaves all of them unanchored, and in-degree
-    # 6, so every singleton violates and the naive oracle's first C is the
-    # smallest free vertex.  Vertex 3 is at the top bit of the counter, in a
-    # chunk with one of its 24 high bits set; of the 2^24 chunks, the walk
-    # visits the one with none and the 24 with one.
+    # 6, so every singleton violates; the lazy naive oracle stops at the
+    # first.  Vertex 3 is at the top bit of the counter, in a chunk with one
+    # of its 24 high bits set; of the 2^24 chunks, the walk visits the one
+    # with none and the 24 with one.  Chunk 0 yields a singleton, so each
+    # later chunk evaluates only its low counter 0.
     g, s = make_k_circulant(42, 6), {1, 2}
-    assert not naive_reachable(g, {3}, 7) and all(len(g.in_neighbors(v) & s) < 7 for v in g.vertices)
+    assert all(len(g.in_neighbors(v) & s) < 7 for v in g.vertices)
+    assert naive_first_violating_subset(g, frozenset(s), 7, 7) == {3}
     visited, walk = [], robustness._first_subset
-    monkeypatch.setattr(robustness, "_first_subset",
-                        lambda n, accept: walk(n, lambda rows, j: visited.append(rows.start) or accept(rows, j)))
+
+    def counted(n, accept):
+        def evaluate(rows, cols):
+            marked = accept(rows, cols)
+            visited.append((rows.start.bit_count(), marked.size))
+            return marked
+        return walk(n, evaluate)
+
+    monkeypatch.setattr(robustness, "_first_subset", counted)
     report = is_strongly_r_robust_bruteforce(g, s, 7, force=True)
     assert (report.verdict, report.witness) == (False, {"violating_subset": [3]})
-    assert sorted(start.bit_count() for start in visited) == [0] + [1] * 24
+    assert sorted(high for high, _ in visited) == [0] + [1] * 24
+    assert visited[0] == (0, 1 << 16) and [size for _, size in visited[1:]] == [1] * 24
+
+
+@pytest.mark.parametrize("low_bits", [4], indirect=True)
+def test_a_pruned_chunk_keeps_every_low_counter_that_can_come_first(low_bits, per_query_tables, monkeypatch):
+    # at 4 low bits, once a subset of size b is found, a chunk of c high
+    # members evaluates its low counters of at most b - c <= 1 members, five
+    # of them, as an index array
+    kept, walk = [], robustness._first_subset
+
+    def counted(n, accept):
+        def evaluate(rows, cols):
+            marked = accept(rows, cols)
+            if not isinstance(cols, slice):
+                kept.append(marked.size)
+            return marked
+        return walk(n, evaluate)
+
+    monkeypatch.setattr(robustness, "_first_subset", counted)
+    rng = random.Random(139)
+    for _ in range(30):
+        g = random_digraph(rng, rng.randrange(6, 11), rng.choice([0.2, 0.4, 0.6]))
+        s = frozenset(rng.sample(sorted(g.vertices), rng.randrange(1, 3)))
+        for anchor in range(1, 4):
+            for reach in range(1, g.max_in_degree + 2):
+                report = robustness._bruteforce(g, robustness._vertex_mask(g.n, s), anchor, reach,
+                                                Property.STRONG_R, {}, None, False)
+                expected = naive_first_violating_subset(g, s, anchor, reach)
+                assert report.witness == (expected and {"violating_subset": sorted(expected)}), (g, s, anchor, reach)
+        if g.n <= 8:
+            for r in range(1, 4):
+                assert _pair(is_rs_robust(g, r, 2)) == naive_first_violating_pair(g, r, 2), (g, r)
+    assert set(kept) == {1, 5}
 
 
 @pytest.mark.parametrize("width", range(11, 17))

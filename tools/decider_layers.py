@@ -23,7 +23,9 @@ perfbench's ``exact`` at seed 1, as the median ``ms`` per call:
 vertices, above the cached table's reach, so each call searches the free
 vertices its anchor leaves unanchored), and ``pair queries``, the
 ``is_r_robust``, ``is_rs_robust`` and ``max_r_robustness`` calls of its pair
-batteries (n = 14 and 16).
+batteries (n = 14 and 16).  Each of the two also prints ``ms_per_pass``, the
+median over passes of the summed time of its calls in one pass, so one slow
+call among fast ones shows in it.
 
 rcl is imported from ``PYTHONPATH``, and perfbench's workloads from the
 ``perfbench/`` beside this directory, so one copy of the script run on the
@@ -104,13 +106,15 @@ def main() -> int:
         exact = workloads.setup_exact(1, Path(tmp)).ops
     forced = [(op.fn, (), {}) for op in exact if "_bruteforce free=" in op.name]
     for name, timed in (("forced complement", forced), ("pair queries", _recorded_calls(exact, PAIR_DECIDERS))):
-        times = []
+        times, sums = [], []
         for _ in range(PASSES):
             for decide, args, kwargs in timed:
                 start = clock()
                 decide(*args, **kwargs)
                 times.append(clock() - start)
-        print(json.dumps({name: {"ms": 1e3 * statistics.median(times), "calls": len(timed)}}))
+            sums.append(sum(times[-len(timed):]))
+        print(json.dumps({name: {"ms": 1e3 * statistics.median(times), "calls": len(timed),
+                                 "ms_per_pass": 1e3 * statistics.median(sums)}}))
     return 0
 
 
