@@ -231,7 +231,10 @@ def load_graph(path: str | Path) -> Digraph:
         if (i, j) in edges:
             raise GraphError(f"{path}:{lineno}: duplicate edge ({i}, {j})")
         edges.add((i, j))
-    return Digraph(n, frozenset(edges))
+    try:
+        return Digraph(n, frozenset(edges))
+    except GraphError as exc:  # only the count is left unchecked: line 1
+        raise GraphError(f"{path}:1: {exc}") from None
 
 
 def graph_to_json(g: Digraph) -> dict:

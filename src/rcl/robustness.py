@@ -31,22 +31,23 @@ per-vertex constant, so counting holds about (vertices x 2^16) small ints
 however many subsets there are.  What depends only on the width (the low
 counters, their popcounts, bits and canonical keys) is built once per width.
 The pair checks are a DP in O(n 2^n): a uint8 table over all subsets and one
-minimum over submasks give each subset its best disjoint partner.  Up to 16
-free vertices, the complement checks build a small table of the first
-violating C per pair of degree bounds over all of V \\ S, once per (graph, S)
-and cached, so a query is one lookup.  Above 16, a query searches only the
-free vertices with fewer than ``anchor`` in-neighbors in S, the only ones a
-violating C can hold (with none of them it answers true): a C of those
-violates iff no member has ``reach`` in-neighbors outside it.  That search,
-like the pair witnesses, walks the chunks in order of popcount(hi) and stops
-past the size of the first violation found, so a small witness ends it early;
-once it has one, a later chunk evaluates only the low counters small enough to
-beat it, when those are few (a one-member witness leaves one per chunk).
-Either way a false verdict's witness comes straight from the enumeration
-counter.  Peeling works on bitmasks: the eligible ids are one int, the lowest
-set bit is admitted next, and each admission recounts, one popcount each, the
-in-neighbors in R of its out-neighbors (``Digraph.out_masks``) not yet
-eligible.
+minimum over submasks give each subset its best disjoint partner.  When the
+free vertices fit one chunk (at most ``_LOW_BITS`` = 16), the complement
+checks build, in one pass over its low counters, a small table of the first
+violating C per pair of degree bounds over all of V \\ S, keyed by
+``_low_keys``, once per (graph, S) and cached, so a query is one lookup.
+Above 16, a query searches only the free vertices with fewer than ``anchor``
+in-neighbors in S, the only ones a violating C can hold (with none of them it
+answers true): a C of those violates iff no member has ``reach`` in-neighbors
+outside it.  That search, like the pair witnesses, walks the chunks in order
+of popcount(hi) and stops past the size of the first violation found, so a
+small witness ends it early; once it has one, a later chunk evaluates only
+the low counters small enough to beat it, when those are few (a one-member
+witness leaves one per chunk).  Either way a false verdict's witness comes
+straight from the enumeration counter, decoded by ``_subset``.  Peeling works
+on bitmasks: the eligible ids are one int, the lowest set bit is admitted
+next, and each admission recounts, one popcount each, the in-neighbors in R
+of its out-neighbors (``Digraph.out_masks``) not yet eligible.
 
 Every public decider takes vertex ids and integer parameters, caps
 included, by the one rule of ``graph`` (as ``operator.index`` does, bools
@@ -327,10 +328,7 @@ def _pair_scan(
         return RobustnessReport(prop, params, True, None, "bruteforce")
     lo, below = _low_counters(min(n, _LOW_BITS))[0], s - int(bad[s1])
     s2 = _first_subset(n, lambda rows, cols: (bad[rows][cols] < below) & (((rows.start + lo[cols]) & s1) == 0))
-    witness = {
-        "s1": [v for v in g.vertices if s1 >> (n - v) & 1],
-        "s2": [v for v in g.vertices if s2 >> (n - v) & 1],
-    }
+    witness = {"s1": _subset(s1, (1 << n) - 1), "s2": _subset(s2, (1 << n) - 1)}
     if prop is Property.RS_ROBUST:
         witness["reachable_counts"] = [int(bad[s1]), int(bad[s2])]
     return RobustnessReport(prop, params, False, witness, "bruteforce")
@@ -378,9 +376,6 @@ def max_r_robustness(g: Digraph, *, cap: int | None = None, force: bool = False)
 
 
 _NO_VIOLATION = np.iinfo(np.int64).max
-# Free sets up to this size share one cached table per (graph, S); a query on
-# a larger one searches the free vertices its anchor leaves unanchored
-_CACHED_FREE = 16
 
 
 @lru_cache(maxsize=256)
@@ -390,42 +385,44 @@ def _first_violations(g: Digraph, s_mask: int) -> np.ndarray:
     and at most o outside C, else ``_NO_VIOLATION``; rows and columns stop at
     the largest degree.
 
-    Bit b of the counter j stands for the b-th largest of the f free
-    vertices, so within one size the canonical order is descending j, and the
-    key is ``(popcount(j) << f) | (2^f - 1 - j)``.  j is split at the low
-    ``min(f, _LOW_BITS)`` bits: the low counters' in-degrees outside C, maxima
-    from S and key terms are built once, and each hi adds its own members and
-    constants to them.  A non-member counts 0 outside C, which never raises the
+    The f free vertices fit one chunk of the counter (f <= ``_LOW_BITS``), so
+    j is a low counter: bit b stands for the b-th largest free vertex, and
+    the key is ``_low_keys(f)[j]``, by size, then descending j.  One pass over
+    the 2^f counters takes the maxima over the members of their in-degrees
+    from S and outside C; a non-member counts 0, which never raises the
     maximum of a nonempty C.
     """
-    by_bit, in_deg, width, outside, masks = _split_outside(g, (1 << g.n) - 1 - s_mask)
-    f, top = len(by_bit), (1 << len(by_bit)) - 1
-    lo, sizes, bits = _low_counters(width)
+    by_bit, in_deg, f, outside, _ = _split_outside(g, (1 << g.n) - 1 - s_mask)
+    members = _low_counters(f)[2].view(np.uint8)
     from_s = [(g.in_masks[v - 1] & s_mask).bit_count() for v in by_bit]
     rows, cols = max(from_s) + 1, max(in_deg) + 1
     # a C's cell is its row (from S) times cols plus its column (outside); both
     # are maxima over the members, so a product with the 0/1 members masks them
-    low_members = bits.view(np.uint8)
     cell_of = np.array([a * cols for a in from_s], dtype=np.uint8 if rows * cols <= 1 << 8 else np.uint32)
-    low_cell = (low_members * cell_of[:width, None]).max(axis=0)
-    low_key = (sizes << f) - lo
+    cell = (members * cell_of[:, None]).max(axis=0) + (members * outside).max(axis=0)
     first = np.full(rows * cols, _NO_VIOLATION, dtype=np.int64)
-    for hi in range(1 << (f - width)):
-        if hi:
-            chunk = outside - np.bitwise_count(masks & (hi << width))[:, None]
-            members = [b for b in range(width, f) if hi >> (b - width) & 1]
-            max_outside = np.maximum((low_members * chunk[:width]).max(axis=0), chunk[members].max(axis=0))
-            cell = np.maximum(low_cell, cell_of[members].max())
-        else:
-            max_outside, cell = (low_members * outside[:width]).max(axis=0), low_cell
-        start = 0 if hi else 1  # the empty C
-        key = low_key[start:] + ((hi.bit_count() << f) + top - (hi << width))
-        np.minimum.at(first, (cell + max_outside)[start:], key)
+    np.minimum.at(first, cell[1:], _low_keys(f)[1:])  # from 1: not the empty C
     first = first.reshape(rows, cols)
     np.minimum.accumulate(first, axis=0, out=first)
     np.minimum.accumulate(first, axis=1, out=first)
     first.flags.writeable = False  # cached tables are shared by every caller
     return first
+
+
+def _subset(j: int, domain: int) -> list[int]:
+    """The vertices of counter j over the mask ``domain``, in increasing
+    order: bit b of j is the b-th largest vertex of ``domain``.  The walk
+    goes up from the smallest vertex, the top bit, and stops once j runs
+    out."""
+    subset, top = [], 1 << domain.bit_count()
+    while j:
+        low = domain & -domain
+        domain ^= low
+        top >>= 1
+        if j & top:
+            j ^= top
+            subset.append(low.bit_length())
+    return subset
 
 
 def _bruteforce(
@@ -438,9 +435,10 @@ def _bruteforce(
     subset order.  With no free vertex, or anchor or reach 0, the verdict is
     true whatever the caps.
 
-    Up to ``_CACHED_FREE`` free vertices, one cached table over all of V \\ S
-    answers every (anchor, reach) on (g, S), and the witness is read off its
-    key.  Above it, a query searches only the free vertices with fewer than
+    When the free vertices fit one chunk of the counter (at most
+    ``_LOW_BITS``), one cached table over all of V \\ S answers every
+    (anchor, reach) on (g, S), and j is read off its ``_low_keys`` key.
+    Above that, a query searches only the free vertices with fewer than
     anchor in-neighbors in S: a violating C has no other member, and the
     canonical order of its subsets is the order restricted to them.  So a C
     there violates iff no member has reach or more in-neighbors outside C,
@@ -454,11 +452,11 @@ def _bruteforce(
         raise EnumerationCapError(
             f"complement size {free} exceeds enumeration cap {limit}; pass force=True to override"
         )
-    if free <= _CACHED_FREE:
+    if free <= _LOW_BITS:
         first = _first_violations(g, s_mask)
         rows, cols = first.shape
         key = first.item(min(anchor, rows) - 1, min(reach, cols) - 1)
-        j = None if key == _NO_VIOLATION else ~key & ((1 << free) - 1)
+        j = None if key == _NO_VIOLATION else -key & ((1 << free) - 1)
     else:
         if free > 62:  # the counter is an int64
             raise EnumerationCapError(f"cannot enumerate the subsets of {free} vertices, even forced")
@@ -485,17 +483,7 @@ def _bruteforce(
         j = _first_subset(domain.bit_count(), violates)
     if j is None:
         return RobustnessReport(prop, params, True, None, "bruteforce")
-    # bit b of j is the b-th largest of the f enumerated vertices: walk them
-    # from the smallest, bit f - 1, until j runs out
-    b, rest, subset = domain.bit_count(), domain, []
-    while j:
-        low = rest & -rest
-        rest ^= low
-        b -= 1
-        if j >> b & 1:
-            j ^= 1 << b
-            subset.append(low.bit_length())
-    return RobustnessReport(prop, params, False, {"violating_subset": subset}, "bruteforce")
+    return RobustnessReport(prop, params, False, {"violating_subset": _subset(j, domain)}, "bruteforce")
 
 
 def _peeling(

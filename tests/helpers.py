@@ -92,15 +92,20 @@ def naive_first_violating_pair(
     return None
 
 
+def naive_violates(g: Digraph, subset: frozenset[int], c: frozenset[int], anchor: int, reach: int) -> bool:
+    """C has no member with >= anchor in-neighbors in S or >= reach
+    in-neighbors outside C."""
+    return not any(len(g.in_neighbors(i) & subset) >= anchor for i in c) and not naive_reachable(g, c, reach)
+
+
 def naive_first_violating_subset(
     g: Digraph, subset: frozenset[int], anchor: int, reach: int
 ) -> frozenset[int] | None:
-    """The first nonempty C in V \\ S, in canonical order, with no member that
-    has >= anchor in-neighbors in S or >= reach in-neighbors outside C; None
-    if there is none.  Strong r is (r, r) and TLF with parameter F is
-    (F+1, 2F+1)."""
+    """The first nonempty C in V \\ S, in canonical order, that violates by
+    ``naive_violates``; None if there is none.  Strong r is (r, r) and TLF
+    with parameter F is (F+1, 2F+1)."""
     for c in canonical_subsets(set(g.vertices) - subset):
-        if not any(len(g.in_neighbors(i) & subset) >= anchor for i in c) and not naive_reachable(g, c, reach):
+        if naive_violates(g, subset, c, anchor, reach):
             return c
     return None
 

@@ -231,6 +231,9 @@ def test_load_rejects_malformed(tmp_path):
     path.write_text("\n  \n")
     with pytest.raises(GraphError, match=": empty file$"):
         load_graph(path)
+    path.write_text("n 1\n")
+    with pytest.raises(GraphError, match=f"^{path}:1: agent count must be >= 2, got 1$"):
+        load_graph(path)
 
 
 def test_graph_files_take_ids_only_as_str_writes_them(tmp_path):

@@ -22,6 +22,7 @@ from helpers import (
     naive_reachable,
     naive_strongly_r_robust,
     naive_tlf_robust,
+    naive_violates,
     random_digraph,
 )
 from rcl import robustness
@@ -482,7 +483,8 @@ def test_forced_pair_scan_past_the_memory_budget_is_refused():
 @pytest.fixture
 def low_bits(request, monkeypatch):
     """Split the enumeration counter after 2 or 3 low bits, so that graphs
-    small enough for the naive oracles run the per-chunk (high bits) path."""
+    small enough for the naive oracles run the per-chunk (high bits) path,
+    and a complement query on more free vertices than that takes the walk."""
     monkeypatch.setattr(robustness, "_LOW_BITS", request.param)
     robustness._first_violations.cache_clear()
     yield request.param
@@ -505,15 +507,24 @@ def test_split_counter_complement_witness_is_the_canonical_first_violation(low_b
                     assert report.witness["violating_subset"] == sorted(expected), (g, s, anchor, reach)
 
 
-@pytest.fixture
-def per_query_tables(monkeypatch):
-    """Send every complement query past the cached table, so that it
-    enumerates only the free vertices its anchor leaves unanchored."""
-    monkeypatch.setattr(robustness, "_CACHED_FREE", 0)
+@pytest.mark.parametrize("low_bits", [3], indirect=True)
+def test_the_cached_table_answers_exactly_the_queries_whose_free_vertices_fit_one_chunk(low_bits, monkeypatch):
+    # 3 free vertices fit the 3 low bits: one table, no walk; 4 take the walk
+    walks, walk = [], robustness._first_subset
+    monkeypatch.setattr(robustness, "_first_subset", lambda n, accept: walks.append(n) or walk(n, accept))
+    g = make_k_circulant(6, 1)
+    report = is_strongly_r_robust_bruteforce(g, {1, 2, 3}, 2)
+    assert (report.verdict, report.witness) == (False, {"violating_subset": [4]})
+    assert robustness._first_violations.cache_info().misses == 1 and walks == []
+    report = is_strongly_r_robust_bruteforce(g, {1, 2}, 2)
+    assert (report.verdict, report.witness) == (False, {"violating_subset": [3]})
+    assert robustness._first_violations.cache_info().misses == 1 and walks == [4]
 
 
-@pytest.mark.parametrize("low_bits", [2, 3, 16], indirect=True)
-def test_per_anchor_domain_witness_is_the_canonical_first_violation(low_bits, per_query_tables):
+@pytest.mark.parametrize("low_bits", [2, 3], indirect=True)
+def test_per_anchor_domain_witness_is_the_canonical_first_violation(low_bits, monkeypatch):
+    walks, walk = [], robustness._first_subset
+    monkeypatch.setattr(robustness, "_first_subset", lambda n, accept: walks.append(n) or walk(n, accept))
     rng = random.Random(113 + low_bits)
     seen = set()
     for _ in range(30):
@@ -530,6 +541,8 @@ def test_per_anchor_domain_witness_is_the_canonical_first_violation(low_bits, pe
                 pruned = any(a >= anchor for v, a in zip(g.vertices, from_s) if v not in s)
                 seen.add((pruned, report.verdict))
     assert seen == {(True, True), (True, False), (False, True), (False, False)}
+    # walks over one chunk (the unanchored domain within the low bits) and over several
+    assert {n > low_bits for n in walks} == {False, True}
 
 
 def test_a_query_whose_anchor_holds_every_free_vertex_builds_no_table(monkeypatch):
@@ -582,7 +595,7 @@ def test_a_forced_query_stops_at_the_size_of_its_first_violation(monkeypatch):
 
 
 @pytest.mark.parametrize("low_bits", [4], indirect=True)
-def test_a_pruned_chunk_keeps_every_low_counter_that_can_come_first(low_bits, per_query_tables, monkeypatch):
+def test_a_pruned_chunk_keeps_every_low_counter_that_can_come_first(low_bits, monkeypatch):
     # at 4 low bits, once a subset of size b is found, a chunk of c high
     # members evaluates its low counters of at most b - c <= 1 members, five
     # of them, as an index array
@@ -681,6 +694,30 @@ def test_complement_tables_hold_in_degrees_beyond_int8():
         assert brute.witness == (None if expected is None else {"violating_subset": sorted(expected)}), f
         verdicts.add(brute.verdict)
     assert verdicts == {True, False}
+
+
+def test_every_bruteforce_witness_lies_inside_peelings_stalled_complement():
+    # Violating sets are closed under union, and none meets what peeling
+    # admits, so its stalled complement T is the union of all of them: T
+    # violates, and it holds every brute-force witness
+    rng = random.Random(151)
+    seen = set()
+    for _ in range(600):
+        g = random_digraph(rng, rng.randrange(4, 13), rng.choice([0.2, 0.4, 0.6]))
+        s = frozenset(rng.sample(sorted(g.vertices), rng.randrange(1, 4)))
+        queries = [(is_strongly_r_robust_bruteforce, is_strongly_r_robust_peeling, r, r, r)
+                   for r in range(1, g.n + 1)]
+        queries += [(is_tlf_robust_bruteforce, is_tlf_robust_peeling, f, f + 1, 2 * f + 1) for f in range(5)]
+        for brute, peel, param, anchor, reach in queries:
+            report, peeled = brute(g, s, param), peel(g, s, param)
+            assert report.verdict == peeled.verdict, (g, s, brute.__name__, param)
+            if not report.verdict:
+                witness = set(report.witness["violating_subset"])
+                stalled = frozenset(peeled.witness["stalled_complement"])
+                assert witness <= stalled, (g, s, brute.__name__, param)
+                assert naive_violates(g, s, stalled, anchor, reach), (g, s, brute.__name__, param)
+                seen.add(witness < stalled)
+    assert seen == {False, True}
 
 
 def test_strong_peeling_r0_admits_everyone():
