@@ -236,8 +236,8 @@ def _write_bundle(out_dir: Path, traj, metrics, report: dict, title: str, print_
 def cmd_run(args) -> int:
     check_tol(args.tol)
     try:
-        obj = json.loads(Path(args.config).read_text())
-    except json.JSONDecodeError as exc:
+        obj = json.loads(Path(args.config).read_text(encoding="utf-8"))
+    except ValueError as exc:  # json.JSONDecodeError, UnicodeDecodeError
         raise ConfigError(f"{args.config}: not valid JSON: {exc}") from None
     config = config_from_dict(obj)
     if args.seed is not None:

@@ -205,36 +205,47 @@ def save_graph(g: Digraph, path: str | Path) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def load_graph(path: str | Path) -> Digraph:
-    """Read the edge-list format written by save_graph.
+def _read(path: str | Path, decode: Any = str) -> Any:
+    """File ``path`` as UTF-8 text, through ``decode``; else GraphError naming the file."""
+    try:
+        return decode(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:  # UnicodeDecodeError, json.JSONDecodeError
+        raise GraphError(f"{path}: {exc}") from None
 
-    Rejects malformed lines, out-of-range ids, self-loops, and duplicate edges.
-    """
-    text = Path(path).read_text()
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
+
+def _file_graph(n: int, n_at: str, edges: Iterable[tuple[str, int, int]]) -> Digraph:
+    """The graph of count ``n`` and edges ``(at, i, j)``, read at ``n_at`` and ``at`` ("g.txt:3",
+    "g.json#/edges/1"); GraphError there at a count below 2, then a self-loop, id outside 1..n or repeat."""
+    if n < 2:
+        raise GraphError(f"{n_at}: agent count must be >= 2, got {n}")
+    seen: set[tuple[int, int]] = set()
+    for at, i, j in edges:
+        if i == j:
+            raise GraphError(f"{at}: self-loop ({i}, {j})")
+        if not (0 < i <= n and 0 < j <= n):
+            raise GraphError(f"{at}: vertex id outside 1..{n} in ({i}, {j})")
+        if (i, j) in seen:
+            raise GraphError(f"{at}: duplicate edge ({i}, {j})")
+        seen.add((i, j))
+    return Digraph(n, frozenset(seen))
+
+
+def load_graph(path: str | Path) -> Digraph:
+    """Read the edge-list format written by save_graph, skipping blank lines;
+    errors name the file and the physical line at fault."""
+    lines = [(f"{path}:{no}", ln.strip()) for no, ln in enumerate(_read(path).split("\n"), 1) if ln.strip()]
     if not lines:
         raise GraphError(f"{path}: empty file")
-    header = lines[0].split()
-    if len(header) != 2 or header[0] != "n":
-        raise GraphError(f"{path}:1: expected header 'n <count>', got {lines[0]!r}")
-    n = _integer_text(header[1], f"{path}:1: agent count", GraphError)
-    edges: set[tuple[int, int]] = set()
-    for lineno, ln in enumerate(lines[1:], start=2):
-        parts = ln.split()
-        if len(parts) != 2:
-            raise GraphError(f"{path}:{lineno}: expected 'i j', got {ln!r}")
-        i, j = (_integer_text(v, f"{path}:{lineno}: vertex id", GraphError) for v in parts)
-        if i == j:
-            raise GraphError(f"{path}:{lineno}: self-loop ({i}, {j})")
-        if not (1 <= i <= n and 1 <= j <= n):
-            raise GraphError(f"{path}:{lineno}: vertex id outside 1..{n} in ({i}, {j})")
-        if (i, j) in edges:
-            raise GraphError(f"{path}:{lineno}: duplicate edge ({i}, {j})")
-        edges.add((i, j))
-    try:
-        return Digraph(n, frozenset(edges))
-    except GraphError as exc:  # only the count is left unchecked: line 1
-        raise GraphError(f"{path}:1: {exc}") from None
+    (n_at, header), *rows = lines
+    if (tokens := header.split())[0] != "n" or len(tokens) != 2:
+        raise GraphError(f"{n_at}: expected header 'n <count>', got {header!r}")
+
+    def edge(at: str, row: str) -> tuple[str, int, int]:
+        if len(ids := row.split()) != 2:
+            raise GraphError(f"{at}: expected 'i j', got {row!r}")
+        return at, *(_integer_text(v, f"{at}: vertex id", GraphError) for v in ids)
+
+    return _file_graph(_integer_text(tokens[1], f"{n_at}: agent count", GraphError), n_at, (edge(*r) for r in rows))
 
 
 def graph_to_json(g: Digraph) -> dict:
@@ -275,15 +286,8 @@ def graph_from_json(obj: Any, path: str = "#") -> Digraph:
     for key, form, shape in (("n", int, "an integer"),
                              ("edges", [(int, int)], "a list of [i, j] pairs of integers")):
         _require(obj.get(key), f"{path}/{key}", form, shape)
-    edges = set()
-    for index, (i, j) in enumerate(obj["edges"]):
-        if (i, j) in edges:
-            raise GraphError(f"{path}/edges/{index}: duplicate edge ({i}, {j})")
-        edges.add((i, j))
-    try:
-        return Digraph(obj["n"], frozenset(edges))
-    except GraphError as exc:
-        raise GraphError(f"{path}: {exc}") from None
+    edges = ((f"{path}/edges/{k}", *map(operator.index, e)) for k, e in enumerate(obj["edges"]))
+    return _file_graph(operator.index(obj["n"]), f"{path}/n", edges)
 
 
 def save_graph_json(g: Digraph, path: str | Path) -> None:
@@ -291,4 +295,4 @@ def save_graph_json(g: Digraph, path: str | Path) -> None:
 
 
 def load_graph_json(path: str | Path) -> Digraph:
-    return graph_from_json(json.loads(Path(path).read_text()), f"{path}#")
+    return graph_from_json(_read(path, json.loads), f"{path}#")

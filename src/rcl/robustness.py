@@ -497,7 +497,11 @@ def _peeling(
     follows the order a rescan would.  An admission recounts only its
     out-neighbors not yet eligible (``Digraph.out_masks``), by a popcount of
     their in-masks against R.  The witness is the admission order (true) or
-    the stalled complement (false)."""
+    the stalled complement (false).
+
+    Violating sets are closed under union and none meets R (its first admitted
+    member had < anchor in S and < reach in R, inside V \\ C), so the stalled
+    T = V \\ R is their union and holds every brute-force witness."""
     full, low, in_masks = (1 << g.n) - 1, min(anchor, reach), g.in_masks
     eligible = 0
     for v, m in enumerate(in_masks):

@@ -570,13 +570,8 @@ def compute_metrics(traj: Trajectory, tol: float = DEFAULT_TOL) -> Metrics:
         monotone = bool(
             np.all(rise_lower[t1 : t2 - 1] >= -ENVELOPE_SLACK) and np.all(rise_upper[t1 : t2 - 1] <= ENVELOPE_SLACK)
         )
-        if non_adversarial:
-            block = traj.states[t1:t2, [i - 1 for i in non_adversarial]]
-            invariant = bool(
-                np.all(block >= lower[t1] - ENVELOPE_SLACK) and np.all(block <= upper[t1] + ENVELOPE_SLACK)
-            )
-        else:
-            invariant = True
+        block = traj.states[t1:t2, [i - 1 for i in non_adversarial]]
+        invariant = bool(np.all(block >= lower[t1] - ENVELOPE_SLACK) and np.all(block <= upper[t1] + ENVELOPE_SLACK))
         end_error = float(err[t2 - 1]) if err is not None else None
         intervals.append(IntervalReport(t1, t2, monotone, invariant, end_error))
     return Metrics(

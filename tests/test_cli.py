@@ -263,6 +263,15 @@ def test_check_graph_json_with_unknown_key_exit_2(capsys, tmp_path):
     assert err == f"error: {graph_file}#/egdes: unexpected key\n"
 
 
+@pytest.mark.parametrize("name, data", [("g.json", b'{"n": 3, "edges": [[1, 2], '), ("g.txt", b"n 3\n1 2\xff\n")])
+def test_check_graph_file_that_does_not_decode_names_the_file(capsys, tmp_path, name, data):
+    graph_file = tmp_path / name
+    graph_file.write_bytes(data)
+    code, out, err = run_cli(capsys, "check", "--graph", str(graph_file), "--max-r")
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {graph_file}: ") and err.count("\n") == 1, err
+
+
 def test_gen_graph_json_format(capsys, tmp_path):
     out_file = tmp_path / "g.json"
     code, _, _ = run_cli(capsys, "gen-graph", "--undirected-circulant", "6", "1,2",
@@ -479,6 +488,8 @@ _TABLE = {str(i): {str((i - 1 - a) % 8 + 1): 0.25 for a in range(4)} for i in ra
     (_adversary({"type": "byzantine", "signals": {}}), "/roles/5/adversary/edges"),
     ({"init": {"values": [0] * 8}}, "/init/values"),
     ({"weight_table": {**_TABLE, "1": 0.25}}, "/weight_table/1"),
+    # an edge list is checked entry by entry
+    ({"graph": {"n": 8, "edges": [[1, 2], [3, 3]]}}, "/graph/edges/1"),
 ])
 def test_run_hostile_config_shapes_exit_2_with_path(capsys, tmp_path, patch, path):
     config_path = tmp_path / "bad.json"
@@ -563,6 +574,14 @@ def test_run_invalid_json(capsys, tmp_path):
     config_path.write_text("{nope")
     code, _, err = run_cli(capsys, "run", str(config_path), "--out", str(tmp_path / "x"))
     assert code == 2
+
+
+def test_run_config_that_is_not_utf8_names_the_file(capsys, tmp_path):
+    config_path = tmp_path / "bad.json"
+    config_path.write_bytes(b'{"graph": \xff}')
+    code, _, err = run_cli(capsys, "run", str(config_path), "--out", str(tmp_path / "x"))
+    assert code == 2
+    assert err.startswith(f"error: {config_path}: not valid JSON: 'utf-8' codec"), err
 
 
 def test_scenario_list(capsys):

@@ -1,8 +1,11 @@
 import json
 import random
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rcl.graph import (
     Digraph,
@@ -248,6 +251,124 @@ def test_graph_files_take_ids_only_as_str_writes_them(tmp_path):
     assert load_graph(path) == Digraph(3, frozenset({(1, 2), (3, 1)}))
 
 
+@pytest.mark.parametrize("text, message", [
+    ("n 1\n1 2\n", ":1: agent count must be >= 2, got 1"),
+    ("n 3\n\n\n1 2\n2 2\n", ":5: self-loop (2, 2)"),
+    ("\n\nn 1\n", ":3: agent count must be >= 2, got 1"),
+    ("n 3\r\n \r\n1 2\r\n3 4\r\n", ":4: vertex id outside 1..3 in (3, 4)"),
+])
+def test_text_errors_name_the_file_and_physical_line(tmp_path, text, message):
+    path = tmp_path / "g.txt"
+    path.write_bytes(text.encode())
+    with pytest.raises(GraphError) as exc:
+        load_graph(path)
+    assert str(exc.value) == f"{path}{message}"
+
+
+@pytest.mark.parametrize("name, data", [("g.json", b'{"n": 3, "edges": [[1, 2], '), ("g.json", b"\xff"),
+                                        ("g.txt", b"n 3\n1 2\xff\n")])
+def test_undecodable_files_name_the_file(tmp_path, name, data):
+    path = tmp_path / name
+    path.write_bytes(data)
+    with pytest.raises(GraphError, match=f"^{path}: "):
+        (load_graph_json if name.endswith(".json") else load_graph)(path)
+
+
+# ROADMAP item 10, graph files: one mutation of a valid file leaves a file
+# refused at the file and the mutated physical line (text) or JSON pointer, or
+# its parent (JSON), unless it swapped a token for itself
+_NOT_AN_ID = st.text(st.characters(blacklist_categories=("Cc", "Cs", "Z")), min_size=1, max_size=3).filter(
+    lambda t: t.split() == [t] and not re.fullmatch(r"-?(0|[1-9][0-9]*)", t))
+
+
+@st.composite
+def _graphs(draw):
+    n = draw(st.integers(2, 6))
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
+    return n, draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=8, unique=True))
+
+
+def _bad_edge(draw, n, edges, kind):
+    """A pair that is a self-loop, leaves 1..n or repeats one of ``edges``."""
+    i = draw(st.integers(1, n))
+    if kind == "self-loop":
+        return [i, i]
+    if kind == "range":
+        return draw(st.permutations([i, draw(st.sampled_from([0, n + 1]))]))
+    return list(draw(st.sampled_from(edges)))
+
+
+@pytest.fixture(scope="module")
+def mutant(tmp_path_factory):
+    return tmp_path_factory.mktemp("mutants") / "graph"
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_a_mutated_text_graph_loads_or_names_the_physical_line(mutant, data):
+    n, edges = data.draw(_graphs())
+    rows = [["n", str(n)], *([str(i), str(j)] for i, j in edges)]
+    valid = [row[:] for row in rows]
+    kind = data.draw(st.sampled_from(["token", "count", "self-loop", "range", "duplicate"]))
+    if kind == "token":
+        fault, token = data.draw(st.sampled_from([(k, t) for k in range(len(rows)) for t in (0, 1)]))
+        rows[fault][token] = data.draw(_NOT_AN_ID)
+    elif kind == "count":
+        fault, rows[0][1] = 0, str(data.draw(st.integers(-3, 1)))
+    else:
+        row = [str(v) for v in _bad_edge(data.draw, n, edges, kind)]
+        rows.insert(data.draw(st.integers(1, len(rows))), row)
+        fault = len(rows) - 1 - rows[::-1].index(row)  # of a duplicate, the later line
+    blanks = data.draw(st.lists(st.integers(0, 2), min_size=len(rows) + 1, max_size=len(rows) + 1))
+    space, newline = data.draw(st.sampled_from([(" ", "\n"), ("  ", "\r\n"), ("\t", "\n")]))
+    lines, line_of = [], []
+    for row, blank in zip(rows, blanks):
+        lines += ["", " \t"][:blank]
+        lines.append(space.join(row))
+        line_of.append(len(lines))
+    path = mutant.with_suffix(".txt")
+    path.write_bytes(newline.join(lines + [""] * blanks[-1] + [""]).encode())
+    try:
+        g = load_graph(path)
+    except GraphError as exc:
+        assert str(exc).startswith(f"{path}:{line_of[fault]}: "), (path.read_bytes(), exc)
+    else:
+        assert rows == valid and g == Digraph(n, frozenset(edges)), path.read_bytes()
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_a_mutated_json_graph_loads_or_names_the_pointer(mutant, data):
+    n, edges = data.draw(_graphs())
+    obj = {"n": n, "edges": [list(e) for e in edges]}
+    kind = data.draw(st.sampled_from(["value", "count", "self-loop", "range", "duplicate", "missing", "extra"]))
+    if kind == "value":
+        where = data.draw(st.sampled_from([["n"], ["edges"], ["edges", len(edges) - 1],
+                                           ["edges", 0, data.draw(st.integers(0, 1))]]))
+        holder = obj
+        for key in where[:-1]:
+            holder = holder[key]
+        holder[where[-1]] = data.draw(st.sampled_from(["3", 2.0, 1.5, None, True, {}, [1, 2, 3]]))
+    elif kind == "count":
+        where, obj["n"] = ["n"], data.draw(st.integers(-3, 1))
+    elif kind == "missing":
+        where = [data.draw(st.sampled_from(["n", "edges"]))]
+        del obj[where[0]]
+    elif kind == "extra":
+        where = [data.draw(st.sampled_from(["N", "edge", "egdes", "k", "leaders"]))]
+        obj[where[0]] = data.draw(st.sampled_from([0, [], None]))
+    else:
+        pair = _bad_edge(data.draw, n, edges, kind)
+        obj["edges"].insert(data.draw(st.integers(0, len(edges))), pair)
+        where = ["edges", len(edges) - obj["edges"][::-1].index(pair)]  # of a duplicate, the later entry
+    path = mutant.with_suffix(".json")
+    path.write_text(json.dumps(obj))
+    with pytest.raises(GraphError) as exc:
+        load_graph_json(path)
+    pointers = ["/" + "/".join(map(str, where[:depth])) for depth in range(1, len(where) + 1)]
+    assert any(str(exc.value).startswith(f"{path}#{p}: ") for p in pointers), (obj, where, exc.value)
+
+
 def test_json_roundtrip():
     g = make_k_circulant(7, 3)
     assert graph_from_json(graph_to_json(g)) == g
@@ -268,9 +389,11 @@ def test_json_rejects_boolean_ids(obj):
     ({"n": "3", "edges": []}, "/n: expected an integer, got '3'"),
     ({"edges": []}, "/n: expected an integer, got None"),
     ({"n": 3, "edges": [[1, 2], [2, 3], [1, 2]]}, "/edges/2: duplicate edge (1, 2)"),
-    ({"n": 3, "edges": [[1, 1]]}, ": self-loop (1, 1) not allowed"),
+    ({"n": 3, "edges": [[1, 1]]}, "/edges/0: self-loop (1, 1)"),
     ([[1, 2]], ": graph JSON must be an object with keys 'n' and 'edges'"),
     ({"n": 4, "edges": [[1, 2], [2, 3]], "egdes": [[1, 3]]}, "/egdes: unexpected key"),
+    ({"n": 3, "edges": [[1, 2], [2, 5]]}, "/edges/1: vertex id outside 1..3 in (2, 5)"),
+    ({"n": 1, "edges": []}, "/n: agent count must be >= 2, got 1"),
 ])
 def test_json_errors_name_the_file_and_pointer(tmp_path, obj, pointer):
     path = tmp_path / "g.json"

@@ -720,6 +720,30 @@ def test_every_bruteforce_witness_lies_inside_peelings_stalled_complement():
     assert seen == {False, True}
 
 
+def test_forced_walk_witnesses_lie_inside_peelings_stalled_complement():
+    # the same relation at 17..22 free vertices, where brute force walks the
+    # subsets instead of reading the cached table
+    rng = random.Random(157)
+    seen = set()
+    for _ in range(40):
+        leaders = rng.randrange(1, 4)
+        g = random_digraph(rng, leaders + rng.randrange(17, 23), rng.choice([0.2, 0.3, 0.4]))
+        s = frozenset(rng.sample(sorted(g.vertices), leaders))
+        assert g.n - len(s) > robustness._LOW_BITS
+        queries = [(is_strongly_r_robust_bruteforce, is_strongly_r_robust_peeling, r, r, r) for r in range(1, 8)]
+        queries += [(is_tlf_robust_bruteforce, is_tlf_robust_peeling, f, f + 1, 2 * f + 1) for f in range(4)]
+        for brute, peel, param, anchor, reach in queries:
+            report, peeled = brute(g, s, param, force=True), peel(g, s, param)
+            assert report.verdict == peeled.verdict, (g, s, brute.__name__, param)
+            if not report.verdict:
+                witness = set(report.witness["violating_subset"])
+                stalled = frozenset(peeled.witness["stalled_complement"])
+                assert witness <= stalled, (g, s, brute.__name__, param)
+                assert naive_violates(g, s, stalled, anchor, reach), (g, s, brute.__name__, param)
+                seen.add(witness < stalled)
+    assert seen == {False, True}
+
+
 def test_strong_peeling_r0_admits_everyone():
     g = make_k_circulant(5, 2)
     report = is_strongly_r_robust_peeling(g, {3}, 0)

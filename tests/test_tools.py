@@ -46,8 +46,8 @@ def test_bench_record_exits_2_before_running_anything(tmp_path, stub_src, checko
 
 
 def test_bench_record_keeps_the_stderr_of_every_failed_step(tmp_path, stub_src):
-    # the layer tools exit 1 at the stub's import, pytest finds no tests, and
-    # the stub perfbench prints one JSON line
+    # the layer tools and the rcl.cli steps exit 1 at the stub's import,
+    # pytest finds no tests, and the stub perfbench prints one JSON line
     run_py = stub_src.parent / "perfbench" / "run.py"
     run_py.parent.mkdir()
     run_py.write_text("import json, sys\nprint(json.dumps({'argv': sys.argv[1:]}))\n")
@@ -59,8 +59,11 @@ def test_bench_record_keeps_the_stderr_of_every_failed_step(tmp_path, stub_src):
         step = record[script]
         assert step["returncode"] == 1 and "result" not in step
         assert step["stderr_tail"].strip().endswith(MARKER), step
-    for name in ("tier1", "c01"):
+    for name in ("tier1", "c01", "c04"):
         assert record[name]["returncode"] != 0 and "summary" in record[name] and "stderr_tail" in record[name]
+    for name in ("sim2", "sweep"):  # the stub has no rcl.cli
+        assert record[name]["returncode"] == 1 and "result" not in record[name]
+        assert record[name]["stderr_tail"].strip().endswith(MARKER), record[name]
     for workload, runs in record["perfbench"].items():
         assert list(runs) == ["1", "101"]
         for seed, step in runs.items():

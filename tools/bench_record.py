@@ -9,7 +9,10 @@ importing it), one step after the other, with that ``src/`` as ``PYTHONPATH``:
   at seeds 1 and 101, each run in its own process;
 - ``track_layers.py`` and ``decider_layers.py`` beside this file;
 - the tier-1 suite (``python -m pytest -q --continue-on-collection-errors``)
-  and acceptance test c01 alone.
+  and acceptance test c01 alone;
+- the other end-to-end walls: ``rcl scenario sim2``, acceptance test c04 (the
+  20-seed sim2 batch) alone, and a fixed 420-cell ``rcl sweep``, each writing
+  its output to a temporary directory.
 
 Every step is a child process run by ``_step``, whose environment pins glibc's
 heap trim and mmap thresholds (``MALLOC_TRIM_THRESHOLD_``,
@@ -41,6 +44,7 @@ import os
 import platform
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -176,11 +180,18 @@ def main(argv=None) -> int:
               for script in ("track_layers", "decider_layers")]
     steps += [("tier-1", record, "tier1", [*TIER1], 3600), ("c01", record, "c01", [*TIER1, C01], 3600)]
     failed = []
-    for name, holder, key, argv, timeout in steps:
-        print(name, file=sys.stderr, flush=True)
-        holder[key] = _step(root, [sys.executable, *argv], timeout)
-        if holder[key]["returncode"] != 0:
-            failed.append(name)
+    with tempfile.TemporaryDirectory() as tmp:
+        steps += [("sim2", record, "sim2", ["-m", "rcl.cli", "scenario", "sim2", "--out", tmp], 600),
+                  ("c04", record, "c04", [*TIER1, "tests/test_acceptance.py::test_c04_sim2_reproduction_over_20_seeds"],
+                   1800),
+                  ("sweep", record, "sweep", ["-m", "rcl.cli", "sweep", "--n", "20,30", "--k", "5-7", "--f", "1,2",
+                                              "--window-sizes", "3-9", "--window-starts", "1-5", "--horizon", "200",
+                                              "-o", f"{tmp}/sweep.csv"], 600)]
+        for name, holder, key, argv, timeout in steps:
+            print(name, file=sys.stderr, flush=True)
+            holder[key] = _step(root, [sys.executable, *argv], timeout)
+            if holder[key]["returncode"] != 0:
+                failed.append(name)
     record["notes"] = NOTES
     args.out.write_text(json.dumps(record, indent=2) + "\n")
     if failed:
