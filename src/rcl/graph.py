@@ -103,10 +103,21 @@ def _edge(e: Any) -> tuple[int, int]:
     return tuple(_integer(v, f"edge {e!r}: vertex", GraphError) for v in e)
 
 
+def _edge_fault(n: int, i: int, j: int) -> str | None:
+    """What is wrong with edge (i, j) on vertices 1..n, worded once for every
+    reader: a self-loop, then an id outside 1..n; None for a valid edge."""
+    if i == j:
+        return f"self-loop ({i}, {j})"
+    if not (0 < i <= n and 0 < j <= n):
+        return f"vertex id outside 1..{n} in ({i}, {j})"
+    return None
+
+
 def _adjacency(n: int, edges: frozenset) -> tuple[list[list[int]], list[list[int]]] | None:
     """The in- and out-neighbour lists of vertices 0..n (0 stays empty), from
     one pass over ``edges``; None at an edge that is not a pair of ints, and
-    GraphError at a self-loop or an endpoint outside 1..n."""
+    GraphError, worded by ``_edge_fault``, at a self-loop or an endpoint
+    outside 1..n."""
     ins, outs = [[] for _ in range(n + 1)], [[] for _ in range(n + 1)]
     for e in edges:
         if type(e) is not tuple or len(e) != 2:
@@ -114,10 +125,8 @@ def _adjacency(n: int, edges: frozenset) -> tuple[list[list[int]], list[list[int
         i, j = e
         if type(i) is not int or type(j) is not int:
             return None
-        if i == j:
-            raise GraphError(f"self-loop ({i}, {j}) not allowed")
-        if not (0 < i <= n and 0 < j <= n):
-            raise GraphError(f"edge ({i}, {j}) outside vertex range 1..{n}")
+        if i == j or not (0 < i <= n and 0 < j <= n):  # inline, as every graph built passes here
+            raise GraphError(_edge_fault(n, i, j))
         ins[j].append(i)
         outs[i].append(j)
     return ins, outs
@@ -220,10 +229,8 @@ def _file_graph(n: int, n_at: str, edges: Iterable[tuple[str, int, int]]) -> Dig
         raise GraphError(f"{n_at}: agent count must be >= 2, got {n}")
     seen: set[tuple[int, int]] = set()
     for at, i, j in edges:
-        if i == j:
-            raise GraphError(f"{at}: self-loop ({i}, {j})")
-        if not (0 < i <= n and 0 < j <= n):
-            raise GraphError(f"{at}: vertex id outside 1..{n} in ({i}, {j})")
+        if fault := _edge_fault(n, i, j):
+            raise GraphError(f"{at}: {fault}")
         if (i, j) in seen:
             raise GraphError(f"{at}: duplicate edge ({i}, {j})")
         seen.add((i, j))

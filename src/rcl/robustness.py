@@ -31,11 +31,16 @@ per-vertex constant, so counting holds about (vertices x 2^16) small ints
 however many subsets there are.  What depends only on the width (the low
 counters, their popcounts, bits and canonical keys) is built once per width.
 The pair checks are a DP in O(n 2^n): a uint8 table over all subsets and one
-minimum over submasks give each subset its best disjoint partner.  When the
-free vertices fit one chunk (at most ``_LOW_BITS`` = 16), the complement
-checks build, in one pass over its low counters, a small table of the first
-violating C per pair of degree bounds over all of V \\ S, keyed by
-``_low_keys``, once per (graph, S) and cached, so a query is one lookup.
+minimum over submasks give each subset its best disjoint partner.  For
+r-robustness, (r, 1)-robustness and the maximum r, that pair of tables does
+not depend on r, so it is built once per graph and cached; (r, s) with s >= 2
+counts into a table of its own.  When the free vertices fit one chunk (at
+most ``_LOW_BITS`` = 16), the complement checks build, in one pass over its
+low counters, a small table of the first violating C per pair of degree
+bounds over all of V \\ S, keyed by ``_low_keys``, once per (graph, S) and
+cached, so a query is one lookup.  Both caches keep one rule, ``_Kept``: at
+most ``CACHE_BYTES`` of read-only arrays each, the oldest out first, read
+only after the caps and the memory budget have passed.
 Above 16, a query searches only the free vertices with fewer than ``anchor``
 in-neighbors in S, the only ones a violating C can hold (with none of them it
 answers true): a C of those violates iff no member has ``reach`` in-neighbors
@@ -57,10 +62,12 @@ one, a bad parameter ValueError.
 
 from __future__ import annotations
 
+import collections
 import itertools
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
+from types import SimpleNamespace
 from typing import Iterable
 
 import numpy as np
@@ -73,6 +80,11 @@ DEFAULT_COMPLEMENT_CAP = 20
 # and its submask-minimum copy).  n = 26 takes 128 MB, n = 28 the whole budget,
 # and n = 29 is the first size refused, even forced.
 PAIR_SCAN_BUDGET = 512 * 2**20
+# Array bytes each cache of exact tables may hold (see ``_Kept``): perfbench's
+# crosscheck corpus needs 0.6 MB for its 4,227 complement tables, and a pair
+# table at n = 19 takes all of it.  Each kept table also costs a few hundred
+# bytes of Python objects that this does not count, so the bound stays small.
+CACHE_BYTES = 2**20
 
 
 class EnumerationCapError(RuntimeError):
@@ -128,6 +140,43 @@ def _members(mask: int) -> list[int]:
         out.append(low.bit_length())
         mask ^= low
     return out
+
+
+class _Kept(dict):
+    """The one cache rule of both exact families, as a dict: ``cache[key]``
+    is ``build(key)``, an array or a tuple of arrays, made read-only and kept
+    while the arrays kept total at most ``CACHE_BYTES``, the oldest kept
+    going first to make room; a result larger than that is returned, not
+    kept.  A hit is a plain dict lookup, with no Python call.
+    ``cache_info()`` is a snapshot of the misses and the bytes kept since
+    ``cache_clear()``."""
+
+    def __init__(self, build) -> None:
+        super().__init__()
+        self.build, self.order, self.misses, self.held = build, collections.deque(), 0, 0
+
+    def __missing__(self, key):
+        self.misses += 1
+        found, size = self.build(key), 0
+        for array in found if isinstance(found, tuple) else (found,):
+            array.flags.writeable = False  # shared by every caller
+            size += array.nbytes
+        if size <= CACHE_BYTES:
+            while self.held + size > CACHE_BYTES:
+                oldest, freed = self.order.popleft()
+                del self[oldest]
+                self.held -= freed
+            self[key], self.held = found, self.held + size
+            self.order.append((key, size))
+        return found
+
+    def cache_info(self) -> SimpleNamespace:
+        return SimpleNamespace(misses=self.misses, bytes=self.held)
+
+    def cache_clear(self) -> None:
+        self.clear()
+        self.order.clear()
+        self.misses = self.held = 0
 
 
 # ---------------------------------------------------------------------------
@@ -221,12 +270,10 @@ def r_reachable_set(g: Digraph, s: Iterable[int], r: int) -> frozenset[int]:
 # pairwise subset checks (r- and (r,s)-robustness)
 
 
-def _subset_table(g: Digraph, limit: int, force: bool, fill) -> np.ndarray:
-    """A uint8 table of ``fill(outside, members, sizes)`` over the subsets j of V,
-    a chunk at a time; row b of the first two is vertex n - b (bit b of j): its
-    in-degree outside each j and whether it is in j.  Refused past ``limit``
-    vertices unless forced, and past ``PAIR_SCAN_BUDGET`` even forced, before
-    allocating."""
+def _check_pair_size(g: Digraph, limit: int, force: bool) -> None:
+    """Refuse a pair check past ``limit`` vertices unless forced, and past
+    ``PAIR_SCAN_BUDGET`` even forced: before anything is allocated or read
+    from a cache, so a refusal never depends on what is cached."""
     n = g.n
     if n > limit and not force:
         raise EnumerationCapError(
@@ -237,6 +284,13 @@ def _subset_table(g: Digraph, limit: int, force: bool, fill) -> np.ndarray:
             f"n={n}: two bytes for each of 2^{n} subsets exceed the pair DP's memory budget "
             f"of {PAIR_SCAN_BUDGET >> 20} MB (PAIR_SCAN_BUDGET), even forced"
         )
+
+
+def _subset_table(g: Digraph, fill) -> np.ndarray:
+    """A uint8 table of ``fill(outside, members, sizes)`` over the subsets j of V,
+    a chunk at a time; row b of the first two is vertex n - b (bit b of j): its
+    in-degree outside each j and whether it is in j."""
+    n = g.n
     table = np.empty(1 << n, dtype=np.uint8)
     *_, width, outside, masks = _split_outside(g, (1 << n) - 1)
     _, sizes, bits = _low_counters(width)
@@ -304,33 +358,54 @@ def _first_subset(n: int, accept) -> int | None:
     return None if best is None else -best[1]
 
 
+@_Kept
+def _pair_table(g: Digraph) -> tuple[np.ndarray, np.ndarray]:
+    """``_pair_table[g]`` is ``(M, P)``: ``M[j]`` is the largest in-degree
+    outside j over the members of j (``M[0]`` = 255, as the empty set is no
+    half of a pair), and ``P[j]`` the smallest M over the nonempty subsets of
+    ~j.  Neither depends on r: j is r-reachable iff ``M[j] >= r``, and has a
+    disjoint partner that is not iff ``P[j] < r``."""
+    most = _subset_table(g, lambda outside, members, _: (outside * members).max(axis=0))
+    most[0] = 255
+    return most, _submask_min(most.copy())[::-1]
+
+
 def _pair_scan(
     g: Digraph, r: int, s: int, prop: Property, params: dict, cap: int | None, force: bool,
 ) -> RobustnessReport:
     """Every nonempty disjoint pair (S1, S2) has all of S1 r-reachable, all of
     S2, or >= s r-reachable members in total, by a subset DP.  At r = 0 every
     set is r-reachable, so the verdict is true whatever the caps.  A false
-    verdict carries the first violating pair in canonical subset order."""
+    verdict carries the first violating pair in canonical subset order.
+
+    At s = 1 a pair violates iff neither set is r-reachable, so the cached
+    ``_pair_table`` of g answers every r; s >= 2 counts each subset's
+    r-reachable members into a table of its own."""
     limit = DEFAULT_PAIR_CAP if cap is None else _count(cap, "cap")
     if r == 0:
         return RobustnessReport(prop, params, True, None, "bruteforce")
+    _check_pair_size(g, limit, force)
     n, r = g.n, min(r, g.n)
+    # table[j]: M[j] at s = 1, else the r-reachable count of a bad j (255 for the others)
+    if s == 1:  # neither set r-reachable: M < r for both
+        table, partner = _pair_table[g]
+        s1 = _first_subset(n, lambda rows, cols: (table[rows][cols] < r) & (partner[rows][cols] < r))
+    else:
+        def count_bad(outside, members, sizes):
+            counts = ((outside >= r) & members).sum(axis=0, dtype=np.uint8)  # r-reachable members
+            # bad: fewer than s r-reachable members, and not all (so not the empty j)
+            return np.where((counts < s) & (counts < sizes), counts, 255)
 
-    def count_bad(outside, members, sizes):
-        counts = ((outside >= r) & members).sum(axis=0, dtype=np.uint8)  # r-reachable members
-        # bad: fewer than s r-reachable members, and not all (so not the empty j)
-        return np.where((counts < s) & (counts < sizes), counts, 255)
-
-    bad = _subset_table(g, limit, force, count_bad)  # the r-reachable count of a bad j, else 255
-    partner = _submask_min(bad.copy())[::-1]  # partner[j]: the fewest in a bad subset of ~j
-    s1 = _first_subset(n, lambda rows, cols: partner[rows][cols] < s - bad[rows][cols].astype(np.int16))
+        table = _subset_table(g, count_bad)
+        partner = _submask_min(table.copy())[::-1]  # partner[j]: the fewest in a bad subset of ~j
+        s1 = _first_subset(n, lambda rows, cols: partner[rows][cols] < s - table[rows][cols].astype(np.int16))
     if s1 is None:
         return RobustnessReport(prop, params, True, None, "bruteforce")
-    lo, below = _low_counters(min(n, _LOW_BITS))[0], s - int(bad[s1])
-    s2 = _first_subset(n, lambda rows, cols: (bad[rows][cols] < below) & (((rows.start + lo[cols]) & s1) == 0))
+    lo, below = _low_counters(min(n, _LOW_BITS))[0], r if s == 1 else s - int(table[s1])
+    s2 = _first_subset(n, lambda rows, cols: (table[rows][cols] < below) & (((rows.start + lo[cols]) & s1) == 0))
     witness = {"s1": _subset(s1, (1 << n) - 1), "s2": _subset(s2, (1 << n) - 1)}
     if prop is Property.RS_ROBUST:
-        witness["reachable_counts"] = [int(bad[s1]), int(bad[s2])]
+        witness["reachable_counts"] = [0, 0] if s == 1 else [int(table[s1]), int(table[s2])]
     return RobustnessReport(prop, params, False, witness, "bruteforce")
 
 
@@ -364,11 +439,11 @@ def is_rs_robust(
 def max_r_robustness(g: Digraph, *, cap: int | None = None, force: bool = False) -> int:
     """Largest r for which the graph is r-robust, at most ceil(n/2): the minimum over S1 of
     max(M[S1], min of M over the subsets of ~S1), M[j] the largest outside in-degree in j."""
-    limit = DEFAULT_PAIR_CAP if cap is None else _count(cap, "cap")
-    most = _subset_table(g, limit, force, lambda outside, members, _: (outside * members).max(axis=0))
-    most[0] = 255  # the empty set is no half of a pair
-    np.maximum(most, _submask_min(most.copy())[::-1], out=most)
-    return min((g.n + 1) // 2, int(most.min()))
+    _check_pair_size(g, DEFAULT_PAIR_CAP if cap is None else _count(cap, "cap"), force)
+    most, least = _pair_table[g]
+    step = 1 << _LOW_BITS  # a chunk at a time, so no third table of 2^n
+    best = min(int(np.maximum(most[j:j + step], least[j:j + step]).min()) for j in range(0, most.size, step))
+    return min((g.n + 1) // 2, best)
 
 
 # ---------------------------------------------------------------------------
@@ -378,12 +453,12 @@ def max_r_robustness(g: Digraph, *, cap: int | None = None, force: bool = False)
 _NO_VIOLATION = np.iinfo(np.int64).max
 
 
-@lru_cache(maxsize=256)
-def _first_violations(g: Digraph, s_mask: int) -> np.ndarray:
-    """``first[a, o]``: the smallest canonical key of a nonempty C in V \\ S
-    (S the mask ``s_mask``) whose members have at most a in-neighbors in S
-    and at most o outside C, else ``_NO_VIOLATION``; rows and columns stop at
-    the largest degree.
+@_Kept
+def _first_violations(key: tuple[Digraph, int]) -> np.ndarray:
+    """``_first_violations[g, s_mask]`` is ``first``: ``first[a, o]`` is the
+    smallest canonical key of a nonempty C in V \\ S (S the mask ``s_mask``)
+    whose members have at most a in-neighbors in S and at most o outside C,
+    else ``_NO_VIOLATION``; rows and columns stop at the largest degree.
 
     The f free vertices fit one chunk of the counter (f <= ``_LOW_BITS``), so
     j is a low counter: bit b stands for the b-th largest free vertex, and
@@ -392,6 +467,7 @@ def _first_violations(g: Digraph, s_mask: int) -> np.ndarray:
     from S and outside C; a non-member counts 0, which never raises the
     maximum of a nonempty C.
     """
+    g, s_mask = key
     by_bit, in_deg, f, outside, _ = _split_outside(g, (1 << g.n) - 1 - s_mask)
     members = _low_counters(f)[2].view(np.uint8)
     from_s = [(g.in_masks[v - 1] & s_mask).bit_count() for v in by_bit]
@@ -405,7 +481,6 @@ def _first_violations(g: Digraph, s_mask: int) -> np.ndarray:
     first = first.reshape(rows, cols)
     np.minimum.accumulate(first, axis=0, out=first)
     np.minimum.accumulate(first, axis=1, out=first)
-    first.flags.writeable = False  # cached tables are shared by every caller
     return first
 
 
@@ -453,7 +528,7 @@ def _bruteforce(
             f"complement size {free} exceeds enumeration cap {limit}; pass force=True to override"
         )
     if free <= _LOW_BITS:
-        first = _first_violations(g, s_mask)
+        first = _first_violations[g, s_mask]
         rows, cols = first.shape
         key = first.item(min(anchor, rows) - 1, min(reach, cols) - 1)
         j = None if key == _NO_VIOLATION else -key & ((1 << free) - 1)

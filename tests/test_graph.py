@@ -403,6 +403,22 @@ def test_json_errors_name_the_file_and_pointer(tmp_path, obj, pointer):
     assert str(exc.value).startswith(f"{path}#{pointer}"), exc.value
 
 
+@pytest.mark.parametrize("edge, fault", [((1, 1), "self-loop (1, 1)"), ((2, 5), "vertex id outside 1..3 in (2, 5)"),
+                                         ((0, 2), "vertex id outside 1..3 in (0, 2)")])
+def test_a_python_caller_and_a_file_reader_word_an_edge_fault_alike(tmp_path, edge, fault):
+    with pytest.raises(GraphError) as built:
+        Digraph(3, frozenset({(1, 2), edge}))
+    text, obj = tmp_path / "g.txt", tmp_path / "g.json"
+    text.write_text(f"n 3\n1 2\n{edge[0]} {edge[1]}\n")
+    obj.write_text(json.dumps({"n": 3, "edges": [[1, 2], list(edge)]}))
+    with pytest.raises(GraphError) as from_text:
+        load_graph(text)
+    with pytest.raises(GraphError) as from_json:
+        load_graph_json(obj)
+    assert str(built.value) == fault
+    assert (str(from_text.value), str(from_json.value)) == (f"{text}:3: {fault}", f"{obj}#/edges/1: {fault}")
+
+
 def test_in_masks_match_in_neighbors():
     g = make_k_circulant(9, 4)
     for i in g.vertices:

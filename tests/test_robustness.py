@@ -307,6 +307,9 @@ def test_pair_witness_is_the_canonical_first_violation():
                 if expected is not None:
                     counts = [len(r_reachable_set(g, part, r)) for part in expected]
                     assert report.witness["reachable_counts"] == counts
+        robust = itertools.takewhile(lambda r: naive_first_violating_pair(g, r, 1) is None,
+                                     range(1, (g.n + 1) // 2 + 1))
+        assert max_r_robustness(g) == max(robust, default=0), g
 
 
 def test_k5_is_22_robust():
@@ -480,15 +483,111 @@ def test_forced_pair_scan_past_the_memory_budget_is_refused():
     assert not r_reachable_set(g, s1, 7) and not r_reachable_set(g, s2, 7)
 
 
+CACHES = (robustness._pair_table, robustness._first_violations)
+
+
+def _cache_info(cache) -> tuple[int, int]:
+    info = cache.cache_info()
+    return info.misses, info.bytes
+
+
+def _clear_caches():
+    for cache in CACHES:
+        cache.cache_clear()
+
+
+def test_caps_and_the_budget_are_checked_before_any_cache_hit(monkeypatch):
+    # a forced call caches the pair table of C_14 and the complement table of
+    # (C_8, {1, 2, 3}); every call the caps refuse is still refused
+    _clear_caches()
+    g, h = make_k_circulant(14, 3), make_k_circulant(8, 3)
+    assert is_r_robust(g, 1, force=True).verdict and is_strongly_r_robust_bruteforce(h, [1, 2, 3], 1).verdict
+    pair_calls = [lambda g, **kw: is_r_robust(g, 1, **kw), lambda g, **kw: is_rs_robust(g, 1, 1, **kw),
+                  lambda g, **kw: max_r_robustness(g, **kw)]
+    for call in pair_calls:
+        with pytest.raises(EnumerationCapError, match="^n=14 exceeds pairwise enumeration cap 13; "):
+            call(g)
+    with pytest.raises(EnumerationCapError, match="^complement size 5 exceeds enumeration cap 4; "):
+        is_strongly_r_robust_bruteforce(h, [1, 2, 3], 1, cap=4)
+    # a budget that refuses n = 14 refuses it forced, cached or not, before anything is built
+    builds, split = [], robustness._split_outside
+    monkeypatch.setattr(robustness, "_split_outside", lambda g, vertices: builds.append(vertices) or split(g, vertices))
+    monkeypatch.setattr(robustness, "PAIR_SCAN_BUDGET", (2 << 14) - 1)
+    for graph in (g, make_k_circulant(15, 3)):
+        for call in pair_calls:
+            with pytest.raises(EnumerationCapError, match=f"^n={graph.n}: two bytes for each of 2\\^{graph.n} "):
+                call(graph, force=True)
+    assert builds == []
+    assert [_cache_info(cache)[0] for cache in CACHES] == [1, 1]
+
+
+def test_a_table_larger_than_the_cache_bound_is_returned_not_kept(monkeypatch):
+    # the pair table of n = 8 takes 2 * 2^8 bytes
+    _clear_caches()
+    g = make_k_circulant(8, 3)
+    monkeypatch.setattr(robustness, "CACHE_BYTES", (2 << 8) - 1)
+    for _ in range(2):
+        assert max_r_robustness(g) == 2
+    assert _cache_info(robustness._pair_table) == (2, 0)
+    # two tables fit; a third makes room by dropping the oldest
+    monkeypatch.setattr(robustness, "CACHE_BYTES", 2 << 9)
+    _clear_caches()
+    a, b, c = (make_k_circulant(8, k) for k in (1, 2, 3))
+    for graph in (a, b, c, c, b, a, c):
+        max_r_robustness(graph)
+    assert _cache_info(robustness._pair_table) == (4, 2 << 9)
+
+
+def test_cached_tables_are_read_only():
+    g = make_k_circulant(8, 3)
+    for table in (*robustness._pair_table[g], robustness._first_violations[g, 0b111]):
+        assert not table.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            table[0] = 1
+
+
+def test_a_corpus_replayed_twice_builds_each_table_once():
+    # more distinct (graph, S) than perfbench crosscheck's 4,227, which a
+    # cache of 256 tables rebuilt on every pass
+    rng = random.Random(149)
+    graphs = [random_digraph(rng, 10, rng.choice([0.3, 0.5])) for _ in range(25)]
+    queries = [(g, s) for g in graphs for size in (1, 2, 3) for s in itertools.combinations(g.vertices, size)]
+    _clear_caches()
+    for _ in range(2):
+        for g, s in queries:
+            is_strongly_r_robust_bruteforce(g, s, 2)
+            is_tlf_robust_bruteforce(g, s, 1)
+        for g in graphs:
+            is_r_robust(g, 2)
+            max_r_robustness(g)
+    misses, held = _cache_info(robustness._first_violations)
+    assert misses == len(queries) and held <= robustness.CACHE_BYTES
+    assert _cache_info(robustness._pair_table)[0] == len(graphs)
+
+
 @pytest.fixture
 def low_bits(request, monkeypatch):
     """Split the enumeration counter after 2 or 3 low bits, so that graphs
     small enough for the naive oracles run the per-chunk (high bits) path,
-    and a complement query on more free vertices than that takes the walk."""
+    and a complement query on more free vertices than that takes the walk.
+    Both caches start empty, so every table is built under the split."""
     monkeypatch.setattr(robustness, "_LOW_BITS", request.param)
-    robustness._first_violations.cache_clear()
+    _clear_caches()
     yield request.param
-    robustness._first_violations.cache_clear()
+    _clear_caches()
+
+
+@pytest.fixture
+def filled_caches():
+    g = make_k_circulant(6, 2)
+    is_r_robust(g, 1)
+    is_strongly_r_robust_bruteforce(g, [1], 1)
+    assert all(_cache_info(cache)[1] for cache in CACHES)
+
+
+@pytest.mark.parametrize("low_bits", [3], indirect=True)
+def test_the_low_bits_fixture_empties_both_caches(filled_caches, low_bits):
+    assert [_cache_info(cache) for cache in CACHES] == [(0, 0), (0, 0)]
 
 
 @pytest.mark.parametrize("low_bits", [2, 3], indirect=True)
@@ -650,13 +749,16 @@ def test_split_counter_pair_witness_is_the_canonical_first_violation(low_bits):
         g = random_digraph(rng, rng.randrange(low_bits + 1, 10), rng.choice([0.2, 0.4, 0.6]))
         for r in range(1, 4):
             assert _pair(is_r_robust(g, r)) == naive_first_violating_pair(g, r, 1), (g, r)
-            for s in sorted({2, g.n}):
+            for s in sorted({1, 2, g.n}):
                 report = is_rs_robust(g, r, s)
                 expected = naive_first_violating_pair(g, r, s)
                 assert _pair(report) == expected, (g, r, s)
                 if expected is not None:
                     counts = [len(r_reachable_set(g, part, r)) for part in expected]
                     assert report.witness["reachable_counts"] == counts
+        robust = itertools.takewhile(lambda r: naive_first_violating_pair(g, r, 1) is None,
+                                     range(1, (g.n + 1) // 2 + 1))
+        assert max_r_robustness(g) == max(robust, default=0), g
 
 
 def test_wide_complement_witness_is_the_canonical_first_violation():

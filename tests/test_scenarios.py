@@ -137,6 +137,7 @@ def test_counterexamples_call_no_exponential_decider(monkeypatch):
         raise AssertionError("a counterexample called an exponential decider")
 
     monkeypatch.setattr(rcl.robustness, "_pair_scan", refuse)
+    monkeypatch.setattr(rcl.robustness, "_pair_table", rcl.robustness._Kept(refuse))
     monkeypatch.setattr(rcl.robustness, "_bruteforce", refuse)
     for build, name in ((counterexample_rs, "rs_robustness_holds"), (counterexample_2f1, "2f1_robustness_holds")):
         result = build(1).run()

@@ -1,5 +1,6 @@
 """The scripts in ``tools/`` measure the rcl that ``PYTHONPATH`` names."""
 
+import importlib.util
 import json
 import os
 import subprocess
@@ -69,3 +70,18 @@ def test_bench_record_keeps_the_stderr_of_every_failed_step(tmp_path, stub_src):
         for seed, step in runs.items():
             assert step["returncode"] == 0 and "stderr_tail" not in step
             assert step["result"] == {"argv": ["--workload", workload, "--seed", seed]}
+
+
+@pytest.mark.parametrize("printed, result", [
+    ("print(json.dumps({'a': 1}))\nprint(json.dumps({'b': 2}))", {"a": 1, "b": 2}),
+    ("print(json.dumps({'rounds': 3, 'ok': True}, indent=2))", {"rounds": 3, "ok": True}),
+], ids=["one object per line", "one indented object"])
+def test_bench_record_reads_one_object_per_line_or_the_whole_stdout(tmp_path, printed, result):
+    # perfbench and the layer tools print one object per line; rcl scenario
+    # prints its metrics as one indented object
+    spec = importlib.util.spec_from_file_location("bench_record", TOOLS / "bench_record.py")
+    bench_record = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench_record)
+    step = bench_record._step(tmp_path, [sys.executable, "-c", f"import json\n{printed}"], timeout=60)
+    assert step["returncode"] == 0 and step["result"] == result, step
+    assert "summary" not in step and "stderr_tail" not in step

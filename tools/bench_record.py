@@ -20,13 +20,15 @@ heap trim and mmap thresholds (``MALLOC_TRIM_THRESHOLD_``,
 passes.  Each step's record holds its ``returncode`` and ``process_wall_s``;
 ``result``, every stdout line that parses as a JSON object, merged in order
 (perfbench's ``detail`` and metrics lines, one line per layer of the layer
-tools); ``summary``, the last stdout line, only when no line parses as one
-(pytest's summary); and ``stderr_tail`` when the step exits nonzero or prints
-no result.  The file also holds the commit (``git rev-parse HEAD``, and
-whether ``git status`` shows changes); for a tree with changes, the SHA-256 of
-``git diff HEAD --binary`` and of each untracked file but the output, so that
-the file names the tree it measured; the host, the versions, and a ``notes``
-list naming the known sources of noise in these numbers.  The recorder uses
+tools), or else the whole stdout when it parses as one (``rcl scenario``'s
+indented metrics); ``summary``, the last stdout line, only when neither
+parses as one (pytest's summary); and ``stderr_tail`` when the step exits
+nonzero or prints no result.  The file also holds the commit (``git
+rev-parse HEAD``, and whether ``git status`` shows changes); for a tree with
+changes, the SHA-256 of ``git diff HEAD --binary`` and of each untracked file
+but the output, so that the file names the tree it measured; the host, the
+versions, and a ``notes`` list naming the known sources of noise in these
+numbers.  The recorder uses
 only the standard library and the commands above, so one copy of it records
 older checkouts too; with no importable rcl, or none in a checkout with
 ``perfbench/run.py``, it exits 2 before running anything.  It exits 1 when a
@@ -87,17 +89,24 @@ def _run(root: Path, argv: list[str], timeout: float) -> tuple[subprocess.Comple
     return done, time.perf_counter() - start
 
 
+def _merged(texts: list[str]) -> dict:
+    """Every text of ``texts`` that parses as a JSON object, merged in order."""
+    result = {}
+    for text in texts:
+        with contextlib.suppress(json.JSONDecodeError):
+            parsed = json.loads(text)
+            if isinstance(parsed, dict):
+                result.update(parsed)
+    return result
+
+
 def _step(root: Path, argv: list[str], timeout: float) -> dict:
     """The record of one step (see the module docstring)."""
     done, wall = _run(root, argv, timeout)
-    lines = done.stdout.decode(errors="replace").splitlines()
+    stdout = done.stdout.decode(errors="replace")
+    lines = stdout.splitlines()
     record = {"returncode": done.returncode, "process_wall_s": round(wall, 3)}
-    result = {}
-    for line in lines:
-        with contextlib.suppress(json.JSONDecodeError):
-            parsed = json.loads(line)
-            if isinstance(parsed, dict):
-                result.update(parsed)
+    result = _merged(lines) or _merged([stdout])
     if result:
         record["result"] = result
     else:

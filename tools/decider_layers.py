@@ -12,20 +12,27 @@ them ``PASSES`` times and times each call on its own:
 - ``table build``: the brute-force call that builds the table of its
   (graph, S), cache cleared first, so the build plus its one lookup.
 
-Brute-force calls that need no table (r = 0) count in neither.  A call is
-told apart by the hits and misses of ``robustness._first_violations``'s LRU
-cache.  One JSON object per line and layer, ``{"<layer>": {"us": <median us
-per call>, "calls": <calls per pass>}}``, then ``crosscheck pass``, the median
-wall of a whole pass over the workload's ops (certificates included) as
-``ms``, with its median ``us_per_query``.  Then two lines time the ops of
-perfbench's ``exact`` at seed 1, as the median ``ms`` per call:
-``forced complement``, its forced complement queries (20 and 22 free
-vertices, above the cached table's reach, so each call searches the free
-vertices its anchor leaves unanchored), and ``pair queries``, the
-``is_r_robust``, ``is_rs_robust`` and ``max_r_robustness`` calls of its pair
-batteries (n = 14 and 16).  Each of the two also prints ``ms_per_pass``, the
-median over passes of the summed time of its calls in one pass, so one slow
-call among fast ones shows in it.
+Brute-force calls that need no table (r = 0) count in neither.  A call that
+reads a table is one that misses on an empty cache, found once before the
+timed passes; there, a build is told from a lookup by the misses of
+``robustness._first_violations``, read as a number before and after the
+call.  One JSON object per line and layer, ``{"<layer>": {"us": <median us
+per call>, "calls": <calls per pass>}}``, then ``crosscheck pass``, the
+median wall of a whole pass over the workload's ops (certificates included)
+as ``ms``, with its median ``us_per_query``.  Then two lines time the ops of
+perfbench's ``exact`` at seed 1, as the median ``ms`` per call: ``forced
+complement``, its forced complement queries (20 and 22 free vertices, above
+the cached table's reach, so each call searches the free vertices its anchor
+leaves unanchored), and ``pair queries``, the ``is_r_robust``,
+``is_rs_robust`` and ``max_r_robustness`` calls of its pair batteries (n = 14
+and 16).  Each of the two also prints ``ms_per_pass``, the median over passes
+of the summed time of its calls in one pass, so one slow call among fast
+ones shows in it.
+
+Both exact caches, the complement tables and the per-graph pair tables, are
+emptied at the start of every timed pass, so a pass pays for every table it
+reads: ``crosscheck pass`` builds each (graph, S) table once, and ``pair
+queries`` times each battery with its one pair-table build, not cache hits.
 
 rcl is imported from ``PYTHONPATH``, and perfbench's workloads from the
 ``perfbench/`` beside this directory, so one copy of the script run on the
@@ -73,27 +80,39 @@ def _recorded_calls(ops, deciders) -> list:
     return [(getattr(robustness, name), args, kwargs) for name, args, kwargs in recorder.mock_calls]
 
 
+def _clear_caches() -> None:
+    # a checkout older than the pair-table cache has only the first
+    for name in ("_first_violations", "_pair_table"):
+        if hasattr(robustness, name):
+            getattr(robustness, name).cache_clear()
+
+
 def main() -> int:
     clock, cache = time.perf_counter, robustness._first_violations
     with tempfile.TemporaryDirectory() as tmp:
         plan = workloads.setup_crosscheck(1, Path(tmp))
     calls = _recorded_calls(plan.ops, DECIDERS)
+    reads = []  # whether each call reads a table: it misses on an empty cache
+    for decide, args, kwargs in calls:
+        cache.cache_clear()
+        decide(*args, **kwargs)
+        reads.append(cache.cache_info().misses > 0)
     samples = {"peeling": [], "bruteforce lookup": [], "table build": []}
     passes, queries = [], 0
     for _ in range(PASSES):
-        cache.cache_clear()
-        for decide, args, kwargs in calls:
-            before = cache.cache_info()
+        _clear_caches()
+        for (decide, args, kwargs), read in zip(calls, reads):
+            before = cache.cache_info().misses
             start = clock()
             decide(*args, **kwargs)
             elapsed = clock() - start
-            after = cache.cache_info()
             if decide.__name__.endswith("_peeling"):
                 samples["peeling"].append(elapsed)
-            elif after.misses > before.misses:
+            elif cache.cache_info().misses > before:
                 samples["table build"].append(elapsed)
-            elif after.hits > before.hits:
+            elif read:
                 samples["bruteforce lookup"].append(elapsed)
+        _clear_caches()
         start, queries = clock(), 0
         for op in plan.ops:
             queries += op.fn()[0]
@@ -108,6 +127,7 @@ def main() -> int:
     for name, timed in (("forced complement", forced), ("pair queries", _recorded_calls(exact, PAIR_DECIDERS))):
         times, sums = [], []
         for _ in range(PASSES):
+            _clear_caches()
             for decide, args, kwargs in timed:
                 start = clock()
                 decide(*args, **kwargs)
