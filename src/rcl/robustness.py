@@ -32,15 +32,16 @@ however many subsets there are.  What depends only on the width (the low
 counters, their popcounts, bits and canonical keys) is built once per width.
 The pair checks are a DP in O(n 2^n): a uint8 table over all subsets and one
 minimum over submasks give each subset its best disjoint partner.  For
-r-robustness, (r, 1)-robustness and the maximum r, that pair of tables does
-not depend on r, so it is built once per graph and cached; (r, s) with s >= 2
-counts into a table of its own.  When the free vertices fit one chunk (at
-most ``_LOW_BITS`` = 16), the complement checks build, in one pass over its
-low counters, a small table of the first violating C per pair of degree
-bounds over all of V \\ S, keyed by ``_low_keys``, once per (graph, S) and
-cached, so a query is one lookup.  Both caches keep one rule, ``_Kept``: at
-most ``CACHE_BYTES`` of read-only arrays each, the oldest out first, read
-only after the caps and the memory budget have passed.
+r-robustness, (r, 1)-robustness and the maximum r, the table holds each
+subset's largest outside in-degree, which does not depend on r, so that pair
+of tables is built once per graph and cached; (r, s) with s >= 2 counts
+r-reachable members into a table of its own.  When the free vertices fit
+one chunk (at most ``_LOW_BITS`` = 16), the complement checks build, in one
+pass over its low counters, a small table of the first violating C per pair
+of degree bounds over all of V \\ S, keyed by ``_low_keys``, once per
+(graph, S) and cached, so a query is one lookup.  Both caches keep one rule,
+``_Kept``: at most ``CACHE_BYTES`` of read-only arrays each, the oldest out
+first, read only after the caps and the memory budget have passed.
 Above 16, a query searches only the free vertices with fewer than ``anchor``
 in-neighbors in S, the only ones a violating C can hold (with none of them it
 answers true): a C of those violates iff no member has ``reach`` in-neighbors
