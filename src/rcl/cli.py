@@ -31,11 +31,9 @@ from .graph import (
     _integer_text,
     _number,
     load_graph,
-    load_graph_json,
     make_k_circulant,
     make_undirected_circulant,
     save_graph,
-    save_graph_json,
 )
 from .protocol import ConfigError, Leader, ReferenceSignal
 from .robustness import (
@@ -120,10 +118,7 @@ def _parse_int_list(text: str) -> list[int]:
 
 def _graph_from_args(args) -> Digraph:
     if args.graph is not None:
-        path = Path(args.graph)
-        if path.suffix == ".json":
-            return load_graph_json(path)
-        return load_graph(path)
+        return load_graph(args.graph)
     if args.circulant is not None:
         n, k = args.circulant
         return make_k_circulant(n, k)
@@ -205,11 +200,8 @@ def cmd_check(args) -> int:
 
 def cmd_gen_graph(args) -> int:
     graph = _graph_from_args(args)
-    if args.format == "json":
-        save_graph_json(graph, args.output)
-    else:
-        save_graph(graph, args.output)
-    _log(f"wrote {args.format} graph with n={graph.n}, {len(graph.edges)} edges to {args.output}")
+    save_graph(graph, args.output)
+    _log(f"wrote graph with n={graph.n}, {len(graph.edges)} edges to {args.output}")
     return 0
 
 
@@ -393,8 +385,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_gen = sub.add_parser("gen-graph", help="write a circulant graph to a file")
     _add_graph_source(p_gen)
-    p_gen.add_argument("-o", "--output", required=True, metavar="FILE")
-    p_gen.add_argument("--format", choices=("edgelist", "json"), default="edgelist")
+    p_gen.add_argument("-o", "--output", required=True, metavar="FILE",
+                       help="graph JSON if FILE ends in .json, else an edge list")
     p_gen.set_defaults(func=cmd_gen_graph)
 
     p_run = sub.add_parser("run", help="simulate a JSON configuration")

@@ -208,10 +208,13 @@ def make_undirected_circulant(n: int, offsets: Iterable[int]) -> Digraph:
 
 
 def save_graph(g: Digraph, path: str | Path) -> None:
-    """Write edge-list format: header line "n <count>", then one "i j" line per edge."""
-    lines = [f"n {g.n}"]
-    lines.extend(f"{i} {j}" for i, j in sorted(g.edges))
-    Path(path).write_text("\n".join(lines) + "\n")
+    """Write graph JSON (``graph_to_json``) to a path whose suffix is ".json", else the
+    edge-list format: header line "n <count>", then one "i j" line per edge."""
+    if Path(path).suffix == ".json":
+        text = json.dumps(graph_to_json(g), indent=2)
+    else:
+        text = "\n".join([f"n {g.n}", *(f"{i} {j}" for i, j in sorted(g.edges))])
+    Path(path).write_text(text + "\n")
 
 
 def _read(path: str | Path, decode: Any = str) -> Any:
@@ -238,8 +241,11 @@ def _file_graph(n: int, n_at: str, edges: Iterable[tuple[str, int, int]]) -> Dig
 
 
 def load_graph(path: str | Path) -> Digraph:
-    """Read the edge-list format written by save_graph, skipping blank lines;
-    errors name the file and the physical line at fault."""
+    """Read the format save_graph writes to ``path``: graph JSON (``graph_from_json``)
+    where the suffix is ".json", else the edge list, skipping blank lines; errors
+    name the file and the JSON pointer or physical line at fault."""
+    if Path(path).suffix == ".json":
+        return graph_from_json(_read(path, json.loads), f"{path}#")
     lines = [(f"{path}:{no}", ln.strip()) for no, ln in enumerate(_read(path).split("\n"), 1) if ln.strip()]
     if not lines:
         raise GraphError(f"{path}: empty file")
@@ -295,11 +301,3 @@ def graph_from_json(obj: Any, path: str = "#") -> Digraph:
         _require(obj.get(key), f"{path}/{key}", form, shape)
     edges = ((f"{path}/edges/{k}", *map(operator.index, e)) for k, e in enumerate(obj["edges"]))
     return _file_graph(operator.index(obj["n"]), f"{path}/n", edges)
-
-
-def save_graph_json(g: Digraph, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(graph_to_json(g), indent=2) + "\n")
-
-
-def load_graph_json(path: str | Path) -> Digraph:
-    return graph_from_json(_read(path, json.loads), f"{path}#")

@@ -12,6 +12,7 @@ import pytest
 
 from rcl.cli import build_parser, main, parse_id_set
 from rcl.graph import make_k_circulant
+from rcl.robustness import max_r_robustness
 from rcl.scenarios import PreconditionResult, Scenario, sim2
 from rcl.simulation import config_from_dict, run, write_edges_csv
 
@@ -273,12 +274,25 @@ def test_check_graph_file_that_does_not_decode_names_the_file(capsys, tmp_path, 
 
 
 def test_gen_graph_json_format(capsys, tmp_path):
-    out_file = tmp_path / "g.json"
-    code, _, _ = run_cli(capsys, "gen-graph", "--undirected-circulant", "6", "1,2",
-                         "-o", str(out_file), "--format", "json")
-    assert code == 0
+    out_file = tmp_path / "g.json"  # the name alone picks graph JSON
+    code, _, err = run_cli(capsys, "gen-graph", "--undirected-circulant", "6", "1,2", "-o", str(out_file))
+    assert code == 0 and err == f"wrote graph with n=6, 24 edges to {out_file}\n"
     data = json.loads(out_file.read_text())
     assert data["n"] == 6 and len(data["edges"]) == 24
+
+
+@pytest.mark.parametrize("name", ["g.json", "g.txt", "g"])
+def test_every_graph_file_gen_graph_writes_reads_back(capsys, tmp_path, name):
+    out_file = tmp_path / name
+    assert run_cli(capsys, "gen-graph", "--circulant", "6", "2", "-o", str(out_file))[0] == 0
+    code, out, err = run_cli(capsys, "check", "--graph", str(out_file), "--max-r")
+    assert (code, err) == (0, "") and json.loads(out)["value"] == max_r_robustness(make_k_circulant(6, 2))
+
+
+def test_gen_graph_has_no_format_option(capsys, tmp_path):
+    with pytest.raises(SystemExit) as exc:  # the output name's suffix picks the format
+        run_cli(capsys, "gen-graph", "--circulant", "6", "2", "-o", str(tmp_path / "g.txt"), "--format=json")
+    assert exc.value.code == 2 and not (tmp_path / "g.txt").exists()
 
 
 SAMPLE_CONFIG = {

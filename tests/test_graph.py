@@ -13,7 +13,6 @@ from rcl.graph import (
     graph_from_json,
     graph_to_json,
     load_graph,
-    load_graph_json,
     make_k_circulant,
     make_undirected_circulant,
     save_graph,
@@ -184,22 +183,21 @@ def test_circulants_take_integer_parameters_only():
     assert make_undirected_circulant(np.int64(6), [np.int64(1)]) == make_undirected_circulant(6, [1])
 
 
-def test_save_load_roundtrip(tmp_path):
-    rng = random.Random(11)
-    graphs = [make_k_circulant(5, 2), make_undirected_circulant(6, [1, 2])]
-    for _ in range(10):
-        n = rng.randrange(2, 10)
-        edges = {
-            (i, j)
-            for i in range(1, n + 1)
-            for j in range(1, n + 1)
-            if i != j and rng.random() < 0.4
-        }
-        graphs.append(Digraph(n, frozenset(edges)))
-    for idx, g in enumerate(graphs):
-        path = tmp_path / f"g{idx}.txt"
-        save_graph(g, path)
-        assert load_graph(path) == g
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(data=st.data(), suffix=st.sampled_from([".json", ".txt", ".edgelist", ""]))
+def test_save_load_roundtrip(tmp_path_factory, data, suffix):
+    # the suffix picks the format, for the writer and the reader alike
+    n = data.draw(st.integers(2, 12))
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
+    g = Digraph(n, frozenset(data.draw(st.sets(st.sampled_from(pairs)))))
+    path = tmp_path_factory.getbasetemp() / f"roundtrip{suffix}"
+    save_graph(g, path)
+    assert load_graph(path) == g
+    text = path.read_text()
+    if suffix == ".json":
+        assert graph_from_json(json.loads(text)) == g
+    else:
+        assert text.startswith(f"n {n}\n")
 
 
 def test_load_rejects_self_loop(tmp_path):
@@ -271,7 +269,7 @@ def test_undecodable_files_name_the_file(tmp_path, name, data):
     path = tmp_path / name
     path.write_bytes(data)
     with pytest.raises(GraphError, match=f"^{path}: "):
-        (load_graph_json if name.endswith(".json") else load_graph)(path)
+        load_graph(path)
 
 
 # ROADMAP item 10, graph files: one mutation of a valid file leaves a file
@@ -364,7 +362,7 @@ def test_a_mutated_json_graph_loads_or_names_the_pointer(mutant, data):
     path = mutant.with_suffix(".json")
     path.write_text(json.dumps(obj))
     with pytest.raises(GraphError) as exc:
-        load_graph_json(path)
+        load_graph(path)
     pointers = ["/" + "/".join(map(str, where[:depth])) for depth in range(1, len(where) + 1)]
     assert any(str(exc.value).startswith(f"{path}#{p}: ") for p in pointers), (obj, where, exc.value)
 
@@ -399,7 +397,7 @@ def test_json_errors_name_the_file_and_pointer(tmp_path, obj, pointer):
     path = tmp_path / "g.json"
     path.write_text(json.dumps(obj))
     with pytest.raises(GraphError) as exc:
-        load_graph_json(path)
+        load_graph(path)
     assert str(exc.value).startswith(f"{path}#{pointer}"), exc.value
 
 
@@ -414,7 +412,7 @@ def test_a_python_caller_and_a_file_reader_word_an_edge_fault_alike(tmp_path, ed
     with pytest.raises(GraphError) as from_text:
         load_graph(text)
     with pytest.raises(GraphError) as from_json:
-        load_graph_json(obj)
+        load_graph(obj)
     assert str(built.value) == fault
     assert (str(from_text.value), str(from_json.value)) == (f"{text}:3: {fault}", f"{obj}#/edges/1: {fault}")
 

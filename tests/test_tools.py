@@ -47,7 +47,7 @@ def test_bench_record_exits_2_before_running_anything(tmp_path, stub_src, checko
 
 
 def test_bench_record_keeps_the_stderr_of_every_failed_step(tmp_path, stub_src):
-    # the layer tools and the rcl.cli steps exit 1 at the stub's import,
+    # the layer and digest tools and the rcl.cli steps exit 1 at the stub's import,
     # pytest finds no tests, and the stub perfbench prints one JSON line
     run_py = stub_src.parent / "perfbench" / "run.py"
     run_py.parent.mkdir()
@@ -56,7 +56,7 @@ def test_bench_record_keeps_the_stderr_of_every_failed_step(tmp_path, stub_src):
     done = _run_tool("bench_record.py", stub_src, "--out", str(out))
     assert done.returncode == 1, done.stderr
     record = json.loads(out.read_text())
-    for script in ("track_layers", "decider_layers"):
+    for script in ("track_layers", "decider_layers", "bundle_digests", "report_digests"):
         step = record[script]
         assert step["returncode"] == 1 and "result" not in step
         assert step["stderr_tail"].strip().endswith(MARKER), step
@@ -85,3 +85,26 @@ def test_bench_record_reads_one_object_per_line_or_the_whole_stdout(tmp_path, pr
     step = bench_record._step(tmp_path, [sys.executable, "-c", f"import json\n{printed}"], timeout=60)
     assert step["returncode"] == 0 and step["result"] == result, step
     assert "summary" not in step and "stderr_tail" not in step
+
+
+def test_mutants_reports_a_killed_a_surviving_and_a_stale_row(tmp_path, monkeypatch, capsys):
+    spec = importlib.util.spec_from_file_location("mutants", TOOLS / "mutants.py")
+    mutants = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mutants)
+    root = tmp_path / "stub"
+    (root / "src" / "rcl").mkdir(parents=True)
+    (root / "tests").mkdir()
+    source = "def double(x):\n    return 2 * x\n"
+    (root / "src" / "rcl" / "__init__.py").write_text(source)
+    (root / "tests" / "test_double.py").write_text("from rcl import double\n\n\ndef test_double():\n"
+                                                   "    assert double(2) == 4\n")
+    test = ["tests/test_double.py::test_double"]
+    rows = [("src/rcl/__init__.py", "2 * x", "3 * x", test), ("src/rcl/__init__.py", "2 * x", "x + x", test),
+            ("src/rcl/__init__.py", "4 * x", "5 * x", test)]
+    monkeypatch.setenv("PYTEST_DISABLE_PLUGIN_AUTOLOAD", "1")  # the stub needs no plugin, and loading them is slow
+    assert mutants.check(root, rows) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[:3] for line in lines] == [["killed", "row", "0"], ["SURVIVED", "row", "1"],
+                                                    ["STALE", "row", "2"]], lines
+    assert lines[1].endswith(f"did not fail: {test[0]}") and lines[2].endswith("occurs 0 times")
+    assert (root / "src" / "rcl" / "__init__.py").read_text() == source

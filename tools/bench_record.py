@@ -7,7 +7,8 @@ importing it), one step after the other, with that ``src/`` as ``PYTHONPATH``:
 
 - the checkout's ``perfbench/run.py`` at its default length for every workload
   at seeds 1 and 101, each run in its own process;
-- ``track_layers.py`` and ``decider_layers.py`` beside this file;
+- ``track_layers.py``, ``decider_layers.py``, ``bundle_digests.py`` and
+  ``report_digests.py`` beside this file;
 - the tier-1 suite (``python -m pytest -q --continue-on-collection-errors``)
   and acceptance test c01 alone;
 - the other end-to-end walls: ``rcl scenario sim2``, acceptance test c04 (the
@@ -22,14 +23,14 @@ passes.  Each step's record holds its ``returncode`` and ``process_wall_s``;
 (perfbench's ``detail`` and metrics lines, one line per layer of the layer
 tools), or else the whole stdout when it parses as one (``rcl scenario``'s
 indented metrics); ``summary``, the last stdout line, only when neither
-parses as one (pytest's summary); and ``stderr_tail`` when the step exits
-nonzero or prints no result.  The file also holds the commit (``git
-rev-parse HEAD``, and whether ``git status`` shows changes); for a tree with
-changes, the SHA-256 of ``git diff HEAD --binary`` and of each untracked file
-but the output, so that the file names the tree it measured; the host, the
-versions, and a ``notes`` list naming the known sources of noise in these
-numbers.  The recorder uses
-only the standard library and the commands above, so one copy of it records
+parses as one (pytest's summary, the digest tools' ``total`` line); and
+``stderr_tail`` when the step exits nonzero or prints no result.  The file
+also holds the commit (``git rev-parse HEAD``, and whether ``git status``
+shows changes); for a tree with changes, the SHA-256 of ``git diff HEAD
+--binary`` and of each untracked file but the output, so that the file names
+the tree it measured; the host, the versions, and a ``notes`` list naming
+the known sources of noise in these numbers.  The recorder uses only the
+standard library and the commands above, so one copy of it records
 older checkouts too; with no importable rcl, or none in a checkout with
 ``perfbench/run.py``, it exits 2 before running anything.  It exits 1 when a
 step exits nonzero.  The host's speed drifts: compare only files recorded one
@@ -186,7 +187,7 @@ def main(argv=None) -> int:
               ["perfbench/run.py", "--workload", workload, "--seed", str(seed)], 1800)
              for workload in WORKLOADS for seed in SEEDS]
     steps += [(script, record, script, [str(HERE / f"{script}.py")], 1800)
-              for script in ("track_layers", "decider_layers")]
+              for script in ("track_layers", "decider_layers", "bundle_digests", "report_digests")]
     steps += [("tier-1", record, "tier1", [*TIER1], 3600), ("c01", record, "c01", [*TIER1, C01], 3600)]
     failed = []
     with tempfile.TemporaryDirectory() as tmp:

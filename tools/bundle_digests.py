@@ -15,8 +15,8 @@ kept every output byte for byte.  One line per item, ``<sha256>  <label>``:
 - the stdout (with ``elapsed_ms`` removed) and exit code of ``rcl check`` for
   every property flag, true and false verdicts, both ``--method`` values,
   graph files in both formats and the usage errors that exit 2;
-- the bytes of every file ``rcl gen-graph`` writes in ``edgelist`` and
-  ``json`` format;
+- the bytes of every file ``rcl gen-graph`` writes, under an ``.edgelist``
+  and a ``.json`` name;
 - the engine states of every scenario at seeds 0 and 7, and of that config
   under a table of distinct weights at seeds 0 to 2;
 - the engine states of a tie-heavy config (``tie_heavy_config``) under the
@@ -284,7 +284,7 @@ def digest_lines(tmp_dir: Path) -> list[str]:
         for fmt in ("edgelist", "json"):
             out_dir = graphs / f"{name}-{fmt}"
             out_dir.mkdir(parents=True)
-            argv = ["gen-graph", *source, "--format", fmt, "-o", str(out_dir / f"{name}.{fmt}")]
+            argv = ["gen-graph", *source, "-o", str(out_dir / f"{name}.{fmt}")]
             lines += _cli_digests(f"gen-graph {name} {fmt}", argv, out_dir)
     for argv in _check_argvs(str(graphs / "c10-edgelist" / "c10.edgelist"), str(graphs / "c10-json" / "c10.json")):
         label = " ".join(argv).replace(str(graphs) + "/", "")
