@@ -28,8 +28,10 @@ outside the enumerated set is ``in_deg - popcount(lo & in_lo) - popcount(hi &
 in_hi)``: the low part is one uint8 table per call (uint32 once an in-degree
 reaches 2^8), and each hi is a chunk of 2^L counters that subtracts a
 per-vertex constant, so counting holds about (vertices x 2^16) small ints
-however many subsets there are.  What depends only on the width (the low
-counters, their popcounts, bits and canonical keys) is built once per width.
+however many subsets there are.  What depends only on the width is one
+read-only record per width, ``_low_counters``: the low counters, their
+popcounts, bits and canonical keys, and for each room up to L // 4 the low
+counters with at most that many members.
 The pair checks are a DP in O(n 2^n): a uint8 table over all subsets and one
 minimum over submasks give each subset its best disjoint partner.  For
 r-robustness, (r, 1)-robustness and the maximum r, the table holds each
@@ -38,10 +40,11 @@ of tables is built once per graph and cached; (r, s) with s >= 2 counts
 r-reachable members into a table of its own.  When the free vertices fit
 one chunk (at most ``_LOW_BITS`` = 16), the complement checks build, in one
 pass over its low counters, a small table of the first violating C per pair
-of degree bounds over all of V \\ S, keyed by ``_low_keys``, once per
-(graph, S) and cached, so a query is one lookup.  Both caches keep one rule,
-``_Kept``: at most ``CACHE_BYTES`` of read-only arrays each, the oldest out
-first, read only after the caps and the memory budget have passed.
+of degree bounds over all of V \\ S, keyed by the canonical keys of the
+width, once per (graph, S) and cached, so a query is one lookup.  Both
+caches keep one rule, ``_Kept``: at most ``CACHE_BYTES`` of read-only arrays
+each, the oldest out first, read only after the caps and the memory budget
+have passed.
 Above 16, a query searches only the free vertices with fewer than ``anchor``
 in-neighbors in S, the only ones a violating C can hold (with none of them it
 answers true): a C of those violates iff no member has ``reach`` in-neighbors
@@ -187,25 +190,20 @@ _LOW_BITS = 16
 
 
 @lru_cache(maxsize=None)
-def _low_counters(width: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The low counters lo = 0 .. 2^width - 1, their popcounts and their bits
-    (row b is bit b); they depend on nothing but the width."""
+def _low_counters(width: int) -> SimpleNamespace:
+    """Everything that depends only on the counter width, read-only: the low
+    counters ``lo`` = 0 .. 2^width - 1, their popcounts ``sizes``, their
+    ``bits`` in uint8 (row b is bit b), their canonical ``keys`` (by size,
+    then descending lo) and ``upto[room]``, the ascending lo with at most
+    ``room`` members, for room <= width // 4."""
     lo = np.arange(1 << width, dtype=np.int32)
-    bits = ((lo >> np.arange(width, dtype=np.int32)[:, None]) & 1).astype(bool)
-    tables = lo, np.bitwise_count(lo).astype(np.int64), bits
-    for table in tables:
-        table.flags.writeable = False
-    return tables
-
-
-@lru_cache(maxsize=None)
-def _low_keys(width: int) -> np.ndarray:
-    """The canonical order of the low counters as int64 keys: by size, then
-    descending lo; like ``_low_counters``, it depends only on the width."""
-    lo, sizes, _ = _low_counters(width)
+    bits = ((lo >> np.arange(width, dtype=np.int32)[:, None]) & 1).astype(np.uint8)
+    sizes = np.bitwise_count(lo).astype(np.int64)
     keys = (sizes << width) - lo
-    keys.flags.writeable = False
-    return keys
+    upto = tuple(np.flatnonzero(sizes <= room) for room in range(width // 4 + 1))
+    for array in (lo, sizes, bits, keys, *upto):
+        array.flags.writeable = False
+    return SimpleNamespace(lo=lo, sizes=sizes, bits=bits, keys=keys, upto=upto)
 
 
 def _split_outside(g: Digraph, vertices: int) -> tuple[list[int], list[int], int, np.ndarray, np.ndarray]:
@@ -243,7 +241,7 @@ def _split_outside(g: Digraph, vertices: int) -> tuple[list[int], list[int], int
     # enough); each further bit b fills columns 2^b .. 2^(b+1) - 1 from the
     # ones below, in place, which is cheaper
     outside = np.empty((len(by_bit), 1 << width), dtype=dtype)
-    lo = _low_counters(min(width, 10))[0]
+    lo = _low_counters(width).lo[:1 << min(width, 10)]
     np.subtract(np.array(in_deg, dtype=dtype)[:, None], np.bitwise_count(masks.astype(np.int32)[:, None] & lo),
                 out=outside[:, :lo.size])
     for b in range(10, width):
@@ -294,15 +292,15 @@ def _subset_table(g: Digraph, fill) -> np.ndarray:
     n = g.n
     table = np.empty(1 << n, dtype=np.uint8)
     *_, width, outside, masks = _split_outside(g, (1 << n) - 1)
-    _, sizes, bits = _low_counters(width)
+    low = _low_counters(width)
     # up to _LOW_BITS vertices the low counters are every subset, so their bits serve as is
-    members = bits if n == width else np.vstack([bits, np.zeros((n - width, 1 << width), dtype=bool)])
+    members = low.bits if n == width else np.vstack([low.bits, np.zeros((n - width, 1 << width), dtype=np.uint8)])
     for hi in range(1 << (n - width)):
         chunk = outside
         if hi:
-            members[width:] = ((hi >> np.arange(n - width)) & 1).astype(bool)[:, None]
+            members[width:] = ((hi >> np.arange(n - width)) & 1)[:, None]
             chunk = outside - np.bitwise_count(masks & (hi << width))[:, None]
-        table[hi << width:(hi + 1) << width] = fill(chunk, members, sizes + hi.bit_count())
+        table[hi << width:(hi + 1) << width] = fill(chunk, members, low.sizes + hi.bit_count())
     return table
 
 
@@ -330,30 +328,27 @@ def _first_subset(n: int, accept) -> int | None:
     of the best subset found: every subset of a later chunk is larger.  Once
     a subset of size b is found, a chunk with popcount(hi) = c can only
     improve on it with a lo of at most b - c members, so for b - c up to
-    L // 4 it evaluates just those (at L = 16, at most 2517 of the 65536,
-    found by ``np.flatnonzero`` once per walk and b - c).  A larger b - c
+    L // 4, the rooms that ``_low_counters(L).upto`` holds, it evaluates
+    just those (at L = 16, at most 2517 of the 65536).  A larger b - c
     keeps so many that gathering them costs more than evaluating the whole
     chunk (at L = 16, b - c = 5 keeps 6885 and costs about twice as much),
     so the chunk is evaluated whole; what it marks past size b never comes
     first."""
     width = min(n, _LOW_BITS)
-    sizes, low_key = _low_counters(width)[1], _low_keys(width)
-    every, kept = slice(None), {}  # kept[room]: the lo with at most room members
+    low, every = _low_counters(width), slice(None)
     best = None  # (size, -j) of the first marked subset so far
     for count in range(n - width + 1):
         if best is not None and count > best[0]:
             break
         for high in itertools.combinations(range(width, n), count):
             room = width if best is None else best[0] - count
-            cols = every if room > width // 4 else kept.get(room)
-            if cols is None:
-                cols = kept[room] = np.flatnonzero(sizes <= room)
+            cols = low.upto[room] if room < len(low.upto) else every
             start = sum(1 << b for b in high)
-            marked = np.flatnonzero(accept(slice(start, start + sizes.size), cols))
+            marked = np.flatnonzero(accept(slice(start, start + low.lo.size), cols))
             if marked.size:
                 if cols is not every:
                     marked = cols[marked]
-                first = int(marked[low_key[marked].argmin()])
+                first = int(marked[low.keys[marked].argmin()])
                 found = (count + first.bit_count(), -(start | first))
                 best = found if best is None else min(best, found)
     return None if best is None else -best[1]
@@ -402,7 +397,7 @@ def _pair_scan(
         s1 = _first_subset(n, lambda rows, cols: partner[rows][cols] < s - table[rows][cols].astype(np.int16))
     if s1 is None:
         return RobustnessReport(prop, params, True, None, "bruteforce")
-    lo, below = _low_counters(min(n, _LOW_BITS))[0], r if s == 1 else s - int(table[s1])
+    lo, below = _low_counters(min(n, _LOW_BITS)).lo, r if s == 1 else s - int(table[s1])
     s2 = _first_subset(n, lambda rows, cols: (table[rows][cols] < below) & (((rows.start + lo[cols]) & s1) == 0))
     witness = {"s1": _subset(s1, (1 << n) - 1), "s2": _subset(s2, (1 << n) - 1)}
     if prop is Property.RS_ROBUST:
@@ -463,22 +458,22 @@ def _first_violations(key: tuple[Digraph, int]) -> np.ndarray:
 
     The f free vertices fit one chunk of the counter (f <= ``_LOW_BITS``), so
     j is a low counter: bit b stands for the b-th largest free vertex, and
-    the key is ``_low_keys(f)[j]``, by size, then descending j.  One pass over
-    the 2^f counters takes the maxima over the members of their in-degrees
-    from S and outside C; a non-member counts 0, which never raises the
-    maximum of a nonempty C.
+    the key is ``_low_counters(f).keys[j]``, by size, then descending j.  One
+    pass over the 2^f counters takes the maxima over the members of their
+    in-degrees from S and outside C; a non-member counts 0, which never
+    raises the maximum of a nonempty C.
     """
     g, s_mask = key
     by_bit, in_deg, f, outside, _ = _split_outside(g, (1 << g.n) - 1 - s_mask)
-    members = _low_counters(f)[2].view(np.uint8)
+    low = _low_counters(f)
     from_s = [(g.in_masks[v - 1] & s_mask).bit_count() for v in by_bit]
     rows, cols = max(from_s) + 1, max(in_deg) + 1
     # a C's cell is its row (from S) times cols plus its column (outside); both
     # are maxima over the members, so a product with the 0/1 members masks them
     cell_of = np.array([a * cols for a in from_s], dtype=np.uint8 if rows * cols <= 1 << 8 else np.uint32)
-    cell = (members * cell_of[:, None]).max(axis=0) + (members * outside).max(axis=0)
+    cell = (low.bits * cell_of[:, None]).max(axis=0) + (low.bits * outside).max(axis=0)
     first = np.full(rows * cols, _NO_VIOLATION, dtype=np.int64)
-    np.minimum.at(first, cell[1:], _low_keys(f)[1:])  # from 1: not the empty C
+    np.minimum.at(first, cell[1:], low.keys[1:])  # from 1: not the empty C
     first = first.reshape(rows, cols)
     np.minimum.accumulate(first, axis=0, out=first)
     np.minimum.accumulate(first, axis=1, out=first)
@@ -513,7 +508,7 @@ def _bruteforce(
 
     When the free vertices fit one chunk of the counter (at most
     ``_LOW_BITS``), one cached table over all of V \\ S answers every
-    (anchor, reach) on (g, S), and j is read off its ``_low_keys`` key.
+    (anchor, reach) on (g, S), and j is read off its canonical key.
     Above that, a query searches only the free vertices with fewer than
     anchor in-neighbors in S: a violating C has no other member, and the
     canonical order of its subsets is the order restricted to them.  So a C
@@ -540,7 +535,7 @@ def _bruteforce(
         if not domain:
             return RobustnessReport(prop, params, True, None, "bruteforce")
         *_, width, outside, masks = _split_outside(g, domain)
-        low_members, high = _low_counters(width)[2].view(np.uint8), range(width, domain.bit_count())
+        low_members, high = _low_counters(width).bits, range(width, domain.bit_count())
 
         def violates(rows, cols):
             # the largest in-degree outside C over its members (a non-member

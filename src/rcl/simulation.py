@@ -208,9 +208,8 @@ def _layout(config: SimConfig) -> SimpleNamespace:
     """The arrays of a run that ``_round`` reads and writes, laid out once:
     ``x[t]`` holds every value delivered at round t, Byzantine edges
     included, and row r of ``sid`` the columns of x that the r-th normal
-    agent gathers.  ``ordered``, ``cols`` and ``spare`` are work buffers that
-    every round overwrites: the sorted rows, their transpose and the sum's
-    scratch."""
+    agent gathers.  ``cols`` and ``spare`` are work buffers that every round
+    overwrites: the transpose of the sorted rows and the sum's scratch."""
     g = config.graph
     n, horizon = g.n, config.horizon
     rounds = range(horizon + 1)
@@ -276,8 +275,7 @@ def _layout(config: SimConfig) -> SimpleNamespace:
         states=states, reference=ref_series, edge_values=edge_values, x=x, normals=normals, ids=ids, sid=sid,
         f=f, upper=upper, degree=(sid > 0).sum(axis=1), rows=np.arange(len(normals)),
         past_upper=np.arange(upper + 1, width)[:, None], weight=weight,
-        ordered=np.empty((len(normals), width)), cols=np.empty((width, len(normals))),
-        spare=np.empty((width, len(normals))),
+        cols=np.empty((width, len(normals))), spare=np.empty((width, len(normals))),
     )
 
 
@@ -286,26 +284,27 @@ def _round(lay: SimpleNamespace, t: int) -> bool:
     fixed point: every row common and the states equal to round t's, bit for bit.
 
     One gather through ``sid`` gives each normal agent every value it hears,
-    a Byzantine sender's per-edge value included.  A row's retained set is one run of its sorted values, less at most F at
+    a Byzantine sender's per-edge value included, and is sorted in place.  A
+    row's retained set is one run of its sorted values, less at most F at
     each end, so the round counts and masks only the F + 1 sorted positions at
     each end.  After the row sort one transpose puts every agent's k-th
     smallest value in row k of ``cols``, so the band counts, the scaling, the
-    masks and the certified sum all run along contiguous rows.  The equal
-    weight rule sums the run in sorted order, exactly: tied values give the
-    same terms (a tied zero's sign cannot change a nonzero sum, and
-    ``math.fsum`` returns +0.0 for a zero one), and the sum is fsum's
-    correctly rounded one.  A weight table can give tied senders different
-    weights, so only a table resolves cut-point ties by sender id; it zeroes
-    the dropped values before the shares scale them, as a dropped sender's
-    share of the kept total can exceed 1 and overflow a value near the
-    largest float.
+    masks and the certified sum all run along contiguous rows.  The values in
+    sender order are gathered again only where they are read: by a weight
+    table, and for the common rows at the end.  The equal weight rule sums
+    the run in sorted order, exactly: tied values give the same terms (a
+    tied zero's sign cannot change a nonzero sum, and ``math.fsum`` returns
+    +0.0 for a zero one), and the sum is fsum's correctly rounded one.  A
+    weight table can give tied senders different weights, so only a table
+    resolves cut-point ties by sender id; it zeroes the dropped values before
+    the shares scale them, as a dropped sender's share of the kept total can
+    exceed 1 and overflow a value near the largest float.
     """
     xt, f, upper, cols = lay.x[t], lay.f, lay.upper, lay.cols
-    vals = xt[lay.sid]
     own = xt[lay.ids]
-    lay.ordered[...] = vals
-    lay.ordered.sort(axis=1)
-    cols[...] = lay.ordered.T
+    ordered = xt[lay.sid]
+    ordered.sort(axis=1)
+    cols[...] = ordered.T
     # values below own are a prefix of the sorted run and values above it end
     # at its last real entry, so each band count is the full one, or over F
     below = cols[: f + 1] < own
@@ -326,6 +325,7 @@ def _round(lay: SimpleNamespace, t: int) -> bool:
         # In sender order the retained set is every value in [lo, hi] but
         # the ``extra`` values tied with lo or hi that have the largest
         # sender ids, which wmsr_filter drops.
+        vals = xt[lay.sid]
         upto_hi = vals <= hi[:, None]
         keep = upto_hi & (vals >= lo[:, None])
         for cut, extra in ((lo, drop_low - (vals < lo[:, None]).sum(axis=1)),
@@ -353,7 +353,8 @@ def _round(lay: SimpleNamespace, t: int) -> bool:
     # sender order, as wmsr_update returns min(values)
     same = common.nonzero()[0]
     if same.size:
-        mixed[same] = vals[same, np.argmax(vals[same] == own[same, None], axis=1)]
+        vals = xt[lay.sid[same]]
+        mixed[same] = vals[np.arange(same.size), np.argmax(vals == own[same, None], axis=1)]
     lay.x[t + 1][lay.ids] = mixed
     return same.size == len(lay.ids) and bool((mixed.view(np.int64) == own.view(np.int64)).all())
 
@@ -427,8 +428,7 @@ def _column_sums(terms: np.ndarray, spare: np.ndarray) -> tuple[np.ndarray, np.n
     scale = 2.0 * w * top
     if not (top > 2.0**-900 and scale < 2.0**1023):
         return np.zeros(count), np.zeros(count, dtype=bool)
-    mag[mag == 0] = np.inf
-    low = mag.min(axis=0)
+    low = mag.min(axis=0, where=mag != 0, initial=np.inf)
     sigma = math.ldexp(1.0, math.frexp(scale)[1])
     q = np.add(terms, sigma, out=spare)
     q -= sigma

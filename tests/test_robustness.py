@@ -742,6 +742,22 @@ def test_split_counter_table_is_the_in_degree_minus_the_low_members(width):
         assert np.array_equal(outside, expected), (width, g.n)
 
 
+@pytest.mark.parametrize("width", range(1, 17))
+def test_the_width_table_holds_the_low_counters_and_their_canonical_order(width):
+    low, lo = robustness._low_counters(width), list(range(1 << width))
+    assert not any(array.flags.writeable for array in (low.lo, low.sizes, low.bits, low.keys, *low.upto))
+    assert low.lo.tolist() == lo and low.sizes.tolist() == [j.bit_count() for j in lo]
+    assert low.bits.dtype == np.uint8 and low.bits.shape == (width, 1 << width)
+    for b in range(width):
+        assert np.array_equal(low.bits[b], (low.lo >> b) & 1), b
+    # a pruned chunk's low counters; each starts with 0, the empty counter
+    # that the complement walk clears at marked[0]
+    assert len(low.upto) == width // 4 + 1
+    for room, cols in enumerate(low.upto):
+        assert cols.tolist() == [j for j in lo if j.bit_count() <= room] and cols[0] == 0, room
+    assert np.argsort(low.keys).tolist() == sorted(lo, key=lambda j: (j.bit_count(), -j))
+
+
 @pytest.mark.parametrize("low_bits", [2, 3], indirect=True)
 def test_split_counter_pair_witness_is_the_canonical_first_violation(low_bits):
     rng = random.Random(103 + low_bits)

@@ -19,6 +19,14 @@ def _run_tool(script: str, pythonpath: Path, *args: str) -> subprocess.Completed
                           capture_output=True, text=True, timeout=120)
 
 
+def _tool(name: str):
+    """The module ``tools/<name>.py``, loaded on its own."""
+    spec = importlib.util.spec_from_file_location(name, TOOLS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 @pytest.fixture
 def stub_src(tmp_path) -> Path:
     """The ``src/`` of a checkout whose rcl exits with ``MARKER`` on import."""
@@ -33,6 +41,39 @@ def stub_src(tmp_path) -> Path:
 def test_tools_import_the_rcl_on_pythonpath(stub_src, script):
     done = _run_tool(script, stub_src)
     assert done.returncode == 1 and done.stderr.strip().endswith(MARKER), done.stderr
+
+
+@pytest.mark.parametrize("preset", [{}, {"MALLOC_TRIM_THRESHOLD_": "4096"}], ids=["unset", "trim set"])
+@pytest.mark.parametrize("script", ["track_layers.py", "decider_layers.py"])
+def test_layer_tools_run_with_the_heap_pinned_as_bench_record_pins_it(tmp_path, monkeypatch, script, preset):
+    # the stub rcl exits with the two thresholds its process sees; a value
+    # already set is kept, and an unset one takes bench_record's pin
+    pins = _tool("bench_record").MALLOC_ENV
+    for name in pins:
+        monkeypatch.delenv(name, raising=False)
+    for name, value in preset.items():
+        monkeypatch.setenv(name, value)
+    package = tmp_path / "stub" / "src" / "rcl"
+    package.mkdir(parents=True)
+    exit_with_pins = f"import os\nraise SystemExit(repr([os.environ.get(k) for k in {list(pins)!r}]))\n"
+    (package / "__init__.py").write_text(exit_with_pins)
+    done = _run_tool(script, package.parent)
+    seen = [preset.get(name, value) for name, value in pins.items()]
+    assert done.returncode == 1 and done.stderr.strip().endswith(repr(seen)), done.stderr
+
+
+def test_bench_record_runs_c01_and_c04_without_the_hypothesis_plugin(tmp_path, monkeypatch):
+    # test_acceptance.py uses no Hypothesis, and importing it for the plugin
+    # took about 1.2 s of each of those walls; the tier-1 run keeps the plugin
+    bench_record, argvs = _tool("bench_record"), []
+    monkeypatch.setattr(bench_record, "_step", lambda root, argv, timeout: argvs.append(argv) or {"returncode": 0})
+    assert bench_record.main(["--out", str(tmp_path / "record.json")]) == 0
+    pytest_runs = [argv[1:] for argv in argvs if argv[1:3] == ["-m", "pytest"]]
+    tier1 = ["-m", "pytest", "-q", "--continue-on-collection-errors", "-p", "no:cacheprovider"]
+    acceptance = [*tier1, "-p", "no:hypothesispytest"]
+    assert pytest_runs == [tier1,
+                           [*acceptance, "tests/test_acceptance.py::test_c01_peeling_matches_bruteforce_at_scale"],
+                           [*acceptance, "tests/test_acceptance.py::test_c04_sim2_reproduction_over_20_seeds"]]
 
 
 @pytest.mark.parametrize("checkout", ["no rcl", "no perfbench"])
@@ -79,18 +120,13 @@ def test_bench_record_keeps_the_stderr_of_every_failed_step(tmp_path, stub_src):
 def test_bench_record_reads_one_object_per_line_or_the_whole_stdout(tmp_path, printed, result):
     # perfbench and the layer tools print one object per line; rcl scenario
     # prints its metrics as one indented object
-    spec = importlib.util.spec_from_file_location("bench_record", TOOLS / "bench_record.py")
-    bench_record = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(bench_record)
-    step = bench_record._step(tmp_path, [sys.executable, "-c", f"import json\n{printed}"], timeout=60)
+    step = _tool("bench_record")._step(tmp_path, [sys.executable, "-c", f"import json\n{printed}"], timeout=60)
     assert step["returncode"] == 0 and step["result"] == result, step
     assert "summary" not in step and "stderr_tail" not in step
 
 
 def test_mutants_reports_a_killed_a_surviving_and_a_stale_row(tmp_path, monkeypatch, capsys):
-    spec = importlib.util.spec_from_file_location("mutants", TOOLS / "mutants.py")
-    mutants = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(mutants)
+    mutants = _tool("mutants")
     root = tmp_path / "stub"
     (root / "src" / "rcl").mkdir(parents=True)
     (root / "tests").mkdir()

@@ -15,11 +15,16 @@ importing it), one step after the other, with that ``src/`` as ``PYTHONPATH``:
   20-seed sim2 batch) alone, and a fixed 420-cell ``rcl sweep``, each writing
   its output to a temporary directory.
 
+c01 and c04 run without Hypothesis's pytest plugin (``-p
+no:hypothesispytest``), as ``test_acceptance.py`` uses no Hypothesis and
+importing it took about 1.2 s of each wall; the tier-1 step keeps it.
+
 Every step is a child process run by ``_step``, whose environment pins glibc's
 heap trim and mmap thresholds (``MALLOC_TRIM_THRESHOLD_``,
 ``MALLOC_MMAP_THRESHOLD_``), so the heap cannot shrink and regrow between
-passes.  Each step's record holds its ``returncode`` and ``process_wall_s``;
-``result``, every stdout line that parses as a JSON object, merged in order
+passes; ``pin_heap`` gives a layer tool run by hand the same pins.  Each
+step's record holds its ``returncode`` and ``process_wall_s``; ``result``,
+every stdout line that parses as a JSON object, merged in order
 (perfbench's ``detail`` and metrics lines, one line per layer of the layer
 tools), or else the whole stdout when it parses as one (``rcl scenario``'s
 indented metrics); ``summary``, the last stdout line, only when neither
@@ -58,7 +63,9 @@ SEEDS = (1, 101)
 # the enumeration chunks of a few MB stay on the heap and are never trimmed
 MALLOC_ENV = {"MALLOC_TRIM_THRESHOLD_": str(256 << 20), "MALLOC_MMAP_THRESHOLD_": str(32 << 20)}
 TIER1 = ("-m", "pytest", "-q", "--continue-on-collection-errors", "-p", "no:cacheprovider")
+ACCEPTANCE = (*TIER1, "-p", "no:hypothesispytest")
 C01 = "tests/test_acceptance.py::test_c01_peeling_matches_bruteforce_at_scale"
+C04 = "tests/test_acceptance.py::test_c04_sim2_reproduction_over_20_seeds"
 NOTES = [
     "perfbench setup_s is mostly interpreter start and imports (about 0.15 s) for track and wide, "
     "so it swings by about 15% between runs of unchanged code",
@@ -73,6 +80,14 @@ NOTES = [
     "BENCHMARK.json says the engine does ~80% of a track op; track_layers.py measures run at 50-60% "
     "of a sim2 seed, CSV and SVG export most of the rest",
 ]
+
+
+def pin_heap() -> None:
+    """Run this script again, in the same process, with ``MALLOC_ENV`` set
+    where either variable is unset, so a layer tool run by hand pins the heap
+    as a recorded one; a value already set is kept, so it re-runs once."""
+    if not MALLOC_ENV.keys() <= os.environ.keys():
+        os.execve(sys.executable, [sys.executable, *sys.orig_argv[1:]], {**MALLOC_ENV, **os.environ})
 
 
 def _checkout() -> Path | None:
@@ -188,12 +203,11 @@ def main(argv=None) -> int:
              for workload in WORKLOADS for seed in SEEDS]
     steps += [(script, record, script, [str(HERE / f"{script}.py")], 1800)
               for script in ("track_layers", "decider_layers", "bundle_digests", "report_digests")]
-    steps += [("tier-1", record, "tier1", [*TIER1], 3600), ("c01", record, "c01", [*TIER1, C01], 3600)]
+    steps += [("tier-1", record, "tier1", [*TIER1], 3600), ("c01", record, "c01", [*ACCEPTANCE, C01], 3600)]
     failed = []
     with tempfile.TemporaryDirectory() as tmp:
         steps += [("sim2", record, "sim2", ["-m", "rcl.cli", "scenario", "sim2", "--out", tmp], 600),
-                  ("c04", record, "c04", [*TIER1, "tests/test_acceptance.py::test_c04_sim2_reproduction_over_20_seeds"],
-                   1800),
+                  ("c04", record, "c04", [*ACCEPTANCE, C04], 1800),
                   ("sweep", record, "sweep", ["-m", "rcl.cli", "sweep", "--n", "20,30", "--k", "5-7", "--f", "1,2",
                                               "--window-sizes", "3-9", "--window-starts", "1-5", "--horizon", "200",
                                               "-o", f"{tmp}/sweep.csv"], 600)]

@@ -38,7 +38,10 @@ rcl is imported from ``PYTHONPATH``, and perfbench's workloads from the
 ``perfbench/`` beside this directory, so one copy of the script run on the
 ``src/`` of two checkouts times the same workloads and gives the layer split
 side by side.  The host's speed drifts; compare only runs made one after the
-other.
+other.  Where ``MALLOC_TRIM_THRESHOLD_`` or ``MALLOC_MMAP_THRESHOLD_`` is
+unset, the script first runs itself again with glibc's heap pinned as
+``bench_record.py`` pins its steps (``bench_record.MALLOC_ENV``), so a run by
+hand reads like a recorded one.
 """
 
 import contextlib
@@ -52,6 +55,10 @@ from unittest import mock
 
 HERE = Path(__file__).resolve().parent
 sys.path.insert(0, str(HERE.parent / "perfbench"))
+
+from bench_record import pin_heap  # noqa: E402
+
+pin_heap()
 
 import workloads  # noqa: E402
 from rcl import robustness  # noqa: E402

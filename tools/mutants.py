@@ -43,15 +43,21 @@ MUTANTS = [
     # the cached table's key decoded as ~key, one off from -key
     (ROBUSTNESS, "-key & ((1 << free) - 1)", "~key & ((1 << free) - 1)",
      [TESTS + "test_strong_ring_false_with_minimal_witness"]),
-    # a pruned chunk drops the low counters of exactly the room left
+    # the width table's upto[room] drops the low counters of exactly the room left
     (ROBUSTNESS, "np.flatnonzero(sizes <= room)", "np.flatnonzero(sizes < room)",
-     [TESTS + "test_split_counter_complement_witness_is_the_canonical_first_violation[2]"]),
+     [TESTS + "test_split_counter_complement_witness_is_the_canonical_first_violation[2]",
+      TESTS + "test_the_width_table_holds_the_low_counters_and_their_canonical_order[4]"]),
+    # the width table's canonical keys order one size by ascending lo
+    (ROBUSTNESS, "keys = (sizes << width) - lo", "keys = (sizes << width) + lo",
+     [TESTS + "test_strong_ring_false_with_minimal_witness",
+      TESTS + "test_the_width_table_holds_the_low_counters_and_their_canonical_order[4]"]),
     # a pruned chunk's marks left as positions in cols, not low counters
     (ROBUSTNESS, "marked = cols[marked]", "marked = marked",
      [TESTS + "test_a_pruned_chunk_keeps_every_low_counter_that_can_come_first[4]"]),
-    # chunks pruned up to L // 2 free low bits, not L // 4
-    (ROBUSTNESS, "room > width // 4", "room > width // 2",
-     [TESTS + "test_a_pruned_chunk_keeps_every_low_counter_that_can_come_first[4]"]),
+    # the width table holds pruned chunks up to L // 2 free low bits, not L // 4
+    (ROBUSTNESS, "range(width // 4 + 1)", "range(width // 2 + 1)",
+     [TESTS + "test_a_pruned_chunk_keeps_every_low_counter_that_can_come_first[4]",
+      TESTS + "test_the_width_table_holds_the_low_counters_and_their_canonical_order[4]"]),
     # save_graph writes graph JSON under a .txt name and an edge list under .json
     ("src/rcl/graph.py", 'if Path(path).suffix == ".json":\n        text',
      'if Path(path).suffix == ".txt":\n        text',
