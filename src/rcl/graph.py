@@ -1,9 +1,12 @@
 """Directed graphs over agents 1..n, with circulant constructors and file I/O.
 
 Vertices are labeled 1..n throughout; an edge (i, j) means agent i transmits
-to agent j.  Graphs are immutable, and all derived data (neighbor sets,
-bitmasks, the hash) is computed at construction, so it is safe to share
-across threads.
+to agent j.  Graphs are immutable: neighbor sets and bitmasks are computed
+at construction, and the exact deciders' tables (``robustness``) are built
+lazily, on a graph's first query that needs one, and kept on the graph.  So
+a graph is safe to share across threads: two concurrent first queries may
+each build the same table, and the last write wins, but a reader never sees
+a partial table, as a table is made read-only before it is stored.
 
 Every id and integer parameter that rcl takes (n, k, edge ends, r, s, F, a
 horizon, a seed) follows one rule, written here once in ``_integer``: it is
@@ -140,7 +143,9 @@ class Digraph:
     endpoints are ints and ``edges`` a frozenset, by the integer rule.  What a
     graph derives is computed at construction: ``in_masks`` and ``out_masks``,
     one bitmask per vertex with bit (v-1) set iff v is an in- (out-) neighbor,
-    ``max_in_degree``, the neighbor sets and the hash.
+    ``max_in_degree`` and the neighbor sets.  ``_tables`` starts empty and
+    holds the exact tables ``robustness`` builds on first query; equality,
+    the hash and the JSON form read ``n`` and ``edges`` only.
     """
 
     n: int
@@ -161,11 +166,8 @@ class Digraph:
             n=n, edges=edges, _ins=ins, _outs=outs,
             in_masks=tuple(sum(map(bit.__getitem__, s)) for s in ins),
             out_masks=tuple(sum(map(bit.__getitem__, s)) for s in outs),
-            max_in_degree=max(map(len, ins)), _hash=hash((n, edges)),
+            max_in_degree=max(map(len, ins)), _tables={},
         )
-
-    def __hash__(self) -> int:
-        return self._hash
 
     @property
     def vertices(self) -> range:

@@ -36,14 +36,17 @@ The pair checks are a DP in O(n 2^n): a uint8 table over all subsets and one
 minimum over submasks give each subset its best disjoint partner.  For
 r-robustness, (r, 1)-robustness and the maximum r, the table holds each
 subset's largest outside in-degree, which does not depend on r, so that pair
-of tables is built once per graph and cached; (r, s) with s >= 2 counts
+of tables is built once per graph and kept; (r, s) with s >= 2 counts
 r-reachable members into a table of its own.  When the free vertices fit
 one chunk (at most ``_LOW_BITS`` = 16), the complement checks build, in one
 pass over its low counters, a small table of the first violating C per pair
 of degree bounds over all of V \\ S, keyed by the canonical keys of the
-width, once per (graph, S) and cached, so a query is one lookup.  Both
-caches keep one rule, ``_Kept``: at most ``CACHE_BYTES`` of read-only arrays
-each, the oldest out first, read only after the caps and the memory budget
+width, once per (graph, S) and kept, so a query is one lookup.  Both kinds
+of table live on their graph, in ``Digraph._tables``: a complement table
+under its S's mask, the pair tables under ``_PAIRS`` = 0, a mask no S has.
+Each is made read-only and kept by one rule, ``_kept``, if its arrays total
+at most ``CACHE_BYTES``; a larger one is returned, not kept.  Tables die
+with their graph, and are read only after the caps and the memory budget
 have passed.
 Above 16, a query searches only the free vertices with fewer than ``anchor``
 in-neighbors in S, the only ones a violating C can hold (with none of them it
@@ -66,7 +69,6 @@ one, a bad parameter ValueError.
 
 from __future__ import annotations
 
-import collections
 import itertools
 from dataclasses import dataclass
 from enum import Enum
@@ -84,11 +86,13 @@ DEFAULT_COMPLEMENT_CAP = 20
 # and its submask-minimum copy).  n = 26 takes 128 MB, n = 28 the whole budget,
 # and n = 29 is the first size refused, even forced.
 PAIR_SCAN_BUDGET = 512 * 2**20
-# Array bytes each cache of exact tables may hold (see ``_Kept``): perfbench's
-# crosscheck corpus needs 0.6 MB for its 4,227 complement tables, and a pair
-# table at n = 19 takes all of it.  Each kept table also costs a few hundred
-# bytes of Python objects that this does not count, so the bound stays small.
+# Array bytes of the largest exact table a graph keeps (see ``_kept``): the
+# pair tables at n = 19 take all of it, and a complement table at most a few
+# hundred.
 CACHE_BYTES = 2**20
+# The key of a graph's pair tables in ``Digraph._tables``; a complement table
+# is kept under its S's mask, never 0, as S is nonempty.
+_PAIRS = 0
 
 
 class EnumerationCapError(RuntimeError):
@@ -146,41 +150,16 @@ def _members(mask: int) -> list[int]:
     return out
 
 
-class _Kept(dict):
-    """The one cache rule of both exact families, as a dict: ``cache[key]``
-    is ``build(key)``, an array or a tuple of arrays, made read-only and kept
-    while the arrays kept total at most ``CACHE_BYTES``, the oldest kept
-    going first to make room; a result larger than that is returned, not
-    kept.  A hit is a plain dict lookup, with no Python call.
-    ``cache_info()`` is a snapshot of the misses and the bytes kept since
-    ``cache_clear()``."""
-
-    def __init__(self, build) -> None:
-        super().__init__()
-        self.build, self.order, self.misses, self.held = build, collections.deque(), 0, 0
-
-    def __missing__(self, key):
-        self.misses += 1
-        found, size = self.build(key), 0
-        for array in found if isinstance(found, tuple) else (found,):
-            array.flags.writeable = False  # shared by every caller
-            size += array.nbytes
-        if size <= CACHE_BYTES:
-            while self.held + size > CACHE_BYTES:
-                oldest, freed = self.order.popleft()
-                del self[oldest]
-                self.held -= freed
-            self[key], self.held = found, self.held + size
-            self.order.append((key, size))
-        return found
-
-    def cache_info(self) -> SimpleNamespace:
-        return SimpleNamespace(misses=self.misses, bytes=self.held)
-
-    def cache_clear(self) -> None:
-        self.clear()
-        self.order.clear()
-        self.misses = self.held = 0
+def _kept(g: Digraph, key: int, table):
+    """``table``, an array or a tuple of arrays, made read-only, as every
+    caller on g shares it, and kept in ``g._tables[key]`` if its arrays
+    total at most ``CACHE_BYTES``."""
+    arrays = table if isinstance(table, tuple) else (table,)
+    for array in arrays:
+        array.flags.writeable = False
+    if sum(array.nbytes for array in arrays) <= CACHE_BYTES:
+        g._tables[key] = table
+    return table
 
 
 # ---------------------------------------------------------------------------
@@ -272,7 +251,7 @@ def r_reachable_set(g: Digraph, s: Iterable[int], r: int) -> frozenset[int]:
 def _check_pair_size(g: Digraph, limit: int, force: bool) -> None:
     """Refuse a pair check past ``limit`` vertices unless forced, and past
     ``PAIR_SCAN_BUDGET`` even forced: before anything is allocated or read
-    from a cache, so a refusal never depends on what is cached."""
+    from a kept table, so a refusal never depends on what is kept."""
     n = g.n
     if n > limit and not force:
         raise EnumerationCapError(
@@ -354,16 +333,16 @@ def _first_subset(n: int, accept) -> int | None:
     return None if best is None else -best[1]
 
 
-@_Kept
 def _pair_table(g: Digraph) -> tuple[np.ndarray, np.ndarray]:
-    """``_pair_table[g]`` is ``(M, P)``: ``M[j]`` is the largest in-degree
-    outside j over the members of j (``M[0]`` = 255, as the empty set is no
-    half of a pair), and ``P[j]`` the smallest M over the nonempty subsets of
-    ~j.  Neither depends on r: j is r-reachable iff ``M[j] >= r``, and has a
-    disjoint partner that is not iff ``P[j] < r``."""
+    """Build and keep (``_kept``) the pair tables ``(M, P)`` of g: ``M[j]``
+    is the largest in-degree outside j over the members of j (``M[0]`` =
+    255, as the empty set is no half of a pair), and ``P[j]`` the smallest M
+    over the nonempty subsets of ~j.  Neither depends on r: j is r-reachable
+    iff ``M[j] >= r``, and has a disjoint partner that is not iff ``P[j] <
+    r``."""
     most = _subset_table(g, lambda outside, members, _: (outside * members).max(axis=0))
     most[0] = 255
-    return most, _submask_min(most.copy())[::-1]
+    return _kept(g, _PAIRS, (most, _submask_min(most.copy())[::-1]))
 
 
 def _pair_scan(
@@ -374,8 +353,8 @@ def _pair_scan(
     set is r-reachable, so the verdict is true whatever the caps.  A false
     verdict carries the first violating pair in canonical subset order.
 
-    At s = 1 a pair violates iff neither set is r-reachable, so the cached
-    ``_pair_table`` of g answers every r; s >= 2 counts each subset's
+    At s = 1 a pair violates iff neither set is r-reachable, so the pair
+    tables g keeps answer every r; s >= 2 counts each subset's
     r-reachable members into a table of its own."""
     limit = DEFAULT_PAIR_CAP if cap is None else _count(cap, "cap")
     if r == 0:
@@ -384,7 +363,7 @@ def _pair_scan(
     n, r = g.n, min(r, g.n)
     # table[j]: M[j] at s = 1, else the r-reachable count of a bad j (255 for the others)
     if s == 1:  # neither set r-reachable: M < r for both
-        table, partner = _pair_table[g]
+        table, partner = g._tables.get(_PAIRS) or _pair_table(g)
         s1 = _first_subset(n, lambda rows, cols: (table[rows][cols] < r) & (partner[rows][cols] < r))
     else:
         def count_bad(outside, members, sizes):
@@ -436,7 +415,7 @@ def max_r_robustness(g: Digraph, *, cap: int | None = None, force: bool = False)
     """Largest r for which the graph is r-robust, at most ceil(n/2): the minimum over S1 of
     max(M[S1], min of M over the subsets of ~S1), M[j] the largest outside in-degree in j."""
     _check_pair_size(g, DEFAULT_PAIR_CAP if cap is None else _count(cap, "cap"), force)
-    most, least = _pair_table[g]
+    most, least = g._tables.get(_PAIRS) or _pair_table(g)
     step = 1 << _LOW_BITS  # a chunk at a time, so no third table of 2^n
     best = min(int(np.maximum(most[j:j + step], least[j:j + step]).min()) for j in range(0, most.size, step))
     return min((g.n + 1) // 2, best)
@@ -446,15 +425,17 @@ def max_r_robustness(g: Digraph, *, cap: int | None = None, force: bool = False)
 # complement-subset checks (strong r-robustness, TLF robustness)
 
 
-_NO_VIOLATION = np.iinfo(np.int64).max
+# A canonical key is below 17 << 16, so a complement table holds int32: a
+# graph keeps every one it builds, about 260 bytes each in all.
+_NO_VIOLATION = np.iinfo(np.int32).max
 
 
-@_Kept
-def _first_violations(key: tuple[Digraph, int]) -> np.ndarray:
-    """``_first_violations[g, s_mask]`` is ``first``: ``first[a, o]`` is the
-    smallest canonical key of a nonempty C in V \\ S (S the mask ``s_mask``)
-    whose members have at most a in-neighbors in S and at most o outside C,
-    else ``_NO_VIOLATION``; rows and columns stop at the largest degree.
+def _first_violations(g: Digraph, s_mask: int) -> np.ndarray:
+    """Build and keep (``_kept``) the table ``first`` of g and S, the mask
+    ``s_mask``: ``first[a, o]`` is the smallest canonical key of a nonempty C
+    in V \\ S whose members have at most a in-neighbors in S and at most o
+    outside C, else ``_NO_VIOLATION``; rows and columns stop at the largest
+    degree.
 
     The f free vertices fit one chunk of the counter (f <= ``_LOW_BITS``), so
     j is a low counter: bit b stands for the b-th largest free vertex, and
@@ -463,7 +444,6 @@ def _first_violations(key: tuple[Digraph, int]) -> np.ndarray:
     in-degrees from S and outside C; a non-member counts 0, which never
     raises the maximum of a nonempty C.
     """
-    g, s_mask = key
     by_bit, in_deg, f, outside, _ = _split_outside(g, (1 << g.n) - 1 - s_mask)
     low = _low_counters(f)
     from_s = [(g.in_masks[v - 1] & s_mask).bit_count() for v in by_bit]
@@ -472,12 +452,11 @@ def _first_violations(key: tuple[Digraph, int]) -> np.ndarray:
     # are maxima over the members, so a product with the 0/1 members masks them
     cell_of = np.array([a * cols for a in from_s], dtype=np.uint8 if rows * cols <= 1 << 8 else np.uint32)
     cell = (low.bits * cell_of[:, None]).max(axis=0) + (low.bits * outside).max(axis=0)
-    first = np.full(rows * cols, _NO_VIOLATION, dtype=np.int64)
-    np.minimum.at(first, cell[1:], low.keys[1:])  # from 1: not the empty C
-    first = first.reshape(rows, cols)
+    first = np.full((rows, cols), _NO_VIOLATION, dtype=np.int32)
+    np.minimum.at(first.reshape(-1), cell[1:], low.keys[1:])  # from 1: not the empty C
     np.minimum.accumulate(first, axis=0, out=first)
     np.minimum.accumulate(first, axis=1, out=first)
-    return first
+    return _kept(g, s_mask, first)
 
 
 def _subset(j: int, domain: int) -> list[int]:
@@ -507,7 +486,7 @@ def _bruteforce(
     true whatever the caps.
 
     When the free vertices fit one chunk of the counter (at most
-    ``_LOW_BITS``), one cached table over all of V \\ S answers every
+    ``_LOW_BITS``), one kept table over all of V \\ S answers every
     (anchor, reach) on (g, S), and j is read off its canonical key.
     Above that, a query searches only the free vertices with fewer than
     anchor in-neighbors in S: a violating C has no other member, and the
@@ -524,7 +503,9 @@ def _bruteforce(
             f"complement size {free} exceeds enumeration cap {limit}; pass force=True to override"
         )
     if free <= _LOW_BITS:
-        first = _first_violations[g, s_mask]
+        first = g._tables.get(s_mask)
+        if first is None:
+            first = _first_violations(g, s_mask)
         rows, cols = first.shape
         key = first.item(min(anchor, rows) - 1, min(reach, cols) - 1)
         j = None if key == _NO_VIOLATION else -key & ((1 << free) - 1)

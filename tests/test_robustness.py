@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import itertools
 import json
 import os
@@ -6,7 +7,9 @@ import random
 import re
 import subprocess
 import sys
+import threading
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +29,7 @@ from helpers import (
     random_digraph,
 )
 from rcl import robustness
-from rcl.graph import Digraph, GraphError, make_k_circulant, make_undirected_circulant
+from rcl.graph import Digraph, GraphError, graph_to_json, make_k_circulant, make_undirected_circulant
 from rcl.scenarios import build_2f1_counterexample, build_rs_counterexample
 from rcl.robustness import (
     EnumerationCapError,
@@ -483,25 +486,21 @@ def test_forced_pair_scan_past_the_memory_budget_is_refused():
     assert not r_reachable_set(g, s1, 7) and not r_reachable_set(g, s2, 7)
 
 
-CACHES = (robustness._pair_table, robustness._first_violations)
-
-
-def _cache_info(cache) -> tuple[int, int]:
-    info = cache.cache_info()
-    return info.misses, info.bytes
-
-
-def _clear_caches():
-    for cache in CACHES:
-        cache.cache_clear()
+def _spy_builds(monkeypatch) -> dict:
+    """The arguments of every call of the two table builders, by name, from now on."""
+    builds = {"_pair_table": [], "_first_violations": []}
+    for name, calls in builds.items():
+        build = getattr(robustness, name)
+        monkeypatch.setattr(robustness, name, lambda *args, build=build, calls=calls: calls.append(args) or build(*args))
+    return builds
 
 
 def test_caps_and_the_budget_are_checked_before_any_cache_hit(monkeypatch):
-    # a forced call caches the pair table of C_14 and the complement table of
+    # a forced call keeps the pair tables of C_14 and the complement table of
     # (C_8, {1, 2, 3}); every call the caps refuse is still refused
-    _clear_caches()
     g, h = make_k_circulant(14, 3), make_k_circulant(8, 3)
     assert is_r_robust(g, 1, force=True).verdict and is_strongly_r_robust_bruteforce(h, [1, 2, 3], 1).verdict
+    assert list(g._tables) == [robustness._PAIRS] and list(h._tables) == [0b111]
     pair_calls = [lambda g, **kw: is_r_robust(g, 1, **kw), lambda g, **kw: is_rs_robust(g, 1, 1, **kw),
                   lambda g, **kw: max_r_robustness(g, **kw)]
     for call in pair_calls:
@@ -509,7 +508,7 @@ def test_caps_and_the_budget_are_checked_before_any_cache_hit(monkeypatch):
             call(g)
     with pytest.raises(EnumerationCapError, match="^complement size 5 exceeds enumeration cap 4; "):
         is_strongly_r_robust_bruteforce(h, [1, 2, 3], 1, cap=4)
-    # a budget that refuses n = 14 refuses it forced, cached or not, before anything is built
+    # a budget that refuses n = 14 refuses it forced, kept or not, before anything is built
     builds, split = [], robustness._split_outside
     monkeypatch.setattr(robustness, "_split_outside", lambda g, vertices: builds.append(vertices) or split(g, vertices))
     monkeypatch.setattr(robustness, "PAIR_SCAN_BUDGET", (2 << 14) - 1)
@@ -518,41 +517,46 @@ def test_caps_and_the_budget_are_checked_before_any_cache_hit(monkeypatch):
             with pytest.raises(EnumerationCapError, match=f"^n={graph.n}: two bytes for each of 2\\^{graph.n} "):
                 call(graph, force=True)
     assert builds == []
-    assert [_cache_info(cache)[0] for cache in CACHES] == [1, 1]
+    assert list(g._tables) == [robustness._PAIRS] and list(h._tables) == [0b111]
 
 
 def test_a_table_larger_than_the_cache_bound_is_returned_not_kept(monkeypatch):
-    # the pair table of n = 8 takes 2 * 2^8 bytes
-    _clear_caches()
+    # the pair tables of n = 8 take 2 * 2^8 bytes: one byte under that, each
+    # call builds them; at that bound the first call keeps them
     g = make_k_circulant(8, 3)
+    builds = _spy_builds(monkeypatch)
     monkeypatch.setattr(robustness, "CACHE_BYTES", (2 << 8) - 1)
     for _ in range(2):
         assert max_r_robustness(g) == 2
-    assert _cache_info(robustness._pair_table) == (2, 0)
-    # two tables fit; a third makes room by dropping the oldest
-    monkeypatch.setattr(robustness, "CACHE_BYTES", 2 << 9)
-    _clear_caches()
-    a, b, c = (make_k_circulant(8, k) for k in (1, 2, 3))
-    for graph in (a, b, c, c, b, a, c):
-        max_r_robustness(graph)
-    assert _cache_info(robustness._pair_table) == (4, 2 << 9)
+    assert len(builds["_pair_table"]) == 2 and g._tables == {}
+    monkeypatch.setattr(robustness, "CACHE_BYTES", 2 << 8)
+    for _ in range(2):
+        assert max_r_robustness(g) == 2
+    assert len(builds["_pair_table"]) == 3 and list(g._tables) == [robustness._PAIRS]
+    # no complement table fits a bound of 0, so each query builds its own
+    monkeypatch.setattr(robustness, "CACHE_BYTES", 0)
+    for _ in range(2):
+        report = is_strongly_r_robust_bruteforce(g, [1, 2, 3], 4)
+        assert (report.verdict, report.witness) == (False, {"violating_subset": [4]})
+    assert len(builds["_first_violations"]) == 2 and list(g._tables) == [robustness._PAIRS]
 
 
 def test_cached_tables_are_read_only():
     g = make_k_circulant(8, 3)
-    for table in (*robustness._pair_table[g], robustness._first_violations[g, 0b111]):
+    max_r_robustness(g)
+    is_strongly_r_robust_bruteforce(g, [1, 2, 3], 1)
+    for table in (*g._tables[robustness._PAIRS], g._tables[0b111]):
         assert not table.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             table[0] = 1
 
 
-def test_a_corpus_replayed_twice_builds_each_table_once():
-    # more distinct (graph, S) than perfbench crosscheck's 4,227, which a
-    # cache of 256 tables rebuilt on every pass
+def test_a_corpus_replayed_twice_builds_each_table_once(monkeypatch):
+    # more distinct (graph, S) than perfbench crosscheck's 4,227
     rng = random.Random(149)
     graphs = [random_digraph(rng, 10, rng.choice([0.3, 0.5])) for _ in range(25)]
     queries = [(g, s) for g in graphs for size in (1, 2, 3) for s in itertools.combinations(g.vertices, size)]
-    _clear_caches()
+    builds = _spy_builds(monkeypatch)
     for _ in range(2):
         for g, s in queries:
             is_strongly_r_robust_bruteforce(g, s, 2)
@@ -560,9 +564,72 @@ def test_a_corpus_replayed_twice_builds_each_table_once():
         for g in graphs:
             is_r_robust(g, 2)
             max_r_robustness(g)
-    misses, held = _cache_info(robustness._first_violations)
-    assert misses == len(queries) and held <= robustness.CACHE_BYTES
-    assert _cache_info(robustness._pair_table)[0] == len(graphs)
+    assert len(builds["_first_violations"]) == len(queries)
+    assert len(builds["_pair_table"]) == len(graphs)
+
+
+def test_each_leader_set_of_a_graph_keeps_its_own_table(monkeypatch):
+    # every S of one graph, asked twice in turn: each S's table is kept under
+    # its own mask, built once, and answers as the naive oracle does
+    g = make_k_circulant(7, 2)
+    sets = [s for size in (1, 2, 3) for s in itertools.combinations(g.vertices, size)]
+    expected = [naive_first_violating_subset(g, frozenset(s), 2, 2) for s in sets]
+    builds = _spy_builds(monkeypatch)
+    for _ in range(2):
+        for s, first in zip(sets, expected):
+            report = is_strongly_r_robust_bruteforce(g, s, 2)
+            assert report.verdict == (first is None), s
+            assert report.witness == (None if first is None else {"violating_subset": sorted(first)}), s
+    assert {first is None for first in expected} == {False, True}
+    assert sorted(g._tables) == sorted(robustness._vertex_mask(g.n, s) for s in sets)
+    assert len(builds["_first_violations"]) == len(sets)
+
+
+def test_a_graphs_tables_are_freed_with_it():
+    g = make_k_circulant(8, 3)
+    max_r_robustness(g)
+    is_strongly_r_robust_bruteforce(g, [1, 2, 3], 1)
+    kept = [weakref.ref(table) for table in (*g._tables[robustness._PAIRS], g._tables[0b111])]
+    assert all(ref() is not None for ref in kept)
+    del g
+    gc.collect()
+    assert [ref() for ref in kept] == [None, None, None]
+
+
+def test_a_graph_holding_tables_compares_and_serialises_as_a_fresh_one():
+    g = make_k_circulant(8, 3)
+    max_r_robustness(g)
+    is_tlf_robust_bruteforce(g, [1, 2, 3], 1)
+    fresh = Digraph(g.n, g.edges)
+    assert g._tables and fresh._tables == {}
+    assert g == fresh and hash(g) == hash(fresh) and {g: 1}[fresh] == 1
+    assert graph_to_json(g) == graph_to_json(fresh) and repr(g) == repr(fresh)
+
+
+def test_threads_sharing_a_graph_answer_as_one_thread_does():
+    # the first queries of four threads race to build and keep the same
+    # tables: the last write wins, and every answer is a lone thread's
+    g = make_k_circulant(9, 3)
+    sets = [s for size in (1, 2, 3) for s in itertools.combinations(g.vertices, size)]
+
+    def answers(graph):
+        reports = [is_tlf_robust_bruteforce(graph, s, f).to_json() for f in (0, 1) for s in sets]
+        return reports, max_r_robustness(graph)
+
+    expected, results = answers(Digraph(g.n, g.edges)), [None] * 4
+    threads = [threading.Thread(target=lambda i=i: results.__setitem__(i, answers(g))) for i in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert results == [expected] * 4
+    assert sorted(g._tables) == sorted([robustness._PAIRS, *(robustness._vertex_mask(g.n, s) for s in sets)])
 
 
 @pytest.fixture
@@ -570,24 +637,10 @@ def low_bits(request, monkeypatch):
     """Split the enumeration counter after 2 or 3 low bits, so that graphs
     small enough for the naive oracles run the per-chunk (high bits) path,
     and a complement query on more free vertices than that takes the walk.
-    Both caches start empty, so every table is built under the split."""
+    Each test builds its graphs under the split, so every table it reads is
+    built there."""
     monkeypatch.setattr(robustness, "_LOW_BITS", request.param)
-    _clear_caches()
-    yield request.param
-    _clear_caches()
-
-
-@pytest.fixture
-def filled_caches():
-    g = make_k_circulant(6, 2)
-    is_r_robust(g, 1)
-    is_strongly_r_robust_bruteforce(g, [1], 1)
-    assert all(_cache_info(cache)[1] for cache in CACHES)
-
-
-@pytest.mark.parametrize("low_bits", [3], indirect=True)
-def test_the_low_bits_fixture_empties_both_caches(filled_caches, low_bits):
-    assert [_cache_info(cache) for cache in CACHES] == [(0, 0), (0, 0)]
+    return request.param
 
 
 @pytest.mark.parametrize("low_bits", [2, 3], indirect=True)
@@ -611,13 +664,14 @@ def test_the_cached_table_answers_exactly_the_queries_whose_free_vertices_fit_on
     # 3 free vertices fit the 3 low bits: one table, no walk; 4 take the walk
     walks, walk = [], robustness._first_subset
     monkeypatch.setattr(robustness, "_first_subset", lambda n, accept: walks.append(n) or walk(n, accept))
+    builds = _spy_builds(monkeypatch)
     g = make_k_circulant(6, 1)
     report = is_strongly_r_robust_bruteforce(g, {1, 2, 3}, 2)
     assert (report.verdict, report.witness) == (False, {"violating_subset": [4]})
-    assert robustness._first_violations.cache_info().misses == 1 and walks == []
+    assert builds["_first_violations"] == [(g, 0b111)] and walks == []
     report = is_strongly_r_robust_bruteforce(g, {1, 2}, 2)
     assert (report.verdict, report.witness) == (False, {"violating_subset": [3]})
-    assert robustness._first_violations.cache_info().misses == 1 and walks == [4]
+    assert builds["_first_violations"] == [(g, 0b111)] and walks == [4]
 
 
 @pytest.mark.parametrize("low_bits", [2, 3], indirect=True)
@@ -840,7 +894,7 @@ def test_every_bruteforce_witness_lies_inside_peelings_stalled_complement():
 
 def test_forced_walk_witnesses_lie_inside_peelings_stalled_complement():
     # the same relation at 17..22 free vertices, where brute force walks the
-    # subsets instead of reading the cached table
+    # subsets instead of reading the kept table
     rng = random.Random(157)
     seen = set()
     for _ in range(40):

@@ -7,32 +7,35 @@ at seed 1 (graphs with n <= 10, so at most 9 free vertices), then replays
 them ``PASSES`` times and times each call on its own:
 
 - ``peeling``: ``is_strongly_r_robust_peeling`` and ``is_tlf_robust_peeling``;
-- ``bruteforce lookup``: a brute-force call whose first-violation table is
-  already cached;
+- ``bruteforce lookup``: a brute-force call whose first-violation table its
+  graph already keeps;
 - ``table build``: the brute-force call that builds the table of its
-  (graph, S), cache cleared first, so the build plus its one lookup.
+  (graph, S), so the build plus its one lookup.
 
-Brute-force calls that need no table (r = 0) count in neither.  A call that
-reads a table is one that misses on an empty cache, found once before the
-timed passes; there, a build is told from a lookup by the misses of
-``robustness._first_violations``, read as a number before and after the
-call.  One JSON object per line and layer, ``{"<layer>": {"us": <median us
-per call>, "calls": <calls per pass>}}``, then ``crosscheck pass``, the
-median wall of a whole pass over the workload's ops (certificates included)
-as ``ms``, with its median ``us_per_query``.  Then two lines time the ops of
-perfbench's ``exact`` at seed 1, as the median ``ms`` per call: ``forced
-complement``, its forced complement queries (20 and 22 free vertices, above
-the cached table's reach, so each call searches the free vertices its anchor
-leaves unanchored), and ``pair queries``, the ``is_r_robust``,
-``is_rs_robust`` and ``max_r_robustness`` calls of its pair batteries (n = 14
-and 16).  Each of the two also prints ``ms_per_pass``, the median over passes
+Brute-force calls that need no table (r = 0, or more than 16 free vertices)
+count in neither.  A build is told from a lookup by the recorded call
+order: the first brute-force call per (graph, S) that reads a table is its
+build, every later one a lookup.  One JSON object per line and layer,
+``{"<layer>": {"us": <median us per call>, "calls": <calls per pass>}}``,
+then ``crosscheck pass``, the median wall of a whole pass over the
+workload's ops (certificates included) as ``ms``, with its median
+``us_per_query``.  Then two lines time the ops of perfbench's ``exact`` at
+seed 1, as the median ``ms`` per call: ``forced complement``, its forced
+complement queries (20 and 22 free vertices, above the kept table's reach,
+so each call searches the free vertices its anchor leaves unanchored), and
+``pair queries``, the ``is_r_robust``, ``is_rs_robust`` and
+``max_r_robustness`` calls of its pair batteries (n = 14 and 16).  Each of the two also prints ``ms_per_pass``, the median over passes
 of the summed time of its calls in one pass, so one slow call among fast
 ones shows in it.
 
-Both exact caches, the complement tables and the per-graph pair tables, are
-emptied at the start of every timed pass, so a pass pays for every table it
-reads: ``crosscheck pass`` builds each (graph, S) table once, and ``pair
-queries`` times each battery with its one pair-table build, not cache hits.
+A graph keeps the exact tables built for it, the complement tables and its
+pair tables, so every timed pass runs on fresh copies of the recorded
+graphs (``Digraph(g.n, g.edges)``, which hold no table) and pays for every
+table it reads: ``crosscheck pass`` builds each (graph, S) table once, and
+``pair queries`` times each battery with its one pair-table build, not
+lookups.  On a checkout that kept its tables in two global caches instead,
+those caches are emptied at the start of every pass, so the lines read
+alike.
 
 rcl is imported from ``PYTHONPATH``, and perfbench's workloads from the
 ``perfbench/`` beside this directory, so one copy of the script run on the
@@ -62,6 +65,7 @@ pin_heap()
 
 import workloads  # noqa: E402
 from rcl import robustness  # noqa: E402
+from rcl.graph import Digraph  # noqa: E402
 
 PASSES = 5
 DECIDERS = (
@@ -87,39 +91,58 @@ def _recorded_calls(ops, deciders) -> list:
     return [(getattr(robustness, name), args, kwargs) for name, args, kwargs in recorder.mock_calls]
 
 
+def _fresh(calls) -> list:
+    """``calls`` with each recorded graph swapped for one fresh copy of it,
+    which holds no table yet."""
+    graphs = {id(args[0]): args[0] for _, args, _ in calls}
+    copies = {key: Digraph(g.n, g.edges) for key, g in graphs.items()}
+    return [(decide, (copies[id(g)], *rest), kwargs) for decide, (g, *rest), kwargs in calls]
+
+
+def _layers(calls) -> list:
+    """The layer each recorded complement call times, by call order: a
+    table build is the first brute-force call per (graph, S) that reads a
+    table (some free vertex, at most ``_LOW_BITS``, and r > 0 for strong
+    r), a lookup every later one; None for a brute-force call that reads
+    no table."""
+    seen, layers = set(), []
+    for decide, (g, leaders, param), _ in calls:
+        free, name = g.n - len(set(leaders)), decide.__name__
+        if name.endswith("_peeling"):
+            layers.append("peeling")
+        elif 0 < free <= robustness._LOW_BITS and (param > 0 or name == "is_tlf_robust_bruteforce"):
+            key = (id(g), frozenset(leaders))
+            layers.append("bruteforce lookup" if key in seen else "table build")
+            seen.add(key)
+        else:
+            layers.append(None)
+    return layers
+
+
 def _clear_caches() -> None:
-    # a checkout older than the pair-table cache has only the first
-    for name in ("_first_violations", "_pair_table"):
-        if hasattr(robustness, name):
-            getattr(robustness, name).cache_clear()
+    for cache in (getattr(robustness, name, None) for name in ("_first_violations", "_pair_table")):
+        if hasattr(cache, "cache_clear"):  # a checkout whose tables sit in global caches
+            cache.cache_clear()
 
 
 def main() -> int:
-    clock, cache = time.perf_counter, robustness._first_violations
+    clock = time.perf_counter
     with tempfile.TemporaryDirectory() as tmp:
-        plan = workloads.setup_crosscheck(1, Path(tmp))
-    calls = _recorded_calls(plan.ops, DECIDERS)
-    reads = []  # whether each call reads a table: it misses on an empty cache
-    for decide, args, kwargs in calls:
-        cache.cache_clear()
-        decide(*args, **kwargs)
-        reads.append(cache.cache_info().misses > 0)
+        calls = _recorded_calls(workloads.setup_crosscheck(1, Path(tmp)).ops, DECIDERS)
+    layers = _layers(calls)
     samples = {"peeling": [], "bruteforce lookup": [], "table build": []}
     passes, queries = [], 0
     for _ in range(PASSES):
         _clear_caches()
-        for (decide, args, kwargs), read in zip(calls, reads):
-            before = cache.cache_info().misses
+        for (decide, args, kwargs), layer in zip(_fresh(calls), layers):
             start = clock()
             decide(*args, **kwargs)
             elapsed = clock() - start
-            if decide.__name__.endswith("_peeling"):
-                samples["peeling"].append(elapsed)
-            elif cache.cache_info().misses > before:
-                samples["table build"].append(elapsed)
-            elif read:
-                samples["bruteforce lookup"].append(elapsed)
+            if layer:
+                samples[layer].append(elapsed)
         _clear_caches()
+        with tempfile.TemporaryDirectory() as tmp:
+            plan = workloads.setup_crosscheck(1, Path(tmp))  # fresh graphs
         start, queries = clock(), 0
         for op in plan.ops:
             queries += op.fn()[0]
@@ -131,16 +154,18 @@ def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         exact = workloads.setup_exact(1, Path(tmp)).ops
     forced = [(op.fn, (), {}) for op in exact if "_bruteforce free=" in op.name]
-    for name, timed in (("forced complement", forced), ("pair queries", _recorded_calls(exact, PAIR_DECIDERS))):
+    pairs = _recorded_calls(exact, PAIR_DECIDERS)
+    for name, timed in (("forced complement", lambda: forced), ("pair queries", lambda: _fresh(pairs))):
         times, sums = [], []
         for _ in range(PASSES):
             _clear_caches()
-            for decide, args, kwargs in timed:
+            calls = timed()
+            for decide, args, kwargs in calls:
                 start = clock()
                 decide(*args, **kwargs)
                 times.append(clock() - start)
-            sums.append(sum(times[-len(timed):]))
-        print(json.dumps({name: {"ms": 1e3 * statistics.median(times), "calls": len(timed),
+            sums.append(sum(times[-len(calls):]))
+        print(json.dumps({name: {"ms": 1e3 * statistics.median(times), "calls": len(calls),
                                  "ms_per_pass": 1e3 * statistics.median(sums)}}))
     return 0
 

@@ -58,6 +58,13 @@ MUTANTS = [
     (ROBUSTNESS, "range(width // 4 + 1)", "range(width // 2 + 1)",
      [TESTS + "test_a_pruned_chunk_keeps_every_low_counter_that_can_come_first[4]",
       TESTS + "test_the_width_table_holds_the_low_counters_and_their_canonical_order[4]"]),
+    # a complement table kept under a key that ignores S, as if S were {1}
+    (ROBUSTNESS, "return _kept(g, s_mask, first)", "return _kept(g, 1, first)",
+     [TESTS + "test_each_leader_set_of_a_graph_keeps_its_own_table",
+      TESTS + "test_a_corpus_replayed_twice_builds_each_table_once"]),
+    # a table whose arrays exceed CACHE_BYTES kept anyway
+    (ROBUSTNESS, "if sum(array.nbytes for array in arrays) <= CACHE_BYTES:", "if True:",
+     [TESTS + "test_a_table_larger_than_the_cache_bound_is_returned_not_kept"]),
     # save_graph writes graph JSON under a .txt name and an edge list under .json
     ("src/rcl/graph.py", 'if Path(path).suffix == ".json":\n        text',
      'if Path(path).suffix == ".txt":\n        text',
