@@ -50,20 +50,20 @@ def test_c01_peeling_matches_bruteforce_at_scale():
     digraphs (n <= 10) plus every k-circulant with n <= 10, for strong
     r-robustness (all r <= n) and TLF robustness (all F <= 3), over all
     leader sets of size <= 4.  Zero disagreements, under 5 minutes."""
-    rng = random.Random(20260810)
-    graphs = []
-    for idx in range(1000):
-        n = 4 + idx % 7
-        p = (0.15, 0.3, 0.5, 0.7)[idx % 4]
-        graphs.append(random_digraph(rng, n, p))
-    for n in range(2, 11):
-        for k in range(1, n):
-            graphs.append(make_k_circulant(n, k))
+
+    def graphs():
+        # built one at a time, so each graph's kept tables die with it
+        rng = random.Random(20260810)
+        for idx in range(1000):
+            yield random_digraph(rng, 4 + idx % 7, (0.15, 0.3, 0.5, 0.7)[idx % 4])
+        for n in range(2, 11):
+            for k in range(1, n):
+                yield make_k_circulant(n, k)
 
     started = time.perf_counter()
     disagreements = 0
     checks = 0
-    for g in graphs:
+    for g in graphs():
         vs = sorted(g.vertices)
         for size in range(1, min(4, g.n) + 1):
             for s_tuple in itertools.combinations(vs, size):

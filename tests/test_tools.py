@@ -36,30 +36,65 @@ def stub_src(tmp_path) -> Path:
     return package.parent
 
 
-@pytest.mark.parametrize("script", ["bundle_digests.py", "report_digests.py", "track_layers.py",
-                                    "decider_layers.py"])
+@pytest.mark.parametrize("script", ["bundle_digests.py", "report_digests.py", "ab.py"])
 def test_tools_import_the_rcl_on_pythonpath(stub_src, script):
-    done = _run_tool(script, stub_src)
+    done = _run_tool(script, stub_src, *(["HEAD"] if script == "ab.py" else []))
     assert done.returncode == 1 and done.stderr.strip().endswith(MARKER), done.stderr
 
 
-@pytest.mark.parametrize("preset", [{}, {"MALLOC_TRIM_THRESHOLD_": "4096"}], ids=["unset", "trim set"])
-@pytest.mark.parametrize("script", ["track_layers.py", "decider_layers.py"])
-def test_layer_tools_run_with_the_heap_pinned_as_bench_record_pins_it(tmp_path, monkeypatch, script, preset):
-    # the stub rcl exits with the two thresholds its process sees; a value
-    # already set is kept, and an unset one takes bench_record's pin
-    pins = _tool("bench_record").MALLOC_ENV
-    for name in pins:
-        monkeypatch.delenv(name, raising=False)
-    for name, value in preset.items():
-        monkeypatch.setenv(name, value)
-    package = tmp_path / "stub" / "src" / "rcl"
-    package.mkdir(parents=True)
-    exit_with_pins = f"import os\nraise SystemExit(repr([os.environ.get(k) for k in {list(pins)!r}]))\n"
-    (package / "__init__.py").write_text(exit_with_pins)
-    done = _run_tool(script, package.parent)
-    seen = [preset.get(name, value) for name, value in pins.items()]
-    assert done.returncode == 1 and done.stderr.strip().endswith(repr(seen)), done.stderr
+@pytest.fixture
+def ab(monkeypatch):
+    """``tools/ab.py`` as a module; the search path it extends and the two
+    packages it loads are put back afterwards."""
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    yield _tool("ab")
+    for name in [name for name in sys.modules if name.split(".")[0] in ("rcl_base", "rcl_head")]:
+        del sys.modules[name]
+
+
+# every layer the harness must time; a row deleted without a replacement fails here
+AB_LAYERS = ("graph build", "window certificate", "peeling", "bruteforce lookup", "complement table build",
+             "forced complement query", "pair battery", "run, sim2 seed", "run, weight table", "run, wide",
+             "compute_metrics", "CSV export", "SVG export")
+
+
+def test_ab_rows_cover_every_layer(ab):
+    names = [row.name for row in ab.ROWS]
+    assert len(set(names)) == len(names) and set(AB_LAYERS) <= set(names), names
+
+
+def test_ab_times_the_working_tree_against_itself(ab, tmp_path):
+    tree = Path(ab.graph.__file__).parent  # the rcl on PYTHONPATH
+    base, head = ab.sides(tree, tree)
+    assert (base.__name__, head.__name__) == ("rcl_base", "rcl_head") and base is not head
+    row = next(row for row in ab.ROWS if row.name == "run, sim2 seed")
+    line = ab.compare(row, base, head, tmp_path, pairs=4)
+    assert set(line) == {"base_ms", "head_ms", "ratio", "head_won", "n", "verdict"}, line
+    for key in ("base_ms", "head_ms", "ratio"):
+        assert set(line[key]) == {"q1", "median", "q3"} and 0 < line[key]["q1"] <= line[key]["median"] <= line[key]["q3"]
+    assert line["n"] == 4 and 0 <= line["head_won"] <= 4 and line["verdict"] in ("gain", "loss", "none")
+    assert json.loads(json.dumps(line)) == line
+
+
+def test_ab_loads_each_side_from_its_own_tree(ab, tmp_path):
+    # each stub tree reads its marker through a relative import; only the
+    # head tree has the name the second row calls
+    trees = {}
+    for name in ("base", "head"):
+        trees[name] = tmp_path / name / "rcl"
+        trees[name].mkdir(parents=True)
+        extra = "ONLY_IN_HEAD = True\n" if name == "head" else ""
+        (trees[name] / "__init__.py").write_text(f"from .marker import MARKER\n{extra}")
+        (trees[name] / "marker.py").write_text(f"MARKER = {name!r}\n")
+    base, head = ab.sides(trees["base"], trees["head"])
+    seen = []
+    marker = ab.Row("marker", lambda scratch: None, lambda side, data: side, lambda side, module: seen.append(module.MARKER))
+    assert ab.compare(marker, base, head, tmp_path, pairs=3)["n"] == 3
+    assert (base.marker.__file__, head.marker.__file__) == (str(trees["base"] / "marker.py"), str(trees["head"] / "marker.py"))
+    assert sorted(seen) == ["base"] * 4 + ["head"] * 4, seen
+    lacking = ab.Row("lacking", lambda scratch: None, lambda side, data: side, lambda side, module: module.ONLY_IN_HEAD)
+    assert ab.compare(lacking, base, head, tmp_path, pairs=3) == {
+        "skipped": "the base tree lacks what the row calls: module 'rcl_base' has no attribute 'ONLY_IN_HEAD'"}
 
 
 def test_bench_record_runs_c01_and_c04_without_the_hypothesis_plugin(tmp_path, monkeypatch):
@@ -69,6 +104,8 @@ def test_bench_record_runs_c01_and_c04_without_the_hypothesis_plugin(tmp_path, m
     monkeypatch.setattr(bench_record, "_step", lambda root, argv, timeout: argvs.append(argv) or {"returncode": 0})
     assert bench_record.main(["--out", str(tmp_path / "record.json")]) == 0
     pytest_runs = [argv[1:] for argv in argvs if argv[1:3] == ["-m", "pytest"]]
+    tools = [[Path(argv[1]).name, *argv[2:]] for argv in argvs if Path(argv[1]).parent == TOOLS]
+    assert tools == [["ab.py", "HEAD^"], ["bundle_digests.py"], ["report_digests.py"]]
     tier1 = ["-m", "pytest", "-q", "--continue-on-collection-errors", "-p", "no:cacheprovider"]
     acceptance = [*tier1, "-p", "no:hypothesispytest"]
     assert pytest_runs == [tier1,
@@ -88,7 +125,7 @@ def test_bench_record_exits_2_before_running_anything(tmp_path, stub_src, checko
 
 
 def test_bench_record_keeps_the_stderr_of_every_failed_step(tmp_path, stub_src):
-    # the layer and digest tools and the rcl.cli steps exit 1 at the stub's import,
+    # ab.py, the digest tools and the rcl.cli steps exit 1 at the stub's import,
     # pytest finds no tests, and the stub perfbench prints one JSON line
     run_py = stub_src.parent / "perfbench" / "run.py"
     run_py.parent.mkdir()
@@ -97,7 +134,7 @@ def test_bench_record_keeps_the_stderr_of_every_failed_step(tmp_path, stub_src):
     done = _run_tool("bench_record.py", stub_src, "--out", str(out))
     assert done.returncode == 1, done.stderr
     record = json.loads(out.read_text())
-    for script in ("track_layers", "decider_layers", "bundle_digests", "report_digests"):
+    for script in ("ab", "bundle_digests", "report_digests"):
         step = record[script]
         assert step["returncode"] == 1 and "result" not in step
         assert step["stderr_tail"].strip().endswith(MARKER), step
@@ -118,7 +155,7 @@ def test_bench_record_keeps_the_stderr_of_every_failed_step(tmp_path, stub_src):
     ("print(json.dumps({'rounds': 3, 'ok': True}, indent=2))", {"rounds": 3, "ok": True}),
 ], ids=["one object per line", "one indented object"])
 def test_bench_record_reads_one_object_per_line_or_the_whole_stdout(tmp_path, printed, result):
-    # perfbench and the layer tools print one object per line; rcl scenario
+    # perfbench and ab.py print one object per line; rcl scenario
     # prints its metrics as one indented object
     step = _tool("bench_record")._step(tmp_path, [sys.executable, "-c", f"import json\n{printed}"], timeout=60)
     assert step["returncode"] == 0 and step["result"] == result, step

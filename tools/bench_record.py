@@ -7,8 +7,9 @@ importing it), one step after the other, with that ``src/`` as ``PYTHONPATH``:
 
 - the checkout's ``perfbench/run.py`` at its default length for every workload
   at seeds 1 and 101, each run in its own process;
-- ``track_layers.py``, ``decider_layers.py``, ``bundle_digests.py`` and
-  ``report_digests.py`` beside this file;
+- ``ab.py HEAD^`` beside this file, the in-process A/B of every layer against
+  the measured commit's first parent, which it names as ``base``;
+- ``bundle_digests.py`` and ``report_digests.py`` beside this file;
 - the tier-1 suite (``python -m pytest -q --continue-on-collection-errors``)
   and acceptance test c01 alone;
 - the other end-to-end walls: ``rcl scenario sim2``, acceptance test c04 (the
@@ -22,11 +23,10 @@ importing it took about 1.2 s of each wall; the tier-1 step keeps it.
 Every step is a child process run by ``_step``, whose environment pins glibc's
 heap trim and mmap thresholds (``MALLOC_TRIM_THRESHOLD_``,
 ``MALLOC_MMAP_THRESHOLD_``), so the heap cannot shrink and regrow between
-passes; ``pin_heap`` gives a layer tool run by hand the same pins.  Each
-step's record holds its ``returncode`` and ``process_wall_s``; ``result``,
-every stdout line that parses as a JSON object, merged in order
-(perfbench's ``detail`` and metrics lines, one line per layer of the layer
-tools), or else the whole stdout when it parses as one (``rcl scenario``'s
+passes.  Each step's record holds its ``returncode`` and ``process_wall_s``;
+``result``, every stdout line that parses as a JSON object, merged in order
+(perfbench's ``detail`` and metrics lines, ``ab.py``'s base and one line per
+set and row), or else the whole stdout when it parses as one (``rcl scenario``'s
 indented metrics); ``summary``, the last stdout line, only when neither
 parses as one (pytest's summary, the digest tools' ``total`` line); and
 ``stderr_tail`` when the step exits nonzero or prints no result.  The file
@@ -77,17 +77,9 @@ NOTES = [
     "the heap state rcl leaves and a slower kernel can read as a gain",
     "perfbench peak_rss_mb reads about 0.15 MB higher in a checkout with uncommitted or untracked "
     "files than in a clean one of the same code (its environment record runs git status)",
-    "BENCHMARK.json says the engine does ~80% of a track op; track_layers.py measures run at 50-60% "
-    "of a sim2 seed, CSV and SVG export most of the rest",
+    "BENCHMARK.json says the engine does ~80% of a track op; of ab.py's four sim2-seed rows (run, "
+    "compute_metrics, CSV export, SVG export), run takes about 53% and CSV and SVG export most of the rest",
 ]
-
-
-def pin_heap() -> None:
-    """Run this script again, in the same process, with ``MALLOC_ENV`` set
-    where either variable is unset, so a layer tool run by hand pins the heap
-    as a recorded one; a value already set is kept, so it re-runs once."""
-    if not MALLOC_ENV.keys() <= os.environ.keys():
-        os.execve(sys.executable, [sys.executable, *sys.orig_argv[1:]], {**MALLOC_ENV, **os.environ})
 
 
 def _checkout() -> Path | None:
@@ -201,8 +193,8 @@ def main(argv=None) -> int:
     steps = [(f"perfbench {workload} seed {seed}", perfbench[workload], str(seed),
               ["perfbench/run.py", "--workload", workload, "--seed", str(seed)], 1800)
              for workload in WORKLOADS for seed in SEEDS]
-    steps += [(script, record, script, [str(HERE / f"{script}.py")], 1800)
-              for script in ("track_layers", "decider_layers", "bundle_digests", "report_digests")]
+    steps += [(script, record, script, [str(HERE / f"{script}.py"), *args], 1800)
+              for script, *args in (("ab", "HEAD^"), ("bundle_digests",), ("report_digests",))]
     steps += [("tier-1", record, "tier1", [*TIER1], 3600), ("c01", record, "c01", [*ACCEPTANCE, C01], 3600)]
     failed = []
     with tempfile.TemporaryDirectory() as tmp:

@@ -69,6 +69,9 @@ MUTANTS = [
     ("src/rcl/graph.py", 'if Path(path).suffix == ".json":\n        text',
      'if Path(path).suffix == ".txt":\n        text',
      ["tests/test_graph.py::test_save_load_roundtrip", "tests/test_cli.py::test_gen_graph_json_format"]),
+    # ab.py loads the head tree under both names, so every ratio reads 1
+    ("tools/ab.py", 'load("rcl_base", base_tree)', 'load("rcl_base", head_tree)',
+     ["tests/test_tools.py::test_ab_loads_each_side_from_its_own_tree"]),
 ]
 
 
