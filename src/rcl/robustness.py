@@ -177,7 +177,7 @@ def _low_counters(width: int) -> SimpleNamespace:
     ``room`` members, for room <= width // 4."""
     lo = np.arange(1 << width, dtype=np.int32)
     bits = ((lo >> np.arange(width, dtype=np.int32)[:, None]) & 1).astype(np.uint8)
-    sizes = np.bitwise_count(lo).astype(np.int64)
+    sizes = np.bitwise_count(lo).astype(np.int32)
     keys = (sizes << width) - lo
     upto = tuple(np.flatnonzero(sizes <= room) for room in range(width // 4 + 1))
     for array in (lo, sizes, bits, keys, *upto):

@@ -7,19 +7,32 @@ implementations; they serve as independent oracles on small graphs, as
 does the window-by-window scan of the circulant certificate.  The
 naive writers format one value at a time, through ``csv.writer`` and a
 per-point polyline, and serve as byte oracles for the column exporters.
+``tool`` loads a script of ``tools/`` as a module.
 """
 
 from __future__ import annotations
 
 import csv
+import importlib.util
 import itertools
 import random
 from collections.abc import Iterator
+from pathlib import Path
 
 from rcl import svgplot
 from rcl.graph import Digraph
 from rcl.robustness import Property, RobustnessReport
 from rcl.simulation import role_name
+
+TOOLS = Path(__file__).resolve().parents[1] / "tools"
+
+
+def tool(name: str):
+    """The module ``tools/<name>.py``, loaded on its own."""
+    spec = importlib.util.spec_from_file_location(name, TOOLS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def random_digraph(rng: random.Random, n: int, p: float) -> Digraph:

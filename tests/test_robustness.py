@@ -810,6 +810,8 @@ def test_the_width_table_holds_the_low_counters_and_their_canonical_order(width)
     for room, cols in enumerate(low.upto):
         assert cols.tolist() == [j for j in lo if j.bit_count() <= room] and cols[0] == 0, room
     assert np.argsort(low.keys).tolist() == sorted(lo, key=lambda j: (j.bit_count(), -j))
+    # int32 like the complement table, so that np.minimum.at takes no casting path
+    assert low.keys.dtype == np.int32
 
 
 @pytest.mark.parametrize("low_bits", [2, 3], indirect=True)

@@ -1,4 +1,3 @@
-import importlib.util
 import json
 import math
 import random
@@ -16,7 +15,7 @@ from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from helpers import naive_polyline_points, naive_write_edges_csv, naive_write_trajectory_csv
+from helpers import naive_polyline_points, naive_write_edges_csv, naive_write_trajectory_csv, tool
 from rcl import simulation, svgplot
 from rcl.graph import Digraph, make_k_circulant, make_undirected_circulant
 from rcl.protocol import (
@@ -49,6 +48,8 @@ from rcl.simulation import (
 from rcl.robustness import circulant_certificate
 from rcl.scenarios import SCENARIO_NAMES, build_scenario, sim2
 from rcl.svgplot import render_trajectory_svg
+
+digests = tool("digests")  # its corpus of configs and its table of distinct weights
 
 
 def basic_config(**overrides):
@@ -792,14 +793,10 @@ def test_config_dict_errors_name_nested_paths():
 
 
 def test_digest_corpus_refusals_start_with_a_pointer_and_acceptances_read_back():
-    """Every config of ``tools/bundle_digests.py``'s corpus that the reader
-    refuses is refused at a JSON pointer, and every one it accepts writes JSON
-    that reads back to the same JSON; importing the tool keeps it importable."""
-    path = Path(__file__).resolve().parents[1] / "tools" / "bundle_digests.py"
-    spec = importlib.util.spec_from_file_location("bundle_digests", path)
-    tool = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tool)
-    corpus, refused = tool.config_corpus(), 0
+    """Every config of ``tools/digests.py``'s corpus that the reader refuses is
+    refused at a JSON pointer, and every one it accepts writes JSON that reads
+    back to the same JSON."""
+    corpus, refused = digests.config_corpus(), 0
     for label, obj in corpus:
         try:
             text = json.dumps(config_to_dict(config_from_dict(obj)), allow_nan=False)
@@ -815,24 +812,12 @@ def test_digest_corpus_refusals_start_with_a_pointer_and_acceptances_read_back()
 # the round kernel against the scalar oracle
 
 
-def _distinct_weight_table(g, rng):
-    """Per-agent weights over the inclusive neighbours, distinct per sender."""
-    table = {}
-    for i in g.vertices:
-        row = sorted(g.inclusive_neighbors(i))
-        raw = rng.sample(range(1, 4 * len(row) + 1), len(row))
-        for j, w in zip(row, raw):
-            table[(i, j)] = w / sum(raw)
-    return table
-
-
 def test_weight_table_run_matches_oracle_and_tracks():
     g = make_k_circulant(9, 4)
-    table = _distinct_weight_table(g, random.Random(5))
     roles = {1: Leader(), 2: Leader(), 6: Adversary(Sinusoid(40.0, 9.0))}
     cfg = SimConfig(
         graph=g, f=1, horizon=150, roles=roles, reference=ReferenceSignal.constant(12.0),
-        scheme=WeightScheme(min(table.values()), table),
+        scheme=digests.distinct_weights(g, random.Random(5)),
         init={i: float(i % 3) for i in g.vertices}, seed=0,
     )
     traj = run(cfg)
@@ -906,8 +891,7 @@ def _small_configs(draw, values=_VALUES, signals=_SCALAR_STRATEGIES, slack=1):
         + draw(st.integers(0, slack))
     scheme = None
     if draw(st.booleans()):
-        table = _distinct_weight_table(g, random.Random(draw(st.integers(0, 2**16))))
-        scheme = WeightScheme(min(min(table.values()), 0.5), table)
+        scheme = digests.distinct_weights(g, random.Random(draw(st.integers(0, 2**16))))
     reference = ReferenceSignal(((0, draw(values)), (draw(st.integers(1, 6)), draw(values))))
     return SimConfig(
         graph=g, f=f, horizon=draw(st.integers(1, 10)), roles=roles, reference=reference,
@@ -931,10 +915,7 @@ def test_engine_matches_scalar_oracle_on_ties(weights, cfg, seed):
     # tied values, signed zeros, +-inf and NaN at both cut points, under the
     # equal rule (summed in sorted order) and under distinct table weights
     # (whose ties are resolved by sender id)
-    scheme = None
-    if weights == "table":
-        table = _distinct_weight_table(cfg.graph, random.Random(seed))
-        scheme = WeightScheme(min(min(table.values()), 0.5), table)
+    scheme = digests.distinct_weights(cfg.graph, random.Random(seed)) if weights == "table" else None
     assert verify_replay(run(replace(cfg, scheme=scheme)))
 
 
@@ -1019,8 +1000,7 @@ def test_engine_matches_scalar_oracle_at_band_edges(weights):
     for seed in range(240):
         cfg = _band_edge_config(rng, ("zero", "small", "clamped")[seed % 3])
         if weights == "table":
-            table = _distinct_weight_table(cfg.graph, random.Random(seed))
-            cfg = replace(cfg, scheme=WeightScheme(min(min(table.values()), 0.5), table))
+            cfg = replace(cfg, scheme=digests.distinct_weights(cfg.graph, random.Random(seed)))
         traj = run(cfg)
         assert verify_replay(traj), seed
         reached |= _band_edge_cases(traj)
@@ -1037,7 +1017,7 @@ def test_replay_at_realistic_widths():
         assert verify_replay(run(build_scenario(name).base)), name
     g = make_k_circulant(60, 20)
     rng = random.Random(11)
-    table = _distinct_weight_table(g, rng)
+    scheme = digests.distinct_weights(g, rng)  # drawn before the signals, from the same rng
     signals = {j: rng.choice([Sinusoid(rng.uniform(10, 80), rng.uniform(5, 30)),
                               Ramp(rng.uniform(-3, 3), rng.uniform(-20, 20)),
                               ConstantHold(rng.uniform(-90, 90))])
@@ -1045,7 +1025,7 @@ def test_replay_at_realistic_widths():
     roles = {**{i: Leader() for i in range(1, 6)},
              30: Adversary(ByzantinePerEdge(signals)), 45: Adversary(Sinusoid(50.0, 17.0))}
     cfg = SimConfig(graph=g, f=2, horizon=100, roles=roles, reference=ReferenceSignal.constant(7.5),
-                    scheme=WeightScheme(min(table.values()), table), seed=4)
+                    scheme=scheme, seed=4)
     assert verify_replay(run(cfg))
 
 

@@ -1,6 +1,5 @@
 """The scripts in ``tools/`` measure the rcl that ``PYTHONPATH`` names."""
 
-import importlib.util
 import json
 import os
 import subprocess
@@ -9,22 +8,18 @@ from pathlib import Path
 
 import pytest
 
-TOOLS = Path(__file__).resolve().parents[1] / "tools"
+from helpers import TOOLS, tool
+
 MARKER = "stub rcl imported"
+# the two totals of tools/digests.py: the bundle lines', then the decider reports'
+BUNDLE_TOTAL = "8dfe6dc26663fb507c5817fc643e8add945954e12b081ceec4c90cca4535eea0"
+REPORT_TOTAL = "644aa942a98e9833332ba0eabf2623c392f663e456409ca0dd58d09ae1963c9c"
 
 
 def _run_tool(script: str, pythonpath: Path, *args: str) -> subprocess.CompletedProcess:
     env = dict(os.environ, PYTHONPATH=str(pythonpath))
     return subprocess.run([sys.executable, str(TOOLS / script), *args], cwd=pythonpath.parent, env=env,
                           capture_output=True, text=True, timeout=120)
-
-
-def _tool(name: str):
-    """The module ``tools/<name>.py``, loaded on its own."""
-    spec = importlib.util.spec_from_file_location(name, TOOLS / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 @pytest.fixture
@@ -36,10 +31,19 @@ def stub_src(tmp_path) -> Path:
     return package.parent
 
 
-@pytest.mark.parametrize("script", ["bundle_digests.py", "report_digests.py", "ab.py"])
+@pytest.mark.parametrize("script", ["digests.py", "ab.py"])
 def test_tools_import_the_rcl_on_pythonpath(stub_src, script):
     done = _run_tool(script, stub_src, *(["HEAD"] if script == "ab.py" else []))
     assert done.returncode == 1 and done.stderr.strip().endswith(MARKER), done.stderr
+
+
+def test_digests_keep_every_output_byte(tmp_path):
+    # a change that alters output bytes on purpose updates a total here and
+    # says which lines changed and why
+    totals = [line.split()[0] for line in tool("digests").digest_lines(tmp_path) if line.endswith("  total")]
+    assert totals == [BUNDLE_TOTAL, REPORT_TOTAL], (
+        "rcl's output bytes changed; to see which lines, diff the output of "
+        "`PYTHONPATH=src python3 tools/digests.py` against the same command at the parent commit")
 
 
 @pytest.fixture
@@ -47,7 +51,7 @@ def ab(monkeypatch):
     """``tools/ab.py`` as a module; the search path it extends and the two
     packages it loads are put back afterwards."""
     monkeypatch.setattr(sys, "path", list(sys.path))
-    yield _tool("ab")
+    yield tool("ab")
     for name in [name for name in sys.modules if name.split(".")[0] in ("rcl_base", "rcl_head")]:
         del sys.modules[name]
 
@@ -100,12 +104,12 @@ def test_ab_loads_each_side_from_its_own_tree(ab, tmp_path):
 def test_bench_record_runs_c01_and_c04_without_the_hypothesis_plugin(tmp_path, monkeypatch):
     # test_acceptance.py uses no Hypothesis, and importing it for the plugin
     # took about 1.2 s of each of those walls; the tier-1 run keeps the plugin
-    bench_record, argvs = _tool("bench_record"), []
+    bench_record, argvs = tool("bench_record"), []
     monkeypatch.setattr(bench_record, "_step", lambda root, argv, timeout: argvs.append(argv) or {"returncode": 0})
     assert bench_record.main(["--out", str(tmp_path / "record.json")]) == 0
     pytest_runs = [argv[1:] for argv in argvs if argv[1:3] == ["-m", "pytest"]]
     tools = [[Path(argv[1]).name, *argv[2:]] for argv in argvs if Path(argv[1]).parent == TOOLS]
-    assert tools == [["ab.py", "HEAD^"], ["bundle_digests.py"], ["report_digests.py"]]
+    assert tools == [["ab.py", "HEAD^"]]
     tier1 = ["-m", "pytest", "-q", "--continue-on-collection-errors", "-p", "no:cacheprovider"]
     acceptance = [*tier1, "-p", "no:hypothesispytest"]
     assert pytest_runs == [tier1,
@@ -125,7 +129,7 @@ def test_bench_record_exits_2_before_running_anything(tmp_path, stub_src, checko
 
 
 def test_bench_record_keeps_the_stderr_of_every_failed_step(tmp_path, stub_src):
-    # ab.py, the digest tools and the rcl.cli steps exit 1 at the stub's import,
+    # ab.py and the rcl.cli steps exit 1 at the stub's import,
     # pytest finds no tests, and the stub perfbench prints one JSON line
     run_py = stub_src.parent / "perfbench" / "run.py"
     run_py.parent.mkdir()
@@ -134,10 +138,9 @@ def test_bench_record_keeps_the_stderr_of_every_failed_step(tmp_path, stub_src):
     done = _run_tool("bench_record.py", stub_src, "--out", str(out))
     assert done.returncode == 1, done.stderr
     record = json.loads(out.read_text())
-    for script in ("ab", "bundle_digests", "report_digests"):
-        step = record[script]
-        assert step["returncode"] == 1 and "result" not in step
-        assert step["stderr_tail"].strip().endswith(MARKER), step
+    step = record["ab"]
+    assert step["returncode"] == 1 and "result" not in step
+    assert step["stderr_tail"].strip().endswith(MARKER), step
     for name in ("tier1", "c01", "c04"):
         assert record[name]["returncode"] != 0 and "summary" in record[name] and "stderr_tail" in record[name]
     for name in ("sim2", "sweep"):  # the stub has no rcl.cli
@@ -157,13 +160,13 @@ def test_bench_record_keeps_the_stderr_of_every_failed_step(tmp_path, stub_src):
 def test_bench_record_reads_one_object_per_line_or_the_whole_stdout(tmp_path, printed, result):
     # perfbench and ab.py print one object per line; rcl scenario
     # prints its metrics as one indented object
-    step = _tool("bench_record")._step(tmp_path, [sys.executable, "-c", f"import json\n{printed}"], timeout=60)
+    step = tool("bench_record")._step(tmp_path, [sys.executable, "-c", f"import json\n{printed}"], timeout=60)
     assert step["returncode"] == 0 and step["result"] == result, step
     assert "summary" not in step and "stderr_tail" not in step
 
 
 def test_mutants_reports_a_killed_a_surviving_and_a_stale_row(tmp_path, monkeypatch, capsys):
-    mutants = _tool("mutants")
+    mutants = tool("mutants")
     root = tmp_path / "stub"
     (root / "src" / "rcl").mkdir(parents=True)
     (root / "tests").mkdir()

@@ -12,10 +12,13 @@ tree under both names: the noise floor of the shared heap), then the A/B set.
 Each row of ``ROWS`` is one layer.  Its inputs come from perfbench's
 ``setup_*`` at seed 1, are built once by the importable rcl and reach each
 side as JSON (``graph_to_json``, ``config_to_dict``).  Before every call,
-outside the timer, a side loads the call's argument afresh, and a cold row
-also clears that side's ``lru_cache``s.  Each side makes one untimed call,
-then ``PAIRS`` pairs run, each side first in half of them, in a shuffled
-order.  Garbage collection is off inside the timed call, as in ``timeit``.
+outside the timer, a side loads the call's argument afresh, so a call on
+graphs built from JSON finds no tables kept on them (a base older than
+``2281bfc`` kept its exact tables in caches shared by equal graphs, so there
+the table build and pair battery rows time reads of cached tables).  Each
+side makes one untimed call, then ``PAIRS`` pairs run, each side first in
+half of them, in a shuffled order.  Garbage collection is off inside the
+timed call, as in ``timeit``.
 
 Output: ``{"base": <BASE's commit>}``, then one JSON line per set and row,
 keyed ``"A/A <row>"`` or ``"A/B <row>"``: ``base_ms`` and ``head_ms`` (each
@@ -52,7 +55,7 @@ sys.path[:0] = [str(HERE), str(HERE.parent / "perfbench")]
 
 import workloads  # noqa: E402
 from bench_record import MALLOC_ENV  # noqa: E402
-from bundle_digests import distinct_weights  # noqa: E402
+from digests import distinct_weights  # noqa: E402
 from rcl import graph, robustness, scenarios, simulation  # noqa: E402
 
 PAIRS = 200
@@ -74,7 +77,6 @@ class Row:
     inputs: Callable[[Path], Any]  # (scratch directory) -> side-neutral data, built once
     load: Callable[[Any, Any], Any]  # (side, data) -> the argument, loaded before every call
     call: Callable[[Any, Any], Any]  # (side, argument): the timed call
-    cold: bool = False
 
 
 @functools.cache
@@ -134,6 +136,12 @@ def _sim2() -> simulation.SimConfig:
     return scenarios.sim2().config(SIM2_SEED)
 
 
+def _weighted_sim2() -> simulation.SimConfig:
+    """``_sim2`` under the table of distinct weights that ``digests.py`` runs."""
+    config = _sim2()
+    return replace(config, scheme=distinct_weights(config.graph, random.Random(3)))
+
+
 def _graphs(scratch: Path) -> list[tuple[int, frozenset]]:
     """(n, edges) of every graph perfbench's workloads decide or run at seed 1."""
     graphs = [*_recorded("crosscheck", scratch)[0], *_recorded("exact", scratch)[0],
@@ -183,11 +191,11 @@ ROWS = [
     Row("window certificate", _calls("crosscheck", ("circulant_certificate",)), _bound, _replay),
     Row("peeling", _calls("crosscheck", PEELING, STEP), _bound, _replay),
     Row("bruteforce lookup", _calls("crosscheck", COMPLEMENT, STEP), _warmed, _replay),
-    Row("complement table build", _table_builds, _bound, _replay, cold=True),
+    Row("complement table build", _table_builds, _bound, _replay),
     Row("forced complement query", _calls("exact", COMPLEMENT), _bound, _replay),
-    Row("pair battery", _calls("exact", PAIR_DECIDERS), _bound, _replay, cold=True),
+    Row("pair battery", _calls("exact", PAIR_DECIDERS), _bound, _replay),
     Row("run, sim2 seed", _config(_sim2), _side_config, _run),
-    Row("run, weight table", _config(lambda: replace(_sim2(), scheme=distinct_weights(_sim2()))), _side_config, _run),
+    Row("run, weight table", _config(_weighted_sim2), _side_config, _run),
     Row("run, wide", _config(_wide_config), _side_config, _run),
     Row("compute_metrics", _config(_sim2), _trajectory,
         lambda side, loaded: side.simulation.compute_metrics(loaded[0], tol=scenarios.sim2().expected.tol)),
@@ -218,15 +226,6 @@ def sides(base_tree: Path, head_tree: Path) -> tuple[Any, Any]:
     return load("rcl_base", base_tree), load("rcl_head", head_tree)
 
 
-def _clear_caches(side) -> None:
-    """Empty every cache of ``side``'s modules: each object but a class with a ``cache_clear``."""
-    for name, module in list(sys.modules.items()):
-        if name.startswith(side.__name__ + "."):
-            for value in list(vars(module).values()):
-                if not isinstance(value, type) and callable(getattr(value, "cache_clear", None)):
-                    value.cache_clear()
-
-
 def _quartiles(values: list[float], scale: float = 1.0) -> dict[str, float]:
     return dict(zip(("q1", "median", "q3"),
                     (round(q * scale, 4) for q in statistics.quantiles(values, n=4, method="inclusive"))))
@@ -238,8 +237,6 @@ def compare(row: Row, base, head, scratch: Path, pairs: int = PAIRS) -> dict:
 
     def timed(side) -> float:
         argument = row.load(side, data)
-        if row.cold:
-            _clear_caches(side)
         # a pad of random size moves where the call's arrays land, so no one
         # heap layout favours one side for a whole row (with neither it nor
         # the fresh load, A/A rows read medians of 0.965 and 1.050)

@@ -9,8 +9,8 @@ importing it), one step after the other, with that ``src/`` as ``PYTHONPATH``:
   at seeds 1 and 101, each run in its own process;
 - ``ab.py HEAD^`` beside this file, the in-process A/B of every layer against
   the measured commit's first parent, which it names as ``base``;
-- ``bundle_digests.py`` and ``report_digests.py`` beside this file;
-- the tier-1 suite (``python -m pytest -q --continue-on-collection-errors``)
+- the tier-1 suite (``python -m pytest -q --continue-on-collection-errors``),
+  whose ``test_digests_keep_every_output_byte`` pins ``digests.py``'s totals,
   and acceptance test c01 alone;
 - the other end-to-end walls: ``rcl scenario sim2``, acceptance test c04 (the
   20-seed sim2 batch) alone, and a fixed 420-cell ``rcl sweep``, each writing
@@ -28,8 +28,8 @@ passes.  Each step's record holds its ``returncode`` and ``process_wall_s``;
 (perfbench's ``detail`` and metrics lines, ``ab.py``'s base and one line per
 set and row), or else the whole stdout when it parses as one (``rcl scenario``'s
 indented metrics); ``summary``, the last stdout line, only when neither
-parses as one (pytest's summary, the digest tools' ``total`` line); and
-``stderr_tail`` when the step exits nonzero or prints no result.  The file
+parses as one (pytest's summary); and ``stderr_tail`` when the step exits
+nonzero or prints no result.  The file
 also holds the commit (``git rev-parse HEAD``, and whether ``git status``
 shows changes); for a tree with changes, the SHA-256 of ``git diff HEAD
 --binary`` and of each untracked file but the output, so that the file names
@@ -193,8 +193,7 @@ def main(argv=None) -> int:
     steps = [(f"perfbench {workload} seed {seed}", perfbench[workload], str(seed),
               ["perfbench/run.py", "--workload", workload, "--seed", str(seed)], 1800)
              for workload in WORKLOADS for seed in SEEDS]
-    steps += [(script, record, script, [str(HERE / f"{script}.py"), *args], 1800)
-              for script, *args in (("ab", "HEAD^"), ("bundle_digests",), ("report_digests",))]
+    steps += [("ab", record, "ab", [str(HERE / "ab.py"), "HEAD^"], 1800)]
     steps += [("tier-1", record, "tier1", [*TIER1], 3600), ("c01", record, "c01", [*ACCEPTANCE, C01], 3600)]
     failed = []
     with tempfile.TemporaryDirectory() as tmp:

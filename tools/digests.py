@@ -1,10 +1,14 @@
-"""Print the SHA-256 digests that pin rcl's observable output.
+"""Print the SHA-256 digests that pin rcl's observable output and its exact decider reports.
 
-    PYTHONPATH=src python3 tools/bundle_digests.py
+    PYTHONPATH=src python3 tools/digests.py
 
 rcl is imported from ``PYTHONPATH``, so running the script with it naming the
-``src/`` of two checkouts and comparing the last line tells whether a change
-kept every output byte for byte.  One line per item, ``<sha256>  <label>``:
+``src/`` of two checkouts and comparing the output tells whether a change kept
+every output byte for byte.  ``tests/test_tools.py`` computes both totals in
+process and pins them; a change that alters bytes on purpose updates the
+pinned totals and says which lines changed and why.
+
+The bundle lines come first, one per item, ``<sha256>  <label>``:
 
 - every bundle file, the stdout (with any ``elapsed_ms`` removed) and the exit
   code of ``rcl scenario NAME`` for each built-in scenario;
@@ -27,7 +31,22 @@ kept every output byte for byte.  One line per item, ``<sha256>  <label>``:
   ``:``) when it refuses it, so the line reads ``<class> <pointer>  config
   <label>``.
 
-The last line, ``<sha256>  total``, digests all the lines before it.
+Then ``<sha256>  total`` digests the bundle lines.  The report lines follow,
+one per exact decider, ``<sha256>  <name> <calls> calls``, digesting
+``json.dumps(report.to_json())`` of each call, the integer that
+``max_r_robustness`` returns, or the exception type and message of a call
+that raises.  The corpus is fixed (seeded generators only):
+
+- 400 random digraphs with 2 <= n <= 11, and every C_n(1..k) with n <= 10,
+  under every pair parameter and three leader sets each;
+- enumeration cap cases (refused, raised cap, ``force=True``) and invalid
+  parameters;
+- forced pair calls at n = 14..16 and forced complement calls with 17..20
+  free vertices, so the enumeration counter is split into low and high bits;
+- forced pair calls at n = 14..18 with true verdicts (the worst case of the
+  O(B^2) pair scan the subset DP replaced) and with s > 1.
+
+The last line, ``<sha256>  total``, digests the report lines.
 """
 
 import contextlib
@@ -38,11 +57,12 @@ import math
 import random
 import sys
 import tempfile
+from collections import defaultdict
 from dataclasses import replace
 from pathlib import Path
 
-from rcl import cli, scenarios, simulation
-from rcl.graph import make_k_circulant
+from rcl import cli, robustness, scenarios, simulation
+from rcl.graph import Digraph, make_k_circulant
 from rcl.protocol import (
     Adversary, ByzantinePerEdge, ConstantHold, Leader, ReferenceSignal, Scripted, WeightScheme,
 )
@@ -107,15 +127,16 @@ def _check_argvs(edgelist: str, graph_json: str) -> list[list[str]]:
     return argvs
 
 
-def distinct_weights(config: simulation.SimConfig) -> WeightScheme:
-    """A table of distinct weights over every inclusive neighbourhood."""
-    g, rng, table = config.graph, random.Random(3), {}
+def distinct_weights(g: Digraph, rng: random.Random) -> WeightScheme:
+    """A table of distinct weights over every inclusive neighbourhood of ``g``,
+    drawn from ``rng``, with the floor alpha its smallest weight (at most 0.5)."""
+    table = {}
     for i in g.vertices:
         row = sorted(g.inclusive_neighbors(i))
         raw = rng.sample(range(1, 4 * len(row) + 1), len(row))
         for j, w in zip(row, raw):
             table[(i, j)] = w / sum(raw)
-    return WeightScheme(min(table.values()), table)
+    return WeightScheme(min(min(table.values()), 0.5), table)
 
 
 def tie_heavy_config() -> simulation.SimConfig:
@@ -265,7 +286,7 @@ def config_lines() -> list[str]:
     return lines
 
 
-def digest_lines(tmp_dir: Path) -> list[str]:
+def bundle_lines(tmp_dir: Path) -> list[str]:
     lines = []
     for name in scenarios.SCENARIO_NAMES:
         out_dir, out_f2 = tmp_dir / name, tmp_dir / f"{name}-f2"
@@ -295,22 +316,152 @@ def digest_lines(tmp_dir: Path) -> list[str]:
             states = simulation.run(scenario.config(seed)).states
             lines.append(f"{_sha(states.tobytes())}  states {name} seed {seed}")
     config = simulation.config_from_dict(json.loads(CONFIG.read_text()))
-    config = replace(config, scheme=distinct_weights(config))
+    config = replace(config, scheme=distinct_weights(config.graph, random.Random(3)))
     for seed in (0, 1, 2):
         states = simulation.run(replace(config, seed=seed)).states
         lines.append(f"{_sha(states.tobytes())}  states five_strategies weight table seed {seed}")
     ties = tie_heavy_config()
-    for rule, scheme in (("equal weights", None), ("weight table", distinct_weights(ties))):
+    for rule, scheme in (("equal weights", None), ("weight table", distinct_weights(ties.graph, random.Random(3)))):
         states = simulation.run(replace(ties, scheme=scheme)).states
         lines.append(f"{_sha(states.tobytes())}  states tie-heavy {rule}")
     return lines + config_lines()
 
 
+# the exact decider reports, in this order of deciders
+PAIR = ("is_r_robust", "is_rs_robust", "max_r_robustness")
+COMPLEMENT = (
+    "is_strongly_r_robust_bruteforce",
+    "is_tlf_robust_bruteforce",
+    "is_strongly_r_robust_peeling",
+    "is_tlf_robust_peeling",
+)
+
+
+class Corpus:
+    """Calls deciders and records each outcome under the decider's name."""
+
+    def __init__(self):
+        self.lines = defaultdict(list)
+
+    def call(self, name: str, g: Digraph, *args, **kwargs) -> None:
+        try:
+            result = getattr(robustness, name)(g, *args, **kwargs)
+            out = json.dumps(result if isinstance(result, int) else result.to_json(), sort_keys=True)
+        except (ValueError, RuntimeError) as exc:
+            out = f"{type(exc).__name__}: {exc}"
+        self.lines[name].append(f"n={g.n} edges={sorted(g.edges)} args={args} {kwargs} -> {out}")
+
+    def pairs(self, g: Digraph, rs, **kwargs) -> None:
+        for r in rs:
+            self.call("is_r_robust", g, r, **kwargs)
+            for s in sorted({1, 2, 3, g.n} & set(range(1, g.n + 1))):
+                self.call("is_rs_robust", g, r, s, **kwargs)
+
+    def complement(self, g: Digraph, leaders, rs, fs, **kwargs) -> None:
+        for r in rs:
+            self.call("is_strongly_r_robust_bruteforce", g, leaders, r, **kwargs)
+            self.call("is_strongly_r_robust_peeling", g, leaders, r)
+        for f in fs:
+            self.call("is_tlf_robust_bruteforce", g, leaders, f, **kwargs)
+            self.call("is_tlf_robust_peeling", g, leaders, f)
+
+
+def _random_digraph(rng: random.Random, n: int, p: float) -> Digraph:
+    edges = {(i, j) for i in range(1, n + 1) for j in range(1, n + 1)
+             if i != j and rng.random() < p}
+    return Digraph(n, frozenset(edges))
+
+
+def _relabeled_circulant(rng: random.Random, n: int, k: int, extra_p: float) -> Digraph:
+    perm = list(range(1, n + 1))
+    rng.shuffle(perm)
+    edges = {(perm[i - 1], perm[j - 1]) for i, j in make_k_circulant(n, k).edges}
+    edges.update((i, j) for i in range(1, n + 1) for j in range(1, n + 1)
+                 if i != j and rng.random() < extra_p)
+    return Digraph(n, frozenset(edges))
+
+
+def _build(corpus: Corpus) -> None:
+    rng = random.Random(2024)
+    small = [_random_digraph(rng, rng.randrange(2, 12), rng.choice((0.2, 0.35, 0.5, 0.7)))
+             for _ in range(400)]
+    small += [make_k_circulant(n, k) for n in range(2, 11) for k in range(1, n)]
+    for g in small:
+        corpus.pairs(g, range(0, 5))
+        corpus.call("max_r_robustness", g)
+        for size in (1, max(1, g.n // 3), g.n - 1):
+            leaders = sorted(rng.sample(g.vertices, size))
+            corpus.complement(g, leaders, range(0, g.n + 2), range(0, 4))
+    # parameter errors
+    g = small[0]
+    corpus.pairs(g, (-1,))
+    corpus.call("is_rs_robust", g, 1, 0)
+    corpus.call("is_rs_robust", g, 1, g.n + 1)
+    corpus.complement(g, [1], (-1,), (-1,))
+    corpus.complement(g, [], (1,), (1,))
+    corpus.complement(g, [g.n + 1], (1,), (1,))
+    # enumeration caps: refused, raised, forced
+    g = _relabeled_circulant(rng, 14, 5, 0.1)
+    corpus.pairs(g, (3,))
+    corpus.pairs(g, (3,), cap=14)
+    corpus.pairs(g, (2, 3), cap=12, force=True)
+    g = make_k_circulant(23, 6)
+    corpus.complement(g, [1, 2], (3,), (1,))
+    corpus.complement(g, [1, 2], (3,), (1,), cap=21)
+    corpus.complement(g, [1, 2, 3], (3,), (1,), cap=19)
+    # forced pair scans at n = 14..16
+    for n, k in ((14, 6), (15, 5), (16, 6)):
+        g = _relabeled_circulant(rng, n, k, 0.05)
+        corpus.pairs(g, ((k + 1) // 2, k, k + 1), force=True)
+        corpus.call("max_r_robustness", g, force=True)
+    for n in (14, 15, 16):
+        g = _random_digraph(rng, n, 0.4)
+        corpus.pairs(g, (1, 2, 3), force=True)
+    # forced complement tables with 17..20 free vertices
+    for n, k, free in ((21, 6, 17), (22, 7, 18), (23, 8, 19), (24, 8, 20)):
+        g = _relabeled_circulant(rng, n, k, 0.05)
+        for leaders in (sorted(rng.sample(g.vertices, n - free)), list(range(1, n - free + 1))):
+            corpus.complement(g, leaders, (1, 3, 5, k + 1), (0, 1, 2), force=True)
+        g = _random_digraph(rng, n, 0.3)
+        leaders = sorted(rng.sample(g.vertices, n - free))
+        corpus.complement(g, leaders, range(1, 9), (0, 1, 2, 3), force=True)
+    # forced pair calls at n = 14..18 with true verdicts, C_n(1..k) being
+    # ceil(k/2)-robust (more edges keep it so), and (r, s) calls with s > 1
+    for n, k in ((14, 6), (15, 7), (16, 8), (17, 8), (18, 8), (18, 10)):
+        g = _relabeled_circulant(rng, n, k, 0.02)
+        r = (k + 1) // 2
+        corpus.call("is_r_robust", g, r, force=True)
+        for r_s in ((r, 2), (r, 3), (r, r), (r + 1, 2), (r - 1, n // 2)):
+            corpus.call("is_rs_robust", g, *r_s, force=True)
+        corpus.call("max_r_robustness", g, force=True)
+    for n in (17, 18):
+        g = _random_digraph(rng, n, 0.5)
+        corpus.call("max_r_robustness", g, force=True)
+        for r in (2, 3, 4):
+            for s in (2, 3, n // 2):
+                corpus.call("is_rs_robust", g, r, s, force=True)
+
+
+def report_lines() -> list[str]:
+    corpus = Corpus()
+    _build(corpus)
+    return [f"{_sha(chr(10).join(corpus.lines[name]).encode())}  {name} {len(corpus.lines[name])} calls"
+            for name in PAIR + COMPLEMENT]
+
+
+def _totalled(lines: list[str]) -> list[str]:
+    return [*lines, f"{_sha(chr(10).join(lines).encode())}  total"]
+
+
+def digest_lines(tmp_dir: Path) -> list[str]:
+    """Every line the script prints: the bundle lines and their total, then
+    the report lines and theirs."""
+    return _totalled(bundle_lines(tmp_dir)) + _totalled(report_lines())
+
+
 def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
-        lines = digest_lines(Path(tmp))
-    lines.append(f"{_sha(chr(10).join(lines).encode())}  total")
-    print("\n".join(lines))
+        print("\n".join(digest_lines(Path(tmp))))
     return 0
 
 

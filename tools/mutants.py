@@ -58,6 +58,9 @@ MUTANTS = [
     (ROBUSTNESS, "range(width // 4 + 1)", "range(width // 2 + 1)",
      [TESTS + "test_a_pruned_chunk_keeps_every_low_counter_that_can_come_first[4]",
       TESTS + "test_the_width_table_holds_the_low_counters_and_their_canonical_order[4]"]),
+    # the width table's sizes, and so its keys, in int64, which np.minimum.at casts to the int32 table slowly
+    (ROBUSTNESS, "np.bitwise_count(lo).astype(np.int32)", "np.bitwise_count(lo).astype(np.int64)",
+     [TESTS + "test_the_width_table_holds_the_low_counters_and_their_canonical_order[4]"]),
     # a complement table kept under a key that ignores S, as if S were {1}
     (ROBUSTNESS, "return _kept(g, s_mask, first)", "return _kept(g, 1, first)",
      [TESTS + "test_each_leader_set_of_a_graph_keeps_its_own_table",
@@ -69,6 +72,9 @@ MUTANTS = [
     ("src/rcl/graph.py", 'if Path(path).suffix == ".json":\n        text',
      'if Path(path).suffix == ".txt":\n        text',
      ["tests/test_graph.py::test_save_load_roundtrip", "tests/test_cli.py::test_gen_graph_json_format"]),
+    # the plot's reference line drawn 2.4 wide, not 2.2: a change of output bytes only the byte gate sees
+    ("src/rcl/svgplot.py", 'stroke="#000000" stroke-width="2.2"', 'stroke="#000000" stroke-width="2.4"',
+     ["tests/test_tools.py::test_digests_keep_every_output_byte"]),
     # ab.py loads the head tree under both names, so every ratio reads 1
     ("tools/ab.py", 'load("rcl_base", base_tree)', 'load("rcl_base", head_tree)',
      ["tests/test_tools.py::test_ab_loads_each_side_from_its_own_tree"]),
