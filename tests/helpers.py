@@ -1,5 +1,5 @@
-"""Shared test utilities: random graph generation, naive reference
-implementations of the robustness definitions, and naive trajectory export.
+"""Shared test utilities: naive reference implementations of the robustness
+definitions, and naive trajectory export.
 
 The naive checkers below work directly on vertex sets with itertools
 enumeration and no shared code with the library's optimized mask-based
@@ -7,7 +7,8 @@ implementations; they serve as independent oracles on small graphs, as
 does the window-by-window scan of the circulant certificate.  The
 naive writers format one value at a time, through ``csv.writer`` and a
 per-point polyline, and serve as byte oracles for the column exporters.
-``tool`` loads a script of ``tools/`` as a module.
+``tool`` loads a script of ``tools/`` as a module; ``digests``, that of
+``tools/digests.py``, also draws the tests' random digraphs.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from __future__ import annotations
 import csv
 import importlib.util
 import itertools
-import random
 from collections.abc import Iterator
 from pathlib import Path
 
@@ -35,13 +35,9 @@ def tool(name: str):
     return module
 
 
-def random_digraph(rng: random.Random, n: int, p: float) -> Digraph:
-    edges = set()
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            if i != j and rng.random() < p:
-                edges.add((i, j))
-    return Digraph(n, frozenset(edges))
+# tools/digests.py, whose random digraphs, config corpus and distinct weights the tests share
+digests = tool("digests")
+random_digraph = digests.random_digraph
 
 
 def canonical_subsets(vertices) -> Iterator[frozenset[int]]:
@@ -121,6 +117,19 @@ def naive_first_violating_subset(
         if naive_violates(g, subset, c, anchor, reach):
             return c
     return None
+
+
+def assert_first_violating_subset(
+    report: RobustnessReport, g: Digraph, subset, anchor: int, reach: int
+) -> frozenset[int] | None:
+    """Assert that a complement decider's ``report`` holds the verdict and the
+    witness of ``naive_first_violating_subset(g, subset, anchor, reach)``, no
+    witness when it holds; return that first violating subset."""
+    expected = naive_first_violating_subset(g, frozenset(subset), anchor, reach)
+    where = (g, sorted(subset), report.property.name, report.params, anchor, reach)
+    assert report.verdict == (expected is None), where
+    assert report.witness == (None if expected is None else {"violating_subset": sorted(expected)}), where
+    return expected
 
 
 def naive_peeling(

@@ -150,8 +150,7 @@ def test_c05_sim3_sim4_interval_tracking():
             assert iv.end_error < 1e-3, (scenario.name, iv)
         assert result.metrics.final_error < 1e-6
 
-    result = sim4().run()
-    traj = result.trajectory
+    traj = result.trajectory  # sim4's
     normal_cols = [i - 1 for i in traj.config.normals]
     adversary_cols = [i - 1 for i in traj.config.adversaries]
     normal_range = np.abs(traj.states[:, normal_cols]).max()
@@ -224,6 +223,7 @@ def test_c07_leader_count_necessity():
     traj = result.trajectory
     cols = traj.states[:, [i - 1 for i in traj.config.normals]]
     assert np.all(cols == 0.0)
+    assert traj.config.reference.value_at(0) == 10.0  # the leaders' target, away from the hold
     assert result.outcome_ok
 
     contrast = leader_deficit_contrast(1).run()

@@ -527,26 +527,17 @@ def test_run_sinusoid_of_an_infinite_angle_sends_nan(capsys, tmp_path, strategy)
 
 
 @pytest.mark.parametrize("tol", ["inf", "nan", "0"])
-def test_run_tol_not_finite_and_positive_exits_2_without_a_bundle(capsys, tmp_path, tol):
-    config_path = tmp_path / "config.json"
-    config_path.write_text(json.dumps(SAMPLE_CONFIG))
-    code, stdout, err = run_cli(capsys, "run", str(config_path), "--tol", tol, "--out", str(tmp_path / "x"))
-    assert code == 2 and stdout == ""
-    assert err.startswith("error: tolerance must be finite and positive"), err
-    assert not (tmp_path / "x").exists()
-
-
-@pytest.mark.parametrize("tol", ["inf", "nan", "0"])
-def test_run_rejects_tol_before_the_engine_runs(capsys, tmp_path, monkeypatch, tol):
+def test_run_tol_not_finite_and_positive_exits_2_without_a_bundle(capsys, tmp_path, monkeypatch, tol):
     def engine(config):
         raise AssertionError("the engine ran before --tol was checked")
 
     monkeypatch.setattr("rcl.cli.run_simulation", engine)
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps(SAMPLE_CONFIG))
-    code, _, err = run_cli(capsys, "run", str(config_path), "--tol", tol, "--out", str(tmp_path / "x"))
-    assert code == 2
+    code, stdout, err = run_cli(capsys, "run", str(config_path), "--tol", tol, "--out", str(tmp_path / "x"))
+    assert code == 2 and stdout == ""
     assert err.startswith("error: tolerance must be finite and positive"), err
+    assert not (tmp_path / "x").exists()
 
 
 def test_run_tol_takes_numbers_only_as_float_writes_them(capsys, tmp_path):

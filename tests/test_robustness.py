@@ -11,11 +11,13 @@ import threading
 import tracemalloc
 import weakref
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 import pytest
 
 from helpers import (
+    assert_first_violating_subset,
     naive_circulant_certificate,
     naive_first_violating_pair,
     naive_first_violating_subset,
@@ -51,6 +53,19 @@ from rcl.robustness import (
 
 def complete_graph(n):
     return Digraph(n, frozenset((i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j))
+
+
+class Prop(NamedTuple):
+    """A complement property: its two deciders, its naive oracle and its
+    (anchor, reach) test as a function of the decider's parameter."""
+    brute: Callable
+    peel: Callable
+    naive: Callable
+    anchor_reach: Callable[[int], tuple[int, int]]
+
+
+STRONG = Prop(is_strongly_r_robust_bruteforce, is_strongly_r_robust_peeling, naive_strongly_r_robust, lambda r: (r, r))
+TLF = Prop(is_tlf_robust_bruteforce, is_tlf_robust_peeling, naive_tlf_robust, lambda f: (f + 1, 2 * f + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -104,12 +119,7 @@ class _Index:
         return self.value
 
 
-_COMPLEMENT_DECIDERS = (
-    is_strongly_r_robust_bruteforce,
-    is_strongly_r_robust_peeling,
-    is_tlf_robust_bruteforce,
-    is_tlf_robust_peeling,
-)
+_COMPLEMENT_DECIDERS = (STRONG.brute, STRONG.peel, TLF.brute, TLF.peel)
 
 
 @pytest.mark.parametrize("decide", _COMPLEMENT_DECIDERS + (r_reachable_set,))
@@ -297,10 +307,27 @@ def _pair(report):
     return frozenset(report.witness["s1"]), frozenset(report.witness["s2"])
 
 
-def test_pair_witness_is_the_canonical_first_violation():
-    rng = random.Random(23)
-    for _ in range(60):
-        g = random_digraph(rng, rng.randrange(2, 8), rng.choice([0.2, 0.4, 0.6]))
+@pytest.fixture
+def low_bits(request, monkeypatch):
+    """Split the enumeration counter after the parameter's number of low bits
+    (16 by default).  At 2 or 3, graphs small enough for the naive oracles run
+    the per-chunk (high bits) path, and a complement query on more free
+    vertices than that takes the walk.  Each test builds its graphs under the
+    split, so every table it reads is built there."""
+    monkeypatch.setattr(robustness, "_LOW_BITS", request.param)
+    return request.param
+
+
+# the counter at its default width, and split after 2 and 3 low bits
+@pytest.mark.parametrize("low_bits, seed, graphs, sizes", [
+    pytest.param(robustness._LOW_BITS, 23, 60, (2, 8), id="default"),
+    pytest.param(2, 105, 20, (3, 10), id="2"),
+    pytest.param(3, 106, 20, (4, 10), id="3"),
+], indirect=["low_bits"])
+def test_pair_witness_is_the_canonical_first_violation(low_bits, seed, graphs, sizes):
+    rng = random.Random(seed)
+    for _ in range(graphs):
+        g = random_digraph(rng, rng.randrange(*sizes), rng.choice([0.2, 0.4, 0.6]))
         for r in range(1, 4):
             assert _pair(is_r_robust(g, r)) == naive_first_violating_pair(g, r, 1), (g, r)
             for s in sorted({1, 2, g.n}):
@@ -387,18 +414,12 @@ def test_complement_witness_is_the_canonical_first_violation():
     for _ in range(60):
         g = random_digraph(rng, rng.randrange(2, 9), rng.choice([0.2, 0.4, 0.6]))
         s = _leader_sample(rng, g)
-        queries = [(is_strongly_r_robust_bruteforce, r, r, r) for r in range(-1, g.n + 2)]
-        queries += [(is_tlf_robust_bruteforce, f, f + 1, 2 * f + 1) for f in range(4)]
-        for decide, param, anchor, reach in queries:
+        for prop, param in [(STRONG, r) for r in range(-1, g.n + 2)] + [(TLF, f) for f in range(4)]:
             if param < 0:
                 with pytest.raises(ValueError):
-                    decide(g, s, param)
+                    prop.brute(g, s, param)
                 continue
-            report = decide(g, s, param)
-            expected = naive_first_violating_subset(g, s, anchor, reach)
-            assert report.verdict == (expected is None), (g, s, decide.__name__, param)
-            if expected is not None:
-                assert report.witness["violating_subset"] == sorted(expected), (g, s, decide.__name__, param)
+            assert_first_violating_subset(prop.brute(g, s, param), g, s, *prop.anchor_reach(param))
 
 
 def test_peeling_admission_order_matches_rescanning():
@@ -414,11 +435,9 @@ def test_peeling_admission_order_matches_rescanning():
         cases.append((g, frozenset(rng.sample(sorted(g.vertices), n // 5)), range(g.max_in_degree + 2)))
     verdicts = set()
     for g, s, rs in cases:
-        queries = [(is_strongly_r_robust_peeling, r, r, r) for r in rs]
-        queries += [(is_tlf_robust_peeling, f, f + 1, 2 * f + 1) for f in range(4)]
-        for decide, param, anchor, reach in queries:
-            report = decide(g, s, param)
-            order, stalled = naive_peeling(g, s, anchor, reach)
+        for prop, param in [(STRONG, r) for r in rs] + [(TLF, f) for f in range(4)]:
+            report = prop.peel(g, s, param)
+            order, stalled = naive_peeling(g, s, *prop.anchor_reach(param))
             if report.verdict:
                 assert stalled == [] and report.witness == {"admission_order": order}, (g, s, param)
             else:
@@ -573,14 +592,12 @@ def test_each_leader_set_of_a_graph_keeps_its_own_table(monkeypatch):
     # its own mask, built once, and answers as the naive oracle does
     g = make_k_circulant(7, 2)
     sets = [s for size in (1, 2, 3) for s in itertools.combinations(g.vertices, size)]
-    expected = [naive_first_violating_subset(g, frozenset(s), 2, 2) for s in sets]
     builds = _spy_builds(monkeypatch)
+    holds = set()
     for _ in range(2):
-        for s, first in zip(sets, expected):
-            report = is_strongly_r_robust_bruteforce(g, s, 2)
-            assert report.verdict == (first is None), s
-            assert report.witness == (None if first is None else {"violating_subset": sorted(first)}), s
-    assert {first is None for first in expected} == {False, True}
+        for s in sets:
+            holds.add(assert_first_violating_subset(is_strongly_r_robust_bruteforce(g, s, 2), g, s, 2, 2) is None)
+    assert holds == {False, True}
     assert sorted(g._tables) == sorted(robustness._vertex_mask(g.n, s) for s in sets)
     assert len(builds["_first_violations"]) == len(sets)
 
@@ -632,17 +649,6 @@ def test_threads_sharing_a_graph_answer_as_one_thread_does():
     assert sorted(g._tables) == sorted([robustness._PAIRS, *(robustness._vertex_mask(g.n, s) for s in sets)])
 
 
-@pytest.fixture
-def low_bits(request, monkeypatch):
-    """Split the enumeration counter after 2 or 3 low bits, so that graphs
-    small enough for the naive oracles run the per-chunk (high bits) path,
-    and a complement query on more free vertices than that takes the walk.
-    Each test builds its graphs under the split, so every table it reads is
-    built there."""
-    monkeypatch.setattr(robustness, "_LOW_BITS", request.param)
-    return request.param
-
-
 @pytest.mark.parametrize("low_bits", [2, 3], indirect=True)
 def test_split_counter_complement_witness_is_the_canonical_first_violation(low_bits):
     rng = random.Random(101 + low_bits)
@@ -653,10 +659,7 @@ def test_split_counter_complement_witness_is_the_canonical_first_violation(low_b
             for reach in range(1, g.max_in_degree + 3):
                 report = robustness._bruteforce(g, robustness._vertex_mask(g.n, s), anchor, reach,
                                                 Property.STRONG_R, {}, None, False)
-                expected = naive_first_violating_subset(g, s, anchor, reach)
-                assert report.verdict == (expected is None), (g, s, anchor, reach)
-                if expected is not None:
-                    assert report.witness["violating_subset"] == sorted(expected), (g, s, anchor, reach)
+                assert_first_violating_subset(report, g, s, anchor, reach)
 
 
 @pytest.mark.parametrize("low_bits", [3], indirect=True)
@@ -687,10 +690,7 @@ def test_per_anchor_domain_witness_is_the_canonical_first_violation(low_bits, mo
         for anchor in range(1, max(from_s) + 3):
             for reach in range(1, g.max_in_degree + 3):
                 report = robustness._bruteforce(g, s_mask, anchor, reach, Property.STRONG_R, {}, None, False)
-                expected = naive_first_violating_subset(g, s, anchor, reach)
-                assert report.verdict == (expected is None), (g, s, anchor, reach)
-                if expected is not None:
-                    assert report.witness["violating_subset"] == sorted(expected), (g, s, anchor, reach)
+                assert_first_violating_subset(report, g, s, anchor, reach)
                 pruned = any(a >= anchor for v, a in zip(g.vertices, from_s) if v not in s)
                 seen.add((pruned, report.verdict))
     assert seen == {(True, True), (True, False), (False, True), (False, False)}
@@ -771,8 +771,7 @@ def test_a_pruned_chunk_keeps_every_low_counter_that_can_come_first(low_bits, mo
             for reach in range(1, g.max_in_degree + 2):
                 report = robustness._bruteforce(g, robustness._vertex_mask(g.n, s), anchor, reach,
                                                 Property.STRONG_R, {}, None, False)
-                expected = naive_first_violating_subset(g, s, anchor, reach)
-                assert report.witness == (expected and {"violating_subset": sorted(expected)}), (g, s, anchor, reach)
+                assert_first_violating_subset(report, g, s, anchor, reach)
         if g.n <= 8:
             for r in range(1, 4):
                 assert _pair(is_rs_robust(g, r, 2)) == naive_first_violating_pair(g, r, 2), (g, r)
@@ -814,39 +813,14 @@ def test_the_width_table_holds_the_low_counters_and_their_canonical_order(width)
     assert low.keys.dtype == np.int32
 
 
-@pytest.mark.parametrize("low_bits", [2, 3], indirect=True)
-def test_split_counter_pair_witness_is_the_canonical_first_violation(low_bits):
-    rng = random.Random(103 + low_bits)
-    for _ in range(20):
-        g = random_digraph(rng, rng.randrange(low_bits + 1, 10), rng.choice([0.2, 0.4, 0.6]))
-        for r in range(1, 4):
-            assert _pair(is_r_robust(g, r)) == naive_first_violating_pair(g, r, 1), (g, r)
-            for s in sorted({1, 2, g.n}):
-                report = is_rs_robust(g, r, s)
-                expected = naive_first_violating_pair(g, r, s)
-                assert _pair(report) == expected, (g, r, s)
-                if expected is not None:
-                    counts = [len(r_reachable_set(g, part, r)) for part in expected]
-                    assert report.witness["reachable_counts"] == counts
-        robust = itertools.takewhile(lambda r: naive_first_violating_pair(g, r, 1) is None,
-                                     range(1, (g.n + 1) // 2 + 1))
-        assert max_r_robustness(g) == max(robust, default=0), g
-
-
 def test_wide_complement_witness_is_the_canonical_first_violation():
     # 11 to 13 free vertices: low counter tables wider than the ones above
     rng = random.Random(109)
     for _ in range(3):
         g = random_digraph(rng, 14, rng.choice([0.3, 0.5]))
         s = frozenset(rng.sample(sorted(g.vertices), rng.randrange(1, 4)))
-        queries = [(is_strongly_r_robust_bruteforce, r, r, r) for r in range(1, g.max_in_degree + 2, 2)]
-        queries += [(is_tlf_robust_bruteforce, f, f + 1, 2 * f + 1) for f in range(4)]
-        for decide, param, anchor, reach in queries:
-            expected = naive_first_violating_subset(g, s, anchor, reach)
-            report = decide(g, s, param)
-            assert report.verdict == (expected is None), (g, s, decide.__name__, param)
-            if expected is not None:
-                assert report.witness["violating_subset"] == sorted(expected), (g, s, decide.__name__, param)
+        for prop, param in [(STRONG, r) for r in range(1, g.max_in_degree + 2, 2)] + [(TLF, f) for f in range(4)]:
+            assert_first_violating_subset(prop.brute(g, s, param), g, s, *prop.anchor_reach(param))
 
 
 def test_complement_tables_hold_in_degrees_beyond_int8():
@@ -855,19 +829,29 @@ def test_complement_tables_hold_in_degrees_beyond_int8():
     g = random_digraph(rng, 200, 0.7)
     s = frozenset(g.vertices) - frozenset(rng.sample(sorted(g.vertices), 10))
     verdicts = set()
-    for r in range(110, 171, 6):
-        brute = is_strongly_r_robust_bruteforce(g, s, r)
-        assert brute.verdict == is_strongly_r_robust_peeling(g, s, r).verdict, r
-        expected = naive_first_violating_subset(g, s, r, r)
-        assert brute.witness == (None if expected is None else {"violating_subset": sorted(expected)}), r
-        verdicts.add(brute.verdict)
-    for f in range(50, 90, 4):
-        brute = is_tlf_robust_bruteforce(g, s, f)
-        assert brute.verdict == is_tlf_robust_peeling(g, s, f).verdict, f
-        expected = naive_first_violating_subset(g, s, f + 1, 2 * f + 1)
-        assert brute.witness == (None if expected is None else {"violating_subset": sorted(expected)}), f
+    for prop, param in [(STRONG, r) for r in range(110, 171, 6)] + [(TLF, f) for f in range(50, 90, 4)]:
+        brute = prop.brute(g, s, param)
+        assert brute.verdict == prop.peel(g, s, param).verdict, (prop.brute.__name__, param)
+        assert_first_violating_subset(brute, g, s, *prop.anchor_reach(param))
         verdicts.add(brute.verdict)
     assert verdicts == {True, False}
+
+
+def _witness_in_stalled_complement(g, s, prop, param, **kwargs) -> set[bool]:
+    """Assert that brute force and peeling agree and that a brute-force
+    witness lies inside peeling's stalled complement T, which violates too.
+    Returns {whether the witness is a proper subset of T}, or an empty set
+    when the property holds."""
+    report, peeled = prop.brute(g, s, param, **kwargs), prop.peel(g, s, param)
+    where = (g, s, prop.brute.__name__, param)
+    assert report.verdict == peeled.verdict, where
+    if report.verdict:
+        return set()
+    witness = set(report.witness["violating_subset"])
+    stalled = frozenset(peeled.witness["stalled_complement"])
+    assert witness <= stalled, where
+    assert naive_violates(g, s, stalled, *prop.anchor_reach(param)), where
+    return {witness < stalled}
 
 
 def test_every_bruteforce_witness_lies_inside_peelings_stalled_complement():
@@ -879,18 +863,8 @@ def test_every_bruteforce_witness_lies_inside_peelings_stalled_complement():
     for _ in range(600):
         g = random_digraph(rng, rng.randrange(4, 13), rng.choice([0.2, 0.4, 0.6]))
         s = frozenset(rng.sample(sorted(g.vertices), rng.randrange(1, 4)))
-        queries = [(is_strongly_r_robust_bruteforce, is_strongly_r_robust_peeling, r, r, r)
-                   for r in range(1, g.n + 1)]
-        queries += [(is_tlf_robust_bruteforce, is_tlf_robust_peeling, f, f + 1, 2 * f + 1) for f in range(5)]
-        for brute, peel, param, anchor, reach in queries:
-            report, peeled = brute(g, s, param), peel(g, s, param)
-            assert report.verdict == peeled.verdict, (g, s, brute.__name__, param)
-            if not report.verdict:
-                witness = set(report.witness["violating_subset"])
-                stalled = frozenset(peeled.witness["stalled_complement"])
-                assert witness <= stalled, (g, s, brute.__name__, param)
-                assert naive_violates(g, s, stalled, anchor, reach), (g, s, brute.__name__, param)
-                seen.add(witness < stalled)
+        for prop, param in [(STRONG, r) for r in range(1, g.n + 1)] + [(TLF, f) for f in range(5)]:
+            seen |= _witness_in_stalled_complement(g, s, prop, param)
     assert seen == {False, True}
 
 
@@ -904,17 +878,8 @@ def test_forced_walk_witnesses_lie_inside_peelings_stalled_complement():
         g = random_digraph(rng, leaders + rng.randrange(17, 23), rng.choice([0.2, 0.3, 0.4]))
         s = frozenset(rng.sample(sorted(g.vertices), leaders))
         assert g.n - len(s) > robustness._LOW_BITS
-        queries = [(is_strongly_r_robust_bruteforce, is_strongly_r_robust_peeling, r, r, r) for r in range(1, 8)]
-        queries += [(is_tlf_robust_bruteforce, is_tlf_robust_peeling, f, f + 1, 2 * f + 1) for f in range(4)]
-        for brute, peel, param, anchor, reach in queries:
-            report, peeled = brute(g, s, param, force=True), peel(g, s, param)
-            assert report.verdict == peeled.verdict, (g, s, brute.__name__, param)
-            if not report.verdict:
-                witness = set(report.witness["violating_subset"])
-                stalled = frozenset(peeled.witness["stalled_complement"])
-                assert witness <= stalled, (g, s, brute.__name__, param)
-                assert naive_violates(g, s, stalled, anchor, reach), (g, s, brute.__name__, param)
-                seen.add(witness < stalled)
+        for prop, param in [(STRONG, r) for r in range(1, 8)] + [(TLF, f) for f in range(4)]:
+            seen |= _witness_in_stalled_complement(g, s, prop, param, force=True)
     assert seen == {False, True}
 
 
@@ -930,16 +895,20 @@ def test_strong_peeling_c30_leader_window():
     assert is_strongly_r_robust_peeling(g, range(22, 29), 7).verdict
 
 
-def test_peeling_matches_bruteforce_random():
-    rng = random.Random(23)
+# the tests below run once per property, each case with its own seed and
+# range of the property's parameter (r or F)
+@pytest.mark.parametrize("prop, seed, params", [
+    pytest.param(STRONG, 23, lambda g: range(g.n + 1), id="strong"),
+    pytest.param(TLF, 47, lambda g: range(4), id="tlf"),
+])
+def test_peeling_matches_bruteforce_random(prop, seed, params):
+    rng = random.Random(seed)
     for _ in range(60):
         g = random_digraph(rng, rng.randrange(2, 8), rng.choice([0.2, 0.5, 0.8]))
-        size = rng.randrange(1, g.n + 1)
-        s = frozenset(rng.sample(sorted(g.vertices), size))
-        for r in range(0, g.n + 1):
-            brute = is_strongly_r_robust_bruteforce(g, s, r).verdict
-            peel = is_strongly_r_robust_peeling(g, s, r).verdict
-            assert brute == peel == naive_strongly_r_robust(g, s, r), (g, s, r)
+        s = frozenset(rng.sample(sorted(g.vertices), rng.randrange(1, g.n + 1)))
+        for param in params(g):
+            brute, peel = prop.brute(g, s, param).verdict, prop.peel(g, s, param).verdict
+            assert brute == peel == prop.naive(g, s, param), (g, s, prop.brute.__name__, param)
 
 
 def relabeled(rng, g, s):
@@ -951,66 +920,68 @@ def relabeled(rng, g, s):
     return Digraph(g.n, frozenset((pi[i], pi[j]) for i, j in g.edges)), frozenset(pi[v] for v in s)
 
 
-def test_peeling_verdict_invariant_under_scan_order():
-    rng = random.Random(29)
+@pytest.mark.parametrize("prop, seed, top", [
+    pytest.param(STRONG, 29, 5, id="strong"),
+    pytest.param(TLF, 79, 3, id="tlf"),
+])
+def test_peeling_verdict_invariant_under_scan_order(prop, seed, top):
+    rng = random.Random(seed)
     for _ in range(30):
         g = random_digraph(rng, 7, 0.5)
         s = frozenset(rng.sample(range(1, 8), rng.randrange(1, 4)))
         pg, ps = relabeled(rng, g, s)
-        r = rng.randrange(0, 5)
-        expected = naive_strongly_r_robust(g, s, r)
-        assert is_strongly_r_robust_peeling(g, s, r).verdict == expected
-        assert is_strongly_r_robust_peeling(pg, ps, r).verdict == expected
+        param = rng.randrange(0, top)
+        expected = prop.naive(g, s, param)
+        assert prop.peel(g, s, param).verdict == expected
+        assert prop.peel(pg, ps, param).verdict == expected
 
 
-def test_tlf_peeling_verdict_invariant_under_scan_order():
-    rng = random.Random(79)
-    for _ in range(30):
-        g = random_digraph(rng, 7, 0.5)
-        s = frozenset(rng.sample(range(1, 8), rng.randrange(1, 4)))
-        pg, ps = relabeled(rng, g, s)
-        f = rng.randrange(0, 3)
-        expected = naive_tlf_robust(g, s, f)
-        assert is_tlf_robust_peeling(g, s, f).verdict == expected
-        assert is_tlf_robust_peeling(pg, ps, f).verdict == expected
-
-
-def test_strong_monotone_in_r():
-    rng = random.Random(31)
+@pytest.mark.parametrize("prop, seed, p, leaders, top", [
+    pytest.param(STRONG, 31, 0.6, 2, 8, id="strong"),
+    pytest.param(TLF, 71, 0.7, 3, 4, id="tlf"),
+])
+def test_bruteforce_verdict_monotone_in_the_parameter(prop, seed, p, leaders, top):
+    rng = random.Random(seed)
     for _ in range(20):
-        g = random_digraph(rng, 7, 0.6)
-        s = frozenset(rng.sample(range(1, 8), 2))
-        verdicts = [is_strongly_r_robust_bruteforce(g, s, r).verdict for r in range(8)]
+        g = random_digraph(rng, 7, p)
+        s = frozenset(rng.sample(range(1, 8), leaders))
+        verdicts = [prop.brute(g, s, param).verdict for param in range(top)]
         # once false, stays false
         assert all(a or not b for a, b in zip(verdicts, verdicts[1:]))
 
 
-def test_strong_true_survives_edge_additions():
-    rng = random.Random(37)
-    g = make_k_circulant(8, 4)
-    s = frozenset({1, 2, 3})
-    r = 3
-    assert is_strongly_r_robust_peeling(g, s, r).verdict
+@pytest.mark.parametrize("prop, seed, circulant, s, param", [
+    pytest.param(STRONG, 37, (8, 4), {1, 2, 3}, 3, id="strong"),
+    pytest.param(TLF, 73, (9, 5), {1, 2}, 1, id="tlf"),
+])
+def test_true_survives_edge_additions(prop, seed, circulant, s, param):
+    rng = random.Random(seed)
+    g = make_k_circulant(*circulant)
+    assert prop.peel(g, s, param).verdict
     edges = set(g.edges)
     candidates = [(i, j) for i in g.vertices for j in g.vertices if i != j and (i, j) not in edges]
     for _ in range(10):
         edges.add(rng.choice(candidates))
-        bigger = Digraph(8, frozenset(edges))
-        assert is_strongly_r_robust_peeling(bigger, s, r).verdict
+        bigger = Digraph(g.n, frozenset(edges))
+        assert prop.peel(bigger, s, param).verdict
+        assert prop.brute(bigger, s, param).verdict
 
 
-def test_strong_leader_count_necessity():
-    # strong (2F+1)-robustness w.r.t. S is impossible when |S| < 2F+1
-    rng = random.Random(41)
+@pytest.mark.parametrize("prop, seed, fs, param_of", [
+    pytest.param(STRONG, 41, (1, 3), lambda f: 2 * f + 1, id="strong"),
+    pytest.param(TLF, 53, (1, 4), lambda f: f, id="tlf"),
+])
+def test_leader_count_necessity(prop, seed, fs, param_of):
+    # with fewer leaders than the anchor, C = V \ S violates: its in-neighbors
+    # outside C lie in S.  So strong (2F+1)-robustness needs |S| >= 2F+1, and
+    # TLF with parameter F needs |S| >= F+1
+    rng = random.Random(seed)
     for _ in range(20):
         g = random_digraph(rng, 7, 0.8)
-        f = rng.randrange(1, 3)
-        size = rng.randrange(1, 2 * f + 1)
-        s = frozenset(rng.sample(range(1, 8), size))
-        if len(s) == g.n:
-            continue
-        assert not is_strongly_r_robust_bruteforce(g, s, 2 * f + 1).verdict
-        assert not is_strongly_r_robust_peeling(g, s, 2 * f + 1).verdict
+        param = param_of(rng.randrange(*fs))
+        s = frozenset(rng.sample(range(1, 8), rng.randrange(1, prop.anchor_reach(param)[0])))
+        assert not prop.brute(g, s, param).verdict
+        assert not prop.peel(g, s, param).verdict
 
 
 # ---------------------------------------------------------------------------
@@ -1033,17 +1004,6 @@ def test_tlf_f0_equals_strong_1_robustness():
         assert tlf == strong
 
 
-def test_tlf_peeling_matches_bruteforce_random():
-    rng = random.Random(47)
-    for _ in range(60):
-        g = random_digraph(rng, rng.randrange(2, 8), rng.choice([0.2, 0.5, 0.8]))
-        s = frozenset(rng.sample(sorted(g.vertices), rng.randrange(1, g.n + 1)))
-        for f in range(0, 4):
-            brute = is_tlf_robust_bruteforce(g, s, f).verdict
-            peel = is_tlf_robust_peeling(g, s, f).verdict
-            assert brute == peel == naive_tlf_robust(g, s, f), (g, s, f)
-
-
 def test_tlf_false_witness_violates_definition():
     g = make_k_circulant(8, 2)
     report = is_tlf_robust_bruteforce(g, {1, 2}, 1)
@@ -1051,42 +1011,6 @@ def test_tlf_false_witness_violates_definition():
     c = frozenset(report.witness["violating_subset"])
     assert not any(len(g.in_neighbors(i) & {1, 2}) >= 2 for i in c)
     assert not naive_reachable(g, c, 3)
-
-
-def test_tlf_monotone_in_f():
-    rng = random.Random(71)
-    for _ in range(20):
-        g = random_digraph(rng, 7, 0.7)
-        s = frozenset(rng.sample(range(1, 8), 3))
-        verdicts = [is_tlf_robust_bruteforce(g, s, f).verdict for f in range(4)]
-        assert all(a or not b for a, b in zip(verdicts, verdicts[1:]))
-
-
-def test_tlf_true_survives_edge_additions():
-    rng = random.Random(73)
-    g = make_k_circulant(9, 5)
-    s = frozenset({1, 2})
-    assert is_tlf_robust_peeling(g, s, 1).verdict
-    edges = set(g.edges)
-    candidates = [(i, j) for i in g.vertices for j in g.vertices if i != j and (i, j) not in edges]
-    for _ in range(10):
-        edges.add(rng.choice(candidates))
-        bigger = Digraph(9, frozenset(edges))
-        assert is_tlf_robust_peeling(bigger, s, 1).verdict
-        assert is_tlf_robust_bruteforce(bigger, s, 1).verdict
-
-
-def test_tlf_leader_count_necessity():
-    rng = random.Random(53)
-    for _ in range(20):
-        g = random_digraph(rng, 7, 0.8)
-        f = rng.randrange(1, 4)
-        size = rng.randrange(1, f + 1)
-        s = frozenset(rng.sample(range(1, 8), size))
-        if len(s) == g.n:
-            continue
-        assert not is_tlf_robust_bruteforce(g, s, f).verdict
-        assert not is_tlf_robust_peeling(g, s, f).verdict
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,6 @@ import pytest
 
 import rcl.robustness
 from rcl.graph import make_k_circulant
-from rcl.robustness import is_r_robust, is_rs_robust
 from rcl.scenarios import (
     SCENARIO_NAMES,
     NoConvergence,
@@ -24,8 +23,6 @@ from rcl.scenarios import (
     leader_deficit_scenario,
     sim1,
     sim2,
-    sim3,
-    sim4,
 )
 from rcl.simulation import SimConfig, compute_metrics, run
 
@@ -79,57 +76,6 @@ def test_sim2_remaining_leader_count_is_below_2f1():
     assert set(cfg.adversaries) == {22, 26, 28}
 
 
-def test_sim3_tracks_each_interval():
-    result = sim3().run()
-    assert result.outcome_ok
-    ends = [iv.end_error for iv in result.metrics.intervals]
-    assert len(ends) == 3
-    assert all(e < 1e-3 for e in ends)
-    assert result.metrics.final_error < 1e-6
-
-
-def test_sim4_ramp_values_dwarf_normal_range():
-    result = sim4().run()
-    assert result.outcome_ok
-    traj = result.trajectory
-    normals = traj.config.normals
-    normal_peak = np.abs(traj.states[:, [i - 1 for i in normals]]).max()
-    adversary_peak = np.abs(traj.states[:, [i - 1 for i in traj.config.adversaries]]).max()
-    assert adversary_peak > 10 * normal_peak
-    assert all(iv.end_error < 1e-3 for iv in result.metrics.intervals)
-
-
-def test_counterexample_rs_structure_and_outcome():
-    scenario = counterexample_rs(1)
-    g = scenario.config().graph
-    s1 = scenario.config().leaders
-    s2 = scenario.config().normals
-    assert len(s1) == 2
-    assert is_rs_robust(g, 2, 2).verdict
-    for i in s1:
-        assert len(g.in_neighbors(i) - set(s1)) >= 2
-    for j in s2:
-        assert len(g.in_neighbors(j) - set(s2)) <= 1
-    result = scenario.run()
-    assert result.outcome_ok
-    err = result.metrics.tracking_error
-    assert np.all(err == 10.0)  # residual is exactly |a2 - a1| at every round
-
-
-def test_counterexample_2f1_structure_and_outcome():
-    scenario = counterexample_2f1(1)
-    cfg = scenario.config()
-    g = cfg.graph
-    assert is_r_robust(g, 3).verdict
-    assert len(cfg.adversaries) == 1
-    s1 = set(cfg.leaders)
-    fully_connected = [j for j in g.vertices if j not in s1 and s1 <= g.in_neighbors(j)]
-    assert fully_connected == list(cfg.adversaries)
-    result = scenario.run()
-    assert result.outcome_ok
-    assert np.all(result.metrics.tracking_error == 10.0)
-
-
 def test_counterexamples_call_no_exponential_decider(monkeypatch):
     # the construction is certified by the O(n) degree certificate, so neither
     # building nor running either counterexample enumerates subsets
@@ -158,19 +104,28 @@ def test_no_convergence_fails_without_a_reference():
     assert NoConvergence(1.0).check(traj, compute_metrics(traj)) == (False, "no reference signal, residual undefined")
 
 
+# the preconditions of each counterexample: its robustness certificate, then
+# the in-neighbor counts across its two camps that keep the followers away
+_PRECONDITIONS = {
+    "counterexample-rs": ["rs_robustness_holds", "leaders_have_f1_outside_in_neighbors",
+                          "followers_capped_at_f_outside_in_neighbors"],
+    "counterexample-2f1": ["2f1_robustness_holds", "adversaries_f_local",
+                           "full_leader_adjacency_limited_to_adversaries"],
+}
+
+
 @pytest.mark.parametrize("kind", ["counterexample-rs", "counterexample-2f1"])
 @pytest.mark.parametrize("f", [1, 2, 3, 6, 16, 64])
 def test_counterexamples_are_constructed_at_any_f(f, kind):
     result = build_scenario(kind, f=f).run()
-    assert result.config.graph.n == 4 * f + 6
+    config = result.config
+    assert config.graph.n == 4 * f + 6
+    assert len(config.leaders) == f + 1
+    assert len(config.adversaries) == (f if kind == "counterexample-2f1" else 0)
+    assert [pre.name for pre in result.preconditions] == _PRECONDITIONS[kind]
     assert all(pre.ok for pre in result.preconditions)
     assert result.outcome_ok
-    assert np.all(result.metrics.tracking_error == 10.0)
-
-
-def test_counterexamples_at_f2():
-    assert counterexample_rs(2).run().outcome_ok
-    assert counterexample_2f1(2).run().outcome_ok
+    assert np.all(result.metrics.tracking_error == 10.0)  # exactly |a2 - a1| at every round
 
 
 def test_counterexample_requires_f_at_least_one():
@@ -200,21 +155,6 @@ def test_parametric_scenarios_take_an_integer_f_only():
             with pytest.raises(ScenarioError, match=f"^F must be an integer, got {f}$"):
                 build_scenario(name, f=f)
     assert build_scenario("leader-deficit", f=np.int64(2)).base == build_scenario("leader-deficit", f=2).base
-
-
-def test_leader_deficit_normals_pinned_bit_exactly():
-    result = leader_deficit_scenario(1).run()
-    assert result.outcome_ok
-    traj = result.trajectory
-    cols = traj.states[:, [i - 1 for i in traj.config.normals]]
-    assert np.all(cols == 0.0)
-    assert traj.config.reference.value_at(0) == 10.0
-
-
-def test_leader_deficit_contrast_converges():
-    result = leader_deficit_contrast(1).run()
-    assert result.outcome_ok
-    assert result.metrics.convergence_round is not None
 
 
 def test_leader_deficit_f2():

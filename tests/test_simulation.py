@@ -15,7 +15,7 @@ from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from helpers import naive_polyline_points, naive_write_edges_csv, naive_write_trajectory_csv, tool
+from helpers import digests, naive_polyline_points, naive_write_edges_csv, naive_write_trajectory_csv
 from rcl import simulation, svgplot
 from rcl.graph import Digraph, make_k_circulant, make_undirected_circulant
 from rcl.protocol import (
@@ -48,8 +48,6 @@ from rcl.simulation import (
 from rcl.robustness import circulant_certificate
 from rcl.scenarios import SCENARIO_NAMES, build_scenario, sim2
 from rcl.svgplot import render_trajectory_svg
-
-digests = tool("digests")  # its corpus of configs and its table of distinct weights
 
 
 def basic_config(**overrides):

@@ -27,6 +27,12 @@ per-pair ratio head/base), ``head_won`` (ties count for neither), ``n`` and
 ``verdict``: ``gain`` or ``loss`` when one side won at least 9 in 10 pairs
 and the medians differ by more than base's quartile spread, else ``none``.
 A row whose API BASE lacks prints ``{"skipped": <reason>}``.
+
+Two rows have a wider A/A floor than the rest, so read their A/A line beside
+their A/B line.  ``forced complement query`` (about 1.3 ms a call) read A/A
+medians of 0.981 to 1.043 and cannot resolve a claim below about 4%; ``pair
+battery`` (about 2 ms a call) read A/A quartiles as wide as 1.001 to 1.294 and
+cannot resolve one below about 15%.
 """
 
 import argparse

@@ -21,6 +21,8 @@ The bundle lines come first, one per item, ``<sha256>  <label>``:
   graph files in both formats and the usage errors that exit 2;
 - the bytes of every file ``rcl gen-graph`` writes, under an ``.edgelist``
   and a ``.json`` name;
+- the stdout and exit code of ``rcl scenario --list`` and of ``rcl sweep``
+  over a 96-cell grid (``SWEEP``) in which some runs do not converge;
 - the engine states of every scenario at seeds 0 and 7, and of that config
   under a table of distinct weights at seeds 0 to 2;
 - the engine states of a tie-heavy config (``tie_heavy_config``) under the
@@ -68,6 +70,8 @@ from rcl.protocol import (
 )
 
 CONFIG = Path(__file__).resolve().parent / "five_strategies.json"
+SWEEP = ["--n", "8,9", "--k", "3-4", "--f", "0,1", "--window-sizes", "1-4", "--window-starts", "1-3",
+         "--horizon", "40"]
 
 
 def _sha(data: bytes) -> str:
@@ -310,6 +314,8 @@ def bundle_lines(tmp_dir: Path) -> list[str]:
     for argv in _check_argvs(str(graphs / "c10-edgelist" / "c10.edgelist"), str(graphs / "c10-json" / "c10.json")):
         label = " ".join(argv).replace(str(graphs) + "/", "")
         lines += _cli_digests(f"check {label}", ["check", *argv])
+    lines += _cli_digests("scenario --list", ["scenario", "--list"])
+    lines += _cli_digests(f"sweep {' '.join(SWEEP)}", ["sweep", *SWEEP])
     for name in scenarios.SCENARIO_NAMES:
         scenario = scenarios.build_scenario(name)
         for seed in (0, 7):
@@ -366,7 +372,10 @@ class Corpus:
             self.call("is_tlf_robust_peeling", g, leaders, f)
 
 
-def _random_digraph(rng: random.Random, n: int, p: float) -> Digraph:
+def random_digraph(rng: random.Random, n: int, p: float) -> Digraph:
+    """A digraph on 1..n holding each edge (i, j), i != j, with probability
+    ``p``: one draw from ``rng`` per pair, i then j ascending.  The tests draw
+    their random digraphs here too."""
     edges = {(i, j) for i in range(1, n + 1) for j in range(1, n + 1)
              if i != j and rng.random() < p}
     return Digraph(n, frozenset(edges))
@@ -383,7 +392,7 @@ def _relabeled_circulant(rng: random.Random, n: int, k: int, extra_p: float) -> 
 
 def _build(corpus: Corpus) -> None:
     rng = random.Random(2024)
-    small = [_random_digraph(rng, rng.randrange(2, 12), rng.choice((0.2, 0.35, 0.5, 0.7)))
+    small = [random_digraph(rng, rng.randrange(2, 12), rng.choice((0.2, 0.35, 0.5, 0.7)))
              for _ in range(400)]
     small += [make_k_circulant(n, k) for n in range(2, 11) for k in range(1, n)]
     for g in small:
@@ -415,14 +424,14 @@ def _build(corpus: Corpus) -> None:
         corpus.pairs(g, ((k + 1) // 2, k, k + 1), force=True)
         corpus.call("max_r_robustness", g, force=True)
     for n in (14, 15, 16):
-        g = _random_digraph(rng, n, 0.4)
+        g = random_digraph(rng, n, 0.4)
         corpus.pairs(g, (1, 2, 3), force=True)
     # forced complement tables with 17..20 free vertices
     for n, k, free in ((21, 6, 17), (22, 7, 18), (23, 8, 19), (24, 8, 20)):
         g = _relabeled_circulant(rng, n, k, 0.05)
         for leaders in (sorted(rng.sample(g.vertices, n - free)), list(range(1, n - free + 1))):
             corpus.complement(g, leaders, (1, 3, 5, k + 1), (0, 1, 2), force=True)
-        g = _random_digraph(rng, n, 0.3)
+        g = random_digraph(rng, n, 0.3)
         leaders = sorted(rng.sample(g.vertices, n - free))
         corpus.complement(g, leaders, range(1, 9), (0, 1, 2, 3), force=True)
     # forced pair calls at n = 14..18 with true verdicts, C_n(1..k) being
@@ -435,7 +444,7 @@ def _build(corpus: Corpus) -> None:
             corpus.call("is_rs_robust", g, *r_s, force=True)
         corpus.call("max_r_robustness", g, force=True)
     for n in (17, 18):
-        g = _random_digraph(rng, n, 0.5)
+        g = random_digraph(rng, n, 0.5)
         corpus.call("max_r_robustness", g, force=True)
         for r in (2, 3, 4):
             for s in (2, 3, n // 2):

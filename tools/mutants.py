@@ -37,6 +37,11 @@ MUTANTS = [
     # peeling admits a vertex with one in-neighbour too few
     (ROBUSTNESS, "(in_masks[w - 1] & grown).bit_count() >= reach",
      "(in_masks[w - 1] & grown).bit_count() >= reach - 1", [TESTS + "test_peeling_admission_order_matches_rescanning"]),
+    # TLF brute force asks for 2F+2 in-neighbors outside C where the property asks for 2F+1
+    (ROBUSTNESS, "return _bruteforce(g, s_mask, f + 1, 2 * f + 1, Property.TLF, params, cap, force)",
+     "return _bruteforce(g, s_mask, f + 1, 2 * f + 2, Property.TLF, params, cap, force)",
+     [TESTS + "test_peeling_matches_bruteforce_random[tlf]",
+      TESTS + "test_complement_witness_is_the_canonical_first_violation"]),
     # a query with exactly _LOW_BITS free vertices skips the cached table
     (ROBUSTNESS, "if free <= _LOW_BITS:", "if free < _LOW_BITS:",
      [TESTS + "test_the_cached_table_answers_exactly_the_queries_whose_free_vertices_fit_one_chunk[3]"]),
