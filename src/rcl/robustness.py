@@ -55,7 +55,11 @@ outside it.  That search, like the pair witnesses, walks the chunks in order
 of popcount(hi) and stops past the size of the first violation found, so a
 small witness ends it early; once it has one, a later chunk evaluates only
 the low counters small enough to beat it, when those are few (a one-member
-witness leaves one per chunk).  Either way a false verdict's witness comes
+witness leaves one per chunk).  The first chunk has no witness to prune by,
+so it evaluates its empty and one-member counters first and the rest only
+if none of those is marked; a later chunk, pruned already, never probes, as
+a probe would add an evaluation to each chunk of a walk whose first witness
+is large.  Either way a false verdict's witness comes
 straight from the enumeration counter, decoded by ``_subset``.  Peeling works
 on bitmasks: the eligible ids are one int, the lowest set bit is admitted
 next, and each admission recounts, one popcount each, the in-neighbors in R
@@ -312,7 +316,9 @@ def _first_subset(n: int, accept) -> int | None:
     keeps so many that gathering them costs more than evaluating the whole
     chunk (at L = 16, b - c = 5 keeps 6885 and costs about twice as much),
     so the chunk is evaluated whole; what it marks past size b never comes
-    first."""
+    first.  The first chunk (hi = 0), at L >= 4, evaluates ``upto[1]``
+    first (17 of 65536 at L = 16): every lo that could beat a mark there is
+    in it, so the rest is evaluated only if it marks none."""
     width = min(n, _LOW_BITS)
     low, every = _low_counters(width), slice(None)
     best = None  # (size, -j) of the first marked subset so far
@@ -321,9 +327,13 @@ def _first_subset(n: int, accept) -> int | None:
             break
         for high in itertools.combinations(range(width, n), count):
             room = width if best is None else best[0] - count
-            cols = low.upto[room] if room < len(low.upto) else every
             start = sum(1 << b for b in high)
-            marked = np.flatnonzero(accept(slice(start, start + low.lo.size), cols))
+            # the first chunk tries its counters of at most one member first
+            for room in (1, width) if not start and len(low.upto) > 1 else (room,):
+                cols = low.upto[room] if room < len(low.upto) else every
+                marked = np.flatnonzero(accept(slice(start, start + low.lo.size), cols))
+                if marked.size:
+                    break
             if marked.size:
                 if cols is not every:
                     marked = cols[marked]

@@ -323,6 +323,7 @@ def low_bits(request, monkeypatch):
     pytest.param(robustness._LOW_BITS, 23, 60, (2, 8), id="default"),
     pytest.param(2, 105, 20, (3, 10), id="2"),
     pytest.param(3, 106, 20, (4, 10), id="3"),
+    pytest.param(4, 107, 20, (5, 9), id="4"),
 ], indirect=["low_bits"])
 def test_pair_witness_is_the_canonical_first_violation(low_bits, seed, graphs, sizes):
     rng = random.Random(seed)
@@ -649,7 +650,7 @@ def test_threads_sharing_a_graph_answer_as_one_thread_does():
     assert sorted(g._tables) == sorted([robustness._PAIRS, *(robustness._vertex_mask(g.n, s) for s in sets)])
 
 
-@pytest.mark.parametrize("low_bits", [2, 3], indirect=True)
+@pytest.mark.parametrize("low_bits", [2, 3, 4], indirect=True)
 def test_split_counter_complement_witness_is_the_canonical_first_violation(low_bits):
     rng = random.Random(101 + low_bits)
     for _ in range(40):
@@ -720,17 +721,9 @@ def test_a_query_whose_anchor_holds_every_free_vertex_builds_no_table(monkeypatc
     assert [v.bit_count() for v in calls] == [17]
 
 
-def test_a_forced_query_stops_at_the_size_of_its_first_violation(monkeypatch):
-    # C_42(1..6), S = {1, 2}: each of the 40 free vertices has at most two
-    # in-neighbors in S, so r = 7 leaves all of them unanchored, and in-degree
-    # 6, so every singleton violates; the lazy naive oracle stops at the
-    # first.  Vertex 3 is at the top bit of the counter, in a chunk with one
-    # of its 24 high bits set; of the 2^24 chunks, the walk visits the one
-    # with none and the 24 with one.  Chunk 0 yields a singleton, so each
-    # later chunk evaluates only its low counter 0.
-    g, s = make_k_circulant(42, 6), {1, 2}
-    assert all(len(g.in_neighbors(v) & s) < 7 for v in g.vertices)
-    assert naive_first_violating_subset(g, frozenset(s), 7, 7) == {3}
+def _visits(monkeypatch) -> list[tuple[int, int]]:
+    """Spy on the walker: each chunk it evaluates appends its popcount(hi)
+    and the number of low counters it evaluated to the list returned."""
     visited, walk = [], robustness._first_subset
 
     def counted(n, accept):
@@ -741,10 +734,44 @@ def test_a_forced_query_stops_at_the_size_of_its_first_violation(monkeypatch):
         return walk(n, evaluate)
 
     monkeypatch.setattr(robustness, "_first_subset", counted)
+    return visited
+
+
+def test_a_forced_query_stops_at_the_size_of_its_first_violation(monkeypatch):
+    # C_42(1..6), S = {1, 2}: each of the 40 free vertices has at most two
+    # in-neighbors in S, so r = 7 leaves all of them unanchored, and in-degree
+    # 6, so every singleton violates; the lazy naive oracle stops at the
+    # first.  Vertex 3 is at the top bit of the counter, in a chunk with one
+    # of its 24 high bits set; of the 2^24 chunks, the walk visits the one
+    # with none and the 24 with one.  Chunk 0 finds a singleton among its 17
+    # counters of at most one member, so it evaluates no more of its 2^16,
+    # and each later chunk evaluates only its low counter 0.
+    g, s = make_k_circulant(42, 6), {1, 2}
+    assert all(len(g.in_neighbors(v) & s) < 7 for v in g.vertices)
+    assert naive_first_violating_subset(g, frozenset(s), 7, 7) == {3}
+    visited = _visits(monkeypatch)
     report = is_strongly_r_robust_bruteforce(g, s, 7, force=True)
     assert (report.verdict, report.witness) == (False, {"violating_subset": [3]})
     assert sorted(high for high, _ in visited) == [0] + [1] * 24
-    assert visited[0] == (0, 1 << 16) and [size for _, size in visited[1:]] == [1] * 24
+    assert visited == [(0, 17)] + [(1, 1)] * 24
+
+
+@pytest.mark.parametrize("low_bits", [4], indirect=True)
+def test_a_first_chunk_with_no_violating_singleton_evaluates_all_its_counters(low_bits, monkeypatch):
+    # S = {1}, r = 2: the six free vertices are unanchored, 7, 6, 5, 4 the low
+    # bits.  No singleton violates (each has two or more in-neighbors), and
+    # {6, 7} does, each with only 1 outside it; 2 and 3 have too many
+    # in-neighbors to be in a small violating C.  So the first chunk's probe
+    # of its 5 counters of at most one member marks none, and the chunk falls
+    # through to all 2^4 of them.  Each chunk with one of the two high bits
+    # then evaluates its 5, and the chunk with both its low counter 0.
+    g = Digraph(7, {(1, 6), (7, 6), (1, 7), (6, 7), *((u, v) for u in (1, 2, 3) for v in (4, 5)),
+                    *((u, v) for u in (1, 4, 5, 6, 7) for v in (2, 3))})
+    visited = _visits(monkeypatch)
+    report = is_strongly_r_robust_bruteforce(g, {1}, 2)
+    assert report.witness == {"violating_subset": [6, 7]}
+    assert naive_first_violating_subset(g, frozenset({1}), 2, 2) == {6, 7}
+    assert visited == [(0, 5), (0, 1 << 4), (1, 5), (1, 5), (2, 1)]
 
 
 @pytest.mark.parametrize("low_bits", [4], indirect=True)

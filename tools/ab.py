@@ -10,8 +10,9 @@ relative, so each runs its own modules.  The A/A set comes first (the head
 tree under both names: the noise floor of the shared heap), then the A/B set.
 
 Each row of ``ROWS`` is one layer.  Its inputs come from perfbench's
-``setup_*`` at seed 1, are built once by the importable rcl and reach each
-side as JSON (``graph_to_json``, ``config_to_dict``).  Before every call,
+``setup_*`` at seed 1 (but ``forced walk, large witness``, one forced query
+on C_22(1..7)), are built once by the importable rcl and reach each side as
+JSON (``graph_to_json``, ``config_to_dict``).  Before every call,
 outside the timer, a side loads the call's argument afresh, so a call on
 graphs built from JSON finds no tables kept on them (a base older than
 ``2281bfc`` kept its exact tables in caches shared by equal graphs, so there
@@ -129,6 +130,15 @@ def _table_builds(scratch: Path) -> tuple[list, list]:
     return graphs, list(firsts.values())[::STEP]
 
 
+def _large_witness(scratch: Path) -> tuple[list, list]:
+    """A forced strong query whose walk finds a large first witness, so the
+    first chunk's probe of its singletons finds none: C_22(1..7), S = {1, 2},
+    r = 3 leaves 20 unanchored free vertices in 16 chunks, and the first
+    violating C has 16 members."""
+    return [graph.graph_to_json(graph.make_k_circulant(22, 7))], \
+        [("is_strongly_r_robust_bruteforce", 0, ([1, 2], 3), {"force": True})]
+
+
 @functools.cache
 def _wide_config() -> simulation.SimConfig:
     """The config of perfbench wide's first op at seed 1 (C_300(1..60), F = 3, horizon 200)."""
@@ -200,6 +210,8 @@ ROWS = [
     Row("complement table build", _table_builds, _bound, _replay),
     Row("forced complement query", _calls("exact", COMPLEMENT), _bound, _replay),
     Row("pair battery", _calls("exact", PAIR_DECIDERS), _bound, _replay),
+    Row("pair search, kept tables", _calls("exact", PAIR_DECIDERS), _warmed, _replay),
+    Row("forced walk, large witness", _large_witness, _bound, _replay),
     Row("run, sim2 seed", _config(_sim2), _side_config, _run),
     Row("run, weight table", _config(_weighted_sim2), _side_config, _run),
     Row("run, wide", _config(_wide_config), _side_config, _run),

@@ -59,6 +59,11 @@ MUTANTS = [
     # a pruned chunk's marks left as positions in cols, not low counters
     (ROBUSTNESS, "marked = cols[marked]", "marked = marked",
      [TESTS + "test_a_pruned_chunk_keeps_every_low_counter_that_can_come_first[4]"]),
+    # the first chunk's probe of its counters of at most one member, when it marks none, ends the chunk
+    (ROBUSTNESS, "for room in (1, width) if", "for room in (1,) if",
+     [TESTS + "test_pair_witness_is_the_canonical_first_violation[default]",
+      TESTS + "test_pair_witness_is_the_canonical_first_violation[4]",
+      TESTS + "test_a_first_chunk_with_no_violating_singleton_evaluates_all_its_counters[4]"]),
     # the width table holds pruned chunks up to L // 2 free low bits, not L // 4
     (ROBUSTNESS, "range(width // 4 + 1)", "range(width // 2 + 1)",
      [TESTS + "test_a_pruned_chunk_keeps_every_low_counter_that_can_come_first[4]",
