@@ -63,7 +63,9 @@ is large.  Either way a false verdict's witness comes
 straight from the enumeration counter, decoded by ``_subset``.  Peeling works
 on bitmasks: the eligible ids are one int, the lowest set bit is admitted
 next, and each admission recounts, one popcount each, the in-neighbors in R
-of its out-neighbors (``Digraph.out_masks``) not yet eligible.
+of its out-neighbors (``Digraph.out_masks``) not yet eligible.  Its first
+scan, of every vertex's in-neighbors in S, is skipped when S has fewer than
+min(anchor, reach) members: then no vertex starts eligible.
 
 Every public decider takes vertex ids and integer parameters, caps
 included, by the one rule of ``graph`` (as ``operator.index`` does, bools
@@ -566,10 +568,11 @@ def _peeling(
     T = V \\ R is their union and holds every brute-force witness."""
     full, low, in_masks = (1 << g.n) - 1, min(anchor, reach), g.in_masks
     eligible = 0
-    for v, m in enumerate(in_masks):
-        if (m & s_mask).bit_count() >= low:
-            eligible |= 1 << v
-    eligible &= ~s_mask
+    if s_mask.bit_count() >= low:  # else no vertex has low in-neighbors in S
+        for v, m in enumerate(in_masks):
+            if (m & s_mask).bit_count() >= low:
+                eligible |= 1 << v
+        eligible &= ~s_mask
     grown, seen, out_masks, admitted = s_mask, s_mask | eligible, g.out_masks, []
     # once every vertex is seen, the rest are admitted in id order
     while eligible and seen != full:
@@ -595,7 +598,8 @@ def _complement_query(g: Digraph, s: Iterable[int], value: int, name: str) -> tu
     s_mask = _vertex_mask(g.n, s)
     if not s_mask:
         raise GraphError("S must be nonempty")
-    value = _count(value, name)
+    if type(value) is not int or value < 0:
+        value = _count(value, name)
     return s_mask, value, {name.lower(): value, "set": _members(s_mask)}
 
 
@@ -660,7 +664,11 @@ def circulant_certificate(
 
     The certificate is sufficient only: a false result does not rule out the
     property.  The witness is the shortest satisfying window (earliest start
-    on ties).
+    on ties).  A shortest window holding ``required`` leaders starts and ends
+    at a leader (else dropping an end agent keeps its count), so the search
+    runs over the leader positions p, listed twice for the wrap: the window
+    from p[i] to p[i + required - 1], the shortest then earliest of them,
+    certifies iff it fits.
     """
     if mode not in ("strong", "tlf"):
         raise ValueError(f"mode must be 'strong' or 'tlf', got {mode!r}")
@@ -669,11 +677,13 @@ def circulant_certificate(
     mask = _vertex_mask(n, leaders, "leader")
     max_len = k if mode == "strong" else k - f
     required = 2 * f + 1 if mode == "strong" else f + 1
-    params = {"n": n, "k": k, "f": f, "mode": mode, "leaders": _members(mask)}
-    leaders_before = [0, *itertools.accumulate(mask >> (s % n) & 1 for s in range(2 * n))]
-    for length, start in itertools.product(range(1, min(max_len, n) + 1), range(n)):
-        if leaders_before[start + length] - leaders_before[start] >= required:
-            window = [(start + j) % n + 1 for j in range(length)]
+    ids = _members(mask)
+    params = {"n": n, "k": k, "f": f, "mode": mode, "leaders": ids}
+    if required <= len(ids):
+        ring = ids + [v + n for v in ids]  # the leaders twice, for the wrap
+        length, start = min((ring[i + required - 1] - v + 1, v) for i, v in enumerate(ids))
+        if length <= max_len:
+            window = [(start + j - 1) % n + 1 for j in range(length)]
             return RobustnessReport(Property.CIRCULANT_CERTIFICATE, params, True, {"window": window}, "certificate")
     return RobustnessReport(Property.CIRCULANT_CERTIFICATE, params, False, None, "certificate")
 

@@ -434,6 +434,8 @@ def test_peeling_admission_order_matches_rescanning():
     for n in (63, 64, 65, 70):
         g = random_digraph(rng, n, 0.12)
         cases.append((g, frozenset(rng.sample(sorted(g.vertices), n // 5)), range(g.max_in_degree + 2)))
+    # S = V, with parameters past |S| too: true, with nothing to admit
+    cases.append((complete_graph(5), frozenset(range(1, 6)), range(8)))
     verdicts = set()
     for g, s, rs in cases:
         for prop, param in [(STRONG, r) for r in rs] + [(TLF, f) for f in range(4)]:
@@ -1071,6 +1073,19 @@ def test_certificate_matches_window_scan_exhaustively():
             assert circulant_certificate(n, k, leaders, f, mode).to_json() == expected, (n, k, f, mode, leaders)
             cases += 1
     assert cases == 61_872
+
+
+def test_certificate_matches_window_scan_for_every_leader_set():
+    # every n <= 8, k, F <= 3, mode and leader set, so the search over leader
+    # positions runs at every leader count up to n
+    cases = 0
+    for n in range(2, 9):
+        for k, f, mode, mask in itertools.product(range(1, n), range(4), ("strong", "tlf"), range(1 << n)):
+            leaders = [v for v in range(1, n + 1) if mask >> (v - 1) & 1]
+            expected = naive_circulant_certificate(n, k, leaders, f, mode).to_json()
+            assert circulant_certificate(n, k, leaders, f, mode).to_json() == expected, (n, k, f, mode, leaders)
+            cases += 1
+    assert cases == 24_608
 
 
 def test_certificate_wraps_around_modulo():

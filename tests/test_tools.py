@@ -59,6 +59,7 @@ def ab(monkeypatch):
 # every layer the harness must time; a row deleted without a replacement fails here
 AB_LAYERS = ("graph build", "window certificate", "peeling", "bruteforce lookup", "complement table build",
              "forced complement query", "pair battery", "pair search, kept tables", "forced walk, large witness",
+             "decider calls, c01 slice",
              "run, sim2 seed", "run, weight table", "run, wide",
              "compute_metrics", "CSV export", "SVG export")
 

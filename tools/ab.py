@@ -11,15 +11,17 @@ tree under both names: the noise floor of the shared heap), then the A/B set.
 
 Each row of ``ROWS`` is one layer.  Its inputs come from perfbench's
 ``setup_*`` at seed 1 (but ``forced walk, large witness``, one forced query
-on C_22(1..7)), are built once by the importable rcl and reach each side as
-JSON (``graph_to_json``, ``config_to_dict``).  Before every call,
-outside the timer, a side loads the call's argument afresh, so a call on
-graphs built from JSON finds no tables kept on them (a base older than
-``2281bfc`` kept its exact tables in caches shared by equal graphs, so there
-the table build and pair battery rows time reads of cached tables).  Each
-side makes one untimed call, then ``PAIRS`` pairs run, each side first in
-half of them, in a shuffled order.  Garbage collection is off inside the
-timed call, as in ``timeit``.
+on C_22(1..7), and ``decider calls, c01 slice``, acceptance test c01's loop
+over its first 50 graphs, both routes), are built once by the importable rcl
+and reach each side as JSON (``graph_to_json``, ``config_to_dict``).  Before
+every call, outside the timer, a side loads the call's argument afresh, so a
+call on graphs built from JSON finds no tables kept on them (a base older
+than ``2281bfc`` kept its exact tables in caches shared by equal graphs, so
+there the table build and pair battery rows time reads of cached tables).
+Each side makes one untimed call, then the row's ``pairs`` pairs run
+(``PAIRS``, but ``C01_PAIRS`` for the c01 slice), each side first in half of
+them, in a shuffled order.  Garbage collection is off inside the timed call,
+as in ``timeit``.
 
 Output: ``{"base": <BASE's commit>}``, then one JSON line per set and row,
 keyed ``"A/A <row>"`` or ``"A/B <row>"``: ``base_ms`` and ``head_ms`` (each
@@ -29,11 +31,14 @@ per-pair ratio head/base), ``head_won`` (ties count for neither), ``n`` and
 and the medians differ by more than base's quartile spread, else ``none``.
 A row whose API BASE lacks prints ``{"skipped": <reason>}``.
 
-Two rows have a wider A/A floor than the rest, so read their A/A line beside
-their A/B line.  ``forced complement query`` (about 1.3 ms a call) read A/A
-medians of 0.981 to 1.043 and cannot resolve a claim below about 4%; ``pair
-battery`` (about 2 ms a call) read A/A quartiles as wide as 1.001 to 1.294 and
-cannot resolve one below about 15%.
+Three rows have a wider A/A floor than the rest, so read their A/A line
+beside their A/B line.  ``forced complement query`` (about 1.3 ms a call) read
+A/A medians of 0.981 to 1.043 and cannot resolve a claim below about 4%;
+``pair battery`` (about 2 ms a call) read A/A quartiles as wide as 1.001 to
+1.294 and cannot resolve one below about 15%; ``decider calls, c01 slice``
+(about 0.9 s a call, 20 pairs) read medians of 0.977 to 1.017 on identical
+trees, with quartiles as wide as 0.941 to 1.080, and cannot resolve one below
+about 3%.
 """
 
 import argparse
@@ -44,6 +49,7 @@ import gc
 import importlib
 import importlib.util
 import io
+import itertools
 import json
 import random
 import statistics
@@ -62,7 +68,7 @@ sys.path[:0] = [str(HERE), str(HERE.parent / "perfbench")]
 
 import workloads  # noqa: E402
 from bench_record import MALLOC_ENV  # noqa: E402
-from digests import distinct_weights  # noqa: E402
+from digests import distinct_weights, random_digraph  # noqa: E402
 from rcl import graph, robustness, scenarios, simulation  # noqa: E402
 
 PAIRS = 200
@@ -71,6 +77,8 @@ SIM2_SEED = 20  # the first op of perfbench track at seed 1
 # every STEP-th of crosscheck's brute-force and peeling calls, so a call takes
 # tens of ms: a pair's noise hardly shrinks with a longer call, so more pairs do
 STEP = 8
+C01_GRAPHS = 50  # the first graphs of acceptance test c01's loop
+C01_PAIRS = 20  # a c01 slice takes about 0.9 s a call
 COMPLEMENT = ("is_strongly_r_robust_bruteforce", "is_tlf_robust_bruteforce")
 PEELING = ("is_strongly_r_robust_peeling", "is_tlf_robust_peeling")
 PAIR_DECIDERS = ("is_r_robust", "is_rs_robust", "max_r_robustness")
@@ -84,6 +92,7 @@ class Row:
     inputs: Callable[[Path], Any]  # (scratch directory) -> side-neutral data, built once
     load: Callable[[Any, Any], Any]  # (side, data) -> the argument, loaded before every call
     call: Callable[[Any, Any], Any]  # (side, argument): the timed call
+    pairs: int = PAIRS
 
 
 @functools.cache
@@ -128,6 +137,29 @@ def _table_builds(scratch: Path) -> tuple[list, list]:
         if param > 0:
             firsts.setdefault((at, frozenset(leaders)), (name, at, (leaders, param), kwargs))
     return graphs, list(firsts.values())[::STEP]
+
+
+def _c01_graphs(scratch: Path) -> list[dict]:
+    """The JSON of the first ``C01_GRAPHS`` random digraphs of acceptance
+    test c01 (n = 4..10), drawn by its seed and rule."""
+    rng = random.Random(20260810)
+    return [graph.graph_to_json(random_digraph(rng, 4 + idx % 7, (0.15, 0.3, 0.5, 0.7)[idx % 4]))
+            for idx in range(C01_GRAPHS)]
+
+
+def _c01_loop(side, graphs: list) -> None:
+    """c01's calls on ``graphs``: for every S of at most 4 members, strong r
+    at every r <= n and TLF at every F <= 3, by brute force and by peeling."""
+    decide = side.robustness
+    for g in graphs:
+        for size in range(1, min(4, g.n) + 1):
+            for s in map(frozenset, itertools.combinations(range(1, g.n + 1), size)):
+                for r in range(g.n + 1):
+                    decide.is_strongly_r_robust_bruteforce(g, s, r)
+                    decide.is_strongly_r_robust_peeling(g, s, r)
+                for f in range(4):
+                    decide.is_tlf_robust_bruteforce(g, s, f)
+                    decide.is_tlf_robust_peeling(g, s, f)
 
 
 def _large_witness(scratch: Path) -> tuple[list, list]:
@@ -212,6 +244,8 @@ ROWS = [
     Row("pair battery", _calls("exact", PAIR_DECIDERS), _bound, _replay),
     Row("pair search, kept tables", _calls("exact", PAIR_DECIDERS), _warmed, _replay),
     Row("forced walk, large witness", _large_witness, _bound, _replay),
+    Row("decider calls, c01 slice", _c01_graphs,
+        lambda side, graphs: [side.graph.graph_from_json(obj) for obj in graphs], _c01_loop, C01_PAIRS),
     Row("run, sim2 seed", _config(_sim2), _side_config, _run),
     Row("run, weight table", _config(_weighted_sim2), _side_config, _run),
     Row("run, wide", _config(_wide_config), _side_config, _run),
@@ -323,7 +357,7 @@ def main(argv=None) -> int:
         for label, base_tree in (("A/A", head_tree), ("A/B", scratch / "base" / "src" / "rcl")):
             base, head = sides(base_tree, head_tree)
             for row in ROWS:
-                print(json.dumps({f"{label} {row.name}": compare(row, base, head, scratch)}), flush=True)
+                print(json.dumps({f"{label} {row.name}": compare(row, base, head, scratch, row.pairs)}), flush=True)
     return 0
 
 

@@ -37,6 +37,12 @@ MUTANTS = [
     # peeling admits a vertex with one in-neighbour too few
     (ROBUSTNESS, "(in_masks[w - 1] & grown).bit_count() >= reach",
      "(in_masks[w - 1] & grown).bit_count() >= reach - 1", [TESTS + "test_peeling_admission_order_matches_rescanning"]),
+    # peeling skips its first scan when |S| equals the threshold, where a vertex can still be eligible
+    (ROBUSTNESS, "if s_mask.bit_count() >= low:", "if s_mask.bit_count() > low:",
+     [TESTS + "test_peeling_admission_order_matches_rescanning"]),
+    # the certificate refuses a shortest window of exactly max_len agents
+    (ROBUSTNESS, "if length <= max_len:", "if length < max_len:",
+     [TESTS + "test_certificate_matches_window_scan_exhaustively"]),
     # TLF brute force asks for 2F+2 in-neighbors outside C where the property asks for 2F+1
     (ROBUSTNESS, "return _bruteforce(g, s_mask, f + 1, 2 * f + 1, Property.TLF, params, cap, force)",
      "return _bruteforce(g, s_mask, f + 1, 2 * f + 2, Property.TLF, params, cap, force)",
