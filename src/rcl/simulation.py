@@ -298,7 +298,11 @@ def _round(lay: SimpleNamespace, t: int) -> bool:
     weight table can give tied senders different weights, so only a table
     resolves cut-point ties by sender id; it zeroes the dropped values before
     the shares scale them, as a dropped sender's share of the kept total can
-    exceed 1 and overflow a value near the largest float.
+    exceed 1 and overflow a value near the largest float.  The certified sum
+    takes the round's largest |term| and each row's least nonzero one from
+    here: the equal rule reads them off the scaled ends of each retained run
+    (``_end_bounds``), and a table, whose shares break the sorted order, off
+    the terms (``_magnitudes``).
     """
     xt, f, upper, cols = lay.x[t], lay.f, lay.upper, lay.cols
     own = xt[lay.ids]
@@ -318,9 +322,11 @@ def _round(lay: SimpleNamespace, t: int) -> bool:
 
     if lay.weight is None:
         # retained: sorted positions drop_low..stop - 1 (drop_low <= F, stop > upper), each weighted 1/size
-        np.multiply(cols, 1.0 / (stop - drop_low), out=cols)
+        scale = 1.0 / (stop - drop_low)
+        np.multiply(cols, scale, out=cols)
         cols[:f][below[:f]] = 0.0
         cols[upper + 1 :][lay.past_upper >= stop] = 0.0
+        top, low = _end_bounds(lo * scale, hi * scale)
     else:
         # In sender order the retained set is every value in [lo, hi] but
         # the ``extra`` values tied with lo or hi that have the largest
@@ -338,10 +344,11 @@ def _round(lay: SimpleNamespace, t: int) -> bool:
         # in wmsr_weights
         share = lay.weight / np.cumsum(np.where(keep, lay.weight, 0.0), axis=1)[:, -1:]
         cols.T[...] = share * np.where(keep, vals, 0.0)
+        top, low = _magnitudes(cols, lay.spare)
     # the weighted sum is fsum's correctly rounded one, so independent of
     # order; common rows need no fsum, as their sum is discarded below
-    mixed, ok = _column_sums(cols, lay.spare)
-    for r in (~(ok | common)).nonzero()[0]:
+    mixed, rest = _column_sums(cols, lay.spare, top, low, common)
+    for r in rest:
         try:
             mixed[r] = math.fsum(cols[:, r].tolist())
         except ValueError:  # fsum of +inf and -inf
@@ -405,10 +412,36 @@ def run(config: SimConfig, jobs: int = 1) -> Trajectory:
     return Trajectory(config, lay.states, lay.reference, lay.edge_values)
 
 
-def _column_sums(terms: np.ndarray, spare: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Column sums of ``terms`` and a mask of the columns where each equals
-    ``math.fsum`` of that column bit for bit; ``spare`` is a work buffer of
-    the same shape.
+def _end_bounds(first: np.ndarray, last: np.ndarray) -> tuple[float, np.ndarray]:
+    """``_column_sums``' ``top`` and ``low`` for columns whose nonzero terms
+    lie between their ``first`` and ``last`` term, as a sorted run scaled by
+    a positive weight does, rounding being monotone.  ``top`` is the largest
+    |term| bit for bit; ``low`` is each column's least nonzero |term| where
+    its run misses 0, and <= 0 where it reaches 0."""
+    return float(max(0.0, -first.min(initial=0.0), last.max(initial=0.0))), np.maximum(first, -last)
+
+
+def _magnitudes(terms: np.ndarray, spare: np.ndarray | None = None) -> tuple[float, np.ndarray]:
+    """``_column_sums``' ``top`` and ``low`` read off ``terms`` themselves:
+    the largest |term| and each column's least nonzero one (inf where there
+    is none); ``spare``, when given, takes the magnitudes."""
+    mag = np.abs(terms, out=spare)
+    return float(mag.max(initial=0.0)), mag.min(axis=0, where=mag != 0, initial=np.inf)
+
+
+def _column_sums(terms: np.ndarray, spare: np.ndarray, top: float, low: np.ndarray,
+                 skip: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Column sums of ``terms`` and the columns outside the mask ``skip``
+    whose sum is not certified to equal ``math.fsum`` of that column bit for
+    bit; ``spare`` is a work buffer of the same shape.
+
+    The caller gives ``top``, the largest |term| of ``terms``, and ``low``,
+    each column's least nonzero |term| or a bound <= 0 where it has none: the
+    equal rule reads both off each sorted run's two ends (``_end_bounds``), a
+    weight table off the terms (``_magnitudes``).  A column outside ``skip``
+    left uncertified with ``low`` <= 0 takes its least nonzero |term| from
+    its terms and is tested again, so a round with no such column makes no
+    extra pass.
 
     Error-free extraction (Rump, Ogita & Oishi, SIAM J. Sci. Comput. 31(1),
     2008): with sigma a power of two above 2*w*max|p| over all w-term columns,
@@ -423,18 +456,22 @@ def _column_sums(terms: np.ndarray, spare: np.ndarray) -> tuple[np.ndarray, np.n
     sigma would overflow, or so small that the low parts near the subnormals.
     """
     w, count = terms.shape
-    mag = np.abs(terms, out=spare)
-    top = float(mag.max(initial=0.0))
     scale = 2.0 * w * top
     if not (top > 2.0**-900 and scale < 2.0**1023):
-        return np.zeros(count), np.zeros(count, dtype=bool)
-    low = mag.min(axis=0, where=mag != 0, initial=np.inf)
+        return np.zeros(count), (~skip).nonzero()[0]
     sigma = math.ldexp(1.0, math.frexp(scale)[1])
     q = np.add(terms, sigma, out=spare)
     q -= sigma
     sums = q.sum(axis=0)
     sums += np.subtract(terms, q, out=spare).sum(axis=0)
-    return sums, (sigma * 2.0**-52 * w <= low) & (sums != 0)
+    floor = sigma * 2.0**-52 * w
+    ok = (floor <= low) & (sums != 0)
+    rest = (~(ok | skip)).nonzero()[0]
+    near = rest[low[rest] <= 0] if rest.size else rest
+    if near.size:
+        ok[near] = (floor <= _magnitudes(terms[:, near])[1]) & (sums[near] != 0)
+        rest = rest[~ok[rest]]
+    return sums, rest
 
 
 def replay_states(traj: Trajectory) -> np.ndarray:

@@ -34,6 +34,8 @@ from rcl.simulation import (
     SimConfig,
     Trajectory,
     _column_sums,
+    _end_bounds,
+    _magnitudes,
     _sustained_round,
     compute_metrics,
     config_from_dict,
@@ -1155,9 +1157,14 @@ def _term_matrices(draw):
 
 def _certified_sums(terms):
     """``_column_sums`` over the rows of ``terms``, laid out as the engine
-    lays out a round: one column per agent."""
+    lays out a round (one column per agent), with the bounds read off the
+    terms, as under a weight table: the sums and the mask of certified ones."""
     cols = terms.T.copy()
-    return _column_sums(cols, np.empty_like(cols))
+    spare = np.empty_like(cols)
+    sums, rest = _column_sums(cols, spare, *_magnitudes(cols, spare), np.zeros(len(terms), dtype=bool))
+    ok = np.ones(len(terms), dtype=bool)
+    ok[rest] = False
+    return sums, ok
 
 
 @example(terms=np.array([[1e308, 1e291, -1e308, 1.0]]))  # 2*w*max|p| overflows, and a wrong scale looks fine
@@ -1221,3 +1228,102 @@ def test_tracking_runs_certify_every_sum(config):
         traj = run(config)
     assert fsum.call_count == 0
     assert verify_replay(traj)
+
+
+# math.fsum calls and the sums that need one (rows not common) per built-in
+# scenario at its default seed, as README states them
+FSUM_FALLBACKS = {"sim1": (0, 434), "sim2": (0, 9731), "sim3": (12, 6900), "sim4": (0, 6900),
+                  "counterexample-rs": (0, 0), "counterexample-2f1": (0, 0), "leader-deficit": (0, 0),
+                  "leader-deficit-contrast": (0, 1888)}
+
+
+def test_fsum_fallbacks_per_builtin_scenario():
+    assert set(FSUM_FALLBACKS) == set(SCENARIO_NAMES)
+    counted = {}
+    for name in SCENARIO_NAMES:
+        needed = []
+
+        def counting(terms, spare, top, low, skip):
+            needed.append(int((~skip).sum()))
+            return _column_sums(terms, spare, top, low, skip)
+
+        with mock.patch.object(simulation, "_column_sums", counting), \
+                mock.patch.object(simulation.math, "fsum", side_effect=math.fsum) as fsum:
+            run(build_scenario(name).config())
+        counted[name] = (fsum.call_count, sum(needed))
+    assert counted == FSUM_FALLBACKS
+
+
+def _matrix_bounds_agree(terms, top, low, skip):
+    """Assert that ``top`` and ``low`` agree with the bounds read off
+    ``terms`` (``low`` only where it is > 0) and that ``_column_sums`` gives
+    the same sums and uncertified columns with either; the number of columns
+    outside ``skip`` whose ``low`` sends them to the recheck."""
+    mtop, mlow = _magnitudes(terms)
+    assert np.float64(top).tobytes() == np.float64(mtop).tobytes()
+    misses = low > 0
+    assert low[misses].tobytes() == mlow[misses].tobytes()
+    sums, rest = _column_sums(terms, np.empty_like(terms), top, low, skip)
+    msums, mrest = _column_sums(terms, np.empty_like(terms), mtop, mlow, skip)
+    assert sums.tobytes() == msums.tobytes() and rest.tolist() == mrest.tolist()
+    return int((~misses & ~skip).sum())
+
+
+@pytest.mark.parametrize("config", [*(build_scenario(f"sim{i}").config() for i in range(1, 5)), _wide_config()],
+                         ids=["sim1", "sim2", "sim3", "sim4", "wide"])
+def test_end_bounds_equal_the_matrix_bounds_on_every_round(config):
+    # every computed round of an equal-rule run: the bounds from each run's
+    # two ends against the terms', and the same certified mask
+    assert config.scheme.table is None
+    rounds, rechecked = [], 0
+
+    def checked(terms, spare, top, low, skip):
+        nonlocal rechecked
+        rechecked += _matrix_bounds_agree(terms, top, low, skip)
+        rounds.append(terms.shape)
+        return _column_sums(terms, spare, top, low, skip)
+
+    with mock.patch.object(simulation, "_column_sums", checked):
+        run(config)
+    assert rounds and rechecked > 0
+
+
+_RUN_VALUES = _SUM_VALUES.filter(lambda v: not math.isnan(v))  # a delivered NaN is read as +inf
+
+
+@st.composite
+def _sorted_runs(draw):
+    """Columns laid out as an equal-rule round leaves them: each a sorted row
+    of delivered values, scaled by 1/size on its retained run and 0 on the
+    values dropped at either end and on its pads, with the run's two ends."""
+    width, count = draw(st.integers(1, 12)), draw(st.integers(1, 6))
+    terms, first, last = np.zeros((width, count)), np.empty(count), np.empty(count)
+    for c in range(count):
+        row = sorted(draw(st.lists(_RUN_VALUES, min_size=1, max_size=width)))
+        low_drop = draw(st.integers(0, len(row) - 1))
+        stop = len(row) - draw(st.integers(0, len(row) - 1 - low_drop))
+        scale = 1.0 / (stop - low_drop)
+        terms[low_drop:stop, c] = np.array(row[low_drop:stop]) * scale
+        first[c], last[c] = terms[low_drop, c], terms[stop - 1, c]
+    skip = np.array(draw(st.lists(st.booleans(), min_size=count, max_size=count)))
+    return terms, first, last, skip
+
+
+def _one_run(row, low_drop=0, high_drop=0):
+    terms = np.zeros((len(row), 1))
+    stop = len(row) - high_drop
+    terms[low_drop:stop, 0] = np.array(row[low_drop:stop]) * (1.0 / (stop - low_drop))
+    return terms, terms[low_drop], terms[stop - 1], np.zeros(1, dtype=bool)
+
+
+@example(case=_one_run([0.0, 1.0, 2.0]))  # a run that starts at 0 has low 0, not a negative bound
+@example(case=_one_run([-0.0, 3.0, 5.0]))
+@example(case=_one_run([-3.0, -1.0, 2.0, 5.0, 9.0], 1, 1))  # a run across 0, less one value at each end
+@example(case=_one_run([5e-324, 1.0]))  # the least value scales to 0
+@example(case=_one_run([-7.0, -2.0, -5e-324], 0, 1))  # a negative run: low is -last
+@example(case=_one_run([-np.inf, 1.0, np.inf]))
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(case=_sorted_runs())
+def test_end_bounds_certify_the_same_sums_as_the_matrix_bounds(case):
+    terms, first, last, skip = case
+    _matrix_bounds_agree(terms, *_end_bounds(first, last), skip)

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -101,6 +102,24 @@ def test_ab_loads_each_side_from_its_own_tree(ab, tmp_path):
     lacking = ab.Row("lacking", lambda scratch: None, lambda side, data: side, lambda side, module: module.ONLY_IN_HEAD)
     assert ab.compare(lacking, base, head, tmp_path, pairs=3) == {
         "skipped": "the base tree lacks what the row calls: module 'rcl_base' has no attribute 'ONLY_IN_HEAD'"}
+
+
+def test_ab_verdict_needs_a_move_beyond_the_rows_aa_ratio(ab, tmp_path):
+    # stub sides whose call sleeps 3 ms or returns at once: the slow side
+    # loses every pair, by far more than base's quartile spread
+    row = ab.Row("stub", lambda scratch: None, lambda side, data: side,
+                 lambda side, delay: delay and time.sleep(delay))
+    for base, head, verdict in ((0.003, 0.0, "gain"), (0.0, 0.003, "loss")):
+        plain = ab.compare(row, base, head, tmp_path, pairs=10)
+        assert "aa_ratio" not in plain and plain["verdict"] == verdict, plain
+        median = plain["ratio"]["median"]
+        # an A/A median nearer 1 than the A/B one leaves the verdict standing
+        near = ab.compare(row, base, head, tmp_path, pairs=10, aa_ratio=1.02)
+        assert near["aa_ratio"] == 1.02 and near["verdict"] == verdict, near
+        # one as far from 1 as any A/B median the stub can read turns it to none
+        far = 0.0 if verdict == "gain" else 1e6
+        assert abs(median - 1) < abs(far - 1)
+        assert ab.compare(row, base, head, tmp_path, pairs=10, aa_ratio=far)["verdict"] == "none"
 
 
 def test_bench_record_runs_c01_and_c04_without_the_hypothesis_plugin(tmp_path, monkeypatch):

@@ -26,10 +26,14 @@ as in ``timeit``.
 Output: ``{"base": <BASE's commit>}``, then one JSON line per set and row,
 keyed ``"A/A <row>"`` or ``"A/B <row>"``: ``base_ms`` and ``head_ms`` (each
 side's ``q1``, ``median`` and ``q3`` per call), ``ratio`` (the same of the
-per-pair ratio head/base), ``head_won`` (ties count for neither), ``n`` and
-``verdict``: ``gain`` or ``loss`` when one side won at least 9 in 10 pairs
-and the medians differ by more than base's quartile spread, else ``none``.
-A row whose API BASE lacks prints ``{"skipped": <reason>}``.
+per-pair ratio head/base), ``head_won`` (ties count for neither), ``n``,
+on an A/B line ``aa_ratio`` (the median ratio of the same row's A/A line),
+and ``verdict``: ``gain`` or ``loss`` when one side won at least 9 in 10
+pairs, the medians differ by more than base's quartile spread and, on an A/B
+line, the median ratio lies farther from 1 than ``aa_ratio`` (identical trees
+have read ``loss`` on a row, so a move no larger than its A/A one is not
+read as the code's), else ``none``.  A row whose API BASE lacks prints
+``{"skipped": <reason>}``.
 
 Three rows have a wider A/A floor than the rest, so read their A/A line
 beside their A/B line.  ``forced complement query`` (about 1.3 ms a call) read
@@ -283,8 +287,9 @@ def _quartiles(values: list[float], scale: float = 1.0) -> dict[str, float]:
                     (round(q * scale, 4) for q in statistics.quantiles(values, n=4, method="inclusive"))))
 
 
-def compare(row: Row, base, head, scratch: Path, pairs: int = PAIRS) -> dict:
-    """The fields of ``row``'s line, timed on ``base`` and ``head`` (see the module docstring)."""
+def compare(row: Row, base, head, scratch: Path, pairs: int = PAIRS, aa_ratio: float | None = None) -> dict:
+    """The fields of ``row``'s line, timed on ``base`` and ``head``; an A/B
+    line passes its row's A/A median ratio (see the module docstring)."""
     data, shift = row.inputs(scratch), random.Random(1)
 
     def timed(side) -> float:
@@ -314,11 +319,16 @@ def compare(row: Row, base, head, scratch: Path, pairs: int = PAIRS) -> dict:
     won = sum(h < b for b, h in zip(times[base], times[head]))
     lost = sum(h > b for b, h in zip(times[base], times[head]))
     base_ms, head_ms = _quartiles(times[base], 1e3), _quartiles(times[head], 1e3)
+    ratio = _quartiles([h / b for b, h in zip(*times.values())])
     spread, gap = base_ms["q3"] - base_ms["q1"], base_ms["median"] - head_ms["median"]
     verdict = "gain" if won >= 0.9 * pairs and gap > spread else "loss" if lost >= 0.9 * pairs and -gap > spread \
         else "none"
-    return {"base_ms": base_ms, "head_ms": head_ms, "ratio": _quartiles([h / b for b, h in zip(*times.values())]),
-            "head_won": won, "n": pairs, "verdict": verdict}
+    line = {"base_ms": base_ms, "head_ms": head_ms, "ratio": ratio, "head_won": won, "n": pairs}
+    if aa_ratio is not None:
+        line["aa_ratio"] = aa_ratio
+        if abs(ratio["median"] - 1) <= abs(aa_ratio - 1):
+            verdict = "none"
+    return {**line, "verdict": verdict}
 
 
 def fix_malloc_thresholds() -> None:
@@ -354,10 +364,14 @@ def main(argv=None) -> int:
         with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
             tar.extractall(scratch / "base", filter="data")
         print(json.dumps({"base": commit}), flush=True)
+        aa = {}  # each row's A/A median ratio
         for label, base_tree in (("A/A", head_tree), ("A/B", scratch / "base" / "src" / "rcl")):
             base, head = sides(base_tree, head_tree)
             for row in ROWS:
-                print(json.dumps({f"{label} {row.name}": compare(row, base, head, scratch, row.pairs)}), flush=True)
+                line = compare(row, base, head, scratch, row.pairs, aa.get(row.name))
+                if label == "A/A":
+                    aa[row.name] = line["ratio"]["median"]
+                print(json.dumps({f"{label} {row.name}": line}), flush=True)
     return 0
 
 

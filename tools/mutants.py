@@ -31,6 +31,8 @@ ROOT = Path(__file__).resolve().parents[1]
 PYTEST = ("-m", "pytest", "-q", "-p", "no:cacheprovider", "-rf")
 ROBUSTNESS = "src/rcl/robustness.py"
 TESTS = "tests/test_robustness.py::"
+SIMULATION = "src/rcl/simulation.py"
+SIM_TESTS = "tests/test_simulation.py::"
 
 # (file, old text, new text, ids of the tests that must fail)
 MUTANTS = [
@@ -84,6 +86,18 @@ MUTANTS = [
     # a table whose arrays exceed CACHE_BYTES kept anyway
     (ROBUSTNESS, "if sum(array.nbytes for array in arrays) <= CACHE_BYTES:", "if True:",
      [TESTS + "test_a_table_larger_than_the_cache_bound_is_returned_not_kept"]),
+    # an equal-rule run's least nonzero term read off its wrong end
+    (SIMULATION, "np.maximum(first, -last)", "np.maximum(last, -first)",
+     [SIM_TESTS + "test_end_bounds_certify_the_same_sums_as_the_matrix_bounds",
+      SIM_TESTS + "test_end_bounds_equal_the_matrix_bounds_on_every_round[sim3]"]),
+    # the round's largest term read off the runs' last ends only, as if no run held a negative value
+    (SIMULATION, "max(0.0, -first.min(initial=0.0), last.max(initial=0.0))", "max(0.0, last.max(initial=0.0))",
+     [SIM_TESTS + "test_end_bounds_certify_the_same_sums_as_the_matrix_bounds",
+      SIM_TESTS + "test_end_bounds_equal_the_matrix_bounds_on_every_round[sim3]"]),
+    # a run whose end is exactly 0 skips the recheck and goes to fsum
+    (SIMULATION, "rest[low[rest] <= 0]", "rest[low[rest] < 0]",
+     [SIM_TESTS + "test_end_bounds_certify_the_same_sums_as_the_matrix_bounds",
+      SIM_TESTS + "test_end_bounds_equal_the_matrix_bounds_on_every_round[sim2]"]),
     # save_graph writes graph JSON under a .txt name and an edge list under .json
     ("src/rcl/graph.py", 'if Path(path).suffix == ".json":\n        text',
      'if Path(path).suffix == ".txt":\n        text',
