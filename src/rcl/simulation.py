@@ -94,8 +94,6 @@ class SimConfig:
             raise ConfigError(f"/f: must be >= 0, got {self.f}")
         if self.horizon < 1:
             raise ConfigError(f"/horizon: must be >= 1, got {self.horizon}")
-        if (self.horizon + 1) * g.n * 8 > np.iinfo(np.intp).max:
-            raise ConfigError(f"/horizon: {self.horizon} rounds of {g.n} float64 states exceed NumPy's largest array")
         roles = {}
         for i, role in dict(self.roles).items():
             try:
@@ -160,6 +158,8 @@ class SimConfig:
                 if keys != out:
                     raise ConfigError(f"/roles/{i}/adversary: byzantine signals must cover the "
                                       f"out-neighbors {sorted(out)}, got {sorted(keys)}")
+        if (self.horizon + 1) * (width := g.n + 1 + len(_delivered(self))) * 8 > np.iinfo(np.intp).max:
+            raise ConfigError(f"/horizon: {self.horizon} rounds of {width} float64 columns exceed NumPy's largest array")
 
         if not isinstance(self.strict_f_local, bool):
             raise ConfigError(f"/strict_f_local: must be a boolean, got {self.strict_f_local!r}")
@@ -173,7 +173,8 @@ class SimConfig:
 @dataclass(frozen=True, eq=False)
 class Trajectory:
     """Recorded run: per-round broadcast per agent, per-edge values for
-    Byzantine senders, and the realized reference series."""
+    Byzantine senders, and the realized reference series.  From ``run``,
+    ``states`` is a read-only view that keeps the run's whole buffer alive."""
 
     config: SimConfig
     states: np.ndarray
@@ -204,17 +205,30 @@ def _initial_values(config: SimConfig) -> dict[int, float]:
     return {i: rng.uniform(lo, hi) for i in config.graph.vertices}
 
 
+def _delivered(config: SimConfig) -> list[tuple[int, int | None]]:
+    """The senders with their own column in a run's buffer: (u, None) for a
+    scalar adversary u, (u, v) for a Byzantine edge from u into a normal v."""
+    strategies = {u: config.roles[u].strategy for u in config.adversaries}
+    return [(u, v) for u, s in strategies.items()
+            for v in (sorted(s.signals) if isinstance(s, ByzantinePerEdge) else [None])
+            if v is None or v in config.normals]
+
+
 def _layout(config: SimConfig) -> SimpleNamespace:
-    """The arrays of a run that ``_round`` reads and writes, laid out once:
-    ``x[t]`` holds every value delivered at round t, Byzantine edges
-    included, and row r of ``sid`` the columns of x that the r-th normal
-    agent gathers.  ``cols`` and ``spare`` are work buffers that every round
-    overwrites: the transpose of the sorted rows and the sum's scratch."""
+    """The arrays of a run that ``_round`` reads and writes, laid out once.
+    ``x``, the run's state buffer, holds at ``x[t, c]`` what column c
+    delivers at round t, the NaN that pads gather for c = 0, agent c's
+    broadcast for c in 1..n (the view ``states``), and past n what a sender
+    of ``_delivered`` delivers, NaN read as +inf.  Row r of ``sid`` holds the
+    columns of x that the r-th normal agent gathers.  Every round overwrites
+    ``cols`` and ``spare``: the sorted rows' transpose and the sum's scratch."""
     g = config.graph
     n, horizon = g.n, config.horizon
     rounds = range(horizon + 1)
+    delivered = _delivered(config)
     # allocated first, so that a horizon too long for memory fails at once
-    states = np.empty((horizon + 1, n))
+    x = np.full((horizon + 1, n + 1 + len(delivered)), np.nan)
+    states = x[:, 1 : n + 1]
     ref_series = None
     if config.reference is not None:
         ref_series = np.array([config.reference.value_at(t) for t in rounds])
@@ -230,8 +244,7 @@ def _layout(config: SimConfig) -> SimpleNamespace:
         elif isinstance(role, Adversary) and isinstance(role.strategy, ByzantinePerEdge):
             for j, sig in sorted(role.strategy.signals.items()):
                 edge_values[(i, j)] = np.array([sig.value_at(t) for t in rounds])
-            out = sorted(role.strategy.signals)
-            states[:, i - 1] = edge_values[(i, out[0])] if out else 0.0
+            states[:, i - 1] = edge_values[(i, min(role.strategy.signals))] if role.strategy.signals else 0.0
         elif isinstance(role, Adversary):
             states[:, i - 1] = [role.strategy.value_at(t) for t in rounds]
         else:
@@ -241,7 +254,6 @@ def _layout(config: SimConfig) -> SimpleNamespace:
     # agent in ascending id order, padded with 0, which gathers NaN from x:
     # pads compare false with every value and sort after all of them.
     normals = config.normals
-    rows_of = {i: r for r, i in enumerate(normals)}
     senders = [sorted(g.inclusive_neighbors(i)) for i in normals]
     width = max(map(len, senders), default=1)
     f = min(config.f, width)  # no row drops more than its degree, and NumPy needs a C long
@@ -249,32 +261,23 @@ def _layout(config: SimConfig) -> SimpleNamespace:
     sid = np.zeros((len(normals), width), dtype=np.intp)
     for r, row in enumerate(senders):
         sid[r, : len(row)] = row
-    ids = np.array(normals, dtype=np.intp)
     table = config.scheme.table
     weight = None if table is None else np.ones((len(normals), width))
     if table is not None:
         for r, (i, row) in enumerate(zip(normals, senders)):
             weight[r, : len(row)] = [table[(i, j)] for j in row]
-    # x[t, c] is what column c delivers at round t as wmsr_filter reads it
-    # (NaN as +inf): agent c's state for c in 1..n, the NaN that pads gather
-    # for c = 0, and past n one column per Byzantine edge into a normal agent
-    byzantine = [(u, v) for u, v in edge_values if v in rows_of]
-    x = np.full((horizon + 1, n + 1 + len(byzantine)), np.nan)
-    for c, (u, v) in enumerate(byzantine, start=n + 1):
-        x[:, c] = edge_values[(u, v)]
-        sid[rows_of[v], senders[rows_of[v]].index(u)] = c
-
-    # a delivered NaN counts as +inf, as in wmsr_filter; only the preset
-    # columns and the Byzantine edges can hold one, as a normal state never is
-    preset = np.array([i for i in g.vertices if i not in rows_of], dtype=np.intp)
-    x[:, preset] = states[:, preset - 1]
-    sent = np.r_[preset, n + 1 : x.shape[1]]
-    x[:, sent] = np.where(np.isnan(x[:, sent]), np.inf, x[:, sent])
-    x[0, ids] = states[0, ids - 1]
+    for c, (u, v) in enumerate(delivered, start=n + 1):
+        x[:, c] = states[:, u - 1] if v is None else edge_values[(u, v)]
+        hears = sid if v is None else sid[normals.index(v)]  # every normal row, or v's
+        hears[hears == u] = c
+    # a delivered NaN counts as +inf, as in wmsr_filter; only an adversary
+    # can send one, as the reference and the initial values are finite
+    sent = x[:, n + 1 :]
+    np.copyto(sent, np.inf, where=np.isnan(sent))
     return SimpleNamespace(
-        states=states, reference=ref_series, edge_values=edge_values, x=x, normals=normals, ids=ids, sid=sid,
+        states=states, reference=ref_series, edge_values=edge_values, x=x, normals=normals, sid=sid,
         f=f, upper=upper, degree=(sid > 0).sum(axis=1), rows=np.arange(len(normals)),
-        past_upper=np.arange(upper + 1, width)[:, None], weight=weight,
+        past_upper=np.arange(upper + 1, width)[:, None], weight=weight, ids=np.array(normals, dtype=np.intp),
         cols=np.empty((width, len(normals))), spare=np.empty((width, len(normals))),
     )
 
@@ -391,21 +394,18 @@ def _hold(lay: SimpleNamespace, t: int) -> int:
 
 
 def run(config: SimConfig, jobs: int = 1) -> Trajectory:
-    """Execute the configured run and record its trajectory.
-
-    Each round (``_round``) updates every normal agent with one array program
-    that reproduces ``wmsr_filter`` and ``wmsr_update`` bit for bit; those
-    scalar functions stay the oracle that ``verify_replay`` checks against.
-
-    The engine is serial: ``jobs`` accepts only 1, for callers that pass it.
-    """
+    """Execute the configured run and record its trajectory.  The rounds
+    (``_round``) write the states in place, in columns 1..n of the run's
+    state buffer (``_layout``), with no copy; the trajectory keeps that buffer
+    whole, pad and delivered columns included, with ``states`` a read-only
+    view of it.  Each round reproduces ``wmsr_filter`` and ``wmsr_update`` bit
+    for bit, the oracle of ``verify_replay``.  ``jobs`` accepts only 1."""
     if jobs != 1:
         raise ConfigError(f"jobs must be 1 (the engine runs serially), got {jobs}")
     lay = _layout(config)
     t = 0
     while t < config.horizon:
         t = _hold(lay, t) if _round(lay, t) else t + 1
-    lay.states[1:, lay.ids - 1] = lay.x[1:, lay.ids]
     for arr in (lay.states, lay.reference, *lay.edge_values.values()):
         if arr is not None:
             arr.setflags(write=False)

@@ -1,8 +1,12 @@
 import json
 import math
+import os
 import random
 import re
+import subprocess
+import sys
 import tempfile
+import tracemalloc
 import warnings
 import xml.etree.ElementTree as ET
 from dataclasses import replace
@@ -87,6 +91,19 @@ def test_unknown_role_id_rejected():
 def test_f_horizon_and_seed_must_be_integers(key, value):
     with pytest.raises(ConfigError, match=f"^/{key}: must be an integer, got {re.escape(repr(value))}$"):
         basic_config(**{key: value})
+
+
+def test_horizon_refusal_counts_the_run_buffers_every_column():
+    # construct only: the buffer holds the n agents, the pad and one delivered
+    # column per scalar adversary, so C_6(1..2) with one is 8 float64 columns
+    # wide, and the largest horizon it takes is the one where 8 columns fit
+    g, most = make_k_circulant(6, 2), np.iinfo(np.intp).max
+    roles = {3: Adversary(ConstantHold(1.0))}
+    with pytest.raises(ConfigError, match=r"^/horizon: \d+ rounds of 8 float64 columns exceed NumPy's largest array$"):
+        SimConfig(graph=g, f=1, horizon=most // 48 - 1, roles=roles)
+    assert SimConfig(graph=g, f=1, horizon=most // 64 - 1, roles=roles).horizon == most // 64 - 1
+    with pytest.raises(ConfigError, match="^/horizon: "):
+        SimConfig(graph=g, f=1, horizon=most // 64, roles=roles)
 
 
 def test_role_and_init_ids_must_be_integers():
@@ -289,6 +306,58 @@ def test_run_accepts_only_one_job():
     for jobs in (0, 3):
         with pytest.raises(ConfigError, match="jobs"):
             run(cfg, jobs=jobs)
+
+
+def test_a_run_writes_its_trajectory_in_place():
+    # the states are columns 1..n of the run's buffer, written in place: no
+    # second trajectory-sized array and no copy-back, so the
+    # traced peak of sim1's config at a long horizon stays under two of them
+    cfg = replace(build_scenario("sim1").base, horizon=20_000)
+    tracemalloc.start()
+    try:
+        traj = run(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    buffer = traj.states.base
+    assert buffer.shape == (cfg.horizon + 1, cfg.graph.n + 1 + len(cfg.adversaries))
+    assert np.shares_memory(traj.states, buffer) and not traj.states.flags.writeable
+    assert peak < 2 * traj.states.nbytes, peak / traj.states.nbytes
+
+
+# a reference, a leader, a scalar and a Byzantine adversary: no value_at may
+# run before the buffer is allocated, which RLIMIT_AS refuses
+_OUT_OF_MEMORY_CHILD = """
+import resource
+from rcl.graph import make_k_circulant
+from rcl.protocol import Adversary, ByzantinePerEdge, ConstantHold, Leader, ReferenceSignal
+from rcl.simulation import SimConfig, run
+
+def value_at(self, t):
+    raise AssertionError("value_at ran before the buffer was allocated")
+
+g = make_k_circulant(10, 5)
+roles = {1: Leader(), 2: Adversary(ConstantHold(1.0)),
+         3: Adversary(ByzantinePerEdge({j: ConstantHold(2.0) for j in g.out_neighbors(3)}))}
+cfg = SimConfig(graph=g, f=2, horizon=2**27, roles=roles, reference=ReferenceSignal.constant(0.0))
+ConstantHold.value_at = ReferenceSignal.value_at = value_at
+limit = int(open("/proc/self/statm").read().split()[0]) * resource.getpagesize() + 2**28
+resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+try:
+    run(cfg)
+except MemoryError:
+    print("MemoryError")
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/statm and sets RLIMIT_AS")
+def test_a_horizon_too_long_for_memory_fails_before_any_series_is_built():
+    # In a child whose address space is capped 256 MiB above its size, so the
+    # 17 GiB buffer is refused rather than taken from the host.
+    src = Path(__file__).resolve().parents[1] / "src"
+    done = subprocess.run([sys.executable, "-c", _OUT_OF_MEMORY_CHILD], capture_output=True, text=True,
+                          timeout=60, env={**os.environ, "PYTHONPATH": str(src)})
+    assert (done.returncode, done.stdout) == (0, "MemoryError\n"), done.stderr
 
 
 def test_leaders_broadcast_reference_exactly():

@@ -98,6 +98,9 @@ MUTANTS = [
     (SIMULATION, "rest[low[rest] <= 0]", "rest[low[rest] < 0]",
      [SIM_TESTS + "test_end_bounds_certify_the_same_sums_as_the_matrix_bounds",
       SIM_TESTS + "test_end_bounds_equal_the_matrix_bounds_on_every_round[sim2]"]),
+    # a NaN an adversary sends delivered as NaN, not +inf: it sorts last but counts in neither band
+    (SIMULATION, "np.copyto(sent, np.inf, where=np.isnan(sent))", "pass",
+     [SIM_TESTS + "test_non_finite_adversary_cannot_poison_normals[nan]"]),
     # save_graph writes graph JSON under a .txt name and an edge list under .json
     ("src/rcl/graph.py", 'if Path(path).suffix == ".json":\n        text',
      'if Path(path).suffix == ".txt":\n        text',
