@@ -424,13 +424,13 @@ def is_rs_robust(
 
 
 def max_r_robustness(g: Digraph, *, cap: int | None = None, force: bool = False) -> int:
-    """Largest r for which the graph is r-robust, at most ceil(n/2): the minimum over S1 of
-    max(M[S1], min of M over the subsets of ~S1), M[j] the largest outside in-degree in j."""
+    """Largest r for which the graph is r-robust: the minimum over S1 of max(M[S1], min of M
+    over the subsets of ~S1), M[j] the largest outside in-degree in j.  It is at most ceil(n/2):
+    a j of floor(n/2) >= 1 members has M[j] <= |V \\ j| and P[j] <= M[V \\ j] <= |j|."""
     _check_pair_size(g, DEFAULT_PAIR_CAP if cap is None else _count(cap, "cap"), force)
     most, least = g._tables.get(_PAIRS) or _pair_table(g)
     step = 1 << _LOW_BITS  # a chunk at a time, so no third table of 2^n
-    best = min(int(np.maximum(most[j:j + step], least[j:j + step]).min()) for j in range(0, most.size, step))
-    return min((g.n + 1) // 2, best)
+    return min(int(np.maximum(most[j:j + step], least[j:j + step]).min()) for j in range(0, most.size, step))
 
 
 # ---------------------------------------------------------------------------

@@ -507,7 +507,9 @@ def verify_replay(traj: Trajectory) -> bool:
 
 @dataclass(frozen=True)
 class IntervalReport:
-    """Envelope behavior on one maximal constant-reference interval [start, end)."""
+    """Envelope behavior on one maximal constant-reference interval [start, end).
+    The invariant is judged over the normal agents: a leader holds the
+    interval's reference, which lies in the envelope at ``start``."""
 
     start: int
     end: int
@@ -572,43 +574,38 @@ ENVELOPE_SLACK = 1e-12
 
 
 def compute_metrics(traj: Trajectory, tol: float = DEFAULT_TOL) -> Metrics:
-    """Envelope (per-round min and max over normal agents and the reference),
-    tracking error (max |x_i - x_r| over normal agents; None without a
-    reference), disagreement (spread over normal agents), the rounds from
-    which each stays within tol, and the envelope on every maximal
+    """Every metric from three per-round series: ``low`` and ``high``, the least and greatest
+    normal state (the reference when no agent is normal), and the reference ``ref``.  Envelope
+    [min(low, ref), max(high, ref)]; disagreement high - low; tracking error (None without a
+    reference) max |x_i - x_r| = max(|high - ref|, |low - ref|), as rounding is monotone and
+    symmetric; the rounds from which each stays within tol; and the envelope on every maximal
     constant-reference interval (one interval without a reference)."""
     tol = check_tol(tol)
     ref = traj.reference
     # C order: the reduction order decides which of -0.0 and 0.0 the minima
     # and maxima return, and the bundles pin that choice
     cols = np.ascontiguousarray(traj.states[:, [i - 1 for i in traj.config.normals]])
-    if cols.shape[1] == 0 and ref is None:
+    low, high = (cols.min(axis=1), cols.max(axis=1)) if cols.shape[1] else (ref, ref)
+    if low is None:
         raise ConfigError("envelope undefined: no normal agents and no reference")
-    hull = cols if ref is None else np.concatenate([cols, ref[:, None]], axis=1)
-    lower, upper = hull.min(axis=1), hull.max(axis=1)
+    lower, upper = (low, high) if ref is None else (np.minimum(low, ref), np.maximum(high, ref))
     # a difference wider than the largest float reads +inf, and one between
     # equal infinities NaN, with no warning
     with np.errstate(over="ignore", invalid="ignore"):
-        if cols.shape[1] == 0:
-            disag = np.zeros(traj.horizon + 1)
-            err = None if ref is None else np.zeros(traj.horizon + 1)
-        else:
-            disag = cols.max(axis=1) - cols.min(axis=1)
-            err = None if ref is None else np.abs(cols - ref[:, None]).max(axis=1)
+        disag = high - low
+        err = None if ref is None else np.maximum(np.abs(high - ref), np.abs(low - ref))
         rise_lower, rise_upper = np.diff(lower), np.diff(upper)
     if traj.config.reference is None:
         spans = [(0, traj.horizon + 1)]
     else:
         spans = traj.config.reference.constant_intervals(traj.horizon)
-    non_adversarial = [i for i in traj.config.graph.vertices
-                       if not isinstance(traj.config.roles[i], Adversary)]
     intervals = []
     for t1, t2 in spans:
         monotone = bool(
             np.all(rise_lower[t1 : t2 - 1] >= -ENVELOPE_SLACK) and np.all(rise_upper[t1 : t2 - 1] <= ENVELOPE_SLACK)
         )
-        block = traj.states[t1:t2, [i - 1 for i in non_adversarial]]
-        invariant = bool(np.all(block >= lower[t1] - ENVELOPE_SLACK) and np.all(block <= upper[t1] + ENVELOPE_SLACK))
+        invariant = bool(low[t1:t2].min() >= lower[t1] - ENVELOPE_SLACK
+                         and high[t1:t2].max() <= upper[t1] + ENVELOPE_SLACK)
         end_error = float(err[t2 - 1]) if err is not None else None
         intervals.append(IntervalReport(t1, t2, monotone, invariant, end_error))
     return Metrics(

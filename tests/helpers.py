@@ -6,7 +6,8 @@ enumeration and no shared code with the library's optimized mask-based
 implementations; they serve as independent oracles on small graphs, as
 does the window-by-window scan of the circulant certificate.  The
 naive writers format one value at a time, through ``csv.writer`` and a
-per-point polyline, and serve as byte oracles for the column exporters.
+per-point polyline, and serve as byte oracles for the column exporters;
+``naive_metrics`` computes the metrics from whole matrices of states.
 ``tool`` loads a script of ``tools/`` as a module; ``digests``, that of
 ``tools/digests.py``, also draws the tests' random digraphs.
 """
@@ -19,10 +20,13 @@ import itertools
 from collections.abc import Iterator
 from pathlib import Path
 
-from rcl import svgplot
+import numpy as np
+
+from rcl import simulation, svgplot
 from rcl.graph import Digraph
+from rcl.protocol import Adversary, ConfigError
 from rcl.robustness import Property, RobustnessReport
-from rcl.simulation import role_name
+from rcl.simulation import ENVELOPE_SLACK, IntervalReport, Metrics, role_name
 
 TOOLS = Path(__file__).resolve().parents[1] / "tools"
 
@@ -218,3 +222,41 @@ def naive_polyline_points(values, xs, ylo: float, yhi: float) -> str:
         return svgplot._MT + plot_h * (1.0 - (v - ylo) / (yhi - ylo))
 
     return " ".join(f"{sx(t):.2f},{sy(float(v)):.2f}" for t, v in enumerate(values))
+
+
+def naive_metrics(traj, tol: float = simulation.DEFAULT_TOL) -> Metrics:
+    """``compute_metrics`` from whole matrices: the envelope over the normal
+    columns and the reference side by side, the tracking error over every
+    normal agent's |x_i - x_r|, and the interval invariant over every
+    non-adversarial column (the normal agents and the leaders)."""
+    tol = simulation.check_tol(tol)
+    ref, config, rounds = traj.reference, traj.config, traj.horizon + 1
+    cols = np.ascontiguousarray(traj.states[:, [i - 1 for i in config.normals]])
+    if cols.shape[1] == 0 and ref is None:
+        raise ConfigError("envelope undefined: no normal agents and no reference")
+    hull = cols if ref is None else np.concatenate([cols, ref[:, None]], axis=1)
+    lower, upper = hull.min(axis=1), hull.max(axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if cols.shape[1] == 0:
+            disag = np.zeros(rounds)
+            err = None if ref is None else np.zeros(rounds)
+        else:
+            disag = cols.max(axis=1) - cols.min(axis=1)
+            err = None if ref is None else np.abs(cols - ref[:, None]).max(axis=1)
+        rise_lower, rise_upper = np.diff(lower), np.diff(upper)
+    spans = [(0, rounds)] if config.reference is None else config.reference.constant_intervals(traj.horizon)
+    kept = [i - 1 for i in config.graph.vertices if not isinstance(config.roles[i], Adversary)]
+    intervals = []
+    for t1, t2 in spans:
+        monotone = bool(np.all(rise_lower[t1 : t2 - 1] >= -ENVELOPE_SLACK)
+                        and np.all(rise_upper[t1 : t2 - 1] <= ENVELOPE_SLACK))
+        block = traj.states[t1:t2, kept]
+        invariant = bool(np.all(block >= lower[t1] - ENVELOPE_SLACK) and np.all(block <= upper[t1] + ENVELOPE_SLACK))
+        intervals.append(IntervalReport(t1, t2, monotone, invariant, None if err is None else float(err[t2 - 1])))
+    return Metrics(
+        lower=lower, upper=upper, tracking_error=err, disagreement=disag, tol=tol,
+        convergence_round=None if err is None else simulation._sustained_round(err, tol),
+        consensus_round=simulation._sustained_round(disag, tol),
+        final_error=None if err is None else float(err[-1]),
+        final_disagreement=float(disag[-1]), intervals=tuple(intervals),
+    )

@@ -343,6 +343,12 @@ def test_pair_witness_is_the_canonical_first_violation(low_bits, seed, graphs, s
         assert max_r_robustness(g) == max(robust, default=0), g
 
 
+@pytest.mark.parametrize("n", range(2, 13))
+def test_complete_digraph_reaches_the_ceil_half_bound(n):
+    # max_r_robustness returns the DP minimum unclipped: K_n meets ceil(n/2) exactly
+    assert max_r_robustness(complete_graph(n)) == (n + 1) // 2
+
+
 def test_k5_is_22_robust():
     assert is_rs_robust(complete_graph(5), 2, 2).verdict
 

@@ -19,7 +19,9 @@ from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from helpers import digests, naive_polyline_points, naive_write_edges_csv, naive_write_trajectory_csv
+from helpers import (
+    digests, naive_metrics, naive_polyline_points, naive_write_edges_csv, naive_write_trajectory_csv,
+)
 from rcl import simulation, svgplot
 from rcl.graph import Digraph, make_k_circulant, make_undirected_circulant
 from rcl.protocol import (
@@ -559,6 +561,20 @@ def test_metrics_without_normal_agents(reference):
     assert m.lower.tolist() == m.upper.tolist() == [2.0] * 4  # the reference alone
     assert m.tracking_error.tolist() == m.disagreement.tolist() == [0.0] * 4
     assert m.converged and m.envelope_monotone and m.interval_invariant
+
+
+def test_metrics_hold_three_series_not_a_matrix():
+    # the metrics read the normal agents' least and greatest state and the
+    # reference per round: beside the one copy of the normal columns, no
+    # hull or |x - r| matrix, so the traced peak stays under two trajectories
+    traj = run(replace(build_scenario("sim3").base, horizon=20_000))
+    tracemalloc.start()
+    try:
+        compute_metrics(traj)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * traj.states.nbytes, peak / traj.states.nbytes
 
 
 def test_disagreement_definition():
@@ -1154,6 +1170,41 @@ def test_export_matches_naive_writers(cfg):
         assert render_trajectory_svg(traj, "a & <b>") == svg
     texts = [t.text for t in ET.fromstring(svg).iter("{http://www.w3.org/2000/svg}text")]
     assert "a & <b>" in texts
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(cfg=_export_configs(), nans=st.lists(st.tuples(st.integers(0, 10), st.integers(0, 11)), max_size=2))
+def test_metrics_match_the_whole_matrix_oracle(cfg, nans):
+    # the three per-round series against the hull, the per-agent |x - r| and
+    # the invariant over every non-adversarial column, on the export corpus;
+    # a NaN never reaches a state of a run, so ``nans`` writes some into the
+    # normal columns of a copy
+    try:
+        traj = run(cfg)
+    except ConfigError:  # +inf and -inf retained by one agent
+        reject()
+    if nans and cfg.normals:
+        states = traj.states.copy()
+        for t, k in nans:
+            states[t % states.shape[0], cfg.normals[k % len(cfg.normals)] - 1] = NAN
+        traj = Trajectory(cfg, states, traj.reference, traj.edge_values)
+    try:
+        want = naive_metrics(traj)
+    except ConfigError as exc:
+        with pytest.raises(ConfigError, match=f"^{re.escape(str(exc))}$"):
+            compute_metrics(traj)
+        return
+    got = compute_metrics(traj)
+    if want.tracking_error is None:
+        assert got.tracking_error is None
+    else:
+        assert got.tracking_error.tobytes() == want.tracking_error.tobytes()
+    assert got.disagreement.tobytes() == want.disagreement.tobytes()
+    # equal as values: only the sign of a zero may differ, and no output reads it
+    np.testing.assert_array_equal(got.lower, want.lower)
+    np.testing.assert_array_equal(got.upper, want.upper)
+    # the dicts spell NaN as a string, so a NaN end error compares equal
+    assert metrics_to_dict(got) == metrics_to_dict(want)
 
 
 def test_svg_of_infinite_states_fits_the_finite_values():

@@ -101,6 +101,19 @@ MUTANTS = [
     # a NaN an adversary sends delivered as NaN, not +inf: it sorts last but counts in neither band
     (SIMULATION, "np.copyto(sent, np.inf, where=np.isnan(sent))", "pass",
      [SIM_TESTS + "test_non_finite_adversary_cannot_poison_normals[nan]"]),
+    # the tracking error read off the normal agents' greatest state alone
+    (SIMULATION, "np.maximum(np.abs(high - ref), np.abs(low - ref))", "np.abs(high - ref)",
+     [SIM_TESTS + "test_metrics_match_the_whole_matrix_oracle"]),
+    # the envelope of the normal agents alone, without the reference
+    (SIMULATION, "(np.minimum(low, ref), np.maximum(high, ref))", "(low, high)",
+     [SIM_TESTS + "test_metrics_match_the_whole_matrix_oracle",
+      SIM_TESTS + "test_envelope_single_normal_and_reference"]),
+    # the interval invariant reads only the least state, so a rise past the envelope passes
+    (SIMULATION, "\n                         and high[t1:t2].max() <= upper[t1] + ENVELOPE_SLACK)", ")",
+     [SIM_TESTS + "test_metrics_match_the_whole_matrix_oracle"]),
+    # the interval invariant reads the least state of the interval's first round only
+    (SIMULATION, "low[t1:t2].min() >= lower[t1]", "low[t1] >= lower[t1]",
+     [SIM_TESTS + "test_metrics_match_the_whole_matrix_oracle"]),
     # save_graph writes graph JSON under a .txt name and an edge list under .json
     ("src/rcl/graph.py", 'if Path(path).suffix == ".json":\n        text',
      'if Path(path).suffix == ".txt":\n        text',
