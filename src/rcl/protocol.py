@@ -1,5 +1,7 @@
 """Per-agent behavior: the W-MSR filter and update, leader and adversary
-signals, weight schemes, and the F-local adversary check.
+signals, weight schemes, and the F-local adversary check.  Each signal gives
+its value at one round (``value_at``) and at every round up to a horizon as
+an array (``series``), the two equal bit for bit.
 
 The filter uses strict comparisons: incoming values equal to the agent's own
 state are never removed.  Ties among removable values are broken by removing
@@ -12,6 +14,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 from typing import Iterable, Mapping, Sequence, Union
+
+import numpy as np
 
 from .graph import Digraph, _count, _integer, _number, _require, _vertex_mask
 
@@ -72,6 +76,15 @@ class ReferenceSignal:
                 break
         return value
 
+    def series(self, horizon: int) -> np.ndarray:
+        """``value_at(t)`` for t in 0..horizon as a float64 array, one slice
+        per breakpoint up to the horizon: O(horizon + breakpoints), where a
+        call of ``value_at`` per round scans the breakpoints each time."""
+        out = np.empty(horizon + 1)
+        for (t1, t2), (_, value) in zip(self.constant_intervals(horizon), self.breakpoints):
+            out[t1:t2] = value
+        return out
+
     def constant_intervals(self, horizon: int) -> list[tuple[int, int]]:
         """Maximal [t1, t2) intervals with constant value, covering 0..horizon."""
         starts = [t for t, _ in self.breakpoints if t <= horizon]
@@ -101,6 +114,11 @@ class ConstantHold(_NumberFields):
     def value_at(self, t: int) -> float:
         return self.value
 
+    def series(self, horizon: int) -> np.ndarray:
+        """``value_at(t)`` for t in 0..horizon as a float64 array; every
+        signal has this form, each of its values converted as ``float`` does."""
+        return np.full(horizon + 1, float(self.value))
+
 
 @dataclass(frozen=True)
 class Sinusoid(_NumberFields):
@@ -119,6 +137,20 @@ class Sinusoid(_NumberFields):
         angle = 2.0 * math.pi * t / self.period + self.phase
         return self.offset + self.amplitude * (math.nan if math.isinf(angle) else math.sin(angle))
 
+    def series(self, horizon: int) -> np.ndarray:
+        """``value_at``'s operations in its order, on float64 arrays: Python's
+        float-int operations convert the int as ``float`` does, so int fields
+        give the same bits.  The sine stays ``math.sin``, as NumPy's does not
+        promise the same rounding.  Python's float arithmetic overflows and
+        makes NaN without a warning, so NumPy's warnings are off here."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            angle = 2.0 * math.pi * np.arange(horizon + 1.0) / float(self.period) + float(self.phase)
+            infinite = np.isinf(angle)
+            angle[infinite] = 0.0
+            sine = np.fromiter(map(math.sin, angle.tolist()), float, horizon + 1)
+            sine[infinite] = math.nan
+            return float(self.offset) + float(self.amplitude) * sine
+
 
 @dataclass(frozen=True)
 class Ramp(_NumberFields):
@@ -127,6 +159,15 @@ class Ramp(_NumberFields):
 
     def value_at(self, t: int) -> float:
         return self.slope * t + self.intercept
+
+    def series(self, horizon: int) -> np.ndarray:
+        """An int slope keeps ``value_at``'s exact int product, which float64
+        need not round alike, so only a float one runs on arrays (warnings
+        off, as in ``Sinusoid.series``)."""
+        if type(self.slope) is not float:
+            return np.array([self.value_at(t) for t in range(horizon + 1)], dtype=float)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return self.slope * np.arange(horizon + 1.0) + float(self.intercept)
 
 
 @dataclass(frozen=True)
@@ -143,6 +184,13 @@ class Scripted:
 
     def value_at(self, t: int) -> float:
         return self.values[min(t, len(self.values) - 1)]
+
+    def series(self, horizon: int) -> np.ndarray:
+        out = np.empty(horizon + 1)
+        head = self.values[: horizon + 1]
+        out[: len(head)] = head
+        out[len(head) :] = head[-1]
+        return out
 
 
 ScalarStrategy = Union[ConstantHold, Sinusoid, Ramp, Scripted]

@@ -219,19 +219,20 @@ def _layout(config: SimConfig) -> SimpleNamespace:
     ``x``, the run's state buffer, holds at ``x[t, c]`` what column c
     delivers at round t, the NaN that pads gather for c = 0, agent c's
     broadcast for c in 1..n (the view ``states``), and past n what a sender
-    of ``_delivered`` delivers, NaN read as +inf.  Row r of ``sid`` holds the
-    columns of x that the r-th normal agent gathers.  Every round overwrites
-    ``cols`` and ``spare``: the sorted rows' transpose and the sum's scratch."""
+    of ``_delivered`` delivers, NaN read as +inf.  The reference and every
+    adversary's signal are laid out once x is allocated, each by its
+    ``series``: a float64 array equal to ``value_at`` at every round, built
+    without a ``value_at`` call per round (but for a ramp with an int slope).
+    Row r of ``sid`` holds the columns of x that the r-th normal agent
+    gathers.  Every round overwrites ``cols`` and ``spare``: the sorted rows'
+    transpose and the sum's scratch."""
     g = config.graph
     n, horizon = g.n, config.horizon
-    rounds = range(horizon + 1)
     delivered = _delivered(config)
     # allocated first, so that a horizon too long for memory fails at once
     x = np.full((horizon + 1, n + 1 + len(delivered)), np.nan)
     states = x[:, 1 : n + 1]
-    ref_series = None
-    if config.reference is not None:
-        ref_series = np.array([config.reference.value_at(t) for t in rounds])
+    ref_series = None if config.reference is None else config.reference.series(horizon)
 
     # leader and adversary broadcasts and the Byzantine edge values depend
     # only on the round, so they are laid out up front
@@ -243,29 +244,37 @@ def _layout(config: SimConfig) -> SimpleNamespace:
             states[:, i - 1] = ref_series
         elif isinstance(role, Adversary) and isinstance(role.strategy, ByzantinePerEdge):
             for j, sig in sorted(role.strategy.signals.items()):
-                edge_values[(i, j)] = np.array([sig.value_at(t) for t in rounds])
+                edge_values[(i, j)] = sig.series(horizon)
             states[:, i - 1] = edge_values[(i, min(role.strategy.signals))] if role.strategy.signals else 0.0
         elif isinstance(role, Adversary):
-            states[:, i - 1] = [role.strategy.value_at(t) for t in rounds]
+            states[:, i - 1] = role.strategy.series(horizon)
         else:
             states[0, i - 1] = init[i]
 
     # Row r of ``sid`` lists the inclusive in-neighbours of the r-th normal
     # agent in ascending id order, padded with 0, which gathers NaN from x:
-    # pads compare false with every value and sort after all of them.
+    # pads compare false with every value and sort after all of them.  The
+    # rows are read off the agents' in-masks at once: only the nonzero bytes
+    # are unpacked, so the bits take memory in proportion to the edges.
     normals = config.normals
-    senders = [sorted(g.inclusive_neighbors(i)) for i in normals]
-    width = max(map(len, senders), default=1)
+    row_bits = 8 * (n // 8 + 1)
+    masks = np.frombuffer(b"".join((g.in_masks[i - 1] | 1 << (i - 1)).to_bytes(row_bits // 8, "little")
+                                   for i in normals), np.uint8)
+    byte = np.flatnonzero(masks)
+    at, bit = np.nonzero(np.unpackbits(masks[byte, None], axis=1, bitorder="little"))
+    at = byte[at] * 8 + bit  # r * row_bits + (id - 1), row by row in ascending id order
+    row = at // row_bits
+    degree = np.bincount(row, minlength=len(normals))
+    width = max(degree.tolist(), default=1)
     f = min(config.f, width)  # no row drops more than its degree, and NumPy needs a C long
-    upper = max(min(map(len, senders), default=0) - f - 1, 0)  # where the high band starts
+    upper = max(min(degree.tolist(), default=0) - f - 1, 0)  # where the high band starts
     sid = np.zeros((len(normals), width), dtype=np.intp)
-    for r, row in enumerate(senders):
-        sid[r, : len(row)] = row
+    sid[row, np.arange(at.size) - (np.cumsum(degree) - degree)[row]] = at - row * row_bits + 1
     table = config.scheme.table
     weight = None if table is None else np.ones((len(normals), width))
     if table is not None:
-        for r, (i, row) in enumerate(zip(normals, senders)):
-            weight[r, : len(row)] = [table[(i, j)] for j in row]
+        for r, (i, row) in enumerate(zip(normals, sid.tolist())):
+            weight[r, : degree[r]] = [table[(i, j)] for j in row if j]
     for c, (u, v) in enumerate(delivered, start=n + 1):
         x[:, c] = states[:, u - 1] if v is None else edge_values[(u, v)]
         hears = sid if v is None else sid[normals.index(v)]  # every normal row, or v's
@@ -276,7 +285,7 @@ def _layout(config: SimConfig) -> SimpleNamespace:
     np.copyto(sent, np.inf, where=np.isnan(sent))
     return SimpleNamespace(
         states=states, reference=ref_series, edge_values=edge_values, x=x, normals=normals, sid=sid,
-        f=f, upper=upper, degree=(sid > 0).sum(axis=1), rows=np.arange(len(normals)),
+        f=f, upper=upper, degree=degree, rows=np.arange(len(normals)),
         past_upper=np.arange(upper + 1, width)[:, None], weight=weight, ids=np.array(normals, dtype=np.intp),
         cols=np.empty((width, len(normals))), spare=np.empty((width, len(normals))),
     )
@@ -309,14 +318,14 @@ def _round(lay: SimpleNamespace, t: int) -> bool:
     """
     xt, f, upper, cols = lay.x[t], lay.f, lay.upper, lay.cols
     own = xt[lay.ids]
-    ordered = xt[lay.sid]
+    ordered = xt.take(lay.sid)
     ordered.sort(axis=1)
     cols[...] = ordered.T
     # values below own are a prefix of the sorted run and values above it end
     # at its last real entry, so each band count is the full one, or over F
     below = cols[: f + 1] < own
-    n_lower = below.sum(axis=0)
-    n_higher = (cols[upper:] > own).sum(axis=0)
+    n_lower = np.add.reduce(below, axis=0)
+    n_higher = np.add.reduce(cols[upper:] > own, axis=0)
     drop_low = np.minimum(n_lower, f)
     stop = lay.degree - np.minimum(n_higher, f)
     common = np.maximum(n_lower, n_higher) <= f
@@ -324,9 +333,11 @@ def _round(lay: SimpleNamespace, t: int) -> bool:
     hi = cols[stop - 1, lay.rows]
 
     if lay.weight is None:
-        # retained: sorted positions drop_low..stop - 1 (drop_low <= F, stop > upper), each weighted 1/size
+        # retained: sorted positions drop_low..stop - 1 (drop_low <= F, stop > upper), each weighted 1/size;
+        # a same-shape product, as broadcasting the scale along cols' rows costs more than the copy
         scale = 1.0 / (stop - drop_low)
-        np.multiply(cols, scale, out=cols)
+        np.copyto(lay.spare, scale)
+        np.multiply(cols, lay.spare, out=cols)
         cols[:f][below[:f]] = 0.0
         cols[upper + 1 :][lay.past_upper >= stop] = 0.0
         top, low = _end_bounds(lo * scale, hi * scale)
@@ -334,11 +345,11 @@ def _round(lay: SimpleNamespace, t: int) -> bool:
         # In sender order the retained set is every value in [lo, hi] but
         # the ``extra`` values tied with lo or hi that have the largest
         # sender ids, which wmsr_filter drops.
-        vals = xt[lay.sid]
+        vals = xt.take(lay.sid)
         upto_hi = vals <= hi[:, None]
         keep = upto_hi & (vals >= lo[:, None])
-        for cut, extra in ((lo, drop_low - (vals < lo[:, None]).sum(axis=1)),
-                           (hi, upto_hi.sum(axis=1) - stop)):
+        for cut, extra in ((lo, drop_low - np.add.reduce(vals < lo[:, None], axis=1)),
+                           (hi, np.add.reduce(upto_hi, axis=1) - stop)):
             if extra.any():
                 ties = vals == cut[:, None]
                 from_right = np.cumsum(ties[:, ::-1], axis=1)[:, ::-1]
@@ -351,14 +362,14 @@ def _round(lay: SimpleNamespace, t: int) -> bool:
     # the weighted sum is fsum's correctly rounded one, so independent of
     # order; common rows need no fsum, as their sum is discarded below
     mixed, rest = _column_sums(cols, lay.spare, top, low, common)
-    for r in rest:
+    for r in rest.tolist():
         try:
             mixed[r] = math.fsum(cols[:, r].tolist())
         except ValueError:  # fsum of +inf and -inf
             raise ConfigError(f"round {t}: {opposite_infinities(lay.normals[r])}") from None
     # Python's max(x, lo) and min(x, hi), which keep x on signed-zero ties
-    mixed = np.where(lo > mixed, lo, mixed)
-    mixed = np.where(hi < mixed, hi, mixed)
+    np.copyto(mixed, lo, where=lo > mixed)
+    np.copyto(mixed, hi, where=hi < mixed)
     # a retained set of one common value returns the first such value in
     # sender order, as wmsr_update returns min(values)
     same = common.nonzero()[0]
@@ -394,12 +405,14 @@ def _hold(lay: SimpleNamespace, t: int) -> int:
 
 
 def run(config: SimConfig, jobs: int = 1) -> Trajectory:
-    """Execute the configured run and record its trajectory.  The rounds
-    (``_round``) write the states in place, in columns 1..n of the run's
-    state buffer (``_layout``), with no copy; the trajectory keeps that buffer
-    whole, pad and delivered columns included, with ``states`` a read-only
-    view of it.  Each round reproduces ``wmsr_filter`` and ``wmsr_update`` bit
-    for bit, the oracle of ``verify_replay``.  ``jobs`` accepts only 1."""
+    """Execute the configured run and record its trajectory.  A run's fixed
+    cost is ``_layout``: the state buffer, the signals' series as arrays and
+    the gather index, once.  The rounds (``_round``) write the states in
+    place, in columns 1..n of that buffer, with no copy; the trajectory keeps
+    the buffer whole, pad and delivered columns included, with ``states`` a
+    read-only view of it.  Each round reproduces ``wmsr_filter`` and
+    ``wmsr_update`` bit for bit, the oracle of ``verify_replay``.  ``jobs``
+    accepts only 1."""
     if jobs != 1:
         raise ConfigError(f"jobs must be 1 (the engine runs serially), got {jobs}")
     lay = _layout(config)
@@ -418,7 +431,8 @@ def _end_bounds(first: np.ndarray, last: np.ndarray) -> tuple[float, np.ndarray]
     a positive weight does, rounding being monotone.  ``top`` is the largest
     |term| bit for bit; ``low`` is each column's least nonzero |term| where
     its run misses 0, and <= 0 where it reaches 0."""
-    return float(max(0.0, -first.min(initial=0.0), last.max(initial=0.0))), np.maximum(first, -last)
+    top = max(0.0, -np.minimum.reduce(first, initial=0.0), np.maximum.reduce(last, initial=0.0))
+    return float(top), np.maximum(first, -last)
 
 
 def _magnitudes(terms: np.ndarray, spare: np.ndarray | None = None) -> tuple[float, np.ndarray]:
@@ -426,7 +440,8 @@ def _magnitudes(terms: np.ndarray, spare: np.ndarray | None = None) -> tuple[flo
     the largest |term| and each column's least nonzero one (inf where there
     is none); ``spare``, when given, takes the magnitudes."""
     mag = np.abs(terms, out=spare)
-    return float(mag.max(initial=0.0)), mag.min(axis=0, where=mag != 0, initial=np.inf)
+    top = np.maximum.reduce(mag, axis=None, initial=0.0)
+    return float(top), np.minimum.reduce(mag, where=mag != 0, initial=np.inf)
 
 
 def _column_sums(terms: np.ndarray, spare: np.ndarray, top: float, low: np.ndarray,
@@ -462,8 +477,8 @@ def _column_sums(terms: np.ndarray, spare: np.ndarray, top: float, low: np.ndarr
     sigma = math.ldexp(1.0, math.frexp(scale)[1])
     q = np.add(terms, sigma, out=spare)
     q -= sigma
-    sums = q.sum(axis=0)
-    sums += np.subtract(terms, q, out=spare).sum(axis=0)
+    sums = np.add.reduce(q, axis=0)
+    sums += np.add.reduce(np.subtract(terms, q, out=spare), axis=0)
     floor = sigma * 2.0**-52 * w
     ok = (floor <= low) & (sums != 0)
     rest = (~(ok | skip)).nonzero()[0]

@@ -1,3 +1,4 @@
+import contextlib
 import json
 import math
 import os
@@ -327,8 +328,9 @@ def test_a_run_writes_its_trajectory_in_place():
     assert peak < 2 * traj.states.nbytes, peak / traj.states.nbytes
 
 
-# a reference, a leader, a scalar and a Byzantine adversary: no value_at may
-# run before the buffer is allocated, which RLIMIT_AS refuses
+# a reference, a leader, a scalar and a Byzantine adversary: no series may be
+# built, by value_at or as an array, before the buffer is allocated, which
+# RLIMIT_AS refuses
 _OUT_OF_MEMORY_CHILD = """
 import resource
 from rcl.graph import make_k_circulant
@@ -338,11 +340,15 @@ from rcl.simulation import SimConfig, run
 def value_at(self, t):
     raise AssertionError("value_at ran before the buffer was allocated")
 
+def series(self, horizon):
+    raise AssertionError("a series was built before the buffer was allocated")
+
 g = make_k_circulant(10, 5)
 roles = {1: Leader(), 2: Adversary(ConstantHold(1.0)),
          3: Adversary(ByzantinePerEdge({j: ConstantHold(2.0) for j in g.out_neighbors(3)}))}
 cfg = SimConfig(graph=g, f=2, horizon=2**27, roles=roles, reference=ReferenceSignal.constant(0.0))
 ConstantHold.value_at = ReferenceSignal.value_at = value_at
+ConstantHold.series = ReferenceSignal.series = series
 limit = int(open("/proc/self/statm").read().split()[0]) * resource.getpagesize() + 2**28
 resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 try:
@@ -369,6 +375,44 @@ def test_leaders_broadcast_reference_exactly():
     expected = np.array([ref.value_at(t) for t in range(26)])
     assert np.array_equal(traj.states[:, 0], expected)
     assert np.array_equal(traj.reference, expected)
+
+
+def test_a_many_breakpoint_reference_is_laid_out_without_value_at():
+    # value_at rescans the breakpoints, so a reference laid out by one call
+    # per round cost O(horizon * breakpoints): 0.67 s for 4,000 breakpoints
+    # at horizon 20,000.  Here 1,000 breakpoints run past the horizon.
+    ref = ReferenceSignal(tuple((3 * k, float(k % 7) - 3.0) for k in range(1000)))
+    cfg = basic_config(reference=ref, horizon=2000)
+    with mock.patch.object(ReferenceSignal, "value_at", autospec=True, side_effect=ReferenceSignal.value_at) as spy:
+        traj = run(cfg)
+    assert spy.call_count == 0
+    expected = np.array([ref.value_at(t) for t in range(cfg.horizon + 1)])
+    assert traj.reference.tobytes() == expected.tobytes()
+    assert traj.states[:, 0].tobytes() == expected.tobytes()  # leader 1
+
+
+def test_float_field_strategies_are_laid_out_without_value_at():
+    # every kind of signal with float fields, as a scalar adversary and on a
+    # Byzantine edge; their columns hold value_at's values, bit for bit
+    signals = [ConstantHold(-7.5), Sinusoid(40.0, 23.0, 0.5, 1.0), Ramp(-2.5, 3.0), Scripted((1.0, -4.0, 9.0))]
+    g = make_k_circulant(12, 6)
+    edges = dict(zip(sorted(g.out_neighbors(1)), signals * 2))
+    roles = {1: Adversary(ByzantinePerEdge(edges)), 2: Leader(), 3: Leader(), 4: Leader(),
+             **{5 + k: Adversary(signal) for k, signal in enumerate(signals)}}
+    cfg = SimConfig(graph=g, f=2, horizon=40, roles=roles, reference=ReferenceSignal(((0, 1.0), (20, 5.0))),
+                    strict_f_local=False)
+    kinds = (ReferenceSignal, ConstantHold, Sinusoid, Ramp, Scripted)
+    with contextlib.ExitStack() as stack:
+        spies = [stack.enter_context(mock.patch.object(kind, "value_at", autospec=True, side_effect=kind.value_at))
+                 for kind in kinds]
+        traj = run(cfg)
+    assert [spy.call_count for spy in spies] == [0] * len(kinds)
+    assert verify_replay(traj)
+    rounds = range(cfg.horizon + 1)
+    for k, signal in enumerate(signals):
+        assert traj.states[:, 4 + k].tobytes() == np.array([signal.value_at(t) for t in rounds]).tobytes()
+    for j, signal in edges.items():
+        assert traj.edge_values[(1, j)].tobytes() == np.array([signal.value_at(t) for t in rounds]).tobytes()
 
 
 def test_weight_table_drops_a_huge_value_without_warnings():

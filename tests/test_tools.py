@@ -61,7 +61,7 @@ def ab(monkeypatch):
 AB_LAYERS = ("graph build", "window certificate", "peeling", "bruteforce lookup", "complement table build",
              "forced complement query", "pair battery", "pair search, kept tables", "forced walk, large witness",
              "decider calls, c01 slice",
-             "run, sim2 seed", "run, weight table", "run, wide",
+             "run, sim2 seed", "run, weight table", "run, wide", "layout, wide",
              "compute_metrics", "CSV export", "SVG export")
 
 

@@ -43,6 +43,17 @@ A/A medians of 0.981 to 1.043 and cannot resolve a claim below about 4%;
 (about 0.9 s a call, 20 pairs) read medians of 0.977 to 1.017 on identical
 trees, with quartiles as wide as 0.941 to 1.080, and cannot resolve one below
 about 3%.
+
+``run, wide`` times eight runs of wide's config per call, each config
+loaded afresh, as a call of one run (about 30 ms) catches a host stall in
+too many pairs: one run a call read x0.898 with head winning only 169 of 200
+pairs, and four a call x0.892 and x0.897 with 173 and 186 of 200.  Eight a
+call read x0.896 with 194 of 200, its A/A line a median of 0.997 and
+quartiles of 0.970 to 1.027: it resolves a move of about 10%, and one
+of 6% may read ``none``.
+``layout, wide`` times ``simulation._layout`` alone on wide's config (about
+2 ms a call, the run's fixed cost before its first round); its A/A lines
+read medians of 0.998 and 0.999, quartiles 0.958 to 1.038 at widest.
 """
 
 import argparse
@@ -252,7 +263,9 @@ ROWS = [
         lambda side, graphs: [side.graph.graph_from_json(obj) for obj in graphs], _c01_loop, C01_PAIRS),
     Row("run, sim2 seed", _config(_sim2), _side_config, _run),
     Row("run, weight table", _config(_weighted_sim2), _side_config, _run),
-    Row("run, wide", _config(_wide_config), _side_config, _run),
+    Row("run, wide", _config(_wide_config), lambda side, data: [_side_config(side, data) for _ in range(8)],
+        lambda side, configs: [_run(side, config) for config in configs]),  # eight runs a call: see the docstring
+    Row("layout, wide", _config(_wide_config), _side_config, lambda side, config: side.simulation._layout(config)),
     Row("compute_metrics", _config(_sim2), _trajectory,
         lambda side, loaded: side.simulation.compute_metrics(loaded[0], tol=scenarios.sim2().expected.tol)),
     Row("CSV export", _config(_sim2), _trajectory,  # sim2 has no Byzantine edges, so no edges.csv

@@ -33,6 +33,8 @@ ROBUSTNESS = "src/rcl/robustness.py"
 TESTS = "tests/test_robustness.py::"
 SIMULATION = "src/rcl/simulation.py"
 SIM_TESTS = "tests/test_simulation.py::"
+PROTOCOL = "src/rcl/protocol.py"
+PROTOCOL_TESTS = "tests/test_protocol.py::"
 
 # (file, old text, new text, ids of the tests that must fail)
 MUTANTS = [
@@ -91,13 +93,32 @@ MUTANTS = [
      [SIM_TESTS + "test_end_bounds_certify_the_same_sums_as_the_matrix_bounds",
       SIM_TESTS + "test_end_bounds_equal_the_matrix_bounds_on_every_round[sim3]"]),
     # the round's largest term read off the runs' last ends only, as if no run held a negative value
-    (SIMULATION, "max(0.0, -first.min(initial=0.0), last.max(initial=0.0))", "max(0.0, last.max(initial=0.0))",
+    (SIMULATION, "max(0.0, -np.minimum.reduce(first, initial=0.0), np.maximum.reduce(last, initial=0.0))",
+     "max(0.0, np.maximum.reduce(last, initial=0.0))",
      [SIM_TESTS + "test_end_bounds_certify_the_same_sums_as_the_matrix_bounds",
       SIM_TESTS + "test_end_bounds_equal_the_matrix_bounds_on_every_round[sim3]"]),
     # a run whose end is exactly 0 skips the recheck and goes to fsum
     (SIMULATION, "rest[low[rest] <= 0]", "rest[low[rest] < 0]",
      [SIM_TESTS + "test_end_bounds_certify_the_same_sums_as_the_matrix_bounds",
       SIM_TESTS + "test_end_bounds_equal_the_matrix_bounds_on_every_round[sim2]"]),
+    # each run's last value read one sorted position past it
+    (SIMULATION, "hi = cols[stop - 1, lay.rows]", "hi = cols[np.minimum(stop, len(cols) - 1), lay.rows]",
+     [SIM_TESTS + "test_engine_matches_scalar_oracle_at_band_edges[equal]",
+      SIM_TESTS + "test_engine_matches_scalar_oracle_at_band_edges[table]",
+      SIM_TESTS + "test_end_bounds_equal_the_matrix_bounds_on_every_round[sim2]"]),
+    # the reference series built before the run's buffer, so a horizon too long for memory fails only there
+    (SIMULATION, "    x = np.full((horizon + 1, n + 1 + len(delivered)), np.nan)\n    states = x[:, 1 : n + 1]\n"
+     "    ref_series = None if config.reference is None else config.reference.series(horizon)\n",
+     "    ref_series = None if config.reference is None else config.reference.series(horizon)\n"
+     "    x = np.full((horizon + 1, n + 1 + len(delivered)), np.nan)\n    states = x[:, 1 : n + 1]\n",
+     [SIM_TESTS + "test_a_horizon_too_long_for_memory_fails_before_any_series_is_built"]),
+    # a reference's last round of each constant interval left unwritten
+    (PROTOCOL, "out[t1:t2] = value", "out[t1 : t2 - 1] = value",
+     [PROTOCOL_TESTS + "test_series_equals_value_at_byte_for_byte",
+      SIM_TESTS + "test_a_many_breakpoint_reference_is_laid_out_without_value_at"]),
+    # a sinusoid's infinite angle read as angle 0, not NaN
+    (PROTOCOL, "            sine[infinite] = math.nan\n", "",
+     [PROTOCOL_TESTS + "test_series_equals_value_at_byte_for_byte"]),
     # a NaN an adversary sends delivered as NaN, not +inf: it sorts last but counts in neither band
     (SIMULATION, "np.copyto(sent, np.inf, where=np.isnan(sent))", "pass",
      [SIM_TESTS + "test_non_finite_adversary_cannot_poison_normals[nan]"]),
