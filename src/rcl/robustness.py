@@ -5,7 +5,8 @@ Four families of checks:
 * brute-force oracles that enumerate subsets directly against the definitions
   (r-reachability, r-robustness, (r,s)-robustness, strong r-robustness with
   respect to a set, trusted leader-follower robustness); r-robustness is
-  (r, 1)-robustness, so both pair checks share one subset DP,
+  (r, 1)-robustness, so both pair checks share one subset DP, whose table of
+  largest outside in-degrees also answers the complement checks,
 * a polynomial peeling procedure for the strong and TLF variants, which,
   like their brute-force checks, share one (anchor, reach) test,
 * closed-form certificates (sufficient conditions only): consecutive leader
@@ -34,33 +35,33 @@ popcounts, bits and canonical keys, and for each room up to L // 4 the low
 counters with at most that many members.
 The pair checks are a DP in O(n 2^n): a uint8 table over all subsets and one
 minimum over submasks give each subset its best disjoint partner.  For
-r-robustness, (r, 1)-robustness and the maximum r, the table holds each
+r-robustness, (r, 1)-robustness and the maximum r, the table M holds each
 subset's largest outside in-degree, which does not depend on r, so that pair
 of tables is built once per graph and kept; (r, s) with s >= 2 counts
-r-reachable members into a table of its own.  When the free vertices fit
-one chunk (at most ``_LOW_BITS`` = 16), the complement checks build, in one
-pass over its low counters, a small table of the first violating C per pair
-of degree bounds over all of V \\ S, keyed by the canonical keys of the
-width, once per (graph, S) and kept, so a query is one lookup.  Both kinds
-of table live on their graph, in ``Digraph._tables``: a complement table
-under its S's mask, the pair tables under ``_PAIRS`` = 0, a mask no S has.
-Each is made read-only and kept by one rule, ``_kept``, if its arrays total
-at most ``CACHE_BYTES``; a larger one is returned, not kept.  Tables die
-with their graph, and are read only after the caps and the memory budget
-have passed.
-Above 16, a query searches only the free vertices with fewer than ``anchor``
-in-neighbors in S, the only ones a violating C can hold (with none of them it
-answers true): a C of those violates iff no member has ``reach`` in-neighbors
-outside it.  That search, like the pair witnesses, walks the chunks in order
-of popcount(hi) and stops past the size of the first violation found, so a
-small witness ends it early; once it has one, a later chunk evaluates only
-the low counters small enough to beat it, when those are few (a one-member
-witness leaves one per chunk).  The first chunk has no witness to prune by,
-so it evaluates its empty and one-member counters first and the rest only
-if none of those is marked; a later chunk, pruned already, never probes, as
-a probe would add an evaluation to each chunk of a walk whose first witness
-is large.  Either way a false verdict's witness comes
-straight from the enumeration counter, decoded by ``_subset``.  Peeling works
+r-reachable members into a table of its own.  A violating C of a complement
+query lies in U, the free vertices with fewer than ``anchor`` in-neighbors
+in S (with none, the query answers true), and violates iff M[C] < ``reach``.
+M depends on no S, and the canonical order is one order on all subsets of
+V, so on a graph of at most ``_LOW_BITS`` = 16 vertices one row per
+threshold a answers every S with one lookup: ``row[U]``, the least
+canonical key of a nonempty C in U with M[C] <= a.  Both kinds of table
+live on their graph, in ``Digraph._tables``: a row under its threshold,
+at most (largest in-degree + 1) rows of 4 x 2^n bytes (4 MB at n = 16),
+the pair tables under ``_PAIRS`` = -1.  Each is made read-only and kept by
+one rule, ``_kept``, if its arrays total at most ``CACHE_BYTES``; a larger
+one is returned, not kept.  Tables die with their graph, and are read only
+after the caps and the memory budget have passed.
+Above 16 vertices, a complement query walks the chunks of U, as the pair
+witnesses walk theirs, in order of popcount(hi), and stops past the size of
+the first violation found, so a small witness ends it early; once it has
+one, a later chunk evaluates only the low counters small enough to beat it,
+when those are few (a one-member witness leaves one per chunk).  The first
+chunk has no witness to prune by, so it evaluates its empty and one-member
+counters first and the rest only if none of those is marked; a later chunk,
+pruned already, never probes, as a probe would add an evaluation to each
+chunk of a walk whose first witness is large.  Either way a false verdict's
+witness comes straight from the enumeration counter, decoded by
+``_subset``.  Peeling works
 on bitmasks: the eligible ids are one int, the lowest set bit is admitted
 next, and each admission recounts, one popcount each, the in-neighbors in R
 of its out-neighbors (``Digraph.out_masks``) not yet eligible.  Its first
@@ -93,12 +94,12 @@ DEFAULT_COMPLEMENT_CAP = 20
 # and n = 29 is the first size refused, even forced.
 PAIR_SCAN_BUDGET = 512 * 2**20
 # Array bytes of the largest exact table a graph keeps (see ``_kept``): the
-# pair tables at n = 19 take all of it, and a complement table at most a few
-# hundred.
+# pair tables at n = 19 take all of it, and a complement row at most a
+# quarter (n = 16).
 CACHE_BYTES = 2**20
-# The key of a graph's pair tables in ``Digraph._tables``; a complement table
-# is kept under its S's mask, never 0, as S is nonempty.
-_PAIRS = 0
+# The key of a graph's pair tables in ``Digraph._tables``; a complement row
+# is kept under its threshold, never negative.
+_PAIRS = -1
 
 
 class EnumerationCapError(RuntimeError):
@@ -191,14 +192,13 @@ def _low_counters(width: int) -> SimpleNamespace:
     return SimpleNamespace(lo=lo, sizes=sizes, bits=bits, keys=keys, upto=upto)
 
 
-def _split_outside(g: Digraph, vertices: int) -> tuple[list[int], list[int], int, np.ndarray, np.ndarray]:
+def _split_outside(g: Digraph, vertices: int) -> tuple[int, np.ndarray, np.ndarray]:
     """The counter over the vertices of the mask ``vertices``, the b-th largest
     at bit b, split at ``width = min(count, _LOW_BITS)``.
 
-    Returns the vertices by bit, their in-degrees, ``width`` and two arrays.
-    Row b of the first is the in-degree of vertex b minus its in-neighbors
-    among the members of each low counter, in uint8 (uint32 once an in-degree
-    reaches 2^8).  Row b of the second is vertex b's in-neighbors as a mask by
+    Returns ``width`` and two arrays.  Row b of the first is the in-degree of
+    vertex b minus its in-neighbors among the members of each low counter, in
+    uint8 (uint32 once an in-degree reaches 2^8).  Row b of the second is vertex b's in-neighbors as a mask by
     bit, so counter ``(hi << width) | lo`` also subtracts ``popcount(mask &
     hi << width)``; the low and high members are disjoint, so that never
     takes an unsigned count below zero.
@@ -231,7 +231,7 @@ def _split_outside(g: Digraph, vertices: int) -> tuple[list[int], list[int], int
                 out=outside[:, :lo.size])
     for b in range(10, width):
         np.subtract(outside[:, :1 << b], ((masks >> b) & 1).astype(dtype)[:, None], out=outside[:, 1 << b:2 << b])
-    return by_bit, in_deg, width, outside, masks
+    return width, outside, masks
 
 
 # ---------------------------------------------------------------------------
@@ -276,7 +276,7 @@ def _subset_table(g: Digraph, fill) -> np.ndarray:
     in-degree outside each j and whether it is in j."""
     n = g.n
     table = np.empty(1 << n, dtype=np.uint8)
-    *_, width, outside, masks = _split_outside(g, (1 << n) - 1)
+    width, outside, masks = _split_outside(g, (1 << n) - 1)
     low = _low_counters(width)
     # up to _LOW_BITS vertices the low counters are every subset, so their bits serve as is
     members = low.bits if n == width else np.vstack([low.bits, np.zeros((n - width, 1 << width), dtype=np.uint8)])
@@ -437,38 +437,22 @@ def max_r_robustness(g: Digraph, *, cap: int | None = None, force: bool = False)
 # complement-subset checks (strong r-robustness, TLF robustness)
 
 
-# A canonical key is below 17 << 16, so a complement table holds int32: a
-# graph keeps every one it builds, about 260 bytes each in all.
+# A canonical key is below 17 << 16, so a complement row holds int32: 256 KB
+# at n = 16, and a graph keeps at most one per threshold, at most 4 MB.
 _NO_VIOLATION = np.iinfo(np.int32).max
 
 
-def _first_violations(g: Digraph, s_mask: int) -> np.ndarray:
-    """Build and keep (``_kept``) the table ``first`` of g and S, the mask
-    ``s_mask``: ``first[a, o]`` is the smallest canonical key of a nonempty C
-    in V \\ S whose members have at most a in-neighbors in S and at most o
-    outside C, else ``_NO_VIOLATION``; rows and columns stop at the largest
-    degree.
-
-    The f free vertices fit one chunk of the counter (f <= ``_LOW_BITS``), so
-    j is a low counter: bit b stands for the b-th largest free vertex, and
-    the key is ``_low_counters(f).keys[j]``, by size, then descending j.  One
-    pass over the 2^f counters takes the maxima over the members of their
-    in-degrees from S and outside C; a non-member counts 0, which never
-    raises the maximum of a nonempty C.
-    """
-    by_bit, in_deg, f, outside, _ = _split_outside(g, (1 << g.n) - 1 - s_mask)
-    low = _low_counters(f)
-    from_s = [(g.in_masks[v - 1] & s_mask).bit_count() for v in by_bit]
-    rows, cols = max(from_s) + 1, max(in_deg) + 1
-    # a C's cell is its row (from S) times cols plus its column (outside); both
-    # are maxima over the members, so a product with the 0/1 members masks them
-    cell_of = np.array([a * cols for a in from_s], dtype=np.uint8 if rows * cols <= 1 << 8 else np.uint32)
-    cell = (low.bits * cell_of[:, None]).max(axis=0) + (low.bits * outside).max(axis=0)
-    first = np.full((rows, cols), _NO_VIOLATION, dtype=np.int32)
-    np.minimum.at(first.reshape(-1), cell[1:], low.keys[1:])  # from 1: not the empty C
-    np.minimum.accumulate(first, axis=0, out=first)
-    np.minimum.accumulate(first, axis=1, out=first)
-    return _kept(g, s_mask, first)
+def _complement_row(g: Digraph, a: int) -> np.ndarray:
+    """Build and keep (``_kept``) g's complement row of threshold a, for n <=
+    ``_LOW_BITS``: ``row[U]``, U a vertex mask (vertex v at bit v - 1), is
+    the least canonical key of a nonempty C in U with ``M[C] <= a`` (M of
+    ``_pair_table``; M of the empty set is 255), else ``_NO_VIOLATION``.  M
+    and the keys ``_low_counters(n).keys`` go by the counter over V (vertex v
+    at bit n - v); reversing its n bits takes it to the vertex mask and
+    submasks to submasks, so one minimum over submasks fills the row."""
+    most = (g._tables.get(_PAIRS) or _pair_table(g))[0]
+    keys = np.where(most <= a, _low_counters(g.n).keys, _NO_VIOLATION)
+    return _kept(g, a, _submask_min(keys.reshape((2,) * g.n).T.ravel()))
 
 
 def _subset(j: int, domain: int) -> list[int]:
@@ -497,37 +481,44 @@ def _bruteforce(
     subset order.  With no free vertex, or anchor or reach 0, the verdict is
     true whatever the caps.
 
-    When the free vertices fit one chunk of the counter (at most
-    ``_LOW_BITS``), one kept table over all of V \\ S answers every
-    (anchor, reach) on (g, S), and j is read off its canonical key.
-    Above that, a query searches only the free vertices with fewer than
-    anchor in-neighbors in S: a violating C has no other member, and the
-    canonical order of its subsets is the order restricted to them.  So a C
-    there violates iff no member has reach or more in-neighbors outside C,
-    and ``_first_subset`` walks the chunks by size until it has the first.
-    The caps and the counter width apply to |V \\ S|."""
-    domain = (1 << g.n) - 1 - s_mask  # V \ S, as S is a subset of V
+    A violating C lies in U, the free vertices with fewer than anchor
+    in-neighbors in S (with none, the verdict is true), and violates iff no
+    member has reach in-neighbors outside C.  U takes no pass when |S| <
+    anchor, nor when a row answers and anchor >= reach: a vertex anchored by
+    S then has reach in-neighbors outside any C.  Up to ``_LOW_BITS``
+    vertices, g's row of threshold min(reach - 1, largest in-degree) holds
+    the first C's key at U; above, ``_first_subset`` walks U's chunks by
+    size.  The caps and the counter width apply to |V \\ S|."""
+    full = (1 << g.n) - 1
+    domain = full - s_mask  # V \ S, as S is a subset of V
     free, limit = domain.bit_count(), DEFAULT_COMPLEMENT_CAP if cap is None else _count(cap, "cap")
-    if free == 0 or anchor <= 0 or reach <= 0:
+    if anchor <= 0 or reach <= 0:
         return RobustnessReport(prop, params, True, None, "bruteforce")
     if free > limit and not force:
         raise EnumerationCapError(
             f"complement size {free} exceeds enumeration cap {limit}; pass force=True to override"
         )
-    if free <= _LOW_BITS:
-        first = g._tables.get(s_mask)
-        if first is None:
-            first = _first_violations(g, s_mask)
-        rows, cols = first.shape
-        key = first.item(min(anchor, rows) - 1, min(reach, cols) - 1)
-        j = None if key == _NO_VIOLATION else -key & ((1 << free) - 1)
+    if free > 62:  # the counter is an int64
+        raise EnumerationCapError(f"cannot enumerate the subsets of {free} vertices, even forced")
+    kept = g.n <= _LOW_BITS
+    if s_mask.bit_count() >= anchor and not (kept and anchor >= reach):
+        rest, in_masks = domain, g.in_masks
+        while rest:  # one pass over the free vertices
+            bit = rest & -rest
+            rest ^= bit
+            if (in_masks[bit.bit_length() - 1] & s_mask).bit_count() >= anchor:
+                domain ^= bit
+    if not domain:
+        return RobustnessReport(prop, params, True, None, "bruteforce")
+    if kept:
+        a = min(reach - 1, g.max_in_degree)
+        row = g._tables.get(a)
+        if row is None:
+            row = _complement_row(g, a)
+        key = row.item(domain)
+        j, domain = None if key == _NO_VIOLATION else -key & full, full
     else:
-        if free > 62:  # the counter is an int64
-            raise EnumerationCapError(f"cannot enumerate the subsets of {free} vertices, even forced")
-        domain &= sum(1 << v for v, m in enumerate(g.in_masks) if (m & s_mask).bit_count() < anchor)
-        if not domain:
-            return RobustnessReport(prop, params, True, None, "bruteforce")
-        *_, width, outside, masks = _split_outside(g, domain)
+        width, outside, masks = _split_outside(g, domain)
         low_members, high = _low_counters(width).bits, range(width, domain.bit_count())
 
         def violates(rows, cols):
@@ -613,7 +604,7 @@ def is_strongly_r_robust_bruteforce(
 ) -> RobustnessReport:
     """Check every nonempty C in V \\ S for r-reachability, by enumeration.
 
-    Above 16 free vertices, only those with fewer than r in-neighbors in S
+    Above 16 vertices, only the free ones with fewer than r in-neighbors in S
     are enumerated: one with r or more makes every C holding it r-reachable.
     """
     s_mask, r, params = _complement_query(g, s, r, "r")
@@ -626,8 +617,8 @@ def is_tlf_robust_bruteforce(
     """Trusted leader-follower robustness with parameter F, by enumeration.
 
     Every nonempty C in V \\ S must contain a vertex with >= F+1 in-neighbors
-    in S, or be (2F+1)-reachable.  Above 16 free vertices, only those with at
-    most F in-neighbors in S are enumerated.
+    in S, or be (2F+1)-reachable.  Above 16 vertices, only the free ones with
+    at most F in-neighbors in S are enumerated.
     """
     s_mask, f, params = _complement_query(g, s, f, "F")
     return _bruteforce(g, s_mask, f + 1, 2 * f + 1, Property.TLF, params, cap, force)

@@ -417,7 +417,10 @@ def _leader_sample(rng, g):
 
 
 def test_complement_witness_is_the_canonical_first_violation():
+    # every graph here reads kept rows; whether TLF's anchor restriction binds:
+    # a free vertex with F + 1 in-neighbors in S (so |S| >= F + 1)
     rng = random.Random(83)
+    binds = set()
     for _ in range(60):
         g = random_digraph(rng, rng.randrange(2, 9), rng.choice([0.2, 0.4, 0.6]))
         s = _leader_sample(rng, g)
@@ -427,6 +430,9 @@ def test_complement_witness_is_the_canonical_first_violation():
                     prop.brute(g, s, param)
                 continue
             assert_first_violating_subset(prop.brute(g, s, param), g, s, *prop.anchor_reach(param))
+            if prop is TLF and len(s) >= param + 1:
+                binds.add(any(len(g.in_neighbors(v) & s) > param for v in g.vertices if v not in s))
+    assert binds == {False, True}
 
 
 def test_peeling_admission_order_matches_rescanning():
@@ -516,7 +522,7 @@ def test_forced_pair_scan_past_the_memory_budget_is_refused():
 
 def _spy_builds(monkeypatch) -> dict:
     """The arguments of every call of the two table builders, by name, from now on."""
-    builds = {"_pair_table": [], "_first_violations": []}
+    builds = {"_pair_table": [], "_complement_row": []}
     for name, calls in builds.items():
         build = getattr(robustness, name)
         monkeypatch.setattr(robustness, name, lambda *args, build=build, calls=calls: calls.append(args) or build(*args))
@@ -524,11 +530,12 @@ def _spy_builds(monkeypatch) -> dict:
 
 
 def test_caps_and_the_budget_are_checked_before_any_cache_hit(monkeypatch):
-    # a forced call keeps the pair tables of C_14 and the complement table of
-    # (C_8, {1, 2, 3}); every call the caps refuse is still refused
+    # a forced call keeps the pair tables of C_14, and a query on (C_8, {1, 2,
+    # 3}) the pair tables of C_8 and its complement row of threshold 0; every
+    # call the caps refuse is still refused
     g, h = make_k_circulant(14, 3), make_k_circulant(8, 3)
     assert is_r_robust(g, 1, force=True).verdict and is_strongly_r_robust_bruteforce(h, [1, 2, 3], 1).verdict
-    assert list(g._tables) == [robustness._PAIRS] and list(h._tables) == [0b111]
+    assert list(g._tables) == [robustness._PAIRS] and sorted(h._tables) == [robustness._PAIRS, 0]
     pair_calls = [lambda g, **kw: is_r_robust(g, 1, **kw), lambda g, **kw: is_rs_robust(g, 1, 1, **kw),
                   lambda g, **kw: max_r_robustness(g, **kw)]
     for call in pair_calls:
@@ -545,7 +552,7 @@ def test_caps_and_the_budget_are_checked_before_any_cache_hit(monkeypatch):
             with pytest.raises(EnumerationCapError, match=f"^n={graph.n}: two bytes for each of 2\\^{graph.n} "):
                 call(graph, force=True)
     assert builds == []
-    assert list(g._tables) == [robustness._PAIRS] and list(h._tables) == [0b111]
+    assert list(g._tables) == [robustness._PAIRS] and sorted(h._tables) == [robustness._PAIRS, 0]
 
 
 def test_a_table_larger_than_the_cache_bound_is_returned_not_kept(monkeypatch):
@@ -561,26 +568,31 @@ def test_a_table_larger_than_the_cache_bound_is_returned_not_kept(monkeypatch):
     for _ in range(2):
         assert max_r_robustness(g) == 2
     assert len(builds["_pair_table"]) == 3 and list(g._tables) == [robustness._PAIRS]
-    # no complement table fits a bound of 0, so each query builds its own
-    monkeypatch.setattr(robustness, "CACHE_BYTES", 0)
-    for _ in range(2):
-        report = is_strongly_r_robust_bruteforce(g, [1, 2, 3], 4)
-        assert (report.verdict, report.witness) == (False, {"violating_subset": [4]})
-    assert len(builds["_first_violations"]) == 2 and list(g._tables) == [robustness._PAIRS]
+    # a complement row of n = 8 takes 4 * 2^8 bytes, past that bound, so each
+    # query builds its own from the kept pair tables; at 4 * 2^8 the first keeps it
+    for bound, rows in ((2 << 8, 2), (4 << 8, 3)):
+        monkeypatch.setattr(robustness, "CACHE_BYTES", bound)
+        for _ in range(2):
+            report = is_strongly_r_robust_bruteforce(g, [1, 2, 3], 4)
+            assert (report.verdict, report.witness) == (False, {"violating_subset": [4]})
+        assert builds["_complement_row"] == [(g, 3)] * rows and len(builds["_pair_table"]) == 3
+    assert sorted(g._tables) == [robustness._PAIRS, 3]
 
 
 def test_cached_tables_are_read_only():
     g = make_k_circulant(8, 3)
     max_r_robustness(g)
     is_strongly_r_robust_bruteforce(g, [1, 2, 3], 1)
-    for table in (*g._tables[robustness._PAIRS], g._tables[0b111]):
+    for table in (*g._tables[robustness._PAIRS], g._tables[0]):
         assert not table.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             table[0] = 1
 
 
 def test_a_corpus_replayed_twice_builds_each_table_once(monkeypatch):
-    # more distinct (graph, S) than perfbench crosscheck's 4,227
+    # 4,375 distinct (graph, S), more than perfbench crosscheck's 4,227: each
+    # graph builds its pair tables once and a row for each threshold it meets
+    # once, strong r = 2 reading row 1 and TLF F = 1 row min(2, max in-degree)
     rng = random.Random(149)
     graphs = [random_digraph(rng, 10, rng.choice([0.3, 0.5])) for _ in range(25)]
     queries = [(g, s) for g in graphs for size in (1, 2, 3) for s in itertools.combinations(g.vertices, size)]
@@ -592,30 +604,61 @@ def test_a_corpus_replayed_twice_builds_each_table_once(monkeypatch):
         for g in graphs:
             is_r_robust(g, 2)
             max_r_robustness(g)
-    assert len(builds["_first_violations"]) == len(queries)
+    rows = sorted((id(g), a) for g, a in builds["_complement_row"])
+    assert rows == sorted((id(g), a) for g in graphs for a in g._tables if a != robustness._PAIRS)
+    assert {len(g._tables) for g in graphs} <= {2, 3}
     assert len(builds["_pair_table"]) == len(graphs)
 
 
-def test_each_leader_set_of_a_graph_keeps_its_own_table(monkeypatch):
-    # every S of one graph, asked twice in turn: each S's table is kept under
-    # its own mask, built once, and answers as the naive oracle does
+def test_every_leader_set_of_a_graph_reads_the_same_rows(monkeypatch):
+    # every S of one graph, asked twice in turn at r = 2 and 3: the graph
+    # keeps one row per threshold, each built once, and every S's answer is
+    # the naive oracle's
     g = make_k_circulant(7, 2)
     sets = [s for size in (1, 2, 3) for s in itertools.combinations(g.vertices, size)]
     builds = _spy_builds(monkeypatch)
     holds = set()
     for _ in range(2):
         for s in sets:
-            holds.add(assert_first_violating_subset(is_strongly_r_robust_bruteforce(g, s, 2), g, s, 2, 2) is None)
+            for r in (2, 3):
+                holds.add(assert_first_violating_subset(is_strongly_r_robust_bruteforce(g, s, r), g, s, r, r) is None)
     assert holds == {False, True}
-    assert sorted(g._tables) == sorted(robustness._vertex_mask(g.n, s) for s in sets)
-    assert len(builds["_first_violations"]) == len(sets)
+    assert sorted(g._tables) == [robustness._PAIRS, 1, 2]
+    assert builds["_complement_row"] == [(g, 1), (g, 2)] and builds["_pair_table"] == [(g,)]
+
+
+def test_all_63_leader_sets_of_a_graph_leave_at_most_one_row_per_threshold():
+    # C_7(1..2) asked about each S of 1 to 3 members, by strong r at every r
+    # and TLF at every F <= 3: one row per threshold 0 .. max in-degree, where
+    # a table per (graph, S) would leave 63
+    g = make_k_circulant(7, 2)
+    sets = [s for size in (1, 2, 3) for s in itertools.combinations(g.vertices, size)]
+    for s in sets:
+        for r in range(g.n + 1):
+            is_strongly_r_robust_bruteforce(g, s, r)
+        for f in range(4):
+            is_tlf_robust_bruteforce(g, s, f)
+    rows = sorted(key for key in g._tables if key != robustness._PAIRS)
+    assert len(sets) == 63 and rows == list(range(g.max_in_degree + 1))
+
+
+def test_no_kept_row_passes_the_cache_bound_at_16_vertices():
+    # at n = 16 a row takes 4 * 2^16 bytes, a quarter of CACHE_BYTES, and a
+    # graph keeps at most one per threshold: (max in-degree + 1) * 4 * 2^16
+    g = make_k_circulant(16, 4)
+    for r in range(1, g.max_in_degree + 2):
+        report = is_strongly_r_robust_bruteforce(g, {1, 2}, r)
+        assert report.verdict == is_strongly_r_robust_peeling(g, {1, 2}, r).verdict, r
+    rows = [table for key, table in g._tables.items() if key != robustness._PAIRS]
+    assert len(rows) == g.max_in_degree + 1 == 5
+    assert all(row.nbytes == 4 << 16 <= robustness.CACHE_BYTES for row in rows)
 
 
 def test_a_graphs_tables_are_freed_with_it():
     g = make_k_circulant(8, 3)
     max_r_robustness(g)
     is_strongly_r_robust_bruteforce(g, [1, 2, 3], 1)
-    kept = [weakref.ref(table) for table in (*g._tables[robustness._PAIRS], g._tables[0b111])]
+    kept = [weakref.ref(table) for table in (*g._tables[robustness._PAIRS], g._tables[0])]
     assert all(ref() is not None for ref in kept)
     del g
     gc.collect()
@@ -655,7 +698,8 @@ def test_threads_sharing_a_graph_answer_as_one_thread_does():
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert results == [expected] * 4
-    assert sorted(g._tables) == sorted([robustness._PAIRS, *(robustness._vertex_mask(g.n, s) for s in sets)])
+    # F = 0 reads row 0 (reach 1), and F = 1 row 2 (reach 3, below the largest in-degree 3)
+    assert sorted(g._tables) == [robustness._PAIRS, 0, 2]
 
 
 @pytest.mark.parametrize("low_bits", [2, 3, 4], indirect=True)
@@ -672,18 +716,19 @@ def test_split_counter_complement_witness_is_the_canonical_first_violation(low_b
 
 
 @pytest.mark.parametrize("low_bits", [3], indirect=True)
-def test_the_cached_table_answers_exactly_the_queries_whose_free_vertices_fit_one_chunk(low_bits, monkeypatch):
-    # 3 free vertices fit the 3 low bits: one table, no walk; 4 take the walk
+def test_kept_rows_answer_exactly_the_graphs_that_fit_one_chunk(low_bits, monkeypatch):
+    # a graph of 3 vertices fits the 3 low bits: one kept row, no walk; one
+    # of 4 takes the walk, though only 2 of its vertices are free
     walks, walk = [], robustness._first_subset
     monkeypatch.setattr(robustness, "_first_subset", lambda n, accept: walks.append(n) or walk(n, accept))
     builds = _spy_builds(monkeypatch)
-    g = make_k_circulant(6, 1)
-    report = is_strongly_r_robust_bruteforce(g, {1, 2, 3}, 2)
-    assert (report.verdict, report.witness) == (False, {"violating_subset": [4]})
-    assert builds["_first_violations"] == [(g, 0b111)] and walks == []
-    report = is_strongly_r_robust_bruteforce(g, {1, 2}, 2)
+    g, h = make_k_circulant(3, 1), make_k_circulant(4, 1)
+    report = is_strongly_r_robust_bruteforce(g, {1}, 2)
+    assert (report.verdict, report.witness) == (False, {"violating_subset": [2]})
+    assert builds["_complement_row"] == [(g, 1)] and walks == []
+    report = is_strongly_r_robust_bruteforce(h, {1, 2}, 2)
     assert (report.verdict, report.witness) == (False, {"violating_subset": [3]})
-    assert builds["_first_violations"] == [(g, 0b111)] and walks == [4]
+    assert builds["_complement_row"] == [(g, 1)] and walks == [2] and h._tables == {}
 
 
 @pytest.mark.parametrize("low_bits", [2, 3], indirect=True)
@@ -821,8 +866,11 @@ def test_split_counter_table_is_the_in_degree_minus_the_low_members(width):
     graphs = [random_digraph(rng, width + 4, 0.5)] + [random_digraph(rng, 270, 0.97)] * (width == 12)
     for g in graphs:
         chosen = rng.sample(sorted(g.vertices), width)
-        by_bit, in_deg, split, outside, _ = robustness._split_outside(g, robustness._vertex_mask(g.n, chosen))
-        assert by_bit == sorted(chosen, reverse=True) and split == width
+        split, outside, _ = robustness._split_outside(g, robustness._vertex_mask(g.n, chosen))
+        # row b is the b-th largest chosen vertex
+        by_bit = sorted(chosen, reverse=True)
+        in_deg = [len(g.in_neighbors(v)) for v in by_bit]
+        assert split == width
         inner = np.array([[u in g.in_neighbors(v) for u in by_bit] for v in by_bit], dtype=np.int64)
         bits = (np.arange(1 << width) >> np.arange(width)[:, None]) & 1
         expected = np.array(in_deg)[:, None] - inner @ bits
@@ -844,7 +892,7 @@ def test_the_width_table_holds_the_low_counters_and_their_canonical_order(width)
     for room, cols in enumerate(low.upto):
         assert cols.tolist() == [j for j in lo if j.bit_count() <= room] and cols[0] == 0, room
     assert np.argsort(low.keys).tolist() == sorted(lo, key=lambda j: (j.bit_count(), -j))
-    # int32 like the complement table, so that np.minimum.at takes no casting path
+    # int32, so a complement row built from them holds 4 bytes a subset
     assert low.keys.dtype == np.int32
 
 
@@ -905,7 +953,7 @@ def test_every_bruteforce_witness_lies_inside_peelings_stalled_complement():
 
 def test_forced_walk_witnesses_lie_inside_peelings_stalled_complement():
     # the same relation at 17..22 free vertices, where brute force walks the
-    # subsets instead of reading the kept table
+    # subsets instead of reading a kept row
     rng = random.Random(157)
     seen = set()
     for _ in range(40):

@@ -18,6 +18,9 @@ every call, outside the timer, a side loads the call's argument afresh, so a
 call on graphs built from JSON finds no tables kept on them (a base older
 than ``2281bfc`` kept its exact tables in caches shared by equal graphs, so
 there the table build and pair battery rows time reads of cached tables).
+So ``complement table build`` times each graph's pair tables and complement
+rows built once plus the lookups of its other calls (a base that kept one
+table per (graph, S) builds one per call).
 Each side makes one untimed call, then the row's ``pairs`` pairs run
 (``PAIRS``, but ``C01_PAIRS`` for the c01 slice), each side first in half of
 them, in a shuffled order.  Garbage collection is off inside the timed call,
@@ -143,9 +146,11 @@ def _calls(workload: str, names: tuple[str, ...], step: int = 1) -> Callable[[Pa
 
 
 def _table_builds(scratch: Path) -> tuple[list, list]:
-    """Every ``STEP``-th crosscheck brute-force call that builds the table of
-    its (graph, S): the first with r > 0, as strong r = 0 reads no table (every
-    S there leaves 1 to 9 free vertices, so each other call reads one)."""
+    """The first crosscheck brute-force call with r > 0 (strong r = 0 reads
+    no table) of every ``STEP``-th (graph, S).  On graphs loaded afresh, each
+    graph builds its pair tables and each complement row its calls meet
+    once, and its other calls are lookups; a base that kept a table per
+    (graph, S) builds one per call."""
     graphs, calls = _calls("crosscheck", COMPLEMENT)(scratch)
     firsts = {}
     for name, at, (leaders, param), kwargs in calls:

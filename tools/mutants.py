@@ -52,12 +52,20 @@ MUTANTS = [
      "return _bruteforce(g, s_mask, f + 1, 2 * f + 2, Property.TLF, params, cap, force)",
      [TESTS + "test_peeling_matches_bruteforce_random[tlf]",
       TESTS + "test_complement_witness_is_the_canonical_first_violation"]),
-    # a query with exactly _LOW_BITS free vertices skips the cached table
-    (ROBUSTNESS, "if free <= _LOW_BITS:", "if free < _LOW_BITS:",
-     [TESTS + "test_the_cached_table_answers_exactly_the_queries_whose_free_vertices_fit_one_chunk[3]"]),
-    # the cached table's key decoded as ~key, one off from -key
-    (ROBUSTNESS, "-key & ((1 << free) - 1)", "~key & ((1 << free) - 1)",
+    # a graph of exactly _LOW_BITS vertices walks instead of reading its kept rows
+    (ROBUSTNESS, "kept = g.n <= _LOW_BITS", "kept = g.n < _LOW_BITS",
+     [TESTS + "test_kept_rows_answer_exactly_the_graphs_that_fit_one_chunk[3]",
+      TESTS + "test_no_kept_row_passes_the_cache_bound_at_16_vertices"]),
+    # a complement row's key decoded as ~key, one off from -key
+    (ROBUSTNESS, "-key & full", "~key & full",
      [TESTS + "test_strong_ring_false_with_minimal_witness"]),
+    # a complement row of threshold a holds the C with M[C] < a, one in-degree short
+    (ROBUSTNESS, "np.where(most <= a,", "np.where(most < a,",
+     [TESTS + "test_strong_ring_false_with_minimal_witness",
+      TESTS + "test_complement_witness_is_the_canonical_first_violation"]),
+    # a row answers TLF over all of V minus S, as if no free vertex had F + 1 in-neighbors in S
+    (ROBUSTNESS, "not (kept and anchor >= reach)", "not kept",
+     [TESTS + "test_complement_witness_is_the_canonical_first_violation"]),
     # the width table's upto[room] drops the low counters of exactly the room left
     (ROBUSTNESS, "np.flatnonzero(sizes <= room)", "np.flatnonzero(sizes < room)",
      [TESTS + "test_split_counter_complement_witness_is_the_canonical_first_violation[2]",
@@ -78,12 +86,13 @@ MUTANTS = [
     (ROBUSTNESS, "range(width // 4 + 1)", "range(width // 2 + 1)",
      [TESTS + "test_a_pruned_chunk_keeps_every_low_counter_that_can_come_first[4]",
       TESTS + "test_the_width_table_holds_the_low_counters_and_their_canonical_order[4]"]),
-    # the width table's sizes, and so its keys, in int64, which np.minimum.at casts to the int32 table slowly
+    # the width table's sizes, and so its keys and every complement row, in int64: twice the bytes
     (ROBUSTNESS, "np.bitwise_count(lo).astype(np.int32)", "np.bitwise_count(lo).astype(np.int64)",
-     [TESTS + "test_the_width_table_holds_the_low_counters_and_their_canonical_order[4]"]),
-    # a complement table kept under a key that ignores S, as if S were {1}
-    (ROBUSTNESS, "return _kept(g, s_mask, first)", "return _kept(g, 1, first)",
-     [TESTS + "test_each_leader_set_of_a_graph_keeps_its_own_table",
+     [TESTS + "test_the_width_table_holds_the_low_counters_and_their_canonical_order[4]",
+      TESTS + "test_no_kept_row_passes_the_cache_bound_at_16_vertices"]),
+    # every complement row kept under threshold 0, whatever its own
+    (ROBUSTNESS, "return _kept(g, a, ", "return _kept(g, 0, ",
+     [TESTS + "test_every_leader_set_of_a_graph_reads_the_same_rows",
       TESTS + "test_a_corpus_replayed_twice_builds_each_table_once"]),
     # a table whose arrays exceed CACHE_BYTES kept anyway
     (ROBUSTNESS, "if sum(array.nbytes for array in arrays) <= CACHE_BYTES:", "if True:",
