@@ -143,9 +143,9 @@ class Digraph:
     endpoints are ints and ``edges`` a frozenset, by the integer rule.  What a
     graph derives is computed at construction: ``in_masks`` and ``out_masks``,
     one bitmask per vertex with bit (v-1) set iff v is an in- (out-) neighbor,
-    ``max_in_degree`` and the neighbor sets.  ``_tables`` starts empty and
-    holds the exact tables ``robustness`` builds on first query; equality,
-    the hash and the JSON form read ``n`` and ``edges`` only.
+    ``max_in_degree`` and the neighbor sets.  ``_tables`` starts empty; up to
+    16 vertices it keeps every exact table ``robustness`` builds, past that
+    none.  Equality, the hash and the JSON form read ``n`` and ``edges`` only.
     """
 
     n: int

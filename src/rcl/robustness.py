@@ -35,22 +35,22 @@ popcounts, bits and canonical keys, and for each room up to L // 4 the low
 counters with at most that many members.
 The pair checks are a DP in O(n 2^n): a uint8 table over all subsets and one
 minimum over submasks give each subset its best disjoint partner.  For
-r-robustness, (r, 1)-robustness and the maximum r, the table M holds each
-subset's largest outside in-degree, which does not depend on r, so that pair
-of tables is built once per graph and kept; (r, s) with s >= 2 counts
-r-reachable members into a table of its own.  A violating C of a complement
-query lies in U, the free vertices with fewer than ``anchor`` in-neighbors
-in S (with none, the query answers true), and violates iff M[C] < ``reach``.
-M depends on no S, and the canonical order is one order on all subsets of
-V, so on a graph of at most ``_LOW_BITS`` = 16 vertices one row per
-threshold a answers every S with one lookup: ``row[U]``, the least
-canonical key of a nonempty C in U with M[C] <= a.  Both kinds of table
-live on their graph, in ``Digraph._tables``: a row under its threshold,
-at most (largest in-degree + 1) rows of 4 x 2^n bytes (4 MB at n = 16),
-the pair tables under ``_PAIRS`` = -1.  Each is made read-only and kept by
-one rule, ``_kept``, if its arrays total at most ``CACHE_BYTES``; a larger
-one is returned, not kept.  Tables die with their graph, and are read only
-after the caps and the memory budget have passed.
+r-robustness, (r, 1)-robustness and the maximum r, M[j] is subset j's
+largest outside in-degree and P[j] the least M over the subsets of ~j, j's
+best partner; neither table depends on r.  (r, s) with s >= 2 counts
+r-reachable members into a table of its own.  A violating C of a
+complement query lies in U, the free vertices with fewer than ``anchor``
+in-neighbors in S (with none, the query answers true), and violates iff M[C]
+< ``reach``.  M depends on no S, and the canonical order is one order on all
+subsets of V, so on a graph of at most ``_LOW_BITS`` = 16 vertices one row
+per threshold a answers every S with one lookup: ``row[U]``, the least
+canonical key of a nonempty C in U with M[C] <= a, built from M alone.
+These tables live on their graph, in ``Digraph._tables``, read, built on a
+miss, made read-only and kept by one function, ``_kept``, and one rule: a
+graph of at most ``_LOW_BITS`` vertices keeps every table it builds (2 x 2^n
+bytes of M and P, and at most largest in-degree + 1 rows of 4 x 2^n: 4.1 MB
+at n = 16), a larger graph none.  Tables die with their graph, and are read
+only after the caps and the memory budget have passed.
 Above 16 vertices, a complement query walks the chunks of U, as the pair
 witnesses walk theirs, in order of popcount(hi), and stops past the size of
 the first violation found, so a small witness ends it early; once it has
@@ -93,13 +93,6 @@ DEFAULT_COMPLEMENT_CAP = 20
 # and its submask-minimum copy).  n = 26 takes 128 MB, n = 28 the whole budget,
 # and n = 29 is the first size refused, even forced.
 PAIR_SCAN_BUDGET = 512 * 2**20
-# Array bytes of the largest exact table a graph keeps (see ``_kept``): the
-# pair tables at n = 19 take all of it, and a complement row at most a
-# quarter (n = 16).
-CACHE_BYTES = 2**20
-# The key of a graph's pair tables in ``Digraph._tables``; a complement row
-# is kept under its threshold, never negative.
-_PAIRS = -1
 
 
 class EnumerationCapError(RuntimeError):
@@ -157,22 +150,23 @@ def _members(mask: int) -> list[int]:
     return out
 
 
-def _kept(g: Digraph, key: int, table):
-    """``table``, an array or a tuple of arrays, made read-only, as every
-    caller on g shares it, and kept in ``g._tables[key]`` if its arrays
-    total at most ``CACHE_BYTES``."""
-    arrays = table if isinstance(table, tuple) else (table,)
-    for array in arrays:
-        array.flags.writeable = False
-    if sum(array.nbytes for array in arrays) <= CACHE_BYTES:
-        g._tables[key] = table
-    return table
-
-
 # ---------------------------------------------------------------------------
 # the split enumeration counter, shared by both exact families
 
 _LOW_BITS = 16
+
+
+def _kept(g: Digraph, key: int, build, *args) -> np.ndarray:
+    """``g._tables[key]`` (M -1, P -2, a complement row its threshold), else
+    ``build(*args)`` made read-only, as every caller on g shares it, and kept
+    there iff g has at most ``_LOW_BITS`` vertices; nothing else writes it."""
+    table = g._tables.get(key)
+    if table is None:
+        table = build(*args)
+        table.flags.writeable = False
+        if g.n <= _LOW_BITS:
+            g._tables[key] = table
+    return table
 
 
 @lru_cache(maxsize=None)
@@ -345,16 +339,19 @@ def _first_subset(n: int, accept) -> int | None:
     return None if best is None else -best[1]
 
 
-def _pair_table(g: Digraph) -> tuple[np.ndarray, np.ndarray]:
-    """Build and keep (``_kept``) the pair tables ``(M, P)`` of g: ``M[j]``
-    is the largest in-degree outside j over the members of j (``M[0]`` =
-    255, as the empty set is no half of a pair), and ``P[j]`` the smallest M
-    over the nonempty subsets of ~j.  Neither depends on r: j is r-reachable
-    iff ``M[j] >= r``, and has a disjoint partner that is not iff ``P[j] <
-    r``."""
+def _pair_table(g: Digraph) -> np.ndarray:
+    """The pair DP's table M of g: ``M[j]`` is the largest in-degree outside
+    j over the members of j (``M[0]`` = 255, as the empty set is no half of a
+    pair).  It does not depend on r: j is r-reachable iff ``M[j] >= r``."""
     most = _subset_table(g, lambda outside, members, _: (outside * members).max(axis=0))
     most[0] = 255
-    return _kept(g, _PAIRS, (most, _submask_min(most.copy())[::-1]))
+    return most
+
+
+def _partner_table(most: np.ndarray) -> np.ndarray:
+    """P of M ``most``: ``P[j]``, the least M over the nonempty subsets of ~j,
+    is below r iff j has a disjoint partner that is not r-reachable."""
+    return _submask_min(most.copy())[::-1]
 
 
 def _pair_scan(
@@ -365,9 +362,9 @@ def _pair_scan(
     set is r-reachable, so the verdict is true whatever the caps.  A false
     verdict carries the first violating pair in canonical subset order.
 
-    At s = 1 a pair violates iff neither set is r-reachable, so the pair
-    tables g keeps answer every r; s >= 2 counts each subset's
-    r-reachable members into a table of its own."""
+    At s = 1 a pair violates iff neither set is r-reachable, so g's tables
+    M and P answer every r; s >= 2 counts each subset's r-reachable members
+    into a table of its own."""
     limit = DEFAULT_PAIR_CAP if cap is None else _count(cap, "cap")
     if r == 0:
         return RobustnessReport(prop, params, True, None, "bruteforce")
@@ -375,7 +372,8 @@ def _pair_scan(
     n, r = g.n, min(r, g.n)
     # table[j]: M[j] at s = 1, else the r-reachable count of a bad j (255 for the others)
     if s == 1:  # neither set r-reachable: M < r for both
-        table, partner = g._tables.get(_PAIRS) or _pair_table(g)
+        table = _kept(g, -1, _pair_table, g)
+        partner = _kept(g, -2, _partner_table, table)
         s1 = _first_subset(n, lambda rows, cols: (table[rows][cols] < r) & (partner[rows][cols] < r))
     else:
         def count_bad(outside, members, sizes):
@@ -428,7 +426,8 @@ def max_r_robustness(g: Digraph, *, cap: int | None = None, force: bool = False)
     over the subsets of ~S1), M[j] the largest outside in-degree in j.  It is at most ceil(n/2):
     a j of floor(n/2) >= 1 members has M[j] <= |V \\ j| and P[j] <= M[V \\ j] <= |j|."""
     _check_pair_size(g, DEFAULT_PAIR_CAP if cap is None else _count(cap, "cap"), force)
-    most, least = g._tables.get(_PAIRS) or _pair_table(g)
+    most = _kept(g, -1, _pair_table, g)
+    least = _kept(g, -2, _partner_table, most)
     step = 1 << _LOW_BITS  # a chunk at a time, so no third table of 2^n
     return min(int(np.maximum(most[j:j + step], least[j:j + step]).min()) for j in range(0, most.size, step))
 
@@ -443,16 +442,16 @@ _NO_VIOLATION = np.iinfo(np.int32).max
 
 
 def _complement_row(g: Digraph, a: int) -> np.ndarray:
-    """Build and keep (``_kept``) g's complement row of threshold a, for n <=
-    ``_LOW_BITS``: ``row[U]``, U a vertex mask (vertex v at bit v - 1), is
-    the least canonical key of a nonempty C in U with ``M[C] <= a`` (M of
-    ``_pair_table``; M of the empty set is 255), else ``_NO_VIOLATION``.  M
-    and the keys ``_low_counters(n).keys`` go by the counter over V (vertex v
-    at bit n - v); reversing its n bits takes it to the vertex mask and
-    submasks to submasks, so one minimum over submasks fills the row."""
-    most = (g._tables.get(_PAIRS) or _pair_table(g))[0]
+    """g's complement row of threshold a, for n <= ``_LOW_BITS``: ``row[U]``,
+    U a vertex mask (vertex v at bit v - 1), is the least canonical key of a
+    nonempty C in U with ``M[C] <= a`` (g's kept M, of ``_pair_table``; M of
+    the empty set is 255), else ``_NO_VIOLATION``.  M and the keys
+    ``_low_counters(n).keys`` go by the counter over V (vertex v at bit n -
+    v); reversing its n bits takes it to the vertex mask and submasks to
+    submasks, so one minimum over submasks fills the row."""
+    most = _kept(g, -1, _pair_table, g)
     keys = np.where(most <= a, _low_counters(g.n).keys, _NO_VIOLATION)
-    return _kept(g, a, _submask_min(keys.reshape((2,) * g.n).T.ravel()))
+    return _submask_min(keys.reshape((2,) * g.n).T.ravel())
 
 
 def _subset(j: int, domain: int) -> list[int]:
@@ -514,7 +513,7 @@ def _bruteforce(
         a = min(reach - 1, g.max_in_degree)
         row = g._tables.get(a)
         if row is None:
-            row = _complement_row(g, a)
+            row = _kept(g, a, _complement_row, g, a)
         key = row.item(domain)
         j, domain = None if key == _NO_VIOLATION else -key & full, full
     else:

@@ -521,8 +521,9 @@ def test_forced_pair_scan_past_the_memory_budget_is_refused():
 
 
 def _spy_builds(monkeypatch) -> dict:
-    """The arguments of every call of the two table builders, by name, from now on."""
-    builds = {"_pair_table": [], "_complement_row": []}
+    """The arguments of every call of the three table builders, by name, from
+    now on: M's (``_pair_table``), P's (``_partner_table``) and a row's."""
+    builds = {"_pair_table": [], "_partner_table": [], "_complement_row": []}
     for name, calls in builds.items():
         build = getattr(robustness, name)
         monkeypatch.setattr(robustness, name, lambda *args, build=build, calls=calls: calls.append(args) or build(*args))
@@ -530,12 +531,12 @@ def _spy_builds(monkeypatch) -> dict:
 
 
 def test_caps_and_the_budget_are_checked_before_any_cache_hit(monkeypatch):
-    # a forced call keeps the pair tables of C_14, and a query on (C_8, {1, 2,
-    # 3}) the pair tables of C_8 and its complement row of threshold 0; every
-    # call the caps refuse is still refused
+    # a forced call keeps M (key -1) and P (-2) of C_14, and a query on (C_8,
+    # {1, 2, 3}) M of C_8 and its complement row of threshold 0; every call
+    # the caps refuse is still refused
     g, h = make_k_circulant(14, 3), make_k_circulant(8, 3)
     assert is_r_robust(g, 1, force=True).verdict and is_strongly_r_robust_bruteforce(h, [1, 2, 3], 1).verdict
-    assert list(g._tables) == [robustness._PAIRS] and sorted(h._tables) == [robustness._PAIRS, 0]
+    assert sorted(g._tables) == [-2, -1] and sorted(h._tables) == [-1, 0]
     pair_calls = [lambda g, **kw: is_r_robust(g, 1, **kw), lambda g, **kw: is_rs_robust(g, 1, 1, **kw),
                   lambda g, **kw: max_r_robustness(g, **kw)]
     for call in pair_calls:
@@ -552,38 +553,31 @@ def test_caps_and_the_budget_are_checked_before_any_cache_hit(monkeypatch):
             with pytest.raises(EnumerationCapError, match=f"^n={graph.n}: two bytes for each of 2\\^{graph.n} "):
                 call(graph, force=True)
     assert builds == []
-    assert list(g._tables) == [robustness._PAIRS] and sorted(h._tables) == [robustness._PAIRS, 0]
+    assert sorted(g._tables) == [-2, -1] and sorted(h._tables) == [-1, 0]
 
 
-def test_a_table_larger_than_the_cache_bound_is_returned_not_kept(monkeypatch):
-    # the pair tables of n = 8 take 2 * 2^8 bytes: one byte under that, each
-    # call builds them; at that bound the first call keeps them
-    g = make_k_circulant(8, 3)
+@pytest.mark.parametrize("low_bits", [3], indirect=True)
+def test_a_graph_past_the_low_bits_keeps_no_table(low_bits, monkeypatch):
+    # with the counter split after 3 low bits, a graph of 4 vertices keeps
+    # nothing: each call builds M and P anew, from its own M, and answers as
+    # a fresh graph and the naive oracle do
+    g = make_k_circulant(4, 3)
     builds = _spy_builds(monkeypatch)
-    monkeypatch.setattr(robustness, "CACHE_BYTES", (2 << 8) - 1)
-    for _ in range(2):
-        assert max_r_robustness(g) == 2
-    assert len(builds["_pair_table"]) == 2 and g._tables == {}
-    monkeypatch.setattr(robustness, "CACHE_BYTES", 2 << 8)
-    for _ in range(2):
-        assert max_r_robustness(g) == 2
-    assert len(builds["_pair_table"]) == 3 and list(g._tables) == [robustness._PAIRS]
-    # a complement row of n = 8 takes 4 * 2^8 bytes, past that bound, so each
-    # query builds its own from the kept pair tables; at 4 * 2^8 the first keeps it
-    for bound, rows in ((2 << 8, 2), (4 << 8, 3)):
-        monkeypatch.setattr(robustness, "CACHE_BYTES", bound)
-        for _ in range(2):
-            report = is_strongly_r_robust_bruteforce(g, [1, 2, 3], 4)
-            assert (report.verdict, report.witness) == (False, {"violating_subset": [4]})
-        assert builds["_complement_row"] == [(g, 3)] * rows and len(builds["_pair_table"]) == 3
-    assert sorted(g._tables) == [robustness._PAIRS, 3]
+    answers = [max_r_robustness(g) for _ in range(2)]
+    assert len(builds["_pair_table"]) == len(builds["_partner_table"]) == 2 and g._tables == {}
+    first, second = (most for most, in builds["_partner_table"])
+    assert first is not second and not first.flags.writeable and not second.flags.writeable
+    fresh = Digraph(g.n, g.edges)
+    assert answers == [max_r_robustness(fresh)] * 2 == [max(r for r in range(g.n + 1) if naive_is_r_robust(g, r))] * 2
+    assert len(builds["_pair_table"]) == len(builds["_partner_table"]) == 3 and fresh._tables == {}
 
 
 def test_cached_tables_are_read_only():
     g = make_k_circulant(8, 3)
     max_r_robustness(g)
     is_strongly_r_robust_bruteforce(g, [1, 2, 3], 1)
-    for table in (*g._tables[robustness._PAIRS], g._tables[0]):
+    assert sorted(g._tables) == [-2, -1, 0]
+    for table in g._tables.values():
         assert not table.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             table[0] = 1
@@ -591,8 +585,8 @@ def test_cached_tables_are_read_only():
 
 def test_a_corpus_replayed_twice_builds_each_table_once(monkeypatch):
     # 4,375 distinct (graph, S), more than perfbench crosscheck's 4,227: each
-    # graph builds its pair tables once and a row for each threshold it meets
-    # once, strong r = 2 reading row 1 and TLF F = 1 row min(2, max in-degree)
+    # graph builds M and P once and a row for each threshold it meets once,
+    # strong r = 2 reading row 1 and TLF F = 1 row min(2, max in-degree)
     rng = random.Random(149)
     graphs = [random_digraph(rng, 10, rng.choice([0.3, 0.5])) for _ in range(25)]
     queries = [(g, s) for g in graphs for size in (1, 2, 3) for s in itertools.combinations(g.vertices, size)]
@@ -605,9 +599,9 @@ def test_a_corpus_replayed_twice_builds_each_table_once(monkeypatch):
             is_r_robust(g, 2)
             max_r_robustness(g)
     rows = sorted((id(g), a) for g, a in builds["_complement_row"])
-    assert rows == sorted((id(g), a) for g in graphs for a in g._tables if a != robustness._PAIRS)
-    assert {len(g._tables) for g in graphs} <= {2, 3}
-    assert len(builds["_pair_table"]) == len(graphs)
+    assert rows == sorted((id(g), a) for g in graphs for a in g._tables if a >= 0)
+    assert {len(g._tables) for g in graphs} <= {3, 4} and all(-2 in g._tables and -1 in g._tables for g in graphs)
+    assert len(builds["_pair_table"]) == len(builds["_partner_table"]) == len(graphs)
 
 
 def test_every_leader_set_of_a_graph_reads_the_same_rows(monkeypatch):
@@ -623,8 +617,9 @@ def test_every_leader_set_of_a_graph_reads_the_same_rows(monkeypatch):
             for r in (2, 3):
                 holds.add(assert_first_violating_subset(is_strongly_r_robust_bruteforce(g, s, r), g, s, r, r) is None)
     assert holds == {False, True}
-    assert sorted(g._tables) == [robustness._PAIRS, 1, 2]
+    assert sorted(g._tables) == [-1, 1, 2]
     assert builds["_complement_row"] == [(g, 1), (g, 2)] and builds["_pair_table"] == [(g,)]
+    assert builds["_partner_table"] == []
 
 
 def test_all_63_leader_sets_of_a_graph_leave_at_most_one_row_per_threshold():
@@ -638,27 +633,50 @@ def test_all_63_leader_sets_of_a_graph_leave_at_most_one_row_per_threshold():
             is_strongly_r_robust_bruteforce(g, s, r)
         for f in range(4):
             is_tlf_robust_bruteforce(g, s, f)
-    rows = sorted(key for key in g._tables if key != robustness._PAIRS)
-    assert len(sets) == 63 and rows == list(range(g.max_in_degree + 1))
+    assert len(sets) == 63 and sorted(g._tables) == [-1, *range(g.max_in_degree + 1)]
+
+
+def test_complement_queries_build_m_once_a_row_per_threshold_and_no_p(monkeypatch):
+    # strong r and TLF queries on every S of 1 or 2 members of one graph,
+    # twice: M is built once, each row the queries meet once, and P, which
+    # only the pair checks read, never; every answer is the naive oracle's
+    g = random_digraph(random.Random(47), 9, 0.4)
+    sets = [s for size in (1, 2) for s in itertools.combinations(g.vertices, size)]
+    builds = _spy_builds(monkeypatch)
+    for _ in range(2):
+        for s in sets:
+            for r in (1, 2, 3):
+                assert_first_violating_subset(is_strongly_r_robust_bruteforce(g, s, r), g, s, r, r)
+            for f in (0, 1):
+                assert_first_violating_subset(is_tlf_robust_bruteforce(g, s, f), g, s, f + 1, 2 * f + 1)
+    rows = sorted({min(reach - 1, g.max_in_degree) for reach in (1, 2, 3)})
+    assert builds["_pair_table"] == [(g,)] and builds["_partner_table"] == []
+    assert sorted(a for _, a in builds["_complement_row"]) == rows and sorted(g._tables) == [-1, *rows]
+    assert g._tables[-1].shape == (1 << g.n,) and g._tables[-1].dtype == np.uint8
 
 
 def test_no_kept_row_passes_the_cache_bound_at_16_vertices():
-    # at n = 16 a row takes 4 * 2^16 bytes, a quarter of CACHE_BYTES, and a
-    # graph keeps at most one per threshold: (max in-degree + 1) * 4 * 2^16
+    # at n = 16, the most vertices a graph keeps tables for, M and P take 2^16
+    # bytes each and a row, int32, 4 * 2^16, one per threshold: a graph keeps
+    # at most 2 * 2^16 + (max in-degree + 1) * 4 * 2^16 bytes
     g = make_k_circulant(16, 4)
     for r in range(1, g.max_in_degree + 2):
         report = is_strongly_r_robust_bruteforce(g, {1, 2}, r)
         assert report.verdict == is_strongly_r_robust_peeling(g, {1, 2}, r).verdict, r
-    rows = [table for key, table in g._tables.items() if key != robustness._PAIRS]
-    assert len(rows) == g.max_in_degree + 1 == 5
-    assert all(row.nbytes == 4 << 16 <= robustness.CACHE_BYTES for row in rows)
+    assert max_r_robustness(g, force=True) == 2
+    rows = [g._tables[a] for a in range(g.max_in_degree + 1)]
+    assert sorted(g._tables) == [-2, -1, *range(5)] and g.max_in_degree == 4
+    assert all(row.dtype == np.int32 and row.nbytes == 4 << 16 for row in rows)
+    assert g._tables[-1].nbytes == g._tables[-2].nbytes == 1 << 16
+    assert sum(table.nbytes for table in g._tables.values()) == (2 + 4 * 5) << 16
 
 
 def test_a_graphs_tables_are_freed_with_it():
     g = make_k_circulant(8, 3)
     max_r_robustness(g)
     is_strongly_r_robust_bruteforce(g, [1, 2, 3], 1)
-    kept = [weakref.ref(table) for table in (*g._tables[robustness._PAIRS], g._tables[0])]
+    assert sorted(g._tables) == [-2, -1, 0]
+    kept = [weakref.ref(table) for table in g._tables.values()]
     assert all(ref() is not None for ref in kept)
     del g
     gc.collect()
@@ -699,7 +717,7 @@ def test_threads_sharing_a_graph_answer_as_one_thread_does():
     assert not any(thread.is_alive() for thread in threads)
     assert results == [expected] * 4
     # F = 0 reads row 0 (reach 1), and F = 1 row 2 (reach 3, below the largest in-degree 3)
-    assert sorted(g._tables) == [robustness._PAIRS, 0, 2]
+    assert sorted(g._tables) == [-2, -1, 0, 2]
 
 
 @pytest.mark.parametrize("low_bits", [2, 3, 4], indirect=True)

@@ -18,11 +18,12 @@ every call, outside the timer, a side loads the call's argument afresh, so a
 call on graphs built from JSON finds no tables kept on them (a base older
 than ``2281bfc`` kept its exact tables in caches shared by equal graphs, so
 there the table build and pair battery rows time reads of cached tables).
-So ``complement table build`` times each graph's pair tables and complement
-rows built once plus the lookups of its other calls (a base that kept one
-table per (graph, S) builds one per call).
+So ``complement table build`` times each graph's table M and complement rows
+built once plus the lookups of its other calls (a base that built the pair
+checks' table P with M builds it here too, and one that kept a table per
+(graph, S) builds one per call).
 Each side makes one untimed call, then the row's ``pairs`` pairs run
-(``PAIRS``, but ``C01_PAIRS`` for the c01 slice), each side first in half of
+(``PAIRS``, but ``PAIRS_C01`` for the c01 slice), each side first in half of
 them, in a shuffled order.  Garbage collection is off inside the timed call,
 as in ``timeit``.
 
@@ -96,7 +97,7 @@ SIM2_SEED = 20  # the first op of perfbench track at seed 1
 # tens of ms: a pair's noise hardly shrinks with a longer call, so more pairs do
 STEP = 8
 C01_GRAPHS = 50  # the first graphs of acceptance test c01's loop
-C01_PAIRS = 20  # a c01 slice takes about 0.9 s a call
+PAIRS_C01 = 20  # a c01 slice takes about 0.9 s a call
 COMPLEMENT = ("is_strongly_r_robust_bruteforce", "is_tlf_robust_bruteforce")
 PEELING = ("is_strongly_r_robust_peeling", "is_tlf_robust_peeling")
 PAIR_DECIDERS = ("is_r_robust", "is_rs_robust", "max_r_robustness")
@@ -148,9 +149,9 @@ def _calls(workload: str, names: tuple[str, ...], step: int = 1) -> Callable[[Pa
 def _table_builds(scratch: Path) -> tuple[list, list]:
     """The first crosscheck brute-force call with r > 0 (strong r = 0 reads
     no table) of every ``STEP``-th (graph, S).  On graphs loaded afresh, each
-    graph builds its pair tables and each complement row its calls meet
-    once, and its other calls are lookups; a base that kept a table per
-    (graph, S) builds one per call."""
+    graph builds M and each complement row its calls meet once, and its
+    other calls are lookups; a base that kept a table per (graph, S) builds
+    one per call."""
     graphs, calls = _calls("crosscheck", COMPLEMENT)(scratch)
     firsts = {}
     for name, at, (leaders, param), kwargs in calls:
@@ -265,7 +266,7 @@ ROWS = [
     Row("pair search, kept tables", _calls("exact", PAIR_DECIDERS), _warmed, _replay),
     Row("forced walk, large witness", _large_witness, _bound, _replay),
     Row("decider calls, c01 slice", _c01_graphs,
-        lambda side, graphs: [side.graph.graph_from_json(obj) for obj in graphs], _c01_loop, C01_PAIRS),
+        lambda side, graphs: [side.graph.graph_from_json(obj) for obj in graphs], _c01_loop, PAIRS_C01),
     Row("run, sim2 seed", _config(_sim2), _side_config, _run),
     Row("run, weight table", _config(_weighted_sim2), _side_config, _run),
     Row("run, wide", _config(_wide_config), lambda side, data: [_side_config(side, data) for _ in range(8)],

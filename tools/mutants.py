@@ -91,12 +91,16 @@ MUTANTS = [
      [TESTS + "test_the_width_table_holds_the_low_counters_and_their_canonical_order[4]",
       TESTS + "test_no_kept_row_passes_the_cache_bound_at_16_vertices"]),
     # every complement row kept under threshold 0, whatever its own
-    (ROBUSTNESS, "return _kept(g, a, ", "return _kept(g, 0, ",
+    (ROBUSTNESS, "row = _kept(g, a, ", "row = _kept(g, 0, ",
      [TESTS + "test_every_leader_set_of_a_graph_reads_the_same_rows",
       TESTS + "test_a_corpus_replayed_twice_builds_each_table_once"]),
-    # a table whose arrays exceed CACHE_BYTES kept anyway
-    (ROBUSTNESS, "if sum(array.nbytes for array in arrays) <= CACHE_BYTES:", "if True:",
-     [TESTS + "test_a_table_larger_than_the_cache_bound_is_returned_not_kept"]),
+    # a graph of exactly _LOW_BITS vertices builds its tables but keeps none
+    (ROBUSTNESS, "if g.n <= _LOW_BITS:", "if g.n < _LOW_BITS:",
+     [TESTS + "test_no_kept_row_passes_the_cache_bound_at_16_vertices"]),
+    # P kept under M's key, so a pair check that finds M kept reads it as P
+    (ROBUSTNESS, "partner = _kept(g, -2, ", "partner = _kept(g, -1, ",
+     [TESTS + "test_pair_witness_is_the_canonical_first_violation[default]",
+      TESTS + "test_r_robust_matches_naive_oracle"]),
     # an equal-rule run's least nonzero term read off its wrong end
     (SIMULATION, "np.maximum(first, -last)", "np.maximum(last, -first)",
      [SIM_TESTS + "test_end_bounds_certify_the_same_sums_as_the_matrix_bounds",
